@@ -8,7 +8,9 @@ is a fresh ``worker.py`` process that sees only the repository path:
 
 * ``--trace 0`` repeats untraced ``analyze_repository`` calls while the
   next one still fits in ``--seconds``, then times set-up alone a few
-  times, and reports the end-to-end metrics as medians over them;
+  times, and reports the end-to-end metrics as medians over them.  Times
+  are scaled to a reference host speed by probes run around the set-up
+  and between commits (see ``worker.py``);
 * ``--trace 1`` makes one untraced and one traced call and reports the
   per-layer metrics of the traced one.
 
@@ -104,7 +106,7 @@ class Runner:
             problems.append("rounded fingerprints differ between calls")
         return problems
 
-    def details(self, results: list[dict | None], setup: list[float]) -> dict:
+    def details(self, results: list[dict | None], setup: list[dict]) -> dict:
         done = [r for r in results if r is not None]
         entries = self.oracle["entries"]
         return {
@@ -117,7 +119,9 @@ class Runner:
             "analysis_calls": len(results),
             "miss_share": [r["misses"] / r["entries"] if r else 1.0 for r in results],
             "analyze_s": [r["analyze_s"] for r in done],
-            "setup_s": setup,
+            "analyze_wall_s": [r["wall_s"] for r in done],
+            "setup_s": [r["setup_s"] for r in setup],
+            "setup_wall_s": [r["setup_wall_s"] for r in setup],
             "fingerprint_digits": FINGERPRINT_DIGITS,
             "fingerprint": sorted({r["fingerprint"] for r in done}),
             "fingerprint_exact": sorted({r["fingerprint_exact"] for r in done}),
@@ -126,7 +130,7 @@ class Runner:
 
 
 def end_to_end(runner: Runner, seconds: float,
-               setup_call_s: float) -> tuple[dict, list, list[float]]:
+               setup_call_s: float) -> tuple[dict, list, list[dict]]:
     """Analysis calls while the next one still fits, then set-up-only calls.
 
     The set-up-only calls come last so that they, like the set-up timed in
@@ -139,15 +143,11 @@ def end_to_end(runner: Runner, seconds: float,
         t0 = time.perf_counter()
         results.append(runner.call("analyze"))
         last = time.perf_counter() - t0
-    setup = []
-    for _ in range(SETUP_SAMPLES):
-        r = runner.call("setup")
-        if r is not None:
-            setup.append(r["setup_s"])
+    setup = [r for r in (runner.call("setup") for _ in range(SETUP_SAMPLES)) if r is not None]
     done = [r for r in results if r is not None]
     if not done:
         return {}, results, setup
-    setup += [r["setup_s"] for r in done]
+    setup += done
     commits = runner.oracle["commits"]
     hits = sum(r["entries"] - r["misses"] for r in done)
     metrics = {
@@ -155,7 +155,7 @@ def end_to_end(runner: Runner, seconds: float,
         "commits_per_s": statistics.median(commits / r["analyze_s"] for r in done),
         "commit_p50_ms": statistics.median(r["commit_p50_ms"] for r in done),
         "commit_p90_ms": statistics.median(r["commit_p90_ms"] for r in done),
-        "setup_s": statistics.median(setup),
+        "setup_s": statistics.median(r["setup_s"] for r in setup),
         "peak_rss_mb": statistics.median(r["peak_rss_mb"] for r in done),
         "hit_share": hits / (len(results) * len(runner.oracle["entries"])),
     }
@@ -170,7 +170,7 @@ def per_layer(runner: Runner) -> tuple[dict, list]:
     if untraced is None or traced is None:
         return {}, results
     layers = dict(traced["layers"])
-    layers["pipeline.trace_overhead_ratio"] = traced["analyze_s"] / untraced["analyze_s"] - 1.0
+    layers["pipeline.trace_overhead_ratio"] = traced["wall_s"] / untraced["wall_s"] - 1.0
     units = tracing.metric_units()
     return {k: {"value": layers[k], "unit": u} for k, u in units.items()}, results
 

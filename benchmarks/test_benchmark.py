@@ -22,6 +22,7 @@ import pytest
 import histories
 import tracing
 from run import END_TO_END_UNITS, ROOT, Runner
+from worker import PROBE_REFERENCE_S, scaled_times
 
 TINY = {
     "edit-heavy": dict(files=4, methods=3, commits=14),
@@ -88,6 +89,29 @@ def test_traced_run_matches_untraced(tiny, workload):
     assert (layers["callgraph.restore_calls"] > 0) == forked
     assert (layers["repo.binary_blobs"] > 0) == forked
     assert (layers["syntax.parse_errors"] > 0) == forked
+
+
+def test_scaled_times_follow_the_probes():
+    times = {"a": 0.010, "b": 0.020, "c": 4.0}
+
+    def probes(speeds):
+        out, now = [], 0.0
+        for speed, t in zip(speeds, [*times.values(), 0.0]):
+            now += 0.005
+            out.append((speed, 0.005, now))
+            now += t
+        return out
+
+    ref = PROBE_REFERENCE_S
+    commit_ms, total = scaled_times(times, 4.1, probes([ref] * 4))
+    assert commit_ms == pytest.approx([10, 20, 4000]) and total == pytest.approx(4.1)
+    commit_ms, total = scaled_times(times, 4.1, probes([2 * ref] * 4))
+    assert commit_ms == pytest.approx([5, 10, 2000]) and total == pytest.approx(2.05)
+    # a short commit sees only its two ends; the long last one sees all four
+    commit_ms, _ = scaled_times(times, 4.1, probes([ref, ref, 3 * ref, 3 * ref]))
+    assert commit_ms == pytest.approx([10, 10, 4000 / 2])
+    with pytest.raises(RuntimeError):
+        scaled_times(times, 4.1, probes([ref] * 3))
 
 
 def test_refuses_to_run_without_sources(tmp_path):
