@@ -16,11 +16,21 @@ called by many accrues rank, then a backward propagation that walks callee
 subtrees and feeds decayed leaf rank back up the call chain, so mid-chain
 functions outrank both bare utilities and entry points.  Cycles are handled
 by condensing strongly connected components; the mass a component receives
-is split equally among its members.
+is split equally among its members.  Both passes read one ``Adjacency``
+built in sorted ``FunctionId`` order, so ranks do not depend on the hash
+seed.
+
+Ranks depend only on ``structure()``.  Every graph carries a ``token``,
+unique to the object, and a ``version`` that ``update``,
+``reresolve_names`` and ``resolve_all`` bump whenever a file's function
+list or a call site's resolved targets may have changed.  While the pair
+is unchanged the structure is too, so a caller may keep the last ranks
+instead of recomputing them; commits that only edit bodies keep the pair.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 from dataclasses import dataclass, field
@@ -41,6 +51,9 @@ from .syntax import (
 logger = logging.getLogger(__name__)
 
 EXTERNAL_PREFIX = "external:"
+
+# Source of ``CallGraph.token``: never reused, unlike ``id()``.
+_graph_tokens = itertools.count()
 
 
 class FunctionId(NamedTuple):
@@ -111,8 +124,21 @@ def extract_call_sites(tree: SyntaxTree, units) -> list[CallSite]:
     return sites
 
 
+class Adjacency(NamedTuple):
+    """Distinct call edges as index pairs into ``ids`` (sorted), ordered by
+    (caller, callee)."""
+
+    ids: list[FunctionId]
+    src: np.ndarray
+    dst: np.ndarray
+
+
 class CallGraph:
-    """Directed caller -> callee graph with per-file ownership."""
+    """Directed caller -> callee graph with per-file ownership.
+
+    ``(token, version)`` changes whenever ``structure()`` may have changed;
+    see the module doc.
+    """
 
     def __init__(self):
         self.functions_by_file: dict[str, list[FunctionId]] = {}
@@ -120,6 +146,8 @@ class CallGraph:
         self.resolutions: dict[str, list[tuple[FunctionId, ...]]] = {}
         self.stale_files: set[str] = set()
         self._simple_index: dict[str, set[FunctionId]] = {}
+        self.token = next(_graph_tokens)
+        self.version = 0
 
     # -- node bookkeeping ----------------------------------------------------
 
@@ -135,7 +163,7 @@ class CallGraph:
             if not bucket:
                 del self._simple_index[simple]
 
-    def add_file(self, path: str, tree: SyntaxTree):
+    def _add_file(self, path: str, tree: SyntaxTree):
         units = extract_functions(tree)
         named = [u for u in units if "$lambda" not in u.qualified_name]
         fids = [FunctionId(u.qualified_name, path) for u in named]
@@ -145,7 +173,7 @@ class CallGraph:
         self.call_sites[path] = extract_call_sites(tree, units)
         self.stale_files.discard(path)
 
-    def remove_file(self, path: str):
+    def _remove_file(self, path: str):
         for fid in self.functions_by_file.pop(path, []):
             self._index_remove(fid)
         self.call_sites.pop(path, None)
@@ -184,6 +212,7 @@ class CallGraph:
         self.resolutions = {}
         for path in self.call_sites:
             self.resolve_file(path)
+        self.version += 1
 
     def reresolve_names(self, names: set[str], skip_files: set[str]):
         """Re-resolve sites outside ``skip_files`` whose callee simple name
@@ -196,10 +225,15 @@ class CallGraph:
             res = self.resolutions.get(path)
             if res is None or len(res) != len(sites):
                 self.resolve_file(path)
+                if self.resolutions[path] != res:
+                    self.version += 1
                 continue
             for i, site in enumerate(sites):
                 if site.simple in names:
-                    res[i] = self._resolve_site(site)
+                    targets = self._resolve_site(site)
+                    if targets != res[i]:
+                        res[i] = targets
+                        self.version += 1
 
     # -- views -------------------------------------------------------------------
 
@@ -215,22 +249,29 @@ class CallGraph:
                         out.add(t)
         return out
 
+    def _resolved_sites(self):
+        for path, res in self.resolutions.items():
+            yield from zip(self.call_sites.get(path, ()), res)
+
     @property
     def edges(self) -> set[tuple[FunctionId, FunctionId]]:
-        out = set()
-        for path, res in self.resolutions.items():
-            sites = self.call_sites.get(path, [])
-            for site, targets in zip(sites, res):
-                for t in targets:
-                    out.add((site.caller, t))
-        return out
+        return {(site.caller, t) for site, targets in self._resolved_sites()
+                for t in targets}
 
-    def adjacency(self) -> dict[FunctionId, list[FunctionId]]:
-        adj: dict[FunctionId, set[FunctionId]] = {fid: set() for fid in self.nodes}
-        for src, dst in self.edges:
-            adj.setdefault(src, set()).add(dst)
-            adj.setdefault(dst, set())
-        return {fid: sorted(adj[fid]) for fid in adj}
+    def adjacency(self) -> Adjacency:
+        nodes = set()
+        for fids in self.functions_by_file.values():
+            nodes.update(fids)
+        for site, targets in self._resolved_sites():
+            nodes.add(site.caller)
+            nodes.update(targets)
+        ids = sorted(nodes)
+        index = {fid: i for i, fid in enumerate(ids)}
+        n = len(ids)
+        codes = {index[site.caller] * n + index[t]
+                 for site, targets in self._resolved_sites() for t in targets}
+        codes = np.sort(np.fromiter(codes, dtype=np.int64, count=len(codes)))
+        return Adjacency(ids, codes // n, codes % n)
 
     def structure(self):
         """Canonical (nodes, edges) pair for structural comparison."""
@@ -283,18 +324,29 @@ class CallGraph:
 
     # -- incremental update -----------------------------------------------------------
 
+    def _file_shape(self, path: str):
+        """What ``path`` adds to ``structure()``: its nodes and its edges."""
+        return (tuple(self.functions_by_file.get(path, ())),
+                tuple(site.caller for site in self.call_sites.get(path, ())),
+                tuple(self.resolutions.get(path, ())))
+
     def update(self, changes) -> "CallGraph":
         """Apply one commit's file changes; result equals a full rebuild.
 
         Only source files with a registered grammar adapter participate.
         A file that fails to parse loses its prior nodes and is flagged
-        stale until a later change fixes it.
+        stale until a later change fixes it.  ``version`` is bumped when a
+        touched file's shape changes or a re-resolved site changes targets.
         """
         affected: set[str] = set()
         touched_files: set[str] = set()
+        shapes_before: dict[str, tuple] = {}
 
-        def removed_names(path):
-            return {_simple_name(fid.name) for fid in self.functions_by_file.get(path, ())}
+        def forget(path):
+            shapes_before.setdefault(path, self._file_shape(path))
+            affected.update(_simple_name(fid.name)
+                            for fid in self.functions_by_file.get(path, ()))
+            self._remove_file(path)
 
         for change in changes:
             paths = [change.path]
@@ -307,12 +359,10 @@ class CallGraph:
                 continue
             if change.kind == "renamed" and change.old_path \
                     and language_for_path(change.old_path) is not None:
-                affected.update(removed_names(change.old_path))
-                self.remove_file(change.old_path)
+                forget(change.old_path)
             if language_for_path(change.path) is None:
                 continue
-            affected.update(removed_names(change.path))
-            self.remove_file(change.path)
+            forget(change.path)
             touched_files.add(change.path)
             if change.kind == "deleted" or change.after_content is None:
                 continue
@@ -323,7 +373,7 @@ class CallGraph:
                 logger.warning("skipping %s: parse error at %s", change.path, exc.position)
                 self.stale_files.add(change.path)
                 continue
-            self.add_file(change.path, tree)
+            self._add_file(change.path, tree)
             affected.update(_simple_name(fid.name)
                             for fid in self.functions_by_file[change.path])
 
@@ -331,6 +381,8 @@ class CallGraph:
             if path in self.call_sites:
                 self.resolve_file(path)
         self.reresolve_names(affected, skip_files=touched_files)
+        if any(self._file_shape(path) != shape for path, shape in shapes_before.items()):
+            self.version += 1
         return self
 
 
@@ -348,7 +400,7 @@ def build_call_graph(files) -> CallGraph:
             logger.warning("skipping %s: parse error at %s", path, exc.position)
             graph.stale_files.add(path)
             continue
-        graph.add_file(path, tree)
+        graph._add_file(path, tree)
     graph.resolve_all()
     return graph
 
@@ -393,7 +445,12 @@ class CheckpointStore:
         return CallGraph.from_payload(cp.payload)
 
     def discard(self, commit_id: str):
+        """Release the in-memory checkpoint; an on-disk copy stays."""
         self._memory.pop(commit_id, None)
+
+    def __len__(self) -> int:
+        """Checkpoints held in memory."""
+        return len(self._memory)
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +464,7 @@ class ImpactScores:
     map_out: dict[FunctionId, float] = field(default_factory=dict)
 
 
-def pagerank(graph: CallGraph, damping: float = 0.85, tol: float = 1e-8,
+def pagerank(adjacency: Adjacency, damping: float = 0.85, tol: float = 1e-8,
              max_iter: int = 200) -> dict[FunctionId, float]:
     """Power-iteration PageRank; a function called by many accrues rank.
 
@@ -415,31 +472,18 @@ def pagerank(graph: CallGraph, damping: float = 0.85, tol: float = 1e-8,
     Scores sum to 1.  If the iteration fails to reach ``tol`` a warning is
     logged and the best iterate is returned.
     """
-    adj = graph.adjacency()
-    ids = sorted(adj)
+    ids, src, dst = adjacency
     n = len(ids)
     if n == 0:
         return {}
-    index = {fid: i for i, fid in enumerate(ids)}
-    src, dst = [], []
-    out_degree = np.zeros(n)
-    for fid, callees in adj.items():
-        i = index[fid]
-        out_degree[i] = len(callees)
-        for callee in callees:
-            src.append(i)
-            dst.append(index[callee])
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
+    out_degree = np.bincount(src, minlength=n).astype(float)
     dangling = out_degree == 0
-    safe_deg = np.where(dangling, 1.0, out_degree)
+    src_degree = out_degree[src]
 
     rank = np.full(n, 1.0 / n)
     converged = False
     for _ in range(max_iter):
-        contrib = np.zeros(n)
-        if len(src):
-            np.add.at(contrib, dst, rank[src] / safe_deg[src])
+        contrib = np.bincount(dst, weights=rank[src] / src_degree, minlength=n)
         dangling_mass = rank[dangling].sum()
         new_rank = (1.0 - damping) / n + damping * (contrib + dangling_mass / n)
         if np.abs(new_rank - rank).sum() < tol:
@@ -450,36 +494,38 @@ def pagerank(graph: CallGraph, damping: float = 0.85, tol: float = 1e-8,
     if not converged:
         logger.warning("pagerank did not converge to %.1e in %d iterations",
                        tol, max_iter)
-    return {fid: float(rank[index[fid]]) for fid in ids}
+    return dict(zip(ids, rank.tolist()))
 
 
-def _tarjan_scc(adj: dict) -> list[list]:
-    """Iterative Tarjan; components in reverse topological order."""
-    index_of, low, on_stack = {}, {}, set()
+def _tarjan_scc(callees: list[list[int]]) -> list[list[int]]:
+    """Iterative Tarjan over nodes 0..n-1; components in reverse
+    topological order (every component after the ones it calls)."""
+    n = len(callees)
+    index_of, low, on_stack = [-1] * n, [0] * n, [False] * n
     stack, components = [], []
-    counter = [0]
+    counter = 0
 
-    for start in sorted(adj):
-        if start in index_of:
+    for start in range(n):
+        if index_of[start] >= 0:
             continue
-        work = [(start, iter(adj[start]))]
-        index_of[start] = low[start] = counter[0]
-        counter[0] += 1
+        work = [(start, iter(callees[start]))]
+        index_of[start] = low[start] = counter
+        counter += 1
         stack.append(start)
-        on_stack.add(start)
+        on_stack[start] = True
         while work:
             node, it = work[-1]
             advanced = False
             for child in it:
-                if child not in index_of:
-                    index_of[child] = low[child] = counter[0]
-                    counter[0] += 1
+                if index_of[child] < 0:
+                    index_of[child] = low[child] = counter
+                    counter += 1
                     stack.append(child)
-                    on_stack.add(child)
-                    work.append((child, iter(adj[child])))
+                    on_stack[child] = True
+                    work.append((child, iter(callees[child])))
                     advanced = True
                     break
-                if child in on_stack:
+                if on_stack[child]:
                     low[node] = min(low[node], index_of[child])
             if advanced:
                 continue
@@ -491,7 +537,7 @@ def _tarjan_scc(adj: dict) -> list[list]:
                 comp = []
                 while True:
                     w = stack.pop()
-                    on_stack.discard(w)
+                    on_stack[w] = False
                     comp.append(w)
                     if w == node:
                         break
@@ -499,7 +545,7 @@ def _tarjan_scc(adj: dict) -> list[list]:
     return components
 
 
-def backward_propagate(graph: CallGraph, map_pr: dict[FunctionId, float],
+def backward_propagate(adjacency: Adjacency, map_pr: dict[FunctionId, float],
                        decay: float = 0.5) -> ImpactScores:
     """Backward weight propagation with decay over the call graph.
 
@@ -510,63 +556,40 @@ def backward_propagate(graph: CallGraph, map_pr: dict[FunctionId, float],
     members, and the final score of every function is its rank plus the
     propagated mass.
     """
-    adj = graph.adjacency()
-    components = _tarjan_scc(adj)
-    comp_of = {}
+    ids, src, dst = adjacency
+    bounds = np.searchsorted(src, np.arange(len(ids) + 1)).tolist()
+    dst_list = dst.tolist()
+    callees = [dst_list[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    components = _tarjan_scc(callees)
+    comp_of = [0] * len(ids)
     for ci, comp in enumerate(components):
         for node in comp:
             comp_of[node] = ci
 
     comp_children: list[set[int]] = [set() for _ in components]
-    for src_node, callees in adj.items():
-        ci = comp_of[src_node]
-        for dst_node in callees:
-            cj = comp_of[dst_node]
-            if ci != cj:
-                comp_children[ci].add(cj)
+    for a, b in zip(src.tolist(), dst_list):
+        ci, cj = comp_of[a], comp_of[b]
+        if ci != cj:
+            comp_children[ci].add(cj)
 
-    comp_pr = [sum(map_pr.get(n, 0.0) for n in comp) for comp in components]
-
-    # memoized post-order over the condensation (a DAG)
-    comp_tmp = [None] * len(components)
-
-    def compute(ci):
-        order = []
-        seen = set()
-        stack = [(ci, False)]
-        while stack:
-            c, processed = stack.pop()
-            if processed:
-                order.append(c)
-                continue
-            if c in seen or comp_tmp[c] is not None:
-                continue
-            seen.add(c)
-            stack.append((c, True))
-            for child in comp_children[c]:
-                if comp_tmp[child] is None and child not in seen:
-                    stack.append((child, False))
-        for c in order:
-            if comp_tmp[c] is not None:
-                continue
-            children = comp_children[c]
-            if not children:
-                comp_tmp[c] = comp_pr[c]
-            else:
-                comp_tmp[c] = sum(comp_tmp[child] * decay for child in sorted(children))
-
-    for ci in range(len(components)):
-        if comp_tmp[ci] is None:
-            compute(ci)
+    # components come callees first, so one pass over them is a post-order
+    comp_tmp: list[float] = []
+    for ci, comp in enumerate(components):
+        children = comp_children[ci]
+        if children:
+            comp_tmp.append(sum(comp_tmp[child] * decay for child in sorted(children)))
+        else:
+            comp_tmp.append(sum(map_pr.get(ids[node], 0.0) for node in comp))
 
     scores = ImpactScores()
-    for ci, comp in enumerate(components):
-        share = comp_tmp[ci] / len(comp)
+    for comp, tmp in zip(components, comp_tmp):
+        share = tmp / len(comp)
         for node in comp:
-            pr = map_pr.get(node, 0.0)
-            scores.map_pr[node] = pr
-            scores.map_tmp[node] = share
-            scores.map_out[node] = pr + share
+            fid = ids[node]
+            pr = map_pr.get(fid, 0.0)
+            scores.map_pr[fid] = pr
+            scores.map_tmp[fid] = share
+            scores.map_out[fid] = pr + share
     return scores
 
 

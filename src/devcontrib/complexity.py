@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import ParseError
 from .syntax import FunctionUnit, SyntaxTree, _tokenize, comment_metrics
 
 
@@ -82,7 +83,7 @@ def halstead_volume(function: FunctionUnit, tree: SyntaxTree) -> float:
     snippet = tree.source_text[start:end]
     try:
         tokens, _ = _tokenize(snippet)
-    except Exception:
+    except ParseError:
         return 0.0
     operators: dict[str, int] = {}
     operands: dict[str, int] = {}

@@ -10,6 +10,12 @@ fits the per-metric normalization over the whole run and fuses the raw
 records into function scores and commit values.  Splitting the passes
 keeps normalization (and therefore every score) reproducible: a re-run on
 the same history yields identical numbers.
+
+Call-graph impact is ranked only when a commit with scored changes finds
+the graph at a new ``(token, version)`` pair, that is after a structural
+change or a checkpoint restore; otherwise the last scores are reused, and
+they equal what a recompute would give.  A fork's in-memory checkpoint is
+released once its last first-parent child has been restored.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from .callgraph import (
     CallGraph,
     CheckpointStore,
     FunctionId,
+    ImpactScores,
     backward_propagate,
     inter_impact,
     pagerank,
@@ -138,6 +145,8 @@ class AnalysisRun:
     timings: dict[str, float] = field(default_factory=dict)
     commit_times: dict[str, float] = field(default_factory=dict)
     checkpoint_restores: int = 0
+    rank_computations: int = 0
+    rank_reuses: int = 0
 
     SCHEMA_VERSION = 1
 
@@ -186,6 +195,12 @@ class PipelineState:
     graph: CallGraph = field(default_factory=CallGraph)
     weights: DeltaWeights = field(default_factory=DeltaWeights)
     timings: dict[str, float] = field(default_factory=dict)
+    # last impact scores (only what inter_impact reads) and the graph's
+    # (token, version) they were ranked at
+    impact: ImpactScores | None = None
+    impact_key: tuple[int, int] | None = None
+    rank_computations: int = 0
+    rank_reuses: int = 0
 
     def add_time(self, stage: str, seconds: float):
         self.timings[stage] = self.timings.get(stage, 0.0) + seconds
@@ -202,6 +217,24 @@ def _parse_or_none(text: str | None, path: str):
     except ParseError as exc:
         logger.warning("skipping %s: parse error at %s", path, exc.position)
         return None
+
+
+def current_impact(state: PipelineState) -> ImpactScores:
+    """Impact scores of ``state.graph``, ranked again only when the graph's
+    ``(token, version)`` differs from the last ranking's."""
+    key = (state.graph.token, state.graph.version)
+    if key == state.impact_key:
+        state.rank_reuses += 1
+        return state.impact
+    cfg = state.config
+    adjacency = state.graph.adjacency()
+    ranks = pagerank(adjacency, damping=cfg.graph_damping, tol=cfg.graph_tol,
+                     max_iter=cfg.graph_max_iter)
+    scores = backward_propagate(adjacency, ranks, decay=cfg.graph_decay)
+    state.impact = ImpactScores(map_out=scores.map_out)
+    state.impact_key = key
+    state.rank_computations += 1
+    return state.impact
 
 
 def analyze_commit(commit: CommitRecord, state: PipelineState) -> CommitResult:
@@ -250,9 +283,7 @@ def analyze_commit(commit: CommitRecord, state: PipelineState) -> CommitResult:
         return result
 
     t0 = time.perf_counter()
-    ranks = pagerank(state.graph, damping=cfg.graph_damping, tol=cfg.graph_tol,
-                     max_iter=cfg.graph_max_iter)
-    impact = backward_propagate(state.graph, ranks, decay=cfg.graph_decay)
+    impact = current_impact(state)
     state.add_time("rank", time.perf_counter() - t0)
 
     t0 = time.perf_counter()
@@ -360,6 +391,7 @@ def analyze_repository(path: str, config: AnalysisConfig | None = None) -> Analy
     run = AnalysisRun(repository=str(path), config=cfg.to_dict())
 
     fork_ids = {cid for cid, kids in children.items() if len(kids) > 1}
+    fork_of_last_child = {children[cid][-1]: cid for cid in fork_ids}
     previous: str | None = None
     for commit in order:
         t_commit = time.perf_counter()
@@ -369,6 +401,8 @@ def analyze_repository(path: str, config: AnalysisConfig | None = None) -> Analy
                 state.graph = CallGraph()
         elif first_parent != previous:
             state.graph = store.restore(first_parent)
+        if commit.id in fork_of_last_child:
+            store.discard(fork_of_last_child[commit.id])
         result = analyze_commit(commit, state)
         if commit.id in fork_ids:
             store.checkpoint(state.graph, commit.id)
@@ -377,6 +411,8 @@ def analyze_repository(path: str, config: AnalysisConfig | None = None) -> Analy
         previous = commit.id
 
     run.checkpoint_restores = store.restores
+    run.rank_computations = state.rank_computations
+    run.rank_reuses = state.rank_reuses
 
     if cache_root is not None:
         with open(cache_root / "raw-metrics.jsonl", "w", encoding="utf-8") as fh:
@@ -407,9 +443,12 @@ def analyze_repository(path: str, config: AnalysisConfig | None = None) -> Analy
 
 
 def timing_report(run: AnalysisRun) -> dict:
-    """Wall-clock per stage plus per-commit durations."""
+    """Wall-clock per stage, per-commit durations and how often the call
+    graph was ranked or its last ranks reused."""
     return {
         "stages": dict(run.timings),
         "per_commit": dict(run.commit_times),
         "commits": len(run.commits),
+        "rank_computations": run.rank_computations,
+        "rank_reuses": run.rank_reuses,
     }

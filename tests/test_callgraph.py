@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from devcontrib.callgraph import (
     CallGraph,
@@ -12,7 +14,9 @@ from devcontrib.callgraph import (
     inter_impact,
     pagerank,
 )
+from devcontrib.config import AnalysisConfig
 from devcontrib.errors import UnknownCheckpoint
+from devcontrib.pipeline import PipelineState, current_impact
 from devcontrib.repo import FileChange
 
 
@@ -90,8 +94,9 @@ def test_parse_error_marks_file_stale_and_removes_nodes():
     assert "A.java" in g.stale_files
 
 
-def _random_edit_sequence(rng, steps=25):
-    """Yields (changes, snapshot) pairs for a scripted evolution."""
+def _random_edit_sequence(rng, steps=25, body_edits=False):
+    """Yields (changes, snapshot) pairs for a scripted evolution; with
+    ``body_edits`` some steps add a call-free statement to one method."""
     bodies = ["{ }", "{ alpha(); }", "{ beta(); gamma(); }", "{ delta(1); }"]
 
     def file_text(seed, names):
@@ -107,9 +112,16 @@ def _random_edit_sequence(rng, steps=25):
     yield None, dict(state)
 
     for step in range(steps):
-        op = rng.randint(4)
+        op = rng.randint(5 if body_edits else 4)
         changes = []
-        if op == 0 and len(state) > 2:  # delete a file
+        if op == 4 and state:  # edit a method body, keeping every call
+            path = sorted(state)[rng.randint(len(state))]
+            before = state[path]
+            state[path] = before.replace("() {", f"() {{ int v{step} = {step};", 1)
+            changes.append(FileChange(path=path, kind="modified",
+                                      before_content=before,
+                                      after_content=state[path]))
+        elif op == 0 and len(state) > 2:  # delete a file
             path = sorted(state)[rng.randint(len(state))]
             changes.append(FileChange(path=path, kind="deleted",
                                       before_content=state.pop(path)))
@@ -145,6 +157,67 @@ def test_incremental_equals_full_rebuild_over_random_edits():
         graph.update(changes)
         rebuilt = build_call_graph(snapshot)
         assert graph.structure() == rebuilt.structure()
+
+
+def _fresh_impact(files, cfg):
+    adjacency = build_call_graph(files).adjacency()
+    ranks = pagerank(adjacency, damping=cfg.graph_damping, tol=cfg.graph_tol,
+                     max_iter=cfg.graph_max_iter)
+    return backward_propagate(adjacency, ranks, decay=cfg.graph_decay)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_version_tracks_structure_and_reused_ranks_equal_fresh(seed):
+    it = _random_edit_sequence(np.random.RandomState(seed), steps=12,
+                               body_edits=True)
+    _, snapshot = next(it)
+    cfg = AnalysisConfig()
+    state = PipelineState(tree=None, config=cfg, graph=build_call_graph(snapshot))
+    for changes, snapshot in it:
+        structure, version = state.graph.structure(), state.graph.version
+        state.graph.update(changes)
+        if state.graph.structure() != structure:
+            assert state.graph.version != version
+        impact = current_impact(state)
+        assert impact.map_out == _fresh_impact(snapshot, cfg).map_out
+    assert state.rank_computations + state.rank_reuses == 12
+
+
+def test_restored_sibling_is_ranked_afresh():
+    main = {"A.java": "class A { void f() { g(); } void g() { } }"}
+    side = {**main, "B.java": "class B { void h() { g(); } }"}
+    store = CheckpointStore()
+    store.checkpoint(build_call_graph(side), "side")
+    store.checkpoint(build_call_graph(main), "main")
+    cfg = AnalysisConfig()
+    state = PipelineState(tree=None, config=cfg, graph=store.restore("side"))
+    current_impact(state)
+    state.graph = store.restore("main")  # same version as the sibling's graph
+    assert current_impact(state).map_out == _fresh_impact(main, cfg).map_out
+    assert (state.rank_computations, state.rank_reuses) == (2, 0)
+
+
+def test_body_only_update_keeps_version():
+    files = {"A.java": "class A { void f() { g(); } void g() { } }"}
+    g = build_call_graph(files)
+    version = g.version
+    g.update([FileChange(path="A.java", kind="modified",
+                         before_content=files["A.java"],
+                         after_content="class A { void f() { g(); } void g() { int x = 1; } }")])
+    assert g.version == version
+    g.update([FileChange(path="A.java", kind="modified",
+                         after_content="class A { void f() { } void g() { } }")])
+    assert g.version != version
+
+
+def test_every_graph_gets_a_fresh_token():
+    g = build_call_graph({"A.java": "class A { void f() { g(); } void g() { } }"})
+    store = CheckpointStore()
+    store.checkpoint(g, "c1")
+    first, second = store.restore("c1"), store.restore("c1")
+    tokens = {g.token, first.token, second.token, CallGraph().token}
+    assert len(tokens) == 4
 
 
 def test_checkpoint_restore_roundtrip_and_unknown():
@@ -225,19 +298,19 @@ def _dense_pagerank(n, edges, damping=0.85, iters=3000):
 
 def test_pagerank_single_isolated_node():
     g = build_call_graph({"S.java": "class S { void only() { } }"})
-    assert list(pagerank(g).values()) == [1.0]
+    assert list(pagerank(g.adjacency()).values()) == [1.0]
 
 
 def test_pagerank_symmetric_two_cycle():
     g = _graph_from_edges(2, [(0, 1), (1, 0)])
-    scores = pagerank(g)
+    scores = pagerank(g.adjacency())
     assert all(abs(v - 0.5) < 1e-12 for v in scores.values())
 
 
 def test_pagerank_matches_dense_oracle_on_dag():
     edges = [(0, 1), (0, 2), (1, 3), (2, 3)]
     g = _graph_from_edges(4, edges)
-    mine = pagerank(g, tol=1e-14, max_iter=1000)
+    mine = pagerank(g.adjacency(), tol=1e-14, max_iter=1000)
     oracle = _dense_pagerank(4, edges)
     by_name = {fid.name: v for fid, v in mine.items()}
     for i in range(4):
@@ -253,7 +326,8 @@ def test_pagerank_matches_networkx_on_random_graphs():
         n = int(rng.randint(3, 10))
         edges = {(int(rng.randint(n)), int(rng.randint(n))) for _ in range(n * 2)}
         g = _graph_from_edges(n, edges)
-        mine = {fid.name: v for fid, v in pagerank(g, tol=1e-13, max_iter=2000).items()}
+        mine = {fid.name: v for fid, v in
+                pagerank(g.adjacency(), tol=1e-13, max_iter=2000).items()}
         G = nx.DiGraph()
         G.add_nodes_from(f"S.f{i}()" for i in range(n))
         G.add_edges_from((f"S.f{a}()", f"S.f{b}()") for a, b in edges)
@@ -292,8 +366,8 @@ def _brute_force_tmp(adj, pr, decay):
 
 def test_propagation_single_node_doubles():
     g = build_call_graph({"S.java": "class S { void only() { } }"})
-    pr = pagerank(g)
-    scores = backward_propagate(g, pr, decay=0.5)
+    pr = pagerank(g.adjacency())
+    scores = backward_propagate(g.adjacency(), pr, decay=0.5)
     fid = next(iter(pr))
     assert scores.map_tmp[fid] == pytest.approx(pr[fid])
     assert scores.map_out[fid] == pytest.approx(2 * pr[fid])
@@ -301,8 +375,8 @@ def test_propagation_single_node_doubles():
 
 def test_propagation_chain_identity():
     g = _graph_from_edges(3, [(0, 1), (1, 2)])
-    pr = pagerank(g)
-    scores = backward_propagate(g, pr, decay=0.5)
+    pr = pagerank(g.adjacency())
+    scores = backward_propagate(g.adjacency(), pr, decay=0.5)
     name = {fid.name.split(".")[-1]: fid for fid in pr}
     a, b, c = name["f0()"], name["f1()"], name["f2()"]
     assert scores.map_out[c] == pytest.approx(2 * pr[c], rel=1e-12)
@@ -322,7 +396,7 @@ def test_propagation_matches_bruteforce_on_random_dags():
         g = _graph_from_edges(n, edges)
         pr = {fid: float(rng.rand()) + 0.01 for fid in sorted(g.nodes)}
         decay = float(rng.choice([0.0, 0.3, 0.5, 0.9, 1.0]))
-        scores = backward_propagate(g, pr, decay=decay)
+        scores = backward_propagate(g.adjacency(), pr, decay=decay)
         adj = {i: sorted(_adj_dict(n, edges)[i]) for i in range(n)}
         index = {fid.name: fid for fid in g.nodes}
         pr_by_idx = {i: pr[index[f"S.f{i}()"]] for i in range(n)}
@@ -335,8 +409,8 @@ def test_propagation_matches_bruteforce_on_random_dags():
 
 def test_propagation_two_cycle_with_leaf_splits_mass():
     g = _graph_from_edges(3, [(0, 1), (1, 0), (0, 2), (1, 2)])
-    pr = pagerank(g)
-    scores = backward_propagate(g, pr, decay=0.5)
+    pr = pagerank(g.adjacency())
+    scores = backward_propagate(g.adjacency(), pr, decay=0.5)
     name = {fid.name.split(".")[-1]: fid for fid in pr}
     leaf_mass = pr[name["f2()"]]
     assert scores.map_tmp[name["f0()"]] == pytest.approx(0.5 * leaf_mass / 2, rel=1e-12)
@@ -349,8 +423,8 @@ def test_propagation_invariants_on_cyclic_graphs():
         n = int(rng.randint(2, 10))
         edges = {(int(rng.randint(n)), int(rng.randint(n))) for _ in range(n * 2)}
         g = _graph_from_edges(n, edges)
-        pr = pagerank(g)
-        scores = backward_propagate(g, pr, decay=0.5)
+        pr = pagerank(g.adjacency())
+        scores = backward_propagate(g.adjacency(), pr, decay=0.5)
         for fid in g.nodes:
             assert scores.map_tmp[fid] >= 0
             assert scores.map_out[fid] == pytest.approx(
@@ -359,8 +433,8 @@ def test_propagation_invariants_on_cyclic_graphs():
 
 def test_decay_zero_keeps_only_leaf_mass():
     g = _graph_from_edges(3, [(0, 1), (1, 2)])
-    pr = pagerank(g)
-    scores = backward_propagate(g, pr, decay=0.0)
+    pr = pagerank(g.adjacency())
+    scores = backward_propagate(g.adjacency(), pr, decay=0.0)
     name = {fid.name.split(".")[-1]: fid for fid in pr}
     assert scores.map_tmp[name["f2()"]] == pytest.approx(pr[name["f2()"]])
     assert scores.map_tmp[name["f1()"]] == 0.0
@@ -369,7 +443,7 @@ def test_decay_zero_keeps_only_leaf_mass():
 
 def test_inter_impact_absent_function_is_zero():
     g = build_call_graph({"S.java": "class S { void only() { } }"})
-    scores = backward_propagate(g, pagerank(g), decay=0.5)
+    scores = backward_propagate(g.adjacency(), pagerank(g.adjacency()), decay=0.5)
     assert inter_impact(scores, FunctionId("S.missing()", "S.java")) == 0.0
 
 
@@ -384,8 +458,8 @@ def test_mid_chain_ordering():
         void u2() { }
     }"""
     g = build_call_graph({"S.java": src})
-    pr = pagerank(g)
-    scores = backward_propagate(g, pr, decay=0.5)
+    pr = pagerank(g.adjacency())
+    scores = backward_propagate(g.adjacency(), pr, decay=0.5)
     by = {fid.name.split(".")[-1]: scores.map_out[fid] for fid in g.nodes}
     assert by["dispatch()"] > by["u1()"]
     assert by["dispatch()"] > by["h1()"]

@@ -9,7 +9,7 @@ from devcontrib.complexity import (
     halstead_volume,
     loc,
 )
-from devcontrib.syntax import FunctionUnit, extract_functions, parse_source
+from devcontrib.syntax import FunctionUnit, SyntaxTree, extract_functions, parse_source
 
 
 def _unit(src, index=0):
@@ -172,3 +172,11 @@ def test_metrics_bounds_and_comment_insertion_invariance():
     assert raw_after.pcom > raw_before.pcom
     assert raw_before.cc >= 1 and raw_before.hv >= 0 and 0 <= raw_before.pcom <= 1
     assert raw_before.loc >= 1
+
+
+def test_halstead_volume_is_zero_for_untokenizable_body():
+    unit, tree = _unit('class C { String s() { return "a;b"; } }')
+    # same length, so the unit's span now covers an unterminated literal
+    broken = SyntaxTree(tree.root, tree.source_text.replace('"a;b"', '"a;b;'))
+    assert halstead_volume(unit, broken) == 0.0
+    assert halstead_volume(unit, tree) > 0.0

@@ -1,8 +1,22 @@
 import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from devcontrib.callgraph import build_call_graph
+import devcontrib
+from devcontrib import pipeline
+from devcontrib.callgraph import (
+    CheckpointStore,
+    FunctionId,
+    backward_propagate,
+    build_call_graph,
+    inter_impact,
+    pagerank,
+)
 from devcontrib.config import AnalysisConfig
 from devcontrib.pipeline import AnalysisRun, analyze_repository, timing_report
 from devcontrib.repo import open_repository, walk_commits
@@ -191,3 +205,107 @@ def test_cache_directory_layout(make_repo, tmp_path):
     assert list((root / "graph-checkpoints").glob("*.json"))
     params = json.loads((root / "boxcox-params.json").read_text())
     assert set(params) == {"loc", "cc", "hv", "pcom", "ip", "ddg", "cdg"}
+
+
+def test_body_only_edits_reuse_ranks(make_repo):
+    repo = make_repo()
+    repo.commit("init", 1000, {"Service.java": BASE_JAVA})
+    repo.commit("body", 2000, {"Service.java": BASE_JAVA.replace("k * 2", "k * 3")})
+    repo.commit("body2", 3000, {"Service.java": BASE_JAVA.replace("k * 2", "k * 4")})
+    repo.commit("call", 4000, {"Service.java": BASE_JAVA.replace(
+        "return k * 2;", "return handle(k);")})
+    run = analyze_repository(repo.path)
+    assert (run.rank_computations, run.rank_reuses) == (2, 2)
+    report = timing_report(run)
+    assert (report["rank_computations"], report["rank_reuses"]) == (2, 2)
+    assert "rank_reuses" not in json.dumps(run.to_dict(include_timings=True))
+
+
+def _forked_repo(make_repo):
+    """base forks into side (adds a caller of transform) and main (edits
+    transform's body only), then main forks again."""
+    repo = make_repo()
+    repo.commit("base", 1000, {"Service.java": BASE_JAVA})
+    repo.branch("side")
+    repo.commit("side1", 2000, {"Extra.java":
+                                "class Extra { int e() { return transform(1); } }"})
+    repo.checkout("main")
+    repo.commit("main1", 3000, {"Service.java": BASE_JAVA.replace("k * 2", "k * 3")})
+    repo.branch("third")
+    repo.commit("third1", 4000, {"Service.java": BASE_JAVA.replace("k * 2", "k * 5")})
+    repo.checkout("main")
+    repo.commit("main2", 5000, {"Service.java": BASE_JAVA.replace("k * 2", "k * 7")})
+    return repo
+
+
+def test_fork_checkpoints_released_after_last_child(make_repo, monkeypatch):
+    repo = _forked_repo(make_repo)
+    stores = []
+
+    class RecordingStore(CheckpointStore):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            stores.append(self)
+
+    monkeypatch.setattr(pipeline, "CheckpointStore", RecordingStore)
+    run = analyze_repository(repo.path)
+    assert run.checkpoint_restores == 2
+    assert len(stores) == 1 and len(stores[0]) == 0
+
+
+def test_restore_never_reuses_sibling_ranks(make_repo):
+    repo = _forked_repo(make_repo)
+    cfg = AnalysisConfig()
+    run = analyze_repository(repo.path, cfg)
+    assert run.checkpoint_restores == 2
+    scored = 0
+    for commit in run.commits:
+        files = {p: t for p, t in repo.snapshots[commit.id].items() if t is not None}
+        adjacency = build_call_graph(files).adjacency()
+        ranks = pagerank(adjacency, damping=cfg.graph_damping, tol=cfg.graph_tol,
+                         max_iter=cfg.graph_max_iter)
+        fresh = backward_propagate(adjacency, ranks, decay=cfg.graph_decay)
+        for r in commit.records:
+            if r.is_function:
+                assert r.ip == inter_impact(fresh, FunctionId(r.function, r.file))
+                scored += 1
+    assert scored == 3  # main1, third1, main2
+
+
+_DUMP_RUN = """
+import json, sys
+from devcontrib.pipeline import analyze_repository
+print(json.dumps(analyze_repository(sys.argv[1]).to_dict(), sort_keys=True))
+"""
+
+
+def _tangled_sources(n_files=8):
+    """Seeded irregular call graph: rank sums depend on edge order."""
+    rng = random.Random(7)
+    files = {}
+    for f in range(n_files):
+        methods = []
+        for j in range(3):
+            i = f * 3 + j
+            callees = [f"m{rng.randrange(max(1, i))}(k)" for _ in range(rng.randint(1, 4))]
+            methods.append(f"    int m{i}(int k) {{ return {' + '.join(callees)}; }}")
+        files[f"F{f}.java"] = "class F%d {\n%s\n}" % (f, "\n".join(methods))
+    return files
+
+
+def test_run_is_byte_identical_across_hash_seeds(make_repo):
+    repo = make_repo()
+    files = _tangled_sources()
+    repo.commit("init", 1000, files)
+    repo.commit("edit", 2000, {p: files[p].replace("return ", "return 1 + ")
+                               for p in ("F2.java", "F5.java")})
+    repo.commit("call", 3000, {"F7.java": files["F7.java"].replace(
+        "return ", "return m4(k) + ", 1)})
+    env = dict(os.environ, PYTHONPATH=str(Path(devcontrib.__file__).parents[1]))
+    docs = []
+    for seed in ("1", "2"):
+        env["PYTHONHASHSEED"] = seed
+        proc = subprocess.run([sys.executable, "-c", _DUMP_RUN, repo.path], env=env,
+                              capture_output=True, text=True, check=True)
+        docs.append(proc.stdout)
+    assert docs[0] == docs[1]
