@@ -43,9 +43,6 @@ from .repo import (
 )
 from .scoring import (
     BoxCoxParams,
-    CommitScore,
-    FunctionScore,
-    NormalizedMetrics,
     combine_complexity,
     commit_cvalue,
     fit_boxcox,

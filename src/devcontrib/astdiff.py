@@ -17,11 +17,12 @@ and whether it sits inside a blacklisted (logging/print) statement.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 from dataclasses import dataclass, field
 
 from .config import DEFAULT_BLACKLIST
 from .syntax import (
-    FunctionUnit,
     NodeCategory,
     SyntaxNode,
     SyntaxTree,
@@ -184,38 +185,55 @@ def _expand(nodes, height, matched=()):
     return out
 
 
+def _postorder(root):
+    """Nodes under ``root`` in post-order: children left to right, then the
+    node.  That is the reverse of a pre-order taking children right to left."""
+    order, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        stack.extend(node.children)
+    order.reverse()
+    return order
+
+
 def _bottom_up(before_root, after_root, mapping, threshold):
+    post = _postorder(before_root)
+    # descendants per node, children counted before their parents
     desc_count = {}
-    for root in (before_root, after_root):
-        for node in root.walk():
-            desc_count[node] = sum(1 for _ in node.descendants())
+    for node in itertools.chain(post, _postorder(after_root)):
+        count = 0
+        for c in node.children:
+            count += desc_count[c] + 1
+        desc_count[node] = count
 
-    post = []
-
-    def postorder(n):
-        for c in n.children:
-            postorder(c)
-        post.append(n)
-
-    postorder(before_root)
-    a_positions = {n: i for i, n in enumerate(after_root.walk())}
+    # pre-order position: the subtree of n spans positions
+    # a_positions[n] .. a_positions[n] + desc_count[n]
+    after_nodes = list(after_root.walk())
+    a_positions = {n: i for i, n in enumerate(after_nodes)}
 
     for b in post:
         if mapping.has_before(b) or b.is_leaf:
             continue
-        common = {}
-        for d in b.descendants():
-            partner = mapping.b2a.get(d)
-            if partner is None:
-                continue
-            for anc in partner.ancestors():
-                if not mapping.has_after(anc) and anc.kind == b.kind:
-                    common[anc] = common.get(anc, 0) + 1
+        partners = sorted(a_positions[p] for p in map(mapping.b2a.get, b.descendants())
+                          if p is not None)
+        # candidates: unmapped after nodes of b's kind above some partner
+        above = set()
+        for pos in partners:
+            node = after_nodes[pos].parent
+            while node is not None and node not in above:
+                above.add(node)
+                node = node.parent
         best, best_key = None, None
-        for cand, cnt in common.items():
+        for cand in above:
+            if cand.kind != b.kind or mapping.has_after(cand):
+                continue
+            first = a_positions[cand]
+            cnt = bisect.bisect_right(partners, first + desc_count[cand]) \
+                - bisect.bisect_left(partners, first)
             dice = 2.0 * cnt / (desc_count[b] + desc_count[cand]) \
                 if (desc_count[b] + desc_count[cand]) else 0.0
-            key = (dice, -a_positions[cand])
+            key = (dice, -first)
             if dice > threshold and (best_key is None or key > best_key):
                 best, best_key = cand, key
         if best is not None:
@@ -273,20 +291,20 @@ def map_trees(before: SyntaxTree, after: SyntaxTree,
 
 def _unmapped_height(node, is_mapped):
     """Subtree depth counting only the unmapped portion under ``node``."""
-    best = 0
-    for c in node.children:
-        if not is_mapped(c):
-            h = _unmapped_height(c, is_mapped)
-            if h > best:
-                best = h
-    return 1 + best
+    height, level = 0, [node]
+    while level:
+        height += 1
+        level = [c for n in level for c in n.children if not is_mapped(c)]
+    return height
 
 
 def _unmapped_portion_nodes(node, is_mapped):
-    yield node
-    for c in node.children:
-        if not is_mapped(c):
-            yield from _unmapped_portion_nodes(c, is_mapped)
+    """``node`` and the unmapped nodes reachable from it through unmapped
+    children."""
+    portion = [node]
+    for n in portion:  # the list grows while it is read
+        portion.extend([c for c in n.children if not is_mapped(c)])
+    return portion
 
 
 def _only_names_or_modifiers(nodes, blacklist):
@@ -316,8 +334,8 @@ def edit_script(mapping: NodeMapping, before: SyntaxTree, after: SyntaxTree,
                 blacklist=DEFAULT_BLACKLIST) -> list[EditAction]:
     """Derive subtree-granular edit actions from a node mapping.
 
-    Applying the script to the before tree (see :func:`apply_edit_script`)
-    yields a tree isomorphic to the after tree.
+    Applying the script to the before tree yields a tree isomorphic to the
+    after tree.
     """
     actions = []
 
@@ -326,7 +344,7 @@ def edit_script(mapping: NodeMapping, before: SyntaxTree, after: SyntaxTree,
         if mapping.has_before(node):
             continue
         if node.parent is None or mapping.has_before(node.parent):
-            portion = list(_unmapped_portion_nodes(node, mapping.has_before))
+            portion = _unmapped_portion_nodes(node, mapping.has_before)
             actions.append(EditAction(
                 kind="delete",
                 subtree=node,
@@ -341,7 +359,7 @@ def edit_script(mapping: NodeMapping, before: SyntaxTree, after: SyntaxTree,
         if mapping.has_after(node):
             continue
         if node.parent is None or mapping.has_after(node.parent):
-            portion = list(_unmapped_portion_nodes(node, mapping.has_after))
+            portion = _unmapped_portion_nodes(node, mapping.has_after)
             actions.append(EditAction(
                 kind="insert",
                 subtree=node,
@@ -404,7 +422,8 @@ def _order_moves(mapping):
         if len(stay_b) < 2:
             continue
         partners_in_b_order = [mapping.b2a[c] for c in stay_b]
-        partners_in_a_order = [c for c in pa.children if c in set(partners_in_b_order)]
+        partners = set(partners_in_b_order)
+        partners_in_a_order = [c for c in pa.children if c in partners]
         kept = {pair[0] for pair in _lcs_pairs(partners_in_b_order,
                                                partners_in_a_order, key=id)}
         for c in stay_b:
@@ -418,124 +437,6 @@ def _action_sort_key(action):
     node = action.after_node if action.after_node is not None else action.before_node
     rank = {"delete": 0, "update": 1, "move": 2, "insert": 3}[action.kind]
     return (node.start, node.end, rank)
-
-
-# ---------------------------------------------------------------------------
-# script replay (used to verify script correctness)
-# ---------------------------------------------------------------------------
-
-class _WorkNode:
-    __slots__ = ("kind", "label", "children", "parent")
-
-    def __init__(self, kind, label):
-        self.kind = kind
-        self.label = label
-        self.children = []
-        self.parent = None
-
-
-def _copy_tree(node):
-    w = _WorkNode(node.kind, node.label)
-    for c in node.children:
-        cw = _copy_tree(c)
-        cw.parent = w
-        w.children.append(cw)
-    return w
-
-
-def _detach(w):
-    if w.parent is not None:
-        w.parent.children.remove(w)
-        w.parent = None
-
-
-def _shape_equal(w, node):
-    if w.kind != node.kind or w.label != node.label:
-        return False
-    if len(w.children) != len(node.children):
-        return False
-    return all(_shape_equal(cw, cn) for cw, cn in zip(w.children, node.children))
-
-
-def apply_edit_script(before: SyntaxTree, after: SyntaxTree,
-                      mapping: NodeMapping, actions: list[EditAction]) -> bool:
-    """Replay the script on a copy of the before tree; True if the result
-    is isomorphic to the after tree (kinds, labels, child order)."""
-    work_of_before = {}
-
-    def build(node):
-        w = _copy_tree(node)
-        for wn, bn in _zip_walk(w, node):
-            work_of_before[bn] = wn
-        return w
-
-    def _zip_walk(w, n):
-        yield w, n
-        for cw, cn in zip(w.children, n.children):
-            yield from _zip_walk(cw, cn)
-
-    root = build(before.root)
-    work_of_after = {}
-
-    for act in actions:
-        if act.kind == "update":
-            work_of_before[act.before_node].label = act.after_node.label
-
-    for act in actions:
-        if act.kind == "delete":
-            _detach(work_of_before[act.before_node])
-        elif act.kind == "move":
-            _detach(work_of_before[act.before_node])
-
-    # placements in after coordinates, parents before children
-    depth_of = {}
-    for i, n in enumerate(after.root.walk()):
-        depth_of[n] = len(list(n.ancestors()))
-    placements = [a for a in actions if a.kind in ("insert", "move")]
-    placements.sort(key=lambda a: (depth_of[a.after_node], a.dst_index))
-
-    def materialize(after_node):
-        w = _WorkNode(after_node.kind, after_node.label)
-        work_of_after[after_node] = w
-        for c in after_node.children:
-            if mapping.has_after(c):
-                continue  # arrives via its own move action
-            cw = materialize(c)
-            cw.parent = w
-            w.children.append(cw)
-        return w
-
-    def working_parent(after_parent):
-        if after_parent in work_of_after:
-            return work_of_after[after_parent]
-        b = mapping.a2b.get(after_parent)
-        return work_of_before.get(b) if b is not None else None
-
-    incoming = {}
-    for act in placements:
-        if act.kind == "insert":
-            w = materialize(act.after_node)
-        else:
-            w = work_of_before[act.before_node]
-            work_of_after[act.after_node] = w
-        incoming.setdefault(act.dst_parent, []).append((act.dst_index, w))
-
-    for after_parent in sorted(incoming, key=lambda n: depth_of.get(n, 0)):
-        parent_w = working_parent(after_parent)
-        if parent_w is None:
-            return False
-        for idx, w in sorted(incoming[after_parent], key=lambda t: t[0]):
-            pos = min(idx, len(parent_w.children))
-            parent_w.children.insert(pos, w)
-            w.parent = parent_w
-
-    if mapping.has_after(after.root):
-        result_root = work_of_before[mapping.a2b[after.root]]
-    else:
-        result_root = work_of_after.get(after.root)
-        if result_root is None:
-            return False
-    return _shape_equal(result_root, after.root)
 
 
 # ---------------------------------------------------------------------------
@@ -622,11 +523,8 @@ def diff_file_pair(before: SyntaxTree, after: SyntaxTree,
 
     Returns (mapping, actions, changesets).
     """
-    from .syntax import extract_functions
-
     mapping = map_trees(before, after, similarity_threshold=similarity_threshold)
     actions = edit_script(mapping, before, after, blacklist=blacklist)
-    changesets = group_by_function(actions, extract_functions(before),
-                                   extract_functions(after),
+    changesets = group_by_function(actions, before.functions, after.functions,
                                    file=after.path or before.path)
     return mapping, actions, changesets

@@ -39,14 +39,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ParseError, UnknownCheckpoint
-from .syntax import (
-    SyntaxTree,
-    callee_segments,
-    extract_functions,
-    language_for_path,
-    parse_source,
-)
+from .errors import UnknownCheckpoint
+from .syntax import SourceTrees, SyntaxTree, callee_segments, language_for_path
 
 logger = logging.getLogger(__name__)
 
@@ -164,7 +158,7 @@ class CallGraph:
                 del self._simple_index[simple]
 
     def _add_file(self, path: str, tree: SyntaxTree):
-        units = extract_functions(tree)
+        units = tree.functions
         named = [u for u in units if "$lambda" not in u.qualified_name]
         fids = [FunctionId(u.qualified_name, path) for u in named]
         self.functions_by_file[path] = fids
@@ -330,13 +324,15 @@ class CallGraph:
                 tuple(site.caller for site in self.call_sites.get(path, ())),
                 tuple(self.resolutions.get(path, ())))
 
-    def update(self, changes) -> "CallGraph":
+    def update(self, changes, trees: SourceTrees) -> "CallGraph":
         """Apply one commit's file changes; result equals a full rebuild.
 
         Only source files with a registered grammar adapter participate.
-        A file that fails to parse loses its prior nodes and is flagged
-        stale until a later change fixes it.  ``version`` is bumped when a
-        touched file's shape changes or a re-resolved site changes targets.
+        ``trees`` holds the after-side tree of every such change that is
+        not a deletion, keyed by ``(path, after_blob)``.  A file whose text
+        failed to parse loses its prior nodes and is flagged stale until a
+        later change fixes it.  ``version`` is bumped when a touched file's
+        shape changes or a re-resolved site changes targets.
         """
         affected: set[str] = set()
         touched_files: set[str] = set()
@@ -349,14 +345,6 @@ class CallGraph:
             self._remove_file(path)
 
         for change in changes:
-            paths = [change.path]
-            if change.kind == "renamed" and change.old_path:
-                paths.append(change.old_path)
-            for path in list(paths):
-                if language_for_path(path) is None:
-                    paths.remove(path)
-            if not paths:
-                continue
             if change.kind == "renamed" and change.old_path \
                     and language_for_path(change.old_path) is not None:
                 forget(change.old_path)
@@ -366,11 +354,8 @@ class CallGraph:
             touched_files.add(change.path)
             if change.kind == "deleted" or change.after_content is None:
                 continue
-            language = language_for_path(change.path)
-            try:
-                tree = parse_source(change.after_content, language, path=change.path)
-            except ParseError as exc:
-                logger.warning("skipping %s: parse error at %s", change.path, exc.position)
+            tree = trees[(change.path, change.after_blob)]
+            if tree is None:
                 self.stale_files.add(change.path)
                 continue
             self._add_file(change.path, tree)
@@ -389,15 +374,13 @@ class CallGraph:
 def build_call_graph(files) -> CallGraph:
     """Full build from {path: source_text} (or (path, text) pairs)."""
     graph = CallGraph()
+    trees = SourceTrees()
     items = files.items() if hasattr(files, "items") else files
     for path, text in sorted(items):
-        language = language_for_path(path)
-        if language is None or text is None:
+        if language_for_path(path) is None or text is None:
             continue
-        try:
-            tree = parse_source(text, language, path=path)
-        except ParseError as exc:
-            logger.warning("skipping %s: parse error at %s", path, exc.position)
+        tree = trees.add(path, None, text)
+        if tree is None:
             graph.stale_files.add(path)
             continue
         graph._add_file(path, tree)

@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ParseError
-from .syntax import FunctionUnit, SyntaxTree, _tokenize, comment_metrics
+from .syntax import FunctionUnit, SyntaxTree, comment_metrics, tokenize
 
 
 @dataclass
@@ -82,7 +82,7 @@ def halstead_volume(function: FunctionUnit, tree: SyntaxTree) -> float:
     start, end = _body_span(function)
     snippet = tree.source_text[start:end]
     try:
-        tokens, _ = _tokenize(snippet)
+        tokens, _ = tokenize(snippet)
     except ParseError:
         return 0.0
     operators: dict[str, int] = {}

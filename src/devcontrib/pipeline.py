@@ -11,6 +11,14 @@ records into function scores and commit values.  Splitting the passes
 keeps normalization (and therefore every score) reproducible: a re-run on
 the same history yields identical numbers.
 
+Each commit parses every changed source blob once: ``parse_changes`` keys
+the trees by ``(path, blob)``, and the differ, the call-graph update and
+the complexity and dependence-graph measurements all read those trees and
+the function units cached on them.  A blob that fails to parse, including
+one nested deeper than the parser or ``MAX_TREE_DEPTH`` allows, is logged
+once and skipped.  ``run.timings`` times parsing as its own ``parse``
+stage, apart from ``diff`` and ``graph``.
+
 Call-graph impact is ranked only when a commit with scored changes finds
 the graph at a new ``(token, version)`` pair, that is after a structural
 change or a checkpoint restore; otherwise the last scores are reused, and
@@ -22,7 +30,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -39,7 +46,6 @@ from .callgraph import (
 )
 from .complexity import compute_raw
 from .config import AnalysisConfig
-from .errors import ParseError
 from .pdg import build_pdg, cdg_impact, changed_pdg_nodes, ddg_impact, impact_range
 from .repo import (
     CommitRecord,
@@ -57,9 +63,7 @@ from .scoring import (
     function_score,
     normalize,
 )
-from .syntax import extract_functions, language_for_path, parse_source
-
-logger = logging.getLogger(__name__)
+from .syntax import SourceTrees, language_for_path
 
 _METRICS = ("loc", "cc", "hv", "pcom", "ip", "ddg", "cdg")
 
@@ -147,6 +151,8 @@ class AnalysisRun:
     checkpoint_restores: int = 0
     rank_computations: int = 0
     rank_reuses: int = 0
+    parses: int = 0
+    parse_errors: int = 0
 
     SCHEMA_VERSION = 1
 
@@ -201,22 +207,36 @@ class PipelineState:
     impact_key: tuple[int, int] | None = None
     rank_computations: int = 0
     rank_reuses: int = 0
+    parses: int = 0
+    parse_errors: int = 0
 
     def add_time(self, stage: str, seconds: float):
         self.timings[stage] = self.timings.get(stage, 0.0) + seconds
 
 
-def _parse_or_none(text: str | None, path: str):
-    if text is None:
-        return None
-    language = language_for_path(path)
-    if language is None:
-        return None
-    try:
-        return parse_source(text, language, path=path)
-    except ParseError as exc:
-        logger.warning("skipping %s: parse error at %s", path, exc.position)
-        return None
+def parse_changes(changes) -> SourceTrees:
+    """Parse both sides of every source change in one commit.
+
+    The trees are keyed by ``(path, blob)``; the empty side of an added or
+    deleted file is ``(path, None)`` with the empty text.  A renamed file's
+    before side is parsed under its new path, as the differ compares it.
+    """
+    trees = SourceTrees()
+    for change in changes:
+        if language_for_path(change.path) is None:
+            continue
+        for blob, text in _sides(change):
+            trees.add(change.path, blob, text)
+    return trees
+
+
+def _sides(change) -> tuple[tuple, tuple]:
+    """``(blob, text)`` of the before and the after side of a change."""
+    before = (None, "") if change.kind == "added" else (change.before_blob,
+                                                         change.before_content)
+    after = (None, "") if change.kind == "deleted" else (change.after_blob,
+                                                         change.after_content)
+    return before, after
 
 
 def current_impact(state: PipelineState) -> ImpactScores:
@@ -254,18 +274,21 @@ def analyze_commit(commit: CommitRecord, state: PipelineState) -> CommitResult:
     state.add_time("ingest", time.perf_counter() - t0)
     result.bulk = len(changes) > cfg.bulk_file_threshold
 
+    t0 = time.perf_counter()
+    trees = parse_changes(changes)
+    state.add_time("parse", time.perf_counter() - t0)
+    state.parses += trees.parses
+    state.parse_errors += trees.errors
+
     # diff every parseable source file
     per_file = []
     t0 = time.perf_counter()
     for change in changes:
         if language_for_path(change.path) is None:
             continue
-        before_text = change.before_content if change.kind != "added" else ""
-        after_text = change.after_content if change.kind != "deleted" else ""
-        before = _parse_or_none(before_text if before_text is not None else None,
-                                change.path)
-        after = _parse_or_none(after_text if after_text is not None else None,
-                               change.path)
+        (before_blob, _), (after_blob, _) = _sides(change)
+        before = trees[(change.path, before_blob)]
+        after = trees[(change.path, after_blob)]
         if before is None or after is None:
             continue
         _, actions, changesets = diff_file_pair(
@@ -276,7 +299,7 @@ def analyze_commit(commit: CommitRecord, state: PipelineState) -> CommitResult:
     state.add_time("diff", time.perf_counter() - t0)
 
     t0 = time.perf_counter()
-    state.graph.update(changes)
+    state.graph.update(changes, trees)
     state.add_time("graph", time.perf_counter() - t0)
 
     if not per_file:
@@ -288,8 +311,8 @@ def analyze_commit(commit: CommitRecord, state: PipelineState) -> CommitResult:
 
     t0 = time.perf_counter()
     for change, before, after, changesets in per_file:
-        before_units = {u.qualified_name: u for u in extract_functions(before)}
-        after_units = {u.qualified_name: u for u in extract_functions(after)}
+        before_units = {u.qualified_name: u for u in before.functions}
+        after_units = {u.qualified_name: u for u in after.functions}
         for cs in changesets:
             qname, file = cs.function
             delta = delta_ast(cs, state.weights)
@@ -413,6 +436,8 @@ def analyze_repository(path: str, config: AnalysisConfig | None = None) -> Analy
     run.checkpoint_restores = store.restores
     run.rank_computations = state.rank_computations
     run.rank_reuses = state.rank_reuses
+    run.parses = state.parses
+    run.parse_errors = state.parse_errors
 
     if cache_root is not None:
         with open(cache_root / "raw-metrics.jsonl", "w", encoding="utf-8") as fh:
@@ -443,12 +468,15 @@ def analyze_repository(path: str, config: AnalysisConfig | None = None) -> Analy
 
 
 def timing_report(run: AnalysisRun) -> dict:
-    """Wall-clock per stage, per-commit durations and how often the call
-    graph was ranked or its last ranks reused."""
+    """Wall-clock per stage, per-commit durations, how often the call
+    graph was ranked or its last ranks reused, and how many texts were
+    parsed and how many of those failed."""
     return {
         "stages": dict(run.timings),
         "per_commit": dict(run.commit_times),
         "commits": len(run.commits),
         "rank_computations": run.rank_computations,
         "rank_reuses": run.rank_reuses,
+        "parses": run.parses,
+        "parse_errors": run.parse_errors,
     }

@@ -17,7 +17,7 @@ value as the sum of its function scores.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -110,41 +110,9 @@ def normalize(value: float, params: BoxCoxParams) -> float:
     return max(0.0, scaled)
 
 
-def normalize_many(values, params: BoxCoxParams) -> list[float]:
-    return [normalize(v, params) for v in values]
-
-
 # ---------------------------------------------------------------------------
 # fusion
 # ---------------------------------------------------------------------------
-
-@dataclass
-class NormalizedMetrics:
-    loc_n: float = 0.0
-    cc_n: float = 0.0
-    hv_n: float = 0.0
-    pcom_n: float = 0.0
-    ip_n: float = 0.0
-    ddg_n: float = 0.0
-    cdg_n: float = 0.0
-
-
-@dataclass
-class FunctionScore:
-    function: tuple[str, str | None]
-    delta_ast: float
-    cm: float
-    ip: float
-    ir: float
-    score: float
-
-
-@dataclass
-class CommitScore:
-    commit_id: str
-    function_scores: list[FunctionScore] = field(default_factory=list)
-    cvalue: float = 0.0
-
 
 def combine_complexity(loc_n: float, cc_n: float, hv_n: float, pcom_n: float) -> float:
     """Fused complexity factor; comments lower it, floor at 1."""
@@ -158,5 +126,4 @@ def function_score(delta_ast: float, cm: float, ip_n: float, ir: float) -> float
 
 def commit_cvalue(function_scores) -> float:
     """A commit's contribution value: the sum of its function scores."""
-    return float(sum(fs.score if isinstance(fs, FunctionScore) else fs
-                     for fs in function_scores))
+    return float(sum(function_scores))

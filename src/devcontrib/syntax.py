@@ -12,15 +12,26 @@ methods, constructors, the usual statement forms, operator-precedence
 expressions, generics in type position, annotations and lambdas.  It is a
 source-level parser with no name resolution; anything it cannot parse
 raises :class:`~devcontrib.errors.ParseError` and the caller skips the file.
+So does nesting beyond what the parser's recursion or ``MAX_TREE_DEPTH``
+allows, so that every later tree walk stays within Python's recursion
+limit.
+
+The lexer is one compiled pattern with an alternative per token class.
+``SourceTrees`` parses each ``(path, blob)`` once and every layer reads
+that tree; a tree computes its function units once (``functions``).
 """
 
 from __future__ import annotations
 
 import enum
+import logging
+import re
 from dataclasses import dataclass, field
 
 from .config import DEFAULT_BLACKLIST
 from .errors import ParseError
+
+logger = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -55,19 +66,19 @@ class SyntaxNode:
     def height(self):
         """Subtree depth: 1 for a leaf, 1 + max over children otherwise."""
         if self._height is None:
-            if self.children:
-                self._height = 1 + max(c.height for c in self.children)
-            else:
-                self._height = 1
+            for node in _uncached(self, "_height"):
+                children = node.children
+                node._height = 1 + max([c._height for c in children]) if children else 1
         return self._height
 
     @property
     def struct_hash(self):
         """Hash of (kind, label, child structure); equal for isomorphic subtrees."""
         if self._struct_hash is None:
-            self._struct_hash = hash(
-                (self.kind, self.label, tuple(c.struct_hash for c in self.children))
-            )
+            for node in _uncached(self, "_struct_hash"):
+                children = node.children
+                shape = tuple([c._struct_hash for c in children]) if children else ()
+                node._struct_hash = hash((node.kind, node.label, shape))
         return self._struct_hash
 
     def walk(self):
@@ -94,17 +105,31 @@ class SyntaxNode:
             node = node.parent
 
     def isomorphic_to(self, other):
-        if self.struct_hash != other.struct_hash:
-            return False
-        if self.kind != other.kind or self.label != other.label:
-            return False
-        if len(self.children) != len(other.children):
-            return False
-        return all(a.isomorphic_to(b) for a, b in zip(self.children, other.children))
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a.struct_hash != b.struct_hash or a.kind != b.kind \
+                    or a.label != b.label or len(a.children) != len(b.children):
+                return False
+            stack.extend(zip(a.children, b.children))
+        return True
 
     def __repr__(self):
         lbl = f" {self.label!r}" if self.label is not None else ""
         return f"<{self.kind}{lbl} [{self.start}:{self.end}] h={self.height}>"
+
+
+def _uncached(root: SyntaxNode, attr: str) -> list[SyntaxNode]:
+    """Nodes under ``root`` whose cached ``attr`` is still None, children
+    before parents.  A cached node's subtree is cached too, so it is skipped."""
+    stack, order = [root], []
+    while stack:
+        node = stack.pop()
+        if getattr(node, attr) is None:
+            order.append(node)
+            stack.extend(node.children)
+    order.reverse()
+    return order
 
 
 @dataclass
@@ -114,8 +139,20 @@ class Comment:
     text: str
 
 
+# Deepest tree a ``SyntaxTree`` accepts.  Function extraction, call-site
+# and PDG collection recurse once per tree level, so a deeper tree could
+# exhaust Python's default limit of 1000 frames; 500 levels leave the rest
+# for the caller's stack.  Hand-written code stays far below this: the
+# deep trees come from long operator or call chains, which the parser
+# builds in a loop.
+MAX_TREE_DEPTH = 500
+
+
 class SyntaxTree:
-    """A parsed file: root node, raw source, and out-of-tree comments."""
+    """A parsed file: root node, raw source, and out-of-tree comments.
+
+    Raises ``ParseError`` when the tree is deeper than ``MAX_TREE_DEPTH``.
+    """
 
     def __init__(self, root: SyntaxNode, source_text: str, comments=None,
                  language: str = "java", path: str | None = None):
@@ -125,9 +162,24 @@ class SyntaxTree:
         self.language = language
         self.path = path
         self._line_starts = None
-        for node in root.walk():
+        self._functions = None
+        stack = [(root, 1)]
+        while stack:
+            node, depth = stack.pop()
+            if depth > MAX_TREE_DEPTH:
+                raise ParseError(f"syntax tree deeper than {MAX_TREE_DEPTH} levels",
+                                 position=node.start)
+            depth += 1
             for child in node.children:
                 child.parent = node
+                stack.append((child, depth))
+
+    @property
+    def functions(self) -> list[FunctionUnit]:
+        """``extract_functions(self)``, computed once; do not mutate."""
+        if self._functions is None:
+            self._functions = extract_functions(self)
+        return self._functions
 
     @property
     def line_starts(self):
@@ -195,12 +247,24 @@ _OPERATORS = [
     "^", "?", ":",
 ]
 
-_PUNCT = set("(){}[];,.@")
-
 _ASSIGN_OPS = {"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>=", ">>>="}
 
+# binding level of each binary operator, loosest first
+_BINARY_LEVELS = {op: level for level, ops in enumerate([
+    ("||",),
+    ("&&",),
+    ("|",),
+    ("^",),
+    ("&",),
+    ("==", "!="),
+    ("<", ">", "<=", ">=", "instanceof"),
+    ("<<", ">>", ">>>"),
+    ("+", "-"),
+    ("*", "/", "%"),
+]) for op in ops}
 
-@dataclass
+
+@dataclass(slots=True)
 class _Token:
     type: str          # ident / keyword / int / float / string / char / op / punct / eof
     text: str
@@ -208,108 +272,87 @@ class _Token:
     end: int
 
 
-def _tokenize(text: str):
-    """Return (tokens, comments).  Raises ParseError on malformed literals."""
-    tokens = []
-    comments = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n\f":
-            i += 1
-            continue
-        if ch == "/" and i + 1 < n and text[i + 1] == "/":
-            j = text.find("\n", i)
-            j = n if j < 0 else j
-            comments.append(Comment(i, j, text[i:j]))
-            i = j
-            continue
-        if ch == "/" and i + 1 < n and text[i + 1] == "*":
-            j = text.find("*/", i + 2)
-            if j < 0:
-                raise ParseError("unterminated block comment", position=i)
-            comments.append(Comment(i, j + 2, text[i:j + 2]))
-            i = j + 2
-            continue
-        if ch.isalpha() or ch == "_" or ch == "$":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] in "_$"):
-                j += 1
-            word = text[i:j]
-            if word in ("true", "false", "null"):
-                tokens.append(_Token("literal_word", word, i, j))
-            elif word in _KEYWORDS:
-                tokens.append(_Token("keyword", word, i, j))
-            else:
-                tokens.append(_Token("ident", word, i, j))
-            i = j
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            is_float = False
-            if text[j] == "0" and j + 1 < n and text[j + 1] in "xX":
-                j += 2
-                while j < n and (text[j] in "0123456789abcdefABCDEF_"):
-                    j += 1
-            else:
-                while j < n and (text[j].isdigit() or text[j] == "_"):
-                    j += 1
-                if j < n and text[j] == ".":
-                    is_float = True
-                    j += 1
-                    while j < n and (text[j].isdigit() or text[j] == "_"):
-                        j += 1
-                if j < n and text[j] in "eE":
-                    is_float = True
-                    j += 1
-                    if j < n and text[j] in "+-":
-                        j += 1
-                    while j < n and text[j].isdigit():
-                        j += 1
-            if j < n and text[j] in "lLfFdD":
-                if text[j] in "fFdD":
-                    is_float = True
-                j += 1
-            tokens.append(_Token("float" if is_float else "int", text[i:j], i, j))
-            i = j
-            continue
-        if ch == '"':
-            j = i + 1
-            while j < n and text[j] != '"':
-                if text[j] == "\\":
-                    j += 1
-                j += 1
-            if j >= n:
-                raise ParseError("unterminated string literal", position=i)
-            tokens.append(_Token("string", text[i:j + 1], i, j + 1))
-            i = j + 1
-            continue
-        if ch == "'":
-            j = i + 1
-            while j < n and text[j] != "'":
-                if text[j] == "\\":
-                    j += 1
-                j += 1
-            if j >= n:
-                raise ParseError("unterminated char literal", position=i)
-            tokens.append(_Token("char", text[i:j + 1], i, j + 1))
-            i = j + 1
-            continue
-        matched = False
-        for op in _OPERATORS:
-            if text.startswith(op, i):
-                tokens.append(_Token("op", op, i, i + len(op)))
-                i += len(op)
-                matched = True
-                break
-        if matched:
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token("punct", ch, i, i + 1))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", position=i)
-    tokens.append(_Token("eof", "", n, n))
+# One alternative per token class, tried in order at each position after
+# skipping whitespace.  In a str pattern ``\w`` is exactly
+# ``str.isalnum()`` plus "_" and ``\d`` is ``str.isdecimal()``, so:
+# * identifiers are a letter, "_" or "$" followed by ``[\w$]*``; the start
+#   class ``[^\W\d]`` also admits numeric non-letters such as "½", which
+#   ``tokenize`` rejects;
+# * numbers see digits as ``\d``; ``tokenize`` first maps the digits that
+#   are ``isdigit()`` but not decimal (such as "²") to the decimal digit
+#   U+0660, which is not a hex digit either;
+# * operators are listed longest-first where one is a prefix of another;
+# * a quote or "/*" without its end is an error, as is any other character.
+_TOKEN_RE = re.compile(
+    r"[ \t\r\n\f]*(?:"
+    r"(?P<word>[^\W\d][\w$]*|\$[\w$]*)"
+    r"|(?P<line_comment>//[^\n]*)"
+    r"|(?P<block_comment>/\*.*?\*/)"
+    r"|(?P<hex>0[xX][0-9a-fA-F_]*[lL]?)"
+    r"|(?P<number>(?=\.?\d)[\d_]*(?:\.[\d_]*)?(?:[eE][+-]?\d*)?[lLfFdD]?)"
+    r'|(?P<string>"[^"\\]*(?:\\.[^"\\]*)*")'
+    r"|(?P<char>'[^'\\]*(?:\\.[^'\\]*)*')"
+    r"""|(?P<unterminated>/\*|"|')"""
+    r"|(?P<op>" + "|".join(map(re.escape, _OPERATORS)) + ")"
+    r"|(?P<punct>[(){}\[\];,.@])"
+    r"|(?P<end>\Z)"
+    r"|(?P<unexpected>.)"
+    r")", re.DOTALL)
+
+_WORD_TYPES = {**dict.fromkeys(_KEYWORDS, "keyword"),
+               **dict.fromkeys(("true", "false", "null"), "literal_word")}
+
+_SIMPLE_TYPES = {"hex": "int", "string": "string", "char": "char", "op": "op",
+                 "punct": "punct"}
+
+_UNTERMINATED = {"/*": "unterminated block comment",
+                 '"': "unterminated string literal",
+                 "'": "unterminated char literal"}
+
+_FLOAT_MARKS = frozenset(".eEfFdD")
+
+
+def _decimal_digits(text: str) -> str:
+    """``text`` with every ``isdigit()`` character that is not decimal
+    replaced by the decimal digit U+0660, so that the number pattern's
+    ``\\d`` matches where ``str.isdigit`` does; offsets are kept."""
+    if text.isascii():
+        return text
+    digits = {ord(c): "\u0660" for c in set(text) if c.isdigit() and not c.isdecimal()}
+    return text.translate(digits) if digits else text
+
+
+def tokenize(text: str):
+    """Return (tokens, comments).  Raises ParseError on malformed literals
+    and on characters outside the grammar."""
+    scan = _decimal_digits(text)
+    tokens, comments = [], []
+    match = _TOKEN_RE.match
+    pos = 0
+    while True:
+        m = match(scan, pos)
+        kind = m.lastgroup
+        start, pos = m.span(kind)
+        if kind == "word":
+            if scan[start] > "\x7f" and not scan[start].isalpha():
+                raise ParseError(f"unexpected character {text[start]!r}", position=start)
+            word = text[start:pos]
+            tokens.append(_Token(_WORD_TYPES.get(word, "ident"), word, start, pos))
+        elif kind in _SIMPLE_TYPES:
+            tokens.append(_Token(_SIMPLE_TYPES[kind], text[start:pos], start, pos))
+        elif kind == "number":
+            number = text[start:pos]
+            tokens.append(_Token("int" if _FLOAT_MARKS.isdisjoint(number) else "float",
+                                 number, start, pos))
+        elif kind in ("line_comment", "block_comment"):
+            comments.append(Comment(start, pos, text[start:pos]))
+        elif kind == "end":
+            break
+        elif kind == "unterminated":
+            raise ParseError(_UNTERMINATED[text[start:pos]], position=start)
+        else:
+            raise ParseError(f"unexpected character {text[start]!r}", position=start)
+    tokens.append(_Token("eof", "", pos, pos))
     return tokens, comments
 
 
@@ -322,17 +365,18 @@ class _Parser:
 
     def __init__(self, text: str):
         self.text = text
-        self.tokens, self.comments = _tokenize(text)
+        self.tokens, self.comments = tokenize(text)
         self.pos = 0
 
     # -- token helpers ------------------------------------------------------
 
     def peek(self, offset=0) -> _Token:
-        idx = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[idx]
+        idx = self.pos + offset
+        return self.tokens[idx] if idx < len(self.tokens) else self.tokens[-1]
 
     def at(self, text: str) -> bool:
-        return self.peek().text == text and self.peek().type in ("keyword", "op", "punct")
+        tok = self.tokens[self.pos]
+        return tok.text == text and tok.type in ("keyword", "op", "punct")
 
     def at_ident(self) -> bool:
         return self.peek().type == "ident"
@@ -979,39 +1023,29 @@ class _Parser:
                              cond.start, otherwise.end)
         return cond
 
-    _BINARY_LEVELS = [
-        ("||",),
-        ("&&",),
-        ("|",),
-        ("^",),
-        ("&",),
-        ("==", "!="),
-        ("<", ">", "<=", ">=", "instanceof"),
-        ("<<", ">>", ">>>"),
-        ("+", "-"),
-        ("*", "/", "%"),
-    ]
-
     def parse_binary(self, level):
-        if level >= len(self._BINARY_LEVELS):
-            return self.parse_unary()
-        ops = self._BINARY_LEVELS[level]
-        left = self.parse_binary(level + 1)
+        """Left-associative binary operators binding at least as tightly as
+        ``level``, by precedence climbing over ``_BINARY_LEVELS``.  As in a
+        grammar with one rule per level, the operators one call joins never
+        bind more tightly than the one before (which matters after
+        ``instanceof``, whose right side is a type)."""
+        left = self.parse_unary()
+        cap = len(_BINARY_LEVELS)
         while True:
-            tok = self.peek()
-            if tok.text in ops and tok.type in ("op", "keyword"):
-                if tok.text == "instanceof":
-                    self.advance()
-                    rtype = self.parse_type()
-                    left = self.node("instanceof_expr", [left, rtype],
-                                     left.start, rtype.end)
-                    continue
-                op = self.advance().text
-                right = self.parse_binary(level + 1)
-                left = self.node("binary_expr", [left, right], left.start, right.end,
-                                 label=op)
-            else:
+            tok = self.tokens[self.pos]
+            op_level = _BINARY_LEVELS.get(tok.text, -1) \
+                if tok.type in ("op", "keyword") else -1
+            if not level <= op_level <= cap:
                 return left
+            cap = op_level
+            self.advance()
+            if tok.text == "instanceof":
+                rtype = self.parse_type()
+                left = self.node("instanceof_expr", [left, rtype], left.start, rtype.end)
+                continue
+            right = self.parse_binary(op_level + 1)
+            left = self.node("binary_expr", [left, right], left.start, right.end,
+                             label=tok.text)
 
     def parse_unary(self):
         tok = self.peek()
@@ -1214,10 +1248,57 @@ def language_for_path(path: str) -> str | None:
 
 
 def parse_source(text: str, language: str = "java", path: str | None = None) -> SyntaxTree:
-    """Parse source text with the registered adapter for ``language``."""
+    """Parse source text with the registered adapter for ``language``.
+
+    Nesting too deep for the recursive-descent parser raises ``ParseError``
+    without a position; a tree deeper than ``MAX_TREE_DEPTH`` raises one at
+    its deepest node.
+    """
     if language not in _ADAPTERS:
         raise ParseError(f"no grammar adapter registered for {language!r}")
-    return _ADAPTERS[language](text, path)
+    try:
+        return _ADAPTERS[language](text, path)
+    except RecursionError:
+        raise ParseError("nesting too deep for the parser") from None
+
+
+class SourceTrees:
+    """Syntax trees keyed by ``(path, blob)``; each key is parsed once.
+
+    ``blob`` names the text under ``path`` -- a git blob sha, or None for
+    the empty side of an added or deleted file -- and the path is part of
+    the key because it is stored in the tree and in its function units.
+    A key maps to None when the path has no grammar adapter, the blob has
+    no text (binary or undecodable) or the text fails to parse; a parse
+    failure is logged once, when the key is added.  ``parses`` and
+    ``errors`` count calls of ``parse_source`` and their failures.
+    """
+
+    def __init__(self):
+        self._trees: dict[tuple[str, str | None], SyntaxTree | None] = {}
+        self.parses = 0
+        self.errors = 0
+
+    def add(self, path: str, blob: str | None, text: str | None) -> SyntaxTree | None:
+        key = (path, blob)
+        if key not in self._trees:
+            self._trees[key] = self._parse(path, text)
+        return self._trees[key]
+
+    def __getitem__(self, key: tuple[str, str | None]) -> SyntaxTree | None:
+        return self._trees[key]
+
+    def _parse(self, path: str, text: str | None) -> SyntaxTree | None:
+        language = language_for_path(path)
+        if language is None or text is None:
+            return None
+        self.parses += 1
+        try:
+            return parse_source(text, language, path=path)
+        except ParseError as exc:
+            self.errors += 1
+            logger.warning("skipping %s: %s at %s", path, exc, exc.position)
+            return None
 
 
 def extract_functions(tree: SyntaxTree) -> list[FunctionUnit]:

@@ -1,19 +1,27 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from devcontrib.astdiff import (
     FILE_SCOPE,
     DeltaWeights,
     EditAction,
     FunctionChangeSet,
-    apply_edit_script,
     delta_ast,
     diff_file_pair,
     edit_script,
     group_by_function,
     map_trees,
 )
-from devcontrib.syntax import SyntaxNode, SyntaxTree, extract_functions, parse_source
+from devcontrib.syntax import (
+    MAX_TREE_DEPTH,
+    SyntaxNode,
+    SyntaxTree,
+    extract_functions,
+    parse_source,
+)
+from oracles import apply_edit_script, reference_map_trees
 
 BASE = """
 class C {
@@ -250,3 +258,65 @@ def test_apply_script_on_varied_edits():
     for after_src in variants:
         before, after, mapping, script = _diff(BASE, after_src)
         assert apply_edit_script(before, after, mapping, script), after_src
+
+
+def test_diff_at_the_tree_depth_limit():
+    terms = MAX_TREE_DEPTH - 6  # the tree of this file is terms + 6 deep
+    before_src = "class C { String s() { return " + " + ".join(['"a"'] * terms) + "; } }"
+    after_src = before_src.replace('"a"', '"b"', 1)
+    before = parse_source(before_src, "java", path="C.java")
+    after = parse_source(after_src, "java", path="C.java")
+    _, actions, changesets = diff_file_pair(before, after)
+    assert [a.kind for a in actions] == ["update"]
+    assert [cs.qualified_name for cs in changesets] == ["C.s()"]
+    short = parse_source('class C { String s() { return "a"; } }', "java", path="C.java")
+    _, actions, _ = diff_file_pair(short, before)
+    assert max(a.subtree_depth for a in actions) > MAX_TREE_DEPTH - 10
+
+
+_STATEMENTS = [
+    "int a = 1;", "a = a + b;", "b = compute(a, b);", "log.debug(a);",
+    "if (a > b) { a = b; } else { b = a; }", "while (a < n) { a++; }",
+    "for (int i = 0; i < n; i++) { total += i * a; }", "helper(a).run(b);",
+    "String s = \"x\" + a;", "return;",
+]
+
+
+def _random_program(rng, methods):
+    body = "\n".join(f"    void m{i}(int n) {{\n        " + "\n        ".join(stmts)
+                     + "\n    }" for i, stmts in enumerate(methods))
+    return "class C {\n" + body + "\n}\n"
+
+
+def _random_edit(rng, methods):
+    methods = [list(m) for m in methods]
+    for _ in range(rng.randint(1, 4)):
+        target = methods[rng.randint(len(methods))]
+        op = rng.randint(4)
+        if op == 0 and target:
+            del target[rng.randint(len(target))]
+        elif op == 1:
+            target.insert(rng.randint(len(target) + 1),
+                          _STATEMENTS[rng.randint(len(_STATEMENTS))])
+        elif op == 2 and target:  # move a statement to another method
+            stmt = target.pop(rng.randint(len(target)))
+            other = methods[rng.randint(len(methods))]
+            other.insert(rng.randint(len(other) + 1), stmt)
+        elif target:  # rename a variable in one statement
+            i = rng.randint(len(target))
+            target[i] = target[i].replace("a", "q", 1)
+    return methods
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1))
+def test_mapping_equals_reference_and_script_replays(seed):
+    rng = np.random.RandomState(seed)
+    methods = [[_STATEMENTS[rng.randint(len(_STATEMENTS))]
+                for _ in range(rng.randint(0, 6))] for _ in range(rng.randint(1, 4))]
+    before = parse_source(_random_program(rng, methods), "java", path="C.java")
+    after = parse_source(_random_program(rng, _random_edit(rng, methods)), "java",
+                         path="C.java")
+    mapping = map_trees(before, after)
+    assert mapping.b2a == reference_map_trees(before, after).b2a
+    assert apply_edit_script(before, after, mapping, edit_script(mapping, before, after))

@@ -1,10 +1,13 @@
+import hashlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from devcontrib import syntax
 from devcontrib.callgraph import (
     CallGraph,
     CheckpointStore,
@@ -16,8 +19,23 @@ from devcontrib.callgraph import (
 )
 from devcontrib.config import AnalysisConfig
 from devcontrib.errors import UnknownCheckpoint
-from devcontrib.pipeline import PipelineState, current_impact
+from devcontrib.pipeline import PipelineState, current_impact, parse_changes
 from devcontrib.repo import FileChange
+
+
+def _change(path, kind, before_content=None, after_content=None, old_path=None):
+    """A ``FileChange`` whose blob ids are content hashes, as git's are."""
+    def blob(text):
+        return None if text is None else hashlib.sha1(text.encode()).hexdigest()
+
+    return FileChange(path=path, kind=kind, before_content=before_content,
+                      after_content=after_content, old_path=old_path,
+                      before_blob=blob(before_content), after_blob=blob(after_content))
+
+
+def _update(graph, changes):
+    """Advance ``graph`` the way the pipeline does: parse, then update."""
+    return graph.update(changes, parse_changes(changes))
 
 
 def test_single_file_call_edge():
@@ -67,7 +85,7 @@ def test_update_with_no_source_change_is_identity():
     files = {"A.java": "class A { void f() { g(); } void g() { } }"}
     g = build_call_graph(files)
     before = g.structure()
-    g.update([FileChange(path="README.md", kind="modified",
+    _update(g, [_change(path="README.md", kind="modified",
                          before_content="a", after_content="b")])
     assert g.structure() == before
 
@@ -78,7 +96,7 @@ def test_delete_file_rewires_to_external():
         "B.java": "class B { void g() { } }",
     }
     g = build_call_graph(files)
-    g.update([FileChange(path="B.java", kind="deleted")])
+    _update(g, [_change(path="B.java", kind="deleted")])
     expected = build_call_graph({"A.java": files["A.java"]})
     assert g.structure() == expected.structure()
     assert (FunctionId("A.f()", "A.java"), FunctionId("external:g", "")) in g.edges
@@ -87,7 +105,7 @@ def test_delete_file_rewires_to_external():
 def test_parse_error_marks_file_stale_and_removes_nodes():
     files = {"A.java": "class A { void f() { } }"}
     g = build_call_graph(files)
-    g.update([FileChange(path="A.java", kind="modified",
+    _update(g, [_change(path="A.java", kind="modified",
                          before_content=files["A.java"],
                          after_content="class A { void f( {")])
     assert g.functions_by_file.get("A.java", []) == []
@@ -118,24 +136,24 @@ def _random_edit_sequence(rng, steps=25, body_edits=False):
             path = sorted(state)[rng.randint(len(state))]
             before = state[path]
             state[path] = before.replace("() {", f"() {{ int v{step} = {step};", 1)
-            changes.append(FileChange(path=path, kind="modified",
+            changes.append(_change(path=path, kind="modified",
                                       before_content=before,
                                       after_content=state[path]))
         elif op == 0 and len(state) > 2:  # delete a file
             path = sorted(state)[rng.randint(len(state))]
-            changes.append(FileChange(path=path, kind="deleted",
+            changes.append(_change(path=path, kind="deleted",
                                       before_content=state.pop(path)))
         elif op == 1:  # add a file
             path = f"G{step}.java"
             text = file_text(step, [f"n{step}_{j}" for j in range(rng.randint(1, 4))])
             state[path] = text
-            changes.append(FileChange(path=path, kind="added", after_content=text))
+            changes.append(_change(path=path, kind="added", after_content=text))
         elif op == 2 and state:  # rename a file
             old = sorted(state)[rng.randint(len(state))]
             new = "R" + old
             text = state.pop(old)
             state[new] = text
-            changes.append(FileChange(path=new, kind="renamed", old_path=old,
+            changes.append(_change(path=new, kind="renamed", old_path=old,
                                       before_content=text, after_content=text))
         else:  # edit a file
             path = sorted(state)[rng.randint(len(state))]
@@ -143,7 +161,7 @@ def _random_edit_sequence(rng, steps=25, body_edits=False):
                                          for j in range(rng.randint(1, 5))]
                              + ["alpha"])
             state[path] = text
-            changes.append(FileChange(path=path, kind="modified",
+            changes.append(_change(path=path, kind="modified",
                                       after_content=text))
         yield changes, dict(state)
 
@@ -154,9 +172,32 @@ def test_incremental_equals_full_rebuild_over_random_edits():
     _, snapshot = next(it)
     graph = build_call_graph(snapshot)
     for changes, snapshot in it:
-        graph.update(changes)
+        _update(graph, changes)
         rebuilt = build_call_graph(snapshot)
         assert graph.structure() == rebuilt.structure()
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1))
+def test_update_from_shared_trees_equals_rebuild(seed):
+    it = _random_edit_sequence(np.random.RandomState(seed), steps=12, body_edits=True)
+    _, snapshot = next(it)
+    graph = build_call_graph(snapshot)
+    java = syntax._ADAPTERS["java"]
+    for changes, snapshot in it:
+        parsed = []
+
+        def recording(text, path=None):
+            parsed.append((path, text))
+            return java(text, path)
+
+        with mock.patch.dict(syntax._ADAPTERS, {"java": recording}):
+            trees = parse_changes(changes)
+            # no text is parsed twice, not even a renamed file's one blob
+            assert len(parsed) == len(set(parsed)) == trees.parses
+            graph.update(changes, trees)
+            assert len(parsed) == trees.parses
+        assert graph.structure() == build_call_graph(snapshot).structure()
 
 
 def _fresh_impact(files, cfg):
@@ -176,7 +217,7 @@ def test_version_tracks_structure_and_reused_ranks_equal_fresh(seed):
     state = PipelineState(tree=None, config=cfg, graph=build_call_graph(snapshot))
     for changes, snapshot in it:
         structure, version = state.graph.structure(), state.graph.version
-        state.graph.update(changes)
+        _update(state.graph, changes)
         if state.graph.structure() != structure:
             assert state.graph.version != version
         impact = current_impact(state)
@@ -202,11 +243,11 @@ def test_body_only_update_keeps_version():
     files = {"A.java": "class A { void f() { g(); } void g() { } }"}
     g = build_call_graph(files)
     version = g.version
-    g.update([FileChange(path="A.java", kind="modified",
+    _update(g, [_change(path="A.java", kind="modified",
                          before_content=files["A.java"],
                          after_content="class A { void f() { g(); } void g() { int x = 1; } }")])
     assert g.version == version
-    g.update([FileChange(path="A.java", kind="modified",
+    _update(g, [_change(path="A.java", kind="modified",
                          after_content="class A { void f() { } void g() { } }")])
     assert g.version != version
 
@@ -235,7 +276,7 @@ def test_checkpoint_isolates_later_edits(tmp_path):
     g = build_call_graph(files)
     store = CheckpointStore(tmp_path / "cps")
     store.checkpoint(g, "fork")
-    g.update([FileChange(path="A.java", kind="modified",
+    _update(g, [_change(path="A.java", kind="modified",
                          after_content="class A { void f() { } }")])
     restored = store.restore("fork")
     assert restored.structure() == build_call_graph(files).structure()
@@ -247,10 +288,10 @@ def test_nested_fork_checkpoints():
     g = build_call_graph(s0)
     store = CheckpointStore()
     store.checkpoint(g, "outer")
-    g.update([FileChange(path="B.java", kind="added",
+    _update(g, [_change(path="B.java", kind="added",
                          after_content="class B { void h() { f(); } }")])
     store.checkpoint(g, "inner")
-    g.update([FileChange(path="C.java", kind="added",
+    _update(g, [_change(path="C.java", kind="added",
                          after_content="class C { void k() { h(); } }")])
     inner = store.restore("inner")
     outer = store.restore("outer")

@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import random
 import subprocess
@@ -18,8 +19,9 @@ from devcontrib.callgraph import (
     pagerank,
 )
 from devcontrib.config import AnalysisConfig
-from devcontrib.pipeline import AnalysisRun, analyze_repository, timing_report
+from devcontrib.pipeline import AnalysisRun, analyze_repository, parse_changes, timing_report
 from devcontrib.repo import open_repository, walk_commits
+from devcontrib.syntax import MAX_TREE_DEPTH
 
 BASE_JAVA = """
 class Service {
@@ -122,7 +124,8 @@ def test_pipeline_graph_matches_full_rebuild_at_every_commit(make_repo):
                 graph = CallGraph()
         elif first != previous:
             graph = store.restore(first)
-        graph.update(changed_files(commit, tree))
+        changes = changed_files(commit, tree)
+        graph.update(changes, parse_changes(changes))
         if len(children.get(commit.id, [])) > 1:
             store.checkpoint(graph, commit.id)
         snapshot = {p: t for p, t in repo.snapshots[commit.id].items()
@@ -309,3 +312,79 @@ def test_run_is_byte_identical_across_hash_seeds(make_repo):
                               capture_output=True, text=True, check=True)
         docs.append(proc.stdout)
     assert docs[0] == docs[1]
+
+
+def _method_file(name, body):
+    return "class %s { int m(int x) { %s } }" % (name, body)
+
+
+def test_deeply_nested_files_are_skipped_alone(make_repo):
+    concat = " + ".join(['"a"'] * 3000)
+    deep = {
+        "Parens.java": _method_file("Parens", "return " + "(" * 400 + "x" + ")" * 400 + ";"),
+        "Ifs.java": _method_file("Ifs", "if (x > 0) { " * 300 + "x++;" + " }" * 300),
+        "Concat.java": _method_file("Concat", "String s = " + concat + ";"),
+    }
+    # a tree exactly MAX_TREE_DEPTH deep and a long if chain still go through
+    # every layer
+    limit = _method_file("Limit", "String s = " + " + ".join(['"a"'] * (MAX_TREE_DEPTH - 9))
+                         + ";")
+    chain = _method_file("Chain", "if (x > 0) " * 300 + "x++;")
+    repo = make_repo()
+    repo.commit("init", 1000, {"Service.java": BASE_JAVA, "Limit.java": limit,
+                               "Chain.java": chain, **deep})
+    repo.commit("edit", 2000, {
+        "Service.java": BASE_JAVA.replace("k * 2", "k * 3"),
+        "Limit.java": limit.replace('"a"', '"b"', 1),
+        "Chain.java": chain.replace("x++", "x--"),
+        **{path: text.replace("x", "y") for path, text in deep.items()},
+    })
+    run = analyze_repository(repo.path)
+    assert len(run.commits) == 2
+    scored = {r.file for c in run.commits for r in c.records}
+    assert scored == {"Service.java", "Limit.java", "Chain.java"}
+    # the three deep files fail on the after side of both commits and on the
+    # before side of the second
+    assert run.parse_errors == 9
+
+
+def test_parse_stage_counts_and_warns_once_per_blob(make_repo, caplog):
+    broken = "class Broken { void f( { }"
+    repo = make_repo()
+    repo.commit("init", 1000, {"Service.java": BASE_JAVA, "Broken.java": broken,
+                               "Note.txt": "notes"})
+    repo.commit("edit", 2000, {"Service.java": BASE_JAVA.replace("k * 2", "k * 3"),
+                               "Broken.java": broken + "\n"})
+    with caplog.at_level(logging.WARNING, logger="devcontrib"):
+        run = analyze_repository(repo.path)
+    # each commit parses two sides of two source files: an added file's
+    # before side is the empty text
+    assert (run.parses, run.parse_errors) == (8, 3)
+    report = timing_report(run)
+    assert (report["parses"], report["parse_errors"]) == (8, 3)
+    assert {"parse", "diff", "graph"} <= set(report["stages"])
+    assert "parse_errors" not in json.dumps(run.to_dict(include_timings=True))
+    warnings = [r for r in caplog.records if "Broken.java" in r.getMessage()]
+    # commit one: the after blob; commit two: the before and the after blob
+    assert len(warnings) == 3
+
+
+def test_each_tree_yields_its_function_units_once(make_repo, monkeypatch):
+    from devcontrib import syntax
+
+    trees = []
+    extract = syntax.extract_functions
+
+    def recording(tree):
+        trees.append(tree)  # keeps every tree alive, so ids stay distinct
+        return extract(tree)
+
+    monkeypatch.setattr(syntax, "extract_functions", recording)
+    repo = make_repo()
+    repo.commit("init", 1000, {"Service.java": BASE_JAVA})
+    repo.commit("edit", 2000, {"Service.java": BASE_JAVA.replace("k * 2", "k * 3")})
+    run = analyze_repository(repo.path)
+    assert run.commits[1].records
+    # two trees per commit (the first commit's before side is the empty
+    # text), each asked by the differ, the call graph and the metrics
+    assert len(trees) == len({id(t) for t in trees}) == 4

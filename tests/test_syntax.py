@@ -1,13 +1,20 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from devcontrib.errors import ParseError
 from devcontrib.syntax import (
+    MAX_TREE_DEPTH,
     NodeCategory,
+    SyntaxNode,
+    SyntaxTree,
     classify_node,
     comment_metrics,
     extract_functions,
     parse_source,
+    tokenize,
 )
+from oracles import reference_tokenize
 
 SAMPLE = """
 package demo;
@@ -182,3 +189,85 @@ def test_comment_metrics_all_comment_region():
 def test_unknown_language_raises():
     with pytest.raises(ParseError):
         parse_source("whatever", "cobol")
+
+
+def _lex(lexer, text):
+    try:
+        return lexer(text)
+    except ParseError as exc:
+        return (str(exc), exc.position)
+
+
+# Fragments the lexer treats specially, next to arbitrary characters: number
+# shapes, quotes and escapes, comment marks, operators, non-ASCII letters,
+# decimal and non-decimal digits, numerics that are no digits, and
+# whitespace outside the grammar.
+_FRAGMENTS = st.sampled_from([
+    "0x1F", "0X", "1_0", "1.5e-3", "2f", "7L", ".5", ".", "...", "e", "_", "$",
+    '"', "'", "\\", "/", "*", "//", "/*", "*/", "\n", " ", ">>>=", ">>", "<",
+    "é", "ª", "中", "\u0301", "²", "¹", "①", "٣", "𝟘", "½", "Ⅻ", "\v", "\xa0",
+])
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.lists(st.one_of(_FRAGMENTS, st.characters()), max_size=24).map("".join))
+def test_tokenize_matches_reference_lexer(text):
+    assert _lex(tokenize, text) == _lex(reference_tokenize, text)
+
+
+def test_tokenize_matches_reference_lexer_on_a_file():
+    assert tokenize(SAMPLE) == reference_tokenize(SAMPLE)
+
+
+def _method(body):
+    return "class C { int m(int x) { " + body + " } }"
+
+
+@pytest.mark.parametrize("source", [
+    _method("return " + "(" * 400 + "x" + ")" * 400 + ";"),
+    _method("if (x > 0) { " * 300 + "x++;" + " }" * 300),
+    _method("String s = " + " + ".join(['"a"'] * 3000) + ";"),
+], ids=["parentheses", "ifs", "concatenation"])
+def test_deep_nesting_is_a_parse_error(source):
+    with pytest.raises(ParseError):
+        parse_source(source, "java")
+
+
+def _concatenation(terms):
+    # the tree is ``terms`` + 6 levels deep
+    return "class C { String s() { return " + " + ".join(['"a"'] * terms) + "; } }"
+
+
+def test_tree_depth_limit_is_exact():
+    tree = parse_source(_concatenation(MAX_TREE_DEPTH - 6), "java")
+    assert tree.root.height == MAX_TREE_DEPTH
+    assert [u.qualified_name for u in tree.functions] == ["C.s()"]
+    assert tree.root.isomorphic_to(parse_source(_concatenation(MAX_TREE_DEPTH - 6)).root)
+    with pytest.raises(ParseError) as exc:
+        parse_source(_concatenation(MAX_TREE_DEPTH - 5), "java")
+    assert exc.value.position is not None
+
+
+def test_syntax_tree_rejects_a_deep_chain():
+    root = node = SyntaxNode("block")
+    for _ in range(MAX_TREE_DEPTH):
+        child = SyntaxNode("block")
+        node.children.append(child)
+        node = child
+    with pytest.raises(ParseError):
+        SyntaxTree(root, "")
+
+
+def test_function_units_are_extracted_once_per_tree(monkeypatch):
+    from devcontrib import syntax
+
+    calls = []
+
+    def counting(tree):
+        calls.append(tree)
+        return extract_functions(tree)
+
+    monkeypatch.setattr(syntax, "extract_functions", counting)
+    tree = parse_source(SAMPLE, "java")
+    assert tree.functions is tree.functions
+    assert calls == [tree]
