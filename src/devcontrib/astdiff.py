@@ -7,6 +7,14 @@ coefficient) clears a threshold.  A final recovery pass aligns leftover
 children inside mapped containers so single-token edits (renames, literal
 tweaks) surface as updates instead of delete/insert pairs.
 
+After the top-down pass most of a file usually sits in mapped isomorphic
+subtrees.  A pair inside one keeps its label, its parent pair and its
+sibling order, so it can never yield an update, a move or an alignment.
+The later passes therefore visit only the mapping's anchors (the pairs
+mapped one by one, plus the root pair of each isomorphic subtree), and no
+walk enters a wholly mapped subtree: their cost follows the changed
+region, not the file.
+
 The edit script uses subtree-granular actions: a maximal unmapped subtree
 becomes one insert or delete, a mapped pair with a changed label becomes an
 update, and a mapped subtree whose parent or sibling rank changed becomes a
@@ -82,23 +90,39 @@ class FunctionChangeSet:
 
 
 class NodeMapping:
-    """Partial one-to-one mapping between before- and after-tree nodes."""
+    """Partial one-to-one mapping between before- and after-tree nodes.
+
+    ``b2a``/``a2b`` hold every mapped pair.  ``anchors`` lists, in the order
+    they were mapped, the pairs an edit can start from: each pair added by
+    ``add`` and the root pair of each ``add_isomorphic``.  ``iso_before``
+    and ``iso_after`` map the roots of the isomorphic subtrees on each side
+    to their node counts; every node below such a root is mapped.
+    """
 
     def __init__(self):
         self.b2a: dict[SyntaxNode, SyntaxNode] = {}
         self.a2b: dict[SyntaxNode, SyntaxNode] = {}
+        self.anchors: list[tuple[SyntaxNode, SyntaxNode]] = []
+        self.iso_before: dict[SyntaxNode, int] = {}
+        self.iso_after: dict[SyntaxNode, int] = {}
 
     def add(self, b: SyntaxNode, a: SyntaxNode):
         self.b2a[b] = a
         self.a2b[a] = b
+        self.anchors.append((b, a))
 
     def add_isomorphic(self, b: SyntaxNode, a: SyntaxNode):
         """Map two isomorphic subtrees node-for-node."""
-        stack = [(b, a)]
+        b2a, a2b = self.b2a, self.a2b
+        size, stack = 0, [(b, a)]
         while stack:
             nb, na = stack.pop()
-            self.add(nb, na)
+            b2a[nb] = na
+            a2b[na] = nb
+            size += 1
             stack.extend(zip(nb.children, na.children))
+        self.anchors.append((b, a))
+        self.iso_before[b] = self.iso_after[a] = size
 
     def has_before(self, node):
         return node in self.b2a
@@ -115,21 +139,33 @@ class NodeMapping:
 # ---------------------------------------------------------------------------
 
 def _lcs_pairs(xs, ys, key):
-    """Longest common subsequence of xs/ys under key equality; returns pairs."""
-    n, m = len(xs), len(ys)
+    """Longest common subsequence of xs/ys under key equality; returns pairs.
+
+    The traceback pairs two elements as soon as their keys agree, so a
+    common prefix is paired directly and the table covers only the rest.
+    """
+    kx = [key(x) for x in xs]
+    ky = [key(y) for y in ys]
+    p = 0
+    while p < len(kx) and p < len(ky) and kx[p] == ky[p]:
+        p += 1
+    pairs = list(zip(xs[:p], ys[:p]))
+    xs, ys, kx, ky = xs[p:], ys[p:], kx[p:], ky[p:]
+    n, m = len(kx), len(ky)
     if n == 0 or m == 0:
-        return []
+        return pairs
+    # table[i][j]: LCS length of kx[i:] and ky[j:]
     table = [[0] * (m + 1) for _ in range(n + 1)]
     for i in range(n - 1, -1, -1):
+        row, below, k = table[i], table[i + 1], kx[i]
         for j in range(m - 1, -1, -1):
-            if key(xs[i]) == key(ys[j]):
-                table[i][j] = table[i + 1][j + 1] + 1
+            if k == ky[j]:
+                row[j] = below[j + 1] + 1
             else:
-                table[i][j] = max(table[i + 1][j], table[i][j + 1])
-    pairs = []
+                row[j] = max(below[j], row[j + 1])
     i = j = 0
     while i < n and j < m:
-        if key(xs[i]) == key(ys[j]):
+        if kx[i] == ky[j]:
             pairs.append((xs[i], ys[j]))
             i += 1
             j += 1
@@ -145,8 +181,10 @@ def _top_down(before_root, after_root, mapping, min_height):
     open_a = [after_root]
     while open_b and open_a:
         hb = max(n.height for n in open_b)
+        if hb < min_height:  # an added file stops here, its heights unfilled
+            break
         ha = max(n.height for n in open_a)
-        if min(hb, ha) < min_height:
+        if ha < min_height:
             break
         if hb > ha:
             open_b = _expand(open_b, hb)
@@ -185,59 +223,98 @@ def _expand(nodes, height, matched=()):
     return out
 
 
-def _postorder(root):
-    """Nodes under ``root`` in post-order: children left to right, then the
-    node.  That is the reverse of a pre-order taking children right to left."""
+def _region(root, iso_roots):
+    """Nodes under ``root`` in pre-order, not descending below the
+    isomorphic roots in ``iso_roots`` (which are yielded themselves)."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        yield node
+        if node not in iso_roots:
+            stack.extend(reversed(node.children))
+
+
+def _postorder(root, iso_roots):
+    """``_region`` in post-order: children left to right, then the node.
+    That is the reverse of a pre-order taking children right to left."""
     order, stack = [], [root]
     while stack:
         node = stack.pop()
         order.append(node)
-        stack.extend(node.children)
+        if node not in iso_roots:
+            stack.extend(node.children)
     order.reverse()
     return order
 
 
+def _count_descendants(nodes, iso_roots, desc_count):
+    """Fill ``desc_count`` for ``nodes``, which list children before parents."""
+    for node in nodes:
+        size = iso_roots.get(node)
+        if size is None:
+            size = 1
+            for c in node.children:
+                size += desc_count[c] + 1
+        desc_count[node] = size - 1
+
+
 def _bottom_up(before_root, after_root, mapping, threshold):
-    post = _postorder(before_root)
-    # descendants per node, children counted before their parents
-    desc_count = {}
-    for node in itertools.chain(post, _postorder(after_root)):
-        count = 0
-        for c in node.children:
-            count += desc_count[c] + 1
-        desc_count[node] = count
+    """Map unmapped before containers, children first, each to the unmapped
+    after node of its kind whose subtree holds the most partners of its
+    mapped descendants (dice coefficient above ``threshold``).
 
-    # pre-order position: the subtree of n spans positions
-    # a_positions[n] .. a_positions[n] + desc_count[n]
-    after_nodes = list(after_root.walk())
-    a_positions = {n: i for i, n in enumerate(after_nodes)}
+    Only the region outside isomorphic subtrees is walked.  The partners of
+    a mapped descendant form one range of after-side pre-order positions: a
+    whole isomorphic subtree, or one node.  A candidate is unmapped, so it
+    is never inside an isomorphic subtree, and each range lies wholly inside
+    or wholly outside the candidate's subtree; prefix sums over the sorted
+    ranges count the partners inside.
+    """
+    if mapping.b2a:  # otherwise no node has a mapped descendant
+        b2a, iso_b, iso_a = mapping.b2a, mapping.iso_before, mapping.iso_after
+        post = _postorder(before_root, iso_b)
+        after_pre = list(_region(after_root, iso_a))
+        desc_count = {}
+        _count_descendants(post, iso_b, desc_count)
+        _count_descendants(reversed(after_pre), iso_a, desc_count)
+        # pre-order position: the subtree of n spans positions
+        # a_positions[n] .. a_positions[n] + desc_count[n]
+        a_positions, position = {}, 0
+        for n in after_pre:
+            a_positions[n] = position
+            position += iso_a.get(n, 1)
 
-    for b in post:
-        if mapping.has_before(b) or b.is_leaf:
-            continue
-        partners = sorted(a_positions[p] for p in map(mapping.b2a.get, b.descendants())
-                          if p is not None)
-        # candidates: unmapped after nodes of b's kind above some partner
-        above = set()
-        for pos in partners:
-            node = after_nodes[pos].parent
-            while node is not None and node not in above:
-                above.add(node)
-                node = node.parent
-        best, best_key = None, None
-        for cand in above:
-            if cand.kind != b.kind or mapping.has_after(cand):
+        for b in post:
+            if b in b2a or b.is_leaf:
                 continue
-            first = a_positions[cand]
-            cnt = bisect.bisect_right(partners, first + desc_count[cand]) \
-                - bisect.bisect_left(partners, first)
-            dice = 2.0 * cnt / (desc_count[b] + desc_count[cand]) \
-                if (desc_count[b] + desc_count[cand]) else 0.0
-            key = (dice, -first)
-            if dice > threshold and (best_key is None or key > best_key):
-                best, best_key = cand, key
-        if best is not None:
-            mapping.add(b, best)
+            partners = [p for p in map(b2a.get, _region(b, iso_b)) if p is not None]
+            if not partners:
+                continue
+            partners.sort(key=a_positions.__getitem__)
+            starts = [a_positions[p] for p in partners]
+            covered = list(itertools.accumulate(
+                [iso_a.get(p, 1) for p in partners], initial=0))
+            # candidates: unmapped after nodes of b's kind above some partner
+            above = set()
+            for p in partners:
+                node = p.parent
+                while node is not None and node not in above:
+                    above.add(node)
+                    node = node.parent
+            best, best_key = None, None
+            for cand in above:
+                if cand.kind != b.kind or mapping.has_after(cand):
+                    continue
+                first = a_positions[cand]
+                cnt = covered[bisect.bisect_right(starts, first + desc_count[cand])] \
+                    - covered[bisect.bisect_left(starts, first)]
+                dice = 2.0 * cnt / (desc_count[b] + desc_count[cand]) \
+                    if (desc_count[b] + desc_count[cand]) else 0.0
+                key = (dice, -first)
+                if dice > threshold and (best_key is None or key > best_key):
+                    best, best_key = cand, key
+            if best is not None:
+                mapping.add(b, best)
     if not mapping.has_before(before_root) and not mapping.has_after(after_root) \
             and before_root.kind == after_root.kind:
         mapping.add(before_root, after_root)
@@ -250,7 +327,7 @@ def _recover(mapping):
     subtrees, then same kind+label, then same kind.  Pairs from the weaker
     passes are pushed back on the worklist so their children align too.
     """
-    work = list(mapping.b2a.items())
+    work = list(mapping.anchors)
     while work:
         b, a = work.pop()
         ub = [c for c in b.children if not mapping.has_before(c)]
@@ -289,22 +366,15 @@ def map_trees(before: SyntaxTree, after: SyntaxTree,
 # edit script
 # ---------------------------------------------------------------------------
 
-def _unmapped_height(node, is_mapped):
-    """Subtree depth counting only the unmapped portion under ``node``."""
-    height, level = 0, [node]
+def _unmapped_portion(node, is_mapped):
+    """``node`` and the unmapped nodes reachable from it through unmapped
+    children, level by level, and the number of levels they span."""
+    portion, level, height = [], [node], 0
     while level:
         height += 1
+        portion.extend(level)
         level = [c for n in level for c in n.children if not is_mapped(c)]
-    return height
-
-
-def _unmapped_portion_nodes(node, is_mapped):
-    """``node`` and the unmapped nodes reachable from it through unmapped
-    children."""
-    portion = [node]
-    for n in portion:  # the list grows while it is read
-        portion.extend([c for c in n.children if not is_mapped(c)])
-    return portion
+    return portion, height
 
 
 def _only_names_or_modifiers(nodes, blacklist):
@@ -340,30 +410,30 @@ def edit_script(mapping: NodeMapping, before: SyntaxTree, after: SyntaxTree,
     actions = []
 
     # deletes: maximal unmapped before subtrees
-    for node in before.root.walk():
+    for node in _region(before.root, mapping.iso_before):
         if mapping.has_before(node):
             continue
         if node.parent is None or mapping.has_before(node.parent):
-            portion = _unmapped_portion_nodes(node, mapping.has_before)
+            portion, depth = _unmapped_portion(node, mapping.has_before)
             actions.append(EditAction(
                 kind="delete",
                 subtree=node,
-                subtree_depth=_unmapped_height(node, mapping.has_before),
+                subtree_depth=depth,
                 only_name_or_modifier=_only_names_or_modifiers(portion, blacklist),
                 blacklisted=_inside_log_statement(node, blacklist),
                 before_node=node,
             ))
 
     # inserts: maximal unmapped after subtrees
-    for node in after.root.walk():
+    for node in _region(after.root, mapping.iso_after):
         if mapping.has_after(node):
             continue
         if node.parent is None or mapping.has_after(node.parent):
-            portion = _unmapped_portion_nodes(node, mapping.has_after)
+            portion, depth = _unmapped_portion(node, mapping.has_after)
             actions.append(EditAction(
                 kind="insert",
                 subtree=node,
-                subtree_depth=_unmapped_height(node, mapping.has_after),
+                subtree_depth=depth,
                 only_name_or_modifier=_only_names_or_modifiers(portion, blacklist),
                 blacklisted=_inside_log_statement(node, blacklist),
                 after_node=node,
@@ -371,9 +441,10 @@ def edit_script(mapping: NodeMapping, before: SyntaxTree, after: SyntaxTree,
                 dst_index=_child_index(node),
             ))
 
-    # updates and cross-parent moves over mapped pairs
+    # updates and cross-parent moves over the anchors: a pair inside an
+    # isomorphic subtree keeps its label, parent pair and sibling rank
     order_moved = _order_moves(mapping)
-    for b, a in mapping.b2a.items():
+    for b, a in mapping.anchors:
         if b.label != a.label:
             cls = classify_node(a, blacklist)
             actions.append(EditAction(
@@ -393,12 +464,11 @@ def edit_script(mapping: NodeMapping, before: SyntaxTree, after: SyntaxTree,
         elif (b.parent is None) != (a.parent is None):
             cross = True
         if cross or (b, a) in order_moved:
-            portion = list(a.walk())
             actions.append(EditAction(
                 kind="move",
                 subtree=a,
                 subtree_depth=a.height,
-                only_name_or_modifier=_only_names_or_modifiers(portion, blacklist),
+                only_name_or_modifier=_only_names_or_modifiers(a.walk(), blacklist),
                 blacklisted=_inside_log_statement(a, blacklist)
                 or _inside_log_statement(b, blacklist),
                 before_node=b,
@@ -414,8 +484,8 @@ def edit_script(mapping: NodeMapping, before: SyntaxTree, after: SyntaxTree,
 def _order_moves(mapping):
     """Mapped pairs that changed sibling rank under the same mapped parent."""
     moved = set()
-    for pb, pa in mapping.b2a.items():
-        if pb.is_leaf:
+    for pb, pa in mapping.anchors:
+        if pb.is_leaf or pb in mapping.iso_before:  # children kept in order
             continue
         stay_b = [c for c in pb.children
                   if mapping.has_before(c) and mapping.b2a[c].parent is pa]

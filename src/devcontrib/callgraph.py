@@ -392,12 +392,6 @@ def build_call_graph(files) -> CallGraph:
 # checkpoints
 # ---------------------------------------------------------------------------
 
-@dataclass
-class GraphCheckpoint:
-    commit_id: str
-    payload: dict
-
-
 class CheckpointStore:
     """Keeps frozen graph states keyed by commit id, optionally on disk."""
 
@@ -405,27 +399,26 @@ class CheckpointStore:
         self.directory = Path(directory) if directory else None
         if self.directory:
             self.directory.mkdir(parents=True, exist_ok=True)
-        self._memory: dict[str, GraphCheckpoint] = {}
+        self._memory: dict[str, dict] = {}  # commit id -> graph payload
         self.restores = 0
 
-    def checkpoint(self, graph: CallGraph, commit_id: str) -> GraphCheckpoint:
-        cp = GraphCheckpoint(commit_id, graph.to_payload())
-        self._memory[commit_id] = cp
+    def checkpoint(self, graph: CallGraph, commit_id: str) -> None:
+        payload = graph.to_payload()
+        self._memory[commit_id] = payload
         if self.directory:
             path = self.directory / f"{commit_id}.json"
-            path.write_text(json.dumps(cp.payload, sort_keys=True), encoding="utf-8")
-        return cp
+            path.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
 
     def restore(self, commit_id: str) -> CallGraph:
-        cp = self._memory.get(commit_id)
-        if cp is None and self.directory:
+        payload = self._memory.get(commit_id)
+        if payload is None and self.directory:
             path = self.directory / f"{commit_id}.json"
             if path.exists():
-                cp = GraphCheckpoint(commit_id, json.loads(path.read_text(encoding="utf-8")))
-        if cp is None:
+                payload = json.loads(path.read_text(encoding="utf-8"))
+        if payload is None:
             raise UnknownCheckpoint(commit_id)
         self.restores += 1
-        return CallGraph.from_payload(cp.payload)
+        return CallGraph.from_payload(payload)
 
     def discard(self, commit_id: str):
         """Release the in-memory checkpoint; an on-disk copy stays."""

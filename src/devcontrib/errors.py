@@ -37,10 +37,6 @@ class UnknownCheckpoint(DevContribError):
     """No call-graph checkpoint recorded for the requested commit."""
 
 
-class NonConvergence(DevContribError):
-    """Iterative solver failed to reach tolerance (best iterate returned)."""
-
-
 class ZeroVariance(DevContribError):
     """Rank correlation is undefined because one input has constant ranks."""
 

@@ -3,15 +3,28 @@
 * ``reference_tokenize`` is the per-character lexer that the compiled
   ``devcontrib.syntax.tokenize`` replaced; the two must give the same
   tokens, comments and errors on any text.
-* ``reference_map_trees`` is ``devcontrib.astdiff.map_trees`` with the
-  bottom-up pass as first written, which walks every descendant's ancestor
-  chain; the faster pass must map exactly the same nodes.
+* ``reference_map_trees`` and ``reference_edit_script`` are the differ as
+  it was before its passes learned to skip isomorphic subtrees: the passes
+  walk every mapped pair and both whole trees, and the bottom-up pass is
+  the first one written, which walks every descendant's ancestor chain.
+  The program must map the same nodes and give the same actions in the
+  same order.  Only the per-node classification helpers are shared.
+* ``reference_lcs_pairs`` is the alignment table that computed every key
+  twice per cell; ``devcontrib.astdiff._lcs_pairs`` must give its pairs.
 * ``apply_edit_script`` replays an edit script on a copy of the before
   tree, to check that the script really turns it into the after tree.
 """
 
-from devcontrib.astdiff import EditAction, NodeMapping, _recover, _top_down
+from devcontrib.astdiff import (
+    EditAction,
+    _action_sort_key,
+    _child_index,
+    _inside_log_statement,
+    _only_names_or_modifiers,
+)
+from devcontrib.config import DEFAULT_BLACKLIST
 from devcontrib.errors import ParseError
+from devcontrib.syntax import NodeCategory, classify_node
 from devcontrib.syntax import _KEYWORDS, _OPERATORS, Comment, SyntaxTree, _Token
 
 _PUNCT = set("(){}[];,.@")
@@ -127,14 +140,112 @@ def reference_tokenize(text: str):
 # node mapping
 # ---------------------------------------------------------------------------
 
+class ReferenceMapping:
+    """A mapping that keeps only its pairs, in the order they were added."""
+
+    def __init__(self):
+        self.b2a = {}
+        self.a2b = {}
+
+    def add(self, b, a):
+        self.b2a[b] = a
+        self.a2b[a] = b
+
+    def add_isomorphic(self, b, a):
+        stack = [(b, a)]
+        while stack:
+            nb, na = stack.pop()
+            self.add(nb, na)
+            stack.extend(zip(nb.children, na.children))
+
+    def has_before(self, node):
+        return node in self.b2a
+
+    def has_after(self, node):
+        return node in self.a2b
+
+    def __len__(self):
+        return len(self.b2a)
+
+
+def reference_lcs_pairs(xs, ys, key):
+    """Longest common subsequence of xs/ys under key equality; returns pairs."""
+    n, m = len(xs), len(ys)
+    if n == 0 or m == 0:
+        return []
+    table = [[0] * (m + 1) for _ in range(n + 1)]
+    for i in range(n - 1, -1, -1):
+        for j in range(m - 1, -1, -1):
+            if key(xs[i]) == key(ys[j]):
+                table[i][j] = table[i + 1][j + 1] + 1
+            else:
+                table[i][j] = max(table[i + 1][j], table[i][j + 1])
+    pairs = []
+    i = j = 0
+    while i < n and j < m:
+        if key(xs[i]) == key(ys[j]):
+            pairs.append((xs[i], ys[j]))
+            i += 1
+            j += 1
+        elif table[i + 1][j] >= table[i][j + 1]:
+            i += 1
+        else:
+            j += 1
+    return pairs
+
+
 def reference_map_trees(before: SyntaxTree, after: SyntaxTree,
                         similarity_threshold: float = 0.5,
-                        min_height: int = 2) -> NodeMapping:
-    mapping = NodeMapping()
-    _top_down(before.root, after.root, mapping, min_height)
+                        min_height: int = 2) -> ReferenceMapping:
+    mapping = ReferenceMapping()
+    _reference_top_down(before.root, after.root, mapping, min_height)
     _reference_bottom_up(before.root, after.root, mapping, similarity_threshold)
-    _recover(mapping)
+    _reference_recover(mapping)
     return mapping
+
+
+def _reference_top_down(before_root, after_root, mapping, min_height):
+    open_b = [before_root]
+    open_a = [after_root]
+    while open_b and open_a:
+        hb = max(n.height for n in open_b)
+        ha = max(n.height for n in open_a)
+        if min(hb, ha) < min_height:
+            break
+        if hb > ha:
+            open_b = _expand(open_b, hb)
+            continue
+        if ha > hb:
+            open_a = _expand(open_a, ha)
+            continue
+        level_b = [n for n in open_b if n.height == hb]
+        level_a = [n for n in open_a if n.height == hb]
+        by_hash = {}
+        for a in level_a:
+            by_hash.setdefault(a.struct_hash, []).append(a)
+        matched_b, matched_a = set(), set()
+        for b in level_b:
+            candidates = by_hash.get(b.struct_hash, [])
+            for a in candidates:
+                if a in matched_a:
+                    continue
+                if b.isomorphic_to(a):
+                    mapping.add_isomorphic(b, a)
+                    matched_b.add(b)
+                    matched_a.add(a)
+                    break
+        open_b = _expand(open_b, hb, matched=matched_b)
+        open_a = _expand(open_a, hb, matched=matched_a)
+
+
+def _expand(nodes, height, matched=()):
+    out = []
+    for n in nodes:
+        if n.height != height:
+            out.append(n)
+        elif n not in matched:
+            out.extend(n.children)
+    return out
 
 
 def _reference_bottom_up(before_root, after_root, mapping, threshold):
@@ -180,6 +291,145 @@ def _reference_bottom_up(before_root, after_root, mapping, threshold):
         mapping.add(before_root, after_root)
 
 
+def _reference_recover(mapping):
+    work = list(mapping.b2a.items())
+    while work:
+        b, a = work.pop()
+        ub = [c for c in b.children if not mapping.has_before(c)]
+        ua = [c for c in a.children if not mapping.has_after(c)]
+        if not ub or not ua:
+            continue
+        for key, whole_subtree in (
+            (lambda n: (n.kind, n.label, n.struct_hash), True),
+            (lambda n: (n.kind, n.label), False),
+            (lambda n: n.kind, False),
+        ):
+            pairs = reference_lcs_pairs(ub, ua, key)
+            for pb, pa in pairs:
+                if whole_subtree and pb.isomorphic_to(pa):
+                    mapping.add_isomorphic(pb, pa)
+                else:
+                    mapping.add(pb, pa)
+                    work.append((pb, pa))
+            ub = [c for c in ub if not mapping.has_before(c)]
+            ua = [c for c in ua if not mapping.has_after(c)]
+            if not ub or not ua:
+                break
+
+
+# ---------------------------------------------------------------------------
+# edit script
+# ---------------------------------------------------------------------------
+
+def _unmapped_height(node, is_mapped):
+    height, level = 0, [node]
+    while level:
+        height += 1
+        level = [c for n in level for c in n.children if not is_mapped(c)]
+    return height
+
+
+def _unmapped_portion_nodes(node, is_mapped):
+    portion = [node]
+    for n in portion:  # the list grows while it is read
+        portion.extend([c for c in n.children if not is_mapped(c)])
+    return portion
+
+
+def reference_edit_script(mapping, before: SyntaxTree, after: SyntaxTree,
+                          blacklist=DEFAULT_BLACKLIST) -> list[EditAction]:
+    actions = []
+
+    for node in before.root.walk():
+        if mapping.has_before(node):
+            continue
+        if node.parent is None or mapping.has_before(node.parent):
+            portion = _unmapped_portion_nodes(node, mapping.has_before)
+            actions.append(EditAction(
+                kind="delete",
+                subtree=node,
+                subtree_depth=_unmapped_height(node, mapping.has_before),
+                only_name_or_modifier=_only_names_or_modifiers(portion, blacklist),
+                blacklisted=_inside_log_statement(node, blacklist),
+                before_node=node,
+            ))
+
+    for node in after.root.walk():
+        if mapping.has_after(node):
+            continue
+        if node.parent is None or mapping.has_after(node.parent):
+            portion = _unmapped_portion_nodes(node, mapping.has_after)
+            actions.append(EditAction(
+                kind="insert",
+                subtree=node,
+                subtree_depth=_unmapped_height(node, mapping.has_after),
+                only_name_or_modifier=_only_names_or_modifiers(portion, blacklist),
+                blacklisted=_inside_log_statement(node, blacklist),
+                after_node=node,
+                dst_parent=node.parent,
+                dst_index=_child_index(node),
+            ))
+
+    order_moved = _reference_order_moves(mapping)
+    for b, a in mapping.b2a.items():
+        if b.label != a.label:
+            cls = classify_node(a, blacklist)
+            actions.append(EditAction(
+                kind="update",
+                subtree=a,
+                subtree_depth=1,
+                only_name_or_modifier=a.is_leaf and cls in (
+                    NodeCategory.NAME_BEARING, NodeCategory.MODIFIER),
+                blacklisted=_inside_log_statement(a, blacklist)
+                or _inside_log_statement(b, blacklist),
+                before_node=b,
+                after_node=a,
+            ))
+        cross = False
+        if b.parent is not None and a.parent is not None:
+            cross = mapping.b2a.get(b.parent) is not a.parent
+        elif (b.parent is None) != (a.parent is None):
+            cross = True
+        if cross or (b, a) in order_moved:
+            portion = list(a.walk())
+            actions.append(EditAction(
+                kind="move",
+                subtree=a,
+                subtree_depth=a.height,
+                only_name_or_modifier=_only_names_or_modifiers(portion, blacklist),
+                blacklisted=_inside_log_statement(a, blacklist)
+                or _inside_log_statement(b, blacklist),
+                before_node=b,
+                after_node=a,
+                dst_parent=a.parent,
+                dst_index=_child_index(a),
+            ))
+
+    actions.sort(key=_action_sort_key)
+    return actions
+
+
+def _reference_order_moves(mapping):
+    moved = set()
+    for pb, pa in mapping.b2a.items():
+        if pb.is_leaf:
+            continue
+        stay_b = [c for c in pb.children
+                  if mapping.has_before(c) and mapping.b2a[c].parent is pa]
+        if len(stay_b) < 2:
+            continue
+        partners_in_b_order = [mapping.b2a[c] for c in stay_b]
+        partners = set(partners_in_b_order)
+        partners_in_a_order = [c for c in pa.children if c in partners]
+        kept = {pair[0] for pair in reference_lcs_pairs(partners_in_b_order,
+                                                        partners_in_a_order, key=id)}
+        for c in stay_b:
+            a = mapping.b2a[c]
+            if a not in kept:
+                moved.add((c, a))
+    return moved
+
+
 # ---------------------------------------------------------------------------
 # edit-script replay
 # ---------------------------------------------------------------------------
@@ -218,7 +468,7 @@ def _shape_equal(w, node):
 
 
 def apply_edit_script(before: SyntaxTree, after: SyntaxTree,
-                      mapping: NodeMapping, actions: list[EditAction]) -> bool:
+                      mapping, actions: list[EditAction]) -> bool:
     """Replay the script on a copy of the before tree; True if the result
     is isomorphic to the after tree (kinds, labels, child order)."""
     work_of_before = {}

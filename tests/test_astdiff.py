@@ -1,3 +1,5 @@
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from devcontrib.astdiff import (
     DeltaWeights,
     EditAction,
     FunctionChangeSet,
+    _lcs_pairs,
     delta_ast,
     diff_file_pair,
     edit_script,
@@ -21,7 +24,12 @@ from devcontrib.syntax import (
     extract_functions,
     parse_source,
 )
-from oracles import apply_edit_script, reference_map_trees
+from oracles import (
+    apply_edit_script,
+    reference_edit_script,
+    reference_lcs_pairs,
+    reference_map_trees,
+)
 
 BASE = """
 class C {
@@ -282,9 +290,12 @@ _STATEMENTS = [
 ]
 
 
-def _random_program(rng, methods):
-    body = "\n".join(f"    void m{i}(int n) {{\n        " + "\n        ".join(stmts)
-                     + "\n    }" for i, stmts in enumerate(methods))
+def _random_program(methods, order=None):
+    """Method ``m<i>`` has the statements ``methods[i]``; ``order`` lists
+    the methods in file order."""
+    order = range(len(methods)) if order is None else order
+    body = "\n".join(f"    void m{i}(int n) {{\n        " + "\n        ".join(methods[i])
+                     + "\n    }" for i in order)
     return "class C {\n" + body + "\n}\n"
 
 
@@ -308,15 +319,73 @@ def _random_edit(rng, methods):
     return methods
 
 
+def _random_sources(rng, reorder_and_empty=False):
+    """Source texts of a random class and of an edited copy.  With
+    ``reorder_and_empty``, two adjacent methods may also swap places, and
+    one side may be empty: an added or a deleted file."""
+    methods = [[_STATEMENTS[rng.randint(len(_STATEMENTS))]
+                for _ in range(rng.randint(0, 6))] for _ in range(rng.randint(1, 4))]
+    before_src = _random_program(methods)
+    edited = _random_edit(rng, methods)
+    order = list(range(len(edited)))
+    if reorder_and_empty:
+        if len(order) > 1 and rng.randint(2):
+            i = rng.randint(len(order) - 1)
+            order[i], order[i + 1] = order[i + 1], order[i]
+        empty = rng.randint(4)
+        if empty == 0:
+            return "", _random_program(edited, order)
+        if empty == 1:
+            return before_src, ""
+    return before_src, _random_program(edited, order)
+
+
+def _assert_equals_reference(before_src, after_src):
+    """The mapping and the ordered edit script equal the reference
+    differ's, and the script turns the before tree into the after tree."""
+    before = parse_source(before_src, "java", path="C.java")
+    after = parse_source(after_src, "java", path="C.java")
+    mapping = map_trees(before, after)
+    reference = reference_map_trees(before, after)
+    assert mapping.b2a == reference.b2a
+    script = edit_script(mapping, before, after)
+    assert script == reference_edit_script(reference, before, after)
+    assert apply_edit_script(before, after, mapping, script)
+    return script
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.integers(0, 2**32 - 1))
 def test_mapping_equals_reference_and_script_replays(seed):
-    rng = np.random.RandomState(seed)
-    methods = [[_STATEMENTS[rng.randint(len(_STATEMENTS))]
-                for _ in range(rng.randint(0, 6))] for _ in range(rng.randint(1, 4))]
-    before = parse_source(_random_program(rng, methods), "java", path="C.java")
-    after = parse_source(_random_program(rng, _random_edit(rng, methods)), "java",
-                         path="C.java")
-    mapping = map_trees(before, after)
-    assert mapping.b2a == reference_map_trees(before, after).b2a
-    assert apply_edit_script(before, after, mapping, edit_script(mapping, before, after))
+    _assert_equals_reference(*_random_sources(np.random.RandomState(seed)))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1))
+def test_differ_equals_reference_on_reorders_and_empty_sides(seed):
+    _assert_equals_reference(*_random_sources(np.random.RandomState(seed),
+                                              reorder_and_empty=True))
+
+
+def test_method_swap_is_one_order_move():
+    methods = [["a = a + b;", "return;"], ["b = compute(a, b);"], ["int a = 1;"]]
+    script = _assert_equals_reference(_random_program(methods),
+                                      _random_program(methods, [1, 0, 2]))
+    assert [(a.kind, a.subtree.kind) for a in script] == [("move", "method_decl")]
+
+
+@pytest.mark.parametrize("side", ["before", "after"])
+def test_added_or_deleted_file_is_one_action(side):
+    before_src, after_src = (BASE, "") if side == "before" else ("", BASE)
+    script = _assert_equals_reference(before_src, after_src)
+    assert [a.kind for a in script] == ["delete" if side == "before" else "insert"]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 3), max_size=12), st.lists(st.integers(0, 3), max_size=12))
+def test_lcs_pairs_equal_the_reference_table(keys_x, keys_y):
+    xs = [("x", i, k) for i, k in enumerate(keys_x)]
+    ys = [("y", j, k) for j, k in enumerate(keys_y)]
+    key = operator.itemgetter(2)
+    assert _lcs_pairs(xs, ys, key) == reference_lcs_pairs(xs, ys, key)
+    assert _lcs_pairs(xs, xs, key) == reference_lcs_pairs(xs, xs, key)
