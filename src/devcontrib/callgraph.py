@@ -31,10 +31,8 @@ instead of recomputing them; commits that only edit bodies keep the pair.
 from __future__ import annotations
 
 import itertools
-import json
 import logging
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -393,39 +391,28 @@ def build_call_graph(files) -> CallGraph:
 # ---------------------------------------------------------------------------
 
 class CheckpointStore:
-    """Keeps frozen graph states keyed by commit id, optionally on disk."""
+    """Keeps frozen graph states in memory, keyed by commit id."""
 
-    def __init__(self, directory: str | Path | None = None):
-        self.directory = Path(directory) if directory else None
-        if self.directory:
-            self.directory.mkdir(parents=True, exist_ok=True)
+    def __init__(self):
         self._memory: dict[str, dict] = {}  # commit id -> graph payload
         self.restores = 0
 
     def checkpoint(self, graph: CallGraph, commit_id: str) -> None:
-        payload = graph.to_payload()
-        self._memory[commit_id] = payload
-        if self.directory:
-            path = self.directory / f"{commit_id}.json"
-            path.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
+        self._memory[commit_id] = graph.to_payload()
 
     def restore(self, commit_id: str) -> CallGraph:
         payload = self._memory.get(commit_id)
-        if payload is None and self.directory:
-            path = self.directory / f"{commit_id}.json"
-            if path.exists():
-                payload = json.loads(path.read_text(encoding="utf-8"))
         if payload is None:
             raise UnknownCheckpoint(commit_id)
         self.restores += 1
         return CallGraph.from_payload(payload)
 
     def discard(self, commit_id: str):
-        """Release the in-memory checkpoint; an on-disk copy stays."""
+        """Release the checkpoint."""
         self._memory.pop(commit_id, None)
 
     def __len__(self) -> int:
-        """Checkpoints held in memory."""
+        """Checkpoints held."""
         return len(self._memory)
 
 

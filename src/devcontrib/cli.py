@@ -2,12 +2,16 @@
 
 Three subcommands mirror the three activities the toolkit supports::
 
-    devcontrib analyze <repo> [--branch B] [--config F] [--cache D] [--out run.json]
+    devcontrib analyze <repo> [--branch B] [--config F] [--out run.json]
     devcontrib report <run.json> --format json|csv [--out DIR] [--inflated]
     devcontrib eval --labels labels.csv --run run.json
 
-Exit codes: 0 success, 1 usage error, 2 repository error,
-3 evaluation-input error.
+``analyze`` writes the run file (JSON, ``schema_version`` 2) with every
+developer's inflated-commit flag set from the config's thresholds;
+``report`` and ``eval`` read it back and refuse any other schema version.
+
+Exit codes: 0 success, 1 usage error (including an unreadable config or
+``report`` run file), 2 repository error, 3 evaluation-input error.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from .errors import (
     ZeroVariance,
 )
 from .pipeline import AnalysisRun, analyze_repository
-from .report import detect_inflated, emit_report, spearman
+from .report import emit_report, spearman
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -44,7 +48,6 @@ def _build_parser() -> _ArgumentParser:
     p_analyze.add_argument("repo", help="path to a git repository")
     p_analyze.add_argument("--branch", default=None, help="limit to one branch")
     p_analyze.add_argument("--config", default=None, help="config file (key = value lines)")
-    p_analyze.add_argument("--cache", default=None, help="cache directory")
     p_analyze.add_argument("--out", default="run.json", help="run output file")
 
     p_report = sub.add_parser("report", help="emit reports from a finished run")
@@ -64,31 +67,26 @@ def _build_parser() -> _ArgumentParser:
 def _cmd_analyze(args) -> int:
     cfg = AnalysisConfig()
     if args.config:
-        cfg = load_config(args.config, base=cfg)
+        try:
+            cfg = load_config(args.config, base=cfg)
+        except (OSError, ValueError) as exc:
+            raise UsageError(f"cannot load config file: {exc}") from exc
     if args.branch:
         cfg.branch = args.branch
-    if args.cache:
-        cfg.cache_dir = args.cache
     run = analyze_repository(args.repo, cfg)
     run.save(args.out)
-    flagged = detect_inflated(run.developers,
-                              commit_share_min=cfg.inflated_commit_share_min,
-                              ratio_max=cfg.inflated_ratio_max)
+    flagged = sum(r.inflated for r in run.developers)
     total = sum(c.cvalue for c in run.commits)
     print(f"analyzed {len(run.commits)} commits, "
           f"{len(run.developers)} developers, total contribution {total:.3f}")
-    print(f"{len(flagged)} developer(s) with inflated commit counts")
+    print(f"{flagged} developer(s) with inflated commit counts")
     print(f"run written to {args.out}")
     return 0
 
 
 def _cmd_report(args) -> int:
-    run = AnalysisRun.load(args.run)
-    cfg = run.config
-    flagged = detect_inflated(
-        run.developers,
-        commit_share_min=cfg.get("inflated_commit_share_min", 0.01),
-        ratio_max=cfg.get("inflated_ratio_max", 0.20))
+    run = _load_run(args.run, UsageError)
+    flagged = [r for r in run.developers if r.inflated]
     paths = emit_report(run, run.developers, format=args.format, out_dir=args.out)
     for path in paths:
         print(f"wrote {path}")
@@ -121,11 +119,16 @@ def _read_labels(path: str) -> dict[str, float]:
     return labels
 
 
-def _cmd_eval(args) -> int:
+def _load_run(path: str, error: type[Exception]) -> AnalysisRun:
+    """``AnalysisRun.load``, with any unreadable file raised as ``error``."""
     try:
-        run = AnalysisRun.load(args.run)
-    except (OSError, ValueError, KeyError) as exc:
-        raise EvaluationInputError(f"cannot load run file: {exc}") from exc
+        return AnalysisRun.load(path)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise error(f"cannot load run file: {exc}") from exc
+
+
+def _cmd_eval(args) -> int:
+    run = _load_run(args.run, EvaluationInputError)
     labels = _read_labels(args.labels)
     predictions = {c.id: c.cvalue for c in run.commits}
     matched = [cid for cid in labels if cid in predictions]

@@ -55,7 +55,6 @@ class AnalysisConfig:
     # repository walking
     branch: str | None = None
     bulk_file_threshold: int = 500
-    cache_dir: str | None = None
 
     blacklist_patterns: tuple[str, ...] = DEFAULT_BLACKLIST
     bot_patterns: tuple[str, ...] = DEFAULT_BOT_PATTERNS
@@ -87,7 +86,6 @@ _KEY_MAP = {
     "diff.similarity_threshold": ("diff_similarity_threshold", float),
     "repo.branch": ("branch", str),
     "repo.bulk_file_threshold": ("bulk_file_threshold", int),
-    "repo.cache_dir": ("cache_dir", str),
     "blacklist.patterns": ("blacklist_patterns", "list"),
     "bots.patterns": ("bot_patterns", "list"),
 }

@@ -6,10 +6,13 @@ restoring before sibling branches), diffs every changed source file, and
 records raw per-function measurements: weighted edit size, the four
 complexity metrics of the version the developer faced, call-graph impact
 at the commit's own snapshot, and dependence-graph reach ratios.  Pass two
-fits the per-metric normalization over the whole run and fuses the raw
-records into function scores and commit values.  Splitting the passes
-keeps normalization (and therefore every score) reproducible: a re-run on
-the same history yields identical numbers.
+fits a Box-Cox normalization of the complexity metrics and of call-graph
+impact over the whole run and fuses the raw records into function scores
+and commit values; the reach ratios enter raw, as the impact range IR.
+Splitting the passes keeps normalization (and therefore every score)
+reproducible: a re-run on the same history yields identical numbers.  The
+developer rows, inflated-commit flags included, are folded from the fused
+commits with the run's thresholds.
 
 Each commit parses every changed source blob once: ``parse_changes`` keys
 the trees by ``(path, blob)``, and the differ, the call-graph update and
@@ -22,16 +25,16 @@ stage, apart from ``diff`` and ``graph``.
 Call-graph impact is ranked only when a commit with scored changes finds
 the graph at a new ``(token, version)`` pair, that is after a structural
 change or a checkpoint restore; otherwise the last scores are reused, and
-they equal what a recompute would give.  A fork's in-memory checkpoint is
-released once its last first-parent child has been restored.
+they equal what a recompute would give.  A fork's checkpoint is held in
+memory and released once its last first-parent child has been restored;
+the analysis writes no files.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .astdiff import FILE_SCOPE, DeltaWeights, delta_ast, diff_file_pair
@@ -65,7 +68,7 @@ from .scoring import (
 )
 from .syntax import SourceTrees, language_for_path
 
-_METRICS = ("loc", "cc", "hv", "pcom", "ip", "ddg", "cdg")
+_METRICS = ("loc", "cc", "hv", "pcom", "ip")
 
 
 @dataclass
@@ -90,26 +93,15 @@ class FunctionRecord:
     hv_n: float = 0.0
     pcom_n: float = 0.0
     ip_n: float = 0.0
-    ddg_n: float = 0.0
-    cdg_n: float = 0.0
     cm: float = 1.0
     ir: float = 1.0
     score: float = 0.0
 
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in (
-            "commit_id", "function", "file", "delta_ast", "is_function",
-            "loc", "cc", "hv", "pcom", "ip", "ddg", "cdg",
-            "loc_n", "cc_n", "hv_n", "pcom_n", "ip_n", "ddg_n", "cdg_n",
-            "cm", "ir", "score")}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FunctionRecord":
-        return cls(**d)
-
 
 @dataclass
 class CommitResult:
+    """One commit's scores; serialized with ``records`` as ``functions``."""
+
     id: str
     author_email: str
     author_name: str
@@ -121,22 +113,15 @@ class CommitResult:
     records: list[FunctionRecord] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "id": self.id, "author_email": self.author_email,
-            "author_name": self.author_name, "author_is_bot": self.author_is_bot,
-            "timestamp": self.timestamp, "bulk": self.bulk,
-            "delta_ast_total": self.delta_ast_total, "cvalue": self.cvalue,
-            "functions": [r.to_dict() for r in self.records],
-        }
+        d = asdict(self)
+        d["functions"] = d.pop("records")
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "CommitResult":
-        out = cls(id=d["id"], author_email=d["author_email"],
-                  author_name=d["author_name"], author_is_bot=d["author_is_bot"],
-                  timestamp=d["timestamp"], bulk=d["bulk"],
-                  delta_ast_total=d["delta_ast_total"], cvalue=d["cvalue"])
-        out.records = [FunctionRecord.from_dict(r) for r in d["functions"]]
-        return out
+        d = dict(d)
+        records = [FunctionRecord(**r) for r in d.pop("functions")]
+        return cls(**d, records=records)
 
 
 @dataclass
@@ -154,7 +139,7 @@ class AnalysisRun:
     parses: int = 0
     parse_errors: int = 0
 
-    SCHEMA_VERSION = 1
+    SCHEMA_VERSION = 2
 
     def to_dict(self, include_timings: bool = False) -> dict:
         d = {
@@ -162,7 +147,7 @@ class AnalysisRun:
             "repository": self.repository,
             "config": self.config,
             "commits": [c.to_dict() for c in self.commits],
-            "developers": [dev.to_dict() for dev in self.developers],
+            "developers": [asdict(dev) for dev in self.developers],
             "boxcox": {m: p.to_dict() for m, p in sorted(self.boxcox.items())},
         }
         if include_timings:
@@ -172,12 +157,17 @@ class AnalysisRun:
 
     @classmethod
     def from_dict(cls, d: dict) -> "AnalysisRun":
+        """Rebuild a run; raises ``ValueError`` on another schema version."""
         from .report import DeveloperReport
 
+        version = d.get("schema_version")
+        if version != cls.SCHEMA_VERSION:
+            raise ValueError(f"run file has schema version {version!r}; "
+                             f"this version of devcontrib reads {cls.SCHEMA_VERSION}")
         run = cls(repository=d["repository"], config=d["config"])
         run.commits = [CommitResult.from_dict(c) for c in d["commits"]]
-        run.developers = [DeveloperReport.from_dict(x) for x in d.get("developers", [])]
-        run.boxcox = {m: BoxCoxParams.from_dict(p) for m, p in d.get("boxcox", {}).items()}
+        run.developers = [DeveloperReport(**x) for x in d["developers"]]
+        run.boxcox = {m: BoxCoxParams.from_dict(p) for m, p in d["boxcox"].items()}
         run.timings = d.get("timings", {})
         run.commit_times = d.get("commit_times", {})
         return run
@@ -354,8 +344,6 @@ def _fit_all(records, cfg: AnalysisConfig) -> dict[str, BoxCoxParams]:
             populations["hv"].append(float(r.hv))
             populations["pcom"].append(float(r.pcom))
         populations["ip"].append(r.ip)
-        populations["ddg"].append(r.ddg)
-        populations["cdg"].append(r.cdg)
     return {
         m: fit_boxcox(values, lambda_min=cfg.normalize_lambda_min,
                       lambda_max=cfg.normalize_lambda_max,
@@ -382,8 +370,6 @@ def _fuse(run: AnalysisRun):
             else:
                 r.cm = 1.0
             r.ip_n = normalize(r.ip, params["ip"])
-            r.ddg_n = normalize(r.ddg, params["ddg"])
-            r.cdg_n = normalize(r.cdg, params["cdg"])
             r.ir = impact_range(r.ddg, r.cdg)
             r.score = function_score(r.delta_ast, r.cm, r.ip_n, r.ir)
         commit.cvalue = commit_cvalue([r.score for r in commit.records])
@@ -400,15 +386,7 @@ def analyze_repository(path: str, config: AnalysisConfig | None = None) -> Analy
     tree = open_repository(path, branch=cfg.branch, bot_patterns=cfg.bot_patterns)
     order = walk_commits(tree)
     children = first_parent_children(tree)
-
-    cache_root = None
-    checkpoint_dir = None
-    if cfg.cache_dir:
-        repo_hash = hashlib.sha1(str(Path(path).resolve()).encode()).hexdigest()[:16]
-        cache_root = Path(cfg.cache_dir) / repo_hash
-        cache_root.mkdir(parents=True, exist_ok=True)
-        checkpoint_dir = cache_root / "graph-checkpoints"
-    store = CheckpointStore(checkpoint_dir)
+    store = CheckpointStore()
 
     state = PipelineState(tree=tree, config=cfg, weights=weights)
     run = AnalysisRun(repository=str(path), config=cfg.to_dict())
@@ -439,42 +417,35 @@ def analyze_repository(path: str, config: AnalysisConfig | None = None) -> Analy
     run.parses = state.parses
     run.parse_errors = state.parse_errors
 
-    if cache_root is not None:
-        with open(cache_root / "raw-metrics.jsonl", "w", encoding="utf-8") as fh:
-            for commit in run.commits:
-                for record in commit.records:
-                    fh.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")
-
     t0 = time.perf_counter()
     all_records = [r for c in run.commits for r in c.records]
     run.boxcox = _fit_all(all_records, cfg)
     state.add_time("fit", time.perf_counter() - t0)
 
-    if cache_root is not None:
-        (cache_root / "boxcox-params.json").write_text(
-            json.dumps({m: p.to_dict() for m, p in sorted(run.boxcox.items())},
-                       sort_keys=True, indent=2), encoding="utf-8")
-
     t0 = time.perf_counter()
     _fuse(run)
     state.add_time("fuse", time.perf_counter() - t0)
 
-    from .report import aggregate_by_developer
+    from .report import aggregate_by_developer, detect_inflated
 
     run.developers = aggregate_by_developer(run)
+    detect_inflated(run.developers, commit_share_min=cfg.inflated_commit_share_min,
+                    ratio_max=cfg.inflated_ratio_max)
     state.add_time("total", time.perf_counter() - t_start)
     run.timings = dict(state.timings)
     return run
 
 
 def timing_report(run: AnalysisRun) -> dict:
-    """Wall-clock per stage, per-commit durations, how often the call
-    graph was ranked or its last ranks reused, and how many texts were
-    parsed and how many of those failed."""
+    """Wall-clock per stage, per-commit durations, how many fork
+    checkpoints were restored, how often the call graph was ranked or its
+    last ranks reused, and how many texts were parsed and how many of
+    those failed."""
     return {
         "stages": dict(run.timings),
         "per_commit": dict(run.commit_times),
         "commits": len(run.commits),
+        "checkpoint_restores": run.checkpoint_restores,
         "rank_computations": run.rank_computations,
         "rank_reuses": run.rank_reuses,
         "parses": run.parses,

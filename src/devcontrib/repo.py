@@ -49,7 +49,6 @@ class CommitRecord:
     parent_ids: list[str]
     author: DeveloperIdentity
     timestamp: int
-    changed_files: list[FileChange] | None = None
 
 
 @dataclass
@@ -133,22 +132,10 @@ def walk_commits(tree: VersionTree) -> list[CommitRecord]:
     branch contiguously.  Commits whose first parent is absent from the
     tree (partial clones) are treated as roots.
     """
-    children = defaultdict(list)
-    roots = []
-    for record in tree.commits.values():
-        first = record.parent_ids[0] if record.parent_ids else None
-        if first is not None and first in tree.commits:
-            children[first].append(record.id)
-        else:
-            roots.append(record.id)
-
-    def order(cid):
-        rec = tree.commits[cid]
-        return (rec.timestamp, cid)
-
-    roots.sort(key=order)
-    for bucket in children.values():
-        bucket.sort(key=order)
+    children = first_parent_children(tree)
+    roots = _oldest_first(tree, (
+        cid for cid, record in tree.commits.items()
+        if not record.parent_ids or record.parent_ids[0] not in tree.commits))
 
     out = []
     stack = list(reversed(roots))
@@ -165,9 +152,12 @@ def first_parent_children(tree: VersionTree) -> dict[str, list[str]]:
     for record in tree.commits.values():
         if record.parent_ids and record.parent_ids[0] in tree.commits:
             children[record.parent_ids[0]].append(record.id)
-    for bucket in children.values():
-        bucket.sort(key=lambda cid: (tree.commits[cid].timestamp, cid))
-    return dict(children)
+    return {cid: _oldest_first(tree, bucket) for cid, bucket in children.items()}
+
+
+def _oldest_first(tree: VersionTree, ids) -> list[str]:
+    """Commit ids sorted by timestamp, then id."""
+    return sorted(ids, key=lambda cid: (tree.commits[cid].timestamp, cid))
 
 
 _STATUS_KIND = {"A": "added", "C": "added", "D": "deleted",
@@ -177,12 +167,8 @@ _STATUS_KIND = {"A": "added", "C": "added", "D": "deleted",
 def changed_files(commit: CommitRecord, tree: VersionTree) -> list[FileChange]:
     """First-parent diff with full before/after text for source files.
 
-    Binary blobs keep their change entry but carry no content.  Results
-    are cached on the commit record.
+    Binary blobs keep their change entry but carry no content.
     """
-    if commit.changed_files is not None:
-        return commit.changed_files
-
     if commit.parent_ids:
         raw = _git(tree.path, "diff-tree", "-r", "-M", "--no-commit-id",
                    commit.parent_ids[0], commit.id)
@@ -214,7 +200,6 @@ def changed_files(commit: CommitRecord, tree: VersionTree) -> list[FileChange]:
         changes.append(change)
 
     _fill_contents(tree.path, changes)
-    commit.changed_files = changes
     return changes
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -34,19 +34,6 @@ class DeveloperReport:
     cvalue_share: float
     inflated: bool = False
     zero_syntax: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "email": self.email, "display_name": self.display_name,
-            "is_bot": self.is_bot, "commit_count": self.commit_count,
-            "commit_share": self.commit_share, "cvalue_total": self.cvalue_total,
-            "cvalue_share": self.cvalue_share, "inflated": self.inflated,
-            "zero_syntax": self.zero_syntax,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DeveloperReport":
-        return cls(**d)
 
 
 def aggregate_by_developer(run) -> list[DeveloperReport]:
@@ -160,7 +147,7 @@ def emit_report(run, reports, format: str = "json",
                 "timestamp": c.timestamp, "bulk": c.bulk,
                 "delta_ast_total": c.delta_ast_total, "cvalue": c.cvalue,
             } for c in run.commits],
-            "developers": [r.to_dict() for r in reports],
+            "developers": [asdict(r) for r in reports],
         }
         path = out_dir / "report.json"
         path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n",

@@ -1,9 +1,9 @@
 """Metric normalization and score fusion.
 
-Raw metric populations (complexity, call-graph impact, dependence-graph
-impacts) live on wildly different scales, so each metric is Box-Cox
-transformed toward normality and affinely rescaled to mean 1 and standard
-deviation 1/3.  Under that shape fewer than 0.15% of values land below
+Raw metric populations (complexity, call-graph impact) live on wildly
+different scales, so each metric is Box-Cox transformed toward normality
+and affinely rescaled to mean ``POST_MEAN`` = 1 and standard deviation
+``POST_STD`` = 1/3.  Under that shape fewer than 0.15% of values land below
 zero; those are clamped to 0.  The power-transform parameter is fitted by
 profile maximum likelihood on a fixed lambda grid, which keeps runs
 reproducible across platforms (no optimizer state, no tolerance drift).
@@ -17,9 +17,12 @@ value as the sum of its function scores.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
+
+POST_MEAN = 1.0
+POST_STD = 1.0 / 3.0
 
 
 @dataclass
@@ -33,19 +36,17 @@ class BoxCoxParams:
     degenerate: bool = False
     n: int = 0
 
-    post_mean: float = 1.0
-    post_std: float = 1.0 / 3.0
-
     def to_dict(self) -> dict:
-        return {
-            "lambda": self.lam, "shift": self.shift, "mean_t": self.mean_t,
-            "std_t": self.std_t, "degenerate": self.degenerate, "n": self.n,
-        }
+        """The fields, with ``lam`` serialized as ``lambda``."""
+        d = asdict(self)
+        d["lambda"] = d.pop("lam")
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "BoxCoxParams":
-        return cls(lam=d["lambda"], shift=d["shift"], mean_t=d["mean_t"],
-                   std_t=d["std_t"], degenerate=d["degenerate"], n=d["n"])
+        d = dict(d)
+        d["lam"] = d.pop("lambda")
+        return cls(**d)
 
 
 def _boxcox(y, lam):
@@ -106,7 +107,7 @@ def normalize(value: float, params: BoxCoxParams) -> float:
     if y <= 0.0:
         y = 1e-12  # below the fitted domain; lands at (or clamps to) 0
     t = float(_boxcox(y, params.lam))
-    scaled = (t - params.mean_t) / params.std_t * params.post_std + params.post_mean
+    scaled = (t - params.mean_t) / params.std_t * POST_STD + POST_MEAN
     return max(0.0, scaled)
 
 

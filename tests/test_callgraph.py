@@ -271,10 +271,10 @@ def test_checkpoint_restore_roundtrip_and_unknown():
         store.restore("nope")
 
 
-def test_checkpoint_isolates_later_edits(tmp_path):
+def test_checkpoint_isolates_later_edits():
     files = {"A.java": "class A { void f() { g(); } void g() { } }"}
     g = build_call_graph(files)
-    store = CheckpointStore(tmp_path / "cps")
+    store = CheckpointStore()
     store.checkpoint(g, "fork")
     _update(g, [_change(path="A.java", kind="modified",
                          after_content="class A { void f() { } }")])

@@ -1,0 +1,101 @@
+import json
+import re
+
+import pytest
+
+from devcontrib.cli import main
+
+JAVA = "class Service {{ int handle(int k) {{ return k * {n}; }} }}"
+BOT = ("ci-bot[bot]", "ci-bot[bot]@example.com")
+
+
+@pytest.fixture
+def history(make_repo):
+    """Three Java edits by one developer and three text-file commits by a
+    bot, whose zero contribution marks it inflated at the default
+    thresholds."""
+    repo = make_repo()
+    for i in range(3):
+        repo.commit(f"edit{i}", 1000 + i, {"Service.java": JAVA.format(n=i + 2)})
+        repo.commit(f"bump{i}", 2000 + i, {"deps.txt": str(i)}, author=BOT)
+    return repo
+
+
+def _analyze(repo, tmp_path, capsys, *extra):
+    out = tmp_path / "run.json"
+    code = main(["analyze", repo.path, "--out", str(out), *extra])
+    return code, out, capsys.readouterr()
+
+
+@pytest.mark.parametrize("config, flagged", [("", 1), ("inflated.ratio_max = 0\n", 0)])
+def test_analyze_stores_the_inflated_flags_it_prints(history, tmp_path, capsys,
+                                                     config, flagged):
+    cfg = tmp_path / "analysis.cfg"
+    cfg.write_text(config)
+    code, out, captured = _analyze(history, tmp_path, capsys, "--config", str(cfg))
+    assert code == 0
+    count = int(re.search(r"(\d+) developer\(s\) with inflated", captured.out).group(1))
+    developers = json.loads(out.read_text())["developers"]
+    stored = {d["email"]: d["inflated"] for d in developers}
+    assert count == sum(stored.values()) == flagged
+    assert stored["ci-bot[bot]@example.com"] is bool(flagged)
+
+
+def test_report_csv_lists_stored_inflated_developers(history, tmp_path, capsys):
+    _, run_path, _ = _analyze(history, tmp_path, capsys)
+    out_dir = tmp_path / "reports"
+    code = main(["report", str(run_path), "--format", "csv", "--out", str(out_dir),
+                 "--inflated"])
+    printed = capsys.readouterr().out
+    assert code == 0
+    assert "inflated: ci-bot[bot]@example.com" in printed
+    assert (out_dir / "developers.csv").exists() and (out_dir / "commits.csv").exists()
+
+
+def test_eval_needs_two_matched_labels(history, tmp_path, capsys):
+    _, run_path, _ = _analyze(history, tmp_path, capsys)
+    labels = tmp_path / "labels.csv"
+    labels.write_text(f"commit,score\n{history.shas[0]},1.0\nnot-a-commit,2.0\n")
+    assert main(["eval", "--labels", str(labels), "--run", str(run_path)]) == 3
+    assert "only 1 labeled commit(s)" in capsys.readouterr().err
+
+
+def test_report_refuses_a_run_of_another_schema(history, tmp_path, capsys):
+    _, run_path, _ = _analyze(history, tmp_path, capsys)
+    doc = json.loads(run_path.read_text())
+    doc["schema_version"] = 1
+    run_path.write_text(json.dumps(doc))
+    assert main(["report", str(run_path), "--out", str(tmp_path)]) == 1
+    assert "schema version 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    '{"schema_version": 2,',
+    json.dumps({"schema_version": 2, "repository": "r", "config": {},
+                "commits": [{"functions": [], "unknown_field": 1}],
+                "developers": [], "boxcox": {}}),
+], ids=["truncated-json", "unknown-field"])
+def test_report_on_malformed_run_is_a_usage_error(tmp_path, capsys, text):
+    run_path = tmp_path / "run.json"
+    run_path.write_text(text)
+    assert main(["report", str(run_path), "--out", str(tmp_path)]) == 1
+    assert "cannot load run file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [["--config", "CFG"], ["--cache", "dir"]],
+                         ids=["unknown-config-key", "cache-flag"])
+def test_analyze_usage_errors(history, tmp_path, capsys, extra):
+    cfg = tmp_path / "analysis.cfg"
+    cfg.write_text("repo.cache_dir = cache\n")
+    extra = [str(cfg) if a == "CFG" else a for a in extra]
+    code, out, captured = _analyze(history, tmp_path, capsys, *extra)
+    assert code == 1
+    assert "usage error" in captured.err
+    assert not out.exists()
+
+
+def test_analyze_non_repository_exits_2(tmp_path, capsys):
+    plain = tmp_path / "plain"
+    plain.mkdir()
+    assert main(["analyze", str(plain), "--out", str(tmp_path / "run.json")]) == 2
+    assert "not a git repository" in capsys.readouterr().err

@@ -155,6 +155,16 @@ def test_run_roundtrips_through_json(make_repo, tmp_path):
     run.save(path)
     loaded = AnalysisRun.load(path)
     assert loaded.to_dict() == run.to_dict()
+    assert set(loaded.boxcox) == {"loc", "cc", "hv", "pcom", "ip"}
+
+
+def test_run_of_another_schema_version_is_refused(make_repo):
+    repo = make_repo()
+    repo.commit("init", 1000, {"Service.java": BASE_JAVA})
+    doc = analyze_repository(repo.path).to_dict()
+    doc["schema_version"] = 1
+    with pytest.raises(ValueError, match="schema version 1.* reads 2"):
+        AnalysisRun.from_dict(doc)
 
 
 def test_bulk_flag(make_repo):
@@ -188,26 +198,6 @@ def test_timing_report_structure(make_repo):
     assert set(report["per_commit"]) == {c.id for c in run.commits}
     assert all(v >= 0 for v in report["per_commit"].values())
     assert report["stages"]["total"] > 0
-
-
-def test_cache_directory_layout(make_repo, tmp_path):
-    repo = make_repo()
-    repo.commit("base", 1000, {"Service.java": BASE_JAVA})
-    repo.branch("side")
-    repo.commit("side", 2000, {"Extra.java": "class Extra { void e() { } }"})
-    repo.checkout("main")
-    repo.commit("main", 3000, {"Note.txt": "x"})
-    cache = tmp_path / "cache"
-    run = analyze_repository(repo.path, AnalysisConfig(cache_dir=str(cache)))
-    roots = list(cache.iterdir())
-    assert len(roots) == 1
-    root = roots[0]
-    assert (root / "raw-metrics.jsonl").exists()
-    assert (root / "boxcox-params.json").exists()
-    assert (root / "graph-checkpoints").is_dir()
-    assert list((root / "graph-checkpoints").glob("*.json"))
-    params = json.loads((root / "boxcox-params.json").read_text())
-    assert set(params) == {"loc", "cc", "hv", "pcom", "ip", "ddg", "cdg"}
 
 
 def test_body_only_edits_reuse_ranks(make_repo):
@@ -253,6 +243,7 @@ def test_fork_checkpoints_released_after_last_child(make_repo, monkeypatch):
     monkeypatch.setattr(pipeline, "CheckpointStore", RecordingStore)
     run = analyze_repository(repo.path)
     assert run.checkpoint_restores == 2
+    assert timing_report(run)["checkpoint_restores"] == 2
     assert len(stores) == 1 and len(stores[0]) == 0
 
 

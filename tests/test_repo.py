@@ -181,14 +181,6 @@ def test_before_content_matches_parent_blob(make_repo):
     assert change.before_content == repo.snapshots[first]["A.java"]
 
 
-def test_changed_files_cached_on_record(make_repo):
-    repo = make_repo()
-    sha = repo.commit("c1", 1000, {"A.java": JAVA_A})
-    tree = open_repository(repo.path)
-    first = changed_files(tree.commits[sha], tree)
-    assert changed_files(tree.commits[sha], tree) is first
-
-
 def test_resolve_developer_normalizes_email():
     dev = resolve_developer("A", "  Dev@X.COM ")
     assert dev.email == "dev@x.com"
