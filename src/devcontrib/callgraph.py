@@ -11,6 +11,12 @@ Resolution is heuristic name matching (no type inference): first functions
 in the caller's own file whose qualified name ends with the callee's dotted
 path, then project-wide suffix matches, else a synthetic ``external:`` node.
 
+Each file's entries -- its functions, its call sites and their resolved
+targets -- are tuples that are replaced, never changed in place.  A copy of
+the graph (``CallGraph.copy``, which ``CheckpointStore`` keeps at every
+fork) is therefore new dicts over the same tuples, plus a copy of the
+simple-name index, which is the one structure updated in place.
+
 Function importance combines two passes: plain PageRank, where a function
 called by many accrues rank, then a backward propagation that walks callee
 subtrees and feeds decayed leaf rank back up the call chain, so mid-chain
@@ -57,8 +63,7 @@ class FunctionId(NamedTuple):
         return self.name.startswith(EXTERNAL_PREFIX)
 
 
-@dataclass
-class CallSite:
+class CallSite(NamedTuple):
     caller: FunctionId
     dotted: str
     simple: str
@@ -90,7 +95,7 @@ def _type_simple(label: str) -> str:
     return base
 
 
-def extract_call_sites(tree: SyntaxTree, units) -> list[CallSite]:
+def extract_call_sites(tree: SyntaxTree, units) -> tuple[CallSite, ...]:
     """Call sites of every named unit, lambdas merged into their enclosing
     function, nested named declarations excluded (they are their own units)."""
     named = [u for u in units if "$lambda" not in u.qualified_name]
@@ -113,7 +118,7 @@ def extract_call_sites(tree: SyntaxTree, units) -> list[CallSite]:
                 walk(child, False)
 
         walk(unit.body, True)
-    return sites
+    return tuple(sites)
 
 
 class Adjacency(NamedTuple):
@@ -129,14 +134,14 @@ class CallGraph:
     """Directed caller -> callee graph with per-file ownership.
 
     ``(token, version)`` changes whenever ``structure()`` may have changed;
-    see the module doc.
+    see the module doc.  The per-file values are immutable tuples: replace
+    them, never change them, since copies of the graph share them.
     """
 
     def __init__(self):
-        self.functions_by_file: dict[str, list[FunctionId]] = {}
-        self.call_sites: dict[str, list[CallSite]] = {}
-        self.resolutions: dict[str, list[tuple[FunctionId, ...]]] = {}
-        self.stale_files: set[str] = set()
+        self.functions_by_file: dict[str, tuple[FunctionId, ...]] = {}
+        self.call_sites: dict[str, tuple[CallSite, ...]] = {}
+        self.resolutions: dict[str, tuple[tuple[FunctionId, ...], ...]] = {}
         self._simple_index: dict[str, set[FunctionId]] = {}
         self.token = next(_graph_tokens)
         self.version = 0
@@ -158,19 +163,17 @@ class CallGraph:
     def _add_file(self, path: str, tree: SyntaxTree):
         units = tree.functions
         named = [u for u in units if "$lambda" not in u.qualified_name]
-        fids = [FunctionId(u.qualified_name, path) for u in named]
+        fids = tuple(FunctionId(u.qualified_name, path) for u in named)
         self.functions_by_file[path] = fids
         for fid in fids:
             self._index_add(fid)
         self.call_sites[path] = extract_call_sites(tree, units)
-        self.stale_files.discard(path)
 
     def _remove_file(self, path: str):
-        for fid in self.functions_by_file.pop(path, []):
+        for fid in self.functions_by_file.pop(path, ()):
             self._index_remove(fid)
         self.call_sites.pop(path, None)
         self.resolutions.pop(path, None)
-        self.stale_files.discard(path)
 
     # -- resolution ------------------------------------------------------------
 
@@ -197,8 +200,8 @@ class CallGraph:
         return tuple(matches)
 
     def resolve_file(self, path: str):
-        self.resolutions[path] = [self._resolve_site(s)
-                                  for s in self.call_sites.get(path, [])]
+        self.resolutions[path] = tuple(self._resolve_site(s)
+                                       for s in self.call_sites.get(path, ()))
 
     def resolve_all(self):
         self.resolutions = {}
@@ -208,24 +211,25 @@ class CallGraph:
 
     def reresolve_names(self, names: set[str], skip_files: set[str]):
         """Re-resolve sites outside ``skip_files`` whose callee simple name
-        gained or lost a definition."""
+        gained or lost a definition; every file outside ``skip_files`` must
+        already be resolved.  A file whose targets change gets a new
+        resolution tuple and bumps ``version``."""
         if not names:
             return
         for path, sites in self.call_sites.items():
             if path in skip_files:
                 continue
-            res = self.resolutions.get(path)
-            if res is None or len(res) != len(sites):
-                self.resolve_file(path)
-                if self.resolutions[path] != res:
-                    self.version += 1
-                continue
+            res = self.resolutions[path]
+            changed = {}
             for i, site in enumerate(sites):
                 if site.simple in names:
                     targets = self._resolve_site(site)
                     if targets != res[i]:
-                        res[i] = targets
-                        self.version += 1
+                        changed[i] = targets
+            if changed:
+                self.resolutions[path] = tuple(changed.get(i, targets)
+                                               for i, targets in enumerate(res))
+                self.version += 1
 
     # -- views -------------------------------------------------------------------
 
@@ -269,58 +273,25 @@ class CallGraph:
         """Canonical (nodes, edges) pair for structural comparison."""
         return (tuple(sorted(self.nodes)), tuple(sorted(self.edges)))
 
-    def __eq__(self, other):
-        if not isinstance(other, CallGraph):
-            return NotImplemented
-        return self.structure() == other.structure()
-
-    def __hash__(self):
-        return hash(self.structure())
-
-    # -- serialization -------------------------------------------------------------
-
-    def to_payload(self) -> dict:
-        return {
-            "version": 1,
-            "files": {
-                path: {
-                    "functions": [list(fid) for fid in self.functions_by_file.get(path, [])],
-                    "sites": [[list(s.caller), s.dotted, s.simple]
-                              for s in self.call_sites.get(path, [])],
-                    "resolutions": [[list(t) for t in targets]
-                                    for targets in self.resolutions.get(path, [])],
-                }
-                for path in sorted(set(self.functions_by_file) | set(self.call_sites))
-            },
-            "stale": sorted(self.stale_files),
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "CallGraph":
-        graph = cls()
-        for path, entry in payload["files"].items():
-            fids = [FunctionId(*f) for f in entry["functions"]]
-            graph.functions_by_file[path] = fids
-            for fid in fids:
-                graph._index_add(fid)
-            graph.call_sites[path] = [
-                CallSite(FunctionId(*c), dotted, simple)
-                for c, dotted, simple in entry["sites"]
-            ]
-            graph.resolutions[path] = [
-                tuple(FunctionId(*t) for t in targets)
-                for targets in entry["resolutions"]
-            ]
-        graph.stale_files = set(payload.get("stale", ()))
+    def copy(self) -> "CallGraph":
+        """A graph with the same structure and a fresh ``token``, sharing
+        this one's per-file tuples; later updates to either leave the
+        other as it was."""
+        graph = CallGraph()
+        graph.functions_by_file = dict(self.functions_by_file)
+        graph.call_sites = dict(self.call_sites)
+        graph.resolutions = dict(self.resolutions)
+        graph._simple_index = {name: set(fids)
+                               for name, fids in self._simple_index.items()}
         return graph
 
     # -- incremental update -----------------------------------------------------------
 
     def _file_shape(self, path: str):
         """What ``path`` adds to ``structure()``: its nodes and its edges."""
-        return (tuple(self.functions_by_file.get(path, ())),
+        return (self.functions_by_file.get(path, ()),
                 tuple(site.caller for site in self.call_sites.get(path, ())),
-                tuple(self.resolutions.get(path, ())))
+                self.resolutions.get(path, ()))
 
     def update(self, changes, trees: SourceTrees) -> "CallGraph":
         """Apply one commit's file changes; result equals a full rebuild.
@@ -328,9 +299,9 @@ class CallGraph:
         Only source files with a registered grammar adapter participate.
         ``trees`` holds the after-side tree of every such change that is
         not a deletion, keyed by ``(path, after_blob)``.  A file whose text
-        failed to parse loses its prior nodes and is flagged stale until a
-        later change fixes it.  ``version`` is bumped when a touched file's
-        shape changes or a re-resolved site changes targets.
+        failed to parse loses its prior nodes and has none until a later
+        change brings text that parses.  ``version`` is bumped when a
+        touched file's shape changes or a re-resolved site changes targets.
         """
         affected: set[str] = set()
         touched_files: set[str] = set()
@@ -354,7 +325,6 @@ class CallGraph:
                 continue
             tree = trees[(change.path, change.after_blob)]
             if tree is None:
-                self.stale_files.add(change.path)
                 continue
             self._add_file(change.path, tree)
             affected.update(_simple_name(fid.name)
@@ -378,10 +348,8 @@ def build_call_graph(files) -> CallGraph:
         if language_for_path(path) is None or text is None:
             continue
         tree = trees.add(path, None, text)
-        if tree is None:
-            graph.stale_files.add(path)
-            continue
-        graph._add_file(path, tree)
+        if tree is not None:
+            graph._add_file(path, tree)
     graph.resolve_all()
     return graph
 
@@ -391,21 +359,26 @@ def build_call_graph(files) -> CallGraph:
 # ---------------------------------------------------------------------------
 
 class CheckpointStore:
-    """Keeps frozen graph states in memory, keyed by commit id."""
+    """Keeps frozen graph states in memory, keyed by commit id.
+
+    Each checkpoint and each restore is a ``CallGraph.copy``, so they share
+    the per-file tuples with the graph they came from and cost one dict
+    entry per file.  Every restore is a new graph with a fresh ``token``.
+    """
 
     def __init__(self):
-        self._memory: dict[str, dict] = {}  # commit id -> graph payload
+        self._memory: dict[str, CallGraph] = {}
         self.restores = 0
 
     def checkpoint(self, graph: CallGraph, commit_id: str) -> None:
-        self._memory[commit_id] = graph.to_payload()
+        self._memory[commit_id] = graph.copy()
 
     def restore(self, commit_id: str) -> CallGraph:
-        payload = self._memory.get(commit_id)
-        if payload is None:
+        graph = self._memory.get(commit_id)
+        if graph is None:
             raise UnknownCheckpoint(commit_id)
         self.restores += 1
-        return CallGraph.from_payload(payload)
+        return graph.copy()
 
     def discard(self, commit_id: str):
         """Release the checkpoint."""

@@ -147,6 +147,7 @@ def _cmd_eval(args) -> int:
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    args = None
     try:
         args = parser.parse_args(argv)
         if args.command == "analyze":
@@ -167,7 +168,7 @@ def main(argv=None) -> int:
         return 3
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2 if argv and argv[0] == "analyze" else 1
+        return 2 if args is not None and args.command == "analyze" else 1
 
 
 def entry_point():

@@ -25,9 +25,10 @@ stage, apart from ``diff`` and ``graph``.
 Call-graph impact is ranked only when a commit with scored changes finds
 the graph at a new ``(token, version)`` pair, that is after a structural
 change or a checkpoint restore; otherwise the last scores are reused, and
-they equal what a recompute would give.  A fork's checkpoint is held in
-memory and released once its last first-parent child has been restored;
-the analysis writes no files.
+they equal what a recompute would give.  A fork's checkpoint is an
+in-memory copy of the graph that shares its immutable per-file entries,
+released once its last first-parent child has been restored; the analysis
+writes no files.
 """
 
 from __future__ import annotations

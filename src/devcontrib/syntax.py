@@ -93,11 +93,6 @@ class SyntaxNode:
         for child in self.children:
             yield from child.walk()
 
-    def leaves(self):
-        for node in self.walk():
-            if node.is_leaf:
-                yield node
-
     def ancestors(self):
         node = self.parent
         while node is not None:
@@ -155,11 +150,10 @@ class SyntaxTree:
     """
 
     def __init__(self, root: SyntaxNode, source_text: str, comments=None,
-                 language: str = "java", path: str | None = None):
+                 path: str | None = None):
         self.root = root
         self.source_text = source_text
         self.comments = comments or []
-        self.language = language
         self.path = path
         self._line_starts = None
         self._functions = None
@@ -1226,7 +1220,7 @@ class _Parser:
 def _parse_java(text: str, path: str | None = None) -> SyntaxTree:
     parser = _Parser(text)
     root = parser.parse_compilation_unit()
-    return SyntaxTree(root, text, comments=parser.comments, language="java", path=path)
+    return SyntaxTree(root, text, comments=parser.comments, path=path)
 
 
 _ADAPTERS = {"java": _parse_java}

@@ -102,14 +102,17 @@ def test_delete_file_rewires_to_external():
     assert (FunctionId("A.f()", "A.java"), FunctionId("external:g", "")) in g.edges
 
 
-def test_parse_error_marks_file_stale_and_removes_nodes():
+def test_parse_error_removes_nodes_until_fixed():
     files = {"A.java": "class A { void f() { } }"}
+    broken = "class A { void f( {"
     g = build_call_graph(files)
     _update(g, [_change(path="A.java", kind="modified",
-                         before_content=files["A.java"],
-                         after_content="class A { void f( {")])
-    assert g.functions_by_file.get("A.java", []) == []
-    assert "A.java" in g.stale_files
+                         before_content=files["A.java"], after_content=broken)])
+    assert g.functions_by_file.get("A.java", ()) == ()
+    fixed = "class A { void f() { g(); } void g() { } }"
+    _update(g, [_change(path="A.java", kind="modified",
+                         before_content=broken, after_content=fixed)])
+    assert g.structure() == build_call_graph({"A.java": fixed}).structure()
 
 
 def _random_edit_sequence(rng, steps=25, body_edits=False):
@@ -284,20 +287,72 @@ def test_checkpoint_isolates_later_edits():
 
 
 def test_nested_fork_checkpoints():
-    s0 = {"A.java": "class A { void f() { } }"}
+    # A.f calls g, which is external until a later file defines it: the
+    # re-resolution of A.java must reach neither checkpoint
+    s0 = {"A.java": "class A { void f() { g(); } }"}
+    s1 = {**s0, "B.java": "class B { void h() { f(); } }"}
+    a_f, external_g = FunctionId("A.f()", "A.java"), FunctionId("external:g", "")
     g = build_call_graph(s0)
     store = CheckpointStore()
     store.checkpoint(g, "outer")
-    _update(g, [_change(path="B.java", kind="added",
-                         after_content="class B { void h() { f(); } }")])
+    _update(g, [_change(path="B.java", kind="added", after_content=s1["B.java"])])
     store.checkpoint(g, "inner")
     _update(g, [_change(path="C.java", kind="added",
-                         after_content="class C { void k() { h(); } }")])
+                         after_content="class C { void k() { h(); } void g() { } }")])
+    assert (a_f, FunctionId("C.g()", "C.java")) in g.edges
     inner = store.restore("inner")
     outer = store.restore("outer")
-    assert outer.structure() == build_call_graph(s0).structure()
-    assert len(inner.structure()[0]) == 2
-    assert store.restores == 2
+    assert inner.structure() == build_call_graph(s1).structure()
+    assert (a_f, external_g) in outer.edges
+    _update(outer, [_change(path="D.java", kind="added",
+                             after_content="class D { void g() { } }")])
+    assert (a_f, external_g) not in outer.edges
+    assert store.restore("outer").structure() == build_call_graph(s0).structure()
+    assert store.restores == 3
+
+
+def _apply(snapshot, changes):
+    """``snapshot`` after ``changes``, which may come from another history."""
+    out = dict(snapshot)
+    for change in changes:
+        if change.kind == "renamed":
+            out.pop(change.old_path, None)
+        if change.kind == "deleted":
+            out.pop(change.path, None)
+        else:
+            out[change.path] = change.after_content
+    return out
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1), st.integers(0, 12))
+def test_checkpoint_unchanged_by_later_updates(seed, branch_seed, fork_step):
+    """After the fork the live graph and a restored branch take different
+    edits; the checkpoint still restores to its snapshot and then updates
+    like a rebuild."""
+    steps = list(_random_edit_sequence(np.random.RandomState(seed), steps=12,
+                                       body_edits=True))
+    branch_steps = [changes for changes, _ in _random_edit_sequence(
+        np.random.RandomState(branch_seed), steps=12, body_edits=True)][1:]
+    fork = steps[fork_step][1]
+    live = build_call_graph(steps[0][1])
+    for changes, _ in steps[1:fork_step + 1]:
+        _update(live, changes)
+    store = CheckpointStore()
+    store.checkpoint(live, "fork")
+    branch = store.restore("fork")
+    for changes, _ in steps[fork_step + 1:]:
+        _update(live, changes)
+    for changes in branch_steps:
+        _update(branch, changes)
+    restored = store.restore("fork")
+    assert restored.structure() == build_call_graph(fork).structure()
+    snapshot = fork
+    for changes in branch_steps:
+        _update(restored, changes)
+        snapshot = _apply(snapshot, changes)
+        assert restored.structure() == build_call_graph(snapshot).structure()
+    assert branch.structure() == restored.structure()
 
 
 # ---------------------------------------------------------------------------

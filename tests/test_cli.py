@@ -99,3 +99,18 @@ def test_analyze_non_repository_exits_2(tmp_path, capsys):
     plain.mkdir()
     assert main(["analyze", str(plain), "--out", str(tmp_path / "run.json")]) == 2
     assert "not a git repository" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("through_sys_argv", [False, True], ids=["argv", "sys.argv"])
+def test_analyze_unwritable_out_exits_2(history, tmp_path, capsys, monkeypatch,
+                                        through_sys_argv):
+    out = tmp_path / "missing" / "run.json"
+    argv = ["analyze", history.path, "--out", str(out)]
+    if through_sys_argv:  # as the console entry point calls it
+        monkeypatch.setattr("sys.argv", ["devcontrib", *argv])
+        code = main()
+    else:
+        code = main(argv)
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.parent.exists()
