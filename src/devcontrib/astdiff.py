@@ -15,6 +15,10 @@ mapped one by one, plus the root pair of each isomorphic subtree), and no
 walk enters a wholly mapped subtree: their cost follows the changed
 region, not the file.
 
+Syntax trees keep no parent links.  The differ takes each node's parent
+from the walk of that region (``_region``): every anchor, every unmapped
+node and all of their ancestors lie in it.
+
 The edit script uses subtree-granular actions: a maximal unmapped subtree
 becomes one insert or delete, a mapped pair with a changed label becomes an
 update, and a mapped subtree whose parent or sibling rank changed becomes a
@@ -224,14 +228,15 @@ def _expand(nodes, height, matched=()):
 
 
 def _region(root, iso_roots):
-    """Nodes under ``root`` in pre-order, not descending below the
-    isomorphic roots in ``iso_roots`` (which are yielded themselves)."""
-    stack = [root]
+    """``(node, parent)`` for the nodes under ``root`` in pre-order, not
+    descending below the isomorphic roots in ``iso_roots`` (which are
+    yielded themselves); the parent of ``root`` is None."""
+    stack = [(root, None)]
     while stack:
-        node = stack.pop()
-        yield node
+        node, parent = stack.pop()
+        yield node, parent
         if node not in iso_roots:
-            stack.extend(reversed(node.children))
+            stack.extend((c, node) for c in reversed(node.children))
 
 
 def _postorder(root, iso_roots):
@@ -273,21 +278,21 @@ def _bottom_up(before_root, after_root, mapping, threshold):
     if mapping.b2a:  # otherwise no node has a mapped descendant
         b2a, iso_b, iso_a = mapping.b2a, mapping.iso_before, mapping.iso_after
         post = _postorder(before_root, iso_b)
-        after_pre = list(_region(after_root, iso_a))
+        a_parent = dict(_region(after_root, iso_a))  # in pre-order
         desc_count = {}
         _count_descendants(post, iso_b, desc_count)
-        _count_descendants(reversed(after_pre), iso_a, desc_count)
+        _count_descendants(reversed(a_parent), iso_a, desc_count)
         # pre-order position: the subtree of n spans positions
         # a_positions[n] .. a_positions[n] + desc_count[n]
         a_positions, position = {}, 0
-        for n in after_pre:
+        for n in a_parent:
             a_positions[n] = position
             position += iso_a.get(n, 1)
 
         for b in post:
             if b in b2a or b.is_leaf:
                 continue
-            partners = [p for p in map(b2a.get, _region(b, iso_b)) if p is not None]
+            partners = [b2a[n] for n, _ in _region(b, iso_b) if n in b2a]
             if not partners:
                 continue
             partners.sort(key=a_positions.__getitem__)
@@ -297,10 +302,10 @@ def _bottom_up(before_root, after_root, mapping, threshold):
             # candidates: unmapped after nodes of b's kind above some partner
             above = set()
             for p in partners:
-                node = p.parent
+                node = a_parent[p]
                 while node is not None and node not in above:
                     above.add(node)
-                    node = node.parent
+                    node = a_parent[node]
             best, best_key = None, None
             for cand in above:
                 if cand.kind != b.kind or mapping.has_after(cand):
@@ -387,17 +392,17 @@ def _only_names_or_modifiers(nodes, blacklist):
     return saw
 
 
-def _inside_log_statement(node, blacklist):
-    n = node
-    while n is not None:
-        if is_log_call_statement(n, blacklist):
+def _inside_log_statement(node, parents, blacklist):
+    while node is not None:
+        if is_log_call_statement(node, blacklist):
             return True
-        n = n.parent
+        node = parents[node]
     return False
 
 
-def _child_index(node):
-    return node.parent.children.index(node) if node.parent is not None else 0
+def _child_index(node, parents):
+    parent = parents[node]
+    return parent.children.index(node) if parent is not None else 0
 
 
 def edit_script(mapping: NodeMapping, before: SyntaxTree, after: SyntaxTree,
@@ -408,42 +413,44 @@ def edit_script(mapping: NodeMapping, before: SyntaxTree, after: SyntaxTree,
     after tree.
     """
     actions = []
+    parent_b = dict(_region(before.root, mapping.iso_before))
+    parent_a = dict(_region(after.root, mapping.iso_after))
 
     # deletes: maximal unmapped before subtrees
-    for node in _region(before.root, mapping.iso_before):
+    for node, parent in parent_b.items():
         if mapping.has_before(node):
             continue
-        if node.parent is None or mapping.has_before(node.parent):
+        if parent is None or mapping.has_before(parent):
             portion, depth = _unmapped_portion(node, mapping.has_before)
             actions.append(EditAction(
                 kind="delete",
                 subtree=node,
                 subtree_depth=depth,
                 only_name_or_modifier=_only_names_or_modifiers(portion, blacklist),
-                blacklisted=_inside_log_statement(node, blacklist),
+                blacklisted=_inside_log_statement(node, parent_b, blacklist),
                 before_node=node,
             ))
 
     # inserts: maximal unmapped after subtrees
-    for node in _region(after.root, mapping.iso_after):
+    for node, parent in parent_a.items():
         if mapping.has_after(node):
             continue
-        if node.parent is None or mapping.has_after(node.parent):
+        if parent is None or mapping.has_after(parent):
             portion, depth = _unmapped_portion(node, mapping.has_after)
             actions.append(EditAction(
                 kind="insert",
                 subtree=node,
                 subtree_depth=depth,
                 only_name_or_modifier=_only_names_or_modifiers(portion, blacklist),
-                blacklisted=_inside_log_statement(node, blacklist),
+                blacklisted=_inside_log_statement(node, parent_a, blacklist),
                 after_node=node,
-                dst_parent=node.parent,
-                dst_index=_child_index(node),
+                dst_parent=parent,
+                dst_index=_child_index(node, parent_a),
             ))
 
     # updates and cross-parent moves over the anchors: a pair inside an
     # isomorphic subtree keeps its label, parent pair and sibling rank
-    order_moved = _order_moves(mapping)
+    order_moved = _order_moves(mapping, parent_a)
     for b, a in mapping.anchors:
         if b.label != a.label:
             cls = classify_node(a, blacklist)
@@ -453,42 +460,40 @@ def edit_script(mapping: NodeMapping, before: SyntaxTree, after: SyntaxTree,
                 subtree_depth=1,
                 only_name_or_modifier=a.is_leaf and cls in (
                     NodeCategory.NAME_BEARING, NodeCategory.MODIFIER),
-                blacklisted=_inside_log_statement(a, blacklist)
-                or _inside_log_statement(b, blacklist),
+                blacklisted=_inside_log_statement(a, parent_a, blacklist)
+                or _inside_log_statement(b, parent_b, blacklist),
                 before_node=b,
                 after_node=a,
             ))
-        cross = False
-        if b.parent is not None and a.parent is not None:
-            cross = mapping.b2a.get(b.parent) is not a.parent
-        elif (b.parent is None) != (a.parent is None):
-            cross = True
+        pb, pa = parent_b[b], parent_a[a]
+        cross = (pb is None) != (pa is None) \
+            or (pb is not None and mapping.b2a.get(pb) is not pa)
         if cross or (b, a) in order_moved:
             actions.append(EditAction(
                 kind="move",
                 subtree=a,
                 subtree_depth=a.height,
                 only_name_or_modifier=_only_names_or_modifiers(a.walk(), blacklist),
-                blacklisted=_inside_log_statement(a, blacklist)
-                or _inside_log_statement(b, blacklist),
+                blacklisted=_inside_log_statement(a, parent_a, blacklist)
+                or _inside_log_statement(b, parent_b, blacklist),
                 before_node=b,
                 after_node=a,
-                dst_parent=a.parent,
-                dst_index=_child_index(a),
+                dst_parent=pa,
+                dst_index=_child_index(a, parent_a),
             ))
 
     actions.sort(key=_action_sort_key)
     return actions
 
 
-def _order_moves(mapping):
+def _order_moves(mapping, parent_a):
     """Mapped pairs that changed sibling rank under the same mapped parent."""
     moved = set()
     for pb, pa in mapping.anchors:
         if pb.is_leaf or pb in mapping.iso_before:  # children kept in order
             continue
         stay_b = [c for c in pb.children
-                  if mapping.has_before(c) and mapping.b2a[c].parent is pa]
+                  if mapping.has_before(c) and parent_a[mapping.b2a[c]] is pa]
         if len(stay_b) < 2:
             continue
         partners_in_b_order = [mapping.b2a[c] for c in stay_b]

@@ -102,23 +102,25 @@ def extract_call_sites(tree: SyntaxTree, units) -> tuple[CallSite, ...]:
     sites = []
     for unit in named:
         fid = FunctionId(unit.qualified_name, tree.path or "")
-
-        def walk(node, at_root):
-            if not at_root and node.kind in ("method_decl", "constructor_decl"):
-                return
-            if node.kind == "call_expr":
-                name = _callee_name(callee_segments(node.children[0]))
-                if name:
-                    sites.append(CallSite(fid, name, name.rsplit(".", 1)[-1]))
-            elif node.kind == "new_expr":
-                name = _type_simple(node.children[0].label)
-                if name:
-                    sites.append(CallSite(fid, name, name.rsplit(".", 1)[-1]))
-            for child in node.children:
-                walk(child, False)
-
-        walk(unit.body, True)
+        _collect_sites(unit.body, True, fid, sites)
     return tuple(sites)
+
+
+def _collect_sites(node, at_root, fid, sites):
+    """Append the call sites under ``node``; not a closure, which would refer
+    to itself and so hold the tree in a reference cycle."""
+    if not at_root and node.kind in ("method_decl", "constructor_decl"):
+        return
+    if node.kind == "call_expr":
+        name = _callee_name(callee_segments(node.children[0]))
+        if name:
+            sites.append(CallSite(fid, name, name.rsplit(".", 1)[-1]))
+    elif node.kind == "new_expr":
+        name = _type_simple(node.children[0].label)
+        if name:
+            sites.append(CallSite(fid, name, name.rsplit(".", 1)[-1]))
+    for child in node.children:
+        _collect_sites(child, False, fid, sites)
 
 
 class Adjacency(NamedTuple):

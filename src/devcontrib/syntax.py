@@ -6,6 +6,12 @@ an ordered child list and a source span.  Comments never enter the tree;
 they are collected on the side so that comment edits produce no tree edits
 while comment-line counting stays possible.
 
+A tree holds no parent links and no other reference cycle, and nothing
+that reads it (``functions``, call-site and PDG collection) stores one.
+So a tree is freed by reference counting as soon as its commit drops it;
+the cyclic collector never has to trace its nodes.  The differ, the one
+layer that needs parents, derives them for the region it walks.
+
 Grammar adapters are registered per language id / file extension.  The
 shipped adapter parses a Java-like language: classes, interfaces, fields,
 methods, constructors, the usual statement forms, operator-precedence
@@ -39,9 +45,10 @@ logger = logging.getLogger(__name__)
 # ---------------------------------------------------------------------------
 
 class SyntaxNode:
-    """One node of a parsed tree."""
+    """One node of a parsed tree.  It has no parent link, which would put
+    every tree in a reference cycle (see the module doc)."""
 
-    __slots__ = ("kind", "label", "children", "start", "end", "parent",
+    __slots__ = ("kind", "label", "children", "start", "end",
                  "_height", "_struct_hash")
 
     def __init__(self, kind, label=None, children=None, start=0, end=0):
@@ -50,7 +57,6 @@ class SyntaxNode:
         self.children = children if children is not None else []
         self.start = start
         self.end = end
-        self.parent = None
         self._height = None
         self._struct_hash = None
 
@@ -88,16 +94,6 @@ class SyntaxNode:
             node = stack.pop()
             yield node
             stack.extend(reversed(node.children))
-
-    def descendants(self):
-        for child in self.children:
-            yield from child.walk()
-
-    def ancestors(self):
-        node = self.parent
-        while node is not None:
-            yield node
-            node = node.parent
 
     def isomorphic_to(self, other):
         stack = [(self, other)]
@@ -164,9 +160,7 @@ class SyntaxTree:
                 raise ParseError(f"syntax tree deeper than {MAX_TREE_DEPTH} levels",
                                  position=node.start)
             depth += 1
-            for child in node.children:
-                child.parent = node
-                stack.append((child, depth))
+            stack.extend((child, depth) for child in node.children)
 
     @property
     def functions(self) -> list[FunctionUnit]:
@@ -199,10 +193,6 @@ class FunctionUnit:
     span: tuple[int, int]
     body: SyntaxNode
     file: str | None = None
-
-    @property
-    def key(self):
-        return (self.qualified_name, self.file)
 
 
 class NodeCategory(enum.Enum):
@@ -1303,49 +1293,52 @@ def extract_functions(tree: SyntaxTree) -> list[FunctionUnit]:
     ``<enclosing>$lambdaN`` numbered per enclosing function.
     """
     units = []
-
-    def method_signature(node):
-        name = None
-        params = None
-        for child in node.children:
-            if child.kind == "identifier" and name is None:
-                name = child.label
-            elif child.kind == "param_list":
-                params = child
-        types = []
-        if params is not None:
-            for p in params.children:
-                tleaf = next((c for c in p.children if c.kind == "type"), None)
-                types.append(tleaf.label if tleaf is not None else "var")
-        return f"{name}({','.join(types)})"
-
-    def visit(node, containers, enclosing, lambda_counter):
-        if node.kind in ("class_decl", "interface_decl", "enum_decl"):
-            name = next((c.label for c in node.children if c.kind == "identifier"), "?")
-            containers = containers + [name]
-            for child in node.children:
-                visit(child, containers, None, lambda_counter)
-            return
-        if node.kind in ("method_decl", "constructor_decl"):
-            qname = ".".join(containers + [method_signature(node)])
-            units.append(FunctionUnit(qname, (node.start, node.end), node, tree.path))
-            counter = {"n": 0}
-            for child in node.children:
-                visit(child, containers, qname, counter)
-            return
-        if node.kind == "lambda_expr" and enclosing is not None:
-            qname = f"{enclosing}$lambda{lambda_counter['n']}"
-            lambda_counter["n"] += 1
-            units.append(FunctionUnit(qname, (node.start, node.end), node, tree.path))
-            for child in node.children:
-                visit(child, containers, qname, lambda_counter)
-            return
-        for child in node.children:
-            visit(child, containers, enclosing, lambda_counter)
-
-    visit(tree.root, [], None, {"n": 0})
+    _visit_units(tree.root, [], None, {"n": 0}, units, tree.path)
     units.sort(key=lambda u: u.span)
     return units
+
+
+def _method_signature(node):
+    name = None
+    params = None
+    for child in node.children:
+        if child.kind == "identifier" and name is None:
+            name = child.label
+        elif child.kind == "param_list":
+            params = child
+    types = []
+    if params is not None:
+        for p in params.children:
+            tleaf = next((c for c in p.children if c.kind == "type"), None)
+            types.append(tleaf.label if tleaf is not None else "var")
+    return f"{name}({','.join(types)})"
+
+
+def _visit_units(node, containers, enclosing, lambda_counter, units, path):
+    """Append the units under ``node``; not a closure, which would refer to
+    itself and so hold the tree in a reference cycle."""
+    if node.kind in ("class_decl", "interface_decl", "enum_decl"):
+        name = next((c.label for c in node.children if c.kind == "identifier"), "?")
+        containers = containers + [name]
+        for child in node.children:
+            _visit_units(child, containers, None, lambda_counter, units, path)
+        return
+    if node.kind in ("method_decl", "constructor_decl"):
+        qname = ".".join(containers + [_method_signature(node)])
+        units.append(FunctionUnit(qname, (node.start, node.end), node, path))
+        counter = {"n": 0}
+        for child in node.children:
+            _visit_units(child, containers, qname, counter, units, path)
+        return
+    if node.kind == "lambda_expr" and enclosing is not None:
+        qname = f"{enclosing}$lambda{lambda_counter['n']}"
+        lambda_counter["n"] += 1
+        units.append(FunctionUnit(qname, (node.start, node.end), node, path))
+        for child in node.children:
+            _visit_units(child, containers, qname, lambda_counter, units, path)
+        return
+    for child in node.children:
+        _visit_units(child, containers, enclosing, lambda_counter, units, path)
 
 
 def callee_segments(callee: SyntaxNode) -> list[str]:

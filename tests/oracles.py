@@ -7,8 +7,10 @@
   it was before its passes learned to skip isomorphic subtrees: the passes
   walk every mapped pair and both whole trees, and the bottom-up pass is
   the first one written, which walks every descendant's ancestor chain.
-  The program must map the same nodes and give the same actions in the
-  same order.  Only the per-node classification helpers are shared.
+  Trees hold no parent links, so these functions take them from
+  ``parent_map``, built over the whole tree.  The program must map the
+  same nodes and give the same actions in the same order.  Only the
+  per-node classification helpers are shared.
 * ``reference_lcs_pairs`` is the alignment table that computed every key
   twice per cell; ``devcontrib.astdiff._lcs_pairs`` must give its pairs.
 * ``apply_edit_script`` replays an edit script on a copy of the before
@@ -28,6 +30,27 @@ from devcontrib.syntax import NodeCategory, classify_node
 from devcontrib.syntax import _KEYWORDS, _OPERATORS, Comment, SyntaxTree, _Token
 
 _PUNCT = set("(){}[];,.@")
+
+
+def parent_map(root):
+    """Every node under ``root`` mapped to its parent; the root to None."""
+    parents = {root: None}
+    for node in root.walk():
+        for child in node.children:
+            parents[child] = node
+    return parents
+
+
+def _descendants(node):
+    for child in node.children:
+        yield from child.walk()
+
+
+def _ancestors(node, parents):
+    node = parents[node]
+    while node is not None:
+        yield node
+        node = parents[node]
 
 
 def reference_tokenize(text: str):
@@ -254,7 +277,8 @@ def _reference_bottom_up(before_root, after_root, mapping, threshold):
     desc_count = {}
     for root in (before_root, after_root):
         for node in root.walk():
-            desc_count[node] = sum(1 for _ in node.descendants())
+            desc_count[node] = sum(1 for _ in _descendants(node))
+    a_parents = parent_map(after_root)
 
     post = []
 
@@ -270,11 +294,11 @@ def _reference_bottom_up(before_root, after_root, mapping, threshold):
         if mapping.has_before(b) or b.is_leaf:
             continue
         common = {}
-        for d in b.descendants():
+        for d in _descendants(b):
             partner = mapping.b2a.get(d)
             if partner is None:
                 continue
-            for anc in partner.ancestors():
+            for anc in _ancestors(partner, a_parents):
                 if not mapping.has_after(anc) and anc.kind == b.kind:
                     common[anc] = common.get(anc, 0) + 1
         best, best_key = None, None
@@ -339,38 +363,39 @@ def _unmapped_portion_nodes(node, is_mapped):
 def reference_edit_script(mapping, before: SyntaxTree, after: SyntaxTree,
                           blacklist=DEFAULT_BLACKLIST) -> list[EditAction]:
     actions = []
+    parent_b, parent_a = parent_map(before.root), parent_map(after.root)
 
     for node in before.root.walk():
         if mapping.has_before(node):
             continue
-        if node.parent is None or mapping.has_before(node.parent):
+        if parent_b[node] is None or mapping.has_before(parent_b[node]):
             portion = _unmapped_portion_nodes(node, mapping.has_before)
             actions.append(EditAction(
                 kind="delete",
                 subtree=node,
                 subtree_depth=_unmapped_height(node, mapping.has_before),
                 only_name_or_modifier=_only_names_or_modifiers(portion, blacklist),
-                blacklisted=_inside_log_statement(node, blacklist),
+                blacklisted=_inside_log_statement(node, parent_b, blacklist),
                 before_node=node,
             ))
 
     for node in after.root.walk():
         if mapping.has_after(node):
             continue
-        if node.parent is None or mapping.has_after(node.parent):
+        if parent_a[node] is None or mapping.has_after(parent_a[node]):
             portion = _unmapped_portion_nodes(node, mapping.has_after)
             actions.append(EditAction(
                 kind="insert",
                 subtree=node,
                 subtree_depth=_unmapped_height(node, mapping.has_after),
                 only_name_or_modifier=_only_names_or_modifiers(portion, blacklist),
-                blacklisted=_inside_log_statement(node, blacklist),
+                blacklisted=_inside_log_statement(node, parent_a, blacklist),
                 after_node=node,
-                dst_parent=node.parent,
-                dst_index=_child_index(node),
+                dst_parent=parent_a[node],
+                dst_index=_child_index(node, parent_a),
             ))
 
-    order_moved = _reference_order_moves(mapping)
+    order_moved = _reference_order_moves(mapping, parent_a)
     for b, a in mapping.b2a.items():
         if b.label != a.label:
             cls = classify_node(a, blacklist)
@@ -380,15 +405,15 @@ def reference_edit_script(mapping, before: SyntaxTree, after: SyntaxTree,
                 subtree_depth=1,
                 only_name_or_modifier=a.is_leaf and cls in (
                     NodeCategory.NAME_BEARING, NodeCategory.MODIFIER),
-                blacklisted=_inside_log_statement(a, blacklist)
-                or _inside_log_statement(b, blacklist),
+                blacklisted=_inside_log_statement(a, parent_a, blacklist)
+                or _inside_log_statement(b, parent_b, blacklist),
                 before_node=b,
                 after_node=a,
             ))
         cross = False
-        if b.parent is not None and a.parent is not None:
-            cross = mapping.b2a.get(b.parent) is not a.parent
-        elif (b.parent is None) != (a.parent is None):
+        if parent_b[b] is not None and parent_a[a] is not None:
+            cross = mapping.b2a.get(parent_b[b]) is not parent_a[a]
+        elif (parent_b[b] is None) != (parent_a[a] is None):
             cross = True
         if cross or (b, a) in order_moved:
             portion = list(a.walk())
@@ -397,25 +422,25 @@ def reference_edit_script(mapping, before: SyntaxTree, after: SyntaxTree,
                 subtree=a,
                 subtree_depth=a.height,
                 only_name_or_modifier=_only_names_or_modifiers(portion, blacklist),
-                blacklisted=_inside_log_statement(a, blacklist)
-                or _inside_log_statement(b, blacklist),
+                blacklisted=_inside_log_statement(a, parent_a, blacklist)
+                or _inside_log_statement(b, parent_b, blacklist),
                 before_node=b,
                 after_node=a,
-                dst_parent=a.parent,
-                dst_index=_child_index(a),
+                dst_parent=parent_a[a],
+                dst_index=_child_index(a, parent_a),
             ))
 
     actions.sort(key=_action_sort_key)
     return actions
 
 
-def _reference_order_moves(mapping):
+def _reference_order_moves(mapping, parent_a):
     moved = set()
     for pb, pa in mapping.b2a.items():
         if pb.is_leaf:
             continue
         stay_b = [c for c in pb.children
-                  if mapping.has_before(c) and mapping.b2a[c].parent is pa]
+                  if mapping.has_before(c) and parent_a[mapping.b2a[c]] is pa]
         if len(stay_b) < 2:
             continue
         partners_in_b_order = [mapping.b2a[c] for c in stay_b]
@@ -498,9 +523,10 @@ def apply_edit_script(before: SyntaxTree, after: SyntaxTree,
             _detach(work_of_before[act.before_node])
 
     # placements in after coordinates, parents before children
+    after_parents = parent_map(after.root)
     depth_of = {}
-    for i, n in enumerate(after.root.walk()):
-        depth_of[n] = len(list(n.ancestors()))
+    for n in after.root.walk():
+        depth_of[n] = len(list(_ancestors(n, after_parents)))
     placements = [a for a in actions if a.kind in ("insert", "move")]
     placements.sort(key=lambda a: (depth_of[a.after_node], a.dst_index))
 
