@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .astdiff import FILE_SCOPE, DeltaWeights, delta_ast, diff_file_pair
@@ -114,8 +114,8 @@ class CommitResult:
     records: list[FunctionRecord] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["functions"] = d.pop("records")
+        d = dict(vars(self))
+        d["functions"] = [dict(vars(r)) for r in d.pop("records")]
         return d
 
     @classmethod
@@ -148,7 +148,7 @@ class AnalysisRun:
             "repository": self.repository,
             "config": self.config,
             "commits": [c.to_dict() for c in self.commits],
-            "developers": [asdict(dev) for dev in self.developers],
+            "developers": [dict(vars(dev)) for dev in self.developers],
             "boxcox": {m: p.to_dict() for m, p in sorted(self.boxcox.items())},
         }
         if include_timings:

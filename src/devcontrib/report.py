@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -147,7 +147,7 @@ def emit_report(run, reports, format: str = "json",
                 "timestamp": c.timestamp, "bulk": c.bulk,
                 "delta_ast_total": c.delta_ast_total, "cvalue": c.cvalue,
             } for c in run.commits],
-            "developers": [asdict(r) for r in reports],
+            "developers": [dict(vars(r)) for r in reports],
         }
         path = out_dir / "report.json"
         path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n",

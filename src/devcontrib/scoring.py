@@ -17,7 +17,7 @@ value as the sum of its function scores.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +38,7 @@ class BoxCoxParams:
 
     def to_dict(self) -> dict:
         """The fields, with ``lam`` serialized as ``lambda``."""
-        d = asdict(self)
+        d = dict(vars(self))
         d["lambda"] = d.pop("lam")
         return d
 

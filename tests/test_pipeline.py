@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 import os
@@ -156,6 +157,29 @@ def test_run_roundtrips_through_json(make_repo, tmp_path):
     loaded = AnalysisRun.load(path)
     assert loaded.to_dict() == run.to_dict()
     assert set(loaded.boxcox) == {"loc", "cc", "hv", "pcom", "ip"}
+
+
+def test_to_dict_holds_every_field_as_copies(make_repo):
+    repo = make_repo()
+    repo.commit("init", 1000, {"Service.java": BASE_JAVA})
+    repo.commit("edit", 2000, {"Service.java": BASE_JAVA.replace(
+        "k * 2", "k * 2 + 1")})
+    run = analyze_repository(repo.path)
+    doc = run.to_dict()
+    for commit, entry in zip(run.commits, doc["commits"], strict=True):
+        expected = dataclasses.asdict(commit)
+        expected["functions"] = expected.pop("records")
+        assert entry == expected
+    assert doc["developers"] == [dataclasses.asdict(d) for d in run.developers]
+    for metric, params in run.boxcox.items():
+        expected = dataclasses.asdict(params)
+        expected["lambda"] = expected.pop("lam")
+        assert doc["boxcox"][metric] == expected
+    # the document is detached from the run
+    doc["commits"][-1]["functions"][0]["score"] = -1.0
+    doc["developers"][0]["email"] = "changed"
+    assert run.commits[-1].records[0].score != -1.0
+    assert run.developers[0].email != "changed"
 
 
 def test_run_of_another_schema_version_is_refused(make_repo):
