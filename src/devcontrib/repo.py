@@ -167,32 +167,37 @@ _STATUS_KIND = {"A": "added", "C": "added", "D": "deleted",
 def changed_files(commit: CommitRecord, tree: VersionTree) -> list[FileChange]:
     """First-parent diff with full before/after text for source files.
 
-    Binary blobs keep their change entry but carry no content.
+    Paths are read NUL-separated (``-z``), so git passes them through
+    unquoted; a path that is not valid UTF-8 is decoded with replacement
+    characters.  Binary blobs keep their change entry but carry no content.
     """
     if commit.parent_ids:
-        raw = _git(tree.path, "diff-tree", "-r", "-M", "--no-commit-id",
+        raw = _git(tree.path, "diff-tree", "-r", "-M", "-z", "--no-commit-id",
                    commit.parent_ids[0], commit.id)
     else:
-        raw = _git(tree.path, "diff-tree", "-r", "-M", "--root",
+        raw = _git(tree.path, "diff-tree", "-r", "-M", "-z", "--root",
                    "--no-commit-id", commit.id)
 
     changes = []
-    for line in raw.decode(errors="replace").splitlines():
-        if not line.startswith(":"):
-            continue
-        meta, _, paths = line.partition("\t")
-        fields = meta.split()
-        if len(fields) < 5:
-            raise CorruptHistory(f"unexpected diff-tree line: {line!r}")
-        sha_before, sha_after, status = fields[2], fields[3], fields[4]
+    # records: ":<modes> <shas> <status>" NUL <path> NUL, with a second
+    # path for renames and copies; the output ends with a NUL
+    fields = raw.split(b"\0")[:-1]
+    i = 0
+    while i < len(fields):
+        meta = fields[i].decode(errors="replace").split()
+        if len(meta) < 5 or not meta[0].startswith(":"):
+            raise CorruptHistory(f"unexpected diff-tree record: {fields[i]!r}")
+        sha_before, sha_after, status = meta[2], meta[3], meta[4]
+        n_paths = 2 if status[0] in "RC" else 1
+        paths = [p.decode(errors="replace") for p in fields[i + 1:i + 1 + n_paths]]
+        if len(paths) != n_paths:
+            raise CorruptHistory(f"diff-tree record without its paths: {fields[i]!r}")
+        i += 1 + n_paths
         kind = _STATUS_KIND.get(status[0])
         if kind is None:
             continue
-        if kind == "renamed":
-            old_path, _, new_path = paths.partition("\t")
-        else:
-            old_path, new_path = None, paths
-        change = FileChange(path=new_path, kind=kind, old_path=old_path)
+        old_path = paths[0] if n_paths == 2 else None
+        change = FileChange(path=paths[-1], kind=kind, old_path=old_path)
         if sha_before != _NULL_SHA and kind != "added":
             change.before_blob = sha_before
         if sha_after != _NULL_SHA and kind != "deleted":

@@ -25,7 +25,7 @@ class RepoBuilder:
         proc = subprocess.run(args, cwd=self.path, capture_output=True, env=env)
         if proc.returncode != 0:
             raise RuntimeError(f"{args} failed: {proc.stderr.decode()}")
-        return proc.stdout.decode()
+        return proc.stdout.decode(errors="replace")
 
     def head(self):
         return self._run("git", "rev-parse", "HEAD").strip()
@@ -33,6 +33,7 @@ class RepoBuilder:
     def commit(self, message, ts, files=None, remove=None, rename=None, author=None):
         """files: {path: text}; remove: [path]; rename: {old: new}."""
         for old, new in (rename or {}).items():
+            os.makedirs(os.path.join(self.path, os.path.dirname(new)), exist_ok=True)
             self._run("git", "mv", old, new)
         for p in remove or []:
             self._run("git", "rm", "-q", p)
@@ -67,10 +68,10 @@ class RepoBuilder:
         return sha
 
     def _read_tree(self, sha):
-        out = self._run("git", "ls-tree", "-r", sha)
+        out = self._run("git", "ls-tree", "-r", "-z", sha)
         snapshot = {}
-        for line in out.splitlines():
-            meta, _, path = line.partition("\t")
+        for entry in out.split("\0")[:-1]:
+            meta, _, path = entry.partition("\t")
             blob = meta.split()[2]
             content = subprocess.run(
                 ["git", "-C", self.path, "cat-file", "blob", blob],

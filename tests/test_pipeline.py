@@ -136,6 +136,31 @@ def test_pipeline_graph_matches_full_rebuild_at_every_commit(make_repo):
         previous = commit.id
 
 
+def test_rename_into_non_ascii_directory_keeps_functions(make_repo):
+    repo = make_repo()
+    repo.commit("base", 1000, {
+        "src/sp ace/D.java": "class D { void d() { c(); } }",
+        "src/café/C.java": "class C { void c() { } }",
+    })
+    repo.commit("move", 2000, rename={"src/sp ace/D.java": "src/café/D.java"})
+    repo.commit("edit", 3000, {"src/café/D.java": "class D { void d() { c(); c(); } }"})
+
+    from devcontrib.callgraph import CallGraph
+    from devcontrib.repo import changed_files
+
+    tree = open_repository(repo.path)
+    graph = CallGraph()
+    for commit in walk_commits(tree):
+        changes = changed_files(commit, tree)
+        graph.update(changes, parse_changes(changes))
+        rebuilt = build_call_graph(repo.snapshots[commit.id])
+        assert graph.structure() == rebuilt.structure(), commit.id
+    assert FunctionId("D.d()", "src/café/D.java") in graph.nodes
+    run = analyze_repository(repo.path)
+    assert [(r.function, r.file) for r in run.commits[-1].records] == [
+        ("D.d()", "src/café/D.java")]
+
+
 def test_determinism_two_runs_identical(make_repo):
     repo = make_repo()
     repo.commit("init", 1000, {"Service.java": BASE_JAVA})

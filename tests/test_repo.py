@@ -1,4 +1,10 @@
+import os
+import tempfile
+
 import pytest
+from conftest import RepoBuilder
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from devcontrib.errors import MissingAuthor, NotARepository
 from devcontrib.repo import (
@@ -224,3 +230,76 @@ def test_open_repository_single_branch(make_repo):
     tree = open_repository(repo.path, branch="main")
     assert side_sha not in tree.commits
     assert len(tree) == 2
+
+
+ODD_PATHS = ["src/café/C.java", 'src/q"t.java', "src/sp ace/D.java",
+             "src/tab\there.java", "src/back\\slash.java", "src/new\nline.java"]
+
+
+@pytest.mark.parametrize("path", ODD_PATHS)
+def test_changed_files_keeps_odd_paths(make_repo, path):
+    repo = make_repo()
+    added = repo.commit("add", 1000, {path: JAVA_A})
+    modified = repo.commit("edit", 2000, {path: JAVA_A2})
+    tree = open_repository(repo.path)
+    [change] = changed_files(tree.commits[added], tree)
+    assert (change.kind, change.path, change.after_content) == ("added", path, JAVA_A)
+    [change] = changed_files(tree.commits[modified], tree)
+    assert (change.kind, change.path) == ("modified", path)
+    assert (change.before_content, change.after_content) == (JAVA_A, JAVA_A2)
+
+
+def test_rename_into_non_ascii_directory(make_repo):
+    repo = make_repo()
+    repo.commit("c1", 1000, {"src/sp ace/D.java": JAVA_A, "src/café/C.java": JAVA_A2})
+    sha = repo.commit("c2", 2000, rename={"src/sp ace/D.java": "src/café/D.java"})
+    tree = open_repository(repo.path)
+    [change] = changed_files(tree.commits[sha], tree)
+    assert change.kind == "renamed"
+    assert (change.old_path, change.path) == ("src/sp ace/D.java", "src/café/D.java")
+    assert change.before_content == change.after_content == JAVA_A
+
+
+def test_non_utf8_path_is_decoded_with_replacement(make_repo):
+    repo = make_repo()
+    raw_path = b"src/caf\xe9/C.java"  # Latin-1, not valid UTF-8
+    full = os.path.join(os.fsencode(repo.path), raw_path)
+    os.makedirs(os.path.dirname(full))
+    with open(full, "w", encoding="utf-8") as fh:
+        fh.write(JAVA_A)
+    repo._run("git", "add", raw_path)
+    repo._run("git", "commit", "-q", "-m", "latin-1 path", ts=1000)
+    tree = open_repository(repo.path)
+    [change] = changed_files(tree.commits[repo.head()], tree)
+    assert change.path == "src/caf�/C.java"
+    assert change.after_content == JAVA_A
+
+
+_SEGMENT = st.text(alphabet="aZ_ é日\"'\t\\$\n", min_size=1, max_size=5)
+
+
+@st.composite
+def _odd_path(draw):
+    # "d"/"f" suffixes keep a file name from clashing with a directory name
+    dirs = draw(st.lists(_SEGMENT.map(lambda s: s + "d"), max_size=2))
+    return "/".join(dirs + [draw(_SEGMENT) + "f.java"])
+
+
+@given(paths=st.lists(_odd_path(), min_size=2, max_size=3, unique=True),
+       new_dir=_SEGMENT)
+@settings(max_examples=15, deadline=None, derandomize=True)
+def test_odd_paths_round_trip(paths, new_dir):
+    with tempfile.TemporaryDirectory() as tmp:
+        repo = RepoBuilder(tmp)
+        texts = {p: f"class K{i} {{ void m{i}() {{ }} }}" for i, p in enumerate(paths)}
+        first = repo.commit("add", 1000, texts)
+        moved_from = paths[0]
+        moved_to = f"{new_dir}é/{moved_from.rsplit('/', 1)[-1]}"
+        assume(moved_to not in paths)
+        second = repo.commit("move", 2000, rename={moved_from: moved_to})
+        tree = open_repository(repo.path)
+        added = {c.path: c.after_content for c in changed_files(tree.commits[first], tree)}
+        assert added == texts
+        [change] = changed_files(tree.commits[second], tree)
+        assert (change.kind, change.old_path, change.path) == ("renamed", moved_from, moved_to)
+        assert change.after_content == texts[moved_from]
