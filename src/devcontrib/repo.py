@@ -15,6 +15,7 @@ checkpoint per fork.
 
 from __future__ import annotations
 
+import itertools
 import subprocess
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -181,18 +182,16 @@ def changed_files(commit: CommitRecord, tree: VersionTree) -> list[FileChange]:
     changes = []
     # records: ":<modes> <shas> <status>" NUL <path> NUL, with a second
     # path for renames and copies; the output ends with a NUL
-    fields = raw.split(b"\0")[:-1]
-    i = 0
-    while i < len(fields):
-        meta = fields[i].decode(errors="replace").split()
+    fields = iter(raw.split(b"\0")[:-1])
+    for head in fields:
+        meta = head.decode(errors="replace").split()
         if len(meta) < 5 or not meta[0].startswith(":"):
-            raise CorruptHistory(f"unexpected diff-tree record: {fields[i]!r}")
+            raise CorruptHistory(f"unexpected diff-tree record: {head!r}")
         sha_before, sha_after, status = meta[2], meta[3], meta[4]
         n_paths = 2 if status[0] in "RC" else 1
-        paths = [p.decode(errors="replace") for p in fields[i + 1:i + 1 + n_paths]]
+        paths = [p.decode(errors="replace") for p in itertools.islice(fields, n_paths)]
         if len(paths) != n_paths:
-            raise CorruptHistory(f"diff-tree record without its paths: {fields[i]!r}")
-        i += 1 + n_paths
+            raise CorruptHistory(f"diff-tree record without its paths: {head!r}")
         kind = _STATUS_KIND.get(status[0])
         if kind is None:
             continue
