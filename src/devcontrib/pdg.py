@@ -295,6 +295,9 @@ class _Builder:
             stmts = [c for c in group.children
                      if c.kind not in ("case_label", "default_label")]
             ge, gx, gdirect = self.build_seq(stmts, inner)
+            if group.kind == "switch_rule":  # a rule never falls through
+                exits.extend(prev_exits)
+                prev_exits = []
             if ge:
                 self.wire([hid], ge)
                 if prev_exits:

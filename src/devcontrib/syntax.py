@@ -13,9 +13,11 @@ the cyclic collector never has to trace its nodes.  The differ, the one
 layer that needs parents, derives them for the region it walks.
 
 Grammar adapters are registered per language id / file extension.  The
-shipped adapter parses a Java-like language: classes, interfaces, fields,
-methods, constructors, the usual statement forms, operator-precedence
-expressions, generics in type position, annotations and lambdas.  It is a
+shipped adapter parses a Java-like language: classes, interfaces, enums,
+records, fields, methods, constructors, the usual statement forms (a
+``switch`` may use ``case …:`` groups or ``case … ->`` rules),
+operator-precedence expressions, generics in type position, annotations
+and lambdas.  It is a
 source-level parser with no name resolution; anything it cannot parse
 raises :class:`~devcontrib.errors.ParseError` and the caller skips the file.
 So does nesting beyond what the parser's recursion or ``MAX_TREE_DEPTH``
@@ -219,6 +221,11 @@ _KEYWORDS = {
 
 _PRIMITIVES = {"boolean", "byte", "char", "short", "int", "long", "float", "double", "void"}
 
+_TYPE_DECL_KINDS = {
+    "class": "class_decl", "interface": "interface_decl", "enum": "enum_decl",
+    "record": "record_decl",
+}
+
 _MODIFIER_KEYWORDS = {
     "public", "private", "protected", "static", "final", "abstract",
     "synchronized", "native", "transient", "volatile", "strictfp", "default",
@@ -364,6 +371,17 @@ class _Parser:
 
     def at_ident(self) -> bool:
         return self.peek().type == "ident"
+
+    def at_record(self) -> bool:
+        """At ``record Name(`` or ``record Name<``: ``record`` is a keyword
+        only there, elsewhere it is an ordinary identifier."""
+        tok = self.peek()
+        return (tok.type == "ident" and tok.text == "record"
+                and self.peek(1).type == "ident" and self.peek(2).text in ("(", "<"))
+
+    def at_type_keyword(self) -> bool:
+        return (self.at("class") or self.at("interface") or self.at("enum")
+                or self.at_record())
 
     def advance(self) -> _Token:
         tok = self.tokens[self.pos]
@@ -543,13 +561,13 @@ class _Parser:
         mods = self.parse_modifiers()
         if mods:
             start = mods[0].start
-        if self.at("class") or self.at("interface") or self.at("enum"):
+        if self.at_type_keyword():
             return self.parse_class_like(mods, start)
         self.error("expected a class or interface declaration")
 
     def parse_class_like(self, mods, start):
         kw = self.advance().text
-        kind = {"class": "class_decl", "interface": "interface_decl", "enum": "enum_decl"}[kw]
+        kind = _TYPE_DECL_KINDS[kw]
         name_tok = self.peek()
         if name_tok.type != "ident":
             self.error("expected a type name")
@@ -558,6 +576,10 @@ class _Parser:
         if self.at("<"):
             if not self._skip_type_arguments():
                 self.error("malformed type parameters")
+        if kind == "record_decl":  # the components are the record's fields
+            components = self.parse_param_list()
+            children.append(self.node("record_components", components.children,
+                                      components.start, components.end))
         if self.at("extends"):
             self.advance()
             children.append(self.parse_type())
@@ -621,7 +643,7 @@ class _Parser:
         mods = self.parse_modifiers()
         if mods:
             start = mods[0].start
-        if self.at("class") or self.at("interface") or self.at("enum"):
+        if self.at_type_keyword():
             return self.parse_class_like(mods, start)
         if self.at("{"):  # initializer block (possibly static)
             block = self.parse_block()
@@ -633,6 +655,11 @@ class _Parser:
         if self.at_ident() and self.peek(1).text == "(":
             name = self.leaf("identifier", self.advance())
             return self.finish_method(mods, None, name, start, kind="constructor_decl")
+        # a record's compact constructor: Name {
+        if self.at_ident() and self.peek(1).text == "{":
+            name = self.leaf("identifier", self.advance())
+            body = self.parse_block()
+            return self.node("constructor_decl", list(mods) + [name, body], start, body.end)
         rtype = self.parse_type()
         if not self.at_ident():
             self.error("expected a member name")
@@ -915,27 +942,42 @@ class _Parser:
         self.expect("{")
         groups = []
         while not self.at("}") and self.peek().type != "eof":
-            gstart = self.peek().start
-            labels = []
-            while self.at("case") or self.at("default"):
-                if self.at("case"):
-                    lstart = self.advance().start
-                    lexpr = self.parse_expression()
-                    lend = self.expect(":").end
-                    labels.append(self.node("case_label", [lexpr], lstart, lend))
-                else:
-                    lstart = self.advance().start
-                    lend = self.expect(":").end
-                    labels.append(self.node("default_label", [], lstart, lend))
-            if not labels:
-                self.error("expected 'case' or 'default' in switch body")
-            stmts = []
-            while not (self.at("case") or self.at("default") or self.at("}")):
-                stmts.append(self.parse_statement())
-            gend = stmts[-1].end if stmts else labels[-1].end
-            groups.append(self.node("switch_group", labels + stmts, gstart, gend))
+            groups.append(self.parse_switch_group())
         end = self.expect("}").end
         return self.node("switch_stmt", [selector] + groups, start, end)
+
+    def parse_switch_group(self):
+        """``case …:`` labels and the statements after them, or one rule
+        ``case … ->``: a single label and a single body, no fall-through."""
+        gstart = self.peek().start
+        labels = []
+        while self.at("case") or self.at("default"):
+            kw = self.advance()
+            values = []
+            if kw.text == "case":
+                values.append(self.parse_case_value())
+                while self.at(","):
+                    self.advance()
+                    values.append(self.parse_case_value())
+            kind = "case_label" if values else "default_label"
+            if self.at("->"):
+                labels.append(self.node(kind, values, kw.start, self.advance().end))
+                body = self.parse_statement()
+                return self.node("switch_rule", labels + [body], gstart, body.end)
+            labels.append(self.node(kind, values, kw.start, self.expect(":").end))
+        if not labels:
+            self.error("expected 'case' or 'default' in switch body")
+        stmts = []
+        while not (self.at("case") or self.at("default") or self.at("}")):
+            stmts.append(self.parse_statement())
+        gend = stmts[-1].end if stmts else labels[-1].end
+        return self.node("switch_group", labels + stmts, gstart, gend)
+
+    def parse_case_value(self):
+        # an enum constant before '->' is a label, not a lambda parameter
+        if self.at_ident() and self.peek(1).text == "->":
+            return self.leaf("identifier", self.advance())
+        return self.parse_ternary()
 
     def parse_try(self):
         start = self.expect("try").start
@@ -1317,7 +1359,7 @@ def _method_signature(node):
 def _visit_units(node, containers, enclosing, lambda_counter, units, path):
     """Append the units under ``node``; not a closure, which would refer to
     itself and so hold the tree in a reference cycle."""
-    if node.kind in ("class_decl", "interface_decl", "enum_decl"):
+    if node.kind in _TYPE_DECL_KINDS.values():
         name = next((c.label for c in node.children if c.kind == "identifier"), "?")
         containers = containers + [name]
         for child in node.children:

@@ -180,3 +180,21 @@ def test_halstead_volume_is_zero_for_untokenizable_body():
     broken = SyntaxTree(tree.root, tree.source_text.replace('"a;b"', '"a;b;'))
     assert halstead_volume(unit, broken) == 0.0
     assert halstead_volume(unit, tree) > 0.0
+
+
+def test_cc_counts_switch_rules_like_case_labels():
+    src = """
+    class C {
+        int m(int k) {
+            switch (k) {
+                case 0 -> k = 1;
+                case 1, 2 -> k = 2;
+                default -> k = 3;
+            }
+            return k;
+        }
+    }
+    """
+    unit, _ = _unit(src)
+    # 1 + two case labels (default label not a decision)
+    assert cyclomatic(unit) == 3

@@ -260,3 +260,40 @@ def test_ir_bounds_on_random_instances():
         changed = set(int(x) for x in rng.choice(ids, size=k, replace=False)) if k else set()
         ir = impact_range(ddg_impact(pdg, changed), cdg_impact(pdg, changed))
         assert 1.0 <= ir <= 3.0
+
+
+def test_switch_rules_do_not_fall_through():
+    src = """
+    class C {
+        int m(int x) {
+            switch (x) {
+                case 1 -> x = 1;
+                case 2 -> x = 2;
+                default -> x = 3;
+            }
+            return x;
+        }
+    }
+    """
+    pdg = _pdg(src)
+    assert [n.kind for n in pdg.nodes] == [
+        "switch_stmt", "expr_stmt", "expr_stmt", "expr_stmt", "return_stmt"]
+    # each rule's definition reaches the return, none reaches the next rule
+    assert pdg.ddg_edges == {(1, 4), (2, 4), (3, 4)}
+    assert {(0, 1), (0, 2), (0, 3)} <= pdg.cdg_edges
+
+
+def test_switch_groups_still_fall_through():
+    src = """
+    class C {
+        int m(int x) {
+            switch (x) {
+                case 1: x = 1;
+                case 2: x = x + 2;
+            }
+            return x;
+        }
+    }
+    """
+    pdg = _pdg(src)
+    assert (1, 2) in pdg.ddg_edges

@@ -428,3 +428,25 @@ def test_each_tree_yields_its_function_units_once(make_repo, monkeypatch):
     # two trees per commit (the first commit's before side is the empty
     # text), each asked by the differ, the call graph and the metrics
     assert len(trees) == len({id(t) for t in trees}) == 4
+
+
+def test_record_with_switch_rules_is_scored(make_repo):
+    record = """
+public record Range(int lo, int hi) {
+    static int pick(int x) {
+        switch (x) {
+            case 1 -> x = x + 1;
+            default -> x = x - 1;
+        }
+        return x;
+    }
+}
+"""
+    repo = make_repo()
+    repo.commit("init", 1000, {"Range.java": record})
+    repo.commit("edit", 2000, {"Range.java": record.replace("x + 1", "x + 2")})
+    run = analyze_repository(repo.path)
+    assert (run.parses, run.parse_errors) == (4, 0)
+    (edit,) = run.commits[-1].records
+    assert (edit.function, edit.file) == ("Range.pick(int)", "Range.java")
+    assert edit.delta_ast > 0

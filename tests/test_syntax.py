@@ -271,3 +271,79 @@ def test_function_units_are_extracted_once_per_tree(monkeypatch):
     tree = parse_source(SAMPLE, "java")
     assert tree.functions is tree.functions
     assert calls == [tree]
+
+
+def _shape(node):
+    """(kind, label, children) with labels kept on leaves only."""
+    if not node.children:
+        return (node.kind, node.label)
+    return (node.kind, [_shape(c) for c in node.children])
+
+
+def test_record_declaration_is_a_container_with_its_components():
+    src = """
+    public record Range<T>(int lo, int hi) implements Comparable<Range> {
+        Range { check(lo); }
+        static int width(int x) { return x; }
+    }
+    """
+    tree = parse_source(src, "java")
+    (decl,) = tree.root.children
+    assert decl.kind == "record_decl"
+    assert [c.kind for c in decl.children] == [
+        "modifier", "identifier", "record_components", "type", "class_body"]
+    assert _shape(decl.children[2]) == ("record_components", [
+        ("param", [("type", "int"), ("identifier", "lo")]),
+        ("param", [("type", "int"), ("identifier", "hi")]),
+    ])
+    names = [u.qualified_name for u in extract_functions(tree)]
+    assert names == ["Range.Range()", "Range.width(int)"]
+
+
+def test_record_is_a_keyword_only_before_a_declaration():
+    src = """
+    class C {
+        record Point(int x, int y) { }
+        int record(int record) { record = record + 1; return record; }
+    }
+    """
+    tree = parse_source(src, "java")
+    names = [u.qualified_name for u in extract_functions(tree)]
+    assert names == ["C.record(int)"]
+    body = tree.root.children[0].children[-1]
+    assert [c.kind for c in body.children] == ["record_decl", "method_decl"]
+
+
+def test_switch_rules_parse_to_one_label_and_one_body():
+    src = """
+    class C {
+        int m(int x) {
+            switch (x) {
+                case 1, 2 -> x = x + 1;
+                case RED -> { x = 0; }
+                case 3 -> throw new IllegalStateException();
+                default -> x = x - 1;
+            }
+            return x;
+        }
+    }
+    """
+    unit = extract_functions(parse_source(src, "java"))[0]
+    switch = next(n for n in unit.body.walk() if n.kind == "switch_stmt")
+    rules = switch.children[1:]
+    assert [r.kind for r in rules] == ["switch_rule"] * 4
+    assert [[c.kind for c in r.children] for r in rules] == [
+        ["case_label", "expr_stmt"], ["case_label", "block"],
+        ["case_label", "throw_stmt"], ["default_label", "expr_stmt"]]
+    assert _shape(rules[0].children[0]) == (
+        "case_label", [("literal", "1"), ("literal", "2")])
+    assert _shape(rules[1].children[0]) == ("case_label", [("identifier", "RED")])
+
+
+def test_colon_labels_may_list_several_constants():
+    src = "class C { void m(int x) { switch (x) { case 1, 2: f(); default: g(); } } }"
+    unit = extract_functions(parse_source(src, "java"))[0]
+    switch = next(n for n in unit.body.walk() if n.kind == "switch_stmt")
+    assert [g.kind for g in switch.children[1:]] == ["switch_group", "switch_group"]
+    assert _shape(switch.children[1].children[0]) == (
+        "case_label", [("literal", "1"), ("literal", "2")])
