@@ -29,6 +29,11 @@ they equal what a recompute would give.  A fork's checkpoint is an
 in-memory copy of the graph that shares its immutable per-file entries,
 released once its last first-parent child has been restored; the analysis
 writes no files.
+
+The history's git reader (see ``repo``) starts at the first commit's
+``changed_files`` call and lives through pass one only:
+``analyze_repository`` closes it when the commit loop ends, whether it
+finished or raised.
 """
 
 from __future__ import annotations
@@ -395,22 +400,25 @@ def analyze_repository(path: str, config: AnalysisConfig | None = None) -> Analy
     fork_ids = {cid for cid, kids in children.items() if len(kids) > 1}
     fork_of_last_child = {children[cid][-1]: cid for cid in fork_ids}
     previous: str | None = None
-    for commit in order:
-        t_commit = time.perf_counter()
-        first_parent = commit.parent_ids[0] if commit.parent_ids else None
-        if first_parent is None:
-            if previous is not None:
-                state.graph = CallGraph()
-        elif first_parent != previous:
-            state.graph = store.restore(first_parent)
-        if commit.id in fork_of_last_child:
-            store.discard(fork_of_last_child[commit.id])
-        result = analyze_commit(commit, state)
-        if commit.id in fork_ids:
-            store.checkpoint(state.graph, commit.id)
-        run.commits.append(result)
-        run.commit_times[commit.id] = time.perf_counter() - t_commit
-        previous = commit.id
+    try:
+        for commit in order:
+            t_commit = time.perf_counter()
+            first_parent = commit.parent_ids[0] if commit.parent_ids else None
+            if first_parent is None:
+                if previous is not None:
+                    state.graph = CallGraph()
+            elif first_parent != previous:
+                state.graph = store.restore(first_parent)
+            if commit.id in fork_of_last_child:
+                store.discard(fork_of_last_child[commit.id])
+            result = analyze_commit(commit, state)
+            if commit.id in fork_ids:
+                store.checkpoint(state.graph, commit.id)
+            run.commits.append(result)
+            run.commit_times[commit.id] = time.perf_counter() - t_commit
+            previous = commit.id
+    finally:
+        tree.close()
 
     run.checkpoint_restores = store.restores
     run.rank_computations = state.rank_computations

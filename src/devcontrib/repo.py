@@ -1,10 +1,17 @@
 """Git repository ingestion: version tree, commit walk, file changes.
 
 Reads standard git object storage by shelling out to the ``git`` binary
-(plumbing commands only: ``rev-parse``, ``for-each-ref``, ``log``,
-``diff-tree``, ``cat-file --batch``).  Diffs are taken against the first
-parent, so merge commits contribute only what the merge itself wrote; a
-merge with an empty first-parent diff scores zero downstream.
+(plumbing commands only).  ``open_repository`` runs ``rev-parse``,
+``for-each-ref`` and ``log``, each to completion.  The first
+``changed_files`` call on a tree starts its reader, which runs one
+``git diff-tree --stdin`` over every commit of the tree and keeps one
+``git cat-file --batch`` process for the blobs; so a whole run starts at
+most five git processes.  ``VersionTree.close`` stops the blob reader
+(``analyze_repository`` calls it on every exit path), and a tree that is
+dropped without being closed stops it when it is freed.  Diffs are taken
+against the first parent, so merge commits contribute only what the
+merge itself wrote; a merge with an empty first-parent diff scores zero
+downstream.
 
 The commit walk is a depth-first traversal of the first-parent forest:
 every commit appears after the parent it was reached through, and at a
@@ -17,8 +24,9 @@ from __future__ import annotations
 
 import itertools
 import subprocess
+import weakref
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .config import DEFAULT_BOT_PATTERNS
 from .errors import CorruptHistory, MissingAuthor, MissingBlob, NotARepository
@@ -57,9 +65,18 @@ class VersionTree:
     path: str
     commits: dict[str, CommitRecord] = field(default_factory=dict)
     heads: list[str] = field(default_factory=list)
+    # started by the first changed_files call
+    _reader: _HistoryReader | None = field(default=None, init=False, repr=False,
+                                           compare=False)
 
     def __len__(self):
         return len(self.commits)
+
+    def close(self):
+        """Stop the blob reader; a later ``changed_files`` starts a new one."""
+        if self._reader is not None:
+            self._reader.close()
+            self._reader = None
 
 
 def _git(path: str, *args: str, data: bytes | None = None) -> bytes:
@@ -170,22 +187,116 @@ def changed_files(commit: CommitRecord, tree: VersionTree) -> list[FileChange]:
 
     Paths are read NUL-separated (``-z``), so git passes them through
     unquoted; a path that is not valid UTF-8 is decoded with replacement
-    characters.  Binary blobs keep their change entry but carry no content.
+    characters.  Binary blobs and blobs that are not valid UTF-8 keep their
+    change entry but carry no content.  Each blob is read once per call,
+    and no text is kept across calls.
     """
-    if commit.parent_ids:
-        raw = _git(tree.path, "diff-tree", "-r", "-M", "-z", "--no-commit-id",
-                   commit.parent_ids[0], commit.id)
-    else:
-        raw = _git(tree.path, "diff-tree", "-r", "-M", "-z", "--root",
-                   "--no-commit-id", commit.id)
+    if tree._reader is None:
+        tree._reader = _HistoryReader(tree)
+    reader = tree._reader
+    changes = [replace(change) for change in reader.diffs.get(commit.id, ())]
+    texts: dict[str, str | None] = {}
+    for change in changes:
+        for blob in (change.before_blob, change.after_blob):
+            if blob and blob not in texts:
+                texts[blob] = _text(reader.read_blob(blob))
+        change.before_content = texts.get(change.before_blob)
+        change.after_content = texts.get(change.after_blob)
+    return changes
 
-    changes = []
+
+def _text(body: bytes) -> str | None:
+    """A blob's text, or None for binary or non-UTF-8 content."""
+    if b"\x00" in body:
+        return None
+    try:
+        return body.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+
+
+class _HistoryReader:
+    """The first-parent diffs of a whole tree and the process serving their blobs.
+
+    ``diffs`` maps a commit id to its changes without content; a commit
+    with an empty diff has no entry.  Blobs come from one long-lived
+    ``git cat-file --batch``, stopped by ``close`` or when the reader is
+    freed.  The reader keeps no reference to its tree, so a dropped tree
+    frees it by reference counting.
+    """
+
+    def __init__(self, tree: VersionTree):
+        self.diffs = _diff_index(tree)
+        try:
+            self._proc = subprocess.Popen(
+                ["git", "-C", tree.path, "cat-file", "--batch"],
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                stderr=subprocess.DEVNULL)
+        except FileNotFoundError as exc:
+            raise NotARepository("git binary not available") from exc
+        self._finalizer = weakref.finalize(self, _stop, self._proc)
+
+    def close(self):
+        """Stop the cat-file process; later calls do nothing."""
+        self._finalizer()
+
+    def read_blob(self, sha: str) -> bytes:
+        """One blob's bytes.  Each request is answered before the next one
+        is sent, so neither pipe can fill up however many blobs a commit
+        has."""
+        proc = self._proc
+        try:
+            proc.stdin.write(sha.encode() + b"\n")
+            proc.stdin.flush()
+        except BrokenPipeError as exc:
+            raise CorruptHistory(f"git cat-file exited before blob {sha}") from exc
+        line = proc.stdout.readline()
+        header = line.split()
+        if header[1:] == [b"missing"]:
+            raise MissingBlob(sha)
+        if len(header) != 3 or not header[2].isdigit():
+            raise CorruptHistory(f"unexpected cat-file header for blob {sha}: {line!r}")
+        size = int(header[2])
+        body = proc.stdout.read(size)
+        if len(body) != size or proc.stdout.read(1) != b"\n":
+            raise CorruptHistory(f"git cat-file cut blob {sha} short")
+        return body
+
+
+def _stop(proc: subprocess.Popen):
+    """End a cat-file process: it exits at the end of its input."""
+    try:
+        proc.stdin.close()
+    except BrokenPipeError:
+        pass  # it exited already, with a request unread
+    proc.stdout.close()
+    proc.wait()
+
+
+def _diff_index(tree: VersionTree) -> dict[str, list[FileChange]]:
+    """Every commit's first-parent changes, from one ``git diff-tree --stdin``.
+
+    Built from ``tree.commits``: each input line is ``<commit> <first
+    parent>``, or the commit alone for a root, which ``--root`` diffs
+    against the empty tree.  The output is a ``<commit>`` NUL header per
+    commit with a non-empty diff, followed by its ``-z`` records.
+    """
+    lines = "".join(f"{c.id} {c.parent_ids[0]}\n" if c.parent_ids else f"{c.id}\n"
+                    for c in tree.commits.values())
+    raw = _git(tree.path, "diff-tree", "--stdin", "--root", "-r", "-M", "-z",
+               data=lines.encode())
+    index: dict[str, list[FileChange]] = {}
+    changes = None
     # records: ":<modes> <shas> <status>" NUL <path> NUL, with a second
-    # path for renames and copies; the output ends with a NUL
+    # path for renames and copies; the output ends with a NUL.  Paths are
+    # taken by position, so a path that looks like a commit id stays a path.
     fields = iter(raw.split(b"\0")[:-1])
     for head in fields:
+        if not head.startswith(b":"):
+            index[head.decode(errors="replace")] = changes = []
+            continue
         meta = head.decode(errors="replace").split()
-        if len(meta) < 5 or not meta[0].startswith(":"):
+        if len(meta) < 5 or changes is None:
             raise CorruptHistory(f"unexpected diff-tree record: {head!r}")
         sha_before, sha_after, status = meta[2], meta[3], meta[4]
         n_paths = 2 if status[0] in "RC" else 1
@@ -202,42 +313,4 @@ def changed_files(commit: CommitRecord, tree: VersionTree) -> list[FileChange]:
         if sha_after != _NULL_SHA and kind != "deleted":
             change.after_blob = sha_after
         changes.append(change)
-
-    _fill_contents(tree.path, changes)
-    return changes
-
-
-def _fill_contents(repo_path: str, changes: list[FileChange]):
-    wanted = []
-    for change in changes:
-        for blob in (change.before_blob, change.after_blob):
-            if blob:
-                wanted.append(blob)
-    if not wanted:
-        return
-    raw = _git(repo_path, "cat-file", "--batch",
-               data=("\n".join(wanted) + "\n").encode())
-    contents: dict[str, str | None] = {}
-    pos = 0
-    for blob in wanted:
-        # cat-file answers every request line, duplicates included
-        header_end = raw.index(b"\n", pos)
-        header = raw[pos:header_end].decode()
-        parts = header.split()
-        if len(parts) >= 2 and parts[1] == "missing":
-            raise MissingBlob(parts[0])
-        size = int(parts[2])
-        body = raw[header_end + 1: header_end + 1 + size]
-        pos = header_end + 1 + size + 1  # trailing newline
-        if b"\x00" in body:
-            contents[blob] = None  # binary
-        else:
-            try:
-                contents[blob] = body.decode("utf-8")
-            except UnicodeDecodeError:
-                contents[blob] = None
-    for change in changes:
-        if change.before_blob:
-            change.before_content = contents.get(change.before_blob)
-        if change.after_blob:
-            change.after_content = contents.get(change.after_blob)
+    return index

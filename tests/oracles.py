@@ -15,7 +15,13 @@
   twice per cell; ``devcontrib.astdiff._lcs_pairs`` must give its pairs.
 * ``apply_edit_script`` replays an edit script on a copy of the before
   tree, to check that the script really turns it into the after tree.
+* ``reference_changed_files`` is git ingest as it was before one reader
+  served the whole history: a ``git diff-tree`` and a one-shot
+  ``git cat-file --batch`` per commit.  ``devcontrib.repo.changed_files``
+  must return equal changes for every commit.
 """
+
+import itertools
 
 from devcontrib.astdiff import (
     EditAction,
@@ -25,7 +31,8 @@ from devcontrib.astdiff import (
     _only_names_or_modifiers,
 )
 from devcontrib.config import DEFAULT_BLACKLIST
-from devcontrib.errors import ParseError
+from devcontrib.errors import CorruptHistory, MissingBlob, ParseError
+from devcontrib.repo import _NULL_SHA, _STATUS_KIND, FileChange, _git
 from devcontrib.syntax import NodeCategory, classify_node
 from devcontrib.syntax import _KEYWORDS, _OPERATORS, Comment, SyntaxTree, _Token
 
@@ -573,3 +580,80 @@ def apply_edit_script(before: SyntaxTree, after: SyntaxTree,
             return False
     return _shape_equal(result_root, after.root)
 
+
+def reference_changed_files(commit, tree) -> list[FileChange]:
+    """First-parent diff with full before/after text for source files.
+
+    Paths are read NUL-separated (``-z``), so git passes them through
+    unquoted; a path that is not valid UTF-8 is decoded with replacement
+    characters.  Binary blobs keep their change entry but carry no content.
+    """
+    if commit.parent_ids:
+        raw = _git(tree.path, "diff-tree", "-r", "-M", "-z", "--no-commit-id",
+                   commit.parent_ids[0], commit.id)
+    else:
+        raw = _git(tree.path, "diff-tree", "-r", "-M", "-z", "--root",
+                   "--no-commit-id", commit.id)
+
+    changes = []
+    # records: ":<modes> <shas> <status>" NUL <path> NUL, with a second
+    # path for renames and copies; the output ends with a NUL
+    fields = iter(raw.split(b"\0")[:-1])
+    for head in fields:
+        meta = head.decode(errors="replace").split()
+        if len(meta) < 5 or not meta[0].startswith(":"):
+            raise CorruptHistory(f"unexpected diff-tree record: {head!r}")
+        sha_before, sha_after, status = meta[2], meta[3], meta[4]
+        n_paths = 2 if status[0] in "RC" else 1
+        paths = [p.decode(errors="replace") for p in itertools.islice(fields, n_paths)]
+        if len(paths) != n_paths:
+            raise CorruptHistory(f"diff-tree record without its paths: {head!r}")
+        kind = _STATUS_KIND.get(status[0])
+        if kind is None:
+            continue
+        old_path = paths[0] if n_paths == 2 else None
+        change = FileChange(path=paths[-1], kind=kind, old_path=old_path)
+        if sha_before != _NULL_SHA and kind != "added":
+            change.before_blob = sha_before
+        if sha_after != _NULL_SHA and kind != "deleted":
+            change.after_blob = sha_after
+        changes.append(change)
+
+    _reference_fill_contents(tree.path, changes)
+    return changes
+
+
+def _reference_fill_contents(repo_path: str, changes: list[FileChange]):
+    wanted = []
+    for change in changes:
+        for blob in (change.before_blob, change.after_blob):
+            if blob:
+                wanted.append(blob)
+    if not wanted:
+        return
+    raw = _git(repo_path, "cat-file", "--batch",
+               data=("\n".join(wanted) + "\n").encode())
+    contents: dict[str, str | None] = {}
+    pos = 0
+    for blob in wanted:
+        # cat-file answers every request line, duplicates included
+        header_end = raw.index(b"\n", pos)
+        header = raw[pos:header_end].decode()
+        parts = header.split()
+        if len(parts) >= 2 and parts[1] == "missing":
+            raise MissingBlob(parts[0])
+        size = int(parts[2])
+        body = raw[header_end + 1: header_end + 1 + size]
+        pos = header_end + 1 + size + 1  # trailing newline
+        if b"\x00" in body:
+            contents[blob] = None  # binary
+        else:
+            try:
+                contents[blob] = body.decode("utf-8")
+            except UnicodeDecodeError:
+                contents[blob] = None
+    for change in changes:
+        if change.before_blob:
+            change.before_content = contents.get(change.before_blob)
+        if change.after_blob:
+            change.after_content = contents.get(change.after_blob)

@@ -450,3 +450,90 @@ public record Range(int lo, int hi) {
     (edit,) = run.commits[-1].records
     assert (edit.function, edit.file) == ("Range.pick(int)", "Range.java")
     assert edit.delta_ast > 0
+
+
+def _long_forked_repo(make_repo):
+    """Eleven commits: a side branch of three, merged back into main."""
+    repo = make_repo()
+    repo.commit("base", 1000, {"Service.java": BASE_JAVA})
+    repo.branch("side")
+    for i in range(3):
+        repo.commit(f"side{i}", 2000 + i, {"Extra.java":
+                    f"class Extra {{ int e() {{ return transform({i}); }} }}"})
+    repo.checkout("main")
+    for i in range(6):
+        repo.commit(f"main{i}", 3000 + i, {
+            "Service.java": BASE_JAVA.replace("k * 2", f"k * {i + 3}")})
+    repo.merge("side", 4000)
+    return repo
+
+
+@pytest.mark.parametrize("fail", [False, True], ids=["returns", "raises"])
+def test_run_starts_five_git_processes_and_reaps_them(make_repo, monkeypatch, fail):
+    repo = _long_forked_repo(make_repo)
+    started = []
+
+    class RecordingPopen(subprocess.Popen):
+        def __init__(self, args, *rest, **kwargs):
+            super().__init__(args, *rest, **kwargs)
+            started.append(self)
+
+    monkeypatch.setattr(subprocess, "Popen", RecordingPopen)
+    # holding the tree keeps its reader from being reaped when it is freed,
+    # so only an explicit close can stop the process
+    trees = []
+
+    def kept(*args, **kwargs):
+        trees.append(open_repository(*args, **kwargs))
+        return trees[-1]
+
+    monkeypatch.setattr(pipeline, "open_repository", kept)
+    if fail:
+        analyze_commit = pipeline.analyze_commit
+        calls = []
+
+        def failing(commit, state):
+            calls.append(commit)
+            if len(calls) == 2:
+                raise RuntimeError("second commit fails")
+            return analyze_commit(commit, state)
+
+        monkeypatch.setattr(pipeline, "analyze_commit", failing)
+        with pytest.raises(RuntimeError):
+            analyze_repository(repo.path)
+    else:
+        assert len(analyze_repository(repo.path).commits) == 11
+    assert sorted(p.args[3] for p in started) == [
+        "cat-file", "diff-tree", "for-each-ref", "log", "rev-parse"]
+    assert all(p.poll() is not None for p in started)
+
+
+def test_benchmark_hooks_see_one_lazy_walk_and_one_ingest_per_commit(make_repo,
+                                                                     monkeypatch):
+    repo = _long_forked_repo(make_repo)
+    walks, yielded, ingested = [], [], []
+    walk_commits_ = pipeline.walk_commits
+    changed_files = pipeline.changed_files
+
+    def probed(order):
+        for commit in order:
+            yielded.append(commit.id)
+            yield commit
+        yielded.append(None)
+
+    def one_shot(tree):
+        # as the benchmark's worker: the walk, wrapped in a one-shot generator
+        walks.append(tree)
+        return probed(walk_commits_(tree))
+
+    def counted(commit, tree):
+        ingested.append(commit.id)
+        return changed_files(commit, tree)
+
+    monkeypatch.setattr(pipeline, "walk_commits", one_shot)
+    monkeypatch.setattr(pipeline, "changed_files", counted)
+    run = analyze_repository(repo.path)
+    order = [c.id for c in walk_commits(open_repository(repo.path))]
+    assert len(walks) == 1
+    assert yielded == order + [None]
+    assert ingested == order == [c.id for c in run.commits]

@@ -1,11 +1,15 @@
 import os
+import subprocess
+import sys
 import tempfile
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from devcontrib.errors import MissingAuthor, NotARepository
+from devcontrib import repo as repo_module
+from devcontrib.errors import CorruptHistory, MissingAuthor, MissingBlob, NotARepository
 from devcontrib.repo import (
     changed_files,
     open_repository,
@@ -13,6 +17,7 @@ from devcontrib.repo import (
     walk_commits,
 )
 from conftest import RepoBuilder
+from oracles import reference_changed_files
 
 JAVA_A = "class A { void f() { } }"
 JAVA_A2 = "class A { void f() { g(); } void g() { } }"
@@ -303,3 +308,170 @@ def test_odd_paths_round_trip(paths, new_dir):
         [change] = changed_files(tree.commits[second], tree)
         assert (change.kind, change.old_path, change.path) == ("renamed", moved_from, moved_to)
         assert change.after_content == texts[moved_from]
+
+
+def _stage_bytes(repo, path, data: bytes):
+    full = os.path.join(os.fsencode(repo.path), os.fsencode(path))
+    os.makedirs(os.path.dirname(full), exist_ok=True)
+    with open(full, "wb") as fh:
+        fh.write(data)
+    repo._run("git", "add", path)
+
+
+def test_batched_ingest_equals_per_commit_reference(make_repo):
+    repo = make_repo()
+    root = repo.commit("root", 1000, {"Old.java": JAVA_A, "src/sp ace/D.java": JAVA_A2,
+                                       "notes.txt": "n"})
+    # a path that reads like a commit id must stay a path
+    repo.commit("moves", 2000, {root: "named after a commit"},
+                rename={"Old.java": "New.java", "src/sp ace/D.java": "src/café/D.java"})
+    _stage_bytes(repo, "img.bin", b"\x00\x01binary")
+    _stage_bytes(repo, "Latin.java", "class L { /* caf\xe9 */ }".encode("latin-1"))
+    repo.commit("edit, delete, binary, non-UTF-8", 3000, {"New.java": JAVA_A2},
+                remove=["notes.txt"])
+    repo.branch("side")
+    repo.commit("side", 4000, {"S.java": "class S { }"})
+    repo.checkout("main")
+    ours = repo.merge("side", 5000, strategy="ours")
+    repo.checkout("side")
+    repo.commit("side again", 6000, {"T.java": "class T { void t() { } }"})
+    repo.checkout("main")
+    repo.merge("side", 7000)
+    repo._run("git", "checkout", "-q", "--orphan", "other")
+    repo._run("git", "rm", "-r", "-q", "-f", ".")
+    repo.commit("second root", 8000, {"Z.java": JAVA_A})
+
+    tree = open_repository(repo.path)
+    assert sum(not c.parent_ids for c in tree.commits.values()) == 2
+    seen = []
+    for commit in walk_commits(tree):
+        changes = changed_files(commit, tree)
+        assert changes == reference_changed_files(commit, tree), commit.id
+        seen.extend(changes)
+    assert changed_files(tree.commits[ours], tree) == []
+    assert {c.kind for c in seen} == {"added", "deleted", "modified", "renamed"}
+    assert root in {c.path for c in seen}
+    assert {c.path for c in seen if c.after_blob and c.after_content is None} == {
+        "img.bin", "Latin.java"}
+    tree.close()
+
+
+def test_one_commit_with_thousands_of_blobs(make_repo):
+    repo = make_repo()
+    texts = {f"d{i % 20}/F{i}.java": f"class F{i} {{ }}" for i in range(2000)}
+    for path, text in texts.items():
+        os.makedirs(os.path.join(repo.path, os.path.dirname(path)), exist_ok=True)
+        with open(os.path.join(repo.path, path), "w", encoding="utf-8") as fh:
+            fh.write(text)
+    repo._run("git", "add", "-A")
+    repo._run("git", "commit", "-q", "-m", "import", ts=1000)
+    tree = open_repository(repo.path)
+    [commit] = tree.commits.values()
+    result = []
+    worker = threading.Thread(target=lambda: result.append(changed_files(commit, tree)),
+                              daemon=True)
+    worker.start()
+    worker.join(60)
+    assert not worker.is_alive(), "changed_files still running after 60 s"
+    assert {c.path: c.after_content for c in result[0]} == texts
+    tree.close()
+
+
+def test_each_blob_is_read_once_per_commit(make_repo, monkeypatch):
+    repo = make_repo()
+    repo.commit("base", 1000, {"A.java": JAVA_A})
+    sha = repo.commit("copies", 2000, {"A.java": JAVA_A2, "B.java": JAVA_A2})
+    requests = []
+    read_blob = repo_module._HistoryReader.read_blob
+
+    def counted(reader, blob):
+        requests.append(blob)
+        return read_blob(reader, blob)
+
+    monkeypatch.setattr(repo_module._HistoryReader, "read_blob", counted)
+    tree = open_repository(repo.path)
+    changes = changed_files(tree.commits[sha], tree)
+    assert [c.after_content for c in changes] == [JAVA_A2, JAVA_A2]
+    assert len(requests) == len(set(requests)) == 2
+    tree.close()
+
+
+def test_missing_blob_raises_missing_blob(make_repo):
+    repo = make_repo()
+    sha = repo.commit("c1", 1000, {"A.java": JAVA_A})
+    tree = open_repository(repo.path)
+    [change] = reference_changed_files(tree.commits[sha], tree)
+    blob = change.after_blob
+    os.remove(os.path.join(repo.path, ".git", "objects", blob[:2], blob[2:]))
+    with pytest.raises(MissingBlob):
+        changed_files(tree.commits[sha], tree)
+    tree.close()
+
+
+def _swap_cat_file(monkeypatch, script):
+    """Run ``script`` in place of every ``git cat-file`` process."""
+    popen = subprocess.Popen
+
+    def swapped(args, *rest, **kwargs):
+        if "cat-file" in args:
+            if script is None:
+                raise FileNotFoundError(args[0])
+            args = [sys.executable, "-c", script]
+        return popen(args, *rest, **kwargs)
+
+    monkeypatch.setattr(subprocess, "Popen", swapped)
+
+
+def test_missing_git_binary_for_the_blob_reader(make_repo, monkeypatch):
+    repo = make_repo()
+    sha = repo.commit("c1", 1000, {"A.java": JAVA_A})
+    tree = open_repository(repo.path)
+    _swap_cat_file(monkeypatch, None)
+    with pytest.raises(NotARepository):
+        changed_files(tree.commits[sha], tree)
+
+
+_READ = "import sys; sha = sys.stdin.readline().strip(); "
+BROKEN_READERS = {
+    "exits at once": "",
+    "no size": _READ + "print(sha, 'blob', flush=True)",
+    "size not a number": _READ + "print(sha, 'blob', 'x', flush=True)",
+    "short body": _READ + "print(sha, 'blob', 100); print('short', flush=True)",
+    "no newline after body": _READ + "print(sha, 'blob', 2); print('abc', flush=True)",
+}
+
+
+@pytest.mark.parametrize("script", BROKEN_READERS.values(), ids=BROKEN_READERS)
+def test_broken_blob_reader_raises_corrupt_history(make_repo, monkeypatch, script):
+    repo = make_repo()
+    sha = repo.commit("c1", 1000, {"A.java": JAVA_A})
+    tree = open_repository(repo.path)
+    _swap_cat_file(monkeypatch, script)
+    with pytest.raises(CorruptHistory):
+        changed_files(tree.commits[sha], tree)
+    tree.close()
+
+
+def test_killed_blob_reader_raises_corrupt_history(make_repo):
+    repo = make_repo()
+    first = repo.commit("c1", 1000, {"A.java": JAVA_A})
+    second = repo.commit("c2", 2000, {"A.java": JAVA_A2})
+    tree = open_repository(repo.path)
+    changed_files(tree.commits[first], tree)
+    proc = tree._reader._proc
+    proc.kill()
+    proc.wait()
+    with pytest.raises(CorruptHistory):
+        changed_files(tree.commits[second], tree)
+    tree.close()
+
+
+def test_dropped_tree_reaps_its_reader(make_repo):
+    repo = make_repo()
+    sha = repo.commit("c1", 1000, {"A.java": JAVA_A})
+    tree = open_repository(repo.path)
+    changed_files(tree.commits[sha], tree)
+    proc = tree._reader._proc
+    assert proc.poll() is None
+    del tree
+    assert proc.poll() is not None
