@@ -538,9 +538,7 @@ def group_by_function(actions, functions_before, functions_after,
     sets: dict[tuple, FunctionChangeSet] = {}
 
     def key_for(unit):
-        if unit is None:
-            return (FILE_SCOPE, file)
-        return (unit.qualified_name, unit.file if unit.file is not None else file)
+        return (FILE_SCOPE if unit is None else unit.qualified_name, file)
 
     def put(unit_key, action):
         cs = sets.get(unit_key)
@@ -591,15 +589,16 @@ def delta_ast(changeset: FunctionChangeSet, weights: DeltaWeights | None = None)
     return total
 
 
-def diff_file_pair(before: SyntaxTree, after: SyntaxTree,
+def diff_file_pair(before: SyntaxTree, after: SyntaxTree, file: str | None = None,
                    similarity_threshold: float = 0.5,
                    blacklist=DEFAULT_BLACKLIST):
-    """Convenience wrapper: match, script, and group one file pair.
+    """Convenience wrapper: match, script, and group one file pair, whose
+    path ``file`` goes into every changeset's key.
 
     Returns (mapping, actions, changesets).
     """
     mapping = map_trees(before, after, similarity_threshold=similarity_threshold)
     actions = edit_script(mapping, before, after, blacklist=blacklist)
     changesets = group_by_function(actions, before.functions, after.functions,
-                                   file=after.path or before.path)
+                                   file=file)
     return mapping, actions, changesets

@@ -44,7 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import UnknownCheckpoint
-from .syntax import SourceTrees, SyntaxTree, callee_segments, language_for_path
+from .syntax import SourceTrees, SyntaxTree, callee_segments, language_for_path, parse_file
 
 logger = logging.getLogger(__name__)
 
@@ -95,13 +95,14 @@ def _type_simple(label: str) -> str:
     return base
 
 
-def extract_call_sites(tree: SyntaxTree, units) -> tuple[CallSite, ...]:
-    """Call sites of every named unit, lambdas merged into their enclosing
-    function, nested named declarations excluded (they are their own units)."""
+def extract_call_sites(path: str, units) -> tuple[CallSite, ...]:
+    """Call sites of every named unit of the file ``path``, lambdas merged
+    into their enclosing function, nested named declarations excluded (they
+    are their own units)."""
     named = [u for u in units if "$lambda" not in u.qualified_name]
     sites = []
     for unit in named:
-        fid = FunctionId(unit.qualified_name, tree.path or "")
+        fid = FunctionId(unit.qualified_name, path)
         _collect_sites(unit.body, True, fid, sites)
     return tuple(sites)
 
@@ -169,7 +170,7 @@ class CallGraph:
         self.functions_by_file[path] = fids
         for fid in fids:
             self._index_add(fid)
-        self.call_sites[path] = extract_call_sites(tree, units)
+        self.call_sites[path] = extract_call_sites(path, units)
 
     def _remove_file(self, path: str):
         for fid in self.functions_by_file.pop(path, ()):
@@ -300,7 +301,7 @@ class CallGraph:
 
         Only source files with a registered grammar adapter participate.
         ``trees`` holds the after-side tree of every such change that is
-        not a deletion, keyed by ``(path, after_blob)``.  A file whose text
+        not a deletion, keyed by ``after_blob``.  A file whose text
         failed to parse loses its prior nodes and has none until a later
         change brings text that parses.  ``version`` is bumped when a
         touched file's shape changes or a re-resolved site changes targets.
@@ -325,7 +326,7 @@ class CallGraph:
             touched_files.add(change.path)
             if change.kind == "deleted" or change.after_content is None:
                 continue
-            tree = trees[(change.path, change.after_blob)]
+            tree = trees.get(change.after_blob)
             if tree is None:
                 continue
             self._add_file(change.path, tree)
@@ -344,12 +345,11 @@ class CallGraph:
 def build_call_graph(files) -> CallGraph:
     """Full build from {path: source_text} (or (path, text) pairs)."""
     graph = CallGraph()
-    trees = SourceTrees()
     items = files.items() if hasattr(files, "items") else files
     for path, text in sorted(items):
         if language_for_path(path) is None or text is None:
             continue
-        tree = trees.add(path, None, text)
+        tree = parse_file(path, text)
         if tree is not None:
             graph._add_file(path, tree)
     graph.resolve_all()

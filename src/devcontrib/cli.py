@@ -11,7 +11,8 @@ developer's inflated-commit flag set from the config's thresholds;
 ``report`` and ``eval`` read it back and refuse any other schema version.
 
 Exit codes: 0 success, 1 usage error (including an unreadable config or
-``report`` run file), 2 repository error, 3 evaluation-input error.
+``report`` run file), 2 repository error (including a commit with neither
+author name nor email), 3 evaluation-input error.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .config import AnalysisConfig, load_config
 from .errors import (
     CorruptHistory,
     EvaluationInputError,
+    MissingAuthor,
     MissingBlob,
     NotARepository,
     UsageError,
@@ -160,7 +162,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (NotARepository, CorruptHistory, MissingBlob) as exc:
+    except (NotARepository, CorruptHistory, MissingBlob, MissingAuthor) as exc:
         print(f"repository error: {exc}", file=sys.stderr)
         return 2
     except EvaluationInputError as exc:

@@ -15,11 +15,11 @@ developer rows, inflated-commit flags included, are folded from the fused
 commits with the run's thresholds.
 
 Each commit parses every changed source blob once: ``parse_changes`` keys
-the trees by ``(path, blob)``, and the differ, the call-graph update and
-the complexity and dependence-graph measurements all read those trees and
-the function units cached on them.  A blob that fails to parse, including
-one nested deeper than the parser or ``MAX_TREE_DEPTH`` allows, is logged
-once and skipped.  ``run.timings`` times parsing as its own ``parse``
+the trees by blob, and the differ, the call-graph update and the
+complexity and dependence-graph measurements all read those trees and the
+function units cached on them, with the path taken from the file change.
+A blob that fails to parse, including one nested deeper than the parser
+or ``MAX_TREE_DEPTH`` allows, is logged once and skipped.  ``run.timings`` times parsing as its own ``parse``
 stage, apart from ``diff`` and ``graph``.
 
 Call-graph impact is ranked only when a commit with scored changes finds
@@ -211,28 +211,15 @@ class PipelineState:
 
 
 def parse_changes(changes) -> SourceTrees:
-    """Parse both sides of every source change in one commit.
-
-    The trees are keyed by ``(path, blob)``; the empty side of an added or
-    deleted file is ``(path, None)`` with the empty text.  A renamed file's
-    before side is parsed under its new path, as the differ compares it.
-    """
+    """Parse both sides of every source change in one commit, keyed by
+    blob; the empty side of an added or deleted file is the key None."""
     trees = SourceTrees()
     for change in changes:
         if language_for_path(change.path) is None:
             continue
-        for blob, text in _sides(change):
-            trees.add(change.path, blob, text)
+        trees.add(change.path, change.before_blob, change.before_content)
+        trees.add(change.path, change.after_blob, change.after_content)
     return trees
-
-
-def _sides(change) -> tuple[tuple, tuple]:
-    """``(blob, text)`` of the before and the after side of a change."""
-    before = (None, "") if change.kind == "added" else (change.before_blob,
-                                                         change.before_content)
-    after = (None, "") if change.kind == "deleted" else (change.after_blob,
-                                                         change.after_content)
-    return before, after
 
 
 def current_impact(state: PipelineState) -> ImpactScores:
@@ -282,13 +269,13 @@ def analyze_commit(commit: CommitRecord, state: PipelineState) -> CommitResult:
     for change in changes:
         if language_for_path(change.path) is None:
             continue
-        (before_blob, _), (after_blob, _) = _sides(change)
-        before = trees[(change.path, before_blob)]
-        after = trees[(change.path, after_blob)]
+        before = trees.get(change.before_blob)
+        after = trees.get(change.after_blob)
         if before is None or after is None:
             continue
         _, actions, changesets = diff_file_pair(
-            before, after, similarity_threshold=cfg.diff_similarity_threshold,
+            before, after, change.path,
+            similarity_threshold=cfg.diff_similarity_threshold,
             blacklist=cfg.blacklist_patterns)
         if changesets:
             per_file.append((change, before, after, changesets))

@@ -1,17 +1,17 @@
 """Git repository ingestion: version tree, commit walk, file changes.
 
 Reads standard git object storage by shelling out to the ``git`` binary
-(plumbing commands only).  ``open_repository`` runs ``rev-parse``,
-``for-each-ref`` and ``log``, each to completion.  The first
-``changed_files`` call on a tree starts its reader, which runs one
-``git diff-tree --stdin`` over every commit of the tree and keeps one
-``git cat-file --batch`` process for the blobs; so a whole run starts at
-most five git processes.  ``VersionTree.close`` stops the blob reader
-(``analyze_repository`` calls it on every exit path), and a tree that is
-dropped without being closed stops it when it is freed.  Diffs are taken
-against the first parent, so merge commits contribute only what the
-merge itself wrote; a merge with an empty first-parent diff scores zero
-downstream.
+(plumbing commands only).  ``open_repository`` runs ``rev-parse`` (a
+second time to resolve a given branch) and ``log``, each to completion.
+The first ``changed_files`` call on a tree starts its reader, which runs
+one ``git diff-tree --stdin`` over every commit of the tree and keeps one
+``git cat-file --batch`` process for the blobs; so a whole run starts four
+git processes, five when it is given a branch.  ``VersionTree.close``
+stops the blob reader (``analyze_repository`` calls it on every exit
+path), and a tree that is dropped without being closed stops it when it
+is freed.  Diffs are taken against the first parent, so merge commits
+contribute only what the merge itself wrote; a merge with an empty
+first-parent diff scores zero downstream.
 
 The commit walk is a depth-first traversal of the first-parent forest:
 every commit appears after the parent it was reached through, and at a
@@ -32,6 +32,7 @@ from .config import DEFAULT_BOT_PATTERNS
 from .errors import CorruptHistory, MissingAuthor, MissingBlob, NotARepository
 
 _NULL_SHA = "0" * 40
+_GITLINK = "160000"  # the mode of a submodule entry
 
 
 @dataclass(frozen=True)
@@ -64,7 +65,6 @@ class CommitRecord:
 class VersionTree:
     path: str
     commits: dict[str, CommitRecord] = field(default_factory=dict)
-    heads: list[str] = field(default_factory=list)
     # started by the first changed_files call
     _reader: _HistoryReader | None = field(default=None, init=False, repr=False,
                                            compare=False)
@@ -112,16 +112,11 @@ def open_repository(path: str, branch: str | None = None,
         raise NotARepository(f"{path} is not a git repository") from exc
 
     if branch is not None:
-        out = _git(path, "rev-parse", "--verify", branch).decode().strip()
-        heads = [out]
+        revs = [_git(path, "rev-parse", "--verify", branch).decode().strip()]
     else:
-        out = _git(path, "for-each-ref", "--format=%(objectname)", "refs/heads")
-        heads = [line for line in out.decode().splitlines() if line]
-    tree = VersionTree(path=path, heads=heads)
-    if not heads:
-        return tree
-
-    raw = _git(path, "log", "--format=%x01%H%x00%P%x00%an%x00%ae%x00%at", *heads)
+        revs = ["--branches"]
+    tree = VersionTree(path=path)
+    raw = _git(path, "log", "--format=%x01%H%x00%P%x00%an%x00%ae%x00%at", *revs)
     for entry in raw.decode(errors="replace").split("\x01"):
         entry = entry.strip()
         if not entry:
@@ -290,15 +285,17 @@ def _diff_index(tree: VersionTree) -> dict[str, list[FileChange]]:
     # records: ":<modes> <shas> <status>" NUL <path> NUL, with a second
     # path for renames and copies; the output ends with a NUL.  Paths are
     # taken by position, so a path that looks like a commit id stays a path.
+    # A submodule side names a commit of another repository, not a blob, so
+    # it carries none; a record with no blob on either side is dropped.
     fields = iter(raw.split(b"\0")[:-1])
     for head in fields:
         if not head.startswith(b":"):
             index[head.decode(errors="replace")] = changes = []
             continue
-        meta = head.decode(errors="replace").split()
+        meta = head[1:].decode(errors="replace").split()
         if len(meta) < 5 or changes is None:
             raise CorruptHistory(f"unexpected diff-tree record: {head!r}")
-        sha_before, sha_after, status = meta[2], meta[3], meta[4]
+        mode_before, mode_after, sha_before, sha_after, status = meta[:5]
         n_paths = 2 if status[0] in "RC" else 1
         paths = [p.decode(errors="replace") for p in itertools.islice(fields, n_paths)]
         if len(paths) != n_paths:
@@ -308,9 +305,10 @@ def _diff_index(tree: VersionTree) -> dict[str, list[FileChange]]:
             continue
         old_path = paths[0] if n_paths == 2 else None
         change = FileChange(path=paths[-1], kind=kind, old_path=old_path)
-        if sha_before != _NULL_SHA and kind != "added":
+        if sha_before != _NULL_SHA and kind != "added" and mode_before != _GITLINK:
             change.before_blob = sha_before
-        if sha_after != _NULL_SHA and kind != "deleted":
+        if sha_after != _NULL_SHA and kind != "deleted" and mode_after != _GITLINK:
             change.after_blob = sha_after
-        changes.append(change)
+        if change.before_blob or change.after_blob:
+            changes.append(change)
     return index

@@ -25,8 +25,9 @@ allows, so that every later tree walk stays within Python's recursion
 limit.
 
 The lexer is one compiled pattern with an alternative per token class.
-``SourceTrees`` parses each ``(path, blob)`` once and every layer reads
-that tree; a tree computes its function units once (``functions``).
+A tree depends on its text alone, not on the file's path, so ``SourceTrees``
+parses each blob once and every layer reads that tree; a tree computes its
+function units once (``functions``).
 """
 
 from __future__ import annotations
@@ -147,12 +148,10 @@ class SyntaxTree:
     Raises ``ParseError`` when the tree is deeper than ``MAX_TREE_DEPTH``.
     """
 
-    def __init__(self, root: SyntaxNode, source_text: str, comments=None,
-                 path: str | None = None):
+    def __init__(self, root: SyntaxNode, source_text: str, comments=None):
         self.root = root
         self.source_text = source_text
         self.comments = comments or []
-        self.path = path
         self._line_starts = None
         self._functions = None
         stack = [(root, 1)]
@@ -194,7 +193,6 @@ class FunctionUnit:
     qualified_name: str
     span: tuple[int, int]
     body: SyntaxNode
-    file: str | None = None
 
 
 class NodeCategory(enum.Enum):
@@ -1250,9 +1248,10 @@ class _Parser:
 # ---------------------------------------------------------------------------
 
 def _parse_java(text: str, path: str | None = None) -> SyntaxTree:
+    """The tree of ``text``; the optional ``path`` does not change it."""
     parser = _Parser(text)
     root = parser.parse_compilation_unit()
-    return SyntaxTree(root, text, comments=parser.comments, path=path)
+    return SyntaxTree(root, text, comments=parser.comments)
 
 
 _ADAPTERS = {"java": _parse_java}
@@ -1260,7 +1259,7 @@ _EXTENSION_MAP = {".java": "java"}
 
 
 def register_adapter(language: str, parse_fn, extensions=()):
-    """Register a grammar adapter: parse_fn(text, path) -> SyntaxTree."""
+    """Register a grammar adapter: parse_fn(text, path=None) -> SyntaxTree."""
     _ADAPTERS[language] = parse_fn
     for ext in extensions:
         _EXTENSION_MAP[ext] = language
@@ -1273,7 +1272,7 @@ def language_for_path(path: str) -> str | None:
     return None
 
 
-def parse_source(text: str, language: str = "java", path: str | None = None) -> SyntaxTree:
+def parse_source(text: str, language: str = "java") -> SyntaxTree:
     """Parse source text with the registered adapter for ``language``.
 
     Nesting too deep for the recursive-descent parser raises ``ParseError``
@@ -1283,48 +1282,54 @@ def parse_source(text: str, language: str = "java", path: str | None = None) -> 
     if language not in _ADAPTERS:
         raise ParseError(f"no grammar adapter registered for {language!r}")
     try:
-        return _ADAPTERS[language](text, path)
+        return _ADAPTERS[language](text)
     except RecursionError:
         raise ParseError("nesting too deep for the parser") from None
 
 
 class SourceTrees:
-    """Syntax trees keyed by ``(path, blob)``; each key is parsed once.
+    """One commit's syntax trees keyed by blob; each blob is parsed once.
 
-    ``blob`` names the text under ``path`` -- a git blob sha, or None for
-    the empty side of an added or deleted file -- and the path is part of
-    the key because it is stored in the tree and in its function units.
-    A key maps to None when the path has no grammar adapter, the blob has
+    A key is a git blob sha, or None for the empty side of an added or
+    deleted file, which is parsed as the empty text.  A key maps to None
+    when the path it was added under has no grammar adapter, the blob has
     no text (binary or undecodable) or the text fails to parse; a parse
-    failure is logged once, when the key is added.  ``parses`` and
+    failure is logged once, when the blob is added.  ``parses`` and
     ``errors`` count calls of ``parse_source`` and their failures.
     """
 
     def __init__(self):
-        self._trees: dict[tuple[str, str | None], SyntaxTree | None] = {}
+        self._trees: dict[str | None, SyntaxTree | None] = {}
         self.parses = 0
         self.errors = 0
 
     def add(self, path: str, blob: str | None, text: str | None) -> SyntaxTree | None:
-        key = (path, blob)
-        if key not in self._trees:
-            self._trees[key] = self._parse(path, text)
-        return self._trees[key]
+        """The tree of ``blob``, parsed from ``text`` when the blob is new;
+        ``path`` picks the grammar and names the file in a warning."""
+        if blob not in self._trees:
+            self._trees[blob] = self._parse(path, "" if blob is None else text)
+        return self._trees[blob]
 
-    def __getitem__(self, key: tuple[str, str | None]) -> SyntaxTree | None:
-        return self._trees[key]
+    def get(self, blob: str | None) -> SyntaxTree | None:
+        return self._trees.get(blob)
 
     def _parse(self, path: str, text: str | None) -> SyntaxTree | None:
-        language = language_for_path(path)
-        if language is None or text is None:
+        if language_for_path(path) is None or text is None:
             return None
         self.parses += 1
-        try:
-            return parse_source(text, language, path=path)
-        except ParseError as exc:
-            self.errors += 1
-            logger.warning("skipping %s: %s at %s", path, exc, exc.position)
-            return None
+        tree = parse_file(path, text)
+        self.errors += tree is None
+        return tree
+
+
+def parse_file(path: str, text: str) -> SyntaxTree | None:
+    """The tree of the source file ``path`` with ``text``, or None after
+    logging why it failed to parse; the path must have a grammar adapter."""
+    try:
+        return parse_source(text, language_for_path(path))
+    except ParseError as exc:
+        logger.warning("skipping %s: %s at %s", path, exc, exc.position)
+        return None
 
 
 def extract_functions(tree: SyntaxTree) -> list[FunctionUnit]:
@@ -1335,7 +1340,7 @@ def extract_functions(tree: SyntaxTree) -> list[FunctionUnit]:
     ``<enclosing>$lambdaN`` numbered per enclosing function.
     """
     units = []
-    _visit_units(tree.root, [], None, {"n": 0}, units, tree.path)
+    _visit_units(tree.root, [], None, {"n": 0}, units)
     units.sort(key=lambda u: u.span)
     return units
 
@@ -1356,31 +1361,31 @@ def _method_signature(node):
     return f"{name}({','.join(types)})"
 
 
-def _visit_units(node, containers, enclosing, lambda_counter, units, path):
+def _visit_units(node, containers, enclosing, lambda_counter, units):
     """Append the units under ``node``; not a closure, which would refer to
     itself and so hold the tree in a reference cycle."""
     if node.kind in _TYPE_DECL_KINDS.values():
         name = next((c.label for c in node.children if c.kind == "identifier"), "?")
         containers = containers + [name]
         for child in node.children:
-            _visit_units(child, containers, None, lambda_counter, units, path)
+            _visit_units(child, containers, None, lambda_counter, units)
         return
     if node.kind in ("method_decl", "constructor_decl"):
         qname = ".".join(containers + [_method_signature(node)])
-        units.append(FunctionUnit(qname, (node.start, node.end), node, path))
+        units.append(FunctionUnit(qname, (node.start, node.end), node))
         counter = {"n": 0}
         for child in node.children:
-            _visit_units(child, containers, qname, counter, units, path)
+            _visit_units(child, containers, qname, counter, units)
         return
     if node.kind == "lambda_expr" and enclosing is not None:
         qname = f"{enclosing}$lambda{lambda_counter['n']}"
         lambda_counter["n"] += 1
-        units.append(FunctionUnit(qname, (node.start, node.end), node, path))
+        units.append(FunctionUnit(qname, (node.start, node.end), node))
         for child in node.children:
-            _visit_units(child, containers, qname, lambda_counter, units, path)
+            _visit_units(child, containers, qname, lambda_counter, units)
         return
     for child in node.children:
-        _visit_units(child, containers, enclosing, lambda_counter, units, path)
+        _visit_units(child, containers, enclosing, lambda_counter, units)
 
 
 def callee_segments(callee: SyntaxNode) -> list[str]:

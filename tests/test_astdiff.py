@@ -47,8 +47,8 @@ class C {
 
 
 def _diff(before_src, after_src):
-    before = parse_source(before_src, "java", path="C.java")
-    after = parse_source(after_src, "java", path="C.java")
+    before = parse_source(before_src, "java")
+    after = parse_source(after_src, "java")
     mapping = map_trees(before, after)
     script = edit_script(mapping, before, after)
     return before, after, mapping, script
@@ -272,12 +272,12 @@ def test_diff_at_the_tree_depth_limit():
     terms = MAX_TREE_DEPTH - 6  # the tree of this file is terms + 6 deep
     before_src = "class C { String s() { return " + " + ".join(['"a"'] * terms) + "; } }"
     after_src = before_src.replace('"a"', '"b"', 1)
-    before = parse_source(before_src, "java", path="C.java")
-    after = parse_source(after_src, "java", path="C.java")
+    before = parse_source(before_src, "java")
+    after = parse_source(after_src, "java")
     _, actions, changesets = diff_file_pair(before, after)
     assert [a.kind for a in actions] == ["update"]
     assert [cs.qualified_name for cs in changesets] == ["C.s()"]
-    short = parse_source('class C { String s() { return "a"; } }', "java", path="C.java")
+    short = parse_source('class C { String s() { return "a"; } }', "java")
     _, actions, _ = diff_file_pair(short, before)
     assert max(a.subtree_depth for a in actions) > MAX_TREE_DEPTH - 10
 
@@ -343,8 +343,8 @@ def _random_sources(rng, reorder_and_empty=False):
 def _assert_equals_reference(before_src, after_src):
     """The mapping and the ordered edit script equal the reference
     differ's, and the script turns the before tree into the after tree."""
-    before = parse_source(before_src, "java", path="C.java")
-    after = parse_source(after_src, "java", path="C.java")
+    before = parse_source(before_src, "java")
+    after = parse_source(after_src, "java")
     mapping = map_trees(before, after)
     reference = reference_map_trees(before, after)
     assert mapping.b2a == reference.b2a

@@ -191,7 +191,7 @@ def test_update_from_shared_trees_equals_rebuild(seed):
         parsed = []
 
         def recording(text, path=None):
-            parsed.append((path, text))
+            parsed.append(text)
             return java(text, path)
 
         with mock.patch.dict(syntax._ADAPTERS, {"java": recording}):

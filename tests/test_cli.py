@@ -1,5 +1,7 @@
 import json
 import re
+import subprocess
+from pathlib import Path
 
 import pytest
 
@@ -114,3 +116,32 @@ def test_analyze_unwritable_out_exits_2(history, tmp_path, capsys, monkeypatch,
     assert code == 2
     assert "error:" in capsys.readouterr().err
     assert not out.parent.exists()
+
+
+def test_analyze_skips_a_submodule_and_scores_the_rest(make_repo, tmp_path, capsys):
+    repo = make_repo()
+    # a gitlink names a commit of the submodule's repository, absent from this one
+    for ts, (n, sub) in enumerate([(2, "1"), (3, "2")], start=1):
+        (Path(repo.path) / "A.java").write_text(JAVA.format(n=n))
+        repo._run("git", "add", "A.java")
+        repo._run("git", "update-index", "--add", "--cacheinfo", f"160000,{sub * 40},lib")
+        repo._run("git", "commit", "-q", "-m", f"commit {ts}", ts=1000 * ts)
+    code, out, captured = _analyze(repo, tmp_path, capsys)
+    assert code == 0, captured.err
+    commits = json.loads(out.read_text())["commits"]
+    assert [{f["file"] for f in c["functions"]} for c in commits] == [{"A.java"}] * 2
+
+
+def test_analyze_commit_without_author_exits_2(make_repo, tmp_path, capsys):
+    repo = make_repo()
+    text = JAVA.format(n=2)
+    stream = (f"commit refs/heads/main\nauthor  <> 1700000000 +0000\n"
+              f"committer Core Dev <core@example.com> 1700000000 +0000\n"
+              f"data 4\ninit\nM 100644 inline A.java\n"
+              f"data {len(text.encode())}\n{text}\n")
+    subprocess.run(["git", "-C", repo.path, "fast-import", "--quiet"],
+                   input=stream.encode(), check=True, capture_output=True)
+    code, out, captured = _analyze(repo, tmp_path, capsys)
+    assert code == 2
+    assert "repository error: commit has neither author email nor name" in captured.err
+    assert not out.exists()

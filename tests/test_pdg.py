@@ -223,8 +223,8 @@ def test_deleted_statement_maps_to_next_survivor():
     } }
     """
     after_src = before_src.replace("        two();\n", "")
-    before = parse_source(before_src, "java", path="C.java")
-    after = parse_source(after_src, "java", path="C.java")
+    before = parse_source(before_src, "java")
+    after = parse_source(after_src, "java")
     _, _, changesets = diff_file_pair(before, after)
     cs = next(c for c in changesets if c.function[0] == "C.m()")
     pdg_before = build_pdg(extract_functions(before)[0])
@@ -239,8 +239,8 @@ def test_deleted_statement_maps_to_next_survivor():
 def test_new_function_changed_set_covers_inserted_statement():
     before_src = "class C { void m() { one(); } }"
     after_src = "class C { void m() { one(); extra(); } }"
-    before = parse_source(before_src, "java", path="C.java")
-    after = parse_source(after_src, "java", path="C.java")
+    before = parse_source(before_src, "java")
+    after = parse_source(after_src, "java")
     _, _, changesets = diff_file_pair(before, after)
     cs = changesets[0]
     pdg_before = build_pdg(extract_functions(before)[0])

@@ -397,16 +397,36 @@ def test_parse_stage_counts_and_warns_once_per_blob(make_repo, caplog):
                                "Broken.java": broken + "\n"})
     with caplog.at_level(logging.WARNING, logger="devcontrib"):
         run = analyze_repository(repo.path)
-    # each commit parses two sides of two source files: an added file's
-    # before side is the empty text
-    assert (run.parses, run.parse_errors) == (8, 3)
+    # each commit parses two sides of two source files, except that the
+    # first commit's two added files share one before side, the empty text
+    assert (run.parses, run.parse_errors) == (7, 3)
     report = timing_report(run)
-    assert (report["parses"], report["parse_errors"]) == (8, 3)
+    assert (report["parses"], report["parse_errors"]) == (7, 3)
     assert {"parse", "diff", "graph"} <= set(report["stages"])
     assert "parse_errors" not in json.dumps(run.to_dict(include_timings=True))
     warnings = [r for r in caplog.records if "Broken.java" in r.getMessage()]
     # commit one: the after blob; commit two: the before and the after blob
     assert len(warnings) == 3
+
+
+def test_files_sharing_a_blob_share_its_tree_and_keep_their_paths(make_repo):
+    repo = make_repo()
+    repo.commit("init", 1000, {"a/Service.java": BASE_JAVA, "b/Service.java": BASE_JAVA})
+    repo.commit("edit", 2000, {
+        "a/Service.java": BASE_JAVA.replace("k * 2", "k * 3"),
+        "b/Service.java": BASE_JAVA.replace("k * 2", "k * 3")})
+    run = analyze_repository(repo.path)
+    # one empty before side and one after blob in the first commit, one
+    # before and one after blob in the second
+    assert (run.parses, run.parse_errors) == (4, 0)
+    init, edit = run.commits
+    assert {(r.function, r.file) for r in init.records} == {
+        (pipeline.FILE_SCOPE, "a/Service.java"), (pipeline.FILE_SCOPE, "b/Service.java")}
+    assert sorted((r.function, r.file) for r in edit.records) == [
+        ("Service.transform(int)", "a/Service.java"),
+        ("Service.transform(int)", "b/Service.java")]
+    # each file's functions are call-graph nodes of that file
+    assert edit.records[0].ip == edit.records[1].ip > 0
 
 
 def test_each_tree_yields_its_function_units_once(make_repo, monkeypatch):
@@ -469,7 +489,7 @@ def _long_forked_repo(make_repo):
 
 
 @pytest.mark.parametrize("fail", [False, True], ids=["returns", "raises"])
-def test_run_starts_five_git_processes_and_reaps_them(make_repo, monkeypatch, fail):
+def test_run_starts_four_git_processes_and_reaps_them(make_repo, monkeypatch, fail):
     repo = _long_forked_repo(make_repo)
     started = []
 
@@ -504,7 +524,7 @@ def test_run_starts_five_git_processes_and_reaps_them(make_repo, monkeypatch, fa
     else:
         assert len(analyze_repository(repo.path).commits) == 11
     assert sorted(p.args[3] for p in started) == [
-        "cat-file", "diff-tree", "for-each-ref", "log", "rev-parse"]
+        "cat-file", "diff-tree", "log", "rev-parse"]
     assert all(p.poll() is not None for p in started)
 
 

@@ -39,3 +39,5 @@ def test_every_method_target_resolves():
 def test_parse_span_hooks_exist():
     assert callable(syntax._ADAPTERS["java"])
     assert callable(syntax.register_adapter)
+    # the benchmark's wrapper calls the adapter as ``java(text, path)``
+    assert isinstance(syntax._ADAPTERS["java"]("class A { }", None), syntax.SyntaxTree)

@@ -28,14 +28,14 @@ AFTER = BEFORE.replace("int sum = a + b;", "int sum = a + b + 1;") \
 
 
 def _parse_and_use(steps):
-    before = parse_source(BEFORE, "java", path="C.java")
+    before = parse_source(BEFORE, "java")
     if steps >= 2:
         units = before.functions
         assert units
     if steps >= 3:
-        assert extract_call_sites(before, before.functions)
+        assert extract_call_sites("C.java", before.functions)
     if steps >= 4:
-        after = parse_source(AFTER, "java", path="C.java")
+        after = parse_source(AFTER, "java")
         _, actions, changesets = diff_file_pair(before, after)
         assert actions and changesets
 
