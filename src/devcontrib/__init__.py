@@ -20,7 +20,6 @@ from .callgraph import (
     CallGraph,
     CheckpointStore,
     FunctionId,
-    ImpactScores,
     backward_propagate,
     build_call_graph,
     inter_impact,

@@ -64,14 +64,12 @@ class DeltaWeights:
 class EditAction:
     """One tree edit.
 
-    ``subtree`` is the changed-subtree root on the side the change lives on
-    (after-side for insert/update/move targets, before-side for deletes).
-    ``dst_parent``/``dst_index`` address the after-tree landing slot and are
-    used when replaying a script.
+    The changed subtree's root is ``after_node``, or ``before_node`` for a
+    delete.  ``dst_parent``/``dst_index`` address the after-tree landing
+    slot and are used when replaying a script.
     """
 
     kind: str                      # insert | update | delete | move
-    subtree: SyntaxNode
     subtree_depth: int
     only_name_or_modifier: bool = False
     blacklisted: bool = False
@@ -85,12 +83,8 @@ class EditAction:
 class FunctionChangeSet:
     """All edit actions attributed to one function (or the file scope)."""
 
-    function: tuple[str, str | None]   # (qualified_name, file)
+    function: str                  # qualified name, or FILE_SCOPE
     actions: list[EditAction] = field(default_factory=list)
-
-    @property
-    def qualified_name(self):
-        return self.function[0]
 
 
 class NodeMapping:
@@ -424,7 +418,6 @@ def edit_script(mapping: NodeMapping, before: SyntaxTree, after: SyntaxTree,
             portion, depth = _unmapped_portion(node, mapping.has_before)
             actions.append(EditAction(
                 kind="delete",
-                subtree=node,
                 subtree_depth=depth,
                 only_name_or_modifier=_only_names_or_modifiers(portion, blacklist),
                 blacklisted=_inside_log_statement(node, parent_b, blacklist),
@@ -439,7 +432,6 @@ def edit_script(mapping: NodeMapping, before: SyntaxTree, after: SyntaxTree,
             portion, depth = _unmapped_portion(node, mapping.has_after)
             actions.append(EditAction(
                 kind="insert",
-                subtree=node,
                 subtree_depth=depth,
                 only_name_or_modifier=_only_names_or_modifiers(portion, blacklist),
                 blacklisted=_inside_log_statement(node, parent_a, blacklist),
@@ -456,7 +448,6 @@ def edit_script(mapping: NodeMapping, before: SyntaxTree, after: SyntaxTree,
             cls = classify_node(a, blacklist)
             actions.append(EditAction(
                 kind="update",
-                subtree=a,
                 subtree_depth=1,
                 only_name_or_modifier=a.is_leaf and cls in (
                     NodeCategory.NAME_BEARING, NodeCategory.MODIFIER),
@@ -471,7 +462,6 @@ def edit_script(mapping: NodeMapping, before: SyntaxTree, after: SyntaxTree,
         if cross or (b, a) in order_moved:
             actions.append(EditAction(
                 kind="move",
-                subtree=a,
                 subtree_depth=a.height,
                 only_name_or_modifier=_only_names_or_modifiers(a.walk(), blacklist),
                 blacklisted=_inside_log_statement(a, parent_a, blacklist)
@@ -527,18 +517,17 @@ def _containing_function(units, start, end):
     return best
 
 
-def group_by_function(actions, functions_before, functions_after,
-                      file: str | None = None) -> list[FunctionChangeSet]:
+def group_by_function(actions, functions_before, functions_after) -> list[FunctionChangeSet]:
     """Partition actions by the innermost function containing each change.
 
     A move crossing function boundaries lands in both the source and the
     target changeset.  Actions outside every function are grouped under the
     synthetic file-scope unit.
     """
-    sets: dict[tuple, FunctionChangeSet] = {}
+    sets: dict[str, FunctionChangeSet] = {}
 
     def key_for(unit):
-        return (FILE_SCOPE if unit is None else unit.qualified_name, file)
+        return FILE_SCOPE if unit is None else unit.qualified_name
 
     def put(unit_key, action):
         cs = sets.get(unit_key)
@@ -553,7 +542,7 @@ def group_by_function(actions, functions_before, functions_after,
             targets.append(key_for(_containing_function(functions_before,
                                                         node.start, node.end)))
         elif act.kind in ("insert", "update"):
-            node = act.after_node if act.after_node is not None else act.subtree
+            node = act.after_node
             targets.append(key_for(_containing_function(functions_after,
                                                         node.start, node.end)))
         else:  # move: charge source and target
@@ -568,7 +557,7 @@ def group_by_function(actions, functions_before, functions_after,
         for t in targets:
             put(t, act)
 
-    return [sets[k] for k in sorted(sets, key=lambda k: (k[0], k[1] or ""))]
+    return [sets[k] for k in sorted(sets)]
 
 
 def delta_ast(changeset: FunctionChangeSet, weights: DeltaWeights | None = None) -> float:
@@ -589,16 +578,14 @@ def delta_ast(changeset: FunctionChangeSet, weights: DeltaWeights | None = None)
     return total
 
 
-def diff_file_pair(before: SyntaxTree, after: SyntaxTree, file: str | None = None,
+def diff_file_pair(before: SyntaxTree, after: SyntaxTree,
                    similarity_threshold: float = 0.5,
                    blacklist=DEFAULT_BLACKLIST):
-    """Convenience wrapper: match, script, and group one file pair, whose
-    path ``file`` goes into every changeset's key.
+    """Convenience wrapper: match, script, and group one file pair.
 
     Returns (mapping, actions, changesets).
     """
     mapping = map_trees(before, after, similarity_threshold=similarity_threshold)
     actions = edit_script(mapping, before, after, blacklist=blacklist)
-    changesets = group_by_function(actions, before.functions, after.functions,
-                                   file=file)
+    changesets = group_by_function(actions, before.functions, after.functions)
     return mapping, actions, changesets

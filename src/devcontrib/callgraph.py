@@ -11,10 +11,11 @@ Resolution is heuristic name matching (no type inference): first functions
 in the caller's own file whose qualified name ends with the callee's dotted
 path, then project-wide suffix matches, else a synthetic ``external:`` node.
 
-Each file's entries -- its functions, its call sites and their resolved
-targets -- are tuples that are replaced, never changed in place.  A copy of
-the graph (``CallGraph.copy``, which ``CheckpointStore`` keeps at every
-fork) is therefore new dicts over the same tuples, plus a copy of the
+``CallGraph.files`` holds one ``FileEntry`` per file: its functions, its
+call sites and their resolved targets.  An entry is a tuple that is
+replaced (``_replace``), never changed in place.  A copy of the graph
+(``CallGraph.copy``, which ``CheckpointStore`` keeps at every fork) is
+therefore one new dict over the same entries, plus a copy of the
 simple-name index, which is the one structure updated in place.
 
 Function importance combines two passes: plain PageRank, where a function
@@ -26,7 +27,12 @@ is split equally among its members.  Both passes read one ``Adjacency``
 built in sorted ``FunctionId`` order, so ranks do not depend on the hash
 seed.
 
-Ranks depend only on ``structure()``.  Every graph carries a ``token``,
+``adjacency()`` is the one view that decides which ids are nodes: every
+function and every resolved target.  ``structure()``, ``nodes`` and
+``edges`` are read from it, so what the tests compare is what ranking
+reads.
+
+Ranks depend only on ``adjacency()``.  Every graph carries a ``token``,
 unique to the object, and a ``version`` that ``update``,
 ``reresolve_names`` and ``resolve_all`` bump whenever a file's function
 list or a call site's resolved targets may have changed.  While the pair
@@ -38,7 +44,6 @@ from __future__ import annotations
 
 import itertools
 import logging
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -133,18 +138,29 @@ class Adjacency(NamedTuple):
     dst: np.ndarray
 
 
+class FileEntry(NamedTuple):
+    """One file's share of the graph: its functions, the call sites in
+    their bodies and each site's resolved targets, ``()`` until the file
+    is resolved."""
+
+    functions: tuple[FunctionId, ...]
+    sites: tuple[CallSite, ...]
+    targets: tuple[tuple[FunctionId, ...], ...] = ()
+
+
+_NO_FILE = FileEntry((), ())
+
+
 class CallGraph:
     """Directed caller -> callee graph with per-file ownership.
 
     ``(token, version)`` changes whenever ``structure()`` may have changed;
-    see the module doc.  The per-file values are immutable tuples: replace
-    them, never change them, since copies of the graph share them.
+    see the module doc.  ``files`` entries are immutable: replace them,
+    never change them, since copies of the graph share them.
     """
 
     def __init__(self):
-        self.functions_by_file: dict[str, tuple[FunctionId, ...]] = {}
-        self.call_sites: dict[str, tuple[CallSite, ...]] = {}
-        self.resolutions: dict[str, tuple[tuple[FunctionId, ...], ...]] = {}
+        self.files: dict[str, FileEntry] = {}
         self._simple_index: dict[str, set[FunctionId]] = {}
         self.token = next(_graph_tokens)
         self.version = 0
@@ -163,20 +179,22 @@ class CallGraph:
             if not bucket:
                 del self._simple_index[simple]
 
-    def _add_file(self, path: str, tree: SyntaxTree):
+    def _add_file(self, path: str, tree: SyntaxTree) -> tuple[FunctionId, ...]:
+        """Add ``path``'s unresolved entry; returns its functions."""
         units = tree.functions
-        named = [u for u in units if "$lambda" not in u.qualified_name]
-        fids = tuple(FunctionId(u.qualified_name, path) for u in named)
-        self.functions_by_file[path] = fids
+        fids = tuple(FunctionId(u.qualified_name, path) for u in units
+                     if "$lambda" not in u.qualified_name)
+        self.files[path] = FileEntry(fids, extract_call_sites(path, units))
         for fid in fids:
             self._index_add(fid)
-        self.call_sites[path] = extract_call_sites(path, units)
+        return fids
 
-    def _remove_file(self, path: str):
-        for fid in self.functions_by_file.pop(path, ()):
+    def _remove_file(self, path: str) -> tuple[FunctionId, ...]:
+        """Drop ``path``'s entry; returns the functions it held."""
+        fids = self.files.pop(path, _NO_FILE).functions
+        for fid in fids:
             self._index_remove(fid)
-        self.call_sites.pop(path, None)
-        self.resolutions.pop(path, None)
+        return fids
 
     # -- resolution ------------------------------------------------------------
 
@@ -192,7 +210,7 @@ class CallGraph:
         return sorted(out)
 
     def _resolve_site(self, site: CallSite) -> tuple[FunctionId, ...]:
-        local = [fid for fid in self.functions_by_file.get(site.caller.file, ())
+        local = [fid for fid in self.files[site.caller.file].functions
                  if _simple_name(fid.name) == site.simple]
         matches = self._suffix_matches(local, site.dotted)
         if not matches:
@@ -203,87 +221,76 @@ class CallGraph:
         return tuple(matches)
 
     def resolve_file(self, path: str):
-        self.resolutions[path] = tuple(self._resolve_site(s)
-                                       for s in self.call_sites.get(path, ()))
+        entry = self.files[path]
+        self.files[path] = entry._replace(
+            targets=tuple(self._resolve_site(s) for s in entry.sites))
 
     def resolve_all(self):
-        self.resolutions = {}
-        for path in self.call_sites:
+        for path in self.files:
             self.resolve_file(path)
         self.version += 1
 
     def reresolve_names(self, names: set[str], skip_files: set[str]):
         """Re-resolve sites outside ``skip_files`` whose callee simple name
         gained or lost a definition; every file outside ``skip_files`` must
-        already be resolved.  A file whose targets change gets a new
-        resolution tuple and bumps ``version``."""
+        already be resolved.  A file whose targets change gets a new entry
+        and bumps ``version``."""
         if not names:
             return
-        for path, sites in self.call_sites.items():
+        for path, entry in self.files.items():
             if path in skip_files:
                 continue
-            res = self.resolutions[path]
             changed = {}
-            for i, site in enumerate(sites):
+            for i, site in enumerate(entry.sites):
                 if site.simple in names:
                     targets = self._resolve_site(site)
-                    if targets != res[i]:
+                    if targets != entry.targets[i]:
                         changed[i] = targets
             if changed:
-                self.resolutions[path] = tuple(changed.get(i, targets)
-                                               for i, targets in enumerate(res))
+                self.files[path] = entry._replace(targets=tuple(
+                    changed.get(i, targets) for i, targets in enumerate(entry.targets)))
                 self.version += 1
 
     # -- views -------------------------------------------------------------------
 
-    @property
-    def nodes(self) -> set[FunctionId]:
-        out = set()
-        for fids in self.functions_by_file.values():
-            out.update(fids)
-        for res in self.resolutions.values():
-            for targets in res:
-                for t in targets:
-                    if t.external:
-                        out.add(t)
-        return out
-
-    def _resolved_sites(self):
-        for path, res in self.resolutions.items():
-            yield from zip(self.call_sites.get(path, ()), res)
-
-    @property
-    def edges(self) -> set[tuple[FunctionId, FunctionId]]:
-        return {(site.caller, t) for site, targets in self._resolved_sites()
-                for t in targets}
-
     def adjacency(self) -> Adjacency:
+        """The graph ranking reads: every function and every resolved
+        target is a node, every distinct (caller, target) pair an edge."""
         nodes = set()
-        for fids in self.functions_by_file.values():
-            nodes.update(fids)
-        for site, targets in self._resolved_sites():
-            nodes.add(site.caller)
-            nodes.update(targets)
+        for entry in self.files.values():
+            nodes.update(entry.functions)
+            for targets in entry.targets:
+                nodes.update(targets)
         ids = sorted(nodes)
         index = {fid: i for i, fid in enumerate(ids)}
         n = len(ids)
         codes = {index[site.caller] * n + index[t]
-                 for site, targets in self._resolved_sites() for t in targets}
+                 for entry in self.files.values()
+                 for site, targets in zip(entry.sites, entry.targets)
+                 for t in targets}
         codes = np.sort(np.fromiter(codes, dtype=np.int64, count=len(codes)))
         return Adjacency(ids, codes // n, codes % n)
 
     def structure(self):
-        """Canonical (nodes, edges) pair for structural comparison."""
-        return (tuple(sorted(self.nodes)), tuple(sorted(self.edges)))
+        """Canonical (nodes, edges) pair of ``adjacency()``, both sorted."""
+        ids, src, dst = self.adjacency()
+        return (tuple(ids),
+                tuple((ids[a], ids[b]) for a, b in zip(src.tolist(), dst.tolist())))
+
+    @property
+    def nodes(self) -> set[FunctionId]:
+        return set(self.structure()[0])
+
+    @property
+    def edges(self) -> set[tuple[FunctionId, FunctionId]]:
+        return set(self.structure()[1])
 
     def copy(self) -> "CallGraph":
         """A graph with the same structure and a fresh ``token``, sharing
-        this one's per-file tuples; later updates to either leave the
-        other as it was."""
+        this one's file entries; later updates to either leave the other
+        as it was."""
         graph = CallGraph()
-        graph.functions_by_file = dict(self.functions_by_file)
-        graph.call_sites = dict(self.call_sites)
-        graph.resolutions = dict(self.resolutions)
+        graph.files = dict(self.files)
         graph._simple_index = {name: set(fids)
                                for name, fids in self._simple_index.items()}
         return graph
@@ -292,9 +299,9 @@ class CallGraph:
 
     def _file_shape(self, path: str):
         """What ``path`` adds to ``structure()``: its nodes and its edges."""
-        return (self.functions_by_file.get(path, ()),
-                tuple(site.caller for site in self.call_sites.get(path, ())),
-                self.resolutions.get(path, ()))
+        entry = self.files.get(path, _NO_FILE)
+        return (entry.functions, tuple(site.caller for site in entry.sites),
+                entry.targets)
 
     def update(self, changes, trees: SourceTrees) -> "CallGraph":
         """Apply one commit's file changes; result equals a full rebuild.
@@ -303,18 +310,20 @@ class CallGraph:
         ``trees`` holds the after-side tree of every such change that is
         not a deletion, keyed by ``after_blob``.  A file whose text
         failed to parse loses its prior nodes and has none until a later
-        change brings text that parses.  ``version`` is bumped when a
-        touched file's shape changes or a re-resolved site changes targets.
+        change brings text that parses.
+
+        Every path a change names (a rename's old path too) loses its
+        entry and records its shape first; the re-added ones are resolved
+        afresh, and sites elsewhere whose callee name gained or lost a
+        definition are re-resolved.  ``version`` is bumped when one of
+        those paths' shape changed or a re-resolved site changed targets.
         """
         affected: set[str] = set()
-        touched_files: set[str] = set()
         shapes_before: dict[str, tuple] = {}
 
         def forget(path):
             shapes_before.setdefault(path, self._file_shape(path))
-            affected.update(_simple_name(fid.name)
-                            for fid in self.functions_by_file.get(path, ()))
-            self._remove_file(path)
+            affected.update(_simple_name(fid.name) for fid in self._remove_file(path))
 
         for change in changes:
             if change.kind == "renamed" and change.old_path \
@@ -323,30 +332,27 @@ class CallGraph:
             if language_for_path(change.path) is None:
                 continue
             forget(change.path)
-            touched_files.add(change.path)
             if change.kind == "deleted" or change.after_content is None:
                 continue
             tree = trees.get(change.after_blob)
             if tree is None:
                 continue
-            self._add_file(change.path, tree)
             affected.update(_simple_name(fid.name)
-                            for fid in self.functions_by_file[change.path])
+                            for fid in self._add_file(change.path, tree))
 
-        for path in touched_files:
-            if path in self.call_sites:
+        for path in shapes_before:
+            if path in self.files:
                 self.resolve_file(path)
-        self.reresolve_names(affected, skip_files=touched_files)
+        self.reresolve_names(affected, skip_files=shapes_before.keys())
         if any(self._file_shape(path) != shape for path, shape in shapes_before.items()):
             self.version += 1
         return self
 
 
-def build_call_graph(files) -> CallGraph:
-    """Full build from {path: source_text} (or (path, text) pairs)."""
+def build_call_graph(files: dict[str, str | None]) -> CallGraph:
+    """Full build from {path: source_text}."""
     graph = CallGraph()
-    items = files.items() if hasattr(files, "items") else files
-    for path, text in sorted(items):
+    for path, text in sorted(files.items()):
         if language_for_path(path) is None or text is None:
             continue
         tree = parse_file(path, text)
@@ -364,8 +370,8 @@ class CheckpointStore:
     """Keeps frozen graph states in memory, keyed by commit id.
 
     Each checkpoint and each restore is a ``CallGraph.copy``, so they share
-    the per-file tuples with the graph they came from and cost one dict
-    entry per file.  Every restore is a new graph with a fresh ``token``.
+    the ``FileEntry`` objects of the graph they came from and cost one dict
+    slot per file.  Every restore is a new graph with a fresh ``token``.
     """
 
     def __init__(self):
@@ -394,13 +400,6 @@ class CheckpointStore:
 # ---------------------------------------------------------------------------
 # importance scores
 # ---------------------------------------------------------------------------
-
-@dataclass
-class ImpactScores:
-    map_pr: dict[FunctionId, float] = field(default_factory=dict)
-    map_tmp: dict[FunctionId, float] = field(default_factory=dict)
-    map_out: dict[FunctionId, float] = field(default_factory=dict)
-
 
 def pagerank(adjacency: Adjacency, damping: float = 0.85, tol: float = 1e-8,
              max_iter: int = 200) -> dict[FunctionId, float]:
@@ -483,16 +482,16 @@ def _tarjan_scc(callees: list[list[int]]) -> list[list[int]]:
     return components
 
 
-def backward_propagate(adjacency: Adjacency, map_pr: dict[FunctionId, float],
-                       decay: float = 0.5) -> ImpactScores:
+def backward_propagate(adjacency: Adjacency, ranks: dict[FunctionId, float],
+                       decay: float = 0.5) -> dict[FunctionId, float]:
     """Backward weight propagation with decay over the call graph.
 
     Leaves keep their own rank as propagated mass; every other function
     accumulates decayed mass from its callees, so rank concentrated in
     deep utility leaves flows back toward the middle of the call chain.
     Cycles are condensed; a component's mass is split equally among its
-    members, and the final score of every function is its rank plus the
-    propagated mass.
+    members.  Returns every function's score: its rank plus the propagated
+    mass.
     """
     ids, src, dst = adjacency
     bounds = np.searchsorted(src, np.arange(len(ids) + 1)).tolist()
@@ -517,20 +516,16 @@ def backward_propagate(adjacency: Adjacency, map_pr: dict[FunctionId, float],
         if children:
             comp_tmp.append(sum(comp_tmp[child] * decay for child in sorted(children)))
         else:
-            comp_tmp.append(sum(map_pr.get(ids[node], 0.0) for node in comp))
+            comp_tmp.append(sum(ranks.get(ids[node], 0.0) for node in comp))
 
-    scores = ImpactScores()
+    scores = {}
     for comp, tmp in zip(components, comp_tmp):
         share = tmp / len(comp)
         for node in comp:
-            fid = ids[node]
-            pr = map_pr.get(fid, 0.0)
-            scores.map_pr[fid] = pr
-            scores.map_tmp[fid] = share
-            scores.map_out[fid] = pr + share
+            scores[ids[node]] = ranks.get(ids[node], 0.0) + share
     return scores
 
 
-def inter_impact(scores: ImpactScores, function: FunctionId) -> float:
+def inter_impact(scores: dict[FunctionId, float], function: FunctionId) -> float:
     """Raw inter-function impact; 0 for functions absent from the graph."""
-    return scores.map_out.get(function, 0.0)
+    return scores.get(function, 0.0)

@@ -457,8 +457,7 @@ def changed_pdg_nodes(pdg_before: FunctionPDG | None, pdg_after: FunctionPDG,
     delete_spans = []
     for act in changeset.actions:
         if act.kind in ("insert", "update"):
-            node = act.after_node if act.after_node is not None else act.subtree
-            after_spans.append((node.start, node.end))
+            after_spans.append((act.after_node.start, act.after_node.end))
         elif act.kind == "move":
             if act.after_node is not None:
                 after_spans.append((act.after_node.start, act.after_node.end))

@@ -48,7 +48,6 @@ from .callgraph import (
     CallGraph,
     CheckpointStore,
     FunctionId,
-    ImpactScores,
     backward_propagate,
     inter_impact,
     pagerank,
@@ -197,9 +196,8 @@ class PipelineState:
     graph: CallGraph = field(default_factory=CallGraph)
     weights: DeltaWeights = field(default_factory=DeltaWeights)
     timings: dict[str, float] = field(default_factory=dict)
-    # last impact scores (only what inter_impact reads) and the graph's
-    # (token, version) they were ranked at
-    impact: ImpactScores | None = None
+    # last impact scores and the graph's (token, version) they were ranked at
+    impact: dict[FunctionId, float] | None = None
     impact_key: tuple[int, int] | None = None
     rank_computations: int = 0
     rank_reuses: int = 0
@@ -222,7 +220,7 @@ def parse_changes(changes) -> SourceTrees:
     return trees
 
 
-def current_impact(state: PipelineState) -> ImpactScores:
+def current_impact(state: PipelineState) -> dict[FunctionId, float]:
     """Impact scores of ``state.graph``, ranked again only when the graph's
     ``(token, version)`` differs from the last ranking's."""
     key = (state.graph.token, state.graph.version)
@@ -233,8 +231,7 @@ def current_impact(state: PipelineState) -> ImpactScores:
     adjacency = state.graph.adjacency()
     ranks = pagerank(adjacency, damping=cfg.graph_damping, tol=cfg.graph_tol,
                      max_iter=cfg.graph_max_iter)
-    scores = backward_propagate(adjacency, ranks, decay=cfg.graph_decay)
-    state.impact = ImpactScores(map_out=scores.map_out)
+    state.impact = backward_propagate(adjacency, ranks, decay=cfg.graph_decay)
     state.impact_key = key
     state.rank_computations += 1
     return state.impact
@@ -274,8 +271,7 @@ def analyze_commit(commit: CommitRecord, state: PipelineState) -> CommitResult:
         if before is None or after is None:
             continue
         _, actions, changesets = diff_file_pair(
-            before, after, change.path,
-            similarity_threshold=cfg.diff_similarity_threshold,
+            before, after, similarity_threshold=cfg.diff_similarity_threshold,
             blacklist=cfg.blacklist_patterns)
         if changesets:
             per_file.append((change, before, after, changesets))
@@ -297,10 +293,10 @@ def analyze_commit(commit: CommitRecord, state: PipelineState) -> CommitResult:
         before_units = {u.qualified_name: u for u in before.functions}
         after_units = {u.qualified_name: u for u in after.functions}
         for cs in changesets:
-            qname, file = cs.function
+            qname = cs.function
             delta = delta_ast(cs, state.weights)
             record = FunctionRecord(commit_id=commit.id, function=qname,
-                                    file=file, delta_ast=delta)
+                                    file=change.path, delta_ast=delta)
             if qname == FILE_SCOPE:
                 record.is_function = False
                 result.records.append(record)

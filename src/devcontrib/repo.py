@@ -32,7 +32,8 @@ from .config import DEFAULT_BOT_PATTERNS
 from .errors import CorruptHistory, MissingAuthor, MissingBlob, NotARepository
 
 _NULL_SHA = "0" * 40
-_GITLINK = "160000"  # the mode of a submodule entry
+# modes whose object is no source text: a submodule's commit, a symlink's target
+_NO_BLOB_MODES = ("160000", "120000")
 
 
 @dataclass(frozen=True)
@@ -285,8 +286,9 @@ def _diff_index(tree: VersionTree) -> dict[str, list[FileChange]]:
     # records: ":<modes> <shas> <status>" NUL <path> NUL, with a second
     # path for renames and copies; the output ends with a NUL.  Paths are
     # taken by position, so a path that looks like a commit id stays a path.
-    # A submodule side names a commit of another repository, not a blob, so
-    # it carries none; a record with no blob on either side is dropped.
+    # A submodule side names a commit of another repository and a symlink
+    # side's blob holds the link's target path, so neither carries a blob; a
+    # record with no blob on either side is dropped.
     fields = iter(raw.split(b"\0")[:-1])
     for head in fields:
         if not head.startswith(b":"):
@@ -305,9 +307,9 @@ def _diff_index(tree: VersionTree) -> dict[str, list[FileChange]]:
             continue
         old_path = paths[0] if n_paths == 2 else None
         change = FileChange(path=paths[-1], kind=kind, old_path=old_path)
-        if sha_before != _NULL_SHA and kind != "added" and mode_before != _GITLINK:
+        if sha_before != _NULL_SHA and kind != "added" and mode_before not in _NO_BLOB_MODES:
             change.before_blob = sha_before
-        if sha_after != _NULL_SHA and kind != "deleted" and mode_after != _GITLINK:
+        if sha_after != _NULL_SHA and kind != "deleted" and mode_after not in _NO_BLOB_MODES:
             change.after_blob = sha_after
         if change.before_blob or change.after_blob:
             changes.append(change)

@@ -379,7 +379,6 @@ def reference_edit_script(mapping, before: SyntaxTree, after: SyntaxTree,
             portion = _unmapped_portion_nodes(node, mapping.has_before)
             actions.append(EditAction(
                 kind="delete",
-                subtree=node,
                 subtree_depth=_unmapped_height(node, mapping.has_before),
                 only_name_or_modifier=_only_names_or_modifiers(portion, blacklist),
                 blacklisted=_inside_log_statement(node, parent_b, blacklist),
@@ -393,7 +392,6 @@ def reference_edit_script(mapping, before: SyntaxTree, after: SyntaxTree,
             portion = _unmapped_portion_nodes(node, mapping.has_after)
             actions.append(EditAction(
                 kind="insert",
-                subtree=node,
                 subtree_depth=_unmapped_height(node, mapping.has_after),
                 only_name_or_modifier=_only_names_or_modifiers(portion, blacklist),
                 blacklisted=_inside_log_statement(node, parent_a, blacklist),
@@ -408,7 +406,6 @@ def reference_edit_script(mapping, before: SyntaxTree, after: SyntaxTree,
             cls = classify_node(a, blacklist)
             actions.append(EditAction(
                 kind="update",
-                subtree=a,
                 subtree_depth=1,
                 only_name_or_modifier=a.is_leaf and cls in (
                     NodeCategory.NAME_BEARING, NodeCategory.MODIFIER),
@@ -426,7 +423,6 @@ def reference_edit_script(mapping, before: SyntaxTree, after: SyntaxTree,
             portion = list(a.walk())
             actions.append(EditAction(
                 kind="move",
-                subtree=a,
                 subtree_depth=a.height,
                 only_name_or_modifier=_only_names_or_modifiers(portion, blacklist),
                 blacklisted=_inside_log_statement(a, parent_a, blacklist)

@@ -71,7 +71,7 @@ def test_rename_maps_everything_as_update():
     before, after, mapping, script = _diff(BASE, BASE.replace("sum", "total"))
     assert len(mapping) == sum(1 for _ in before.root.walk())
     assert {a.kind for a in script} == {"update"}
-    assert all(a.subtree.kind == "identifier" for a in script)
+    assert all(a.after_node.kind == "identifier" for a in script)
     assert all(a.only_name_or_modifier for a in script)
     assert all(a.subtree_depth == 1 for a in script)
     assert apply_edit_script(before, after, mapping, script)
@@ -91,7 +91,7 @@ def test_new_function_single_insert_with_subtree_depth():
     assert len(inserts) == 1
     method = next(u for u in extract_functions(after)
                   if u.qualified_name == "C.mul(int,int)")
-    assert inserts[0].subtree is method.body
+    assert inserts[0].after_node is method.body
     assert inserts[0].subtree_depth == method.body.height
     assert not inserts[0].only_name_or_modifier
     assert apply_edit_script(before, after, mapping, script)
@@ -105,8 +105,8 @@ def test_statement_move_attributed_to_both_functions():
     moves = [a for a in script if a.kind == "move"]
     assert len(moves) == 1
     changesets = group_by_function(script, extract_functions(before),
-                                   extract_functions(after), file="C.java")
-    holders = {cs.function[0] for cs in changesets
+                                   extract_functions(after))
+    holders = {cs.function for cs in changesets
                if any(a.kind == "move" for a in cs.actions)}
     assert holders == {"C.add(int,int)", "C.run(int)"}
     assert apply_edit_script(before, after, mapping, script)
@@ -143,7 +143,7 @@ def test_log_statement_insert_is_blacklisted_and_scores_zero():
     assert script[0].kind == "insert"
     assert script[0].blacklisted
     changesets = group_by_function(script, extract_functions(before),
-                                   extract_functions(after), file="C.java")
+                                   extract_functions(after))
     assert delta_ast(changesets[0]) == 0.0
 
 
@@ -160,8 +160,8 @@ def test_group_by_function_partition_preserves_actions():
     edited = edited.replace("prepare(n);", "prepare(n + 2);")
     before, after, mapping, script = _diff(BASE, edited)
     changesets = group_by_function(script, extract_functions(before),
-                                   extract_functions(after), file="C.java")
-    assert {cs.function[0] for cs in changesets} == {"C.add(int,int)", "C.run(int)"}
+                                   extract_functions(after))
+    assert {cs.function for cs in changesets} == {"C.add(int,int)", "C.run(int)"}
     assert sum(len(cs.actions) for cs in changesets) == len(script)
 
 
@@ -170,8 +170,8 @@ def test_import_edit_goes_to_file_scope():
     after_src = "import java.util.Map;\n" + BASE
     before, after, mapping, script = _diff(before_src, after_src)
     changesets = group_by_function(script, extract_functions(before),
-                                   extract_functions(after), file="C.java")
-    assert [cs.function[0] for cs in changesets] == [FILE_SCOPE]
+                                   extract_functions(after))
+    assert [cs.function for cs in changesets] == [FILE_SCOPE]
 
 
 # ---------------------------------------------------------------------------
@@ -179,21 +179,21 @@ def test_import_edit_goes_to_file_scope():
 # ---------------------------------------------------------------------------
 
 def _action(kind, depth, name_only=False, blacklisted=False):
-    return EditAction(kind=kind, subtree=SyntaxNode("x"), subtree_depth=depth,
+    return EditAction(kind=kind, subtree_depth=depth,
                       only_name_or_modifier=name_only, blacklisted=blacklisted)
 
 
 def test_delta_empty_changeset_zero():
-    assert delta_ast(FunctionChangeSet(("m", "f"), [])) == 0.0
+    assert delta_ast(FunctionChangeSet("m", [])) == 0.0
 
 
 def test_delta_single_insert_depth_four():
-    cs = FunctionChangeSet(("m", "f"), [_action("insert", 4)])
+    cs = FunctionChangeSet("m", [_action("insert", 4)])
     assert delta_ast(cs) == 4.0
 
 
 def test_delta_mixed_example():
-    cs = FunctionChangeSet(("m", "f"), [
+    cs = FunctionChangeSet("m", [
         _action("delete", 3), _action("move", 2), _action("update", 1, name_only=True),
     ])
     assert delta_ast(cs) == pytest.approx(0.24, abs=1e-12)
@@ -206,18 +206,18 @@ def test_delta_additive_over_disjoint_changesets():
                  bool(rng.rand() < .3), bool(rng.rand() < .2)) for _ in range(20)]
     b = [_action(kinds[rng.randint(4)], int(rng.randint(1, 9)),
                  bool(rng.rand() < .3), bool(rng.rand() < .2)) for _ in range(15)]
-    da = delta_ast(FunctionChangeSet(("m", "f"), a))
-    db = delta_ast(FunctionChangeSet(("m", "f"), b))
-    dab = delta_ast(FunctionChangeSet(("m", "f"), a + b))
+    da = delta_ast(FunctionChangeSet("m", a))
+    db = delta_ast(FunctionChangeSet("m", b))
+    dab = delta_ast(FunctionChangeSet("m", a + b))
     assert dab == pytest.approx(da + db, rel=1e-12)
 
 
 def test_delta_kind_ordering_for_fixed_subtree():
     w = DeltaWeights()
     for depth in (1, 3, 7):
-        d = delta_ast(FunctionChangeSet(("m", "f"), [_action("delete", depth)]), w)
-        m = delta_ast(FunctionChangeSet(("m", "f"), [_action("move", depth)]), w)
-        i = delta_ast(FunctionChangeSet(("m", "f"), [_action("insert", depth)]), w)
+        d = delta_ast(FunctionChangeSet("m", [_action("delete", depth)]), w)
+        m = delta_ast(FunctionChangeSet("m", [_action("move", depth)]), w)
+        i = delta_ast(FunctionChangeSet("m", [_action("insert", depth)]), w)
         assert d <= m <= i
         assert d == pytest.approx(0.01 * i, rel=1e-12)
         assert m == pytest.approx(0.1 * i, rel=1e-12)
@@ -228,7 +228,7 @@ def test_delta_homogeneous_in_weights():
     kinds = ["insert", "update", "delete", "move"]
     actions = [_action(kinds[rng.randint(4)], int(rng.randint(1, 9)),
                        bool(rng.rand() < .3)) for _ in range(30)]
-    cs = FunctionChangeSet(("m", "f"), actions)
+    cs = FunctionChangeSet("m", actions)
     base = DeltaWeights()
     for c in (0.5, 2.0, 10.0):
         scaled = DeltaWeights(add=base.add * c, update=base.update * c,
@@ -248,8 +248,8 @@ def test_rename_update_uses_name_factor_exactly():
         "class C { void m() { int alpha = 2; } }")
     assert [a.kind for a in rename_script] == ["update"]
     assert [a.kind for a in literal_script] == ["update"]
-    cs_rename = FunctionChangeSet(("m", "f"), rename_script)
-    cs_literal = FunctionChangeSet(("m", "f"), literal_script)
+    cs_rename = FunctionChangeSet("m", rename_script)
+    cs_literal = FunctionChangeSet("m", literal_script)
     assert delta_ast(cs_rename) == pytest.approx(0.01 * delta_ast(cs_literal),
                                                  rel=1e-12)
 
@@ -276,7 +276,7 @@ def test_diff_at_the_tree_depth_limit():
     after = parse_source(after_src, "java")
     _, actions, changesets = diff_file_pair(before, after)
     assert [a.kind for a in actions] == ["update"]
-    assert [cs.qualified_name for cs in changesets] == ["C.s()"]
+    assert [cs.function for cs in changesets] == ["C.s()"]
     short = parse_source('class C { String s() { return "a"; } }', "java")
     _, actions, _ = diff_file_pair(short, before)
     assert max(a.subtree_depth for a in actions) > MAX_TREE_DEPTH - 10
@@ -371,7 +371,7 @@ def test_method_swap_is_one_order_move():
     methods = [["a = a + b;", "return;"], ["b = compute(a, b);"], ["int a = 1;"]]
     script = _assert_equals_reference(_random_program(methods),
                                       _random_program(methods, [1, 0, 2]))
-    assert [(a.kind, a.subtree.kind) for a in script] == [("move", "method_decl")]
+    assert [(a.kind, a.after_node.kind) for a in script] == [("move", "method_decl")]
 
 
 @pytest.mark.parametrize("side", ["before", "after"])

@@ -108,7 +108,7 @@ def test_parse_error_removes_nodes_until_fixed():
     g = build_call_graph(files)
     _update(g, [_change(path="A.java", kind="modified",
                          before_content=files["A.java"], after_content=broken)])
-    assert g.functions_by_file.get("A.java", ()) == ()
+    assert "A.java" not in g.files
     fixed = "class A { void f() { g(); } void g() { } }"
     _update(g, [_change(path="A.java", kind="modified",
                          before_content=broken, after_content=fixed)])
@@ -224,7 +224,7 @@ def test_version_tracks_structure_and_reused_ranks_equal_fresh(seed):
         if state.graph.structure() != structure:
             assert state.graph.version != version
         impact = current_impact(state)
-        assert impact.map_out == _fresh_impact(snapshot, cfg).map_out
+        assert impact == _fresh_impact(snapshot, cfg)
     assert state.rank_computations + state.rank_reuses == 12
 
 
@@ -238,7 +238,7 @@ def test_restored_sibling_is_ranked_afresh():
     state = PipelineState(tree=None, config=cfg, graph=store.restore("side"))
     current_impact(state)
     state.graph = store.restore("main")  # same version as the sibling's graph
-    assert current_impact(state).map_out == _fresh_impact(main, cfg).map_out
+    assert current_impact(state) == _fresh_impact(main, cfg)
     assert (state.rank_computations, state.rank_reuses) == (2, 0)
 
 
@@ -284,6 +284,23 @@ def test_checkpoint_isolates_later_edits():
     restored = store.restore("fork")
     assert restored.structure() == build_call_graph(files).structure()
     assert restored.structure() != g.structure()
+
+
+def test_checkpoints_share_file_entries():
+    files = {"A.java": "class A { void f() { g(); } void g() { } }",
+             "B.java": "class B { void h() { f(); } }"}
+    g = build_call_graph(files)
+    store = CheckpointStore()
+    store.checkpoint(g, "fork")
+    restored = store.restore("fork")
+    assert restored.files.keys() == g.files.keys()
+    assert all(restored.files[path] is entry for path, entry in g.files.items())
+    kept = dict(restored.files)
+    _update(g, [_change(path="B.java", kind="modified", before_content=files["B.java"],
+                         after_content="class B { void h() { f(); f(); } }")])
+    assert [path for path in g.files if g.files[path] is not kept[path]] == ["B.java"]
+    assert all(restored.files[path] is entry for path, entry in kept.items())
+    assert all(store.restore("fork").files[path] is entry for path, entry in kept.items())
 
 
 def test_nested_fork_checkpoints():
@@ -465,8 +482,8 @@ def test_propagation_single_node_doubles():
     pr = pagerank(g.adjacency())
     scores = backward_propagate(g.adjacency(), pr, decay=0.5)
     fid = next(iter(pr))
-    assert scores.map_tmp[fid] == pytest.approx(pr[fid])
-    assert scores.map_out[fid] == pytest.approx(2 * pr[fid])
+    assert scores[fid] - pr[fid] == pytest.approx(pr[fid])
+    assert scores[fid] == pytest.approx(2 * pr[fid])
 
 
 def test_propagation_chain_identity():
@@ -475,9 +492,9 @@ def test_propagation_chain_identity():
     scores = backward_propagate(g.adjacency(), pr, decay=0.5)
     name = {fid.name.split(".")[-1]: fid for fid in pr}
     a, b, c = name["f0()"], name["f1()"], name["f2()"]
-    assert scores.map_out[c] == pytest.approx(2 * pr[c], rel=1e-12)
-    assert scores.map_out[b] == pytest.approx(pr[b] + 0.5 * pr[c], rel=1e-12)
-    assert scores.map_out[a] == pytest.approx(pr[a] + 0.25 * pr[c], rel=1e-12)
+    assert scores[c] == pytest.approx(2 * pr[c], rel=1e-12)
+    assert scores[b] == pytest.approx(pr[b] + 0.5 * pr[c], rel=1e-12)
+    assert scores[a] == pytest.approx(pr[a] + 0.25 * pr[c], rel=1e-12)
 
 
 def test_propagation_matches_bruteforce_on_random_dags():
@@ -499,8 +516,8 @@ def test_propagation_matches_bruteforce_on_random_dags():
         oracle = _brute_force_tmp(adj, pr_by_idx, decay)
         for i in range(n):
             fid = index[f"S.f{i}()"]
-            assert abs(scores.map_tmp[fid] - oracle[i]) < 1e-9
-            assert abs(scores.map_out[fid] - (pr[fid] + oracle[i])) < 1e-9
+            assert abs(scores[fid] - pr[fid] - oracle[i]) < 1e-9
+            assert abs(scores[fid] - (pr[fid] + oracle[i])) < 1e-9
 
 
 def test_propagation_two_cycle_with_leaf_splits_mass():
@@ -509,8 +526,8 @@ def test_propagation_two_cycle_with_leaf_splits_mass():
     scores = backward_propagate(g.adjacency(), pr, decay=0.5)
     name = {fid.name.split(".")[-1]: fid for fid in pr}
     leaf_mass = pr[name["f2()"]]
-    assert scores.map_tmp[name["f0()"]] == pytest.approx(0.5 * leaf_mass / 2, rel=1e-12)
-    assert scores.map_tmp[name["f1()"]] == pytest.approx(0.5 * leaf_mass / 2, rel=1e-12)
+    for f in (name["f0()"], name["f1()"]):
+        assert scores[f] - pr[f] == pytest.approx(0.5 * leaf_mass / 2, rel=1e-12)
 
 
 def test_propagation_invariants_on_cyclic_graphs():
@@ -521,10 +538,9 @@ def test_propagation_invariants_on_cyclic_graphs():
         g = _graph_from_edges(n, edges)
         pr = pagerank(g.adjacency())
         scores = backward_propagate(g.adjacency(), pr, decay=0.5)
+        assert set(scores) == g.nodes
         for fid in g.nodes:
-            assert scores.map_tmp[fid] >= 0
-            assert scores.map_out[fid] == pytest.approx(
-                scores.map_pr[fid] + scores.map_tmp[fid], rel=1e-12)
+            assert scores[fid] - pr[fid] >= 0
 
 
 def test_decay_zero_keeps_only_leaf_mass():
@@ -532,9 +548,10 @@ def test_decay_zero_keeps_only_leaf_mass():
     pr = pagerank(g.adjacency())
     scores = backward_propagate(g.adjacency(), pr, decay=0.0)
     name = {fid.name.split(".")[-1]: fid for fid in pr}
-    assert scores.map_tmp[name["f2()"]] == pytest.approx(pr[name["f2()"]])
-    assert scores.map_tmp[name["f1()"]] == 0.0
-    assert scores.map_tmp[name["f0()"]] == 0.0
+    f0, f1, f2 = name["f0()"], name["f1()"], name["f2()"]
+    assert scores[f2] - pr[f2] == pytest.approx(pr[f2])
+    assert scores[f1] - pr[f1] == 0.0
+    assert scores[f0] - pr[f0] == 0.0
 
 
 def test_inter_impact_absent_function_is_zero():
@@ -556,6 +573,6 @@ def test_mid_chain_ordering():
     g = build_call_graph({"S.java": src})
     pr = pagerank(g.adjacency())
     scores = backward_propagate(g.adjacency(), pr, decay=0.5)
-    by = {fid.name.split(".")[-1]: scores.map_out[fid] for fid in g.nodes}
+    by = {fid.name.split(".")[-1]: scores[fid] for fid in g.nodes}
     assert by["dispatch()"] > by["u1()"]
     assert by["dispatch()"] > by["h1()"]

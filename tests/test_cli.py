@@ -1,4 +1,6 @@
 import json
+import logging
+import os
 import re
 import subprocess
 from pathlib import Path
@@ -6,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from devcontrib.cli import main
+from devcontrib.pipeline import analyze_repository
 
 JAVA = "class Service {{ int handle(int k) {{ return k * {n}; }} }}"
 BOT = ("ci-bot[bot]", "ci-bot[bot]@example.com")
@@ -130,6 +133,20 @@ def test_analyze_skips_a_submodule_and_scores_the_rest(make_repo, tmp_path, caps
     assert code == 0, captured.err
     commits = json.loads(out.read_text())["commits"]
     assert [{f["file"] for f in c["functions"]} for c in commits] == [{"A.java"}] * 2
+
+
+def test_analyze_skips_a_symlink_named_like_source(make_repo, caplog):
+    repo = make_repo()
+    # a symlink's blob is its target path, not source text
+    (Path(repo.path) / "A.java").write_text(JAVA.format(n=2))
+    os.symlink("A.java", Path(repo.path) / "B.java")
+    repo._run("git", "add", "A.java", "B.java")
+    repo._run("git", "commit", "-q", "-m", "init", ts=1000)
+    with caplog.at_level(logging.WARNING):
+        run = analyze_repository(repo.path)
+    assert (run.parses, run.parse_errors) == (2, 0)
+    assert "B.java" not in caplog.text
+    assert {r.file for r in run.commits[0].records} == {"A.java"}
 
 
 def test_analyze_commit_without_author_exits_2(make_repo, tmp_path, capsys):

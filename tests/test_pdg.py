@@ -226,7 +226,7 @@ def test_deleted_statement_maps_to_next_survivor():
     before = parse_source(before_src, "java")
     after = parse_source(after_src, "java")
     _, _, changesets = diff_file_pair(before, after)
-    cs = next(c for c in changesets if c.function[0] == "C.m()")
+    cs = next(c for c in changesets if c.function == "C.m()")
     pdg_before = build_pdg(extract_functions(before)[0])
     pdg_after = build_pdg(extract_functions(after)[0])
     changed = changed_pdg_nodes(pdg_before, pdg_after, cs)

@@ -41,3 +41,11 @@ def test_parse_span_hooks_exist():
     assert callable(syntax.register_adapter)
     # the benchmark's wrapper calls the adapter as ``java(text, path)``
     assert isinstance(syntax._ADAPTERS["java"]("class A { }", None), syntax.SyntaxTree)
+
+
+def test_final_graph_counts_are_sets():
+    # the traced run reports len(graph.nodes) and len(graph.edges) of the last graph
+    graph = callgraph.build_call_graph(
+        {"A.java": "class A { void f() { g(); h(); g(); } void g() { } }"})
+    assert isinstance(graph.nodes, set) and len(graph.nodes) == 3  # f, g, external:h
+    assert isinstance(graph.edges, set) and len(graph.edges) == 2
