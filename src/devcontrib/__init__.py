@@ -28,7 +28,7 @@ from .callgraph import (
 from .complexity import ComplexityRaw, comment_percentage, compute_raw, cyclomatic, halstead_volume, loc
 from .config import AnalysisConfig, load_config
 from .pdg import FunctionPDG, build_pdg, cdg_impact, changed_pdg_nodes, ddg_impact, impact_range
-from .pipeline import AnalysisRun, CommitResult, FunctionRecord, analyze_repository, timing_report
+from .pipeline import AnalysisRun, CommitResult, FunctionRecord, analyze_repository
 from .report import DeveloperReport, aggregate_by_developer, detect_inflated, emit_report, spearman
 from .repo import (
     CommitRecord,

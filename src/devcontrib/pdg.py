@@ -167,11 +167,6 @@ class _Builder:
             direct.extend(primary)
         return entries, (current if current is not None else []), direct
 
-    def build_block_like(self, stmt, ctx):
-        if stmt.kind == "block":
-            return self.build_seq(stmt.children, ctx)
-        return self.build_stmt(stmt, ctx)
-
     def build_stmt(self, stmt, ctx):
         kind = stmt.kind
         if kind == "block":
@@ -203,14 +198,14 @@ class _Builder:
             _collect_uses(cond, uses, defs)
             hid = self.new_node(kind, (stmt.start, cond.end), defs, uses)
             exits = []
-            te, tx, tdirect = self.build_block_like(stmt.children[1], ctx)
+            te, tx, tdirect = self.build_stmt(stmt.children[1], ctx)
             if te:
                 self.wire([hid], te)
                 exits.extend(tx)
             else:
                 exits.append(hid)
             if len(stmt.children) > 2:
-                ee, ex, edirect = self.build_block_like(stmt.children[2], ctx)
+                ee, ex, edirect = self.build_stmt(stmt.children[2], ctx)
                 if ee:
                     self.wire([hid], ee)
                     exits.extend(ex)
@@ -233,7 +228,7 @@ class _Builder:
             uses, defs = set(), set()
             _collect_uses(expr, uses, defs)
             hid = self.new_node(kind, (stmt.start, expr.end), defs, uses)
-            be, bx, bdirect = self.build_block_like(body, ctx)
+            be, bx, bdirect = self.build_stmt(body, ctx)
             if be:
                 self.wire([hid], be)
             return [hid], (bx if be else [hid]), [hid]
@@ -263,8 +258,7 @@ class _Builder:
             span = (stmt.start, end)
         hid = self.new_node(kind, span, defs, uses)
         inner = {"continue_target": hid, "breaks": []}
-        inner.update({k: v for k, v in ctx.items() if k == "try_nodes"})
-        be, bx, bdirect = self.build_block_like(body, inner)
+        be, bx, bdirect = self.build_stmt(body, inner)
         if kind == "do_stmt":
             entries = be if be else [hid]
             if be:

@@ -19,8 +19,12 @@ the trees by blob, and the differ, the call-graph update and the
 complexity and dependence-graph measurements all read those trees and the
 function units cached on them, with the path taken from the file change.
 A blob that fails to parse, including one nested deeper than the parser
-or ``MAX_TREE_DEPTH`` allows, is logged once and skipped.  ``run.timings`` times parsing as its own ``parse``
-stage, apart from ``diff`` and ``graph``.
+or ``MAX_TREE_DEPTH`` allows, is logged once and skipped.
+
+``AnalysisRun`` is the one record of what a run did: the walk writes its
+stage times (``ingest``, ``parse``, ``diff``, ``graph``, ``rank``,
+``pdg``, ``fit``, ``fuse``, ``total``), per-commit times and counters to
+``state.run`` as it goes.  None of them is serialized.
 
 Call-graph impact is ranked only when a commit with scored changes finds
 the graph at a new ``(token, version)`` pair, that is after a structural
@@ -146,8 +150,11 @@ class AnalysisRun:
 
     SCHEMA_VERSION = 2
 
-    def to_dict(self, include_timings: bool = False) -> dict:
-        d = {
+    def add_time(self, stage: str, seconds: float):
+        self.timings[stage] = self.timings.get(stage, 0.0) + seconds
+
+    def to_dict(self) -> dict:
+        return {
             "schema_version": self.SCHEMA_VERSION,
             "repository": self.repository,
             "config": self.config,
@@ -155,10 +162,6 @@ class AnalysisRun:
             "developers": [dict(vars(dev)) for dev in self.developers],
             "boxcox": {m: p.to_dict() for m, p in sorted(self.boxcox.items())},
         }
-        if include_timings:
-            d["timings"] = dict(self.timings)
-            d["commit_times"] = dict(self.commit_times)
-        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "AnalysisRun":
@@ -173,8 +176,6 @@ class AnalysisRun:
         run.commits = [CommitResult.from_dict(c) for c in d["commits"]]
         run.developers = [DeveloperReport(**x) for x in d["developers"]]
         run.boxcox = {m: BoxCoxParams.from_dict(p) for m, p in d["boxcox"].items()}
-        run.timings = d.get("timings", {})
-        run.commit_times = d.get("commit_times", {})
         return run
 
     def save(self, path: str | Path):
@@ -189,23 +190,17 @@ class AnalysisRun:
 
 @dataclass
 class PipelineState:
-    """Mutable walk state shared across per-commit analysis calls."""
+    """Mutable walk state shared across per-commit analysis calls; times
+    and counts go to ``run``."""
 
     tree: VersionTree
     config: AnalysisConfig
+    run: AnalysisRun
     graph: CallGraph = field(default_factory=CallGraph)
     weights: DeltaWeights = field(default_factory=DeltaWeights)
-    timings: dict[str, float] = field(default_factory=dict)
     # last impact scores and the graph's (token, version) they were ranked at
     impact: dict[FunctionId, float] | None = None
     impact_key: tuple[int, int] | None = None
-    rank_computations: int = 0
-    rank_reuses: int = 0
-    parses: int = 0
-    parse_errors: int = 0
-
-    def add_time(self, stage: str, seconds: float):
-        self.timings[stage] = self.timings.get(stage, 0.0) + seconds
 
 
 def parse_changes(changes) -> SourceTrees:
@@ -225,7 +220,7 @@ def current_impact(state: PipelineState) -> dict[FunctionId, float]:
     ``(token, version)`` differs from the last ranking's."""
     key = (state.graph.token, state.graph.version)
     if key == state.impact_key:
-        state.rank_reuses += 1
+        state.run.rank_reuses += 1
         return state.impact
     cfg = state.config
     adjacency = state.graph.adjacency()
@@ -233,14 +228,14 @@ def current_impact(state: PipelineState) -> dict[FunctionId, float]:
                      max_iter=cfg.graph_max_iter)
     state.impact = backward_propagate(adjacency, ranks, decay=cfg.graph_decay)
     state.impact_key = key
-    state.rank_computations += 1
+    state.run.rank_computations += 1
     return state.impact
 
 
 def analyze_commit(commit: CommitRecord, state: PipelineState) -> CommitResult:
     """Raw-metric phase for one commit; the call graph must currently hold
     the commit's first-parent snapshot and is advanced to the commit."""
-    cfg = state.config
+    cfg, run = state.config, state.run
     result = CommitResult(
         id=commit.id,
         author_email=commit.author.email,
@@ -251,14 +246,14 @@ def analyze_commit(commit: CommitRecord, state: PipelineState) -> CommitResult:
 
     t0 = time.perf_counter()
     changes = changed_files(commit, state.tree)
-    state.add_time("ingest", time.perf_counter() - t0)
+    run.add_time("ingest", time.perf_counter() - t0)
     result.bulk = len(changes) > cfg.bulk_file_threshold
 
     t0 = time.perf_counter()
     trees = parse_changes(changes)
-    state.add_time("parse", time.perf_counter() - t0)
-    state.parses += trees.parses
-    state.parse_errors += trees.errors
+    run.add_time("parse", time.perf_counter() - t0)
+    run.parses += trees.parses
+    run.parse_errors += trees.errors
 
     # diff every parseable source file
     per_file = []
@@ -275,18 +270,18 @@ def analyze_commit(commit: CommitRecord, state: PipelineState) -> CommitResult:
             blacklist=cfg.blacklist_patterns)
         if changesets:
             per_file.append((change, before, after, changesets))
-    state.add_time("diff", time.perf_counter() - t0)
+    run.add_time("diff", time.perf_counter() - t0)
 
     t0 = time.perf_counter()
     state.graph.update(changes, trees)
-    state.add_time("graph", time.perf_counter() - t0)
+    run.add_time("graph", time.perf_counter() - t0)
 
     if not per_file:
         return result
 
     t0 = time.perf_counter()
     impact = current_impact(state)
-    state.add_time("rank", time.perf_counter() - t0)
+    run.add_time("rank", time.perf_counter() - t0)
 
     t0 = time.perf_counter()
     for change, before, after, changesets in per_file:
@@ -316,7 +311,7 @@ def analyze_commit(commit: CommitRecord, state: PipelineState) -> CommitResult:
                 record.ddg = ddg_impact(pdg_after, changed)
                 record.cdg = cdg_impact(pdg_after, changed)
             result.records.append(record)
-    state.add_time("pdg", time.perf_counter() - t0)
+    run.add_time("pdg", time.perf_counter() - t0)
 
     result.delta_ast_total = sum(r.delta_ast for r in result.records)
     return result
@@ -377,8 +372,8 @@ def analyze_repository(path: str, config: AnalysisConfig | None = None) -> Analy
     children = first_parent_children(tree)
     store = CheckpointStore()
 
-    state = PipelineState(tree=tree, config=cfg, weights=weights)
     run = AnalysisRun(repository=str(path), config=cfg.to_dict())
+    state = PipelineState(tree=tree, config=cfg, run=run, weights=weights)
 
     fork_ids = {cid for cid, kids in children.items() if len(kids) > 1}
     fork_of_last_child = {children[cid][-1]: cid for cid in fork_ids}
@@ -404,42 +399,20 @@ def analyze_repository(path: str, config: AnalysisConfig | None = None) -> Analy
         tree.close()
 
     run.checkpoint_restores = store.restores
-    run.rank_computations = state.rank_computations
-    run.rank_reuses = state.rank_reuses
-    run.parses = state.parses
-    run.parse_errors = state.parse_errors
 
     t0 = time.perf_counter()
     all_records = [r for c in run.commits for r in c.records]
     run.boxcox = _fit_all(all_records, cfg)
-    state.add_time("fit", time.perf_counter() - t0)
+    run.add_time("fit", time.perf_counter() - t0)
 
     t0 = time.perf_counter()
     _fuse(run)
-    state.add_time("fuse", time.perf_counter() - t0)
+    run.add_time("fuse", time.perf_counter() - t0)
 
     from .report import aggregate_by_developer, detect_inflated
 
     run.developers = aggregate_by_developer(run)
     detect_inflated(run.developers, commit_share_min=cfg.inflated_commit_share_min,
                     ratio_max=cfg.inflated_ratio_max)
-    state.add_time("total", time.perf_counter() - t_start)
-    run.timings = dict(state.timings)
+    run.add_time("total", time.perf_counter() - t_start)
     return run
-
-
-def timing_report(run: AnalysisRun) -> dict:
-    """Wall-clock per stage, per-commit durations, how many fork
-    checkpoints were restored, how often the call graph was ranked or its
-    last ranks reused, and how many texts were parsed and how many of
-    those failed."""
-    return {
-        "stages": dict(run.timings),
-        "per_commit": dict(run.commit_times),
-        "commits": len(run.commits),
-        "checkpoint_restores": run.checkpoint_restores,
-        "rank_computations": run.rank_computations,
-        "rank_reuses": run.rank_reuses,
-        "parses": run.parses,
-        "parse_errors": run.parse_errors,
-    }

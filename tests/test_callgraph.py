@@ -19,7 +19,7 @@ from devcontrib.callgraph import (
 )
 from devcontrib.config import AnalysisConfig
 from devcontrib.errors import UnknownCheckpoint
-from devcontrib.pipeline import PipelineState, current_impact, parse_changes
+from devcontrib.pipeline import AnalysisRun, PipelineState, current_impact, parse_changes
 from devcontrib.repo import FileChange
 
 
@@ -217,7 +217,8 @@ def test_version_tracks_structure_and_reused_ranks_equal_fresh(seed):
                                body_edits=True)
     _, snapshot = next(it)
     cfg = AnalysisConfig()
-    state = PipelineState(tree=None, config=cfg, graph=build_call_graph(snapshot))
+    state = PipelineState(tree=None, config=cfg, run=AnalysisRun("", {}),
+                          graph=build_call_graph(snapshot))
     for changes, snapshot in it:
         structure, version = state.graph.structure(), state.graph.version
         _update(state.graph, changes)
@@ -225,7 +226,7 @@ def test_version_tracks_structure_and_reused_ranks_equal_fresh(seed):
             assert state.graph.version != version
         impact = current_impact(state)
         assert impact == _fresh_impact(snapshot, cfg)
-    assert state.rank_computations + state.rank_reuses == 12
+    assert state.run.rank_computations + state.run.rank_reuses == 12
 
 
 def test_restored_sibling_is_ranked_afresh():
@@ -235,11 +236,12 @@ def test_restored_sibling_is_ranked_afresh():
     store.checkpoint(build_call_graph(side), "side")
     store.checkpoint(build_call_graph(main), "main")
     cfg = AnalysisConfig()
-    state = PipelineState(tree=None, config=cfg, graph=store.restore("side"))
+    state = PipelineState(tree=None, config=cfg, run=AnalysisRun("", {}),
+                          graph=store.restore("side"))
     current_impact(state)
     state.graph = store.restore("main")  # same version as the sibling's graph
     assert current_impact(state) == _fresh_impact(main, cfg)
-    assert (state.rank_computations, state.rank_reuses) == (2, 0)
+    assert (state.run.rank_computations, state.run.rank_reuses) == (2, 0)
 
 
 def test_body_only_update_keeps_version():

@@ -20,7 +20,7 @@ from devcontrib.callgraph import (
     pagerank,
 )
 from devcontrib.config import AnalysisConfig
-from devcontrib.pipeline import AnalysisRun, analyze_repository, parse_changes, timing_report
+from devcontrib.pipeline import AnalysisRun, analyze_repository, parse_changes
 from devcontrib.repo import open_repository, walk_commits
 from devcontrib.syntax import MAX_TREE_DEPTH
 
@@ -237,16 +237,20 @@ def test_parse_error_degrades_to_file_skip(make_repo):
     assert run.commits[1].cvalue > 0.0
 
 
-def test_timing_report_structure(make_repo):
+# what a run did, kept on ``AnalysisRun`` and never serialized
+_RUN_RECORD = {"timings", "commit_times", "checkpoint_restores", "rank_computations",
+               "rank_reuses", "parses", "parse_errors"}
+
+
+def test_run_records_stage_and_commit_times(make_repo):
     repo = make_repo()
     repo.commit("init", 1000, {"Service.java": BASE_JAVA})
     repo.commit("edit", 2000, {"Service.java": BASE_JAVA.replace("k * 2", "k + 9")})
     run = analyze_repository(repo.path)
-    report = timing_report(run)
-    assert report["commits"] == 2
-    assert set(report["per_commit"]) == {c.id for c in run.commits}
-    assert all(v >= 0 for v in report["per_commit"].values())
-    assert report["stages"]["total"] > 0
+    assert len(run.commits) == 2
+    assert set(run.commit_times) == {c.id for c in run.commits}
+    assert all(v >= 0 for v in run.commit_times.values())
+    assert run.timings["total"] > 0
 
 
 def test_body_only_edits_reuse_ranks(make_repo):
@@ -258,9 +262,8 @@ def test_body_only_edits_reuse_ranks(make_repo):
         "return k * 2;", "return handle(k);")})
     run = analyze_repository(repo.path)
     assert (run.rank_computations, run.rank_reuses) == (2, 2)
-    report = timing_report(run)
-    assert (report["rank_computations"], report["rank_reuses"]) == (2, 2)
-    assert "rank_reuses" not in json.dumps(run.to_dict(include_timings=True))
+    doc = json.dumps(run.to_dict())
+    assert [key for key in _RUN_RECORD if f'"{key}"' in doc] == []
 
 
 def _forked_repo(make_repo):
@@ -292,7 +295,6 @@ def test_fork_checkpoints_released_after_last_child(make_repo, monkeypatch):
     monkeypatch.setattr(pipeline, "CheckpointStore", RecordingStore)
     run = analyze_repository(repo.path)
     assert run.checkpoint_restores == 2
-    assert timing_report(run)["checkpoint_restores"] == 2
     assert len(stores) == 1 and len(stores[0]) == 0
 
 
@@ -400,10 +402,9 @@ def test_parse_stage_counts_and_warns_once_per_blob(make_repo, caplog):
     # each commit parses two sides of two source files, except that the
     # first commit's two added files share one before side, the empty text
     assert (run.parses, run.parse_errors) == (7, 3)
-    report = timing_report(run)
-    assert (report["parses"], report["parse_errors"]) == (7, 3)
-    assert {"parse", "diff", "graph"} <= set(report["stages"])
-    assert "parse_errors" not in json.dumps(run.to_dict(include_timings=True))
+    assert {"parse", "diff", "graph"} <= set(run.timings)
+    doc = json.dumps(run.to_dict())
+    assert [key for key in _RUN_RECORD if f'"{key}"' in doc] == []
     warnings = [r for r in caplog.records if "Broken.java" in r.getMessage()]
     # commit one: the after blob; commit two: the before and the after blob
     assert len(warnings) == 3

@@ -9,7 +9,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from devcontrib import callgraph, syntax
+from devcontrib import callgraph, report, syntax
+from devcontrib.pipeline import analyze_repository
 
 _spec = importlib.util.spec_from_file_location(
     "benchmark_tracing", Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py")
@@ -49,3 +50,21 @@ def test_final_graph_counts_are_sets():
         {"A.java": "class A { void f() { g(); h(); g(); } void g() { } }"})
     assert isinstance(graph.nodes, set) and len(graph.nodes) == 3  # f, g, external:h
     assert isinstance(graph.edges, set) and len(graph.edges) == 2
+
+
+def test_pipeline_reaches_aggregate_through_the_report_module(make_repo, monkeypatch):
+    # the benchmark wraps ``report.aggregate_by_developer`` after ``pipeline`` is
+    # imported; a name bound in ``pipeline`` at import time would bypass the wrapper
+    calls = []
+    aggregate = report.aggregate_by_developer
+
+    def counting(run):
+        calls.append(run)
+        return aggregate(run)
+
+    monkeypatch.setattr(report, "aggregate_by_developer", counting)
+    repo = make_repo()
+    repo.commit("init", 1000, {"A.java": "class A { int f() { return 1; } }"})
+    repo.commit("edit", 2000, {"A.java": "class A { int f() { return 2; } }"})
+    run = analyze_repository(repo.path)
+    assert calls == [run]
