@@ -12,8 +12,9 @@ in the caller's own file whose qualified name ends with the callee's dotted
 path, then project-wide suffix matches, else a synthetic ``external:`` node.
 
 ``CallGraph.files`` holds one ``FileEntry`` per file: its functions, its
-call sites and their resolved targets.  An entry is a tuple that is
-replaced (``_replace``), never changed in place.  A copy of the graph
+call sites and their resolved targets, and the blob and syntax tree they
+were read from.  An entry is a tuple that is replaced (``_replace``),
+never changed in place.  A copy of the graph
 (``CallGraph.copy``, which ``CheckpointStore`` keeps at every fork) is
 therefore one new dict over the same entries, plus a copy of the
 simple-name index, which is the one structure updated in place.
@@ -141,11 +142,15 @@ class Adjacency(NamedTuple):
 class FileEntry(NamedTuple):
     """One file's share of the graph: its functions, the call sites in
     their bodies and each site's resolved targets, ``()`` until the file
-    is resolved."""
+    is resolved.  ``blob`` and ``tree`` are the version they came from;
+    the tree lives as long as the entry, so a later commit whose before
+    side is that blob reads it instead of parsing the text again."""
 
     functions: tuple[FunctionId, ...]
     sites: tuple[CallSite, ...]
     targets: tuple[tuple[FunctionId, ...], ...] = ()
+    blob: str | None = None
+    tree: SyntaxTree | None = None
 
 
 _NO_FILE = FileEntry((), ())
@@ -179,12 +184,15 @@ class CallGraph:
             if not bucket:
                 del self._simple_index[simple]
 
-    def _add_file(self, path: str, tree: SyntaxTree) -> tuple[FunctionId, ...]:
-        """Add ``path``'s unresolved entry; returns its functions."""
+    def _add_file(self, path: str, blob: str | None,
+                  tree: SyntaxTree) -> tuple[FunctionId, ...]:
+        """Add ``path``'s unresolved entry, read from ``tree``, the text of
+        ``blob``; returns its functions."""
         units = tree.functions
         fids = tuple(FunctionId(u.qualified_name, path) for u in units
                      if "$lambda" not in u.qualified_name)
-        self.files[path] = FileEntry(fids, extract_call_sites(path, units))
+        self.files[path] = FileEntry(fids, extract_call_sites(path, units),
+                                     blob=blob, tree=tree)
         for fid in fids:
             self._index_add(fid)
         return fids
@@ -308,9 +316,10 @@ class CallGraph:
 
         Only source files with a registered grammar adapter participate.
         ``trees`` holds the after-side tree of every such change that is
-        not a deletion, keyed by ``after_blob``.  A file whose text
-        failed to parse loses its prior nodes and has none until a later
-        change brings text that parses.
+        not a deletion, keyed by ``after_blob``; the file's new entry
+        keeps that blob and tree.  A file whose text failed to parse loses
+        its prior nodes and has none until a later change brings text that
+        parses.
 
         Every path a change names (a rename's old path too) loses its
         entry and records its shape first; the re-added ones are resolved
@@ -338,7 +347,7 @@ class CallGraph:
             if tree is None:
                 continue
             affected.update(_simple_name(fid.name)
-                            for fid in self._add_file(change.path, tree))
+                            for fid in self._add_file(change.path, change.after_blob, tree))
 
         for path in shapes_before:
             if path in self.files:
@@ -357,7 +366,7 @@ def build_call_graph(files: dict[str, str | None]) -> CallGraph:
             continue
         tree = parse_file(path, text)
         if tree is not None:
-            graph._add_file(path, tree)
+            graph._add_file(path, None, tree)
     graph.resolve_all()
     return graph
 
@@ -370,13 +379,13 @@ class CheckpointStore:
     """Keeps frozen graph states in memory, keyed by commit id.
 
     Each checkpoint and each restore is a ``CallGraph.copy``, so they share
-    the ``FileEntry`` objects of the graph they came from and cost one dict
-    slot per file.  Every restore is a new graph with a fresh ``token``.
+    the ``FileEntry`` objects of the graph they came from, syntax trees
+    included, and cost one dict slot per file.  Every restore is a new
+    graph with a fresh ``token``.
     """
 
     def __init__(self):
         self._memory: dict[str, CallGraph] = {}
-        self.restores = 0
 
     def checkpoint(self, graph: CallGraph, commit_id: str) -> None:
         self._memory[commit_id] = graph.copy()
@@ -385,7 +394,6 @@ class CheckpointStore:
         graph = self._memory.get(commit_id)
         if graph is None:
             raise UnknownCheckpoint(commit_id)
-        self.restores += 1
         return graph.copy()
 
     def discard(self, commit_id: str):

@@ -14,12 +14,23 @@ reproducible: a re-run on the same history yields identical numbers.  The
 developer rows, inflated-commit flags included, are folded from the fused
 commits with the run's thresholds.
 
-Each commit parses every changed source blob once: ``parse_changes`` keys
-the trees by blob, and the differ, the call-graph update and the
-complexity and dependence-graph measurements all read those trees and the
-function units cached on them, with the path taken from the file change.
-A blob that fails to parse, including one nested deeper than the parser
-or ``MAX_TREE_DEPTH`` allows, is logged once and skipped.
+Each commit parses only the changed source blobs it does not already
+hold: ``parse_changes`` keys the trees by blob and takes a before side
+from the call graph, whose entry for the file keeps the tree it was read
+from (see ``callgraph.FileEntry``), when that entry is of the same blob.
+The differ, the call-graph update and the complexity and dependence-graph
+measurements all read those trees and the function units cached on them,
+with the path taken from the file change.  A blob that fails to parse,
+including one nested deeper than the parser or ``MAX_TREE_DEPTH`` allows,
+is logged once per commit that reads it and skipped.
+
+The graph's trees hold no reference cycles, so a superseded version is
+freed by reference counting; a full cyclic collection would walk every
+node still held and free nothing.  ``analyze_repository`` therefore
+pauses the cyclic collector for the commit loop.  When the loop ends,
+whether it finished or raised, it drops the graph, so reference counting
+frees the trees before the first collection could walk them, and then
+restores the caller's setting.
 
 ``AnalysisRun`` is the one record of what a run did: the walk writes its
 stage times (``ingest``, ``parse``, ``diff``, ``graph``, ``rank``,
@@ -42,6 +53,7 @@ finished or raised.
 
 from __future__ import annotations
 
+import gc
 import json
 import time
 from dataclasses import dataclass, field
@@ -142,10 +154,12 @@ class AnalysisRun:
     boxcox: dict[str, BoxCoxParams] = field(default_factory=dict)
     timings: dict[str, float] = field(default_factory=dict)
     commit_times: dict[str, float] = field(default_factory=dict)
+    checkpoints: int = 0
     checkpoint_restores: int = 0
     rank_computations: int = 0
     rank_reuses: int = 0
     parses: int = 0
+    tree_reuses: int = 0
     parse_errors: int = 0
 
     SCHEMA_VERSION = 2
@@ -203,14 +217,31 @@ class PipelineState:
     impact_key: tuple[int, int] | None = None
 
 
-def parse_changes(changes) -> SourceTrees:
-    """Parse both sides of every source change in one commit, keyed by
-    blob; the empty side of an added or deleted file is the key None."""
+def before_key(change) -> str | None:
+    """The key of a change's before side in ``SourceTrees``: its blob, or
+    None, the empty side, when there is no blob or the file was renamed
+    from a path with no grammar (``Notes.groovy`` to ``Notes.java``)."""
+    if language_for_path(change.before_path) is None:
+        return None
+    return change.before_blob
+
+
+def parse_changes(changes, graph: CallGraph) -> SourceTrees:
+    """The trees of both sides of every source change in one commit, keyed
+    by blob (see ``before_key``); the empty side of an added or deleted
+    file is the key None.  ``graph`` must hold the commit's first-parent
+    snapshot: a before side whose blob is the one its file's entry was
+    read from is that entry's tree, not parsed again."""
     trees = SourceTrees()
     for change in changes:
         if language_for_path(change.path) is None:
             continue
-        trees.add(change.path, change.before_blob, change.before_content)
+        key = before_key(change)
+        entry = graph.files.get(change.before_path)
+        held = None
+        if key is not None and entry is not None and entry.blob == key:
+            held = entry.tree
+        trees.add(change.path, key, change.before_content, held)
         trees.add(change.path, change.after_blob, change.after_content)
     return trees
 
@@ -250,9 +281,10 @@ def analyze_commit(commit: CommitRecord, state: PipelineState) -> CommitResult:
     result.bulk = len(changes) > cfg.bulk_file_threshold
 
     t0 = time.perf_counter()
-    trees = parse_changes(changes)
+    trees = parse_changes(changes, state.graph)
     run.add_time("parse", time.perf_counter() - t0)
     run.parses += trees.parses
+    run.tree_reuses += trees.reuses
     run.parse_errors += trees.errors
 
     # diff every parseable source file
@@ -261,7 +293,7 @@ def analyze_commit(commit: CommitRecord, state: PipelineState) -> CommitResult:
     for change in changes:
         if language_for_path(change.path) is None:
             continue
-        before = trees.get(change.before_blob)
+        before = trees.get(before_key(change))
         after = trees.get(change.after_blob)
         if before is None or after is None:
             continue
@@ -378,6 +410,8 @@ def analyze_repository(path: str, config: AnalysisConfig | None = None) -> Analy
     fork_ids = {cid for cid, kids in children.items() if len(kids) > 1}
     fork_of_last_child = {children[cid][-1]: cid for cid in fork_ids}
     previous: str | None = None
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         for commit in order:
             t_commit = time.perf_counter()
@@ -387,18 +421,22 @@ def analyze_repository(path: str, config: AnalysisConfig | None = None) -> Analy
                     state.graph = CallGraph()
             elif first_parent != previous:
                 state.graph = store.restore(first_parent)
+                run.checkpoint_restores += 1
             if commit.id in fork_of_last_child:
                 store.discard(fork_of_last_child[commit.id])
             result = analyze_commit(commit, state)
             if commit.id in fork_ids:
                 store.checkpoint(state.graph, commit.id)
+                run.checkpoints += 1
             run.commits.append(result)
             run.commit_times[commit.id] = time.perf_counter() - t_commit
             previous = commit.id
     finally:
         tree.close()
-
-    run.checkpoint_restores = store.restores
+        # free the graph and its trees before a collection could walk them
+        del state
+        if collecting:
+            gc.enable()
 
     t0 = time.perf_counter()
     all_records = [r for c in run.commits for r in c.records]

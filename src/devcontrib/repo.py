@@ -53,6 +53,11 @@ class FileChange:
     before_blob: str | None = None
     after_blob: str | None = None
 
+    @property
+    def before_path(self) -> str:
+        """The file's path on the before side."""
+        return self.old_path if self.kind == "renamed" else self.path
+
 
 @dataclass
 class CommitRecord:

@@ -27,7 +27,9 @@ limit.
 The lexer is one compiled pattern with an alternative per token class.
 A tree depends on its text alone, not on the file's path, so ``SourceTrees``
 parses each blob once and every layer reads that tree; a tree computes its
-function units once (``functions``).
+function units once (``functions``).  No layer changes a tree once it is
+built (``height`` and ``struct_hash`` only fill caches), so one tree may
+serve several commits.
 """
 
 from __future__ import annotations
@@ -1288,26 +1290,35 @@ def parse_source(text: str, language: str = "java") -> SyntaxTree:
 
 
 class SourceTrees:
-    """One commit's syntax trees keyed by blob; each blob is parsed once.
+    """One commit's syntax trees keyed by blob; each blob is parsed once,
+    and not at all when the caller already holds its tree.
 
     A key is a git blob sha, or None for the empty side of an added or
     deleted file, which is parsed as the empty text.  A key maps to None
     when the path it was added under has no grammar adapter, the blob has
     no text (binary or undecodable) or the text fails to parse; a parse
     failure is logged once, when the blob is added.  ``parses`` and
-    ``errors`` count calls of ``parse_source`` and their failures.
+    ``errors`` count calls of ``parse_source`` and their failures;
+    ``reuses`` counts blobs served from a tree the caller held.
     """
 
     def __init__(self):
         self._trees: dict[str | None, SyntaxTree | None] = {}
         self.parses = 0
         self.errors = 0
+        self.reuses = 0
 
-    def add(self, path: str, blob: str | None, text: str | None) -> SyntaxTree | None:
-        """The tree of ``blob``, parsed from ``text`` when the blob is new;
+    def add(self, path: str, blob: str | None, text: str | None,
+            held: SyntaxTree | None = None) -> SyntaxTree | None:
+        """The tree of ``blob``.  A new blob takes ``held``, a tree of the
+        same blob kept from an earlier commit, or else ``text`` parsed;
         ``path`` picks the grammar and names the file in a warning."""
         if blob not in self._trees:
-            self._trees[blob] = self._parse(path, "" if blob is None else text)
+            if held is not None:
+                self.reuses += 1
+                self._trees[blob] = held
+            else:
+                self._trees[blob] = self._parse(path, "" if blob is None else text)
         return self._trees[blob]
 
     def get(self, blob: str | None) -> SyntaxTree | None:
@@ -1324,11 +1335,14 @@ class SourceTrees:
 
 def parse_file(path: str, text: str) -> SyntaxTree | None:
     """The tree of the source file ``path`` with ``text``, or None after
-    logging why it failed to parse; the path must have a grammar adapter."""
+    logging why it failed to parse; the path must have a grammar adapter.
+    The log record gets the error's text, not the error: a handler that
+    keeps records would otherwise keep its traceback's frames, and with
+    them the caller's syntax trees and call graph."""
     try:
         return parse_source(text, language_for_path(path))
     except ParseError as exc:
-        logger.warning("skipping %s: %s at %s", path, exc, exc.position)
+        logger.warning("skipping %s: %s at %s", path, str(exc), exc.position)
         return None
 
 

@@ -8,10 +8,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import devcontrib
 from devcontrib import pipeline
 from devcontrib.callgraph import (
+    CallGraph,
     CheckpointStore,
     FunctionId,
     backward_propagate,
@@ -22,7 +25,9 @@ from devcontrib.callgraph import (
 from devcontrib.config import AnalysisConfig
 from devcontrib.pipeline import AnalysisRun, analyze_repository, parse_changes
 from devcontrib.repo import open_repository, walk_commits
-from devcontrib.syntax import MAX_TREE_DEPTH
+from devcontrib.syntax import MAX_TREE_DEPTH, parse_source
+
+from conftest import RepoBuilder
 
 BASE_JAVA = """
 class Service {
@@ -93,7 +98,7 @@ def test_fork_checkpoints_and_restores(make_repo):
     run = analyze_repository(repo.path)
     assert len(run.commits) == 5
     # two forks (base and main1), one extra branch each -> two restores
-    assert run.checkpoint_restores == 2
+    assert (run.checkpoints, run.checkpoint_restores) == (2, 2)
 
 
 def test_pipeline_graph_matches_full_rebuild_at_every_commit(make_repo):
@@ -126,7 +131,7 @@ def test_pipeline_graph_matches_full_rebuild_at_every_commit(make_repo):
         elif first != previous:
             graph = store.restore(first)
         changes = changed_files(commit, tree)
-        graph.update(changes, parse_changes(changes))
+        graph.update(changes, parse_changes(changes, graph))
         if len(children.get(commit.id, [])) > 1:
             store.checkpoint(graph, commit.id)
         snapshot = {p: t for p, t in repo.snapshots[commit.id].items()
@@ -152,7 +157,7 @@ def test_rename_into_non_ascii_directory_keeps_functions(make_repo):
     graph = CallGraph()
     for commit in walk_commits(tree):
         changes = changed_files(commit, tree)
-        graph.update(changes, parse_changes(changes))
+        graph.update(changes, parse_changes(changes, graph))
         rebuilt = build_call_graph(repo.snapshots[commit.id])
         assert graph.structure() == rebuilt.structure(), commit.id
     assert FunctionId("D.d()", "src/café/D.java") in graph.nodes
@@ -238,8 +243,8 @@ def test_parse_error_degrades_to_file_skip(make_repo):
 
 
 # what a run did, kept on ``AnalysisRun`` and never serialized
-_RUN_RECORD = {"timings", "commit_times", "checkpoint_restores", "rank_computations",
-               "rank_reuses", "parses", "parse_errors"}
+_RUN_RECORD = {"timings", "commit_times", "checkpoints", "checkpoint_restores",
+               "rank_computations", "rank_reuses", "parses", "tree_reuses", "parse_errors"}
 
 
 def test_run_records_stage_and_commit_times(make_repo):
@@ -400,8 +405,10 @@ def test_parse_stage_counts_and_warns_once_per_blob(make_repo, caplog):
     with caplog.at_level(logging.WARNING, logger="devcontrib"):
         run = analyze_repository(repo.path)
     # each commit parses two sides of two source files, except that the
-    # first commit's two added files share one before side, the empty text
-    assert (run.parses, run.parse_errors) == (7, 3)
+    # first commit's two added files share one before side, the empty text,
+    # and the second commit reads Service.java's before side from the call
+    # graph; Broken.java never parsed, so the graph holds no tree of it
+    assert (run.parses, run.tree_reuses, run.parse_errors) == (6, 1, 3)
     assert {"parse", "diff", "graph"} <= set(run.timings)
     doc = json.dumps(run.to_dict())
     assert [key for key in _RUN_RECORD if f'"{key}"' in doc] == []
@@ -418,8 +425,8 @@ def test_files_sharing_a_blob_share_its_tree_and_keep_their_paths(make_repo):
         "b/Service.java": BASE_JAVA.replace("k * 2", "k * 3")})
     run = analyze_repository(repo.path)
     # one empty before side and one after blob in the first commit, one
-    # before and one after blob in the second
-    assert (run.parses, run.parse_errors) == (4, 0)
+    # after blob in the second, whose one before blob the call graph holds
+    assert (run.parses, run.tree_reuses, run.parse_errors) == (3, 1, 0)
     init, edit = run.commits
     assert {(r.function, r.file) for r in init.records} == {
         (pipeline.FILE_SCOPE, "a/Service.java"), (pipeline.FILE_SCOPE, "b/Service.java")}
@@ -446,9 +453,10 @@ def test_each_tree_yields_its_function_units_once(make_repo, monkeypatch):
     repo.commit("edit", 2000, {"Service.java": BASE_JAVA.replace("k * 2", "k * 3")})
     run = analyze_repository(repo.path)
     assert run.commits[1].records
-    # two trees per commit (the first commit's before side is the empty
-    # text), each asked by the differ, the call graph and the metrics
-    assert len(trees) == len({id(t) for t in trees}) == 4
+    # the first commit's two trees (its before side is the empty text) and
+    # the second's after side, whose before side is the first's after tree;
+    # each is asked by the differ, the call graph and the metrics
+    assert len(trees) == len({id(t) for t in trees}) == 3
 
 
 def test_record_with_switch_rules_is_scored(make_repo):
@@ -467,10 +475,135 @@ public record Range(int lo, int hi) {
     repo.commit("init", 1000, {"Range.java": record})
     repo.commit("edit", 2000, {"Range.java": record.replace("x + 1", "x + 2")})
     run = analyze_repository(repo.path)
-    assert (run.parses, run.parse_errors) == (4, 0)
+    assert (run.parses, run.tree_reuses, run.parse_errors) == (3, 1, 0)
     (edit,) = run.commits[-1].records
     assert (edit.function, edit.file) == ("Range.pick(int)", "Range.java")
     assert edit.delta_ast > 0
+
+
+def test_rename_from_a_path_without_grammar_scores_the_new_file(make_repo, caplog):
+    methods = "\n".join(f"    int m{i}(int k) {{ return k + {i}; }}" for i in range(30))
+    groovy = "class Notes {\n%s\n    def show() { println \"notes\" }\n}\n" % methods
+    java = groovy.replace('def show() { println "notes" }',
+                          'void show() { System.out.println("notes"); }')
+    repo = make_repo()
+    repo.commit("init", 1000, {"Notes.groovy": groovy})
+    repo.commit("port", 2000, {"Notes.java": java}, remove=["Notes.groovy"])
+    status = repo._run("git", "diff", "-M", "--name-status", "HEAD~1", "HEAD")
+    assert status.startswith("R0") and "Notes.java" in status
+    with caplog.at_level(logging.WARNING, logger="devcontrib"):
+        run = analyze_repository(repo.path)
+    # the Groovy text is never parsed as Java: the renamed file is scored as
+    # an added one, against the empty side
+    assert "Notes" not in caplog.text
+    assert (run.parses, run.parse_errors) == (2, 0)
+    (record,) = run.commits[-1].records
+    assert (record.function, record.file) == (pipeline.FILE_SCOPE, "Notes.java")
+    assert record.delta_ast > 0
+
+
+def test_sibling_branches_read_the_fork_points_trees(make_repo):
+    repo = _forked_repo(make_repo)
+    run = analyze_repository(repo.path)
+    # base and side1 add a file (the empty side and the after blob each);
+    # main1, third1 and main2 each parse their after blob and read the
+    # Service.java tree their first parent left in the call graph, third1
+    # and main2 from main1's checkpoint
+    assert (run.parses, run.tree_reuses) == (7, 3)
+
+
+def _unit(name, n):
+    return ("class %s {\n    int f(int k) { return g(k) + %d; }\n"
+            "    int g(int k) { int x = k * %d; return x; }\n}\n" % (name, n, n + 2))
+
+
+_STEP = st.tuples(st.sampled_from(["edit", "add", "rename", "delete", "break", "share"]),
+                  st.integers(0, 5))
+
+
+def _apply_step(repo, files, step, ts, serial):
+    """Commit one step to ``repo``, whose current branch holds ``files``."""
+    op, n = step
+    paths = sorted(files)
+    path = paths[n % len(paths)]
+    if op == "add" or (op == "delete" and len(paths) == 1):
+        new = f"N{serial}.java"
+        files[new] = _unit(f"N{serial}", n)
+        repo.commit(op, ts, {new: files[new]})
+    elif op == "edit":
+        files[path] = _unit(path[:-5], n + serial)
+        repo.commit(op, ts, {path: files[path]})
+    elif op == "rename":
+        new = f"R{serial}.java"
+        files[new] = files.pop(path)
+        repo.commit(op, ts, rename={path: new})
+    elif op == "delete":
+        del files[path]
+        repo.commit(op, ts, remove=[path])
+    elif op == "break":
+        files[path] = "class Broken%d { void f( { }\n" % serial
+        repo.commit(op, ts, {path: files[path]})
+    else:  # two files take one blob
+        other = paths[(n + 1) % len(paths)]
+        files[path] = files[other]
+        repo.commit(op, ts, {path: files[path]})
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(side=st.lists(_STEP, min_size=1, max_size=3),
+       main=st.lists(_STEP, min_size=1, max_size=3))
+def test_reused_trees_give_the_run_of_fresh_parses(tmp_path_factory, side, main):
+    repo = RepoBuilder(tmp_path_factory.mktemp("history"))
+    base = {"A.java": _unit("A", 0), "B.java": _unit("B", 1)}
+    repo.commit("base", 1000, base)
+    serial = 0
+    for branch, steps in (("side", side), ("main", main)):
+        if branch == "side":
+            repo.branch("side")
+        else:
+            repo.checkout("main")
+        files = dict(base)
+        for step in steps:
+            serial += 1
+            _apply_step(repo, files, step, 1000 + serial, serial)
+    run = analyze_repository(repo.path)
+    with pytest.MonkeyPatch.context() as mp:
+        # parsing against an empty call graph holds no tree to reuse
+        mp.setattr(pipeline, "parse_changes",
+                   lambda changes, graph: parse_changes(changes, CallGraph()))
+        fresh = analyze_repository(repo.path)
+    assert fresh.tree_reuses == 0
+    assert run.parses + run.tree_reuses == fresh.parses
+    assert run.parse_errors == fresh.parse_errors
+    assert run.to_dict() == fresh.to_dict()
+
+
+def _nodes(node):
+    return [(n.kind, n.label, n.start, n.end, len(n.children)) for n in node.walk()]
+
+
+def test_reused_tree_equals_a_fresh_parse_after_the_differ(make_repo, monkeypatch):
+    repo = _forked_repo(make_repo)
+    repo.commit("main3", 6000, {"Service.java": BASE_JAVA.replace(
+        "return out;", "return out + handle(out);")})
+    diffed = []
+    diff = pipeline.diff_file_pair
+
+    def recording(before, after, **kwargs):
+        diffed.append((before, after))
+        return diff(before, after, **kwargs)
+
+    monkeypatch.setattr(pipeline, "diff_file_pair", recording)
+    run = analyze_repository(repo.path)
+    assert run.tree_reuses == 4
+    after_sides = {id(after) for _, after in diffed}
+    reused = [before for before, _ in diffed if id(before) in after_sides]
+    assert len(reused) == 4
+    for tree in reused:
+        fresh = parse_source(tree.source_text, "java")
+        assert _nodes(tree.root) == _nodes(fresh.root)
+        assert [(u.qualified_name, u.span, _nodes(u.body)) for u in tree.functions] == \
+            [(u.qualified_name, u.span, _nodes(u.body)) for u in fresh.functions]
 
 
 def _long_forked_repo(make_repo):
