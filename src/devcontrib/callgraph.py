@@ -50,7 +50,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import UnknownCheckpoint
-from .syntax import SourceTrees, SyntaxTree, callee_segments, language_for_path, parse_file
+from .syntax import SyntaxTree, callee_segments, language_for_path, parse_file
 
 logger = logging.getLogger(__name__)
 
@@ -311,21 +311,19 @@ class CallGraph:
         return (entry.functions, tuple(site.caller for site in entry.sites),
                 entry.targets)
 
-    def update(self, changes, trees: SourceTrees) -> "CallGraph":
-        """Apply one commit's file changes; result equals a full rebuild.
+    def update(self, sources) -> "CallGraph":
+        """Apply one commit's source changes (``pipeline.SourceChange``, as
+        ``pipeline.parse_changes`` returns them); the result equals a full
+        rebuild.
 
-        Only source files with a registered grammar adapter participate.
-        ``trees`` holds the after-side tree of every such change that is
-        not a deletion, keyed by ``after_blob``; the file's new entry
-        keeps that blob and tree.  A file whose text failed to parse loses
-        its prior nodes and has none until a later change brings text that
-        parses.
-
-        Every path a change names (a rename's old path too) loses its
-        entry and records its shape first; the re-added ones are resolved
-        afresh, and sites elsewhere whose callee name gained or lost a
-        definition are re-resolved.  ``version`` is bumped when one of
-        those paths' shape changed or a re-resolved site changed targets.
+        Every path a change names, a rename's old path too, loses its
+        entry and records its shape first.  A change with an after blob
+        whose tree parsed gets a new entry that keeps that blob and tree;
+        a file whose text failed to parse has no nodes until a later change
+        brings text that parses.  The re-added paths are resolved afresh,
+        and sites elsewhere whose callee name gained or lost a definition
+        are re-resolved.  ``version`` is bumped when one of those paths'
+        shape changed or a re-resolved site changed targets.
         """
         affected: set[str] = set()
         shapes_before: dict[str, tuple] = {}
@@ -334,20 +332,14 @@ class CallGraph:
             shapes_before.setdefault(path, self._file_shape(path))
             affected.update(_simple_name(fid.name) for fid in self._remove_file(path))
 
-        for change in changes:
-            if change.kind == "renamed" and change.old_path \
-                    and language_for_path(change.old_path) is not None:
-                forget(change.old_path)
-            if language_for_path(change.path) is None:
+        for source in sources:
+            if source.old_path is not None:
+                forget(source.old_path)
+            forget(source.path)
+            if source.after_blob is None or source.after is None:
                 continue
-            forget(change.path)
-            if change.kind == "deleted" or change.after_content is None:
-                continue
-            tree = trees.get(change.after_blob)
-            if tree is None:
-                continue
-            affected.update(_simple_name(fid.name)
-                            for fid in self._add_file(change.path, change.after_blob, tree))
+            affected.update(_simple_name(fid.name) for fid in
+                            self._add_file(source.path, source.after_blob, source.after))
 
         for path in shapes_before:
             if path in self.files:

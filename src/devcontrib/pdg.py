@@ -41,23 +41,13 @@ class FunctionPDG:
     def node_ids(self):
         return [n.id for n in self.nodes]
 
-    def ddg_successors(self):
-        succ = {n.id: set() for n in self.nodes}
-        for a, b in self.ddg_edges:
-            succ[a].add(b)
-        return succ
 
-    def ddg_predecessors(self):
-        pred = {n.id: set() for n in self.nodes}
-        for a, b in self.ddg_edges:
-            pred[b].add(a)
-        return pred
-
-    def cdg_successors(self):
-        succ = {n.id: set() for n in self.nodes}
-        for a, b in self.cdg_edges:
-            succ[a].add(b)
-        return succ
+def _successors(nodes, edges) -> dict[int, set[int]]:
+    """Each node's id mapped to the targets of its ``(source, target)`` edges."""
+    succ = {n.id: set() for n in nodes}
+    for a, b in edges:
+        succ[a].add(b)
+    return succ
 
 
 # ---------------------------------------------------------------------------
@@ -389,9 +379,7 @@ def build_pdg(function: FunctionUnit) -> FunctionPDG:
 
 def _reaching_def_use_edges(builder: _Builder) -> set[tuple[int, int]]:
     nodes = builder.nodes
-    preds = {n.id: set() for n in nodes}
-    for a, b in builder.cfg_edges:
-        preds[b].add(a)
+    preds = _successors(nodes, ((b, a) for a, b in builder.cfg_edges))
 
     gen = {n.id: {(n.id, v) for v in n.defs} for n in nodes}
     defs_of_var: dict[str, set] = {}
@@ -476,24 +464,25 @@ def changed_pdg_nodes(pdg_before: FunctionPDG | None, pdg_after: FunctionPDG,
     return changed
 
 
+def _reach(succ: dict[int, set[int]], start) -> set[int]:
+    """``start`` and every node reachable from it along ``succ``."""
+    seen = set(start)
+    frontier = list(seen)
+    while frontier:
+        for nxt in succ.get(frontier.pop(), ()):
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return seen
+
+
 def ddg_impact(pdg: FunctionPDG, changed: set[int]) -> float:
     """|forward + backward data-flow reach + changed| / |nodes|."""
     if not pdg.nodes or not changed:
         return 0.0
-    succ = pdg.ddg_successors()
-    pred = pdg.ddg_predecessors()
-    reached = set(changed)
-    for adjacency in (succ, pred):
-        frontier = list(changed)
-        seen = set(changed)
-        while frontier:
-            node = frontier.pop()
-            for nxt in adjacency.get(node, ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        reached |= seen
-    return len(reached) / len(pdg.nodes)
+    succ = _successors(pdg.nodes, pdg.ddg_edges)
+    pred = _successors(pdg.nodes, ((b, a) for a, b in pdg.ddg_edges))
+    return len(_reach(succ, changed) | _reach(pred, changed)) / len(pdg.nodes)
 
 
 def cdg_impact(pdg: FunctionPDG, changed: set[int]) -> float:
@@ -501,21 +490,11 @@ def cdg_impact(pdg: FunctionPDG, changed: set[int]) -> float:
     statement), the header itself included; 0 when no changed node qualifies."""
     if not pdg.nodes or not changed:
         return 0.0
-    succ = pdg.cdg_successors()
+    succ = _successors(pdg.nodes, pdg.cdg_edges)
     collected: set[int] = set()
     for node in changed:
         if len(succ.get(node, ())) > 1:
-            frontier = [node]
-            seen = {node}
-            while frontier:
-                cur = frontier.pop()
-                for nxt in succ.get(cur, ()):
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        frontier.append(nxt)
-            collected |= seen
-    if not collected:
-        return 0.0
+            collected |= _reach(succ, (node,))
     return len(collected) / len(pdg.nodes)
 
 

@@ -14,15 +14,16 @@ reproducible: a re-run on the same history yields identical numbers.  The
 developer rows, inflated-commit flags included, are folded from the fused
 commits with the run's thresholds.
 
-Each commit parses only the changed source blobs it does not already
-hold: ``parse_changes`` keys the trees by blob and takes a before side
-from the call graph, whose entry for the file keeps the tree it was read
-from (see ``callgraph.FileEntry``), when that entry is of the same blob.
-The differ, the call-graph update and the complexity and dependence-graph
-measurements all read those trees and the function units cached on them,
-with the path taken from the file change.  A blob that fails to parse,
-including one nested deeper than the parser or ``MAX_TREE_DEPTH`` allows,
-is logged once per commit that reads it and skipped.
+``parse_changes`` is the one place that decides which sides of a change
+are source; it turns a commit's file changes into ``SourceChange``s, each
+with the trees of both sides, and the differ, the call-graph update and
+the complexity and dependence-graph measurements read only that list.  A
+commit parses only the changed source blobs it does not already hold: a
+before side is taken from the call graph, whose entry for the file keeps
+the tree it was read from (see ``callgraph.FileEntry``), when that entry
+is of the same blob.  A blob that fails to parse, including one nested
+deeper than the parser or ``MAX_TREE_DEPTH`` allows, is logged once per
+commit that reads it and skipped.
 
 The graph's trees hold no reference cycles, so a superseded version is
 freed by reference counting; a full cyclic collection would walk every
@@ -58,6 +59,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .astdiff import FILE_SCOPE, DeltaWeights, delta_ast, diff_file_pair
 from .callgraph import (
@@ -87,7 +89,7 @@ from .scoring import (
     function_score,
     normalize,
 )
-from .syntax import SourceTrees, language_for_path
+from .syntax import SyntaxTree, language_for_path, parse_file
 
 _METRICS = ("loc", "cc", "hv", "pcom", "ip")
 
@@ -217,33 +219,73 @@ class PipelineState:
     impact_key: tuple[int, int] | None = None
 
 
-def before_key(change) -> str | None:
-    """The key of a change's before side in ``SourceTrees``: its blob, or
-    None, the empty side, when there is no blob or the file was renamed
-    from a path with no grammar (``Notes.groovy`` to ``Notes.java``)."""
-    if language_for_path(change.before_path) is None:
-        return None
-    return change.before_blob
+class SourceChange(NamedTuple):
+    """One changed source file of a commit, the form every layer after
+    ``parse_changes`` reads.
+
+    ``path`` is the file's path: the new one, or the old one when a rename
+    leaves the grammar.  ``old_path`` is a renamed source file's old path,
+    else None.  ``after_blob`` is None when the after side is empty.
+    ``before`` and ``after`` are the trees of the two sides; an empty side
+    is the tree of the empty text, and a side whose blob has no text or
+    fails to parse is None."""
+
+    path: str
+    old_path: str | None
+    after_blob: str | None
+    before: SyntaxTree | None
+    after: SyntaxTree | None
 
 
-def parse_changes(changes, graph: CallGraph) -> SourceTrees:
-    """The trees of both sides of every source change in one commit, keyed
-    by blob (see ``before_key``); the empty side of an added or deleted
-    file is the key None.  ``graph`` must hold the commit's first-parent
-    snapshot: a before side whose blob is the one its file's entry was
-    read from is that entry's tree, not parsed again."""
-    trees = SourceTrees()
+def parse_changes(changes, graph: CallGraph, run: AnalysisRun) -> list[SourceChange]:
+    """The commit's source changes, in order, with both sides parsed.
+
+    This is where a run decides which sides of a change are source: a side
+    whose path has no grammar adapter is the empty side, like the missing
+    side of an added or deleted file.  So ``Notes.groovy`` to
+    ``Notes.java`` is an addition and ``A.java`` to ``A.kt`` a deletion of
+    ``A.java``; a change with no source side is left out.
+
+    Each blob is parsed at most once.  ``graph`` must hold the commit's
+    first-parent snapshot: a before side whose blob is the one its file's
+    entry was read from is that entry's tree, not parsed again.  Parses,
+    reused trees and parse errors are counted on ``run``."""
+    trees: dict[str | None, SyntaxTree | None] = {}
+
+    def tree_of(path, blob, text, held=None):
+        if blob is None:  # the empty side
+            text = ""
+        if blob not in trees:
+            if held is not None:
+                run.tree_reuses += 1
+                tree = held
+            elif text is None:  # binary or undecodable
+                tree = None
+            else:
+                run.parses += 1
+                tree = parse_file(path, text)
+                run.parse_errors += tree is None
+            trees[blob] = tree
+        return trees[blob]
+
+    sources = []
     for change in changes:
-        if language_for_path(change.path) is None:
+        old = change.before_path if language_for_path(change.before_path) else None
+        new = change.path if language_for_path(change.path) else None
+        if old is None and new is None:
             continue
-        key = before_key(change)
-        entry = graph.files.get(change.before_path)
+        path = new or old
+        before_blob = change.before_blob if old is not None else None
+        after_blob = change.after_blob if new is not None else None
+        entry = graph.files.get(old)
         held = None
-        if key is not None and entry is not None and entry.blob == key:
+        if before_blob is not None and entry is not None and entry.blob == before_blob:
             held = entry.tree
-        trees.add(change.path, key, change.before_content, held)
-        trees.add(change.path, change.after_blob, change.after_content)
-    return trees
+        before = tree_of(path, before_blob, change.before_content, held)
+        after = tree_of(path, after_blob, change.after_content)
+        sources.append(SourceChange(path, old if old != path else None,
+                                    after_blob, before, after))
+    return sources
 
 
 def current_impact(state: PipelineState) -> dict[FunctionId, float]:
@@ -281,31 +323,25 @@ def analyze_commit(commit: CommitRecord, state: PipelineState) -> CommitResult:
     result.bulk = len(changes) > cfg.bulk_file_threshold
 
     t0 = time.perf_counter()
-    trees = parse_changes(changes, state.graph)
+    sources = parse_changes(changes, state.graph, run)
     run.add_time("parse", time.perf_counter() - t0)
-    run.parses += trees.parses
-    run.tree_reuses += trees.reuses
-    run.parse_errors += trees.errors
 
-    # diff every parseable source file
+    # diff every source file whose two sides parsed
     per_file = []
     t0 = time.perf_counter()
-    for change in changes:
-        if language_for_path(change.path) is None:
-            continue
-        before = trees.get(before_key(change))
-        after = trees.get(change.after_blob)
-        if before is None or after is None:
+    for source in sources:
+        if source.before is None or source.after is None:
             continue
         _, actions, changesets = diff_file_pair(
-            before, after, similarity_threshold=cfg.diff_similarity_threshold,
+            source.before, source.after,
+            similarity_threshold=cfg.diff_similarity_threshold,
             blacklist=cfg.blacklist_patterns)
         if changesets:
-            per_file.append((change, before, after, changesets))
+            per_file.append((source, changesets))
     run.add_time("diff", time.perf_counter() - t0)
 
     t0 = time.perf_counter()
-    state.graph.update(changes, trees)
+    state.graph.update(sources)
     run.add_time("graph", time.perf_counter() - t0)
 
     if not per_file:
@@ -316,14 +352,15 @@ def analyze_commit(commit: CommitRecord, state: PipelineState) -> CommitResult:
     run.add_time("rank", time.perf_counter() - t0)
 
     t0 = time.perf_counter()
-    for change, before, after, changesets in per_file:
+    for source, changesets in per_file:
+        before, after = source.before, source.after
         before_units = {u.qualified_name: u for u in before.functions}
         after_units = {u.qualified_name: u for u in after.functions}
         for cs in changesets:
             qname = cs.function
             delta = delta_ast(cs, state.weights)
             record = FunctionRecord(commit_id=commit.id, function=qname,
-                                    file=change.path, delta_ast=delta)
+                                    file=source.path, delta_ast=delta)
             if qname == FILE_SCOPE:
                 record.is_function = False
                 result.records.append(record)
@@ -335,7 +372,7 @@ def analyze_commit(commit: CommitRecord, state: PipelineState) -> CommitResult:
                 raw = compute_raw(unit, unit_tree)
                 record.loc, record.cc = raw.loc, raw.cc
                 record.hv, record.pcom = raw.hv, raw.pcom
-            record.ip = inter_impact(impact, FunctionId(qname, change.path))
+            record.ip = inter_impact(impact, FunctionId(qname, source.path))
             if bu is not None and au is not None:
                 pdg_before = build_pdg(bu)
                 pdg_after = build_pdg(au)

@@ -25,11 +25,11 @@ allows, so that every later tree walk stays within Python's recursion
 limit.
 
 The lexer is one compiled pattern with an alternative per token class.
-A tree depends on its text alone, not on the file's path, so ``SourceTrees``
-parses each blob once and every layer reads that tree; a tree computes its
+
+A tree depends on its text alone, not on the file's path, and computes its
 function units once (``functions``).  No layer changes a tree once it is
 built (``height`` and ``struct_hash`` only fill caches), so one tree may
-serve several commits.
+serve every layer and several commits.
 """
 
 from __future__ import annotations
@@ -1287,50 +1287,6 @@ def parse_source(text: str, language: str = "java") -> SyntaxTree:
         return _ADAPTERS[language](text)
     except RecursionError:
         raise ParseError("nesting too deep for the parser") from None
-
-
-class SourceTrees:
-    """One commit's syntax trees keyed by blob; each blob is parsed once,
-    and not at all when the caller already holds its tree.
-
-    A key is a git blob sha, or None for the empty side of an added or
-    deleted file, which is parsed as the empty text.  A key maps to None
-    when the path it was added under has no grammar adapter, the blob has
-    no text (binary or undecodable) or the text fails to parse; a parse
-    failure is logged once, when the blob is added.  ``parses`` and
-    ``errors`` count calls of ``parse_source`` and their failures;
-    ``reuses`` counts blobs served from a tree the caller held.
-    """
-
-    def __init__(self):
-        self._trees: dict[str | None, SyntaxTree | None] = {}
-        self.parses = 0
-        self.errors = 0
-        self.reuses = 0
-
-    def add(self, path: str, blob: str | None, text: str | None,
-            held: SyntaxTree | None = None) -> SyntaxTree | None:
-        """The tree of ``blob``.  A new blob takes ``held``, a tree of the
-        same blob kept from an earlier commit, or else ``text`` parsed;
-        ``path`` picks the grammar and names the file in a warning."""
-        if blob not in self._trees:
-            if held is not None:
-                self.reuses += 1
-                self._trees[blob] = held
-            else:
-                self._trees[blob] = self._parse(path, "" if blob is None else text)
-        return self._trees[blob]
-
-    def get(self, blob: str | None) -> SyntaxTree | None:
-        return self._trees.get(blob)
-
-    def _parse(self, path: str, text: str | None) -> SyntaxTree | None:
-        if language_for_path(path) is None or text is None:
-            return None
-        self.parses += 1
-        tree = parse_file(path, text)
-        self.errors += tree is None
-        return tree
 
 
 def parse_file(path: str, text: str) -> SyntaxTree | None:

@@ -35,7 +35,7 @@ def _change(path, kind, before_content=None, after_content=None, old_path=None):
 
 def _update(graph, changes):
     """Advance ``graph`` the way the pipeline does: parse, then update."""
-    return graph.update(changes, parse_changes(changes, graph))
+    return graph.update(parse_changes(changes, graph, AnalysisRun("", {})))
 
 
 def test_single_file_call_edge():
@@ -195,11 +195,12 @@ def test_update_from_shared_trees_equals_rebuild(seed):
             return java(text, path)
 
         with mock.patch.dict(syntax._ADAPTERS, {"java": recording}):
-            trees = parse_changes(changes, graph)
+            run = AnalysisRun("", {})
+            sources = parse_changes(changes, graph, run)
             # no text is parsed twice, not even a renamed file's one blob
-            assert len(parsed) == len(set(parsed)) == trees.parses
-            graph.update(changes, trees)
-            assert len(parsed) == trees.parses
+            assert len(parsed) == len(set(parsed)) == run.parses
+            graph.update(sources)
+            assert len(parsed) == run.parses
         assert graph.structure() == build_call_graph(snapshot).structure()
 
 

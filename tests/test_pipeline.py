@@ -24,7 +24,7 @@ from devcontrib.callgraph import (
 )
 from devcontrib.config import AnalysisConfig
 from devcontrib.pipeline import AnalysisRun, analyze_repository, parse_changes
-from devcontrib.repo import open_repository, walk_commits
+from devcontrib.repo import changed_files, open_repository, walk_commits
 from devcontrib.syntax import MAX_TREE_DEPTH, parse_source
 
 from conftest import RepoBuilder
@@ -131,7 +131,7 @@ def test_pipeline_graph_matches_full_rebuild_at_every_commit(make_repo):
         elif first != previous:
             graph = store.restore(first)
         changes = changed_files(commit, tree)
-        graph.update(changes, parse_changes(changes, graph))
+        graph.update(parse_changes(changes, graph, AnalysisRun("", {})))
         if len(children.get(commit.id, [])) > 1:
             store.checkpoint(graph, commit.id)
         snapshot = {p: t for p, t in repo.snapshots[commit.id].items()
@@ -157,7 +157,7 @@ def test_rename_into_non_ascii_directory_keeps_functions(make_repo):
     graph = CallGraph()
     for commit in walk_commits(tree):
         changes = changed_files(commit, tree)
-        graph.update(changes, parse_changes(changes, graph))
+        graph.update(parse_changes(changes, graph, AnalysisRun("", {})))
         rebuilt = build_call_graph(repo.snapshots[commit.id])
         assert graph.structure() == rebuilt.structure(), commit.id
     assert FunctionId("D.d()", "src/café/D.java") in graph.nodes
@@ -223,7 +223,9 @@ def test_run_of_another_schema_version_is_refused(make_repo):
 
 def test_bulk_flag(make_repo):
     repo = make_repo()
-    files = {f"F{i}.java": f"class F{i} {{ void m() {{ }} }}" for i in range(6)}
+    # every changed file counts, source or not
+    files = {f"F{i}.java": f"class F{i} {{ void m() {{ }} }}" for i in range(3)}
+    files.update({f"notes{i}.txt": f"note {i}\n" for i in range(3)})
     repo.commit("big", 1000, files)
     cfg = AnalysisConfig(bulk_file_threshold=5)
     run = analyze_repository(repo.path, cfg)
@@ -502,6 +504,34 @@ def test_rename_from_a_path_without_grammar_scores_the_new_file(make_repo, caplo
     assert record.delta_ast > 0
 
 
+def test_rename_to_a_path_without_grammar_scores_a_deletion(make_repo):
+    methods = "\n".join(f"    int m{i}(int k) {{ return k + {i}; }}" for i in range(20))
+    files = {"A.java": "class A {\n%s\n}\n" % methods,
+             "B.java": "class B { int h(int k) { return new A().m1(k); } }"}
+    kinds, records = [], []
+    for drop in ({"rename": {"A.java": "A.kt"}}, {"remove": ["A.java"]}):
+        repo = make_repo()
+        repo.commit("init", 1000, files)
+        repo.commit("drop", 2000, **drop)
+        tree = open_repository(repo.path)
+        graph = CallGraph()
+        for commit in walk_commits(tree):
+            changes = changed_files(commit, tree)
+            graph.update(parse_changes(changes, graph, AnalysisRun("", {})))
+            rebuilt = build_call_graph(repo.snapshots[commit.id])
+            assert graph.structure() == rebuilt.structure(), commit.id
+        tree.close()
+        kinds.append([change.kind for change in changes])
+        run = analyze_repository(repo.path)
+        records.append([(r.function, r.file, r.is_function, r.delta_ast, r.score)
+                        for r in run.commits[-1].records])
+    assert kinds == [["renamed"], ["deleted"]]
+    renamed, deleted = records
+    # the old file's code is gone either way, and scored as such
+    assert renamed == deleted
+    assert [r[:3] for r in renamed] == [(pipeline.FILE_SCOPE, "A.java", False)]
+
+
 def test_sibling_branches_read_the_fork_points_trees(make_repo):
     repo = _forked_repo(make_repo)
     run = analyze_repository(repo.path)
@@ -570,7 +600,7 @@ def test_reused_trees_give_the_run_of_fresh_parses(tmp_path_factory, side, main)
     with pytest.MonkeyPatch.context() as mp:
         # parsing against an empty call graph holds no tree to reuse
         mp.setattr(pipeline, "parse_changes",
-                   lambda changes, graph: parse_changes(changes, CallGraph()))
+                   lambda changes, graph, run: parse_changes(changes, CallGraph(), run))
         fresh = analyze_repository(repo.path)
     assert fresh.tree_reuses == 0
     assert run.parses + run.tree_reuses == fresh.parses

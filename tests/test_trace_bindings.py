@@ -1,19 +1,26 @@
-"""The names the traced benchmark run wraps still exist in ``devcontrib``.
+"""The names the traced benchmark run wraps still exist in ``devcontrib``,
+and a traced run records spans through them.
 
 ``benchmarks/tracing.py`` installs its per-layer spans from outside ``src/``
 and skips a name that is gone without a word, so a deleted or renamed
-binding would silently drop its span from the per-layer metrics.
+binding, or one the pipeline no longer calls through, would silently drop
+its span from the per-layer metrics.
 """
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import devcontrib
 from devcontrib import callgraph, report, syntax
 from devcontrib.pipeline import analyze_repository
 
-_spec = importlib.util.spec_from_file_location(
-    "benchmark_tracing", Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py")
+_TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
+_spec = importlib.util.spec_from_file_location("benchmark_tracing", _TRACING)
 tracing = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(tracing)
 
@@ -68,3 +75,32 @@ def test_pipeline_reaches_aggregate_through_the_report_module(make_repo, monkeyp
     repo.commit("edit", 2000, {"A.java": "class A { int f() { return 2; } }"})
     run = analyze_repository(repo.path)
     assert calls == [run]
+
+
+# Run in a fresh interpreter: ``Probe.install`` rebinds module attributes and
+# methods for the rest of the process.
+_TRACED_RUN = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("benchmark_tracing", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+probe = tracing.Probe().install()
+from devcontrib.pipeline import analyze_repository
+run = analyze_repository(sys.argv[2])
+print(json.dumps(probe.metrics(run, traced_s=1.0, save_s=0.0)))
+"""
+
+
+def test_traced_run_records_parse_update_and_diff_spans(make_repo):
+    repo = make_repo()
+    repo.commit("init", 1000, {"A.java": "class A { int f() { return g(); } int g() { return 1; } }"})
+    repo.commit("move", 2000, rename={"A.java": "src/A.java"})
+    repo.commit("edit", 3000, {"src/A.java": "class A { int f() { return g() + 1; } "
+                                             "int g() { return 1; } }"})
+    env = dict(os.environ, PYTHONPATH=str(Path(devcontrib.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _TRACED_RUN, str(_TRACING), repo.path],
+                          env=env, capture_output=True, text=True, check=True)
+    metrics = json.loads(proc.stdout)
+    for name in ("syntax.parse_calls", "callgraph.update_calls",
+                 "astdiff.diff_file_pair_calls"):
+        assert metrics[name] > 0, name
