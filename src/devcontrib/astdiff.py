@@ -179,7 +179,7 @@ def _top_down(before_root, after_root, mapping, min_height):
     open_a = [after_root]
     while open_b and open_a:
         hb = max(n.height for n in open_b)
-        if hb < min_height:  # an added file stops here, its heights unfilled
+        if hb < min_height:  # an added file stops here, before any struct_hash
             break
         ha = max(n.height for n in open_a)
         if ha < min_height:

@@ -105,7 +105,7 @@ def extract_call_sites(path: str, units) -> tuple[CallSite, ...]:
     """Call sites of every named unit of the file ``path``, lambdas merged
     into their enclosing function, nested named declarations excluded (they
     are their own units)."""
-    named = [u for u in units if "$lambda" not in u.qualified_name]
+    named = [u for u in units if u.body.kind != "lambda_expr"]
     sites = []
     for unit in named:
         fid = FunctionId(unit.qualified_name, path)
@@ -190,7 +190,7 @@ class CallGraph:
         ``blob``; returns its functions."""
         units = tree.functions
         fids = tuple(FunctionId(u.qualified_name, path) for u in units
-                     if "$lambda" not in u.qualified_name)
+                     if u.body.kind != "lambda_expr")
         self.files[path] = FileEntry(fids, extract_call_sites(path, units),
                                      blob=blob, tree=tree)
         for fid in fids:

@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ParseError
-from .syntax import FunctionUnit, SyntaxTree, comment_metrics, tokenize
+from .syntax import FunctionUnit, SyntaxTree, comment_metrics, function_body, tokenize
 
 
 @dataclass
@@ -65,13 +65,8 @@ def cyclomatic(function: FunctionUnit) -> int:
 
 def _body_span(function: FunctionUnit) -> tuple[int, int]:
     """Span of the function's body block (or lambda body); empty if none."""
-    node = function.body
-    if node.kind in ("method_decl", "constructor_decl"):
-        block = next((c for c in node.children if c.kind == "block"), None)
-        return block.span if block is not None else (node.start, node.start)
-    if node.kind == "lambda_expr":
-        return node.children[1].span
-    return node.span
+    body = function_body(function)
+    return body.span if body is not None else (function.body.start, function.body.start)
 
 
 def halstead_volume(function: FunctionUnit, tree: SyntaxTree) -> float:

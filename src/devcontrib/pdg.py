@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .syntax import FunctionUnit, SyntaxNode
+from .syntax import FunctionUnit, SyntaxNode, function_body
 
 
 @dataclass
@@ -359,11 +359,7 @@ class _Builder:
 
 def build_pdg(function: FunctionUnit) -> FunctionPDG:
     """Statement-level PDG of one function body."""
-    body = None
-    if function.body.kind in ("method_decl", "constructor_decl"):
-        body = next((c for c in function.body.children if c.kind == "block"), None)
-    elif function.body.kind == "lambda_expr":
-        body = function.body.children[1]
+    body = function_body(function)
     builder = _Builder()
     if body is not None:
         if body.kind == "block":

@@ -28,8 +28,9 @@ The lexer is one compiled pattern with an alternative per token class.
 
 A tree depends on its text alone, not on the file's path, and computes its
 function units once (``functions``).  No layer changes a tree once it is
-built (``height`` and ``struct_hash`` only fill caches), so one tree may
-serve every layer and several commits.
+built, so one tree may serve every layer and several commits.  Building it
+fills every node's ``height``, which the depth check reads; ``struct_hash``
+is filled on first use.
 """
 
 from __future__ import annotations
@@ -51,12 +52,16 @@ logger = logging.getLogger(__name__)
 
 class SyntaxNode:
     """One node of a parsed tree.  It has no parent link, which would put
-    every tree in a reference cycle (see the module doc)."""
+    every tree in a reference cycle (see the module doc).
+
+    The arguments come in the parser's order, ``(kind, children, start,
+    end, label)``; all but ``kind`` are optional.
+    """
 
     __slots__ = ("kind", "label", "children", "start", "end",
                  "_height", "_struct_hash")
 
-    def __init__(self, kind, label=None, children=None, start=0, end=0):
+    def __init__(self, kind, children=None, start=0, end=0, label=None):
         self.kind = kind
         self.label = label
         self.children = children if children is not None else []
@@ -147,7 +152,9 @@ MAX_TREE_DEPTH = 500
 class SyntaxTree:
     """A parsed file: root node, raw source, and out-of-tree comments.
 
-    Raises ``ParseError`` when the tree is deeper than ``MAX_TREE_DEPTH``.
+    Raises ``ParseError`` when the tree is deeper than ``MAX_TREE_DEPTH``,
+    at the start of a node one level too deep (see ``_node_at_depth``).
+    Reading the root's height fills the height of every node.
     """
 
     def __init__(self, root: SyntaxNode, source_text: str, comments=None):
@@ -156,14 +163,10 @@ class SyntaxTree:
         self.comments = comments or []
         self._line_starts = None
         self._functions = None
-        stack = [(root, 1)]
-        while stack:
-            node, depth = stack.pop()
-            if depth > MAX_TREE_DEPTH:
-                raise ParseError(f"syntax tree deeper than {MAX_TREE_DEPTH} levels",
-                                 position=node.start)
-            depth += 1
-            stack.extend((child, depth) for child in node.children)
+        if root.height > MAX_TREE_DEPTH:
+            deep = _node_at_depth(root, MAX_TREE_DEPTH + 1)
+            raise ParseError(f"syntax tree deeper than {MAX_TREE_DEPTH} levels",
+                             position=deep.start)
 
     @property
     def functions(self) -> list[FunctionUnit]:
@@ -188,13 +191,32 @@ class SyntaxTree:
         return bisect.bisect_right(self.line_starts, offset) - 1
 
 
+def _node_at_depth(root: SyntaxNode, depth: int) -> SyntaxNode:
+    """The first node at ``depth`` (the root is at 1) in a depth-first walk
+    that visits the last child first: at each level, the last child whose
+    subtree reaches ``depth``.  ``root.height`` must reach it."""
+    node = root
+    for level in range(2, depth + 1):
+        node = next(c for c in reversed(node.children) if c.height > depth - level)
+    return node
+
+
 @dataclass
 class FunctionUnit:
     """One method/constructor/lambda extracted from a tree."""
 
     qualified_name: str
     span: tuple[int, int]
-    body: SyntaxNode
+    body: SyntaxNode   # the whole declaration or lambda; see ``function_body``
+
+
+def function_body(unit: FunctionUnit) -> SyntaxNode | None:
+    """The body of a unit: a method's or constructor's block, a lambda's
+    block or expression; None for a method without one (abstract)."""
+    node = unit.body
+    if node.kind == "lambda_expr":
+        return node.children[1]
+    return next((c for c in node.children if c.kind == "block"), None)
 
 
 class NodeCategory(enum.Enum):
@@ -237,6 +259,10 @@ _OPERATORS = [
     "<<", ">>", "=", "+", "-", "*", "/", "%", "<", ">", "!", "~", "&", "|",
     "^", "?", ":",
 ]
+
+# tokens that may appear inside type arguments, besides identifiers
+_TYPE_ARGUMENT_TOKENS = frozenset({",", ".", "?", "[", "]", "&", "extends", "super"}
+                                  | _PRIMITIVES)
 
 _ASSIGN_OPS = {"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>=", ">>>="}
 
@@ -357,20 +383,32 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.tokens, self.comments = tokenize(text)
+        # two more eof tokens, so that ``peek`` looks up to two tokens past
+        # the end without a bounds check
+        self.tokens += self.tokens[-1:] * 2
         self.pos = 0
 
     # -- token helpers ------------------------------------------------------
 
     def peek(self, offset=0) -> _Token:
-        idx = self.pos + offset
-        return self.tokens[idx] if idx < len(self.tokens) else self.tokens[-1]
+        return self.tokens[self.pos + offset]
 
     def at(self, text: str) -> bool:
         tok = self.tokens[self.pos]
         return tok.text == text and tok.type in ("keyword", "op", "punct")
 
+    def accept(self, text: str) -> bool:
+        """Consume the current token if ``at(text)``; whether it did."""
+        if self.at(text):
+            self.pos += 1
+            return True
+        return False
+
     def at_ident(self) -> bool:
-        return self.peek().type == "ident"
+        return self.tokens[self.pos].type == "ident"
+
+    def at_end(self) -> bool:
+        return self.tokens[self.pos].type == "eof"
 
     def at_record(self) -> bool:
         """At ``record Name(`` or ``record Name<``: ``record`` is a keyword
@@ -398,12 +436,38 @@ class _Parser:
     def error(self, message: str):
         raise ParseError(message, position=self.peek().start)
 
-    def node(self, kind, children, start, end, label=None):
-        return SyntaxNode(kind, label=label, children=children, start=start, end=end)
+    def leaf(self, kind, tok: _Token):
+        return SyntaxNode(kind, None, tok.start, tok.end, tok.text)
 
-    def leaf(self, kind, tok: _Token, label=None):
-        return SyntaxNode(kind, label=label if label is not None else tok.text,
-                          start=tok.start, end=tok.end)
+    def identifier(self, message: str) -> SyntaxNode:
+        """The identifier leaf at the current token, else ``message``."""
+        if not self.at_ident():
+            self.error(message)
+        return self.leaf("identifier", self.advance())
+
+    def skip_dims(self):
+        """Skip ``[]`` pairs after a type or a declared name."""
+        while self.at("[") and self.peek(1).text == "]":
+            self.pos += 2
+
+    def skip_parenthesized(self, what: str) -> int:
+        """Skip the balanced ``( … )`` group at the current token; the end
+        of its ``)``."""
+        depth = 0
+        while True:
+            tok = self.advance()
+            if tok.type == "eof":
+                self.error(f"unterminated {what} arguments")
+            if tok.text == "(":
+                depth += 1
+            elif tok.text == ")":
+                depth -= 1
+                if depth == 0:
+                    return tok.end
+
+    def source_label(self, start: int, end: int) -> str:
+        """The source text of ``start:end`` without whitespace."""
+        return "".join(self.text[start:end].split())
 
     # -- entry --------------------------------------------------------------
 
@@ -414,28 +478,26 @@ class _Parser:
             children.append(self.parse_package())
         while self.at("import"):
             children.append(self.parse_import())
-        while not self.peek().type == "eof":
+        while not self.at_end():
             children.append(self.parse_type_declaration())
         end = children[-1].end if children else start
-        return self.node("compilation_unit", children, start, end)
+        return SyntaxNode("compilation_unit", children, start, end)
 
     def parse_package(self):
         start = self.expect("package").start
         name = self.parse_dotted_name()
         end = self.expect(";").end
-        return self.node("package_decl", [], start, end, label=name)
+        return SyntaxNode("package_decl", [], start, end, label=name)
 
     def parse_import(self):
         start = self.expect("import").start
-        if self.at("static"):
-            self.advance()
+        self.accept("static")
         name = self.parse_dotted_name()
-        if self.at("."):
-            self.advance()
+        if self.accept("."):
             self.expect("*")
             name += ".*"
         end = self.expect(";").end
-        return self.node("import_decl", [], start, end, label=name)
+        return SyntaxNode("import_decl", [], start, end, label=name)
 
     def parse_dotted_name(self) -> str:
         parts = [self.advance().text]
@@ -450,8 +512,7 @@ class _Parser:
         nodes = []
         while True:
             tok = self.peek()
-            if tok.text == "@" and self.peek(1).type == "ident" \
-                    and self.peek(1).text != "interface":
+            if tok.text == "@" and self.peek(1).type == "ident":
                 nodes.append(self.parse_annotation())
             elif tok.type == "keyword" and tok.text in _MODIFIER_KEYWORDS:
                 # 'default' doubles as a switch label; only a modifier before members
@@ -462,23 +523,11 @@ class _Parser:
 
     def parse_annotation(self):
         start = self.expect("@").start
-        name = self.parse_dotted_name()
+        self.parse_dotted_name()
         end = self.tokens[self.pos - 1].end
         if self.at("("):
-            depth = 0
-            while True:
-                tok = self.advance()
-                if tok.type == "eof":
-                    self.error("unterminated annotation arguments")
-                if tok.text == "(":
-                    depth += 1
-                elif tok.text == ")":
-                    depth -= 1
-                    if depth == 0:
-                        end = tok.end
-                        break
-        label = "".join(self.text[start:end].split())
-        return SyntaxNode("annotation", label=label, start=start, end=end)
+            end = self.skip_parenthesized("annotation")
+        return SyntaxNode("annotation", [], start, end, self.source_label(start, end))
 
     # -- types ---------------------------------------------------------------
 
@@ -492,67 +541,48 @@ class _Parser:
         elif tok.type == "ident":
             self.advance()
             while self.at(".") and self.peek(1).type == "ident":
-                self.advance()
-                self.advance()
+                self.pos += 2
             if self.at("<") and not self._skip_type_arguments():
                 self.pos = save
                 return None
         else:
             return None
-        while self.at("[") and self.peek(1).text == "]":
-            self.advance()
-            self.advance()
+        self.skip_dims()
         end = self.tokens[self.pos - 1].end
-        label = "".join(self.text[start:end].split())
-        return SyntaxNode("type", label=label, start=start, end=end)
+        return SyntaxNode("type", [], start, end, self.source_label(start, end))
 
     def _skip_type_arguments(self) -> bool:
         """Consume a balanced ``<...>`` group of type tokens; False if not one."""
         save = self.pos
         depth = 0
         while True:
-            tok = self.peek()
-            if tok.type == "eof":
-                self.pos = save
-                return False
+            tok = self.tokens[self.pos]
+            self.pos += 1
             if tok.text == "<":
                 depth += 1
-            elif tok.text == ">":
-                depth -= 1
+            elif tok.text in (">", ">>", ">>>"):
+                depth -= len(tok.text)
                 if depth == 0:
-                    self.advance()
                     return True
-            elif tok.text == ">>":
-                depth -= 2
-                if depth <= 0:
-                    self.advance()
-                    if depth < 0:
-                        self.pos = save
-                        return False
-                    return True
-            elif tok.text == ">>>":
-                depth -= 3
-                if depth <= 0:
-                    self.advance()
-                    if depth < 0:
-                        self.pos = save
-                        return False
-                    return True
-            elif tok.type in ("ident", "keyword") or tok.text in (",", ".", "?", "[", "]", "&"):
-                if tok.type == "keyword" and tok.text not in _PRIMITIVES \
-                        and tok.text not in ("extends", "super"):
-                    self.pos = save
-                    return False
-            else:
-                self.pos = save
-                return False
-            self.advance()
+                if depth < 0:
+                    break
+            elif tok.type != "ident" and tok.text not in _TYPE_ARGUMENT_TOKENS:
+                break
+        self.pos = save
+        return False
 
     def parse_type(self):
         t = self.try_parse_type()
         if t is None:
             self.error("expected a type")
         return t
+
+    def parse_type_list(self, separator=","):
+        """One or more types joined by ``separator``."""
+        types = [self.parse_type()]
+        while self.accept(separator):
+            types.append(self.parse_type())
+        return types
 
     # -- type declarations ----------------------------------------------------
 
@@ -566,80 +596,44 @@ class _Parser:
         self.error("expected a class or interface declaration")
 
     def parse_class_like(self, mods, start):
-        kw = self.advance().text
-        kind = _TYPE_DECL_KINDS[kw]
-        name_tok = self.peek()
-        if name_tok.type != "ident":
-            self.error("expected a type name")
-        name = self.leaf("identifier", self.advance())
-        children = list(mods) + [name]
+        kind = _TYPE_DECL_KINDS[self.advance().text]
+        children = mods + [self.identifier("expected a type name")]
         if self.at("<"):
             if not self._skip_type_arguments():
                 self.error("malformed type parameters")
         if kind == "record_decl":  # the components are the record's fields
             components = self.parse_param_list()
-            children.append(self.node("record_components", components.children,
-                                      components.start, components.end))
-        if self.at("extends"):
-            self.advance()
-            children.append(self.parse_type())
-            while self.at(","):
-                self.advance()
-                children.append(self.parse_type())
-        if self.at("implements"):
-            self.advance()
-            children.append(self.parse_type())
-            while self.at(","):
-                self.advance()
-                children.append(self.parse_type())
-        if kind == "enum_decl":
-            body = self.parse_enum_body()
-        else:
-            body = self.parse_class_body()
+            children.append(SyntaxNode("record_components", components.children,
+                                       components.start, components.end))
+        for keyword in ("extends", "implements"):
+            if self.accept(keyword):
+                children.extend(self.parse_type_list())
+        body = self.parse_class_body(enum=kind == "enum_decl")
         children.append(body)
-        return self.node(kind, children, start, body.end)
+        return SyntaxNode(kind, children, start, body.end)
 
-    def parse_enum_body(self):
+    def parse_class_body(self, enum=False):
+        """``{ members }``; an enum's body starts with its constants and has
+        members only after a ``;``."""
         start = self.expect("{").start
         children = []
-        while self.at_ident():
+        while enum and self.at_ident():
             const = self.leaf("enum_constant", self.advance())
             if self.at("("):
-                depth = 0
-                while True:
-                    tok = self.advance()
-                    if tok.type == "eof":
-                        self.error("unterminated enum constant arguments")
-                    if tok.text == "(":
-                        depth += 1
-                    elif tok.text == ")":
-                        depth -= 1
-                        if depth == 0:
-                            const.end = tok.end
-                            break
+                const.end = self.skip_parenthesized("enum constant")
             children.append(const)
-            if self.at(","):
-                self.advance()
-        if self.at(";"):
-            self.advance()
-            while not self.at("}") and self.peek().type != "eof":
+            self.accept(",")
+        if not enum or self.accept(";"):
+            while not self.at("}") and not self.at_end():
                 children.append(self.parse_member())
         end = self.expect("}").end
-        return self.node("class_body", children, start, end)
-
-    def parse_class_body(self):
-        start = self.expect("{").start
-        children = []
-        while not self.at("}") and self.peek().type != "eof":
-            children.append(self.parse_member())
-        end = self.expect("}").end
-        return self.node("class_body", children, start, end)
+        return SyntaxNode("class_body", children, start, end)
 
     def parse_member(self):
         start = self.peek().start
         if self.at(";"):
             tok = self.advance()
-            return self.node("empty_decl", [], tok.start, tok.end)
+            return SyntaxNode("empty_decl", [], tok.start, tok.end)
         mods = self.parse_modifiers()
         if mods:
             start = mods[0].start
@@ -647,7 +641,7 @@ class _Parser:
             return self.parse_class_like(mods, start)
         if self.at("{"):  # initializer block (possibly static)
             block = self.parse_block()
-            return self.node("initializer", mods + [block], start, block.end)
+            return SyntaxNode("initializer", mods + [block], start, block.end)
         if self.at("<"):
             if not self._skip_type_arguments():
                 self.error("malformed method type parameters")
@@ -659,11 +653,9 @@ class _Parser:
         if self.at_ident() and self.peek(1).text == "{":
             name = self.leaf("identifier", self.advance())
             body = self.parse_block()
-            return self.node("constructor_decl", list(mods) + [name, body], start, body.end)
+            return SyntaxNode("constructor_decl", mods + [name, body], start, body.end)
         rtype = self.parse_type()
-        if not self.at_ident():
-            self.error("expected a member name")
-        name = self.leaf("identifier", self.advance())
+        name = self.identifier("expected a member name")
         if self.at("("):
             return self.finish_method(mods, rtype, name, start, kind="method_decl")
         return self.finish_field(mods, rtype, name, start)
@@ -676,18 +668,15 @@ class _Parser:
         children.extend([name, params])
         if self.at("throws"):
             tstart = self.advance().start
-            throws = [self.parse_type()]
-            while self.at(","):
-                self.advance()
-                throws.append(self.parse_type())
-            children.append(self.node("throws_clause", throws, tstart, throws[-1].end))
+            throws = self.parse_type_list()
+            children.append(SyntaxNode("throws_clause", throws, tstart, throws[-1].end))
         if self.at(";"):
             end = self.advance().end
         else:
             body = self.parse_block()
             children.append(body)
             end = body.end
-        return self.node(kind, children, start, end)
+        return SyntaxNode(kind, children, start, end)
 
     def parse_param_list(self):
         start = self.expect("(").start
@@ -696,42 +685,31 @@ class _Parser:
             pstart = self.peek().start
             pmods = self.parse_modifiers()
             ptype = self.parse_type()
-            if self.at("..."):
-                self.advance()
+            if self.accept("..."):
                 ptype.label += "..."
-            pname = self.leaf("identifier", self.advance()) if self.at_ident() \
-                else self.error("expected a parameter name")
-            while self.at("[") and self.peek(1).text == "]":
-                self.advance()
-                self.advance()
-            params.append(self.node("param", pmods + [ptype, pname], pstart, pname.end))
-            if self.at(","):
-                self.advance()
-            elif not self.at(")"):
+            pname = self.identifier("expected a parameter name")
+            self.skip_dims()
+            params.append(SyntaxNode("param", pmods + [ptype, pname], pstart, pname.end))
+            if not self.accept(",") and not self.at(")"):
                 self.error("expected ',' or ')' in parameter list")
         end = self.expect(")").end
-        return self.node("param_list", params, start, end)
+        return SyntaxNode("param_list", params, start, end)
 
     def finish_field(self, mods, ftype, first_name, start):
         declarators = [self.parse_var_declarator(first_name)]
-        while self.at(","):
-            self.advance()
-            if not self.at_ident():
-                self.error("expected a field name")
-            declarators.append(self.parse_var_declarator(self.leaf("identifier", self.advance())))
+        while self.accept(","):
+            declarators.append(self.parse_var_declarator(
+                self.identifier("expected a field name")))
         end = self.expect(";").end
-        return self.node("field_decl", mods + [ftype] + declarators, start, end)
+        return SyntaxNode("field_decl", mods + [ftype] + declarators, start, end)
 
     def parse_var_declarator(self, name_leaf):
         children = [name_leaf]
-        while self.at("[") and self.peek(1).text == "]":
-            self.advance()
-            self.advance()
-        if self.at("="):
-            self.advance()
+        self.skip_dims()
+        if self.accept("="):
             children.append(self.parse_variable_init())
         end = children[-1].end
-        return self.node("var_declarator", children, name_leaf.start, end)
+        return SyntaxNode("var_declarator", children, name_leaf.start, end)
 
     def parse_variable_init(self):
         if self.at("{"):
@@ -743,22 +721,20 @@ class _Parser:
         items = []
         while not self.at("}"):
             items.append(self.parse_variable_init())
-            if self.at(","):
-                self.advance()
-            elif not self.at("}"):
+            if not self.accept(",") and not self.at("}"):
                 self.error("expected ',' or '}' in array initializer")
         end = self.expect("}").end
-        return self.node("array_init", items, start, end)
+        return SyntaxNode("array_init", items, start, end)
 
     # -- statements ------------------------------------------------------------
 
     def parse_block(self):
         start = self.expect("{").start
         stmts = []
-        while not self.at("}") and self.peek().type != "eof":
+        while not self.at("}") and not self.at_end():
             stmts.append(self.parse_statement())
         end = self.expect("}").end
-        return self.node("block", stmts, start, end)
+        return SyntaxNode("block", stmts, start, end)
 
     def parse_statement(self):
         tok = self.peek()
@@ -766,7 +742,7 @@ class _Parser:
             return self.parse_block()
         if tok.text == ";":
             t = self.advance()
-            return self.node("empty_stmt", [], t.start, t.end)
+            return SyntaxNode("empty_stmt", [], t.start, t.end)
         if tok.type == "keyword":
             kw = tok.text
             if kw == "if":
@@ -787,41 +763,38 @@ class _Parser:
                 if not self.at(";"):
                     children.append(self.parse_expression())
                 end = self.expect(";").end
-                return self.node("return_stmt", children, start, end)
+                return SyntaxNode("return_stmt", children, start, end)
             if kw == "throw":
                 start = self.advance().start
                 expr = self.parse_expression()
                 end = self.expect(";").end
-                return self.node("throw_stmt", [expr], start, end)
+                return SyntaxNode("throw_stmt", [expr], start, end)
             if kw in ("break", "continue"):
                 start = self.advance().start
                 children = []
                 if self.at_ident():
                     children.append(self.leaf("identifier", self.advance()))
                 end = self.expect(";").end
-                return self.node(f"{kw}_stmt", children, start, end)
+                return SyntaxNode(f"{kw}_stmt", children, start, end)
             if kw == "synchronized":
                 start = self.advance().start
-                self.expect("(")
-                expr = self.parse_expression()
-                self.expect(")")
+                expr = self.parse_parenthesized()
                 body = self.parse_block()
-                return self.node("synchronized_stmt", [expr, body], start, body.end)
+                return SyntaxNode("synchronized_stmt", [expr, body], start, body.end)
             if kw == "assert":
                 start = self.advance().start
                 children = [self.parse_expression()]
-                if self.at(":"):
-                    self.advance()
+                if self.accept(":"):
                     children.append(self.parse_expression())
                 end = self.expect(";").end
-                return self.node("assert_stmt", children, start, end)
+                return SyntaxNode("assert_stmt", children, start, end)
         decl = self.try_parse_local_var_decl()
         if decl is not None:
             return decl
         start = self.peek().start
         expr = self.parse_expression()
         end = self.expect(";").end
-        return self.node("expr_stmt", [expr], start, end)
+        return SyntaxNode("expr_stmt", [expr], start, end)
 
     def try_parse_local_var_decl(self):
         save = self.pos
@@ -833,16 +806,12 @@ class _Parser:
             else:
                 mods.append(self.parse_annotation())
         vtype = self.try_parse_type()
-        if vtype is None or not self.at_ident():
-            self.pos = save
-            return None
-        nxt = self.peek(1).text
-        if nxt not in ("=", ";", ",", "["):
+        if vtype is None or not self.at_ident() \
+                or self.peek(1).text not in ("=", ";", ",", "["):
             self.pos = save
             return None
         declarators = [self.parse_var_declarator(self.leaf("identifier", self.advance()))]
-        while self.at(","):
-            self.advance()
+        while self.accept(","):
             if not self.at_ident():
                 self.pos = save
                 return None
@@ -851,40 +820,33 @@ class _Parser:
             self.pos = save
             return None
         end = self.advance().end
-        return self.node("local_var_decl", mods + [vtype] + declarators, start, end)
+        return SyntaxNode("local_var_decl", mods + [vtype] + declarators, start, end)
 
     def parse_if(self):
         start = self.expect("if").start
-        self.expect("(")
-        cond = self.parse_expression()
-        self.expect(")")
+        cond = self.parse_parenthesized()
         then = self.parse_statement()
         children = [cond, then]
         end = then.end
-        if self.at("else"):
-            self.advance()
+        if self.accept("else"):
             otherwise = self.parse_statement()
             children.append(otherwise)
             end = otherwise.end
-        return self.node("if_stmt", children, start, end)
+        return SyntaxNode("if_stmt", children, start, end)
 
     def parse_while(self):
         start = self.expect("while").start
-        self.expect("(")
-        cond = self.parse_expression()
-        self.expect(")")
+        cond = self.parse_parenthesized()
         body = self.parse_statement()
-        return self.node("while_stmt", [cond, body], start, body.end)
+        return SyntaxNode("while_stmt", [cond, body], start, body.end)
 
     def parse_do(self):
         start = self.expect("do").start
         body = self.parse_statement()
         self.expect("while")
-        self.expect("(")
-        cond = self.parse_expression()
-        self.expect(")")
+        cond = self.parse_parenthesized()
         end = self.expect(";").end
-        return self.node("do_stmt", [body, cond], start, end)
+        return SyntaxNode("do_stmt", [body, cond], start, end)
 
     def parse_for(self):
         start = self.expect("for").start
@@ -901,50 +863,39 @@ class _Parser:
             iterable = self.parse_expression()
             self.expect(")")
             body = self.parse_statement()
-            return self.node("foreach_stmt", fmods + [vtype, name, iterable, body],
-                             start, body.end)
+            return SyntaxNode("foreach_stmt", fmods + [vtype, name, iterable, body],
+                              start, body.end)
         self.pos = save
         children = []
-        if not self.at(";"):
+        if not self.accept(";"):
             init = self.try_parse_local_var_decl()
             if init is not None:
                 # local-var path consumed the ';'
                 children.append(init)
             else:
-                children.append(self.parse_expression())
-                while self.at(","):
-                    self.advance()
-                    children.append(self.parse_expression())
+                children.extend(self.parse_expression_list())
                 self.expect(";")
-        else:
-            self.advance()
         if not self.at(";"):
             cond_expr = self.parse_expression()
-            children.append(self.node("for_condition", [cond_expr],
-                                      cond_expr.start, cond_expr.end))
+            children.append(SyntaxNode("for_condition", [cond_expr],
+                                       cond_expr.start, cond_expr.end))
         self.expect(";")
         if not self.at(")"):
-            upd = [self.parse_expression()]
-            while self.at(","):
-                self.advance()
-                upd.append(self.parse_expression())
-            children.extend(upd)
+            children.extend(self.parse_expression_list())
         self.expect(")")
         body = self.parse_statement()
         children.append(body)
-        return self.node("for_stmt", children, start, body.end)
+        return SyntaxNode("for_stmt", children, start, body.end)
 
     def parse_switch(self):
         start = self.expect("switch").start
-        self.expect("(")
-        selector = self.parse_expression()
-        self.expect(")")
+        selector = self.parse_parenthesized()
         self.expect("{")
         groups = []
-        while not self.at("}") and self.peek().type != "eof":
+        while not self.at("}") and not self.at_end():
             groups.append(self.parse_switch_group())
         end = self.expect("}").end
-        return self.node("switch_stmt", [selector] + groups, start, end)
+        return SyntaxNode("switch_stmt", [selector] + groups, start, end)
 
     def parse_switch_group(self):
         """``case …:`` labels and the statements after them, or one rule
@@ -956,22 +907,21 @@ class _Parser:
             values = []
             if kw.text == "case":
                 values.append(self.parse_case_value())
-                while self.at(","):
-                    self.advance()
+                while self.accept(","):
                     values.append(self.parse_case_value())
             kind = "case_label" if values else "default_label"
             if self.at("->"):
-                labels.append(self.node(kind, values, kw.start, self.advance().end))
+                labels.append(SyntaxNode(kind, values, kw.start, self.advance().end))
                 body = self.parse_statement()
-                return self.node("switch_rule", labels + [body], gstart, body.end)
-            labels.append(self.node(kind, values, kw.start, self.expect(":").end))
+                return SyntaxNode("switch_rule", labels + [body], gstart, body.end)
+            labels.append(SyntaxNode(kind, values, kw.start, self.expect(":").end))
         if not labels:
             self.error("expected 'case' or 'default' in switch body")
         stmts = []
         while not (self.at("case") or self.at("default") or self.at("}")):
             stmts.append(self.parse_statement())
         gend = stmts[-1].end if stmts else labels[-1].end
-        return self.node("switch_group", labels + stmts, gstart, gend)
+        return SyntaxNode("switch_group", labels + stmts, gstart, gend)
 
     def parse_case_value(self):
         # an enum constant before '->' is a label, not a lambda parameter
@@ -989,16 +939,14 @@ class _Parser:
                 rdecl_start = self.peek().start
                 rmods = self.parse_modifiers()
                 rtype = self.parse_type()
-                rname = self.leaf("identifier", self.advance()) if self.at_ident() \
-                    else self.error("expected a resource name")
+                rname = self.identifier("expected a resource name")
                 self.expect("=")
                 rexpr = self.parse_expression()
-                resources.append(self.node("resource", rmods + [rtype, rname, rexpr],
-                                           rdecl_start, rexpr.end))
-                if self.at(";"):
-                    self.advance()
+                resources.append(SyntaxNode("resource", rmods + [rtype, rname, rexpr],
+                                            rdecl_start, rexpr.end))
+                self.accept(";")
             rend = self.expect(")").end
-            children.append(self.node("resource_spec", resources, rstart, rend))
+            children.append(SyntaxNode("resource_spec", resources, rstart, rend))
         body = self.parse_block()
         children.append(body)
         end = body.end
@@ -1006,47 +954,53 @@ class _Parser:
             cstart = self.advance().start
             self.expect("(")
             cmods = self.parse_modifiers()
-            ctypes = [self.parse_type()]
-            while self.at("|"):
-                self.advance()
-                ctypes.append(self.parse_type())
-            cname = self.leaf("identifier", self.advance()) if self.at_ident() \
-                else self.error("expected an exception name")
+            ctypes = self.parse_type_list("|")
+            cname = self.identifier("expected an exception name")
             self.expect(")")
             cbody = self.parse_block()
-            children.append(self.node("catch_clause", cmods + ctypes + [cname, cbody],
-                                      cstart, cbody.end))
+            children.append(SyntaxNode("catch_clause", cmods + ctypes + [cname, cbody],
+                                       cstart, cbody.end))
             end = cbody.end
         if self.at("finally"):
             fstart = self.advance().start
             fbody = self.parse_block()
-            children.append(self.node("finally_clause", [fbody], fstart, fbody.end))
+            children.append(SyntaxNode("finally_clause", [fbody], fstart, fbody.end))
             end = fbody.end
-        return self.node("try_stmt", children, start, end)
+        return SyntaxNode("try_stmt", children, start, end)
 
     # -- expressions ------------------------------------------------------------
 
     def parse_expression(self):
-        return self.parse_assignment()
-
-    def parse_assignment(self):
         lhs = self.parse_ternary()
         tok = self.peek()
         if tok.type == "op" and tok.text in _ASSIGN_OPS:
             op = self.advance().text
-            rhs = self.parse_assignment()
-            return self.node("assign_expr", [lhs, rhs], lhs.start, rhs.end, label=op)
+            rhs = self.parse_expression()
+            return SyntaxNode("assign_expr", [lhs, rhs], lhs.start, rhs.end, label=op)
         return lhs
+
+    def parse_parenthesized(self):
+        """``( expression )``: the expression."""
+        self.expect("(")
+        expr = self.parse_expression()
+        self.expect(")")
+        return expr
+
+    def parse_expression_list(self):
+        """One or more expressions joined by ``,``."""
+        exprs = [self.parse_expression()]
+        while self.accept(","):
+            exprs.append(self.parse_expression())
+        return exprs
 
     def parse_ternary(self):
         cond = self.parse_binary(0)
-        if self.at("?"):
-            self.advance()
+        if self.accept("?"):
             then = self.parse_expression()
             self.expect(":")
             otherwise = self.parse_ternary()
-            return self.node("ternary_expr", [cond, then, otherwise],
-                             cond.start, otherwise.end)
+            return SyntaxNode("ternary_expr", [cond, then, otherwise],
+                              cond.start, otherwise.end)
         return cond
 
     def parse_binary(self, level):
@@ -1067,28 +1021,27 @@ class _Parser:
             self.advance()
             if tok.text == "instanceof":
                 rtype = self.parse_type()
-                left = self.node("instanceof_expr", [left, rtype], left.start, rtype.end)
+                left = SyntaxNode("instanceof_expr", [left, rtype], left.start, rtype.end)
                 continue
             right = self.parse_binary(op_level + 1)
-            left = self.node("binary_expr", [left, right], left.start, right.end,
-                             label=tok.text)
+            left = SyntaxNode("binary_expr", [left, right], left.start, right.end,
+                              label=tok.text)
 
     def parse_unary(self):
         tok = self.peek()
         if tok.type == "op" and tok.text in ("+", "-", "!", "~", "++", "--"):
             op = self.advance()
             operand = self.parse_unary()
-            return self.node("unary_expr", [operand], op.start, operand.end, label=op.text)
+            return SyntaxNode("unary_expr", [operand], op.start, operand.end, label=op.text)
         # unambiguous cast: ( primitive-type ) operand
         if tok.text == "(" and self.peek(1).type == "keyword" \
                 and self.peek(1).text in _PRIMITIVES:
             save = self.pos
             start = self.advance().start
             ctype = self.try_parse_type()
-            if ctype is not None and self.at(")"):
-                self.advance()
+            if ctype is not None and self.accept(")"):
                 operand = self.parse_unary()
-                return self.node("cast_expr", [ctype, operand], start, operand.end)
+                return SyntaxNode("cast_expr", [ctype, operand], start, operand.end)
             self.pos = save
         return self.parse_postfix()
 
@@ -1099,26 +1052,26 @@ class _Parser:
             if tok.text == "." and self.peek(1).type == "ident":
                 self.advance()
                 name = self.leaf("identifier", self.advance())
-                expr = self.node("field_access", [expr, name], expr.start, name.end)
+                expr = SyntaxNode("field_access", [expr, name], expr.start, name.end)
                 continue
             if tok.text == "(" and expr.kind in ("identifier", "field_access"):
                 args, end = self.parse_arguments()
-                expr = self.node("call_expr", [expr] + args, expr.start, end)
+                expr = SyntaxNode("call_expr", [expr] + args, expr.start, end)
                 continue
             if tok.text == "[":
                 self.advance()
                 index = self.parse_expression()
                 end = self.expect("]").end
-                expr = self.node("array_access", [expr, index], expr.start, end)
+                expr = SyntaxNode("array_access", [expr, index], expr.start, end)
                 continue
             if tok.text == "::" and self.peek(1).type in ("ident", "keyword"):
                 self.advance()
                 name = self.leaf("identifier", self.advance())
-                expr = self.node("method_ref", [expr, name], expr.start, name.end)
+                expr = SyntaxNode("method_ref", [expr, name], expr.start, name.end)
                 continue
             if tok.type == "op" and tok.text in ("++", "--"):
                 op = self.advance()
-                expr = self.node("postfix_expr", [expr], expr.start, op.end, label=op.text)
+                expr = SyntaxNode("postfix_expr", [expr], expr.start, op.end, label=op.text)
                 continue
             return expr
 
@@ -1127,9 +1080,7 @@ class _Parser:
         args = []
         while not self.at(")"):
             args.append(self.parse_expression())
-            if self.at(","):
-                self.advance()
-            elif not self.at(")"):
+            if not self.accept(",") and not self.at(")"):
                 self.error("expected ',' or ')' in argument list")
         end = self.expect(")").end
         return args, end
@@ -1142,19 +1093,11 @@ class _Parser:
             if self.peek(1).text == "->":
                 return self.parse_lambda_single(self.advance())
             return self.leaf("identifier", self.advance())
-        if tok.text == "this":
-            t = self.advance()
-            node = SyntaxNode("this_expr", label="this", start=t.start, end=t.end)
+        if tok.text in ("this", "super"):
+            node = self.leaf(f"{tok.text}_expr", self.advance())
             if self.at("("):
                 args, end = self.parse_arguments()
-                return self.node("call_expr", [node] + args, node.start, end)
-            return node
-        if tok.text == "super":
-            t = self.advance()
-            node = SyntaxNode("super_expr", label="super", start=t.start, end=t.end)
-            if self.at("("):
-                args, end = self.parse_arguments()
-                return self.node("call_expr", [node] + args, node.start, end)
+                return SyntaxNode("call_expr", [node] + args, node.start, end)
             return node
         if tok.text == "new":
             return self.parse_creator()
@@ -1164,34 +1107,32 @@ class _Parser:
             start = self.advance().start
             inner = self.parse_expression()
             end = self.expect(")").end
-            return self.node("paren_expr", [inner], start, end)
+            return SyntaxNode("paren_expr", [inner], start, end)
         self.error(f"unexpected token {tok.text!r} in expression")
 
     def _lambda_ahead(self) -> bool:
         """From a '(' token, check whether the balanced group is lambda params."""
         depth = 0
         i = self.pos
-        while i < len(self.tokens):
+        while True:
             t = self.tokens[i]
             if t.text == "(":
                 depth += 1
             elif t.text == ")":
                 depth -= 1
                 if depth == 0:
-                    nxt = self.tokens[i + 1] if i + 1 < len(self.tokens) else None
-                    return nxt is not None and nxt.text == "->"
+                    return self.tokens[i + 1].text == "->"
             elif t.type == "eof":
                 return False
             i += 1
-        return False
 
     def parse_lambda_single(self, name_tok):
-        param = self.node("param", [self.leaf("identifier", name_tok)],
-                          name_tok.start, name_tok.end)
-        params = self.node("param_list", [param], name_tok.start, name_tok.end)
+        param = SyntaxNode("param", [self.leaf("identifier", name_tok)],
+                           name_tok.start, name_tok.end)
+        params = SyntaxNode("param_list", [param], name_tok.start, name_tok.end)
         self.expect("->")
         body = self.parse_lambda_body()
-        return self.node("lambda_expr", [params, body], name_tok.start, body.end)
+        return SyntaxNode("lambda_expr", [params, body], name_tok.start, body.end)
 
     def parse_lambda_parenthesized(self):
         start = self.expect("(").start
@@ -1201,18 +1142,15 @@ class _Parser:
             ptype = None
             if self.peek(1).type == "ident":  # typed parameter
                 ptype = self.try_parse_type()
-            if not self.at_ident():
-                self.error("expected a lambda parameter name")
-            pname = self.leaf("identifier", self.advance())
+            pname = self.identifier("expected a lambda parameter name")
             kids = ([ptype] if ptype is not None else []) + [pname]
-            params.append(self.node("param", kids, pstart, pname.end))
-            if self.at(","):
-                self.advance()
+            params.append(SyntaxNode("param", kids, pstart, pname.end))
+            self.accept(",")
         pend = self.expect(")").end
-        plist = self.node("param_list", params, start, pend)
+        plist = SyntaxNode("param_list", params, start, pend)
         self.expect("->")
         body = self.parse_lambda_body()
-        return self.node("lambda_expr", [plist, body], start, body.end)
+        return SyntaxNode("lambda_expr", [plist, body], start, body.end)
 
     def parse_lambda_body(self):
         if self.at("{"):
@@ -1225,8 +1163,7 @@ class _Parser:
         if self.at("["):
             dims = []
             end = ctype.end
-            while self.at("["):
-                self.advance()
+            while self.accept("["):
                 if not self.at("]"):
                     dims.append(self.parse_expression())
                 end = self.expect("]").end
@@ -1235,14 +1172,14 @@ class _Parser:
                 init = self.parse_array_init()
                 children.append(init)
                 end = init.end
-            return self.node("array_new", children, start, end)
+            return SyntaxNode("array_new", children, start, end)
         args, end = self.parse_arguments()
         children = [ctype] + args
         if self.at("{"):  # anonymous class body
             body = self.parse_class_body()
             children.append(body)
             end = body.end
-        return self.node("new_expr", children, start, end)
+        return SyntaxNode("new_expr", children, start, end)
 
 
 # ---------------------------------------------------------------------------

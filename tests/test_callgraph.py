@@ -53,6 +53,21 @@ def test_unresolved_call_becomes_external_node():
     assert (FunctionId("X.f()", "X.java"), external) in edges
 
 
+def test_dollar_lambda_in_a_name_is_still_a_method():
+    # "$" is legal in Java names: only a lambda expression is a lambda unit
+    g = build_call_graph({
+        "A.java": "class A { void f() { run$lambda(); } void run$lambda() { } }",
+        "B.java": "class Foo$lambdaX { void g() { Runnable r = () -> h(); } void h() { } }",
+    })
+    nodes, edges = g.structure()
+    f, run = FunctionId("A.f()", "A.java"), FunctionId("A.run$lambda()", "A.java")
+    g_, h = FunctionId("Foo$lambdaX.g()", "B.java"), FunctionId("Foo$lambdaX.h()", "B.java")
+    assert {f, run, g_, h} <= set(nodes)
+    assert FunctionId("external:run$lambda", "") not in nodes
+    assert (f, run) in edges
+    assert (g_, h) in edges  # the lambda's call belongs to its enclosing method
+
+
 def test_fixture_project_with_scripted_call_count():
     files = {
         "A.java": """class A {

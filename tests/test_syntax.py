@@ -258,6 +258,73 @@ def test_syntax_tree_rejects_a_deep_chain():
         SyntaxTree(root, "")
 
 
+@st.composite
+def _spine_trees(draw):
+    """A chain of nodes around ``MAX_TREE_DEPTH`` long, where some chain
+    nodes get a short side chain before or after the next chain node, so
+    the deepest level may be reached on more than one path.  Each node
+    starts at its own offset."""
+    length = draw(st.integers(MAX_TREE_DEPTH - 3, MAX_TREE_DEPTH + 3))
+    sides = draw(st.lists(st.tuples(st.integers(0, length - 1), st.integers(1, 5),
+                                    st.booleans()), max_size=10))
+    nodes = []
+
+    def chain(n):
+        links = [SyntaxNode("block", start=len(nodes) + i) for i in range(n)]
+        nodes.extend(links)
+        for parent, child in zip(links, links[1:]):
+            parent.children.append(child)
+        return links
+
+    spine = chain(length)
+    for level, side_length, before in sides:
+        side = chain(side_length)[0]
+        children = spine[level].children
+        children.insert(0 if before else len(children), side)
+    return spine[0]
+
+
+def _starts_by_depth(root):
+    """{depth: starts of the nodes at that depth}, the root at depth 1."""
+    out, stack = {}, [(root, 1)]
+    while stack:
+        node, depth = stack.pop()
+        out.setdefault(depth, set()).add(node.start)
+        stack.extend((child, depth + 1) for child in node.children)
+    return out
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_spine_trees())
+def test_syntax_tree_raises_exactly_when_too_deep_at_a_too_deep_node(root):
+    starts = _starts_by_depth(root)
+    if max(starts) <= MAX_TREE_DEPTH:
+        assert SyntaxTree(root, "").root is root
+        return
+    with pytest.raises(ParseError) as exc:
+        SyntaxTree(root, "")
+    assert exc.value.position in starts[MAX_TREE_DEPTH + 1]
+
+
+def test_a_parsed_tree_has_every_height_filled(monkeypatch):
+    from devcontrib import syntax
+    from devcontrib.astdiff import map_trees
+
+    before = parse_source(SAMPLE, "java")
+    after = parse_source(SAMPLE.replace("out + name", "name + out"), "java")
+    assert all(n._height is not None for t in (before, after) for n in t.root.walk())
+    filled = []
+    uncached = syntax._uncached
+
+    def spy(root, attr):
+        filled.append(attr)
+        return uncached(root, attr)
+
+    monkeypatch.setattr(syntax, "_uncached", spy)
+    map_trees(before, after)
+    assert "_height" not in filled
+
+
 def test_function_units_are_extracted_once_per_tree(monkeypatch):
     from devcontrib import syntax
 
