@@ -2,22 +2,34 @@
 
 The graph is stored per file: each source file owns its function nodes and
 the call sites found in their bodies.  Call sites keep the callee's dotted
-name, so resolution can be redone selectively -- when a commit changes a
-file, only that file's sites plus the sites elsewhere whose callee name
-gained or lost a definition are re-resolved.  This keeps the incremental
-update equal to a full rebuild while touching a fraction of the work.
+name, so resolution can be redone selectively.  When a commit changes a
+file, that file's sites are resolved afresh; elsewhere only the sites whose
+callee's simple name is that of a function the commit added or removed
+are re-resolved.  That is exact: a site resolves from its own file's
+functions and the project index entry for its dotted name, and outside
+the changed files only those entries move.  A body-only edit removes and
+re-adds the same functions, so it re-resolves nothing outside its file.
 
 Resolution is heuristic name matching (no type inference): first functions
 in the caller's own file whose qualified name ends with the callee's dotted
 path, then project-wide suffix matches, else a synthetic ``external:`` node.
+Both lookups are one dict access: the project index keys every function
+under each dotted suffix of its name without the signature (``A.B.f(int)``
+under ``f``, ``B.f`` and ``A.B.f``), and ``resolve_file`` builds the same
+index over the caller's file once per call.
 
 ``CallGraph.files`` holds one ``FileEntry`` per file: its functions, its
-call sites and their resolved targets, and the blob and syntax tree they
-were read from.  An entry is a tuple that is replaced (``_replace``),
-never changed in place.  A copy of the graph
-(``CallGraph.copy``, which ``CheckpointStore`` keeps at every fork) is
-therefore one new dict over the same entries, plus a copy of the
-simple-name index, which is the one structure updated in place.
+call sites and their resolved targets, the same functions and edges as
+integer arrays, and the blob and syntax tree they were read from.  An
+entry is a tuple that is replaced (``_replace``), never changed in place,
+and so is each bucket of the suffix index.  The integers come from an
+append-only interner that a graph shares with its copies; a number is
+never reused, so a shared entry's arrays mean the same in every copy, and
+``adjacency()`` concatenates them instead of walking sites.  A copy of the
+graph (``CallGraph.copy``, which ``CheckpointStore`` keeps at every fork)
+is therefore one new dict over the same entries plus one over the same
+index buckets.  The interner keeps every ``FunctionId`` any of those
+graphs ever held.
 
 Function importance combines two passes: plain PageRank, where a function
 called by many accrues rank, then a backward propagation that walks callee
@@ -139,21 +151,67 @@ class Adjacency(NamedTuple):
     dst: np.ndarray
 
 
+_NO_NUMBERS = np.zeros(0, dtype=np.int64)
+# An edge is one int64: the caller's number in the high 32 bits, the
+# callee's in the low ones.
+_LOW = (1 << 32) - 1
+
+
 class FileEntry(NamedTuple):
     """One file's share of the graph: its functions, the call sites in
     their bodies and each site's resolved targets, ``()`` until the file
     is resolved.  ``blob`` and ``tree`` are the version they came from;
     the tree lives as long as the entry, so a later commit whose before
-    side is that blob reads it instead of parsing the text again."""
+    side is that blob reads it instead of parsing the text again.
+
+    ``numbers`` holds the functions' interned numbers and ``edges`` the
+    file's distinct (caller, target) pairs as ``caller << 32 | target``
+    codes, both from the ``_Interner`` of the graph that made the entry;
+    ``edges`` is set with ``targets``, so ``adjacency()`` reads no site."""
 
     functions: tuple[FunctionId, ...]
     sites: tuple[CallSite, ...]
     targets: tuple[tuple[FunctionId, ...], ...] = ()
     blob: str | None = None
     tree: SyntaxTree | None = None
+    numbers: np.ndarray = _NO_NUMBERS
+    edges: np.ndarray = _NO_NUMBERS
 
 
 _NO_FILE = FileEntry((), ())
+
+
+class _Interner:
+    """Append-only ``FunctionId`` -> int numbering, shared by a graph and
+    its copies: a number is never reused, so the arrays of an entry that
+    several graphs share mean the same in each of them."""
+
+    def __init__(self):
+        self.numbers: dict[FunctionId, int] = {}
+        self.fids: list[FunctionId] = []
+
+    def number(self, fid: FunctionId) -> int:
+        number = self.numbers.get(fid)
+        if number is None:
+            number = self.numbers[fid] = len(self.fids)
+            self.fids.append(fid)
+        return number
+
+
+def _suffixes(fid: FunctionId) -> list[str]:
+    """Every dotted suffix of ``fid``'s name without its signature:
+    ``A.B.f(int)`` gives ``f``, ``B.f`` and ``A.B.f``."""
+    parts = _strip_signature(fid.name).split(".")
+    return [".".join(parts[i:]) for i in range(len(parts))]
+
+
+def _local_index(functions) -> dict[str, list[FunctionId]]:
+    """``functions`` keyed by each of their dotted suffixes."""
+    local: dict[str, list[FunctionId]] = {}
+    for fid in functions:
+        for suffix in _suffixes(fid):
+            local.setdefault(suffix, []).append(fid)
+    return local
 
 
 class CallGraph:
@@ -166,72 +224,76 @@ class CallGraph:
 
     def __init__(self):
         self.files: dict[str, FileEntry] = {}
-        self._simple_index: dict[str, set[FunctionId]] = {}
+        # dotted suffix -> sorted tuple of the functions it names; a bucket
+        # is replaced, never changed, so copies share the tuples
+        self._index: dict[str, tuple[FunctionId, ...]] = {}
+        self._interner = _Interner()
         self.token = next(_graph_tokens)
         self.version = 0
 
     # -- node bookkeeping ----------------------------------------------------
 
-    def _index_add(self, fid: FunctionId):
-        simple = _simple_name(fid.name)
-        self._simple_index.setdefault(simple, set()).add(fid)
+    def _reindex(self, removed, added):
+        """Take the functions ``removed`` out of the suffix index and put
+        ``added`` in."""
+        buckets: dict[str, set[FunctionId]] = {}
 
-    def _index_remove(self, fid: FunctionId):
-        simple = _simple_name(fid.name)
-        bucket = self._simple_index.get(simple)
-        if bucket is not None:
-            bucket.discard(fid)
-            if not bucket:
-                del self._simple_index[simple]
+        def bucket(suffix):
+            found = buckets.get(suffix)
+            if found is None:
+                found = buckets[suffix] = set(self._index.get(suffix, ()))
+            return found
+
+        for fid in removed:
+            for suffix in _suffixes(fid):
+                bucket(suffix).discard(fid)
+        for fid in added:
+            for suffix in _suffixes(fid):
+                bucket(suffix).add(fid)
+        for suffix, fids in buckets.items():
+            if fids:
+                self._index[suffix] = tuple(sorted(fids))
+            else:
+                self._index.pop(suffix, None)
 
     def _add_file(self, path: str, blob: str | None,
                   tree: SyntaxTree) -> tuple[FunctionId, ...]:
         """Add ``path``'s unresolved entry, read from ``tree``, the text of
-        ``blob``; returns its functions."""
+        ``blob``; returns its functions, which the caller indexes."""
         units = tree.functions
         fids = tuple(FunctionId(u.qualified_name, path) for u in units
                      if u.body.kind != "lambda_expr")
+        numbers = np.fromiter(map(self._interner.number, fids), np.int64, len(fids))
         self.files[path] = FileEntry(fids, extract_call_sites(path, units),
-                                     blob=blob, tree=tree)
-        for fid in fids:
-            self._index_add(fid)
-        return fids
-
-    def _remove_file(self, path: str) -> tuple[FunctionId, ...]:
-        """Drop ``path``'s entry; returns the functions it held."""
-        fids = self.files.pop(path, _NO_FILE).functions
-        for fid in fids:
-            self._index_remove(fid)
+                                     blob=blob, tree=tree, numbers=numbers)
         return fids
 
     # -- resolution ------------------------------------------------------------
 
-    def _suffix_matches(self, candidates, dotted: str):
-        parts = dotted.split(".")
-        if len(parts) == 1:
-            return sorted(candidates)
-        out = []
-        for fid in candidates:
-            qparts = _strip_signature(fid.name).split(".")
-            if qparts[-len(parts):] == parts:
-                out.append(fid)
-        return sorted(out)
+    def _resolve_site(self, site: CallSite, local) -> tuple[FunctionId, ...]:
+        """The functions of the caller's file (``local``, from
+        ``_local_index``) named by the site's dotted callee, else those of
+        the project, else one ``external:`` node."""
+        matches = local.get(site.dotted)
+        if matches:
+            return tuple(sorted(matches))
+        return (self._index.get(site.dotted)
+                or (FunctionId(EXTERNAL_PREFIX + site.dotted, ""),))
 
-    def _resolve_site(self, site: CallSite) -> tuple[FunctionId, ...]:
-        local = [fid for fid in self.files[site.caller.file].functions
-                 if _simple_name(fid.name) == site.simple]
-        matches = self._suffix_matches(local, site.dotted)
-        if not matches:
-            project = self._simple_index.get(site.simple, ())
-            matches = self._suffix_matches(project, site.dotted)
-        if not matches:
-            matches = [FunctionId(EXTERNAL_PREFIX + site.dotted, "")]
-        return tuple(matches)
+    def _resolved(self, entry: FileEntry, targets) -> FileEntry:
+        """``entry`` with ``targets`` and the edges they make."""
+        number = self._interner.number
+        codes = {number(site.caller) << 32 | number(target)
+                 for site, site_targets in zip(entry.sites, targets)
+                 for target in site_targets}
+        return entry._replace(targets=targets, edges=np.fromiter(
+            codes, np.int64, len(codes)))
 
     def resolve_file(self, path: str):
         entry = self.files[path]
-        self.files[path] = entry._replace(
-            targets=tuple(self._resolve_site(s) for s in entry.sites))
+        local = _local_index(entry.functions)
+        self.files[path] = self._resolved(
+            entry, tuple(self._resolve_site(s, local) for s in entry.sites))
 
     def resolve_all(self):
         for path in self.files:
@@ -248,14 +310,17 @@ class CallGraph:
         for path, entry in self.files.items():
             if path in skip_files:
                 continue
+            local = None
             changed = {}
             for i, site in enumerate(entry.sites):
                 if site.simple in names:
-                    targets = self._resolve_site(site)
+                    if local is None:
+                        local = _local_index(entry.functions)
+                    targets = self._resolve_site(site, local)
                     if targets != entry.targets[i]:
                         changed[i] = targets
             if changed:
-                self.files[path] = entry._replace(targets=tuple(
+                self.files[path] = self._resolved(entry, tuple(
                     changed.get(i, targets) for i, targets in enumerate(entry.targets)))
                 self.version += 1
 
@@ -264,20 +329,17 @@ class CallGraph:
     def adjacency(self) -> Adjacency:
         """The graph ranking reads: every function and every resolved
         target is a node, every distinct (caller, target) pair an edge."""
-        nodes = set()
-        for entry in self.files.values():
-            nodes.update(entry.functions)
-            for targets in entry.targets:
-                nodes.update(targets)
-        ids = sorted(nodes)
-        index = {fid: i for i, fid in enumerate(ids)}
-        n = len(ids)
-        codes = {index[site.caller] * n + index[t]
-                 for entry in self.files.values()
-                 for site, targets in zip(entry.sites, entry.targets)
-                 for t in targets}
-        codes = np.sort(np.fromiter(codes, dtype=np.int64, count=len(codes)))
-        return Adjacency(ids, codes // n, codes % n)
+        entries = self.files.values()
+        edges = np.concatenate([_NO_NUMBERS, *(entry.edges for entry in entries)])
+        numbers = np.unique(np.concatenate(
+            [edges & _LOW, *(entry.numbers for entry in entries)]))
+        fids = self._interner.fids
+        order = sorted(numbers.tolist(), key=fids.__getitem__)
+        n = len(order)
+        position = np.zeros(len(fids), dtype=np.int64)
+        position[order] = np.arange(n)
+        codes = np.unique(position[edges >> 32] * n + position[edges & _LOW])
+        return Adjacency([fids[i] for i in order], codes // n, codes % n)
 
     def structure(self):
         """Canonical (nodes, edges) pair of ``adjacency()``, both sorted."""
@@ -295,12 +357,12 @@ class CallGraph:
 
     def copy(self) -> "CallGraph":
         """A graph with the same structure and a fresh ``token``, sharing
-        this one's file entries; later updates to either leave the other
-        as it was."""
+        this one's file entries, index buckets and interner; later updates
+        to either leave the other as it was."""
         graph = CallGraph()
         graph.files = dict(self.files)
-        graph._simple_index = {name: set(fids)
-                               for name, fids in self._simple_index.items()}
+        graph._index = dict(self._index)
+        graph._interner = self._interner
         return graph
 
     # -- incremental update -----------------------------------------------------------
@@ -320,31 +382,31 @@ class CallGraph:
         entry and records its shape first.  A change with an after blob
         whose tree parsed gets a new entry that keeps that blob and tree;
         a file whose text failed to parse has no nodes until a later change
-        brings text that parses.  The re-added paths are resolved afresh,
-        and sites elsewhere whose callee name gained or lost a definition
-        are re-resolved.  ``version`` is bumped when one of those paths'
-        shape changed or a re-resolved site changed targets.
+        brings text that parses.  The re-added paths are resolved afresh.
+        Elsewhere only sites whose callee's simple name is that of a
+        function the commit added or removed are re-resolved: a body-only
+        edit removes and re-adds the same functions, so it re-resolves
+        none.  ``version`` is bumped when one of those paths' shape
+        changed or a re-resolved site changed targets.
         """
-        affected: set[str] = set()
         shapes_before: dict[str, tuple] = {}
-
-        def forget(path):
-            shapes_before.setdefault(path, self._file_shape(path))
-            affected.update(_simple_name(fid.name) for fid in self._remove_file(path))
-
         for source in sources:
-            if source.old_path is not None:
-                forget(source.old_path)
-            forget(source.path)
-            if source.after_blob is None or source.after is None:
-                continue
-            affected.update(_simple_name(fid.name) for fid in
-                            self._add_file(source.path, source.after_blob, source.after))
+            for path in (source.old_path, source.path):
+                if path is not None:
+                    shapes_before.setdefault(path, self._file_shape(path))
+                    self.files.pop(path, None)
+            if source.after_blob is not None and source.after is not None:
+                self._add_file(source.path, source.after_blob, source.after)
 
+        lost = {fid for functions, _, _ in shapes_before.values() for fid in functions}
+        gained = {fid for path in shapes_before
+                  for fid in self.files.get(path, _NO_FILE).functions}
+        self._reindex(lost - gained, gained - lost)
         for path in shapes_before:
             if path in self.files:
                 self.resolve_file(path)
-        self.reresolve_names(affected, skip_files=shapes_before.keys())
+        self.reresolve_names({_simple_name(fid.name) for fid in lost ^ gained},
+                             skip_files=shapes_before.keys())
         if any(self._file_shape(path) != shape for path, shape in shapes_before.items()):
             self.version += 1
         return self
@@ -353,12 +415,14 @@ class CallGraph:
 def build_call_graph(files: dict[str, str | None]) -> CallGraph:
     """Full build from {path: source_text}."""
     graph = CallGraph()
+    fids = []
     for path, text in sorted(files.items()):
         if language_for_path(path) is None or text is None:
             continue
         tree = parse_file(path, text)
         if tree is not None:
-            graph._add_file(path, None, tree)
+            fids.extend(graph._add_file(path, None, tree))
+    graph._reindex((), fids)
     graph.resolve_all()
     return graph
 
@@ -372,8 +436,8 @@ class CheckpointStore:
 
     Each checkpoint and each restore is a ``CallGraph.copy``, so they share
     the ``FileEntry`` objects of the graph they came from, syntax trees
-    included, and cost one dict slot per file.  Every restore is a new
-    graph with a fresh ``token``.
+    included, and cost one dict slot per file and one per index key.
+    Every restore is a new graph with a fresh ``token``.
     """
 
     def __init__(self):

@@ -1244,10 +1244,13 @@ def extract_functions(tree: SyntaxTree) -> list[FunctionUnit]:
 
     Qualified names carry the container path and parameter-type signature,
     e.g. ``Outer.Inner.run(int,String)``; lambdas get synthesized names
-    ``<enclosing>$lambdaN`` numbered per enclosing function.
+    ``<enclosing>$lambdaN`` numbered per enclosing function.  An anonymous
+    class is a container named as javac names it, ``A$1``, ``A$2``, ...
+    in source order within its enclosing type, so ``A$1.toString()`` is
+    not ``A.toString()``.
     """
     units = []
-    _visit_units(tree.root, [], None, {"n": 0}, units)
+    _visit_units(tree.root, [], None, {"n": 0}, {"n": 0}, units)
     units.sort(key=lambda u: u.span)
     return units
 
@@ -1268,31 +1271,42 @@ def _method_signature(node):
     return f"{name}({','.join(types)})"
 
 
-def _visit_units(node, containers, enclosing, lambda_counter, units):
+def _visit_units(node, containers, enclosing, lambda_counter, anonymous, units):
     """Append the units under ``node``; not a closure, which would refer to
-    itself and so hold the tree in a reference cycle."""
+    itself and so hold the tree in a reference cycle.  ``anonymous`` counts
+    the anonymous classes of the innermost enclosing type."""
     if node.kind in _TYPE_DECL_KINDS.values():
         name = next((c.label for c in node.children if c.kind == "identifier"), "?")
         containers = containers + [name]
+        anonymous = {"n": 0}
         for child in node.children:
-            _visit_units(child, containers, None, lambda_counter, units)
+            _visit_units(child, containers, None, lambda_counter, anonymous, units)
+        return
+    if node.kind == "new_expr" and node.children[-1].kind == "class_body":
+        # arguments first: javac numbers a class in them before this one
+        for child in node.children[:-1]:
+            _visit_units(child, containers, enclosing, lambda_counter, anonymous, units)
+        anonymous["n"] += 1
+        containers = containers[:-1] + [f"{containers[-1]}${anonymous['n']}"]
+        _visit_units(node.children[-1], containers, None, lambda_counter,
+                     {"n": 0}, units)
         return
     if node.kind in ("method_decl", "constructor_decl"):
         qname = ".".join(containers + [_method_signature(node)])
         units.append(FunctionUnit(qname, (node.start, node.end), node))
         counter = {"n": 0}
         for child in node.children:
-            _visit_units(child, containers, qname, counter, units)
+            _visit_units(child, containers, qname, counter, anonymous, units)
         return
     if node.kind == "lambda_expr" and enclosing is not None:
         qname = f"{enclosing}$lambda{lambda_counter['n']}"
         lambda_counter["n"] += 1
         units.append(FunctionUnit(qname, (node.start, node.end), node))
         for child in node.children:
-            _visit_units(child, containers, qname, lambda_counter, units)
+            _visit_units(child, containers, qname, lambda_counter, anonymous, units)
         return
     for child in node.children:
-        _visit_units(child, containers, enclosing, lambda_counter, units)
+        _visit_units(child, containers, enclosing, lambda_counter, anonymous, units)
 
 
 def callee_segments(callee: SyntaxNode) -> list[str]:

@@ -19,9 +19,17 @@
   served the whole history: a ``git diff-tree`` and a one-shot
   ``git cat-file --batch`` per commit.  ``devcontrib.repo.changed_files``
   must return equal changes for every commit.
+* ``reference_targets`` and ``reference_adjacency`` are call-graph
+  resolution and its view as they were before the dotted-suffix index and
+  the interned edge arrays: a simple-name index filtered by comparing
+  split names, and the node and edge sets built from every entry's sites
+  and targets.  A ``CallGraph``'s targets and ``adjacency()`` must equal
+  them.
 """
 
 import itertools
+
+import numpy as np
 
 from devcontrib.astdiff import (
     EditAction,
@@ -30,6 +38,7 @@ from devcontrib.astdiff import (
     _inside_log_statement,
     _only_names_or_modifiers,
 )
+from devcontrib.callgraph import EXTERNAL_PREFIX, Adjacency, FunctionId
 from devcontrib.config import DEFAULT_BLACKLIST
 from devcontrib.errors import CorruptHistory, MissingBlob, ParseError
 from devcontrib.repo import _NULL_SHA, _STATUS_KIND, FileChange, _git
@@ -653,3 +662,66 @@ def _reference_fill_contents(repo_path: str, changes: list[FileChange]):
             change.before_content = contents.get(change.before_blob)
         if change.after_blob:
             change.after_content = contents.get(change.after_blob)
+
+
+def _strip_signature(qualified: str) -> str:
+    idx = qualified.find("(")
+    return qualified if idx < 0 else qualified[:idx]
+
+
+def _simple_name(qualified: str) -> str:
+    return _strip_signature(qualified).rsplit(".", 1)[-1]
+
+
+def _suffix_matches(candidates, dotted: str):
+    parts = dotted.split(".")
+    if len(parts) == 1:
+        return sorted(candidates)
+    out = []
+    for fid in candidates:
+        qparts = _strip_signature(fid.name).split(".")
+        if qparts[-len(parts):] == parts:
+            out.append(fid)
+    return sorted(out)
+
+
+def reference_targets(graph) -> dict[str, tuple]:
+    """Every file's targets, resolved from ``graph``'s functions and sites:
+    the caller's own file's functions whose name ends with the callee's
+    dotted path, else the project's, else an ``external:`` node."""
+    simple_index: dict[str, set] = {}
+    for entry in graph.files.values():
+        for fid in entry.functions:
+            simple_index.setdefault(_simple_name(fid.name), set()).add(fid)
+
+    def resolve(site):
+        local = [fid for fid in graph.files[site.caller.file].functions
+                 if _simple_name(fid.name) == site.simple]
+        matches = _suffix_matches(local, site.dotted)
+        if not matches:
+            matches = _suffix_matches(simple_index.get(site.simple, ()), site.dotted)
+        if not matches:
+            matches = [FunctionId(EXTERNAL_PREFIX + site.dotted, "")]
+        return tuple(matches)
+
+    return {path: tuple(resolve(site) for site in entry.sites)
+            for path, entry in graph.files.items()}
+
+
+def reference_adjacency(graph) -> Adjacency:
+    """``graph.adjacency()`` from sets of ``FunctionId``s: every function
+    and every target a node, every distinct (caller, target) pair an edge."""
+    nodes = set()
+    for entry in graph.files.values():
+        nodes.update(entry.functions)
+        for targets in entry.targets:
+            nodes.update(targets)
+    ids = sorted(nodes)
+    index = {fid: i for i, fid in enumerate(ids)}
+    n = len(ids)
+    codes = {index[site.caller] * n + index[t]
+             for entry in graph.files.values()
+             for site, targets in zip(entry.sites, entry.targets)
+             for t in targets}
+    codes = np.sort(np.fromiter(codes, dtype=np.int64, count=len(codes)))
+    return Adjacency(ids, codes // n, codes % n)

@@ -21,6 +21,7 @@ from devcontrib.config import AnalysisConfig
 from devcontrib.errors import UnknownCheckpoint
 from devcontrib.pipeline import AnalysisRun, PipelineState, current_impact, parse_changes
 from devcontrib.repo import FileChange
+from oracles import reference_adjacency, reference_targets
 
 
 def _change(path, kind, before_content=None, after_content=None, old_path=None):
@@ -66,6 +67,19 @@ def test_dollar_lambda_in_a_name_is_still_a_method():
     assert FunctionId("external:run$lambda", "") not in nodes
     assert (f, run) in edges
     assert (g_, h) in edges  # the lambda's call belongs to its enclosing method
+
+
+def test_anonymous_class_methods_are_their_own_units():
+    g = build_call_graph({"A.java": """class A {
+        void f() { new Object() { public String toString() { return g(); } }; }
+        public String toString() { return "a"; }
+        void g() { }
+    }"""})
+    names = [fid.name for fid in g.files["A.java"].functions]
+    assert sorted(names) == ["A$1.toString()", "A.f()", "A.g()", "A.toString()"]
+    anonymous, a_g = FunctionId("A$1.toString()", "A.java"), FunctionId("A.g()", "A.java")
+    assert (anonymous, a_g) in g.edges
+    assert (FunctionId("A.toString()", "A.java"), a_g) not in g.edges
 
 
 def test_fixture_project_with_scripted_call_count():
@@ -273,6 +287,35 @@ def test_body_only_update_keeps_version():
     assert g.version != version
 
 
+def test_update_resolves_only_sites_a_change_can_move(monkeypatch):
+    files = {"A.java": "class A { void f() { g(); h(); } void h() { } }",
+             "B.java": "class B { void k() { g(); h(); A.g(); } }",
+             "C.java": "class C { void c() { k(); g(); } }"}
+    g = build_call_graph(files)
+    resolved = []
+    resolve_site = CallGraph._resolve_site
+
+    def recording(self, site, local):
+        resolved.append(site)
+        return resolve_site(self, site, local)
+
+    monkeypatch.setattr(CallGraph, "_resolve_site", recording)
+    body_edit = "class A { void f() { g(); h(); } void h() { int x = 1; } }"
+    _update(g, [_change(path="A.java", kind="modified",
+                         before_content=files["A.java"], after_content=body_edit)])
+    assert [site.caller.file for site in resolved] == ["A.java", "A.java"]
+
+    resolved.clear()
+    with_g = "class A { void f() { g(); h(); } void h() { int x = 1; } void g() { } }"
+    _update(g, [_change(path="A.java", kind="modified",
+                         before_content=body_edit, after_content=with_g)])
+    outside = [(site.caller.file, site.dotted) for site in resolved
+               if site.caller.file != "A.java"]
+    assert sorted(outside) == [("B.java", "A.g"), ("B.java", "g"), ("C.java", "g")]
+    files["A.java"] = with_g
+    assert g.structure() == build_call_graph(files).structure()
+
+
 def test_every_graph_gets_a_fresh_token():
     g = build_call_graph({"A.java": "class A { void f() { g(); } void g() { } }"})
     store = CheckpointStore()
@@ -388,6 +431,138 @@ def test_checkpoint_unchanged_by_later_updates(seed, branch_seed, fork_step):
         snapshot = _apply(snapshot, changes)
         assert restored.structure() == build_call_graph(snapshot).structure()
     assert branch.structure() == restored.structure()
+
+
+# ---------------------------------------------------------------------------
+# resolution
+# ---------------------------------------------------------------------------
+
+# Callees with dotted paths, overloads, a constructor, a nested class, a
+# receiver that names no class, and a name no file defines.
+_CALLEES = ["m()", "m(1)", "n()", "k()", "F1.m()", "F2.n(1)", "Outer.Inner.m()",
+            "Inner.k()", "Outer.m()", "this.n()", "new F1()", "new Outer.Inner()",
+            "x.m()", "absent()"]
+_PATHS = ["A.java", "B.java", "C.java", "pkg/D.java", "pkg/E.java"]
+
+# (name, has an int parameter, callees, body stamp); "ctor" is a constructor
+_method = st.tuples(st.sampled_from(["m", "n", "k", "ctor"]), st.booleans(),
+                    st.lists(st.sampled_from(_CALLEES), max_size=3).map(tuple), st.just(0))
+_methods = st.lists(_method, max_size=3).map(tuple)
+# (class name, its methods, the methods of its nested ``Inner`` or None);
+# several files may declare one class name
+_classes = st.tuples(st.sampled_from(["F1", "F2", "Outer"]), _methods,
+                     st.none() | _methods)
+
+
+def _java(model) -> str:
+    name, methods, inner = model
+
+    def method(owner, m):
+        simple, param, callees, stamp = m
+        head = owner if simple == "ctor" else f"void {simple}"
+        calls = " ".join(f"{callee};" for callee in callees)
+        return f"  {head}({'int a' if param else ''}) {{ int v = {stamp}; {calls} }}"
+
+    lines = [f"class {name} {{"] + [method(name, m) for m in methods]
+    if inner is not None:
+        lines += ["  class Inner {"] + [method("Inner", m) for m in inner] + ["  }"]
+    return "\n".join(lines + ["}"])
+
+
+def _edit_methods(data, model):
+    """``model`` with one method of the class or of its nested class added,
+    removed, renamed or edited in its body only."""
+    name, methods, inner = model
+    nested = inner is not None and data.draw(st.booleans())
+    members = list(inner if nested else methods)
+    op = data.draw(st.sampled_from(["add", "remove", "rename", "body"]))
+    if op == "add" or not members:
+        members.append(data.draw(_method))
+    else:
+        i = data.draw(st.integers(0, len(members) - 1))
+        simple, param, callees, stamp = members[i]
+        if op == "remove":
+            del members[i]
+        elif op == "rename":
+            members[i] = (data.draw(st.sampled_from(["m", "n", "k", "ctor"])),
+                          param, callees, stamp)
+        else:
+            members[i] = (simple, param, callees, stamp + 1)
+    if nested:
+        return name, methods, tuple(members)
+    return name, tuple(members), inner
+
+
+def _draw_step(data, models):
+    """One commit on ``models`` (path -> class model): the changes and the
+    models after them."""
+    models = dict(models)
+    free = [path for path in _PATHS if path not in models]
+    ops = ["edit", "edit", "rewrite", "delete", "rename"] if models else []
+    op = data.draw(st.sampled_from(ops + ["add"] * bool(free)))
+    if op == "add":
+        path = data.draw(st.sampled_from(free))
+        models[path] = data.draw(_classes)
+        return [_change(path, "added", after_content=_java(models[path]))], models
+    path = data.draw(st.sampled_from(sorted(models)))
+    before = _java(models[path])
+    if op == "delete":
+        del models[path]
+        return [_change(path, "deleted", before_content=before)], models
+    if op == "rename" and free:
+        new = data.draw(st.sampled_from(free))
+        models[new] = models.pop(path)
+        return [_change(new, "renamed", before_content=before,
+                        after_content=before, old_path=path)], models
+    if op == "rewrite":
+        models[path] = data.draw(_classes)
+    else:
+        models[path] = _edit_methods(data, models[path])
+    return [_change(path, "modified", before_content=before,
+                    after_content=_java(models[path]))], models
+
+
+def _assert_resolves_like_rebuild(graph, models):
+    rebuilt = build_call_graph({path: _java(model) for path, model in models.items()})
+    assert graph.files.keys() == rebuilt.files.keys()
+    reference = reference_targets(graph)
+    for path, entry in graph.files.items():
+        assert entry.targets == rebuilt.files[path].targets == reference[path], path
+    ids, src, dst = graph.adjacency()
+    for adjacency in (rebuilt.adjacency(), reference_adjacency(graph)):
+        assert ids == adjacency.ids
+        assert src.dtype == dst.dtype == np.int64
+        assert src.tolist() == adjacency.src.tolist()
+        assert dst.tolist() == adjacency.dst.tolist()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_resolution_equals_rebuild_and_reference_across_a_fork(data):
+    """Every file's targets and ``adjacency()`` equal a rebuild's and the
+    reference resolution's after each commit, on a main line and on a
+    branch restored from a checkpoint taken partway."""
+    models = data.draw(st.dictionaries(st.sampled_from(_PATHS), _classes,
+                                       min_size=1, max_size=4))
+    graph = build_call_graph({path: _java(model) for path, model in models.items()})
+    _assert_resolves_like_rebuild(graph, models)
+    store = CheckpointStore()
+    fork = data.draw(st.integers(0, 4))
+    forked = None
+    for step in range(8):
+        if step == fork:
+            store.checkpoint(graph, "fork")
+            forked = models
+        changes, models = _draw_step(data, models)
+        _update(graph, changes)
+        _assert_resolves_like_rebuild(graph, models)
+    branch = store.restore("fork")
+    branch_models = forked
+    for _ in range(4):
+        changes, branch_models = _draw_step(data, branch_models)
+        _update(branch, changes)
+        _assert_resolves_like_rebuild(branch, branch_models)
+    _assert_resolves_like_rebuild(graph, models)
 
 
 # ---------------------------------------------------------------------------

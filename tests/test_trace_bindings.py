@@ -93,14 +93,19 @@ print(json.dumps(probe.metrics(run, traced_s=1.0, save_s=0.0)))
 
 def test_traced_run_records_parse_update_and_diff_spans(make_repo):
     repo = make_repo()
-    repo.commit("init", 1000, {"A.java": "class A { int f() { return g(); } int g() { return 1; } }"})
+    repo.commit("init", 1000, {"A.java": "class A { int f() { return g(); } int g() { return 1; } }",
+                               "B.java": "class B { int k() { return h(); } }"})
     repo.commit("move", 2000, rename={"A.java": "src/A.java"})
     repo.commit("edit", 3000, {"src/A.java": "class A { int f() { return g() + 1; } "
                                              "int g() { return 1; } }"})
+    # adds A.h(), which B's call to h() now resolves to
+    repo.commit("add", 4000, {"src/A.java": "class A { int f() { return g() + 1; } "
+                                            "int g() { return 1; } int h() { return 2; } }"})
     env = dict(os.environ, PYTHONPATH=str(Path(devcontrib.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", _TRACED_RUN, str(_TRACING), repo.path],
                           env=env, capture_output=True, text=True, check=True)
     metrics = json.loads(proc.stdout)
     for name in ("syntax.parse_calls", "callgraph.update_calls",
+                 "callgraph.resolve_file_calls", "callgraph.reresolve_names_calls",
                  "astdiff.diff_file_pair_calls"):
         assert metrics[name] > 0, name
