@@ -21,7 +21,6 @@ from .callgraph import (
     CheckpointStore,
     FunctionId,
     backward_propagate,
-    build_call_graph,
     inter_impact,
     pagerank,
 )

@@ -1,11 +1,12 @@
 """Project call graph: incremental maintenance, PageRank, decay propagation.
 
 The graph is stored per file: each source file owns its function nodes and
-the call sites found in their bodies.  Call sites keep the callee's dotted
-name, so resolution can be redone selectively.  When a commit changes a
-file, that file's sites are resolved afresh; elsewhere only the sites whose
-callee's simple name is that of a function the commit added or removed
-are re-resolved.  That is exact: a site resolves from its own file's
+the call sites found in their bodies, which the walk that finds a tree's
+function units collects (``FunctionUnit.calls``).  Call sites keep the
+callee's dotted name, so resolution can be redone selectively.  When a
+commit changes a file, that file's sites are resolved afresh; elsewhere
+only the sites whose callee's simple name is that of a function the
+commit added or removed are re-resolved.  That is exact: a site resolves from its own file's
 functions and the project index entry for its dotted name, and outside
 the changed files only those entries move.  A body-only edit removes and
 re-adds the same functions, so it re-resolves nothing outside its file.
@@ -46,11 +47,11 @@ function and every resolved target.  ``structure()``, ``nodes`` and
 reads.
 
 Ranks depend only on ``adjacency()``.  Every graph carries a ``token``,
-unique to the object, and a ``version`` that ``update``,
-``reresolve_names`` and ``resolve_all`` bump whenever a file's function
-list or a call site's resolved targets may have changed.  While the pair
-is unchanged the structure is too, so a caller may keep the last ranks
-instead of recomputing them; commits that only edit bodies keep the pair.
+unique to the object, and a ``version`` that ``update`` and
+``reresolve_names`` bump whenever a file's function list or a call site's
+resolved targets may have changed.  While the pair is unchanged the
+structure is too, so a caller may keep the last ranks instead of
+recomputing them; commits that only edit bodies keep the pair.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import UnknownCheckpoint
-from .syntax import SyntaxTree, callee_segments, language_for_path, parse_file
+from .syntax import SyntaxTree
 
 logger = logging.getLogger(__name__)
 
@@ -94,52 +95,6 @@ def _strip_signature(qualified: str) -> str:
 
 def _simple_name(qualified: str) -> str:
     return _strip_signature(qualified).rsplit(".", 1)[-1]
-
-
-def _callee_name(segments: list[str]) -> str | None:
-    """Trailing run of plain name segments, dropping this/super/expression parts."""
-    cleaned: list[str] = []
-    for seg in segments:
-        if seg in ("this", "super", "<expr>"):
-            cleaned = []
-        else:
-            cleaned.append(seg)
-    return ".".join(cleaned) if cleaned else None
-
-
-def _type_simple(label: str) -> str:
-    """Strip generics/arrays from a type label: ``pkg.Foo<Bar>[]`` -> ``pkg.Foo``."""
-    base = label.split("<", 1)[0].replace("[]", "")
-    return base
-
-
-def extract_call_sites(path: str, units) -> tuple[CallSite, ...]:
-    """Call sites of every named unit of the file ``path``, lambdas merged
-    into their enclosing function, nested named declarations excluded (they
-    are their own units)."""
-    named = [u for u in units if u.body.kind != "lambda_expr"]
-    sites = []
-    for unit in named:
-        fid = FunctionId(unit.qualified_name, path)
-        _collect_sites(unit.body, True, fid, sites)
-    return tuple(sites)
-
-
-def _collect_sites(node, at_root, fid, sites):
-    """Append the call sites under ``node``; not a closure, which would refer
-    to itself and so hold the tree in a reference cycle."""
-    if not at_root and node.kind in ("method_decl", "constructor_decl"):
-        return
-    if node.kind == "call_expr":
-        name = _callee_name(callee_segments(node.children[0]))
-        if name:
-            sites.append(CallSite(fid, name, name.rsplit(".", 1)[-1]))
-    elif node.kind == "new_expr":
-        name = _type_simple(node.children[0].label)
-        if name:
-            sites.append(CallSite(fid, name, name.rsplit(".", 1)[-1]))
-    for child in node.children:
-        _collect_sites(child, False, fid, sites)
 
 
 class Adjacency(NamedTuple):
@@ -256,17 +211,16 @@ class CallGraph:
             else:
                 self._index.pop(suffix, None)
 
-    def _add_file(self, path: str, blob: str | None,
-                  tree: SyntaxTree) -> tuple[FunctionId, ...]:
+    def _add_file(self, path: str, blob: str | None, tree: SyntaxTree):
         """Add ``path``'s unresolved entry, read from ``tree``, the text of
-        ``blob``; returns its functions, which the caller indexes."""
-        units = tree.functions
-        fids = tuple(FunctionId(u.qualified_name, path) for u in units
-                     if u.body.kind != "lambda_expr")
+        ``blob``: its methods and constructors, and their call sites in
+        that order (lambdas count for their enclosing function)."""
+        named = [u for u in tree.functions if u.body.kind != "lambda_expr"]
+        fids = tuple(FunctionId(u.qualified_name, path) for u in named)
+        sites = tuple(CallSite(fid, name, name.rsplit(".", 1)[-1])
+                      for fid, unit in zip(fids, named) for name in unit.calls)
         numbers = np.fromiter(map(self._interner.number, fids), np.int64, len(fids))
-        self.files[path] = FileEntry(fids, extract_call_sites(path, units),
-                                     blob=blob, tree=tree, numbers=numbers)
-        return fids
+        self.files[path] = FileEntry(fids, sites, blob=blob, tree=tree, numbers=numbers)
 
     # -- resolution ------------------------------------------------------------
 
@@ -294,11 +248,6 @@ class CallGraph:
         local = _local_index(entry.functions)
         self.files[path] = self._resolved(
             entry, tuple(self._resolve_site(s, local) for s in entry.sites))
-
-    def resolve_all(self):
-        for path in self.files:
-            self.resolve_file(path)
-        self.version += 1
 
     def reresolve_names(self, names: set[str], skip_files: set[str]):
         """Re-resolve sites outside ``skip_files`` whose callee simple name
@@ -410,21 +359,6 @@ class CallGraph:
         if any(self._file_shape(path) != shape for path, shape in shapes_before.items()):
             self.version += 1
         return self
-
-
-def build_call_graph(files: dict[str, str | None]) -> CallGraph:
-    """Full build from {path: source_text}."""
-    graph = CallGraph()
-    fids = []
-    for path, text in sorted(files.items()):
-        if language_for_path(path) is None or text is None:
-            continue
-        tree = parse_file(path, text)
-        if tree is not None:
-            fids.extend(graph._add_file(path, None, tree))
-    graph._reindex((), fids)
-    graph.resolve_all()
-    return graph
 
 
 # ---------------------------------------------------------------------------

@@ -27,10 +27,11 @@ limit.
 The lexer is one compiled pattern with an alternative per token class.
 
 A tree depends on its text alone, not on the file's path, and computes its
-function units once (``functions``).  No layer changes a tree once it is
-built, so one tree may serve every layer and several commits.  Building it
-fills every node's ``height``, which the depth check reads; ``struct_hash``
-is filled on first use.
+function units once (``functions``), with each method's call sites, in one
+walk.  No layer changes a tree once it is built, so one tree may serve
+every layer and several commits.  Every node gets its ``height`` when it
+is built, which the depth check reads; ``struct_hash`` is filled on first
+use.
 """
 
 from __future__ import annotations
@@ -55,11 +56,13 @@ class SyntaxNode:
     every tree in a reference cycle (see the module doc).
 
     The arguments come in the parser's order, ``(kind, children, start,
-    end, label)``; all but ``kind`` are optional.
+    end, label)``; all but ``kind`` are optional.  ``height`` is computed
+    from the children here, so a node gets its final children when it is
+    built, and its children are built before it.
     """
 
-    __slots__ = ("kind", "label", "children", "start", "end",
-                 "_height", "_struct_hash")
+    __slots__ = ("kind", "label", "children", "start", "end", "height",
+                 "_struct_hash")
 
     def __init__(self, kind, children=None, start=0, end=0, label=None):
         self.kind = kind
@@ -67,7 +70,8 @@ class SyntaxNode:
         self.children = children if children is not None else []
         self.start = start
         self.end = end
-        self._height = None
+        # subtree depth: 1 for a leaf, 1 + max over children otherwise
+        self.height = 1 + max([c.height for c in children]) if children else 1
         self._struct_hash = None
 
     @property
@@ -79,19 +83,20 @@ class SyntaxNode:
         return (self.start, self.end)
 
     @property
-    def height(self):
-        """Subtree depth: 1 for a leaf, 1 + max over children otherwise."""
-        if self._height is None:
-            for node in _uncached(self, "_height"):
-                children = node.children
-                node._height = 1 + max([c._height for c in children]) if children else 1
-        return self._height
-
-    @property
     def struct_hash(self):
-        """Hash of (kind, label, child structure); equal for isomorphic subtrees."""
+        """Hash of (kind, label, child structure); equal for isomorphic subtrees.
+
+        Filled on first use for every node below that lacks one, children
+        before parents; a hashed node's subtree is hashed too, so it is
+        skipped."""
         if self._struct_hash is None:
-            for node in _uncached(self, "_struct_hash"):
+            stack, order = [self], []
+            while stack:
+                node = stack.pop()
+                if node._struct_hash is None:
+                    order.append(node)
+                    stack.extend(node.children)
+            for node in reversed(order):
                 children = node.children
                 shape = tuple([c._struct_hash for c in children]) if children else ()
                 node._struct_hash = hash((node.kind, node.label, shape))
@@ -120,19 +125,6 @@ class SyntaxNode:
         return f"<{self.kind}{lbl} [{self.start}:{self.end}] h={self.height}>"
 
 
-def _uncached(root: SyntaxNode, attr: str) -> list[SyntaxNode]:
-    """Nodes under ``root`` whose cached ``attr`` is still None, children
-    before parents.  A cached node's subtree is cached too, so it is skipped."""
-    stack, order = [root], []
-    while stack:
-        node = stack.pop()
-        if getattr(node, attr) is None:
-            order.append(node)
-            stack.extend(node.children)
-    order.reverse()
-    return order
-
-
 @dataclass
 class Comment:
     start: int
@@ -140,7 +132,7 @@ class Comment:
     text: str
 
 
-# Deepest tree a ``SyntaxTree`` accepts.  Function extraction, call-site
+# Deepest tree a ``SyntaxTree`` accepts.  Function and call-site extraction
 # and PDG collection recurse once per tree level, so a deeper tree could
 # exhaust Python's default limit of 1000 frames; 500 levels leave the rest
 # for the caller's stack.  Hand-written code stays far below this: the
@@ -154,7 +146,7 @@ class SyntaxTree:
 
     Raises ``ParseError`` when the tree is deeper than ``MAX_TREE_DEPTH``,
     at the start of a node one level too deep (see ``_node_at_depth``).
-    Reading the root's height fills the height of every node.
+    The check reads the root's ``height``, set when the root was built.
     """
 
     def __init__(self, root: SyntaxNode, source_text: str, comments=None):
@@ -203,11 +195,21 @@ def _node_at_depth(root: SyntaxNode, depth: int) -> SyntaxNode:
 
 @dataclass
 class FunctionUnit:
-    """One method/constructor/lambda extracted from a tree."""
+    """One method/constructor/lambda extracted from a tree.
+
+    ``calls`` holds a method's or constructor's call sites in source
+    order: the dotted callee of each call, from after its last ``this``,
+    ``super`` or call result (``a.b.f`` for ``a.b.f(x)``, ``f`` for
+    ``this.f()``, ``b`` for ``a().b()``), and the type of each ``new``
+    without generics or array brackets.  Calls in its lambdas and
+    anonymous-class bodies count; those in nested method or constructor
+    declarations are theirs.  A lambda's list is empty.
+    """
 
     qualified_name: str
     span: tuple[int, int]
     body: SyntaxNode   # the whole declaration or lambda; see ``function_body``
+    calls: list[str] = field(default_factory=list)
 
 
 def function_body(unit: FunctionUnit) -> SyntaxNode | None:
@@ -222,7 +224,6 @@ def function_body(unit: FunctionUnit) -> SyntaxNode | None:
 class NodeCategory(enum.Enum):
     NAME_BEARING = "NameBearing"
     MODIFIER = "Modifier"
-    COMMENT = "Comment"
     LOG_STATEMENT = "LogStatement"
     OTHER = "Other"
 
@@ -1250,7 +1251,7 @@ def extract_functions(tree: SyntaxTree) -> list[FunctionUnit]:
     not ``A.toString()``.
     """
     units = []
-    _visit_units(tree.root, [], None, {"n": 0}, {"n": 0}, units)
+    _visit_units(tree.root, [], None, {"n": 0}, {"n": 0}, None, units)
     units.sort(key=lambda u: u.span)
     return units
 
@@ -1271,42 +1272,57 @@ def _method_signature(node):
     return f"{name}({','.join(types)})"
 
 
-def _visit_units(node, containers, enclosing, lambda_counter, anonymous, units):
-    """Append the units under ``node``; not a closure, which would refer to
-    itself and so hold the tree in a reference cycle.  ``anonymous`` counts
-    the anonymous classes of the innermost enclosing type."""
-    if node.kind in _TYPE_DECL_KINDS.values():
+def _visit_units(node, containers, enclosing, lambda_counter, anonymous,
+                 calls, units):
+    """Append the units under ``node`` to ``units``, and its call sites to
+    ``calls``, the list of the innermost enclosing method or constructor
+    (None outside every one); not a closure, which would refer to itself
+    and so hold the tree in a reference cycle.  ``anonymous`` counts the
+    anonymous classes of the innermost enclosing type."""
+    kind = node.kind
+    if calls is not None:
+        if kind == "call_expr":
+            name = _callee_name(callee_segments(node.children[0]))
+            if name:
+                calls.append(name)
+        elif kind == "new_expr":
+            name = node.children[0].label.split("<", 1)[0].replace("[]", "")
+            if name:
+                calls.append(name)
+    if kind in _TYPE_DECL_KINDS.values():
         name = next((c.label for c in node.children if c.kind == "identifier"), "?")
         containers = containers + [name]
         anonymous = {"n": 0}
         for child in node.children:
-            _visit_units(child, containers, None, lambda_counter, anonymous, units)
+            _visit_units(child, containers, None, lambda_counter, anonymous, calls, units)
         return
-    if node.kind == "new_expr" and node.children[-1].kind == "class_body":
+    if kind == "new_expr" and node.children[-1].kind == "class_body":
         # arguments first: javac numbers a class in them before this one
         for child in node.children[:-1]:
-            _visit_units(child, containers, enclosing, lambda_counter, anonymous, units)
+            _visit_units(child, containers, enclosing, lambda_counter, anonymous,
+                         calls, units)
         anonymous["n"] += 1
         containers = containers[:-1] + [f"{containers[-1]}${anonymous['n']}"]
         _visit_units(node.children[-1], containers, None, lambda_counter,
-                     {"n": 0}, units)
+                     {"n": 0}, calls, units)
         return
-    if node.kind in ("method_decl", "constructor_decl"):
+    if kind in ("method_decl", "constructor_decl"):
         qname = ".".join(containers + [_method_signature(node)])
-        units.append(FunctionUnit(qname, (node.start, node.end), node))
+        unit = FunctionUnit(qname, (node.start, node.end), node)
+        units.append(unit)
         counter = {"n": 0}
         for child in node.children:
-            _visit_units(child, containers, qname, counter, anonymous, units)
+            _visit_units(child, containers, qname, counter, anonymous, unit.calls, units)
         return
-    if node.kind == "lambda_expr" and enclosing is not None:
+    if kind == "lambda_expr" and enclosing is not None:
         qname = f"{enclosing}$lambda{lambda_counter['n']}"
         lambda_counter["n"] += 1
         units.append(FunctionUnit(qname, (node.start, node.end), node))
         for child in node.children:
-            _visit_units(child, containers, qname, lambda_counter, anonymous, units)
+            _visit_units(child, containers, qname, lambda_counter, anonymous, calls, units)
         return
     for child in node.children:
-        _visit_units(child, containers, enclosing, lambda_counter, anonymous, units)
+        _visit_units(child, containers, enclosing, lambda_counter, anonymous, calls, units)
 
 
 def callee_segments(callee: SyntaxNode) -> list[str]:
@@ -1323,6 +1339,17 @@ def callee_segments(callee: SyntaxNode) -> list[str]:
         left = callee_segments(callee.children[0])
         return left + [callee.children[1].label]
     return ["<expr>"]
+
+
+def _callee_name(segments: list[str]) -> str | None:
+    """Trailing run of plain name segments, dropping this/super/expression parts."""
+    cleaned: list[str] = []
+    for seg in segments:
+        if seg in ("this", "super", "<expr>"):
+            cleaned = []
+        else:
+            cleaned.append(seg)
+    return ".".join(cleaned) if cleaned else None
 
 
 def matches_blacklist(segments, patterns) -> bool:
@@ -1356,8 +1383,7 @@ def classify_node(node: SyntaxNode, blacklist=DEFAULT_BLACKLIST) -> NodeCategory
 
     Identifier leaves are name-bearing; modifiers and annotations form the
     modifier class; call statements whose callee matches the blacklist are
-    log statements; everything else is Other.  Comments never appear in the
-    tree, so the Comment category is never returned here.
+    log statements; everything else is Other.
     """
     if node.kind == "identifier":
         return NodeCategory.NAME_BEARING

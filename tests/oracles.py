@@ -25,6 +25,14 @@
   split names, and the node and edge sets built from every entry's sites
   and targets.  A ``CallGraph``'s targets and ``adjacency()`` must equal
   them.
+* ``build_call_graph`` builds a snapshot's call graph from scratch, every
+  file parsed and resolved at once: a ``CallGraph`` kept up to date by
+  ``update`` must equal it.
+* ``reference_call_sites`` is call-site collection as it was before the
+  walk that finds a tree's function units collected the sites: a second
+  walk over each method's and constructor's declaration.  It shares only
+  ``callee_segments`` with the program.  A file entry's ``sites`` must
+  equal it.
 """
 
 import itertools
@@ -38,11 +46,17 @@ from devcontrib.astdiff import (
     _inside_log_statement,
     _only_names_or_modifiers,
 )
-from devcontrib.callgraph import EXTERNAL_PREFIX, Adjacency, FunctionId
+from devcontrib.callgraph import EXTERNAL_PREFIX, Adjacency, CallGraph, CallSite, FunctionId
 from devcontrib.config import DEFAULT_BLACKLIST
 from devcontrib.errors import CorruptHistory, MissingBlob, ParseError
 from devcontrib.repo import _NULL_SHA, _STATUS_KIND, FileChange, _git
-from devcontrib.syntax import NodeCategory, classify_node
+from devcontrib.syntax import (
+    NodeCategory,
+    callee_segments,
+    classify_node,
+    language_for_path,
+    parse_file,
+)
 from devcontrib.syntax import _KEYWORDS, _OPERATORS, Comment, SyntaxTree, _Token
 
 _PUNCT = set("(){}[];,.@")
@@ -725,3 +739,66 @@ def reference_adjacency(graph) -> Adjacency:
              for t in targets}
     codes = np.sort(np.fromiter(codes, dtype=np.int64, count=len(codes)))
     return Adjacency(ids, codes // n, codes % n)
+
+
+def build_call_graph(files: dict[str, str | None]) -> CallGraph:
+    """Full build from {path: source_text}: every file with a grammar whose
+    text parses is added, then every site is resolved."""
+    graph = CallGraph()
+    for path, text in sorted(files.items()):
+        if language_for_path(path) is None or text is None:
+            continue
+        tree = parse_file(path, text)
+        if tree is not None:
+            graph._add_file(path, None, tree)
+    graph._reindex((), [fid for entry in graph.files.values() for fid in entry.functions])
+    for path in graph.files:
+        graph.resolve_file(path)
+    graph.version += 1
+    return graph
+
+
+def _callee_name(segments: list[str]) -> str | None:
+    """Trailing run of plain name segments, dropping this/super/expression parts."""
+    cleaned: list[str] = []
+    for seg in segments:
+        if seg in ("this", "super", "<expr>"):
+            cleaned = []
+        else:
+            cleaned.append(seg)
+    return ".".join(cleaned) if cleaned else None
+
+
+def _type_simple(label: str) -> str:
+    """Strip generics/arrays from a type label: ``pkg.Foo<Bar>[]`` -> ``pkg.Foo``."""
+    base = label.split("<", 1)[0].replace("[]", "")
+    return base
+
+
+def reference_call_sites(path: str, units) -> tuple[CallSite, ...]:
+    """Call sites of every named unit of the file ``path``, lambdas merged
+    into their enclosing function, nested named declarations excluded (they
+    are their own units)."""
+    named = [u for u in units if u.body.kind != "lambda_expr"]
+    sites = []
+    for unit in named:
+        fid = FunctionId(unit.qualified_name, path)
+        _collect_sites(unit.body, True, fid, sites)
+    return tuple(sites)
+
+
+def _collect_sites(node, at_root, fid, sites):
+    """Append the call sites under ``node``; not a closure, which would refer
+    to itself and so hold the tree in a reference cycle."""
+    if not at_root and node.kind in ("method_decl", "constructor_decl"):
+        return
+    if node.kind == "call_expr":
+        name = _callee_name(callee_segments(node.children[0]))
+        if name:
+            sites.append(CallSite(fid, name, name.rsplit(".", 1)[-1]))
+    elif node.kind == "new_expr":
+        name = _type_simple(node.children[0].label)
+        if name:
+            sites.append(CallSite(fid, name, name.rsplit(".", 1)[-1]))
+    for child in node.children:
+        _collect_sites(child, False, fid, sites)

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -13,7 +14,6 @@ from devcontrib.callgraph import (
     CheckpointStore,
     FunctionId,
     backward_propagate,
-    build_call_graph,
     inter_impact,
     pagerank,
 )
@@ -21,7 +21,9 @@ from devcontrib.config import AnalysisConfig
 from devcontrib.errors import UnknownCheckpoint
 from devcontrib.pipeline import AnalysisRun, PipelineState, current_impact, parse_changes
 from devcontrib.repo import FileChange
-from oracles import reference_adjacency, reference_targets
+from oracles import build_call_graph, reference_adjacency, reference_call_sites, reference_targets
+
+FIXTURE = Path(__file__).resolve().parent / "fixtures" / "Idioms.java"
 
 
 def _change(path, kind, before_content=None, after_content=None, old_path=None):
@@ -80,6 +82,64 @@ def test_anonymous_class_methods_are_their_own_units():
     anonymous, a_g = FunctionId("A$1.toString()", "A.java"), FunctionId("A.g()", "A.java")
     assert (anonymous, a_g) in g.edges
     assert (FunctionId("A.toString()", "A.java"), a_g) not in g.edges
+
+
+# Each source pins one corner of the call-site rule.
+_SITE_CASES = {
+    "anonymous_class_in_arguments": """class A {
+        void f() { run(new Base() { int x = g(); void m() { h(); } }); }
+    }""",
+    "lambda_in_a_field_initializer": """class A {
+        Runnable r = () -> g();
+        void f() { }
+    }""",
+    "member_class_inside_an_anonymous_class": """class A {
+        void f() {
+            Object o = new Object() { class In { int x = g(); void m() { h(); } } };
+        }
+    }""",
+    "this_super_and_call_result_callees": """class A {
+        A() { this(1); }
+        A(int x) { super(x); }
+        void f() { this.g(); super.h(); a().b(); this.c.d(); p.q.r(); }
+    }""",
+    "generic_and_array_types": """class A {
+        void f() { new Foo<Bar>(); new p.Baz<Q<R>>(1); int[] xs = new int[3]; }
+    }""",
+}
+
+_SITE_EXPECTED = {
+    "anonymous_class_in_arguments": [("A.f()", "run"), ("A.f()", "Base"),
+                                     ("A.f()", "g"), ("A$1.m()", "h")],
+    "lambda_in_a_field_initializer": [],
+    "member_class_inside_an_anonymous_class": [("A.f()", "Object"), ("A.f()", "g"),
+                                               ("A$1.In.m()", "h")],
+    "this_super_and_call_result_callees": [("A.f()", "g"), ("A.f()", "h"), ("A.f()", "b"),
+                                           ("A.f()", "a"), ("A.f()", "c.d"),
+                                           ("A.f()", "p.q.r")],
+    "generic_and_array_types": [("A.f()", "Foo"), ("A.f()", "p.Baz")],
+}
+
+
+def _sites(path, text):
+    graph = CallGraph()
+    tree = syntax.parse_source(text, "java")
+    graph._add_file(path, None, tree)
+    return graph.files[path].sites, reference_call_sites(path, tree.functions)
+
+
+@pytest.mark.parametrize("case", sorted(_SITE_CASES))
+def test_call_sites_follow_the_rule(case):
+    sites, reference = _sites("A.java", _SITE_CASES[case])
+    assert sites == reference
+    assert [(site.caller.name, site.dotted) for site in sites] == _SITE_EXPECTED[case]
+    assert all(site.simple == site.dotted.rsplit(".", 1)[-1] for site in sites)
+
+
+def test_fixture_call_sites_equal_the_reference():
+    sites, reference = _sites("Idioms.java", FIXTURE.read_text())
+    assert len(sites) > 10
+    assert sites == reference
 
 
 def test_fixture_project_with_scripted_call_count():

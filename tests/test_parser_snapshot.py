@@ -56,6 +56,16 @@ def test_fixture_tree_matches_the_snapshot():
     assert _preorder(actual) == _preorder(expected)
 
 
+def _reference_height(node):
+    return 1 + max((_reference_height(c) for c in node.children), default=0)
+
+
+def test_fixture_heights_equal_a_recursive_reference():
+    root = parse_source(SOURCE.read_text(), "java").root
+    assert root.height > 10
+    assert all(node.height == _reference_height(node) for node in root.walk())
+
+
 @pytest.mark.parametrize("source, message, position", [
     ('@A(x class C { }', "unterminated annotation arguments", 16),
     ('@A(f(x) class C { }', "unterminated annotation arguments", 19),

