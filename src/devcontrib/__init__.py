@@ -49,10 +49,8 @@ from .scoring import (
 )
 from .syntax import (
     FunctionUnit,
-    NodeCategory,
     SyntaxNode,
     SyntaxTree,
-    classify_node,
     comment_metrics,
     extract_functions,
     parse_source,

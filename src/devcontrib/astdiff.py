@@ -5,7 +5,9 @@ a greedy top-down pass maps isomorphic subtrees from the largest down, then
 a bottom-up pass maps container nodes whose mapped-descendant overlap (dice
 coefficient) clears a threshold.  A final recovery pass aligns leftover
 children inside mapped containers so single-token edits (renames, literal
-tweaks) surface as updates instead of delete/insert pairs.
+tweaks) surface as updates instead of delete/insert pairs.  Equal structure
+hashes only propose an isomorphic pair: the walk that maps its subtrees
+checks every node pair on the way, so a hash collision maps nothing.
 
 After the top-down pass most of a file usually sits in mapped isomorphic
 subtrees.  A pair inside one keeps its label, its parent pair and its
@@ -23,8 +25,9 @@ The edit script uses subtree-granular actions: a maximal unmapped subtree
 becomes one insert or delete, a mapped pair with a changed label becomes an
 update, and a mapped subtree whose parent or sibling rank changed becomes a
 move.  Each action records the changed-subtree depth and the flags that
-drive the weighting: whether the change touches only name/modifier nodes,
-and whether it sits inside a blacklisted (logging/print) statement.
+drive the weighting: whether the change touches only identifier, modifier
+or annotation nodes (read from their kinds), and whether it sits inside a
+blacklisted (logging/print) statement.
 """
 
 from __future__ import annotations
@@ -34,13 +37,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .config import DEFAULT_BLACKLIST
-from .syntax import (
-    NodeCategory,
-    SyntaxNode,
-    SyntaxTree,
-    classify_node,
-    is_log_call_statement,
-)
+from .syntax import SyntaxNode, SyntaxTree, is_log_call_statement
 
 FILE_SCOPE = "<file-scope>"
 
@@ -90,11 +87,12 @@ class FunctionChangeSet:
 class NodeMapping:
     """Partial one-to-one mapping between before- and after-tree nodes.
 
-    ``b2a``/``a2b`` hold every mapped pair.  ``anchors`` lists, in the order
-    they were mapped, the pairs an edit can start from: each pair added by
-    ``add`` and the root pair of each ``add_isomorphic``.  ``iso_before``
-    and ``iso_after`` map the roots of the isomorphic subtrees on each side
-    to their node counts; every node below such a root is mapped.
+    ``b2a``/``a2b`` hold every mapped pair; the differ tests membership
+    in them directly.  ``anchors`` lists, in the order they were mapped,
+    the pairs an edit can start from: each pair added by ``add`` and the
+    root pair of each successful ``add_isomorphic``.  ``iso_before`` and
+    ``iso_after`` map the roots of the isomorphic subtrees on each side to
+    their node counts; every node below such a root is mapped.
     """
 
     def __init__(self):
@@ -109,24 +107,27 @@ class NodeMapping:
         self.a2b[a] = b
         self.anchors.append((b, a))
 
-    def add_isomorphic(self, b: SyntaxNode, a: SyntaxNode):
-        """Map two isomorphic subtrees node-for-node."""
-        b2a, a2b = self.b2a, self.a2b
-        size, stack = 0, [(b, a)]
+    def add_isomorphic(self, b: SyntaxNode, a: SyntaxNode) -> bool:
+        """Map the subtrees of ``b`` and ``a`` node-for-node if they are
+        isomorphic, and return whether they are.
+
+        Each pair, taken in one walk of both subtrees, must agree in
+        structure hash, kind, label and child count; the pairs are mapped
+        only once every one does, so a hash collision maps nothing.
+        """
+        pairs, stack = [], [(b, a)]
         while stack:
             nb, na = stack.pop()
-            b2a[nb] = na
-            a2b[na] = nb
-            size += 1
+            if nb.struct_hash != na.struct_hash or nb.kind != na.kind \
+                    or nb.label != na.label or len(nb.children) != len(na.children):
+                return False
+            pairs.append((nb, na))
             stack.extend(zip(nb.children, na.children))
+        self.b2a.update(pairs)
+        self.a2b.update([(na, nb) for nb, na in pairs])
         self.anchors.append((b, a))
-        self.iso_before[b] = self.iso_after[a] = size
-
-    def has_before(self, node):
-        return node in self.b2a
-
-    def has_after(self, node):
-        return node in self.a2b
+        self.iso_before[b] = self.iso_after[a] = len(pairs)
+        return True
 
     def __len__(self):
         return len(self.b2a)
@@ -199,10 +200,7 @@ def _top_down(before_root, after_root, mapping, min_height):
         for b in level_b:
             candidates = by_hash.get(b.struct_hash, [])
             for a in candidates:
-                if a in matched_a:
-                    continue
-                if b.isomorphic_to(a):
-                    mapping.add_isomorphic(b, a)
+                if a not in matched_a and mapping.add_isomorphic(b, a):
                     matched_b.add(b)
                     matched_a.add(a)
                     break
@@ -302,7 +300,7 @@ def _bottom_up(before_root, after_root, mapping, threshold):
                     node = a_parent[node]
             best, best_key = None, None
             for cand in above:
-                if cand.kind != b.kind or mapping.has_after(cand):
+                if cand.kind != b.kind or cand in mapping.a2b:
                     continue
                 first = a_positions[cand]
                 cnt = covered[bisect.bisect_right(starts, first + desc_count[cand])] \
@@ -314,7 +312,7 @@ def _bottom_up(before_root, after_root, mapping, threshold):
                     best, best_key = cand, key
             if best is not None:
                 mapping.add(b, best)
-    if not mapping.has_before(before_root) and not mapping.has_after(after_root) \
+    if before_root not in mapping.b2a and after_root not in mapping.a2b \
             and before_root.kind == after_root.kind:
         mapping.add(before_root, after_root)
 
@@ -329,8 +327,8 @@ def _recover(mapping):
     work = list(mapping.anchors)
     while work:
         b, a = work.pop()
-        ub = [c for c in b.children if not mapping.has_before(c)]
-        ua = [c for c in a.children if not mapping.has_after(c)]
+        ub = [c for c in b.children if c not in mapping.b2a]
+        ua = [c for c in a.children if c not in mapping.a2b]
         if not ub or not ua:
             continue
         for key, whole_subtree in (
@@ -340,13 +338,11 @@ def _recover(mapping):
         ):
             pairs = _lcs_pairs(ub, ua, key)
             for pb, pa in pairs:
-                if whole_subtree and pb.isomorphic_to(pa):
-                    mapping.add_isomorphic(pb, pa)
-                else:
+                if not (whole_subtree and mapping.add_isomorphic(pb, pa)):
                     mapping.add(pb, pa)
                     work.append((pb, pa))
-            ub = [c for c in ub if not mapping.has_before(c)]
-            ua = [c for c in ua if not mapping.has_after(c)]
+            ub = [c for c in ub if c not in mapping.b2a]
+            ua = [c for c in ua if c not in mapping.a2b]
             if not ub or not ua:
                 break
 
@@ -365,25 +361,25 @@ def map_trees(before: SyntaxTree, after: SyntaxTree,
 # edit script
 # ---------------------------------------------------------------------------
 
-def _unmapped_portion(node, is_mapped):
-    """``node`` and the unmapped nodes reachable from it through unmapped
-    children, level by level, and the number of levels they span."""
+def _unmapped_portion(node, mapped):
+    """``node`` and the nodes not in ``mapped`` reachable from it through
+    such children, level by level, and the number of levels they span."""
     portion, level, height = [], [node], 0
     while level:
         height += 1
         portion.extend(level)
-        level = [c for n in level for c in n.children if not is_mapped(c)]
+        level = [c for n in level for c in n.children if c not in mapped]
     return portion, height
 
 
-def _only_names_or_modifiers(nodes, blacklist):
-    saw = False
-    for n in nodes:
-        saw = True
-        if classify_node(n, blacklist) not in (NodeCategory.NAME_BEARING,
-                                               NodeCategory.MODIFIER):
-            return False
-    return saw
+# Kinds of the nodes whose edits the name-only factor discounts.
+_NAME_OR_MODIFIER = frozenset({"identifier", "modifier", "annotation"})
+
+
+def _only_names_or_modifiers(nodes):
+    """True when every node of a changed portion (never empty) is one of
+    ``_NAME_OR_MODIFIER``."""
+    return all(n.kind in _NAME_OR_MODIFIER for n in nodes)
 
 
 def _inside_log_statement(node, parents, blacklist):
@@ -412,28 +408,28 @@ def edit_script(mapping: NodeMapping, before: SyntaxTree, after: SyntaxTree,
 
     # deletes: maximal unmapped before subtrees
     for node, parent in parent_b.items():
-        if mapping.has_before(node):
+        if node in mapping.b2a:
             continue
-        if parent is None or mapping.has_before(parent):
-            portion, depth = _unmapped_portion(node, mapping.has_before)
+        if parent is None or parent in mapping.b2a:
+            portion, depth = _unmapped_portion(node, mapping.b2a)
             actions.append(EditAction(
                 kind="delete",
                 subtree_depth=depth,
-                only_name_or_modifier=_only_names_or_modifiers(portion, blacklist),
+                only_name_or_modifier=_only_names_or_modifiers(portion),
                 blacklisted=_inside_log_statement(node, parent_b, blacklist),
                 before_node=node,
             ))
 
     # inserts: maximal unmapped after subtrees
     for node, parent in parent_a.items():
-        if mapping.has_after(node):
+        if node in mapping.a2b:
             continue
-        if parent is None or mapping.has_after(parent):
-            portion, depth = _unmapped_portion(node, mapping.has_after)
+        if parent is None or parent in mapping.a2b:
+            portion, depth = _unmapped_portion(node, mapping.a2b)
             actions.append(EditAction(
                 kind="insert",
                 subtree_depth=depth,
-                only_name_or_modifier=_only_names_or_modifiers(portion, blacklist),
+                only_name_or_modifier=_only_names_or_modifiers(portion),
                 blacklisted=_inside_log_statement(node, parent_a, blacklist),
                 after_node=node,
                 dst_parent=parent,
@@ -445,12 +441,10 @@ def edit_script(mapping: NodeMapping, before: SyntaxTree, after: SyntaxTree,
     order_moved = _order_moves(mapping, parent_a)
     for b, a in mapping.anchors:
         if b.label != a.label:
-            cls = classify_node(a, blacklist)
             actions.append(EditAction(
                 kind="update",
                 subtree_depth=1,
-                only_name_or_modifier=a.is_leaf and cls in (
-                    NodeCategory.NAME_BEARING, NodeCategory.MODIFIER),
+                only_name_or_modifier=a.is_leaf and a.kind in _NAME_OR_MODIFIER,
                 blacklisted=_inside_log_statement(a, parent_a, blacklist)
                 or _inside_log_statement(b, parent_b, blacklist),
                 before_node=b,
@@ -463,7 +457,7 @@ def edit_script(mapping: NodeMapping, before: SyntaxTree, after: SyntaxTree,
             actions.append(EditAction(
                 kind="move",
                 subtree_depth=a.height,
-                only_name_or_modifier=_only_names_or_modifiers(a.walk(), blacklist),
+                only_name_or_modifier=_only_names_or_modifiers(a.walk()),
                 blacklisted=_inside_log_statement(a, parent_a, blacklist)
                 or _inside_log_statement(b, parent_b, blacklist),
                 before_node=b,
@@ -483,7 +477,7 @@ def _order_moves(mapping, parent_a):
         if pb.is_leaf or pb in mapping.iso_before:  # children kept in order
             continue
         stay_b = [c for c in pb.children
-                  if mapping.has_before(c) and parent_a[mapping.b2a[c]] is pa]
+                  if c in mapping.b2a and parent_a[mapping.b2a[c]] is pa]
         if len(stay_b) < 2:
             continue
         partners_in_b_order = [mapping.b2a[c] for c in stay_b]

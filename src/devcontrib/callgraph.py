@@ -112,6 +112,15 @@ _NO_NUMBERS = np.zeros(0, dtype=np.int64)
 _LOW = (1 << 32) - 1
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values, sorted.  Not ``np.unique``: its first call in a
+    process imports ``numpy.ma``, which leaves cyclic garbage behind."""
+    values = np.sort(values)
+    keep = np.ones(len(values), dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
+
+
 class FileEntry(NamedTuple):
     """One file's share of the graph: its functions, the call sites in
     their bodies and each site's resolved targets, ``()`` until the file
@@ -280,14 +289,14 @@ class CallGraph:
         target is a node, every distinct (caller, target) pair an edge."""
         entries = self.files.values()
         edges = np.concatenate([_NO_NUMBERS, *(entry.edges for entry in entries)])
-        numbers = np.unique(np.concatenate(
+        numbers = _distinct(np.concatenate(
             [edges & _LOW, *(entry.numbers for entry in entries)]))
         fids = self._interner.fids
         order = sorted(numbers.tolist(), key=fids.__getitem__)
         n = len(order)
         position = np.zeros(len(fids), dtype=np.int64)
         position[order] = np.arange(n)
-        codes = np.unique(position[edges >> 32] * n + position[edges & _LOW])
+        codes = _distinct(position[edges >> 32] * n + position[edges & _LOW])
         return Adjacency([fids[i] for i in order], codes // n, codes % n)
 
     def structure(self):

@@ -38,9 +38,6 @@ class FunctionPDG:
     ddg_edges: set[tuple[int, int]] = field(default_factory=set)
     cdg_edges: set[tuple[int, int]] = field(default_factory=set)
 
-    def node_ids(self):
-        return [n.id for n in self.nodes]
-
 
 def _successors(nodes, edges) -> dict[int, set[int]]:
     """Each node's id mapped to the targets of its ``(source, target)`` edges."""
@@ -374,39 +371,28 @@ def build_pdg(function: FunctionUnit) -> FunctionPDG:
 
 
 def _reaching_def_use_edges(builder: _Builder) -> set[tuple[int, int]]:
+    """Def-use edges ``(d, u)``: ``u`` uses a variable that ``d`` defines,
+    and some CFG path from ``d`` to ``u`` has no other definition of it in
+    between.  Each use searches backward over the CFG predecessors and
+    stops at the first node that defines its variable.  A node's own
+    definition is no edge."""
     nodes = builder.nodes
     preds = _successors(nodes, ((b, a) for a, b in builder.cfg_edges))
-
-    gen = {n.id: {(n.id, v) for v in n.defs} for n in nodes}
-    defs_of_var: dict[str, set] = {}
-    for n in nodes:
-        for v in n.defs:
-            defs_of_var.setdefault(v, set()).add((n.id, v))
-
-    in_sets = {n.id: set() for n in nodes}
-    out_sets = {n.id: set(gen[n.id]) for n in nodes}
-    changed = True
-    while changed:
-        changed = False
-        for n in nodes:
-            new_in = set()
-            for p in preds[n.id]:
-                new_in |= out_sets[p]
-            kill = set()
-            for v in n.defs:
-                kill |= defs_of_var.get(v, set())
-            new_out = gen[n.id] | (new_in - kill)
-            if new_in != in_sets[n.id] or new_out != out_sets[n.id]:
-                in_sets[n.id] = new_in
-                out_sets[n.id] = new_out
-                changed = True
-
     edges = set()
     for n in nodes:
         for v in n.uses:
-            for d, var in in_sets[n.id]:
-                if var == v and d != n.id:
-                    edges.add((d, n.id))
+            seen = set(preds[n.id])
+            frontier = list(seen)
+            while frontier:
+                p = frontier.pop()
+                if v in nodes[p].defs:
+                    if p != n.id:
+                        edges.add((p, n.id))
+                    continue
+                for q in preds[p]:
+                    if q not in seen:
+                        seen.add(q)
+                        frontier.append(q)
     return edges
 
 

@@ -4,7 +4,11 @@ The tree model is deliberately small: every node has a ``kind`` tag, an
 optional ``label`` (identifier text, literal text, operator symbol, ...),
 an ordered child list and a source span.  Comments never enter the tree;
 they are collected on the side so that comment edits produce no tree edits
-while comment-line counting stays possible.
+while comment-line counting stays possible.  The kind is the only node
+class: the differ reads kinds directly (a name or modifier is an
+``identifier``, ``modifier`` or ``annotation`` node), and
+``is_log_call_statement`` recognises a call statement to a blacklisted
+logger.
 
 A tree holds no parent links and no other reference cycle, and nothing
 that reads it (``functions``, call-site and PDG collection) stores one.
@@ -31,12 +35,12 @@ function units once (``functions``), with each method's call sites, in one
 walk.  No layer changes a tree once it is built, so one tree may serve
 every layer and several commits.  Every node gets its ``height`` when it
 is built, which the depth check reads; ``struct_hash`` is filled on first
-use.
+use.  Equal hashes only propose an isomorphic pair of subtrees; the differ
+checks each node pair while it maps them.
 """
 
 from __future__ import annotations
 
-import enum
 import logging
 import re
 from dataclasses import dataclass, field
@@ -109,16 +113,6 @@ class SyntaxNode:
             node = stack.pop()
             yield node
             stack.extend(reversed(node.children))
-
-    def isomorphic_to(self, other):
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            if a.struct_hash != b.struct_hash or a.kind != b.kind \
-                    or a.label != b.label or len(a.children) != len(b.children):
-                return False
-            stack.extend(zip(a.children, b.children))
-        return True
 
     def __repr__(self):
         lbl = f" {self.label!r}" if self.label is not None else ""
@@ -219,13 +213,6 @@ def function_body(unit: FunctionUnit) -> SyntaxNode | None:
     if node.kind == "lambda_expr":
         return node.children[1]
     return next((c for c in node.children if c.kind == "block"), None)
-
-
-class NodeCategory(enum.Enum):
-    NAME_BEARING = "NameBearing"
-    MODIFIER = "Modifier"
-    LOG_STATEMENT = "LogStatement"
-    OTHER = "Other"
 
 
 # ---------------------------------------------------------------------------
@@ -1376,22 +1363,6 @@ def is_log_call_statement(node: SyntaxNode, blacklist=DEFAULT_BLACKLIST) -> bool
     if expr.kind != "call_expr":
         return False
     return matches_blacklist(callee_segments(expr.children[0]), blacklist)
-
-
-def classify_node(node: SyntaxNode, blacklist=DEFAULT_BLACKLIST) -> NodeCategory:
-    """Coarse node category used by edit-weighting.
-
-    Identifier leaves are name-bearing; modifiers and annotations form the
-    modifier class; call statements whose callee matches the blacklist are
-    log statements; everything else is Other.
-    """
-    if node.kind == "identifier":
-        return NodeCategory.NAME_BEARING
-    if node.kind in ("modifier", "annotation"):
-        return NodeCategory.MODIFIER
-    if is_log_call_statement(node, blacklist):
-        return NodeCategory.LOG_STATEMENT
-    return NodeCategory.OTHER
 
 
 def comment_metrics(tree: SyntaxTree, span: tuple[int, int]) -> tuple[int, int]:

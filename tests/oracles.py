@@ -9,8 +9,12 @@
   the first one written, which walks every descendant's ancestor chain.
   Trees hold no parent links, so these functions take them from
   ``parent_map``, built over the whole tree.  The program must map the
-  same nodes and give the same actions in the same order.  Only the
-  per-node classification helpers are shared.
+  same nodes and give the same actions in the same order.  They prove an
+  isomorphic pair with ``reference_isomorphic``, a plain recursive compare
+  that reads no structure hash, and weigh edits with ``reference_classify``,
+  the four-way node classification the program once used.  They share
+  ``is_log_call_statement``, the parent-chain walk for it, the child index
+  and the action order with the program.
 * ``reference_lcs_pairs`` is the alignment table that computed every key
   twice per cell; ``devcontrib.astdiff._lcs_pairs`` must give its pairs.
 * ``apply_edit_script`` replays an edit script on a copy of the before
@@ -33,27 +37,25 @@
   walk over each method's and constructor's declaration.  It shares only
   ``callee_segments`` with the program.  A file entry's ``sites`` must
   equal it.
+* ``reference_reaching_defs`` is the PDG's def-use edges as the gen/kill
+  fixpoint over the CFG computed them, before a backward search from each
+  use replaced it.  ``devcontrib.pdg._reaching_def_use_edges`` must give
+  the same edges for every CFG.
 """
 
+import enum
 import itertools
 
 import numpy as np
 
-from devcontrib.astdiff import (
-    EditAction,
-    _action_sort_key,
-    _child_index,
-    _inside_log_statement,
-    _only_names_or_modifiers,
-)
+from devcontrib.astdiff import EditAction, _action_sort_key, _child_index, _inside_log_statement
 from devcontrib.callgraph import EXTERNAL_PREFIX, Adjacency, CallGraph, CallSite, FunctionId
 from devcontrib.config import DEFAULT_BLACKLIST
 from devcontrib.errors import CorruptHistory, MissingBlob, ParseError
 from devcontrib.repo import _NULL_SHA, _STATUS_KIND, FileChange, _git
 from devcontrib.syntax import (
-    NodeCategory,
     callee_segments,
-    classify_node,
+    is_log_call_statement,
     language_for_path,
     parse_file,
 )
@@ -193,6 +195,18 @@ def reference_tokenize(text: str):
 # node mapping
 # ---------------------------------------------------------------------------
 
+def reference_isomorphic(x, y) -> bool:
+    """True when the subtrees of ``x`` and ``y`` have equal kinds, labels
+    and child lists all the way down.  One frame per level, so a tree at
+    ``MAX_TREE_DEPTH`` stays within the recursion limit."""
+    if x.kind != y.kind or x.label != y.label or len(x.children) != len(y.children):
+        return False
+    for cx, cy in zip(x.children, y.children):
+        if not reference_isomorphic(cx, cy):
+            return False
+    return True
+
+
 class ReferenceMapping:
     """A mapping that keeps only its pairs, in the order they were added."""
 
@@ -282,7 +296,7 @@ def _reference_top_down(before_root, after_root, mapping, min_height):
             for a in candidates:
                 if a in matched_a:
                     continue
-                if b.isomorphic_to(a):
+                if reference_isomorphic(b, a):
                     mapping.add_isomorphic(b, a)
                     matched_b.add(b)
                     matched_a.add(a)
@@ -360,7 +374,7 @@ def _reference_recover(mapping):
         ):
             pairs = reference_lcs_pairs(ub, ua, key)
             for pb, pa in pairs:
-                if whole_subtree and pb.isomorphic_to(pa):
+                if whole_subtree and reference_isomorphic(pb, pa):
                     mapping.add_isomorphic(pb, pa)
                 else:
                     mapping.add(pb, pa)
@@ -374,6 +388,40 @@ def _reference_recover(mapping):
 # ---------------------------------------------------------------------------
 # edit script
 # ---------------------------------------------------------------------------
+
+class ReferenceCategory(enum.Enum):
+    NAME_BEARING = "NameBearing"
+    MODIFIER = "Modifier"
+    LOG_STATEMENT = "LogStatement"
+    OTHER = "Other"
+
+
+def reference_classify(node, blacklist=DEFAULT_BLACKLIST) -> ReferenceCategory:
+    """Identifier leaves are name-bearing; modifiers and annotations form
+    the modifier class; call statements whose callee matches the
+    blacklist are log statements; everything else is Other."""
+    if node.kind == "identifier":
+        return ReferenceCategory.NAME_BEARING
+    if node.kind in ("modifier", "annotation"):
+        return ReferenceCategory.MODIFIER
+    if is_log_call_statement(node, blacklist):
+        return ReferenceCategory.LOG_STATEMENT
+    return ReferenceCategory.OTHER
+
+
+def _name_or_modifier(node, blacklist):
+    return reference_classify(node, blacklist) in (ReferenceCategory.NAME_BEARING,
+                                                   ReferenceCategory.MODIFIER)
+
+
+def _reference_only_names_or_modifiers(nodes, blacklist):
+    saw = False
+    for n in nodes:
+        saw = True
+        if not _name_or_modifier(n, blacklist):
+            return False
+    return saw
+
 
 def _unmapped_height(node, is_mapped):
     height, level = 0, [node]
@@ -403,7 +451,7 @@ def reference_edit_script(mapping, before: SyntaxTree, after: SyntaxTree,
             actions.append(EditAction(
                 kind="delete",
                 subtree_depth=_unmapped_height(node, mapping.has_before),
-                only_name_or_modifier=_only_names_or_modifiers(portion, blacklist),
+                only_name_or_modifier=_reference_only_names_or_modifiers(portion, blacklist),
                 blacklisted=_inside_log_statement(node, parent_b, blacklist),
                 before_node=node,
             ))
@@ -416,7 +464,7 @@ def reference_edit_script(mapping, before: SyntaxTree, after: SyntaxTree,
             actions.append(EditAction(
                 kind="insert",
                 subtree_depth=_unmapped_height(node, mapping.has_after),
-                only_name_or_modifier=_only_names_or_modifiers(portion, blacklist),
+                only_name_or_modifier=_reference_only_names_or_modifiers(portion, blacklist),
                 blacklisted=_inside_log_statement(node, parent_a, blacklist),
                 after_node=node,
                 dst_parent=parent_a[node],
@@ -426,12 +474,10 @@ def reference_edit_script(mapping, before: SyntaxTree, after: SyntaxTree,
     order_moved = _reference_order_moves(mapping, parent_a)
     for b, a in mapping.b2a.items():
         if b.label != a.label:
-            cls = classify_node(a, blacklist)
             actions.append(EditAction(
                 kind="update",
                 subtree_depth=1,
-                only_name_or_modifier=a.is_leaf and cls in (
-                    NodeCategory.NAME_BEARING, NodeCategory.MODIFIER),
+                only_name_or_modifier=a.is_leaf and _name_or_modifier(a, blacklist),
                 blacklisted=_inside_log_statement(a, parent_a, blacklist)
                 or _inside_log_statement(b, parent_b, blacklist),
                 before_node=b,
@@ -447,7 +493,7 @@ def reference_edit_script(mapping, before: SyntaxTree, after: SyntaxTree,
             actions.append(EditAction(
                 kind="move",
                 subtree_depth=a.height,
-                only_name_or_modifier=_only_names_or_modifiers(portion, blacklist),
+                only_name_or_modifier=_reference_only_names_or_modifiers(portion, blacklist),
                 blacklisted=_inside_log_statement(a, parent_a, blacklist)
                 or _inside_log_statement(b, parent_b, blacklist),
                 before_node=b,
@@ -560,7 +606,7 @@ def apply_edit_script(before: SyntaxTree, after: SyntaxTree,
         w = _WorkNode(after_node.kind, after_node.label)
         work_of_after[after_node] = w
         for c in after_node.children:
-            if mapping.has_after(c):
+            if c in mapping.a2b:
                 continue  # arrives via its own move action
             cw = materialize(c)
             cw.parent = w
@@ -591,7 +637,7 @@ def apply_edit_script(before: SyntaxTree, after: SyntaxTree,
             parent_w.children.insert(pos, w)
             w.parent = parent_w
 
-    if mapping.has_after(after.root):
+    if after.root in mapping.a2b:
         result_root = work_of_before[mapping.a2b[after.root]]
     else:
         result_root = work_of_after.get(after.root)
@@ -802,3 +848,49 @@ def _collect_sites(node, at_root, fid, sites):
             sites.append(CallSite(fid, name, name.rsplit(".", 1)[-1]))
     for child in node.children:
         _collect_sites(child, False, fid, sites)
+
+
+# ---------------------------------------------------------------------------
+# dependence graph
+# ---------------------------------------------------------------------------
+
+def reference_reaching_defs(builder) -> set[tuple[int, int]]:
+    """Def-use edges of a PDG builder's nodes and CFG: reaching definitions
+    as a gen/kill fixpoint over in/out sets, then an edge from each
+    definition that reaches a use of its variable, self-loops dropped."""
+    nodes = builder.nodes
+    preds = {n.id: set() for n in nodes}
+    for a, b in builder.cfg_edges:
+        preds[b].add(a)
+
+    gen = {n.id: {(n.id, v) for v in n.defs} for n in nodes}
+    defs_of_var: dict[str, set] = {}
+    for n in nodes:
+        for v in n.defs:
+            defs_of_var.setdefault(v, set()).add((n.id, v))
+
+    in_sets = {n.id: set() for n in nodes}
+    out_sets = {n.id: set(gen[n.id]) for n in nodes}
+    changed = True
+    while changed:
+        changed = False
+        for n in nodes:
+            new_in = set()
+            for p in preds[n.id]:
+                new_in |= out_sets[p]
+            kill = set()
+            for v in n.defs:
+                kill |= defs_of_var.get(v, set())
+            new_out = gen[n.id] | (new_in - kill)
+            if new_in != in_sets[n.id] or new_out != out_sets[n.id]:
+                in_sets[n.id] = new_in
+                out_sets[n.id] = new_out
+                changed = True
+
+    edges = set()
+    for n in nodes:
+        for v in n.uses:
+            for d, var in in_sets[n.id]:
+                if var == v and d != n.id:
+                    edges.add((d, n.id))
+    return edges

@@ -10,6 +10,7 @@ from devcontrib.astdiff import (
     DeltaWeights,
     EditAction,
     FunctionChangeSet,
+    NodeMapping,
     _lcs_pairs,
     delta_ast,
     diff_file_pair,
@@ -343,8 +344,11 @@ def _random_sources(rng, reorder_and_empty=False):
 def _assert_equals_reference(before_src, after_src):
     """The mapping and the ordered edit script equal the reference
     differ's, and the script turns the before tree into the after tree."""
-    before = parse_source(before_src, "java")
-    after = parse_source(after_src, "java")
+    return _assert_trees_equal_reference(parse_source(before_src, "java"),
+                                         parse_source(after_src, "java"))
+
+
+def _assert_trees_equal_reference(before, after):
     mapping = map_trees(before, after)
     reference = reference_map_trees(before, after)
     assert mapping.b2a == reference.b2a
@@ -379,6 +383,37 @@ def test_added_or_deleted_file_is_one_action(side):
     before_src, after_src = (BASE, "") if side == "before" else ("", BASE)
     script = _assert_equals_reference(before_src, after_src)
     assert [a.kind for a in script] == ["delete" if side == "before" else "insert"]
+
+
+def _state(mapping):
+    return (list(mapping.b2a.items()), list(mapping.a2b.items()), list(mapping.anchors),
+            list(mapping.iso_before.items()), list(mapping.iso_after.items()))
+
+
+def test_a_hash_collision_maps_nothing():
+    before = parse_source("class C { void m() { f(1, 2); h(3); } }", "java")
+    after = parse_source("class C { void m() { g(1, 2); h(3); } }", "java")
+    block_b = extract_functions(before)[0].body.children[-1]
+    block_a = extract_functions(after)[0].body.children[-1]
+    (f_stmt, h_before), (g_stmt, h_after) = block_b.children, block_a.children
+    assert before.root.struct_hash != after.root.struct_hash  # fills every hash
+    # ``g(1, 2);`` gets the hashes of ``f(1, 2);`` node for node, so only
+    # the callee's label tells the two subtrees apart
+    stack = [(f_stmt, g_stmt)]
+    while stack:
+        nb, na = stack.pop()
+        na._struct_hash = nb._struct_hash
+        stack.extend(zip(nb.children, na.children))
+
+    mapping = NodeMapping()
+    assert mapping.add_isomorphic(h_before, h_after)
+    state = _state(mapping)
+    assert not mapping.add_isomorphic(f_stmt, g_stmt)
+    assert _state(mapping) == state
+
+    script = _assert_trees_equal_reference(before, after)
+    assert [(a.kind, a.before_node.label, a.after_node.label) for a in script] == [
+        ("update", "f", "g")]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

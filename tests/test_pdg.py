@@ -1,6 +1,12 @@
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from devcontrib import pdg as pdg_module
 from devcontrib.astdiff import diff_file_pair
 from devcontrib.pdg import (
     FunctionPDG,
@@ -12,6 +18,9 @@ from devcontrib.pdg import (
     impact_range,
 )
 from devcontrib.syntax import extract_functions, parse_source
+from oracles import reference_reaching_defs
+
+IDIOMS = Path(__file__).resolve().parent / "fixtures" / "Idioms.java"
 
 
 def _pdg(src, index=0):
@@ -29,8 +38,7 @@ def test_if_body_control_dependent_on_predicate():
     assert (0, 1) in pdg.cdg_edges and (0, 2) in pdg.cdg_edges
 
 
-def test_fixture_with_seven_known_def_use_pairs():
-    src = """
+SEVEN_PAIRS = """
     class C {
         int m(int p) {
             int a = 1;
@@ -42,7 +50,10 @@ def test_fixture_with_seven_known_def_use_pairs():
         }
     }
     """
-    pdg = _pdg(src)
+
+
+def test_fixture_with_seven_known_def_use_pairs():
+    pdg = _pdg(SEVEN_PAIRS)
     # hand-enumerated def-use pairs:
     # a@0 -> b@1, a@0 -> c@2, b@1 -> c@2, c@2 -> d@3,
     # d@3 -> c@4, b@1 -> c@4, c@4 -> return@5
@@ -50,8 +61,7 @@ def test_fixture_with_seven_known_def_use_pairs():
     assert pdg.ddg_edges == expected
 
 
-def test_every_edge_endpoint_is_a_node():
-    src = """
+LOOP_WITH_BREAK = """
     class C {
         int m(int p) {
             int acc = 0;
@@ -65,8 +75,11 @@ def test_every_edge_endpoint_is_a_node():
         }
     }
     """
-    pdg = _pdg(src)
-    ids = set(pdg.node_ids())
+
+
+def test_every_edge_endpoint_is_a_node():
+    pdg = _pdg(LOOP_WITH_BREAK)
+    ids = {n.id for n in pdg.nodes}
     assert len(ids) >= 1
     for a, b in pdg.ddg_edges | pdg.cdg_edges:
         assert a in ids and b in ids
@@ -75,7 +88,7 @@ def test_every_edge_endpoint_is_a_node():
 def test_ddg_impact_boundaries():
     pdg = _pdg("class C { void m() { int a = 1; int b = a; int c = b; } }")
     assert ddg_impact(pdg, set()) == 0.0
-    assert ddg_impact(pdg, set(pdg.node_ids())) == 1.0
+    assert ddg_impact(pdg, {n.id for n in pdg.nodes}) == 1.0
 
 
 def test_five_node_chain_middle_change_reaches_all():
@@ -152,7 +165,7 @@ def test_impact_range_examples():
 def test_impacts_monotone_in_changed_set():
     rng = np.random.RandomState(21)
     pdg = _random_pdg(rng, 14)
-    ids = pdg.node_ids()
+    ids = [n.id for n in pdg.nodes]
     changed = set()
     last_d, last_c = 0.0, 0.0
     for nid in rng.permutation(ids):
@@ -192,7 +205,7 @@ def test_reachability_matches_bfs_oracle():
     rng = np.random.RandomState(33)
     for _ in range(200):
         pdg = _random_pdg(rng)
-        ids = pdg.node_ids()
+        ids = [n.id for n in pdg.nodes]
         k = int(rng.randint(0, len(ids) + 1))
         changed = set(int(x) for x in rng.choice(ids, size=k, replace=False)) if k else set()
 
@@ -255,15 +268,14 @@ def test_ir_bounds_on_random_instances():
     rng = np.random.RandomState(55)
     for _ in range(200):
         pdg = _random_pdg(rng)
-        ids = pdg.node_ids()
+        ids = [n.id for n in pdg.nodes]
         k = int(rng.randint(0, len(ids) + 1))
         changed = set(int(x) for x in rng.choice(ids, size=k, replace=False)) if k else set()
         ir = impact_range(ddg_impact(pdg, changed), cdg_impact(pdg, changed))
         assert 1.0 <= ir <= 3.0
 
 
-def test_switch_rules_do_not_fall_through():
-    src = """
+SWITCH_RULES = """
     class C {
         int m(int x) {
             switch (x) {
@@ -275,7 +287,10 @@ def test_switch_rules_do_not_fall_through():
         }
     }
     """
-    pdg = _pdg(src)
+
+
+def test_switch_rules_do_not_fall_through():
+    pdg = _pdg(SWITCH_RULES)
     assert [n.kind for n in pdg.nodes] == [
         "switch_stmt", "expr_stmt", "expr_stmt", "expr_stmt", "return_stmt"]
     # each rule's definition reaches the return, none reaches the next rule
@@ -283,8 +298,7 @@ def test_switch_rules_do_not_fall_through():
     assert {(0, 1), (0, 2), (0, 3)} <= pdg.cdg_edges
 
 
-def test_switch_groups_still_fall_through():
-    src = """
+SWITCH_GROUPS = """
     class C {
         int m(int x) {
             switch (x) {
@@ -295,5 +309,85 @@ def test_switch_groups_still_fall_through():
         }
     }
     """
-    pdg = _pdg(src)
+
+
+def test_switch_groups_still_fall_through():
+    pdg = _pdg(SWITCH_GROUPS)
     assert (1, 2) in pdg.ddg_edges
+
+
+# ---------------------------------------------------------------------------
+# reaching definitions against the gen/kill fixpoint
+# ---------------------------------------------------------------------------
+
+def _assert_def_use_edges_equal_reference(src):
+    """Every PDG built from ``src`` gets the def-use edges that the
+    reference fixpoint computes over the same nodes and CFG."""
+    search = pdg_module._reaching_def_use_edges
+    pairs = []
+
+    def both(builder):
+        edges = search(builder)
+        pairs.append((edges, reference_reaching_defs(builder)))
+        return edges
+
+    with mock.patch.object(pdg_module, "_reaching_def_use_edges", both):
+        for unit in extract_functions(parse_source(src, "java")):
+            build_pdg(unit)
+    assert pairs
+    for edges, expected in pairs:
+        assert edges == expected
+
+
+@pytest.mark.parametrize("src", [
+    SEVEN_PAIRS, LOOP_WITH_BREAK, SWITCH_RULES, SWITCH_GROUPS,
+    IDIOMS.read_text(encoding="utf-8"),
+], ids=["seven_pairs", "loop_with_break", "switch_rules", "switch_groups", "idioms"])
+def test_def_use_edges_equal_the_fixpoint_on_fixtures(src):
+    _assert_def_use_edges_equal_reference(src)
+
+
+_SIMPLE = ["a = b + c;", "b = a * 2;", "c++;", "f(a, b);", "d = c - d;",
+           "int a = d;", "break;", "continue;", "return a;", "throw e(b);"]
+
+
+def _random_statements(rng, depth):
+    """Random statements over ``a``..``d`` with loops, branches, switches,
+    try blocks and jumps nested up to ``depth`` levels."""
+    out = []
+    for _ in range(rng.randint(1, 5)):
+        shape = rng.randint(8) if depth else 0
+        if shape == 0 or shape == 1:
+            out.append(_SIMPLE[rng.randint(len(_SIMPLE))])
+            continue
+
+        def body():
+            return "{ " + " ".join(_random_statements(rng, depth - 1)) + " }"
+
+        if shape == 2:
+            out.append(f"if (a > b) {body()}" + (f" else {body()}" if rng.randint(2) else ""))
+        elif shape == 3:
+            out.append(f"while (c < d) {body()}")
+        elif shape == 4:
+            out.append(f"for (int i = a; i < b; i++) {body()}")
+        elif shape == 5:
+            out.append(f"do {body()} while (d > a);")
+        elif shape == 6:
+            if rng.randint(2):
+                out.append(f"switch (a) {{ case 1 -> {body()} default -> {body()} }}")
+            else:
+                out.append("switch (b) { case 1: " + " ".join(_random_statements(rng, depth - 1))
+                           + " case 2: " + " ".join(_random_statements(rng, depth - 1)) + " }")
+        else:
+            out.append(f"try {body()} catch (Exception e) {body()}"
+                       + (f" finally {body()}" if rng.randint(2) else ""))
+    return out
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1))
+def test_def_use_edges_equal_the_fixpoint_on_generated_bodies(seed):
+    rng = np.random.RandomState(seed)
+    body = " ".join(_random_statements(rng, 3))
+    _assert_def_use_edges_equal_reference(
+        "class C { int m(int a, int b) { int c = 0, d = 1; " + body + " } }")

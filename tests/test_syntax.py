@@ -2,19 +2,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from devcontrib.astdiff import diff_file_pair
 from devcontrib.errors import ParseError
 from devcontrib.syntax import (
     MAX_TREE_DEPTH,
-    NodeCategory,
     SyntaxNode,
     SyntaxTree,
-    classify_node,
     comment_metrics,
     extract_functions,
+    is_log_call_statement,
     parse_source,
     tokenize,
 )
-from oracles import reference_tokenize
+from oracles import reference_isomorphic, reference_tokenize
 
 SAMPLE = """
 package demo;
@@ -110,26 +110,35 @@ def test_spans_nest_properly():
 def test_deterministic_reparse():
     t1 = parse_source(SAMPLE, "java")
     t2 = parse_source(SAMPLE, "java")
-    assert t1.root.isomorphic_to(t2.root)
+    assert reference_isomorphic(t1.root, t2.root)
     spans1 = [(n.kind, n.start, n.end) for n in t1.root.walk()]
     spans2 = [(n.kind, n.start, n.end) for n in t2.root.walk()]
     assert spans1 == spans2
 
 
+def _one_action(before_src, after_src):
+    _, actions, _ = diff_file_pair(parse_source(before_src, "java"),
+                                   parse_source(after_src, "java"))
+    [action] = actions
+    return action
+
+
 def test_classify_identifier_is_name_bearing():
-    tree = parse_source("class C { void m() { int value = 1; } }", "java")
-    leaf = next(n for n in tree.root.walk()
-                if n.kind == "identifier" and n.label == "value")
-    assert classify_node(leaf) is NodeCategory.NAME_BEARING
+    action = _one_action("class C { void m() { int value = 1; } }",
+                         "class C { void m() { int total = 1; } }")
+    assert (action.kind, action.after_node.kind) == ("update", "identifier")
+    assert action.only_name_or_modifier
 
 
 def test_classify_annotation_and_modifier():
-    tree = parse_source(SAMPLE, "java")
-    annotation = next(n for n in tree.root.walk() if n.kind == "annotation")
-    assert annotation.label == "@Override"
-    assert classify_node(annotation) is NodeCategory.MODIFIER
-    modifier = next(n for n in tree.root.walk() if n.kind == "modifier")
-    assert classify_node(modifier) is NodeCategory.MODIFIER
+    annotation = _one_action(SAMPLE, SAMPLE.replace("@Override", "@Deprecated"))
+    assert (annotation.kind, annotation.after_node.label) == ("update", "@Deprecated")
+    assert annotation.after_node.kind == "annotation"
+    assert annotation.only_name_or_modifier
+    modifier = _one_action(SAMPLE, SAMPLE.replace("private int count;",
+                                                  "protected int count;"))
+    assert (modifier.kind, modifier.after_node.kind) == ("update", "modifier")
+    assert modifier.only_name_or_modifier
 
 
 @pytest.mark.parametrize("call", [
@@ -139,13 +148,13 @@ def test_classify_annotation_and_modifier():
 def test_classify_log_statements(call):
     tree = parse_source(f"class C {{ void m(String msg) {{ {call}; }} }}", "java")
     stmt = next(n for n in tree.root.walk() if n.kind == "expr_stmt")
-    assert classify_node(stmt) is NodeCategory.LOG_STATEMENT
+    assert is_log_call_statement(stmt)
 
 
 def test_non_blacklisted_call_is_other():
     tree = parse_source("class C { void m() { compute(); } }", "java")
     stmt = next(n for n in tree.root.walk() if n.kind == "expr_stmt")
-    assert classify_node(stmt) is NodeCategory.OTHER
+    assert not is_log_call_statement(stmt)
 
 
 def test_comments_not_in_tree():
@@ -236,7 +245,8 @@ def test_tree_depth_limit_is_exact():
     tree = parse_source(_concatenation(MAX_TREE_DEPTH - 6), "java")
     assert tree.root.height == MAX_TREE_DEPTH
     assert [u.qualified_name for u in tree.functions] == ["C.s()"]
-    assert tree.root.isomorphic_to(parse_source(_concatenation(MAX_TREE_DEPTH - 6)).root)
+    assert reference_isomorphic(tree.root,
+                                parse_source(_concatenation(MAX_TREE_DEPTH - 6)).root)
     with pytest.raises(ParseError) as exc:
         parse_source(_concatenation(MAX_TREE_DEPTH - 5), "java")
     assert exc.value.position is not None

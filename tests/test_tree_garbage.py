@@ -3,11 +3,15 @@ reference counting as soon as the last layer drops them, and a run can
 pause the cyclic collector without leaking."""
 
 import gc
+import os
 import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import pytest
 
+import devcontrib
 from devcontrib import pipeline
 from devcontrib.astdiff import diff_file_pair
 from devcontrib.callgraph import CallGraph
@@ -91,6 +95,22 @@ def test_run_leaves_no_cyclic_garbage(make_repo):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_first_run_in_a_fresh_interpreter_leaves_no_cyclic_garbage(make_repo):
+    """Nothing a run imports on first use leaves garbage behind either
+    (``np.unique`` would: it imports ``numpy.ma``)."""
+    repo = _mixed_history(make_repo)
+    script = ("import gc, sys\n"
+              "from devcontrib.pipeline import analyze_repository\n"
+              "gc.collect()\n"
+              "gc.disable()\n"
+              "analyze_repository(sys.argv[1])\n"
+              "print(gc.collect())\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(devcontrib.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script, repo.path], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["0"]
 
 
 def _authorless_repo(make_repo):
