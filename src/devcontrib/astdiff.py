@@ -15,11 +15,15 @@ sibling order, so it can never yield an update, a move or an alignment.
 The later passes therefore visit only the mapping's anchors (the pairs
 mapped one by one, plus the root pair of each isomorphic subtree), and no
 walk enters a wholly mapped subtree: their cost follows the changed
-region, not the file.
+region, not the file.  The edit script also enters no wholly unmapped
+subtree, such as an added file or a new method: it is one insert or
+delete, and its depth is its root's height.  So the script's cost does
+not grow with the size of what is added or removed whole.
 
 Syntax trees keep no parent links.  The differ takes each node's parent
-from the walk of that region (``_region``): every anchor, every unmapped
-node and all of their ancestors lie in it.
+from the walk of that region (``_region``): every anchor and all of its
+ancestors lie in it, and so does the root of every maximal unmapped
+subtree.
 
 The edit script uses subtree-granular actions: a maximal unmapped subtree
 becomes one insert or delete, a mapped pair with a changed label becomes an
@@ -219,16 +223,36 @@ def _expand(nodes, height, matched=()):
     return out
 
 
-def _region(root, iso_roots):
+def _region(root, iso_roots, anchor_keys=None):
     """``(node, parent)`` for the nodes under ``root`` in pre-order, not
     descending below the isomorphic roots in ``iso_roots`` (which are
-    yielded themselves); the parent of ``root`` is None."""
+    yielded themselves); the parent of ``root`` is None.  Given the
+    ``anchor_keys`` of that side, it does not descend below a node that
+    cannot hold an anchor either (see ``_may_hold_anchor``)."""
     stack = [(root, None)]
     while stack:
         node, parent = stack.pop()
         yield node, parent
-        if node not in iso_roots:
+        if node not in iso_roots and (anchor_keys is None
+                                      or _may_hold_anchor(node, anchor_keys)):
             stack.extend((c, node) for c in reversed(node.children))
+
+
+def _may_hold_anchor(node, anchor_keys):
+    """Whether an anchor may be ``node`` or lie below it, judged from the
+    sorted ``(start, height)`` keys of one side's anchors.
+
+    A node in the subtree starts within the node's span; if it starts
+    where the node does, it is no higher.  An ancestor that starts there
+    too, such as a file's root above its first class, is higher, so it
+    does not count.
+    """
+    keys, start = anchor_keys, node.start
+    i = bisect.bisect_right(keys, (start, node.height))
+    if i and keys[i - 1][0] == start:
+        return True
+    i = bisect.bisect_left(keys, (start + 1,), i)
+    return i < len(keys) and keys[i][0] <= node.end
 
 
 def _postorder(root, iso_roots):
@@ -395,27 +419,52 @@ def _child_index(node, parents):
     return parent.children.index(node) if parent is not None else 0
 
 
+def _unmapped_subtree(node, mapped, anchor_keys):
+    """``(subtree_depth, only_name_or_modifier)`` of the maximal unmapped
+    subtree at ``node``.  A subtree that cannot hold an anchor holds no
+    mapped node: its depth is its height, and the kind test stops at its
+    first node that is not a name or modifier."""
+    if not _may_hold_anchor(node, anchor_keys):
+        return node.height, _only_names_or_modifiers(node.walk())
+    portion, depth = _unmapped_portion(node, mapped)
+    return depth, _only_names_or_modifiers(portion)
+
+
 def edit_script(mapping: NodeMapping, before: SyntaxTree, after: SyntaxTree,
                 blacklist=DEFAULT_BLACKLIST) -> list[EditAction]:
     """Derive subtree-granular edit actions from a node mapping.
 
     Applying the script to the before tree yields a tree isomorphic to the
     after tree.
+
+    No walk enters a wholly unmapped subtree, such as an added file or a
+    new method: it is one insert or delete whose depth is its root's
+    height.  Every mapped node lies in the subtree of an anchor, so an
+    unmapped subtree holds a mapped node exactly when it holds an anchor.
+    The parser's spans nest (each child's span lies in its parent's), and
+    a child is lower than its parent, so that is possible only when some
+    anchor starts within the subtree's span, and no higher than its root
+    if it starts where the root does.  A test that holds without a mapped
+    node below, as for the all-zero spans of hand-built trees, only makes
+    the walk descend: it costs time, never an action.  Spans that do not
+    nest could hide a mapped node.
     """
     actions = []
-    parent_b = dict(_region(before.root, mapping.iso_before))
-    parent_a = dict(_region(after.root, mapping.iso_after))
+    keys_b = sorted([(b.start, b.height) for b, _ in mapping.anchors])
+    keys_a = sorted([(a.start, a.height) for _, a in mapping.anchors])
+    parent_b = dict(_region(before.root, mapping.iso_before, keys_b))
+    parent_a = dict(_region(after.root, mapping.iso_after, keys_a))
 
     # deletes: maximal unmapped before subtrees
     for node, parent in parent_b.items():
         if node in mapping.b2a:
             continue
         if parent is None or parent in mapping.b2a:
-            portion, depth = _unmapped_portion(node, mapping.b2a)
+            depth, name_only = _unmapped_subtree(node, mapping.b2a, keys_b)
             actions.append(EditAction(
                 kind="delete",
                 subtree_depth=depth,
-                only_name_or_modifier=_only_names_or_modifiers(portion),
+                only_name_or_modifier=name_only,
                 blacklisted=_inside_log_statement(node, parent_b, blacklist),
                 before_node=node,
             ))
@@ -425,11 +474,11 @@ def edit_script(mapping: NodeMapping, before: SyntaxTree, after: SyntaxTree,
         if node in mapping.a2b:
             continue
         if parent is None or parent in mapping.a2b:
-            portion, depth = _unmapped_portion(node, mapping.a2b)
+            depth, name_only = _unmapped_subtree(node, mapping.a2b, keys_a)
             actions.append(EditAction(
                 kind="insert",
                 subtree_depth=depth,
-                only_name_or_modifier=_only_names_or_modifiers(portion),
+                only_name_or_modifier=name_only,
                 blacklisted=_inside_log_statement(node, parent_a, blacklist),
                 after_node=node,
                 dst_parent=parent,

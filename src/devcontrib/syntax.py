@@ -41,6 +41,7 @@ checks each node pair while it maps them.
 
 from __future__ import annotations
 
+import bisect
 import logging
 import re
 from dataclasses import dataclass, field
@@ -164,16 +165,16 @@ class SyntaxTree:
     @property
     def line_starts(self):
         if self._line_starts is None:
-            starts = [0]
-            for i, ch in enumerate(self.source_text):
-                if ch == "\n":
-                    starts.append(i + 1)
+            text, starts = self.source_text, [0]
+            i = text.find("\n")
+            while i >= 0:
+                starts.append(i + 1)
+                i = text.find("\n", i + 1)
             self._line_starts = starts
         return self._line_starts
 
     def line_of(self, offset: int) -> int:
         """0-based line index containing the character offset."""
-        import bisect
         return bisect.bisect_right(self.line_starts, offset) - 1
 
 

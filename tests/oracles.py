@@ -15,6 +15,9 @@
   the four-way node classification the program once used.  They share
   ``is_log_call_statement``, the parent-chain walk for it, the child index
   and the action order with the program.
+* ``reference_line_starts`` is the per-character scan that filled
+  ``SyntaxTree.line_starts`` before a ``str.find`` loop did; the two must
+  give the same offsets on any text.
 * ``reference_lcs_pairs`` is the alignment table that computed every key
   twice per cell; ``devcontrib.astdiff._lcs_pairs`` must give its pairs.
 * ``apply_edit_script`` replays an edit script on a copy of the before
@@ -83,6 +86,16 @@ def _ancestors(node, parents):
     while node is not None:
         yield node
         node = parents[node]
+
+
+def reference_line_starts(text: str) -> list[int]:
+    """The offset of each line's first character, found one character at
+    a time."""
+    starts = [0]
+    for i, ch in enumerate(text):
+        if ch == "\n":
+            starts.append(i + 1)
+    return starts
 
 
 def reference_tokenize(text: str):

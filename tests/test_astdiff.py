@@ -78,8 +78,7 @@ def test_rename_maps_everything_as_update():
     assert apply_edit_script(before, after, mapping, script)
 
 
-def test_new_function_single_insert_with_subtree_depth():
-    added = BASE[:BASE.rfind("}")] + """    int mul(int a, int b) {
+WITH_MUL = BASE[:BASE.rfind("}")] + """    int mul(int a, int b) {
         if (a > 0) {
             return a * b;
         }
@@ -87,7 +86,10 @@ def test_new_function_single_insert_with_subtree_depth():
     }
 }
 """
-    before, after, mapping, script = _diff(BASE, added)
+
+
+def test_new_function_single_insert_with_subtree_depth():
+    before, after, mapping, script = _diff(BASE, WITH_MUL)
     inserts = [a for a in script if a.kind == "insert"]
     assert len(inserts) == 1
     method = next(u for u in extract_functions(after)
@@ -301,10 +303,30 @@ def _random_program(methods, order=None):
 
 
 def _random_edit(rng, methods):
+    """An edited copy of ``methods`` and the file order of its methods.  A
+    deleted method leaves the order; a new method joins it at a random
+    place and may receive a statement moved out of another method."""
     methods = [list(m) for m in methods]
+    order = list(range(len(methods)))
     for _ in range(rng.randint(1, 4)):
-        target = methods[rng.randint(len(methods))]
-        op = rng.randint(4)
+        op = rng.randint(6)
+        if op == 4:  # insert a whole new method
+            body = [_STATEMENTS[rng.randint(len(_STATEMENTS))]
+                    for _ in range(rng.randint(1, 5))]
+            donors = [methods[i] for i in order if methods[i]]
+            if donors and rng.randint(2):
+                donor = donors[rng.randint(len(donors))]
+                body.insert(rng.randint(len(body) + 1),
+                            donor.pop(rng.randint(len(donor))))
+            order.insert(rng.randint(len(order) + 1), len(methods))
+            methods.append(body)
+            continue
+        if not order:
+            continue
+        if op == 5:  # delete a whole method
+            del order[rng.randint(len(order))]
+            continue
+        target = methods[order[rng.randint(len(order))]]
         if op == 0 and target:
             del target[rng.randint(len(target))]
         elif op == 1:
@@ -312,12 +334,12 @@ def _random_edit(rng, methods):
                           _STATEMENTS[rng.randint(len(_STATEMENTS))])
         elif op == 2 and target:  # move a statement to another method
             stmt = target.pop(rng.randint(len(target)))
-            other = methods[rng.randint(len(methods))]
+            other = methods[order[rng.randint(len(order))]]
             other.insert(rng.randint(len(other) + 1), stmt)
         elif target:  # rename a variable in one statement
             i = rng.randint(len(target))
             target[i] = target[i].replace("a", "q", 1)
-    return methods
+    return methods, order
 
 
 def _random_sources(rng, reorder_and_empty=False):
@@ -327,8 +349,7 @@ def _random_sources(rng, reorder_and_empty=False):
     methods = [[_STATEMENTS[rng.randint(len(_STATEMENTS))]
                 for _ in range(rng.randint(0, 6))] for _ in range(rng.randint(1, 4))]
     before_src = _random_program(methods)
-    edited = _random_edit(rng, methods)
-    order = list(range(len(edited)))
+    edited, order = _random_edit(rng, methods)
     if reorder_and_empty:
         if len(order) > 1 and rng.randint(2):
             i = rng.randint(len(order) - 1)
@@ -383,6 +404,51 @@ def test_added_or_deleted_file_is_one_action(side):
     before_src, after_src = (BASE, "") if side == "before" else ("", BASE)
     script = _assert_equals_reference(before_src, after_src)
     assert [a.kind for a in script] == ["delete" if side == "before" else "insert"]
+    root = script[0].before_node or script[0].after_node
+    assert root.kind == "class_decl"
+    assert script[0].subtree_depth == root.height
+
+
+class _Unreadable(list):
+    """A child list that fails when it is iterated or indexed."""
+
+    def __iter__(self):
+        raise AssertionError("the edit script read below an inserted or deleted root")
+
+    __reversed__ = __getitem__ = __iter__
+
+
+@pytest.mark.parametrize("before_src, after_src", [(BASE, ""), ("", BASE), (BASE, WITH_MUL)],
+                         ids=["deleted-file", "added-file", "new-method"])
+def test_script_reads_nothing_below_an_inserted_or_deleted_root(before_src, after_src):
+    before = parse_source(before_src, "java")
+    after = parse_source(after_src, "java")
+    mapping = map_trees(before, after)
+    expected = reference_edit_script(reference_map_trees(before, after), before, after)
+    [root] = [a.before_node if a.kind == "delete" else a.after_node
+              for a in expected if a.kind in ("insert", "delete")]
+    assert root.kind == ("method_decl" if after_src == WITH_MUL else "class_decl")
+    sealed = 0
+    for child in root.children:
+        for grandchild in child.children:
+            if grandchild.children:
+                grandchild.children = _Unreadable(grandchild.children)
+                sealed += 1
+    assert sealed
+
+    script = edit_script(mapping, before, after)
+    assert script == expected
+    assert [a.subtree_depth for a in script if a.kind in ("insert", "delete")] == [root.height]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1))
+def test_spans_nest_in_generated_sources(seed):
+    # edit_script's pruning relies on this (see its docstring)
+    for source in _random_sources(np.random.RandomState(seed), reorder_and_empty=True):
+        for node in parse_source(source, "java").root.walk():
+            for child in node.children:
+                assert node.start <= child.start <= child.end <= node.end
 
 
 def _state(mapping):

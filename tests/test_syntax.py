@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +16,9 @@ from devcontrib.syntax import (
     parse_source,
     tokenize,
 )
-from oracles import reference_isomorphic, reference_tokenize
+from oracles import reference_isomorphic, reference_line_starts, reference_tokenize
+
+IDIOMS = Path(__file__).resolve().parent / "fixtures" / "Idioms.java"
 
 SAMPLE = """
 package demo;
@@ -101,10 +105,11 @@ def test_depth_rule_everywhere():
 
 
 def test_spans_nest_properly():
-    tree = parse_source(SAMPLE, "java")
-    for node in tree.root.walk():
-        for child in node.children:
-            assert node.start <= child.start <= child.end <= node.end
+    # the differ's edit script relies on this (see ``astdiff.edit_script``)
+    for source in (SAMPLE, IDIOMS.read_text()):
+        for node in parse_source(source, "java").root.walk():
+            for child in node.children:
+                assert node.start <= child.start <= child.end <= node.end
 
 
 def test_deterministic_reparse():
@@ -187,6 +192,15 @@ def test_comment_metrics_all_comment_region():
     start = src.index("// x")
     end = src.index("}")
     assert comment_metrics(tree, (start, end - 1)) == (3, 3)
+
+
+@pytest.mark.parametrize("text", [
+    IDIOMS.read_text(), "", "class C {\n  int x;\n}", "class C {\r\n  int x;\r\n}\r\n",
+    "\n\nclass Café { String s = \"ü€\"; }\n// 日本語\n\n",
+], ids=["fixture", "empty", "no-final-newline", "crlf", "non-ascii"])
+def test_line_starts_equal_the_per_character_scan(text):
+    tree = SyntaxTree(SyntaxNode("compilation_unit"), text)
+    assert tree.line_starts == reference_line_starts(text)
 
 
 def test_unknown_language_raises():
