@@ -7,7 +7,6 @@ and flags contributors whose commit counts outrun their measured value.
 """
 
 from .astdiff import (
-    DeltaWeights,
     EditAction,
     FunctionChangeSet,
     delta_ast,

@@ -40,25 +40,10 @@ import bisect
 import itertools
 from dataclasses import dataclass, field
 
-from .config import DEFAULT_BLACKLIST
+from .config import DEFAULT_BLACKLIST, AnalysisConfig
 from .syntax import SyntaxNode, SyntaxTree, is_log_call_statement
 
 FILE_SCOPE = "<file-scope>"
-
-
-@dataclass
-class DeltaWeights:
-    """Weights for edit-action kinds and the name-only discount."""
-
-    add: float = 1.0
-    update: float = 1.0
-    move: float = 0.1
-    delete: float = 0.01
-    name_only_factor: float = 0.01
-
-    def for_kind(self, kind: str) -> float:
-        return {"insert": self.add, "update": self.update,
-                "move": self.move, "delete": self.delete}[kind]
 
 
 @dataclass
@@ -603,20 +588,23 @@ def group_by_function(actions, functions_before, functions_after) -> list[Functi
     return [sets[k] for k in sorted(sets)]
 
 
-def delta_ast(changeset: FunctionChangeSet, weights: DeltaWeights | None = None) -> float:
+def delta_ast(changeset: FunctionChangeSet, config: AnalysisConfig | None = None) -> float:
     """Weighted syntax edit size of one function's changeset.
 
     Sum over actions of kind-weight x subtree-depth, discounted by the
-    name-only factor and zeroed for blacklisted (logging) subtrees.
+    name-only factor and zeroed for blacklisted (logging) subtrees.  The
+    weights are ``config``'s ``ast_*`` values, the defaults when None.
     """
-    weights = weights or DeltaWeights()
+    cfg = config or AnalysisConfig()
+    weights = {"insert": cfg.ast_add, "update": cfg.ast_update,
+               "move": cfg.ast_move, "delete": cfg.ast_delete}
     total = 0.0
     for act in changeset.actions:
         if act.blacklisted:
             continue
-        term = weights.for_kind(act.kind) * act.subtree_depth
+        term = weights[act.kind] * act.subtree_depth
         if act.only_name_or_modifier:
-            term = term * weights.name_only_factor
+            term = term * cfg.ast_name_factor
         total += term
     return total
 

@@ -46,17 +46,17 @@ function and every resolved target.  ``structure()``, ``nodes`` and
 ``edges`` are read from it, so what the tests compare is what ranking
 reads.
 
-Ranks depend only on ``adjacency()``.  Every graph carries a ``token``,
-unique to the object, and a ``version`` that ``update`` and
-``reresolve_names`` bump whenever a file's function list or a call site's
-resolved targets may have changed.  While the pair is unchanged the
-structure is too, so a caller may keep the last ranks instead of
-recomputing them; commits that only edit bodies keep the pair.
+Ranks depend only on ``adjacency()``, so a graph keeps its last ranks
+itself: ``CallGraph.impact`` is None until a caller ranks the graph and
+stores the scores there, and ``update`` and ``reresolve_names`` set it back
+to None whenever a file's function list or a call site's resolved targets
+may have changed.  Commits that only edit bodies keep it.  A copy carries
+the ranks of the graph it was taken from, since the two have the same
+structure; the dict is shared, so it is replaced, never changed in place.
 """
 
 from __future__ import annotations
 
-import itertools
 import logging
 from typing import NamedTuple
 
@@ -68,9 +68,6 @@ from .syntax import SyntaxTree
 logger = logging.getLogger(__name__)
 
 EXTERNAL_PREFIX = "external:"
-
-# Source of ``CallGraph.token``: never reused, unlike ``id()``.
-_graph_tokens = itertools.count()
 
 
 class FunctionId(NamedTuple):
@@ -181,9 +178,10 @@ def _local_index(functions) -> dict[str, list[FunctionId]]:
 class CallGraph:
     """Directed caller -> callee graph with per-file ownership.
 
-    ``(token, version)`` changes whenever ``structure()`` may have changed;
-    see the module doc.  ``files`` entries are immutable: replace them,
-    never change them, since copies of the graph share them.
+    ``impact`` holds the last impact scores ranked on this structure, or
+    None; it is cleared whenever ``structure()`` may have changed (see the
+    module doc).  ``files`` entries and ``impact`` are immutable: replace
+    them, never change them, since copies of the graph share them.
     """
 
     def __init__(self):
@@ -192,8 +190,7 @@ class CallGraph:
         # is replaced, never changed, so copies share the tuples
         self._index: dict[str, tuple[FunctionId, ...]] = {}
         self._interner = _Interner()
-        self.token = next(_graph_tokens)
-        self.version = 0
+        self.impact: dict[FunctionId, float] | None = None
 
     # -- node bookkeeping ----------------------------------------------------
 
@@ -262,7 +259,7 @@ class CallGraph:
         """Re-resolve sites outside ``skip_files`` whose callee simple name
         gained or lost a definition; every file outside ``skip_files`` must
         already be resolved.  A file whose targets change gets a new entry
-        and bumps ``version``."""
+        and clears ``impact``."""
         if not names:
             return
         for path, entry in self.files.items():
@@ -280,7 +277,7 @@ class CallGraph:
             if changed:
                 self.files[path] = self._resolved(entry, tuple(
                     changed.get(i, targets) for i, targets in enumerate(entry.targets)))
-                self.version += 1
+                self.impact = None
 
     # -- views -------------------------------------------------------------------
 
@@ -314,13 +311,14 @@ class CallGraph:
         return set(self.structure()[1])
 
     def copy(self) -> "CallGraph":
-        """A graph with the same structure and a fresh ``token``, sharing
-        this one's file entries, index buckets and interner; later updates
+        """A graph with the same structure and ranks, sharing this one's
+        file entries, index buckets, interner and ``impact``; later updates
         to either leave the other as it was."""
         graph = CallGraph()
         graph.files = dict(self.files)
         graph._index = dict(self._index)
         graph._interner = self._interner
+        graph.impact = self.impact
         return graph
 
     # -- incremental update -----------------------------------------------------------
@@ -344,7 +342,7 @@ class CallGraph:
         Elsewhere only sites whose callee's simple name is that of a
         function the commit added or removed are re-resolved: a body-only
         edit removes and re-adds the same functions, so it re-resolves
-        none.  ``version`` is bumped when one of those paths' shape
+        none.  ``impact`` is cleared when one of those paths' shape
         changed or a re-resolved site changed targets.
         """
         shapes_before: dict[str, tuple] = {}
@@ -366,7 +364,7 @@ class CallGraph:
         self.reresolve_names({_simple_name(fid.name) for fid in lost ^ gained},
                              skip_files=shapes_before.keys())
         if any(self._file_shape(path) != shape for path, shape in shapes_before.items()):
-            self.version += 1
+            self.impact = None
         return self
 
 
@@ -380,7 +378,8 @@ class CheckpointStore:
     Each checkpoint and each restore is a ``CallGraph.copy``, so they share
     the ``FileEntry`` objects of the graph they came from, syntax trees
     included, and cost one dict slot per file and one per index key.
-    Every restore is a new graph with a fresh ``token``.
+    Every restore is a new graph that carries the checkpoint's ranks, so a
+    branch that leaves the structure alone is not ranked again.
     """
 
     def __init__(self):

@@ -39,12 +39,14 @@ stage times (``ingest``, ``parse``, ``diff``, ``graph``, ``rank``,
 ``state.run`` as it goes.  None of them is serialized.
 
 Call-graph impact is ranked only when a commit with scored changes finds
-the graph at a new ``(token, version)`` pair, that is after a structural
-change or a checkpoint restore; otherwise the last scores are reused, and
-they equal what a recompute would give.  A fork's checkpoint is an
-in-memory copy of the graph that shares its immutable per-file entries,
-released once its last first-parent child has been restored; the analysis
-writes no files.
+the graph holding no ranks (``CallGraph.impact`` is None), that is on a new
+graph or after a structural change; the ranks are then stored on the
+graph.  Otherwise the graph's ranks are reused, and they equal what a
+recompute would give.  A fork's checkpoint is an in-memory copy of the
+graph that shares its immutable per-file entries and its ranks, released
+once its last first-parent child has been restored, so a restored branch
+reuses the fork's ranks until its structure changes; the analysis writes
+no files.
 
 The history's git reader (see ``repo``) starts at the first commit's
 ``changed_files`` call and lives through pass one only:
@@ -61,7 +63,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
-from .astdiff import FILE_SCOPE, DeltaWeights, delta_ast, diff_file_pair
+from .astdiff import FILE_SCOPE, delta_ast, diff_file_pair
 from .callgraph import (
     CallGraph,
     CheckpointStore,
@@ -213,10 +215,6 @@ class PipelineState:
     config: AnalysisConfig
     run: AnalysisRun
     graph: CallGraph = field(default_factory=CallGraph)
-    weights: DeltaWeights = field(default_factory=DeltaWeights)
-    # last impact scores and the graph's (token, version) they were ranked at
-    impact: dict[FunctionId, float] | None = None
-    impact_key: tuple[int, int] | None = None
 
 
 class SourceChange(NamedTuple):
@@ -289,20 +287,19 @@ def parse_changes(changes, graph: CallGraph, run: AnalysisRun) -> list[SourceCha
 
 
 def current_impact(state: PipelineState) -> dict[FunctionId, float]:
-    """Impact scores of ``state.graph``, ranked again only when the graph's
-    ``(token, version)`` differs from the last ranking's."""
-    key = (state.graph.token, state.graph.version)
-    if key == state.impact_key:
+    """Impact scores of ``state.graph``: the ones it holds, else ranked
+    afresh and stored on it."""
+    graph = state.graph
+    if graph.impact is not None:  # an empty graph ranks to {}
         state.run.rank_reuses += 1
-        return state.impact
+        return graph.impact
     cfg = state.config
-    adjacency = state.graph.adjacency()
+    adjacency = graph.adjacency()
     ranks = pagerank(adjacency, damping=cfg.graph_damping, tol=cfg.graph_tol,
                      max_iter=cfg.graph_max_iter)
-    state.impact = backward_propagate(adjacency, ranks, decay=cfg.graph_decay)
-    state.impact_key = key
+    graph.impact = backward_propagate(adjacency, ranks, decay=cfg.graph_decay)
     state.run.rank_computations += 1
-    return state.impact
+    return graph.impact
 
 
 def analyze_commit(commit: CommitRecord, state: PipelineState) -> CommitResult:
@@ -358,7 +355,7 @@ def analyze_commit(commit: CommitRecord, state: PipelineState) -> CommitResult:
         after_units = {u.qualified_name: u for u in after.functions}
         for cs in changesets:
             qname = cs.function
-            delta = delta_ast(cs, state.weights)
+            delta = delta_ast(cs, cfg)
             record = FunctionRecord(commit_id=commit.id, function=qname,
                                     file=source.path, delta_ast=delta)
             if qname == FILE_SCOPE:
@@ -368,10 +365,9 @@ def analyze_commit(commit: CommitRecord, state: PipelineState) -> CommitResult:
             bu = before_units.get(qname)
             au = after_units.get(qname)
             unit, unit_tree = (bu, before) if bu is not None else (au, after)
-            if unit is not None:
-                raw = compute_raw(unit, unit_tree)
-                record.loc, record.cc = raw.loc, raw.cc
-                record.hv, record.pcom = raw.hv, raw.pcom
+            raw = compute_raw(unit, unit_tree)
+            record.loc, record.cc = raw.loc, raw.cc
+            record.hv, record.pcom = raw.hv, raw.pcom
             record.ip = inter_impact(impact, FunctionId(qname, source.path))
             if bu is not None and au is not None:
                 pdg_before = build_pdg(bu)
@@ -387,22 +383,14 @@ def analyze_commit(commit: CommitRecord, state: PipelineState) -> CommitResult:
 
 
 def _fit_all(records, cfg: AnalysisConfig) -> dict[str, BoxCoxParams]:
-    populations = {m: [] for m in _METRICS}
-    for r in records:
-        if not r.is_function:
-            continue
-        if r.loc is not None:
-            populations["loc"].append(float(r.loc))
-            populations["cc"].append(float(r.cc))
-            populations["hv"].append(float(r.hv))
-            populations["pcom"].append(float(r.pcom))
-        populations["ip"].append(r.ip)
+    functions = [r for r in records if r.is_function]
     return {
-        m: fit_boxcox(values, lambda_min=cfg.normalize_lambda_min,
+        m: fit_boxcox([float(getattr(r, m)) for r in functions],
+                      lambda_min=cfg.normalize_lambda_min,
                       lambda_max=cfg.normalize_lambda_max,
                       step=cfg.normalize_lambda_step,
                       min_samples=cfg.normalize_min_samples)
-        for m, values in populations.items()
+        for m in _METRICS
     }
 
 
@@ -414,14 +402,11 @@ def _fuse(run: AnalysisRun):
                 r.cm, r.ip_n, r.ir = 1.0, 0.0, 1.0
                 r.score = function_score(r.delta_ast, r.cm, r.ip_n, r.ir)
                 continue
-            if r.loc is not None:
-                r.loc_n = normalize(float(r.loc), params["loc"])
-                r.cc_n = normalize(float(r.cc), params["cc"])
-                r.hv_n = normalize(float(r.hv), params["hv"])
-                r.pcom_n = normalize(float(r.pcom), params["pcom"])
-                r.cm = combine_complexity(r.loc_n, r.cc_n, r.hv_n, r.pcom_n)
-            else:
-                r.cm = 1.0
+            r.loc_n = normalize(float(r.loc), params["loc"])
+            r.cc_n = normalize(float(r.cc), params["cc"])
+            r.hv_n = normalize(float(r.hv), params["hv"])
+            r.pcom_n = normalize(float(r.pcom), params["pcom"])
+            r.cm = combine_complexity(r.loc_n, r.cc_n, r.hv_n, r.pcom_n)
             r.ip_n = normalize(r.ip, params["ip"])
             r.ir = impact_range(r.ddg, r.cdg)
             r.score = function_score(r.delta_ast, r.cm, r.ip_n, r.ir)
@@ -431,9 +416,6 @@ def _fuse(run: AnalysisRun):
 def analyze_repository(path: str, config: AnalysisConfig | None = None) -> AnalysisRun:
     """Analyze a repository end to end; see the module doc for the phases."""
     cfg = config or AnalysisConfig()
-    weights = DeltaWeights(add=cfg.ast_add, update=cfg.ast_update,
-                           move=cfg.ast_move, delete=cfg.ast_delete,
-                           name_only_factor=cfg.ast_name_factor)
 
     t_start = time.perf_counter()
     tree = open_repository(path, branch=cfg.branch, bot_patterns=cfg.bot_patterns)
@@ -442,7 +424,7 @@ def analyze_repository(path: str, config: AnalysisConfig | None = None) -> Analy
     store = CheckpointStore()
 
     run = AnalysisRun(repository=str(path), config=cfg.to_dict())
-    state = PipelineState(tree=tree, config=cfg, run=run, weights=weights)
+    state = PipelineState(tree=tree, config=cfg, run=run)
 
     fork_ids = {cid for cid, kids in children.items() if len(kids) > 1}
     fork_of_last_child = {children[cid][-1]: cid for cid in fork_ids}

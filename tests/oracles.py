@@ -813,7 +813,6 @@ def build_call_graph(files: dict[str, str | None]) -> CallGraph:
     graph._reindex((), [fid for entry in graph.files.values() for fid in entry.functions])
     for path in graph.files:
         graph.resolve_file(path)
-    graph.version += 1
     return graph
 
 

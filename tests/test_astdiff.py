@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from devcontrib.astdiff import (
     FILE_SCOPE,
-    DeltaWeights,
     EditAction,
     FunctionChangeSet,
     NodeMapping,
@@ -18,6 +17,7 @@ from devcontrib.astdiff import (
     group_by_function,
     map_trees,
 )
+from devcontrib.config import AnalysisConfig
 from devcontrib.syntax import (
     MAX_TREE_DEPTH,
     SyntaxNode,
@@ -216,7 +216,7 @@ def test_delta_additive_over_disjoint_changesets():
 
 
 def test_delta_kind_ordering_for_fixed_subtree():
-    w = DeltaWeights()
+    w = AnalysisConfig()
     for depth in (1, 3, 7):
         d = delta_ast(FunctionChangeSet("m", [_action("delete", depth)]), w)
         m = delta_ast(FunctionChangeSet("m", [_action("move", depth)]), w)
@@ -232,11 +232,11 @@ def test_delta_homogeneous_in_weights():
     actions = [_action(kinds[rng.randint(4)], int(rng.randint(1, 9)),
                        bool(rng.rand() < .3)) for _ in range(30)]
     cs = FunctionChangeSet("m", actions)
-    base = DeltaWeights()
+    base = AnalysisConfig()
     for c in (0.5, 2.0, 10.0):
-        scaled = DeltaWeights(add=base.add * c, update=base.update * c,
-                              move=base.move * c, delete=base.delete * c,
-                              name_only_factor=base.name_only_factor)
+        scaled = AnalysisConfig(ast_add=base.ast_add * c, ast_update=base.ast_update * c,
+                                ast_move=base.ast_move * c, ast_delete=base.ast_delete * c,
+                                ast_name_factor=base.ast_name_factor)
         assert delta_ast(cs, scaled) == pytest.approx(c * delta_ast(cs, base),
                                                       rel=1e-12)
 

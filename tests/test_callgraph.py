@@ -302,20 +302,25 @@ def _fresh_impact(files, cfg):
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 2**32 - 1))
-def test_version_tracks_structure_and_reused_ranks_equal_fresh(seed):
+def test_structure_change_clears_ranks_and_reused_ranks_equal_fresh(seed):
     it = _random_edit_sequence(np.random.RandomState(seed), steps=12,
                                body_edits=True)
     _, snapshot = next(it)
     cfg = AnalysisConfig()
     state = PipelineState(tree=None, config=cfg, run=AnalysisRun("", {}),
                           graph=build_call_graph(snapshot))
-    for changes, snapshot in it:
-        structure, version = state.graph.structure(), state.graph.version
+    store = CheckpointStore()
+    for step, (changes, snapshot) in enumerate(it):
+        structure = state.graph.structure()
         _update(state.graph, changes)
         if state.graph.structure() != structure:
-            assert state.graph.version != version
+            assert state.graph.impact is None
         impact = current_impact(state)
         assert impact == _fresh_impact(snapshot, cfg)
+        if step == 5:  # go on from a restored copy, as a sibling branch does
+            store.checkpoint(state.graph, "fork")
+            state.graph = store.restore("fork")
+            assert state.graph.impact is impact
     assert state.run.rank_computations + state.run.rank_reuses == 12
 
 
@@ -329,22 +334,26 @@ def test_restored_sibling_is_ranked_afresh():
     state = PipelineState(tree=None, config=cfg, run=AnalysisRun("", {}),
                           graph=store.restore("side"))
     current_impact(state)
-    state.graph = store.restore("main")  # same version as the sibling's graph
+    state.graph = store.restore("main")  # the sibling's ranks stay on its own graph
     assert current_impact(state) == _fresh_impact(main, cfg)
     assert (state.run.rank_computations, state.run.rank_reuses) == (2, 0)
 
 
-def test_body_only_update_keeps_version():
+def test_body_only_update_keeps_ranks():
     files = {"A.java": "class A { void f() { g(); } void g() { } }"}
     g = build_call_graph(files)
-    version = g.version
+    assert g.impact is None
+    state = PipelineState(tree=None, config=AnalysisConfig(), run=AnalysisRun("", {}),
+                          graph=g)
+    ranks = current_impact(state)
+    assert g.impact is ranks
     _update(g, [_change(path="A.java", kind="modified",
                          before_content=files["A.java"],
                          after_content="class A { void f() { g(); } void g() { int x = 1; } }")])
-    assert g.version == version
+    assert g.impact is ranks
     _update(g, [_change(path="A.java", kind="modified",
                          after_content="class A { void f() { } void g() { } }")])
-    assert g.version != version
+    assert g.impact is None
 
 
 def test_update_resolves_only_sites_a_change_can_move(monkeypatch):
@@ -376,13 +385,29 @@ def test_update_resolves_only_sites_a_change_can_move(monkeypatch):
     assert g.structure() == build_call_graph(files).structure()
 
 
-def test_every_graph_gets_a_fresh_token():
-    g = build_call_graph({"A.java": "class A { void f() { g(); } void g() { } }"})
+def test_copies_carry_ranks_and_each_is_ranked_alone():
+    files = {"A.java": "class A { void f() { g(); } void g() { } }"}
+    cfg = AnalysisConfig()
+    g = build_call_graph(files)
     store = CheckpointStore()
     store.checkpoint(g, "c1")
     first, second = store.restore("c1"), store.restore("c1")
-    tokens = {g.token, first.token, second.token, CallGraph().token}
-    assert len(tokens) == 4
+    state = PipelineState(tree=None, config=cfg, run=AnalysisRun("", {}), graph=first)
+    ranks = current_impact(state)
+    assert first.impact is ranks and ranks == _fresh_impact(files, cfg)
+    # ranking one restore leaves the original, the checkpoint and the other
+    # restore unranked
+    assert g.impact is None and second.impact is None
+    assert store.restore("c1").impact is None
+
+    copy = first.copy()
+    assert copy.impact is ranks
+    store.checkpoint(first, "c2")
+    assert store.restore("c2").impact is ranks
+    # a structural change to the copy clears its ranks only
+    _update(copy, [_change(path="A.java", kind="modified",
+                            after_content="class A { void f() { } void g() { } }")])
+    assert copy.impact is None and first.impact is ranks
 
 
 def test_checkpoint_restore_roundtrip_and_unknown():

@@ -324,6 +324,51 @@ def test_restore_never_reuses_sibling_ranks(make_repo):
     assert scored == 3  # main1, third1, main2
 
 
+def test_restored_branches_reuse_the_forks_ranks(make_repo):
+    # base and side1 change the structure and are ranked; main1, third1 and
+    # main2 edit bodies only, and main1 and main2 start from restored
+    # checkpoints that carry the fork's ranks
+    run = analyze_repository(_forked_repo(make_repo).path)
+    assert (run.rank_computations, run.rank_reuses) == (2, 3)
+
+
+def test_a_graph_ranked_empty_keeps_its_ranks(make_repo):
+    repo = make_repo()
+    repo.commit("a", 1000, {"A.java": "class A { int a; }"})
+    repo.commit("b", 2000, {"B.java": "class B { int b; }"})
+    run = analyze_repository(repo.path)
+    assert [[r.function for r in c.records] for c in run.commits] == [
+        [pipeline.FILE_SCOPE], [pipeline.FILE_SCOPE]]
+    assert (run.rank_computations, run.rank_reuses) == (1, 1)
+
+
+def test_every_function_record_has_its_complexity(make_repo):
+    helper = BASE_JAVA.replace("return k * 2;\n    }", "return k * 2;\n    }\n"
+                               "    int helper(int k) { return k - 1; }")
+    repo = make_repo()
+    repo.commit("base", 1000, {"Service.java": BASE_JAVA, "Main.java":
+                               "class Main { int run() { return 1; } }"})
+    repo.branch("side")
+    repo.commit("move", 2000, {"core/Service.java": helper},
+                rename={"Service.java": "core/Service.java"})
+    repo.commit("drop", 3000, {"core/Service.java": BASE_JAVA.replace(
+        "    int transform(int k) {\n        return k * 2;\n    }\n", "")})
+    repo.checkout("main")
+    repo.commit("main1", 4000, {"Service.java": helper})
+    repo.commit("main2", 5000, {"Main.java": "class Main { int run() { return 2; } }"},
+                remove=["Service.java"])
+    run = analyze_repository(repo.path)
+    records = [r for c in run.commits for r in c.records]
+    functions = [r for r in records if r.is_function]
+    assert {r.function for r in functions} >= {
+        "Service.helper(int)", "Service.transform(int)", "Main.run()"}
+    for r in functions:
+        assert None not in (r.loc, r.cc, r.hv, r.pcom), r
+    for r in records:
+        if not r.is_function:
+            assert (r.loc, r.cc, r.hv, r.pcom) == (None, None, None, None)
+
+
 _DUMP_RUN = """
 import json, sys
 from devcontrib.pipeline import analyze_repository
