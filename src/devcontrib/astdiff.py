@@ -12,13 +12,16 @@ checks every node pair on the way, so a hash collision maps nothing.
 After the top-down pass most of a file usually sits in mapped isomorphic
 subtrees.  A pair inside one keeps its label, its parent pair and its
 sibling order, so it can never yield an update, a move or an alignment.
-The later passes therefore visit only the mapping's anchors (the pairs
-mapped one by one, plus the root pair of each isomorphic subtree), and no
-walk enters a wholly mapped subtree: their cost follows the changed
-region, not the file.  The edit script also enters no wholly unmapped
-subtree, such as an added file or a new method: it is one insert or
-delete, and its depth is its root's height.  So the script's cost does
-not grow with the size of what is added or removed whole.
+The mapping therefore holds only the anchors, the pairs an edit can start
+from: the pairs mapped one by one, and the root pair of each isomorphic
+subtree with the subtree's size.  Every other node of such a subtree is
+mapped implicitly, to the node at its place below the partner root.  The
+later passes visit only the anchors, and no walk enters a wholly mapped
+subtree: their cost follows the changed region, not the file.  The edit
+script also enters no wholly unmapped subtree, such as an added file or a
+new method: it is one insert or delete, and its depth is its root's
+height.  So the script's cost does not grow with the size of what is
+added or removed whole.
 
 Syntax trees keep no parent links.  The differ takes each node's parent
 from the walk of that region (``_region``): every anchor and all of its
@@ -51,8 +54,8 @@ class EditAction:
     """One tree edit.
 
     The changed subtree's root is ``after_node``, or ``before_node`` for a
-    delete.  ``dst_parent``/``dst_index`` address the after-tree landing
-    slot and are used when replaying a script.
+    delete.  An insert or a move lands where ``after_node`` sits in the
+    after tree.
     """
 
     kind: str                      # insert | update | delete | move
@@ -61,8 +64,6 @@ class EditAction:
     blacklisted: bool = False
     before_node: SyntaxNode | None = None
     after_node: SyntaxNode | None = None
-    dst_parent: SyntaxNode | None = None
-    dst_index: int | None = None
 
 
 @dataclass
@@ -76,50 +77,43 @@ class FunctionChangeSet:
 class NodeMapping:
     """Partial one-to-one mapping between before- and after-tree nodes.
 
-    ``b2a``/``a2b`` hold every mapped pair; the differ tests membership
-    in them directly.  ``anchors`` lists, in the order they were mapped,
-    the pairs an edit can start from: each pair added by ``add`` and the
-    root pair of each successful ``add_isomorphic``.  ``iso_before`` and
-    ``iso_after`` map the roots of the isomorphic subtrees on each side to
-    their node counts; every node below such a root is mapped.
+    ``b2a``/``a2b`` hold the anchors, in the order they were mapped: each
+    pair added by ``add`` and the root pair of each successful
+    ``add_isomorphic``.  ``iso_before`` and ``iso_after`` map the roots of
+    the isomorphic subtrees on each side to their node counts.  A node
+    below such a root is mapped too, to the node at its place below the
+    partner root, but it is in neither dict; the differ never looks one up.
     """
 
     def __init__(self):
         self.b2a: dict[SyntaxNode, SyntaxNode] = {}
         self.a2b: dict[SyntaxNode, SyntaxNode] = {}
-        self.anchors: list[tuple[SyntaxNode, SyntaxNode]] = []
         self.iso_before: dict[SyntaxNode, int] = {}
         self.iso_after: dict[SyntaxNode, int] = {}
 
     def add(self, b: SyntaxNode, a: SyntaxNode):
         self.b2a[b] = a
         self.a2b[a] = b
-        self.anchors.append((b, a))
 
     def add_isomorphic(self, b: SyntaxNode, a: SyntaxNode) -> bool:
         """Map the subtrees of ``b`` and ``a`` node-for-node if they are
         isomorphic, and return whether they are.
 
         Each pair, taken in one walk of both subtrees, must agree in
-        structure hash, kind, label and child count; the pairs are mapped
-        only once every one does, so a hash collision maps nothing.
+        structure hash, kind, label and child count; the subtrees are
+        mapped only once every one does, so a hash collision maps nothing.
         """
-        pairs, stack = [], [(b, a)]
+        size, stack = 0, [(b, a)]
         while stack:
             nb, na = stack.pop()
             if nb.struct_hash != na.struct_hash or nb.kind != na.kind \
                     or nb.label != na.label or len(nb.children) != len(na.children):
                 return False
-            pairs.append((nb, na))
+            size += 1
             stack.extend(zip(nb.children, na.children))
-        self.b2a.update(pairs)
-        self.a2b.update([(na, nb) for nb, na in pairs])
-        self.anchors.append((b, a))
-        self.iso_before[b] = self.iso_after[a] = len(pairs)
+        self.add(b, a)
+        self.iso_before[b] = self.iso_after[a] = size
         return True
-
-    def __len__(self):
-        return len(self.b2a)
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +326,9 @@ def _recover(mapping):
     Three alignment passes per container, strongest key first: identical
     subtrees, then same kind+label, then same kind.  Pairs from the weaker
     passes are pushed back on the worklist so their children align too.
+    The children of an isomorphic pair are mapped already.
     """
-    work = list(mapping.anchors)
+    work = [pair for pair in mapping.b2a.items() if pair[0] not in mapping.iso_before]
     while work:
         b, a = work.pop()
         ub = [c for c in b.children if c not in mapping.b2a]
@@ -399,11 +394,6 @@ def _inside_log_statement(node, parents, blacklist):
     return False
 
 
-def _child_index(node, parents):
-    parent = parents[node]
-    return parent.children.index(node) if parent is not None else 0
-
-
 def _unmapped_subtree(node, mapped, anchor_keys):
     """``(subtree_depth, only_name_or_modifier)`` of the maximal unmapped
     subtree at ``node``.  A subtree that cannot hold an anchor holds no
@@ -435,8 +425,8 @@ def edit_script(mapping: NodeMapping, before: SyntaxTree, after: SyntaxTree,
     nest could hide a mapped node.
     """
     actions = []
-    keys_b = sorted([(b.start, b.height) for b, _ in mapping.anchors])
-    keys_a = sorted([(a.start, a.height) for _, a in mapping.anchors])
+    keys_b = sorted([(b.start, b.height) for b in mapping.b2a])
+    keys_a = sorted([(a.start, a.height) for a in mapping.a2b])
     parent_b = dict(_region(before.root, mapping.iso_before, keys_b))
     parent_a = dict(_region(after.root, mapping.iso_after, keys_a))
 
@@ -466,14 +456,12 @@ def edit_script(mapping: NodeMapping, before: SyntaxTree, after: SyntaxTree,
                 only_name_or_modifier=name_only,
                 blacklisted=_inside_log_statement(node, parent_a, blacklist),
                 after_node=node,
-                dst_parent=parent,
-                dst_index=_child_index(node, parent_a),
             ))
 
     # updates and cross-parent moves over the anchors: a pair inside an
     # isomorphic subtree keeps its label, parent pair and sibling rank
     order_moved = _order_moves(mapping, parent_a)
-    for b, a in mapping.anchors:
+    for b, a in mapping.b2a.items():
         if b.label != a.label:
             actions.append(EditAction(
                 kind="update",
@@ -496,8 +484,6 @@ def edit_script(mapping: NodeMapping, before: SyntaxTree, after: SyntaxTree,
                 or _inside_log_statement(b, parent_b, blacklist),
                 before_node=b,
                 after_node=a,
-                dst_parent=pa,
-                dst_index=_child_index(a, parent_a),
             ))
 
     actions.sort(key=_action_sort_key)
@@ -507,7 +493,7 @@ def edit_script(mapping: NodeMapping, before: SyntaxTree, after: SyntaxTree,
 def _order_moves(mapping, parent_a):
     """Mapped pairs that changed sibling rank under the same mapped parent."""
     moved = set()
-    for pb, pa in mapping.anchors:
+    for pb, pa in mapping.b2a.items():
         if pb.is_leaf or pb in mapping.iso_before:  # children kept in order
             continue
         stay_b = [c for c in pb.children

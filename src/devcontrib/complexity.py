@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ParseError
-from .syntax import FunctionUnit, SyntaxTree, comment_metrics, function_body, tokenize
+from .syntax import FunctionUnit, SyntaxTree, function_body, tokenize
 
 
 @dataclass
@@ -107,11 +107,20 @@ def halstead_volume(function: FunctionUnit, tree: SyntaxTree) -> float:
 
 
 def comment_percentage(function: FunctionUnit, tree: SyntaxTree) -> float:
-    """Fraction of the function's physical lines touched by comments."""
-    comment_lines, total_lines = comment_metrics(tree, function.span)
-    if total_lines == 0:
+    """Fraction of the function's physical lines touched by comments.
+
+    A comment touches the lines from its first character's to its last
+    one's; only those within the function's lines count, each once.
+    """
+    start, end = function.span
+    if end <= start:
         return 0.0
-    return comment_lines / total_lines
+    first, last = tree.line_of(start), tree.line_of(end - 1)
+    lines = set()
+    for c in tree.comments:
+        lines.update(range(max(first, tree.line_of(c.start)),
+                           min(last, tree.line_of(c.end - 1)) + 1))
+    return len(lines) / (last - first + 1)
 
 
 def compute_raw(function: FunctionUnit, tree: SyntaxTree) -> ComplexityRaw:

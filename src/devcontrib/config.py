@@ -8,7 +8,8 @@ Config files are plain text, one dotted key per line::
     blacklist.patterns = log, logger, print
     bots.patterns = dependabot, [bot]
 
-Lines starting with ``#`` or ``;`` and blank lines are ignored.  List-valued
+Lines starting with ``#`` or ``;``, blank lines and ``[section]`` lines
+are ignored, so a section does not qualify the keys below it.  List-valued
 keys take comma-separated entries.
 """
 

@@ -354,8 +354,8 @@ class _Builder:
         return (entries if entries else [], all_exits, [])
 
 
-def build_pdg(function: FunctionUnit) -> FunctionPDG:
-    """Statement-level PDG of one function body."""
+def _statements(function: FunctionUnit) -> _Builder:
+    """The statement nodes, CFG and control edges of one function body."""
     body = function_body(function)
     builder = _Builder()
     if body is not None:
@@ -365,9 +365,14 @@ def build_pdg(function: FunctionUnit) -> FunctionPDG:
             uses, defs = set(), set()
             _collect_uses(body, uses, defs)
             builder.new_node("expr_stmt", body.span, defs, uses)
-    pdg = FunctionPDG(nodes=builder.nodes, cdg_edges=builder.cdg_edges)
-    pdg.ddg_edges = _reaching_def_use_edges(builder)
-    return pdg
+    return builder
+
+
+def build_pdg(function: FunctionUnit) -> FunctionPDG:
+    """Statement-level PDG of one function body."""
+    builder = _statements(function)
+    return FunctionPDG(nodes=builder.nodes, ddg_edges=_reaching_def_use_edges(builder),
+                       cdg_edges=builder.cdg_edges)
 
 
 def _reaching_def_use_edges(builder: _Builder) -> set[tuple[int, int]]:
@@ -404,13 +409,16 @@ def _overlaps(a: tuple[int, int], b: tuple[int, int]) -> bool:
     return a[0] < b[1] and b[0] < a[1]
 
 
-def changed_pdg_nodes(pdg_before: FunctionPDG | None, pdg_after: FunctionPDG,
+def changed_pdg_nodes(before_unit: FunctionUnit, pdg_after: FunctionPDG,
                       changeset) -> set[int]:
     """Ids of after-PDG nodes touched by the changeset's edit actions.
 
-    Insert/update/move targets mark overlapping after statements directly;
-    deletions are mapped to the nearest surviving statement by position, so
-    a pure deletion still yields a non-empty changed set.
+    Insert/update/move targets mark overlapping after statements directly.
+    Deletions, and the sources of moves, are mapped to the nearest
+    surviving statement by position, so a pure deletion still yields a
+    non-empty changed set.  Only these read the before side:
+    ``before_unit``'s statements are then listed for their spans, and none
+    of that side's dependence edges is built.
     """
     changed: set[int] = set()
     after_nodes = sorted(pdg_after.nodes, key=lambda n: n.span)
@@ -434,8 +442,8 @@ def changed_pdg_nodes(pdg_before: FunctionPDG | None, pdg_after: FunctionPDG,
         if any(_overlaps(n.span, s) for s in after_spans):
             changed.add(n.id)
 
-    if delete_spans and pdg_before is not None:
-        before_nodes = sorted(pdg_before.nodes, key=lambda n: n.span)
+    if delete_spans:
+        before_nodes = sorted(_statements(before_unit).nodes, key=lambda n: n.span)
         survivors = [n for n in before_nodes
                      if not any(_overlaps(n.span, s) for s in delete_spans)]
         for n in before_nodes:

@@ -370,9 +370,8 @@ def analyze_commit(commit: CommitRecord, state: PipelineState) -> CommitResult:
             record.hv, record.pcom = raw.hv, raw.pcom
             record.ip = inter_impact(impact, FunctionId(qname, source.path))
             if bu is not None and au is not None:
-                pdg_before = build_pdg(bu)
                 pdg_after = build_pdg(au)
-                changed = changed_pdg_nodes(pdg_before, pdg_after, cs)
+                changed = changed_pdg_nodes(bu, pdg_after, cs)
                 record.ddg = ddg_impact(pdg_after, changed)
                 record.cdg = cdg_impact(pdg_after, changed)
             result.records.append(record)

@@ -1364,27 +1364,3 @@ def is_log_call_statement(node: SyntaxNode, blacklist=DEFAULT_BLACKLIST) -> bool
     if expr.kind != "call_expr":
         return False
     return matches_blacklist(callee_segments(expr.children[0]), blacklist)
-
-
-def comment_metrics(tree: SyntaxTree, span: tuple[int, int]) -> tuple[int, int]:
-    """(comment_lines, total_lines) over the physical lines covered by span."""
-    start, end = span
-    if end <= start:
-        return (0, 0)
-    first = tree.line_of(start)
-    last = tree.line_of(max(start, end - 1))
-    total = last - first + 1
-    starts = tree.line_starts
-    text_len = len(tree.source_text)
-
-    def line_range(idx):
-        s = starts[idx]
-        e = starts[idx + 1] if idx + 1 < len(starts) else text_len
-        return s, e
-
-    comment_lines = 0
-    for idx in range(first, last + 1):
-        ls, le = line_range(idx)
-        if any(c.start < le and ls < c.end for c in tree.comments):
-            comment_lines += 1
-    return (comment_lines, total)

@@ -13,15 +13,23 @@
   isomorphic pair with ``reference_isomorphic``, a plain recursive compare
   that reads no structure hash, and weigh edits with ``reference_classify``,
   the four-way node classification the program once used.  They share
-  ``is_log_call_statement``, the parent-chain walk for it, the child index
-  and the action order with the program.
+  ``is_log_call_statement``, the parent-chain walk for it and the action
+  order with the program.  The program's mapping keeps only the root pair
+  of each isomorphic subtree; ``mapped_pairs`` expands it into every pair
+  for the comparison.
 * ``reference_line_starts`` is the per-character scan that filled
   ``SyntaxTree.line_starts`` before a ``str.find`` loop did; the two must
   give the same offsets on any text.
+* ``reference_comment_percentage`` is a function's comment share as the
+  per-line scan computed it, testing every comment of the file against
+  each line of the function; ``complexity.comment_percentage`` must give
+  the same fraction for every unit.
 * ``reference_lcs_pairs`` is the alignment table that computed every key
   twice per cell; ``devcontrib.astdiff._lcs_pairs`` must give its pairs.
 * ``apply_edit_script`` replays an edit script on a copy of the before
-  tree, to check that the script really turns it into the after tree.
+  tree, to check that the script really turns it into the after tree.  It
+  lands each insert and move at its ``after_node``'s parent and child
+  index in the after tree.
 * ``reference_changed_files`` is git ingest as it was before one reader
   served the whole history: a ``git diff-tree`` and a one-shot
   ``git cat-file --batch`` per commit.  ``devcontrib.repo.changed_files``
@@ -51,7 +59,7 @@ import itertools
 
 import numpy as np
 
-from devcontrib.astdiff import EditAction, _action_sort_key, _child_index, _inside_log_statement
+from devcontrib.astdiff import EditAction, _action_sort_key, _inside_log_statement
 from devcontrib.callgraph import EXTERNAL_PREFIX, Adjacency, CallGraph, CallSite, FunctionId
 from devcontrib.config import DEFAULT_BLACKLIST
 from devcontrib.errors import CorruptHistory, MissingBlob, ParseError
@@ -96,6 +104,24 @@ def reference_line_starts(text: str) -> list[int]:
         if ch == "\n":
             starts.append(i + 1)
     return starts
+
+
+def reference_comment_percentage(function, tree) -> float:
+    """The fraction of the lines of ``function``'s span that some comment
+    of ``tree`` overlaps; 0 for an empty span."""
+    start, end = function.span
+    if end <= start:
+        return 0.0
+    first = tree.line_of(start)
+    last = tree.line_of(max(start, end - 1))
+    starts = tree.line_starts
+    comment_lines = 0
+    for idx in range(first, last + 1):
+        ls = starts[idx]
+        le = starts[idx + 1] if idx + 1 < len(starts) else len(tree.source_text)
+        if any(c.start < le and ls < c.end for c in tree.comments):
+            comment_lines += 1
+    return comment_lines / (last - first + 1)
 
 
 def reference_tokenize(text: str):
@@ -218,6 +244,23 @@ def reference_isomorphic(x, y) -> bool:
         if not reference_isomorphic(cx, cy):
             return False
     return True
+
+
+def mapped_pairs(mapping) -> dict:
+    """Every pair a ``NodeMapping`` maps, before node to after node: each
+    anchor, and below each isomorphic root pair the nodes at the same
+    place in the two subtrees."""
+    pairs = {}
+    for b, a in mapping.b2a.items():
+        if b not in mapping.iso_before:
+            pairs[b] = a
+            continue
+        stack = [(b, a)]
+        while stack:
+            nb, na = stack.pop()
+            pairs[nb] = na
+            stack.extend(zip(nb.children, na.children))
+    return pairs
 
 
 class ReferenceMapping:
@@ -480,8 +523,6 @@ def reference_edit_script(mapping, before: SyntaxTree, after: SyntaxTree,
                 only_name_or_modifier=_reference_only_names_or_modifiers(portion, blacklist),
                 blacklisted=_inside_log_statement(node, parent_a, blacklist),
                 after_node=node,
-                dst_parent=parent_a[node],
-                dst_index=_child_index(node, parent_a),
             ))
 
     order_moved = _reference_order_moves(mapping, parent_a)
@@ -511,8 +552,6 @@ def reference_edit_script(mapping, before: SyntaxTree, after: SyntaxTree,
                 or _inside_log_statement(b, parent_b, blacklist),
                 before_node=b,
                 after_node=a,
-                dst_parent=parent_a[a],
-                dst_index=_child_index(a, parent_a),
             ))
 
     actions.sort(key=_action_sort_key)
@@ -612,8 +651,13 @@ def apply_edit_script(before: SyntaxTree, after: SyntaxTree,
     depth_of = {}
     for n in after.root.walk():
         depth_of[n] = len(list(_ancestors(n, after_parents)))
+
+    def slot(after_node):
+        parent = after_parents[after_node]
+        return parent, (parent.children.index(after_node) if parent is not None else 0)
+
     placements = [a for a in actions if a.kind in ("insert", "move")]
-    placements.sort(key=lambda a: (depth_of[a.after_node], a.dst_index))
+    placements.sort(key=lambda a: (depth_of[a.after_node], slot(a.after_node)[1]))
 
     def materialize(after_node):
         w = _WorkNode(after_node.kind, after_node.label)
@@ -639,7 +683,8 @@ def apply_edit_script(before: SyntaxTree, after: SyntaxTree,
         else:
             w = work_of_before[act.before_node]
             work_of_after[act.after_node] = w
-        incoming.setdefault(act.dst_parent, []).append((act.dst_index, w))
+        parent, index = slot(act.after_node)
+        incoming.setdefault(parent, []).append((index, w))
 
     for after_parent in sorted(incoming, key=lambda n: depth_of.get(n, 0)):
         parent_w = working_parent(after_parent)

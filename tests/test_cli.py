@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 from devcontrib.cli import main
-from devcontrib.pipeline import analyze_repository
+from devcontrib.pipeline import AnalysisRun, analyze_repository
+from devcontrib.report import spearman
 
 JAVA = "class Service {{ int handle(int k) {{ return k * {n}; }} }}"
 BOT = ("ci-bot[bot]", "ci-bot[bot]@example.com")
@@ -63,6 +64,63 @@ def test_eval_needs_two_matched_labels(history, tmp_path, capsys):
     labels.write_text(f"commit,score\n{history.shas[0]},1.0\nnot-a-commit,2.0\n")
     assert main(["eval", "--labels", str(labels), "--run", str(run_path)]) == 3
     assert "only 1 labeled commit(s)" in capsys.readouterr().err
+
+
+def test_eval_prints_r_s_for_matching_labels(history, tmp_path, capsys):
+    _, run_path, _ = _analyze(history, tmp_path, capsys)
+    scores = [3.0, 0.0, 5.0, 1.0, 5.0, 0.0]  # tied, and one label per commit
+    labels = tmp_path / "labels.csv"
+    labels.write_text("commit,score\n" + "".join(
+        f"{sha},{score}\n" for sha, score in zip(history.shas, scores)))
+    cvalues = {c.id: c.cvalue for c in AnalysisRun.load(run_path).commits}
+    expected = spearman(scores, [cvalues[sha] for sha in history.shas])
+    assert main(["eval", "--labels", str(labels), "--run", str(run_path)]) == 0
+    assert capsys.readouterr().out == f"spearman r_s = {expected:.4f} over 6 commits\n"
+
+
+def test_report_json_holds_one_row_per_commit(history, tmp_path, capsys):
+    _, run_path, _ = _analyze(history, tmp_path, capsys)
+    out_dir = tmp_path / "reports"
+    assert main(["report", str(run_path), "--out", str(out_dir)]) == 0
+    doc = json.loads((out_dir / "report.json").read_text())
+    run = json.loads(run_path.read_text())
+    assert doc["schema_version"] == 1
+    assert [c["id"] for c in doc["commits"]] == [c["id"] for c in run["commits"]]
+    assert sorted(c["id"] for c in doc["commits"]) == sorted(history.shas)
+    assert [d["email"] for d in doc["developers"]] == [d["email"] for d in run["developers"]]
+
+
+def test_analyze_branch_limits_the_run_to_it(history, tmp_path, capsys):
+    history._run("git", "checkout", "-q", "--orphan", "other")
+    history._run("git", "rm", "-r", "-q", "-f", ".")
+    other = [history.commit(f"other{i}", 3000 + i, {"Service.java": JAVA.format(n=i + 7)})
+             for i in range(2)]
+    code, out, _ = _analyze(history, tmp_path, capsys, "--branch", "other")
+    assert code == 0
+    assert [c["id"] for c in json.loads(out.read_text())["commits"]] == other
+    code, out, _ = _analyze(history, tmp_path, capsys)
+    assert len(json.loads(out.read_text())["commits"]) == 8
+
+
+def test_config_lists_reach_the_run(make_repo, tmp_path, capsys):
+    repo = make_repo()
+    robot = ("robot", "robot@example.com")
+    repo.commit("init", 1000, {"Service.java": JAVA.format(n=2)}, author=robot)
+    audited = repo.commit("audit", 2000, {"Service.java": JAVA.format(n=2).replace(
+        "return", "audit(k); return")})
+    cfg = tmp_path / "analysis.cfg"
+    cfg.write_text("[repo]\nbots.patterns = robot\n[diff]\nblacklist.patterns = audit, log\n")
+
+    def commits(*extra):
+        code, out, captured = _analyze(repo, tmp_path, capsys, *extra)
+        assert code == 0, captured.err
+        return {c["id"]: c for c in json.loads(out.read_text())["commits"]}
+
+    default, configured = commits(), commits("--config", str(cfg))
+    assert default[audited]["delta_ast_total"] > 0
+    assert configured[audited]["delta_ast_total"] == 0
+    assert [c["author_is_bot"] for c in default.values()] == [False, False]
+    assert [c["author_is_bot"] for c in configured.values()] == [True, False]
 
 
 def test_report_refuses_a_run_of_another_schema(history, tmp_path, capsys):

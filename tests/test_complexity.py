@@ -1,6 +1,9 @@
 import math
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from devcontrib.complexity import (
     comment_percentage,
@@ -10,6 +13,9 @@ from devcontrib.complexity import (
     loc,
 )
 from devcontrib.syntax import FunctionUnit, SyntaxTree, extract_functions, parse_source
+from oracles import reference_comment_percentage
+
+IDIOMS = Path(__file__).resolve().parent / "fixtures" / "Idioms.java"
 
 
 def _unit(src, index=0):
@@ -147,6 +153,56 @@ def test_pcom_full_comment_function():
     src = "class C {\n    void m() { /* a\n b\n c */ }\n}"
     unit, tree = _unit(src)
     assert comment_percentage(unit, tree) == 1.0
+
+
+_BLOCK = ["/* c */", "/* a\n   b */", "/** doc\n * more\n */"]
+_STATEMENT = ["int v = 1;", "f(a, b);", "Runnable r = () -> { g(); };",
+              "if (a > b) { a = b; }", "return;"]
+
+
+@st.composite
+def _commented_sources(draw):
+    """A class whose lines carry comments in random places: block comments
+    before code on its line, any comment after it, comment-only lines, and
+    comments that span lines, between methods as well as in them."""
+    lead = st.sampled_from([""] * 3 + [c + " " for c in _BLOCK])
+    trail_block = st.sampled_from([""] * 3 + [" " + c for c in _BLOCK])
+    trail = st.one_of(trail_block, st.just(" // t"))
+    lines = ["class C {"]
+    for i in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            lines.append(draw(st.sampled_from(["// between", *_BLOCK, ""])))
+        one_line = draw(st.booleans())
+        body = [draw(lead) + draw(st.sampled_from(_STATEMENT))
+                + draw(trail_block if one_line else trail)
+                for _ in range(draw(st.integers(0, 4)))]
+        header = draw(lead) + f"void m{i}(int a, int b) {{"
+        if one_line:
+            lines.append(" ".join([header, *body, "}"]) + draw(trail))
+            continue
+        lines.append(header + draw(trail))
+        for stmt in body:
+            lines.append(stmt)
+            if draw(st.booleans()):
+                lines.append(draw(st.sampled_from(["// alone", *_BLOCK, ""])))
+        lines.append(draw(lead) + "}" + draw(trail))
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_commented_sources())
+@example(IDIOMS.read_text(encoding="utf-8"))
+@example("class C {\n    /* c */ void m() {}\n}\n")
+@example("class C {\n    void m() {\n        f();\n    } // t\n}\n")
+@example("class C {\n    /* a\n       b */ void m() {\n    } /* c\n    d */\n}\n")
+def test_comment_percentage_equals_the_per_line_reference(source):
+    tree = parse_source(source, "java")
+    units = extract_functions(tree)
+    assert units
+    for unit in units:
+        assert comment_percentage(unit, tree) == reference_comment_percentage(unit, tree), \
+            unit.qualified_name
 
 
 def test_metrics_bounds_and_comment_insertion_invariance():

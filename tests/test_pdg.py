@@ -240,9 +240,9 @@ def test_deleted_statement_maps_to_next_survivor():
     after = parse_source(after_src, "java")
     _, _, changesets = diff_file_pair(before, after)
     cs = next(c for c in changesets if c.function == "C.m()")
-    pdg_before = build_pdg(extract_functions(before)[0])
+    unit_before = extract_functions(before)[0]
     pdg_after = build_pdg(extract_functions(after)[0])
-    changed = changed_pdg_nodes(pdg_before, pdg_after, cs)
+    changed = changed_pdg_nodes(unit_before, pdg_after, cs)
     after_nodes = sorted(pdg_after.nodes, key=lambda n: n.span)
     three = next(n.id for n in after_nodes
                  if "three" in after.source_text[n.span[0]:n.span[1]])
@@ -256,12 +256,39 @@ def test_new_function_changed_set_covers_inserted_statement():
     after = parse_source(after_src, "java")
     _, _, changesets = diff_file_pair(before, after)
     cs = changesets[0]
-    pdg_before = build_pdg(extract_functions(before)[0])
+    unit_before = extract_functions(before)[0]
     pdg_after = build_pdg(extract_functions(after)[0])
-    changed = changed_pdg_nodes(pdg_before, pdg_after, cs)
+    changed = changed_pdg_nodes(unit_before, pdg_after, cs)
     assert len(changed) == 1
-    assert changed_pdg_nodes(pdg_before, pdg_after,
+    assert changed_pdg_nodes(unit_before, pdg_after,
                              type(cs)(cs.function, [])) == set()
+
+
+def test_only_deletions_read_the_before_statements(monkeypatch):
+    source = "class C { void m() { int a = 1; one(); } }"
+    before = parse_source(source, "java")
+    after = parse_source(source.replace("int a = 1; one();", "one(); return;"), "java")
+    _, _, [cs] = diff_file_pair(before, after)
+    assert {a.kind for a in cs.actions} == {"delete", "insert"}
+    unit_before = extract_functions(before)[0]
+    pdg_after = build_pdg(extract_functions(after)[0])
+    statements = pdg_module._statements
+    read = []
+
+    def counting(unit):
+        read.append(unit)
+        return statements(unit)
+
+    def no_edges(builder):
+        raise AssertionError("built the before side's def-use edges")
+
+    monkeypatch.setattr(pdg_module, "_statements", counting)
+    monkeypatch.setattr(pdg_module, "_reaching_def_use_edges", no_edges)
+    inserts = type(cs)(cs.function, [a for a in cs.actions if a.kind == "insert"])
+    assert changed_pdg_nodes(unit_before, pdg_after, inserts)
+    assert read == []
+    assert len(changed_pdg_nodes(unit_before, pdg_after, cs)) == 2
+    assert read == [unit_before]
 
 
 def test_ir_bounds_on_random_instances():

@@ -766,3 +766,46 @@ def test_benchmark_hooks_see_one_lazy_walk_and_one_ingest_per_commit(make_repo,
     assert len(walks) == 1
     assert yielded == order + [None]
     assert ingested == order == [c.id for c in run.commits]
+
+
+_RAW_FIELDS = ("delta_ast", "loc", "cc", "hv", "pcom", "ip", "ddg", "cdg")
+
+
+def _raw_fields(run, commit_ids):
+    return {c.id: [(r.function, r.file, *(getattr(r, f) for f in _RAW_FIELDS))
+                   for r in c.records]
+            for c in run.commits if c.id in commit_ids}
+
+
+def test_a_second_root_starts_from_an_empty_graph(make_repo):
+    repo = make_repo()
+    repo.commit("main root", 1000, {
+        "A.java": "class A { int f(int k) { return g(k) + 1; } int g(int k) { return k; } }",
+        "B.java": "class B { int b(int k) { return f(k) + f(k + 1); } }"})
+    repo.commit("main edit", 2000, {
+        "A.java": "class A { int f(int k) { return g(k) + 2; } int g(int k) { return k; } }"})
+    repo._run("git", "checkout", "-q", "--orphan", "other")
+    repo._run("git", "rm", "-r", "-q", "-f", ".")
+    # reuses A.java, which B.java's calls would resolve into on a stale graph
+    orphan = [repo.commit("other root", 3000, {"A.java": (
+        "class A {\n  int f(int k) {\n    int x = k;\n    if (x > 0) {\n      x = g(x);\n"
+        "      x = x + 1;\n    }\n    return x;\n  }\n"
+        "  int g(int k) { return k - 1; }\n  int h() { return f(1); }\n}\n")})]
+    orphan.append(repo.commit("other edit", 4000, {"A.java": (
+        "class A {\n  int f(int k) {\n    int x = k; // start\n    if (x > 0) {\n"
+        "      x = g(x) * 2;\n    }\n    return x;\n  }\n"
+        "  int g(int k) { return k - 1; }\n  int h() { return f(1) + g(2); }\n}\n")}))
+    orphan.append(repo.commit("other edit again", 5000, {"A.java": (
+        "class A {\n  int f(int k) {\n    int x = k; // start\n    if (x > 0) {\n"
+        "      x = g(x) * 3;\n    }\n    return x;\n  }\n"
+        "  int g(int k) { return k - 2; }\n  int h() { return f(1) + g(2); }\n}\n")}))
+
+    whole = analyze_repository(repo.path)
+    alone = analyze_repository(repo.path, AnalysisConfig(branch="other"))
+    assert [c.id for c in whole.commits][-3:] == orphan  # the second root comes last
+    assert [c.id for c in alone.commits] == orphan
+    expected = _raw_fields(alone, set(orphan))
+    assert _raw_fields(whole, set(orphan)) == expected
+    scored = [r for c in alone.commits for r in c.records if r.is_function]
+    assert {r.function for r in scored} >= {"A.f(int)", "A.g(int)", "A.h()"}
+    assert any(r.ip > 0 for r in scored) and any(r.ddg > 0 for r in scored)

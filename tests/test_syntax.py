@@ -10,7 +10,6 @@ from devcontrib.syntax import (
     MAX_TREE_DEPTH,
     SyntaxNode,
     SyntaxTree,
-    comment_metrics,
     extract_functions,
     is_log_call_statement,
     parse_source,
@@ -168,30 +167,6 @@ def test_comments_not_in_tree():
     assert len(tree.comments) == 2
     for node in tree.root.walk():
         assert node.kind != "comment"
-
-
-def test_comment_metrics_no_comments():
-    src = "class C {\n" + "".join(f"    int f{i};\n" for i in range(8)) + "}\n"
-    tree = parse_source(src, "java")
-    assert comment_metrics(tree, (0, len(src) - 1)) == (0, 10)
-
-
-def test_comment_metrics_block_comment_three_of_twelve():
-    lines = ["class C {"]
-    lines += ["    int a1;", "    /* one", "       two", "       three */"]
-    lines += [f"    int b{i};" for i in range(6)]
-    lines += ["}"]
-    src = "\n".join(lines) + "\n"
-    tree = parse_source(src, "java")
-    assert comment_metrics(tree, (0, len(src) - 1)) == (3, 12)
-
-
-def test_comment_metrics_all_comment_region():
-    src = "class C {\n// x\n// y\n// z\n}\n"
-    tree = parse_source(src, "java")
-    start = src.index("// x")
-    end = src.index("}")
-    assert comment_metrics(tree, (start, end - 1)) == (3, 3)
 
 
 @pytest.mark.parametrize("text", [

@@ -108,5 +108,6 @@ def test_traced_run_records_parse_update_and_diff_spans(make_repo):
     metrics = json.loads(proc.stdout)
     for name in ("syntax.parse_calls", "callgraph.update_calls",
                  "callgraph.resolve_file_calls", "callgraph.reresolve_names_calls",
-                 "astdiff.diff_file_pair_calls"):
+                 "astdiff.diff_file_pair_calls", "pdg.build_pdg_calls",
+                 "pdg.changed_nodes_calls"):
         assert metrics[name] > 0, name
