@@ -1,10 +1,12 @@
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from devcontrib.astdiff import diff_file_pair
+from devcontrib.complexity import comment_percentage, loc
 from devcontrib.errors import ParseError
 from devcontrib.syntax import (
     MAX_TREE_DEPTH,
@@ -15,7 +17,12 @@ from devcontrib.syntax import (
     parse_source,
     tokenize,
 )
-from oracles import reference_isomorphic, reference_line_starts, reference_tokenize
+from oracles import (
+    reference_comment_percentage,
+    reference_isomorphic,
+    reference_line_starts,
+    reference_tokenize,
+)
 
 IDIOMS = Path(__file__).resolve().parent / "fixtures" / "Idioms.java"
 
@@ -167,6 +174,41 @@ def test_comments_not_in_tree():
     assert len(tree.comments) == 2
     for node in tree.root.walk():
         assert node.kind != "comment"
+
+
+def _comment_lines(tree, span):
+    """(comment_lines, total_lines) over the physical lines a span covers,
+    read off comment_percentage and loc, which only look at a unit's span;
+    the per-line reference must give the same share."""
+    region = SimpleNamespace(span=span)
+    total = loc(region, tree)
+    share = comment_percentage(region, tree)
+    assert share == reference_comment_percentage(region, tree)
+    return (round(share * total), total)
+
+
+def test_comment_metrics_no_comments():
+    src = "class C {\n" + "".join(f"    int f{i};\n" for i in range(8)) + "}\n"
+    tree = parse_source(src, "java")
+    assert _comment_lines(tree, (0, len(src) - 1)) == (0, 10)
+
+
+def test_comment_metrics_block_comment_three_of_twelve():
+    lines = ["class C {"]
+    lines += ["    int a1;", "    /* one", "       two", "       three */"]
+    lines += [f"    int b{i};" for i in range(6)]
+    lines += ["}"]
+    src = "\n".join(lines) + "\n"
+    tree = parse_source(src, "java")
+    assert _comment_lines(tree, (0, len(src) - 1)) == (3, 12)
+
+
+def test_comment_metrics_all_comment_region():
+    src = "class C {\n// x\n// y\n// z\n}\n"
+    tree = parse_source(src, "java")
+    start = src.index("// x")
+    end = src.index("}")
+    assert _comment_lines(tree, (start, end - 1)) == (3, 3)
 
 
 @pytest.mark.parametrize("text", [
