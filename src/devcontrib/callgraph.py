@@ -1,8 +1,8 @@
 """Project call graph: incremental maintenance, PageRank, decay propagation.
 
 The graph is stored per file: each source file owns its function nodes and
-the call sites found in their bodies, which the walk that finds a tree's
-function units collects (``FunctionUnit.calls``).  Call sites keep the
+the call sites found in their bodies, which the parser collects as it
+builds each function unit (``FunctionUnit.calls``).  Call sites keep the
 callee's dotted name, so resolution can be redone selectively.  When a
 commit changes a file, that file's sites are resolved afresh; elsewhere
 only the sites whose callee's simple name is that of a function the

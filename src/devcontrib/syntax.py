@@ -11,7 +11,7 @@ class: the differ reads kinds directly (a name or modifier is an
 logger.
 
 A tree holds no parent links and no other reference cycle, and nothing
-that reads it (``functions``, call-site and PDG collection) stores one.
+that reads it (the differ, PDG collection) stores one.
 So a tree is freed by reference counting as soon as its commit drops it;
 the cyclic collector never has to trace its nodes.  The differ, the one
 layer that needs parents, derives them for the region it walks.
@@ -30,13 +30,14 @@ limit.
 
 The lexer is one compiled pattern with an alternative per token class.
 
-A tree depends on its text alone, not on the file's path, and computes its
-function units once (``functions``), with each method's call sites, in one
-walk.  No layer changes a tree once it is built, so one tree may serve
-every layer and several commits.  Every node gets its ``height`` when it
-is built, which the depth check reads; ``struct_hash`` is filled on first
-use.  Equal hashes only propose an isomorphic pair of subtrees; the differ
-checks each node pair while it maps them.
+A tree depends on its text alone, not on the file's path.  The parser
+builds its function units (``functions``), with each method's call sites,
+as it parses each method, constructor and lambda; nothing walks the tree
+again to find them.  No layer changes a tree once it is built, so one tree
+may serve every layer and several commits.  Every node gets its ``height``
+when it is built, which the depth check reads; ``struct_hash`` is filled
+on first use.  Equal hashes only propose an isomorphic pair of subtrees;
+the differ checks each node pair while it maps them.
 """
 
 from __future__ import annotations
@@ -124,43 +125,36 @@ class SyntaxNode:
 class Comment:
     start: int
     end: int
-    text: str
 
 
-# Deepest tree a ``SyntaxTree`` accepts.  Function and call-site extraction
-# and PDG collection recurse once per tree level, so a deeper tree could
-# exhaust Python's default limit of 1000 frames; 500 levels leave the rest
-# for the caller's stack.  Hand-written code stays far below this: the
+# Deepest tree a ``SyntaxTree`` accepts.  PDG collection and other tree
+# walks recurse once per tree level, so a deeper tree could exhaust
+# Python's default limit of 1000 frames; 500 levels leave the rest for the
+# caller's stack.  Hand-written code stays far below this: the
 # deep trees come from long operator or call chains, which the parser
 # builds in a loop.
 MAX_TREE_DEPTH = 500
 
 
 class SyntaxTree:
-    """A parsed file: root node, raw source, and out-of-tree comments.
+    """A parsed file: root node, raw source, out-of-tree comments, and the
+    function units the parse built, in source order; do not mutate them.
 
     Raises ``ParseError`` when the tree is deeper than ``MAX_TREE_DEPTH``,
     at the start of a node one level too deep (see ``_node_at_depth``).
     The check reads the root's ``height``, set when the root was built.
     """
 
-    def __init__(self, root: SyntaxNode, source_text: str, comments=None):
+    def __init__(self, root: SyntaxNode, source_text: str, comments=None, functions=None):
         self.root = root
         self.source_text = source_text
         self.comments = comments or []
+        self.functions: list[FunctionUnit] = functions or []
         self._line_starts = None
-        self._functions = None
         if root.height > MAX_TREE_DEPTH:
             deep = _node_at_depth(root, MAX_TREE_DEPTH + 1)
             raise ParseError(f"syntax tree deeper than {MAX_TREE_DEPTH} levels",
                              position=deep.start)
-
-    @property
-    def functions(self) -> list[FunctionUnit]:
-        """``extract_functions(self)``, computed once; do not mutate."""
-        if self._functions is None:
-            self._functions = extract_functions(self)
-        return self._functions
 
     @property
     def line_starts(self):
@@ -190,15 +184,27 @@ def _node_at_depth(root: SyntaxNode, depth: int) -> SyntaxNode:
 
 @dataclass
 class FunctionUnit:
-    """One method/constructor/lambda extracted from a tree.
+    """One method, constructor or lambda of a tree, built by the parse.
 
-    ``calls`` holds a method's or constructor's call sites in source
-    order: the dotted callee of each call, from after its last ``this``,
-    ``super`` or call result (``a.b.f`` for ``a.b.f(x)``, ``f`` for
-    ``this.f()``, ``b`` for ``a().b()``), and the type of each ``new``
-    without generics or array brackets.  Calls in its lambdas and
-    anonymous-class bodies count; those in nested method or constructor
-    declarations are theirs.  A lambda's list is empty.
+    Qualified names carry the container path and parameter-type signature,
+    e.g. ``Outer.Inner.run(int,String)``.  A record's compact constructor
+    takes its record's component types, as javac names it:
+    ``Range.Range(int,int)`` for ``record Range(int lo, int hi)``.  Lambdas
+    get synthesized names ``<enclosing>$lambdaN``, numbered in source
+    order per enclosing method or constructor; a lambda outside every one
+    is no unit.  An anonymous class is a container named as javac names
+    it, ``A$1``, ``A$2``, ... in source order within its enclosing type,
+    after the classes in its arguments, so ``A$1.toString()`` is not
+    ``A.toString()``.
+
+    ``calls`` holds a method's or constructor's call sites in pre-order,
+    each call before those in its callee and arguments: the dotted callee
+    of each call, from after its last ``this``, ``super`` or call result
+    (``a.b.f`` for ``a.b.f(x)``, ``f`` for ``this.f()``, ``b`` then ``a``
+    for ``a().b()``), and the type of each ``new`` without generics or
+    array brackets.  Calls in its lambdas and anonymous-class bodies
+    count; those in nested method or constructor declarations are theirs.
+    A lambda's list is empty.
     """
 
     qualified_name: str
@@ -351,7 +357,7 @@ def tokenize(text: str):
             tokens.append(_Token("int" if _FLOAT_MARKS.isdisjoint(number) else "float",
                                  number, start, pos))
         elif kind in ("line_comment", "block_comment"):
-            comments.append(Comment(start, pos, text[start:pos]))
+            comments.append(Comment(start, pos))
         elif kind == "end":
             break
         elif kind == "unterminated":
@@ -376,6 +382,15 @@ class _Parser:
         # the end without a bounds check
         self.tokens += self.tokens[-1:] * 2
         self.pos = 0
+        # The units built so far and the scope the next is named in (see
+        # ``FunctionUnit``); ``parse_class_body`` and ``finish_method`` set
+        # the scope of a body and restore it at the body's end.
+        self.units = []
+        self.containers = []      # enclosing type names, innermost last
+        self.calls = None         # innermost method's or constructor's call sites
+        self.lambda_owner = None  # qualified name lambdas are numbered under
+        self.lambdas = 0          # that method's or constructor's lambda count
+        self.anonymous = 0        # innermost type's anonymous-class count
 
     # -- token helpers ------------------------------------------------------
 
@@ -457,6 +472,17 @@ class _Parser:
     def source_label(self, start: int, end: int) -> str:
         """The source text of ``start:end`` without whitespace."""
         return "".join(self.text[start:end].split())
+
+    def mark(self):
+        """The position and how much is built, for ``reset``."""
+        return self.pos, len(self.units), len(self.calls or ()), self.lambdas, self.anonymous
+
+    def reset(self, mark):
+        """Back to ``mark``, dropping the units, call sites and numbers taken since."""
+        self.pos, units, calls, self.lambdas, self.anonymous = mark
+        del self.units[units:]
+        if self.calls:
+            del self.calls[calls:]
 
     # -- entry --------------------------------------------------------------
 
@@ -586,24 +612,32 @@ class _Parser:
 
     def parse_class_like(self, mods, start):
         kind = _TYPE_DECL_KINDS[self.advance().text]
-        children = mods + [self.identifier("expected a type name")]
+        name = self.identifier("expected a type name")
+        children = mods + [name]
         if self.at("<"):
             if not self._skip_type_arguments():
                 self.error("malformed type parameters")
+        components = []
         if kind == "record_decl":  # the components are the record's fields
-            components = self.parse_param_list()
-            children.append(SyntaxNode("record_components", components.children,
-                                       components.start, components.end))
+            params = self.parse_param_list()
+            components = params.children
+            children.append(SyntaxNode("record_components", components,
+                                       params.start, params.end))
         for keyword in ("extends", "implements"):
             if self.accept(keyword):
                 children.extend(self.parse_type_list())
-        body = self.parse_class_body(enum=kind == "enum_decl")
+        body = self.parse_class_body(self.containers + [name.label],
+                                     enum=kind == "enum_decl", components=components)
         children.append(body)
         return SyntaxNode(kind, children, start, body.end)
 
-    def parse_class_body(self, enum=False):
-        """``{ members }``; an enum's body starts with its constants and has
-        members only after a ``;``."""
+    def parse_class_body(self, containers, enum=False, components=()):
+        """``{ members }`` of the type ``containers`` names, its own name
+        last; an enum's body starts with its constants and has members
+        only after a ``;``.  ``components`` are a record's, which its
+        compact constructor takes."""
+        scope = self.containers, self.lambda_owner, self.anonymous
+        self.containers, self.lambda_owner, self.anonymous = containers, None, 0
         start = self.expect("{").start
         children = []
         while enum and self.at_ident():
@@ -614,11 +648,12 @@ class _Parser:
             self.accept(",")
         if not enum or self.accept(";"):
             while not self.at("}") and not self.at_end():
-                children.append(self.parse_member())
+                children.append(self.parse_member(components))
         end = self.expect("}").end
+        self.containers, self.lambda_owner, self.anonymous = scope
         return SyntaxNode("class_body", children, start, end)
 
-    def parse_member(self):
+    def parse_member(self, components):
         start = self.peek().start
         if self.at(";"):
             tok = self.advance()
@@ -641,20 +676,32 @@ class _Parser:
         # a record's compact constructor: Name {
         if self.at_ident() and self.peek(1).text == "{":
             name = self.leaf("identifier", self.advance())
-            body = self.parse_block()
-            return SyntaxNode("constructor_decl", mods + [name, body], start, body.end)
+            return self.finish_method(mods, None, name, start, "constructor_decl",
+                                      params=components)
         rtype = self.parse_type()
         name = self.identifier("expected a member name")
         if self.at("("):
             return self.finish_method(mods, rtype, name, start, kind="method_decl")
         return self.finish_field(mods, rtype, name, start)
 
-    def finish_method(self, mods, rtype, name, start, kind):
-        params = self.parse_param_list()
+    def finish_method(self, mods, rtype, name, start, kind, params=None):
+        """The rest of a method or constructor after its name, and its
+        unit.  A compact constructor has no parameter list in the source:
+        ``params`` are its record's components."""
         children = list(mods)
         if rtype is not None:
             children.append(rtype)
-        children.extend([name, params])
+        children.append(name)
+        if params is None:
+            param_list = self.parse_param_list()
+            children.append(param_list)
+            params = param_list.children
+        # a parameter's type is its second-last child, before its name
+        signature = f"{name.label}({','.join([p.children[-2].label for p in params])})"
+        qname = ".".join(self.containers + [signature])
+        calls = []
+        scope = self.calls, self.lambda_owner, self.lambdas
+        self.calls, self.lambda_owner, self.lambdas = calls, qname, 0
         if self.at("throws"):
             tstart = self.advance().start
             throws = self.parse_type_list()
@@ -665,7 +712,10 @@ class _Parser:
             body = self.parse_block()
             children.append(body)
             end = body.end
-        return SyntaxNode(kind, children, start, end)
+        self.calls, self.lambda_owner, self.lambdas = scope
+        node = SyntaxNode(kind, children, start, end)
+        self.units.append(FunctionUnit(qname, (start, end), node, calls))
+        return node
 
     def parse_param_list(self):
         start = self.expect("(").start
@@ -786,7 +836,8 @@ class _Parser:
         return SyntaxNode("expr_stmt", [expr], start, end)
 
     def try_parse_local_var_decl(self):
-        save = self.pos
+        """A local variable declaration, or None with the parser ``reset``."""
+        save = self.mark()
         start = self.peek().start
         mods = []
         while self.at("final") or (self.at("@") and self.peek(1).type == "ident"):
@@ -797,16 +848,16 @@ class _Parser:
         vtype = self.try_parse_type()
         if vtype is None or not self.at_ident() \
                 or self.peek(1).text not in ("=", ";", ",", "["):
-            self.pos = save
+            self.reset(save)
             return None
         declarators = [self.parse_var_declarator(self.leaf("identifier", self.advance()))]
         while self.accept(","):
             if not self.at_ident():
-                self.pos = save
+                self.reset(save)
                 return None
             declarators.append(self.parse_var_declarator(self.leaf("identifier", self.advance())))
         if not self.at(";"):
-            self.pos = save
+            self.reset(save)
             return None
         end = self.advance().end
         return SyntaxNode("local_var_decl", mods + [vtype] + declarators, start, end)
@@ -1035,6 +1086,8 @@ class _Parser:
         return self.parse_postfix()
 
     def parse_postfix(self):
+        calls = self.calls
+        first = len(calls) if calls is not None else 0
         expr = self.parse_primary()
         while True:
             tok = self.peek()
@@ -1044,6 +1097,9 @@ class _Parser:
                 expr = SyntaxNode("field_access", [expr, name], expr.start, name.end)
                 continue
             if tok.text == "(" and expr.kind in ("identifier", "field_access"):
+                name = calls is not None and _callee_name(callee_segments(expr))
+                if name:  # before the chain's earlier calls, in pre-order
+                    calls.insert(first, name)
                 args, end = self.parse_arguments()
                 expr = SyntaxNode("call_expr", [expr] + args, expr.start, end)
                 continue
@@ -1119,9 +1175,7 @@ class _Parser:
         param = SyntaxNode("param", [self.leaf("identifier", name_tok)],
                            name_tok.start, name_tok.end)
         params = SyntaxNode("param_list", [param], name_tok.start, name_tok.end)
-        self.expect("->")
-        body = self.parse_lambda_body()
-        return SyntaxNode("lambda_expr", [params, body], name_tok.start, body.end)
+        return self.finish_lambda(params, name_tok.start)
 
     def parse_lambda_parenthesized(self):
         start = self.expect("(").start
@@ -1137,14 +1191,22 @@ class _Parser:
             self.accept(",")
         pend = self.expect(")").end
         plist = SyntaxNode("param_list", params, start, pend)
-        self.expect("->")
-        body = self.parse_lambda_body()
-        return SyntaxNode("lambda_expr", [plist, body], start, body.end)
+        return self.finish_lambda(plist, start)
 
-    def parse_lambda_body(self):
-        if self.at("{"):
-            return self.parse_block()
-        return self.parse_expression()
+    def finish_lambda(self, params, start):
+        """A lambda from its ``->``; a unit inside a method or constructor,
+        numbered at the ``->`` so that nested lambdas come after it."""
+        self.expect("->")
+        owner = self.lambda_owner
+        if owner is not None:
+            qname = self.lambda_owner = f"{owner}$lambda{self.lambdas}"
+            self.lambdas += 1
+        body = self.parse_block() if self.at("{") else self.parse_expression()
+        node = SyntaxNode("lambda_expr", [params, body], start, body.end)
+        if owner is not None:
+            self.lambda_owner = owner
+            self.units.append(FunctionUnit(qname, (start, body.end), node))
+        return node
 
     def parse_creator(self):
         start = self.expect("new").start
@@ -1162,10 +1224,16 @@ class _Parser:
                 children.append(init)
                 end = init.end
             return SyntaxNode("array_new", children, start, end)
+        name = ctype.label.split("<", 1)[0].replace("[]", "")
+        if self.calls is not None and name:
+            self.calls.append(name)
         args, end = self.parse_arguments()
         children = [ctype] + args
         if self.at("{"):  # anonymous class body
-            body = self.parse_class_body()
+            # numbered after the classes in its arguments, as javac does
+            self.anonymous += 1
+            *outer, innermost = self.containers
+            body = self.parse_class_body(outer + [f"{innermost}${self.anonymous}"])
             children.append(body)
             end = body.end
         return SyntaxNode("new_expr", children, start, end)
@@ -1179,7 +1247,8 @@ def _parse_java(text: str, path: str | None = None) -> SyntaxTree:
     """The tree of ``text``; the optional ``path`` does not change it."""
     parser = _Parser(text)
     root = parser.parse_compilation_unit()
-    return SyntaxTree(root, text, comments=parser.comments)
+    parser.units.sort(key=lambda u: u.span)
+    return SyntaxTree(root, text, parser.comments, parser.units)
 
 
 _ADAPTERS = {"java": _parse_java}
@@ -1229,104 +1298,27 @@ def parse_file(path: str, text: str) -> SyntaxTree | None:
 
 
 def extract_functions(tree: SyntaxTree) -> list[FunctionUnit]:
-    """All method/constructor/lambda units in the tree, in source order.
-
-    Qualified names carry the container path and parameter-type signature,
-    e.g. ``Outer.Inner.run(int,String)``; lambdas get synthesized names
-    ``<enclosing>$lambdaN`` numbered per enclosing function.  An anonymous
-    class is a container named as javac names it, ``A$1``, ``A$2``, ...
-    in source order within its enclosing type, so ``A$1.toString()`` is
-    not ``A.toString()``.
-    """
-    units = []
-    _visit_units(tree.root, [], None, {"n": 0}, {"n": 0}, None, units)
-    units.sort(key=lambda u: u.span)
-    return units
-
-
-def _method_signature(node):
-    name = None
-    params = None
-    for child in node.children:
-        if child.kind == "identifier" and name is None:
-            name = child.label
-        elif child.kind == "param_list":
-            params = child
-    types = []
-    if params is not None:
-        for p in params.children:
-            tleaf = next((c for c in p.children if c.kind == "type"), None)
-            types.append(tleaf.label if tleaf is not None else "var")
-    return f"{name}({','.join(types)})"
-
-
-def _visit_units(node, containers, enclosing, lambda_counter, anonymous,
-                 calls, units):
-    """Append the units under ``node`` to ``units``, and its call sites to
-    ``calls``, the list of the innermost enclosing method or constructor
-    (None outside every one); not a closure, which would refer to itself
-    and so hold the tree in a reference cycle.  ``anonymous`` counts the
-    anonymous classes of the innermost enclosing type."""
-    kind = node.kind
-    if calls is not None:
-        if kind == "call_expr":
-            name = _callee_name(callee_segments(node.children[0]))
-            if name:
-                calls.append(name)
-        elif kind == "new_expr":
-            name = node.children[0].label.split("<", 1)[0].replace("[]", "")
-            if name:
-                calls.append(name)
-    if kind in _TYPE_DECL_KINDS.values():
-        name = next((c.label for c in node.children if c.kind == "identifier"), "?")
-        containers = containers + [name]
-        anonymous = {"n": 0}
-        for child in node.children:
-            _visit_units(child, containers, None, lambda_counter, anonymous, calls, units)
-        return
-    if kind == "new_expr" and node.children[-1].kind == "class_body":
-        # arguments first: javac numbers a class in them before this one
-        for child in node.children[:-1]:
-            _visit_units(child, containers, enclosing, lambda_counter, anonymous,
-                         calls, units)
-        anonymous["n"] += 1
-        containers = containers[:-1] + [f"{containers[-1]}${anonymous['n']}"]
-        _visit_units(node.children[-1], containers, None, lambda_counter,
-                     {"n": 0}, calls, units)
-        return
-    if kind in ("method_decl", "constructor_decl"):
-        qname = ".".join(containers + [_method_signature(node)])
-        unit = FunctionUnit(qname, (node.start, node.end), node)
-        units.append(unit)
-        counter = {"n": 0}
-        for child in node.children:
-            _visit_units(child, containers, qname, counter, anonymous, unit.calls, units)
-        return
-    if kind == "lambda_expr" and enclosing is not None:
-        qname = f"{enclosing}$lambda{lambda_counter['n']}"
-        lambda_counter["n"] += 1
-        units.append(FunctionUnit(qname, (node.start, node.end), node))
-        for child in node.children:
-            _visit_units(child, containers, qname, lambda_counter, anonymous, calls, units)
-        return
-    for child in node.children:
-        _visit_units(child, containers, enclosing, lambda_counter, anonymous, calls, units)
+    """The tree's function units, which the parse built (see ``FunctionUnit``)."""
+    return tree.functions
 
 
 def callee_segments(callee: SyntaxNode) -> list[str]:
     """Flatten a call's callee expression into dotted-name segments.
 
     Non-name parts (call results, parenthesized expressions) become the
-    placeholder ``<expr>`` which never matches a blacklist pattern.
+    placeholder ``<expr>`` which never matches a blacklist pattern.  A loop,
+    so that a long chain fails the parse only by the tree's depth check.
     """
-    if callee.kind == "identifier":
-        return [callee.label]
-    if callee.kind in ("this_expr", "super_expr"):
-        return [callee.label]
-    if callee.kind == "field_access":
-        left = callee_segments(callee.children[0])
-        return left + [callee.children[1].label]
-    return ["<expr>"]
+    segments = []
+    while callee.kind == "field_access":
+        segments.append(callee.children[1].label)
+        callee = callee.children[0]
+    if callee.kind in ("identifier", "this_expr", "super_expr"):
+        segments.append(callee.label)
+    else:
+        segments.append("<expr>")
+    segments.reverse()
+    return segments
 
 
 def _callee_name(segments: list[str]) -> str | None:

@@ -43,11 +43,16 @@
 * ``build_call_graph`` builds a snapshot's call graph from scratch, every
   file parsed and resolved at once: a ``CallGraph`` kept up to date by
   ``update`` must equal it.
-* ``reference_call_sites`` is call-site collection as it was before the
-  walk that finds a tree's function units collected the sites: a second
-  walk over each method's and constructor's declaration.  It shares only
-  ``callee_segments`` with the program.  A file entry's ``sites`` must
-  equal it.
+* ``reference_units`` finds a tree's function units and their call sites
+  as the walk over the finished tree did before the parser built them: it
+  numbers lambdas and anonymous classes in pre-order and names each unit
+  from its declaration's nodes.  It shares ``callee_segments`` and
+  ``FunctionUnit`` with the program.  ``SyntaxTree.functions`` must equal
+  it in names, spans, body nodes and ordered calls.
+* ``reference_call_sites`` is call-site collection as it was before unit
+  finding collected the sites: a second walk over each method's and
+  constructor's declaration.  It shares only ``callee_segments`` with the
+  program.  A file entry's ``sites`` must equal it.
 * ``reference_reaching_defs`` is the PDG's def-use edges as the gen/kill
   fixpoint over the CFG computed them, before a backward search from each
   use replaced it.  ``devcontrib.pdg._reaching_def_use_edges`` must give
@@ -70,7 +75,15 @@ from devcontrib.syntax import (
     language_for_path,
     parse_file,
 )
-from devcontrib.syntax import _KEYWORDS, _OPERATORS, Comment, SyntaxTree, _Token
+from devcontrib.syntax import (
+    _KEYWORDS,
+    _OPERATORS,
+    _TYPE_DECL_KINDS,
+    Comment,
+    FunctionUnit,
+    SyntaxTree,
+    _Token,
+)
 
 _PUNCT = set("(){}[];,.@")
 
@@ -138,14 +151,14 @@ def reference_tokenize(text: str):
         if ch == "/" and i + 1 < n and text[i + 1] == "/":
             j = text.find("\n", i)
             j = n if j < 0 else j
-            comments.append(Comment(i, j, text[i:j]))
+            comments.append(Comment(i, j))
             i = j
             continue
         if ch == "/" and i + 1 < n and text[i + 1] == "*":
             j = text.find("*/", i + 2)
             if j < 0:
                 raise ParseError("unterminated block comment", position=i)
-            comments.append(Comment(i, j + 2, text[i:j + 2]))
+            comments.append(Comment(i, j + 2))
             i = j + 2
             continue
         if ch.isalpha() or ch == "_" or ch == "$":
@@ -876,6 +889,94 @@ def _type_simple(label: str) -> str:
     """Strip generics/arrays from a type label: ``pkg.Foo<Bar>[]`` -> ``pkg.Foo``."""
     base = label.split("<", 1)[0].replace("[]", "")
     return base
+
+
+def reference_units(tree) -> list[FunctionUnit]:
+    """The method, constructor and lambda units of ``tree`` in source
+    order, named as ``FunctionUnit`` says, each method's and constructor's
+    with its call sites in pre-order."""
+    units = []
+    _visit_units(tree.root, [], None, {"n": 0}, {"n": 0}, None, (), units)
+    units.sort(key=lambda u: u.span)
+    return units
+
+
+def _method_signature(node, components):
+    """``name(types)`` of a method or constructor declaration; a compact
+    constructor, which has no parameter list, takes the record's
+    ``components``."""
+    name = None
+    params = components
+    for child in node.children:
+        if child.kind == "identifier" and name is None:
+            name = child.label
+        elif child.kind == "param_list":
+            params = child.children
+    types = []
+    for p in params:
+        tleaf = next((c for c in p.children if c.kind == "type"), None)
+        types.append(tleaf.label if tleaf is not None else "var")
+    return f"{name}({','.join(types)})"
+
+
+def _visit_units(node, containers, enclosing, lambda_counter, anonymous,
+                 calls, components, units):
+    """Append the units under ``node`` to ``units``, and its call sites to
+    ``calls``, the list of the innermost enclosing method or constructor
+    (None outside every one); not a closure, which would refer to itself
+    and so hold the tree in a reference cycle.  ``anonymous`` counts the
+    anonymous classes of the innermost enclosing type, and ``components``
+    are its record components (empty when it is no record)."""
+    kind = node.kind
+    if calls is not None:
+        if kind == "call_expr":
+            name = _callee_name(callee_segments(node.children[0]))
+            if name:
+                calls.append(name)
+        elif kind == "new_expr":
+            name = _type_simple(node.children[0].label)
+            if name:
+                calls.append(name)
+    if kind in _TYPE_DECL_KINDS.values():
+        name = next((c.label for c in node.children if c.kind == "identifier"), "?")
+        containers = containers + [name]
+        anonymous = {"n": 0}
+        components = next((c.children for c in node.children
+                           if c.kind == "record_components"), ())
+        for child in node.children:
+            _visit_units(child, containers, None, lambda_counter, anonymous, calls,
+                         components, units)
+        return
+    if kind == "new_expr" and node.children[-1].kind == "class_body":
+        # arguments first: javac numbers a class in them before this one
+        for child in node.children[:-1]:
+            _visit_units(child, containers, enclosing, lambda_counter, anonymous,
+                         calls, components, units)
+        anonymous["n"] += 1
+        containers = containers[:-1] + [f"{containers[-1]}${anonymous['n']}"]
+        _visit_units(node.children[-1], containers, None, lambda_counter,
+                     {"n": 0}, calls, (), units)
+        return
+    if kind in ("method_decl", "constructor_decl"):
+        qname = ".".join(containers + [_method_signature(node, components)])
+        unit = FunctionUnit(qname, (node.start, node.end), node)
+        units.append(unit)
+        counter = {"n": 0}
+        for child in node.children:
+            _visit_units(child, containers, qname, counter, anonymous, unit.calls,
+                         components, units)
+        return
+    if kind == "lambda_expr" and enclosing is not None:
+        qname = f"{enclosing}$lambda{lambda_counter['n']}"
+        lambda_counter["n"] += 1
+        units.append(FunctionUnit(qname, (node.start, node.end), node))
+        for child in node.children:
+            _visit_units(child, containers, qname, lambda_counter, anonymous, calls,
+                         components, units)
+        return
+    for child in node.children:
+        _visit_units(child, containers, enclosing, lambda_counter, anonymous, calls,
+                     components, units)
 
 
 def reference_call_sites(path: str, units) -> tuple[CallSite, ...]:

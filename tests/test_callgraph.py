@@ -21,7 +21,13 @@ from devcontrib.config import AnalysisConfig
 from devcontrib.errors import UnknownCheckpoint
 from devcontrib.pipeline import AnalysisRun, PipelineState, current_impact, parse_changes
 from devcontrib.repo import FileChange
-from oracles import build_call_graph, reference_adjacency, reference_call_sites, reference_targets
+from oracles import (
+    build_call_graph,
+    reference_adjacency,
+    reference_call_sites,
+    reference_targets,
+    reference_units,
+)
 
 FIXTURE = Path(__file__).resolve().parent / "fixtures" / "Idioms.java"
 
@@ -124,6 +130,8 @@ _SITE_EXPECTED = {
 def _sites(path, text):
     graph = CallGraph()
     tree = syntax.parse_source(text, "java")
+    # the parse's units are those of the walk over the finished tree
+    assert tree.functions == reference_units(tree)
     graph._add_file(path, None, tree)
     return graph.files[path].sites, reference_call_sites(path, tree.functions)
 

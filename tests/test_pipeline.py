@@ -487,23 +487,55 @@ def test_files_sharing_a_blob_share_its_tree_and_keep_their_paths(make_repo):
 def test_each_tree_yields_its_function_units_once(make_repo, monkeypatch):
     from devcontrib import syntax
 
-    trees = []
-    extract = syntax.extract_functions
+    trees, units = [], []
+    java, unit = syntax._ADAPTERS["java"], syntax.FunctionUnit
 
-    def recording(tree):
-        trees.append(tree)  # keeps every tree alive, so ids stay distinct
-        return extract(tree)
+    def recording(text, path=None):
+        trees.append(java(text, path))  # keeps every tree alive, so ids stay distinct
+        return trees[-1]
 
-    monkeypatch.setattr(syntax, "extract_functions", recording)
+    def counting(*args):
+        units.append(unit(*args))
+        return units[-1]
+
+    monkeypatch.setitem(syntax._ADAPTERS, "java", recording)
+    monkeypatch.setattr(syntax, "FunctionUnit", counting)
     repo = make_repo()
     repo.commit("init", 1000, {"Service.java": BASE_JAVA})
     repo.commit("edit", 2000, {"Service.java": BASE_JAVA.replace("k * 2", "k * 3")})
     run = analyze_repository(repo.path)
     assert run.commits[1].records
     # the first commit's two trees (its before side is the empty text) and
-    # the second's after side, whose before side is the first's after tree;
-    # each is asked by the differ, the call graph and the metrics
+    # the second's after side, whose before side is the first's after tree
     assert len(trees) == len({id(t) for t in trees}) == 3
+    # each parse builds its tree's units, and no layer that reads them (the
+    # differ, the call graph, the metrics) builds any again
+    assert all(t.functions is t.functions for t in trees)
+    assert sorted(map(id, units)) == sorted(id(u) for t in trees for u in t.functions)
+
+
+def test_compact_constructor_made_explicit_is_one_changed_constructor(make_repo):
+    compact = """
+public record Range(int lo, int hi) {
+    Range {
+        check(lo);
+    }
+    static void check(int x) { }
+}
+"""
+    explicit = compact.replace("Range {\n        check(lo);\n", "Range(int lo, int hi) {\n"
+                               "        check(lo);\n        this.lo = lo;\n        this.hi = hi;\n")
+    repo = make_repo()
+    repo.commit("init", 1000, {"Range.java": compact})
+    repo.commit("explicit", 2000, {"Range.java": explicit})
+    run = analyze_repository(repo.path)
+    # javac names both forms Range(int, int): the constructor changed, it was
+    # not deleted and another added.  A changed function is measured on its
+    # before side (the compact form's 3 lines), and only a function on both
+    # sides gets a dependence-graph impact.
+    (record,) = run.commits[-1].records
+    assert (record.function, record.loc) == ("Range.Range(int,int)", 3)
+    assert record.ddg > 0
 
 
 def test_record_with_switch_rules_is_scored(make_repo):

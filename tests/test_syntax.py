@@ -22,6 +22,7 @@ from oracles import (
     reference_isomorphic,
     reference_line_starts,
     reference_tokenize,
+    reference_units,
 )
 
 IDIOMS = Path(__file__).resolve().parent / "fixtures" / "Idioms.java"
@@ -267,6 +268,14 @@ def test_deep_nesting_is_a_parse_error(source):
         parse_source(source, "java")
 
 
+def test_a_call_on_a_long_name_chain_fails_only_by_the_depth_check():
+    # the parse names each call it builds; past the recursion limit that
+    # naming must not be what fails, so the error keeps its position
+    with pytest.raises(ParseError) as exc:
+        parse_source(_method("x" + ".a" * 2000 + "();"), "java")
+    assert exc.value.position is not None
+
+
 def _concatenation(terms):
     # the tree is ``terms`` + 6 levels deep
     return "class C { String s() { return " + " + ".join(['"a"'] * terms) + "; } }"
@@ -348,19 +357,80 @@ def test_syntax_tree_raises_exactly_when_too_deep_at_a_too_deep_node(root):
     assert exc.value.position in starts[MAX_TREE_DEPTH + 1]
 
 
-def test_function_units_are_extracted_once_per_tree(monkeypatch):
-    from devcontrib import syntax
-
-    calls = []
-
-    def counting(tree):
-        calls.append(tree)
-        return extract_functions(tree)
-
-    monkeypatch.setattr(syntax, "extract_functions", counting)
+def test_function_units_are_extracted_once_per_tree():
+    # the parse builds the units; reading them derives nothing again
     tree = parse_source(SAMPLE, "java")
     assert tree.functions is tree.functions
-    assert calls == [tree]
+    assert extract_functions(tree) is tree.functions
+    # equal names, spans and calls, and the very body nodes of the tree
+    # (a ``SyntaxNode`` equals only itself)
+    assert tree.functions == reference_units(tree)
+
+
+def test_a_local_declaration_that_backs_off_drops_what_its_initializer_built():
+    # the declaration attempt parses ``c = f(…)``, meets ``2`` where a name
+    # must follow the comma, and the loop's init is parsed again as
+    # expressions: each unit, call and number must be taken once
+    src = ("class A { void m() { for (a < b > c = f(() -> g(1), "
+           "new Object() { void k() { h(); } }), 2; ; ) { } } }")
+    tree = parse_source(src, "java")
+    assert [(u.qualified_name, u.calls) for u in tree.functions] == [
+        ("A.m()", ["f", "g", "Object"]), ("A.m()$lambda0", []), ("A$1.k()", ["h"])]
+    assert tree.functions == reference_units(tree)
+
+
+_CALLEES = st.sampled_from(["f", "g", "a.b", "p.q.r", "this.h", "super.k"])
+_CHAINED = st.sampled_from(["m", "b.c"])
+
+
+def _expression_forms(inner):
+    """Expressions built from ``inner`` ones: calls, call chains, creations,
+    anonymous classes (one with a member class), and lambdas, whose blocks
+    hold local declarations and a loop whose declaration attempt backs
+    off."""
+    args = st.lists(inner, max_size=2).map(", ".join)
+    return st.one_of(
+        st.builds("{}({})".format, _CALLEES, args),
+        st.builds("{}({}).{}({})".format, _CALLEES, args, _CHAINED, args),
+        st.builds("{}().m({}).n({})".format, _CALLEES, args, args),
+        st.builds("new Foo<Bar>({})".format, args),
+        st.builds("new Base({}) {{ int w = {}; void k() {{ {}; }} }}".format,
+                  args, inner, inner),
+        st.builds("new Base() {{ void k() {{ {}; }} }}.run({})".format, inner, args),
+        st.builds("({} + {})".format, inner, inner),
+        st.builds("y -> {}".format, inner),
+        st.builds("(String y) -> {}".format, inner),
+        st.builds("() -> {{ {}; }}".format, inner),
+        st.builds("() -> {{ int v = {}; {}; }}".format, inner, inner),
+        st.builds("new Object() {{ class L {{ int w = {}; void n() {{ {}; }} }} }}".format,
+                  inner, inner),
+        st.builds("() -> {{ for (a < b > c = {}, 2; ; ) {{ }} }}".format, inner),
+    )
+
+
+_EXPRESSIONS = st.recursive(st.sampled_from(["x", "1", "s"]), _expression_forms,
+                            max_leaves=12)
+
+
+@st.composite
+def _generated_classes(draw):
+    e = [draw(_EXPRESSIONS) for _ in range(6)]
+    return f"""
+    class A {{
+        Runnable r = {e[0]};
+        A(int x) {{ this({e[1]}); }}
+        void m(int x, String... s) {{ {e[2]}; int v = {e[3]}; }}
+        class In {{ void n(int[] xs) {{ {e[4]}; }} }}
+        record R(int lo, long[] hi) {{ R {{ {e[5]}; }} }}
+    }}
+    """
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_generated_classes())
+def test_units_equal_the_reference_walk_on_generated_classes(src):
+    tree = parse_source(src, "java")
+    assert tree.functions == reference_units(tree)
 
 
 def _shape(node):
@@ -387,7 +457,8 @@ def test_record_declaration_is_a_container_with_its_components():
         ("param", [("type", "int"), ("identifier", "hi")]),
     ])
     names = [u.qualified_name for u in extract_functions(tree)]
-    assert names == ["Range.Range()", "Range.width(int)"]
+    # javac names the compact constructor after the record's components
+    assert names == ["Range.Range(int,int)", "Range.width(int)"]
 
 
 def test_record_is_a_keyword_only_before_a_declaration():

@@ -25,9 +25,9 @@ _spec = importlib.util.spec_from_file_location("benchmark_tracing", _TRACING)
 tracing = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(tracing)
 
-# Listed by the benchmark but gone since each tree caches its function units
-# (``SyntaxTree.functions``): every call goes through ``syntax.extract_functions``,
-# which carries the same span.
+# Listed by the benchmark but gone since each tree carries its function units
+# (``SyntaxTree.functions``), which the parse builds.  ``syntax.extract_functions``
+# still exists, but nothing in the program calls it.
 UNBOUND = {("pipeline", "extract_functions"), ("callgraph", "extract_functions")}
 
 
@@ -111,3 +111,6 @@ def test_traced_run_records_parse_update_and_diff_spans(make_repo):
                  "astdiff.diff_file_pair_calls", "pdg.build_pdg_calls",
                  "pdg.changed_nodes_calls"):
         assert metrics[name] > 0, name
+    # the units are built inside the ``syntax.parse`` span, and no layer
+    # derives them again, so the extraction span records nothing
+    assert metrics["syntax.extract_functions_calls"] == 0
