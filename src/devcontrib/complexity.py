@@ -14,6 +14,10 @@ stay in sync with the implementation below):
 Volume is measured over the function's body block and is
 ``N * log2(eta)`` with ``N`` the total operator+operand occurrences and
 ``eta`` the distinct count; an empty or one-token-kind body has volume 0.
+``halstead_volume`` lexes the body with ``syntax.tokenize`` and counts the
+token lists with ``collections.Counter``, with no step per token in
+Python.  It lexes only the bodies a run scores, which are few next to the
+units a run parses, so the parser keeps no counts.
 
 Cyclomatic complexity uses the strict variant: 1 plus one point per
 ``if``, loop header (``for``/``while``/``do``), ``case`` label, ``catch``
@@ -24,7 +28,9 @@ clause, conditional (ternary) expression, and each short-circuit ``&&`` or
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
 
 from .errors import ParseError
 from .syntax import FunctionUnit, SyntaxTree, function_body, tokenize
@@ -63,6 +69,10 @@ def cyclomatic(function: FunctionUnit) -> int:
     return 1 + points
 
 
+# keywords a call's "(" may follow, read as identifiers
+_CALLEE_KEYWORDS = {"this": "ident", "super": "ident"}
+
+
 def _body_span(function: FunctionUnit) -> tuple[int, int]:
     """Span of the function's body block (or lambda body); empty if none."""
     body = function_body(function)
@@ -75,32 +85,19 @@ def halstead_volume(function: FunctionUnit, tree: SyntaxTree) -> float:
     Abstract/empty bodies have volume 0.
     """
     start, end = _body_span(function)
-    snippet = tree.source_text[start:end]
     try:
-        tokens, _ = tokenize(snippet)
+        (kinds, texts, _, _), _ = tokenize(tree.source_text[start:end])
     except ParseError:
         return 0.0
-    operators: dict[str, int] = {}
-    operands: dict[str, int] = {}
-    prev = None
-    for tok in tokens:
-        if tok.type == "eof":
-            break
-        if tok.type in ("ident",):
-            operands[tok.text] = operands.get(tok.text, 0) + 1
-        elif tok.type in ("int", "float", "string", "char", "literal_word"):
-            operands[tok.text] = operands.get(tok.text, 0) + 1
-        elif tok.type == "keyword":
-            operators[tok.text] = operators.get(tok.text, 0) + 1
-        elif tok.type == "op":
-            operators[tok.text] = operators.get(tok.text, 0) + 1
-        elif tok.type == "punct" and tok.text == "(" and prev is not None and (
-                prev.type == "ident" or (prev.type == "keyword"
-                                         and prev.text in ("this", "super"))):
-            operators["()"] = operators.get("()", 0) + 1
-        prev = tok
-    n_total = sum(operators.values()) + sum(operands.values())
-    eta = len(operators) + len(operands)
+    # Operators and operands are counted together: no keyword's or
+    # operator's text is an identifier's or a literal's.  ``kinds`` ends in
+    # the eof token, which ``compress`` leaves out.
+    counts = Counter(compress(texts, map("punct".__ne__, kinds[:-1])))
+    # a call's "(" follows an identifier, ``this`` or ``super``
+    callees = map(_CALLEE_KEYWORDS.get, texts, kinds)
+    calls = list(zip(callees, texts[1:])).count(("ident", "("))
+    n_total = counts.total() + calls
+    eta = len(counts) + (calls > 0)
     if eta <= 1:
         return 0.0
     return n_total * math.log2(eta)

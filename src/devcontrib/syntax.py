@@ -29,6 +29,11 @@ allows, so that every later tree walk stays within Python's recursion
 limit.
 
 The lexer is one compiled pattern with an alternative per token class.
+``tokenize`` runs it once over the text and returns the tokens as four
+parallel lists (kinds, texts, starts and ends), built by list operations
+that run in C, with no object per token; only numbers, errors and words
+that start outside ASCII take a Python step each.  The parser reads the
+lists by index, and no token list outlives the parse.
 
 A tree depends on its text alone, not on the file's path.  The parser
 builds its function units (``functions``), with each method's call sites,
@@ -45,7 +50,10 @@ from __future__ import annotations
 import bisect
 import logging
 import re
+import string
 from dataclasses import dataclass, field
+from itertools import accumulate, chain, compress, repeat
+from operator import itemgetter, not_
 
 from .config import DEFAULT_BLACKLIST
 from .errors import ParseError
@@ -276,14 +284,6 @@ _BINARY_LEVELS = {op: level for level, ops in enumerate([
 ]) for op in ops}
 
 
-@dataclass(slots=True)
-class _Token:
-    type: str          # ident / keyword / int / float / string / char / op / punct / eof
-    text: str
-    start: int
-    end: int
-
-
 # One alternative per token class, tried in order at each position after
 # skipping whitespace.  In a str pattern ``\w`` is exactly
 # ``str.isalnum()`` plus "_" and ``\d`` is ``str.isdecimal()``, so:
@@ -294,32 +294,45 @@ class _Token:
 #   are ``isdigit()`` but not decimal (such as "²") to the decimal digit
 #   U+0660, which is not a hex digit either;
 # * operators are listed longest-first where one is a prefix of another;
-# * a quote or "/*" without its end is an error, as is any other character.
+# * a quote or "/*" without its end is matched alone, as is any other
+#   character, and ``tokenize`` rejects both;
+# * the end of the text matches the empty token, so every other token is
+#   one character or more.
+# ``findall`` gives a (whitespace, token) pair per match.
 _TOKEN_RE = re.compile(
-    r"[ \t\r\n\f]*(?:"
-    r"(?P<word>[^\W\d][\w$]*|\$[\w$]*)"
-    r"|(?P<line_comment>//[^\n]*)"
-    r"|(?P<block_comment>/\*.*?\*/)"
-    r"|(?P<hex>0[xX][0-9a-fA-F_]*[lL]?)"
-    r"|(?P<number>(?=\.?\d)[\d_]*(?:\.[\d_]*)?(?:[eE][+-]?\d*)?[lLfFdD]?)"
-    r'|(?P<string>"[^"\\]*(?:\\.[^"\\]*)*")'
-    r"|(?P<char>'[^'\\]*(?:\\.[^'\\]*)*')"
-    r"""|(?P<unterminated>/\*|"|')"""
-    r"|(?P<op>" + "|".join(map(re.escape, _OPERATORS)) + ")"
-    r"|(?P<punct>[(){}\[\];,.@])"
-    r"|(?P<end>\Z)"
-    r"|(?P<unexpected>.)"
-    r")", re.DOTALL)
-
-_WORD_TYPES = {**dict.fromkeys(_KEYWORDS, "keyword"),
-               **dict.fromkeys(("true", "false", "null"), "literal_word")}
-
-_SIMPLE_TYPES = {"hex": "int", "string": "string", "char": "char", "op": "op",
-                 "punct": "punct"}
+    r"([ \t\r\n\f]*)("
+    r"[^\W\d][\w$]*|\$[\w$]*"
+    r"|//[^\n]*"
+    r"|/\*.*?\*/"
+    r"|0[xX][0-9a-fA-F_]*[lL]?"
+    r"|(?=\.?\d)[\d_]*(?:\.[\d_]*)?(?:[eE][+-]?\d*)?[lLfFdD]?"
+    r'|"[^"\\]*(?:\\.[^"\\]*)*"'
+    r"|'[^'\\]*(?:\\.[^'\\]*)*'"
+    r"""|/\*|"|'"""
+    r"|" + "|".join(map(re.escape, _OPERATORS)) +
+    r"|[(){}\[\];,.@]"
+    r"|\Z"
+    r"|.)", re.DOTALL)
 
 _UNTERMINATED = {"/*": "unterminated block comment",
                  '"': "unterminated string literal",
                  "'": "unterminated char literal"}
+
+# A token's kind: keyword / literal_word / op / punct by its whole text, else
+# ident / number / string / char / comment by its first character.
+# ``tokenize`` looks again at the two kinds that are no token's: "number",
+# which is int or float, and "fault": an unterminated literal, or a token
+# whose first character is not in ``_FIRST_CHAR_KINDS`` (a letter or a
+# decimal digit outside ASCII, else a character outside the grammar).
+_TEXT_KINDS = {**dict.fromkeys(_KEYWORDS, "keyword"),
+               **dict.fromkeys(("true", "false", "null"), "literal_word"),
+               **dict.fromkeys(_OPERATORS, "op"),
+               **dict.fromkeys("(){}[];,.@", "punct"),
+               **dict.fromkeys(_UNTERMINATED, "fault")}
+
+_FIRST_CHAR_KINDS = {**dict.fromkeys(string.ascii_letters + "_$", "ident"),
+                     **dict.fromkeys(string.digits + ".", "number"),
+                     '"': "string", "'": "char", "/": "comment"}
 
 _FLOAT_MARKS = frozenset(".eEfFdD")
 
@@ -334,38 +347,64 @@ def _decimal_digits(text: str) -> str:
     return text.translate(digits) if digits else text
 
 
+def _indices(items: list, value):
+    """Each index of ``value`` in ``items``, in order."""
+    i = -1
+    try:
+        while True:
+            i = items.index(value, i + 1)
+            yield i
+    except ValueError:
+        return
+
+
 def tokenize(text: str):
-    """Return (tokens, comments).  Raises ParseError on malformed literals
-    and on characters outside the grammar."""
+    """Return ``(kinds, texts, starts, ends), comments``: four parallel
+    lists with one entry per token, the last an "eof" token at
+    ``len(text)``, and the comments in text order.  A kind is ident,
+    keyword, literal_word, int, float, string, char, op, punct or eof.
+    Raises ParseError at the first malformed literal or character outside
+    the grammar."""
     scan = _decimal_digits(text)
-    tokens, comments = [], []
-    match = _TOKEN_RE.match
-    pos = 0
-    while True:
-        m = match(scan, pos)
-        kind = m.lastgroup
-        start, pos = m.span(kind)
-        if kind == "word":
-            if scan[start] > "\x7f" and not scan[start].isalpha():
-                raise ParseError(f"unexpected character {text[start]!r}", position=start)
-            word = text[start:pos]
-            tokens.append(_Token(_WORD_TYPES.get(word, "ident"), word, start, pos))
-        elif kind in _SIMPLE_TYPES:
-            tokens.append(_Token(_SIMPLE_TYPES[kind], text[start:pos], start, pos))
-        elif kind == "number":
-            number = text[start:pos]
-            tokens.append(_Token("int" if _FLOAT_MARKS.isdisjoint(number) else "float",
-                                 number, start, pos))
-        elif kind in ("line_comment", "block_comment"):
-            comments.append(Comment(start, pos))
-        elif kind == "end":
-            break
-        elif kind == "unterminated":
-            raise ParseError(_UNTERMINATED[text[start:pos]], position=start)
+    pairs = _TOKEN_RE.findall(scan)
+    # the last match is the end, and so is the one before it when the text
+    # ends in whitespace: ``n`` tokens and comments precede them
+    n = len(pairs) - 1
+    if n and not pairs[-2][1]:
+        n -= 1
+    bounds = list(accumulate(map(len, chain.from_iterable(pairs)), initial=0))
+    starts, ends = bounds[1:2 * n:2], bounds[2:2 * n + 1:2]
+    words = list(map(itemgetter(1), pairs[:n]))  # as in ``scan``
+    kinds = list(map(_TEXT_KINDS.get, words,
+                     map(_FIRST_CHAR_KINDS.get, map(itemgetter(0), words), repeat("fault"))))
+    for i in _indices(kinds, "fault"):
+        word = words[i]
+        if word in _UNTERMINATED:
+            raise ParseError(_UNTERMINATED[word], position=starts[i])
+        if word[0].isalpha():
+            kinds[i] = "ident"
+        elif word[0].isdecimal():
+            kinds[i] = "number"
         else:
-            raise ParseError(f"unexpected character {text[start]!r}", position=start)
-    tokens.append(_Token("eof", "", pos, pos))
-    return tokens, comments
+            raise ParseError(f"unexpected character {text[starts[i]]!r}", position=starts[i])
+    texts = words if scan is text else list(map(text.__getitem__, map(slice, starts, ends)))
+    for i in _indices(kinds, "number"):
+        number = texts[i]  # a hex number's "e", "f" or "d" is a digit
+        kinds[i] = ("int" if number[1:2] in ("x", "X") or _FLOAT_MARKS.isdisjoint(number)
+                    else "float")
+    comments = []
+    if "comment" in kinds:
+        keep = list(map("comment".__ne__, kinds))
+        dropped = list(map(not_, keep))
+        comments = list(map(Comment, compress(starts, dropped), compress(ends, dropped)))
+        kinds, texts, starts, ends = (list(compress(column, keep))
+                                      for column in (kinds, texts, starts, ends))
+    end = len(text)
+    kinds.append("eof")
+    texts.append("")
+    starts.append(end)
+    ends.append(end)
+    return (kinds, texts, starts, ends), comments
 
 
 # ---------------------------------------------------------------------------
@@ -373,14 +412,26 @@ def tokenize(text: str):
 # ---------------------------------------------------------------------------
 
 class _Parser:
-    """Recursive-descent parser for the Java-like grammar."""
+    """Recursive-descent parser for the Java-like grammar, over the token
+    lists of ``tokenize``.
+
+    A keyword's, operator's or punctuation mark's text is no other token's
+    text, so comparing the text alone tells whether the current token is
+    one of them (``at``), and whether a token is a primitive type, a
+    modifier or an operator of some class.
+    """
 
     def __init__(self, text: str):
         self.text = text
-        self.tokens, self.comments = tokenize(text)
-        # two more eof tokens, so that ``peek`` looks up to two tokens past
+        (kinds, texts, starts, ends), self.comments = tokenize(text)
+        # two more eof tokens, so that lookahead reaches two tokens past
         # the end without a bounds check
-        self.tokens += self.tokens[-1:] * 2
+        end = ends[-1]
+        kinds += ("eof", "eof")
+        texts += ("", "")
+        starts += (end, end)
+        ends += (end, end)
+        self.kinds, self.texts, self.starts, self.ends = kinds, texts, starts, ends
         self.pos = 0
         # The units built so far and the scope the next is named in (see
         # ``FunctionUnit``); ``parse_class_body`` and ``finish_method`` set
@@ -394,12 +445,10 @@ class _Parser:
 
     # -- token helpers ------------------------------------------------------
 
-    def peek(self, offset=0) -> _Token:
-        return self.tokens[self.pos + offset]
-
     def at(self, text: str) -> bool:
-        tok = self.tokens[self.pos]
-        return tok.text == text and tok.type in ("keyword", "op", "punct")
+        """Whether the current token is the keyword, operator or
+        punctuation mark ``text``."""
+        return self.texts[self.pos] == text
 
     def accept(self, text: str) -> bool:
         """Consume the current token if ``at(text)``; whether it did."""
@@ -409,39 +458,44 @@ class _Parser:
         return False
 
     def at_ident(self) -> bool:
-        return self.tokens[self.pos].type == "ident"
+        return self.kinds[self.pos] == "ident"
 
     def at_end(self) -> bool:
-        return self.tokens[self.pos].type == "eof"
+        return self.kinds[self.pos] == "eof"
 
     def at_record(self) -> bool:
         """At ``record Name(`` or ``record Name<``: ``record`` is a keyword
         only there, elsewhere it is an ordinary identifier."""
-        tok = self.peek()
-        return (tok.type == "ident" and tok.text == "record"
-                and self.peek(1).type == "ident" and self.peek(2).text in ("(", "<"))
+        pos = self.pos
+        return (self.texts[pos] == "record" and self.kinds[pos + 1] == "ident"
+                and self.texts[pos + 2] in ("(", "<"))
 
     def at_type_keyword(self) -> bool:
         return (self.at("class") or self.at("interface") or self.at("enum")
                 or self.at_record())
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.type != "eof":
-            self.pos += 1
-        return tok
+    def advance(self) -> int:
+        """The current token's index; moves past it unless it is the end."""
+        pos = self.pos
+        if self.kinds[pos] != "eof":
+            self.pos = pos + 1
+        return pos
 
-    def expect(self, text: str) -> _Token:
-        tok = self.peek()
-        if tok.text != text:
-            raise ParseError(f"expected {text!r}, found {tok.text!r}", position=tok.start)
-        return self.advance()
+    def expect(self, text: str) -> int:
+        """The index of the current token, which must be ``text``; moves past it."""
+        pos = self.pos
+        if self.texts[pos] != text:
+            raise ParseError(f"expected {text!r}, found {self.texts[pos]!r}",
+                             position=self.starts[pos])
+        self.pos = pos + 1
+        return pos
 
     def error(self, message: str):
-        raise ParseError(message, position=self.peek().start)
+        raise ParseError(message, position=self.starts[self.pos])
 
-    def leaf(self, kind, tok: _Token):
-        return SyntaxNode(kind, None, tok.start, tok.end, tok.text)
+    def leaf(self, kind, index: int):
+        """A leaf of ``kind`` labelled with the token at ``index``."""
+        return SyntaxNode(kind, None, self.starts[index], self.ends[index], self.texts[index])
 
     def identifier(self, message: str) -> SyntaxNode:
         """The identifier leaf at the current token, else ``message``."""
@@ -451,7 +505,7 @@ class _Parser:
 
     def skip_dims(self):
         """Skip ``[]`` pairs after a type or a declared name."""
-        while self.at("[") and self.peek(1).text == "]":
+        while self.at("[") and self.texts[self.pos + 1] == "]":
             self.pos += 2
 
     def skip_parenthesized(self, what: str) -> int:
@@ -459,15 +513,15 @@ class _Parser:
         of its ``)``."""
         depth = 0
         while True:
-            tok = self.advance()
-            if tok.type == "eof":
+            i = self.advance()
+            if self.kinds[i] == "eof":
                 self.error(f"unterminated {what} arguments")
-            if tok.text == "(":
+            if self.texts[i] == "(":
                 depth += 1
-            elif tok.text == ")":
+            elif self.texts[i] == ")":
                 depth -= 1
                 if depth == 0:
-                    return tok.end
+                    return self.ends[i]
 
     def source_label(self, start: int, end: int) -> str:
         """The source text of ``start:end`` without whitespace."""
@@ -487,7 +541,7 @@ class _Parser:
     # -- entry --------------------------------------------------------------
 
     def parse_compilation_unit(self) -> SyntaxNode:
-        start = self.peek().start
+        start = self.starts[self.pos]
         children = []
         if self.at("package"):
             children.append(self.parse_package())
@@ -499,26 +553,26 @@ class _Parser:
         return SyntaxNode("compilation_unit", children, start, end)
 
     def parse_package(self):
-        start = self.expect("package").start
+        start = self.starts[self.expect("package")]
         name = self.parse_dotted_name()
-        end = self.expect(";").end
+        end = self.ends[self.expect(";")]
         return SyntaxNode("package_decl", [], start, end, label=name)
 
     def parse_import(self):
-        start = self.expect("import").start
+        start = self.starts[self.expect("import")]
         self.accept("static")
         name = self.parse_dotted_name()
         if self.accept("."):
             self.expect("*")
             name += ".*"
-        end = self.expect(";").end
+        end = self.ends[self.expect(";")]
         return SyntaxNode("import_decl", [], start, end, label=name)
 
     def parse_dotted_name(self) -> str:
-        parts = [self.advance().text]
-        while self.at(".") and self.peek(1).type == "ident":
-            self.advance()
-            parts.append(self.advance().text)
+        parts = [self.texts[self.advance()]]
+        while self.at(".") and self.kinds[self.pos + 1] == "ident":
+            parts.append(self.texts[self.pos + 1])
+            self.pos += 2
         return ".".join(parts)
 
     # -- modifiers / annotations --------------------------------------------
@@ -526,20 +580,19 @@ class _Parser:
     def parse_modifiers(self):
         nodes = []
         while True:
-            tok = self.peek()
-            if tok.text == "@" and self.peek(1).type == "ident":
+            text = self.texts[self.pos]
+            if text == "@" and self.kinds[self.pos + 1] == "ident":
                 nodes.append(self.parse_annotation())
-            elif tok.type == "keyword" and tok.text in _MODIFIER_KEYWORDS:
+            elif text in _MODIFIER_KEYWORDS:
                 # 'default' doubles as a switch label; only a modifier before members
                 nodes.append(self.leaf("modifier", self.advance()))
             else:
-                break
-        return nodes
+                return nodes
 
     def parse_annotation(self):
-        start = self.expect("@").start
+        start = self.starts[self.expect("@")]
         self.parse_dotted_name()
-        end = self.tokens[self.pos - 1].end
+        end = self.ends[self.pos - 1]
         if self.at("("):
             end = self.skip_parenthesized("annotation")
         return SyntaxNode("annotation", [], start, end, self.source_label(start, end))
@@ -548,40 +601,52 @@ class _Parser:
 
     def try_parse_type(self):
         """Parse a type reference; returns a leaf node or None (position restored)."""
-        save = self.pos
-        tok = self.peek()
-        start = tok.start
-        if tok.type == "keyword" and tok.text in _PRIMITIVES:
-            self.advance()
-        elif tok.type == "ident":
-            self.advance()
-            while self.at(".") and self.peek(1).type == "ident":
+        first = self.pos
+        if not self.skip_type():
+            self.pos = first
+            return None
+        return self.type_node(first)
+
+    def skip_type(self) -> bool:
+        """Move past a type reference; False if there is none, leaving the
+        position where the attempt stopped."""
+        text = self.texts[self.pos]
+        if text in _PRIMITIVES:
+            self.pos += 1
+        elif self.at_ident():
+            self.pos += 1
+            while self.at(".") and self.kinds[self.pos + 1] == "ident":
                 self.pos += 2
             if self.at("<") and not self._skip_type_arguments():
-                self.pos = save
-                return None
+                return False
         else:
-            return None
+            return False
         self.skip_dims()
-        end = self.tokens[self.pos - 1].end
+        return True
+
+    def type_node(self, first: int) -> SyntaxNode:
+        """The type leaf over the tokens from ``first`` to the current one."""
+        start, end = self.starts[first], self.ends[self.pos - 1]
         return SyntaxNode("type", [], start, end, self.source_label(start, end))
 
     def _skip_type_arguments(self) -> bool:
         """Consume a balanced ``<...>`` group of type tokens; False if not one."""
         save = self.pos
+        texts, kinds = self.texts, self.kinds
         depth = 0
         while True:
-            tok = self.tokens[self.pos]
+            i = self.pos
+            text = texts[i]
             self.pos += 1
-            if tok.text == "<":
+            if text == "<":
                 depth += 1
-            elif tok.text in (">", ">>", ">>>"):
-                depth -= len(tok.text)
+            elif text in (">", ">>", ">>>"):
+                depth -= len(text)
                 if depth == 0:
                     return True
                 if depth < 0:
                     break
-            elif tok.type != "ident" and tok.text not in _TYPE_ARGUMENT_TOKENS:
+            elif kinds[i] != "ident" and text not in _TYPE_ARGUMENT_TOKENS:
                 break
         self.pos = save
         return False
@@ -602,7 +667,7 @@ class _Parser:
     # -- type declarations ----------------------------------------------------
 
     def parse_type_declaration(self):
-        start = self.peek().start
+        start = self.starts[self.pos]
         mods = self.parse_modifiers()
         if mods:
             start = mods[0].start
@@ -611,7 +676,7 @@ class _Parser:
         self.error("expected a class or interface declaration")
 
     def parse_class_like(self, mods, start):
-        kind = _TYPE_DECL_KINDS[self.advance().text]
+        kind = _TYPE_DECL_KINDS[self.texts[self.advance()]]
         name = self.identifier("expected a type name")
         children = mods + [name]
         if self.at("<"):
@@ -638,7 +703,7 @@ class _Parser:
         compact constructor takes."""
         scope = self.containers, self.lambda_owner, self.anonymous
         self.containers, self.lambda_owner, self.anonymous = containers, None, 0
-        start = self.expect("{").start
+        start = self.starts[self.expect("{")]
         children = []
         while enum and self.at_ident():
             const = self.leaf("enum_constant", self.advance())
@@ -649,15 +714,15 @@ class _Parser:
         if not enum or self.accept(";"):
             while not self.at("}") and not self.at_end():
                 children.append(self.parse_member(components))
-        end = self.expect("}").end
+        end = self.ends[self.expect("}")]
         self.containers, self.lambda_owner, self.anonymous = scope
         return SyntaxNode("class_body", children, start, end)
 
     def parse_member(self, components):
-        start = self.peek().start
+        start = self.starts[self.pos]
         if self.at(";"):
-            tok = self.advance()
-            return SyntaxNode("empty_decl", [], tok.start, tok.end)
+            i = self.advance()
+            return SyntaxNode("empty_decl", [], self.starts[i], self.ends[i])
         mods = self.parse_modifiers()
         if mods:
             start = mods[0].start
@@ -670,11 +735,11 @@ class _Parser:
             if not self._skip_type_arguments():
                 self.error("malformed method type parameters")
         # constructor: Name (
-        if self.at_ident() and self.peek(1).text == "(":
+        if self.at_ident() and self.texts[self.pos + 1] == "(":
             name = self.leaf("identifier", self.advance())
             return self.finish_method(mods, None, name, start, kind="constructor_decl")
         # a record's compact constructor: Name {
-        if self.at_ident() and self.peek(1).text == "{":
+        if self.at_ident() and self.texts[self.pos + 1] == "{":
             name = self.leaf("identifier", self.advance())
             return self.finish_method(mods, None, name, start, "constructor_decl",
                                       params=components)
@@ -703,11 +768,11 @@ class _Parser:
         scope = self.calls, self.lambda_owner, self.lambdas
         self.calls, self.lambda_owner, self.lambdas = calls, qname, 0
         if self.at("throws"):
-            tstart = self.advance().start
+            tstart = self.starts[self.advance()]
             throws = self.parse_type_list()
             children.append(SyntaxNode("throws_clause", throws, tstart, throws[-1].end))
         if self.at(";"):
-            end = self.advance().end
+            end = self.ends[self.advance()]
         else:
             body = self.parse_block()
             children.append(body)
@@ -718,10 +783,10 @@ class _Parser:
         return node
 
     def parse_param_list(self):
-        start = self.expect("(").start
+        start = self.starts[self.expect("(")]
         params = []
         while not self.at(")"):
-            pstart = self.peek().start
+            pstart = self.starts[self.pos]
             pmods = self.parse_modifiers()
             ptype = self.parse_type()
             if self.accept("..."):
@@ -731,7 +796,7 @@ class _Parser:
             params.append(SyntaxNode("param", pmods + [ptype, pname], pstart, pname.end))
             if not self.accept(",") and not self.at(")"):
                 self.error("expected ',' or ')' in parameter list")
-        end = self.expect(")").end
+        end = self.ends[self.expect(")")]
         return SyntaxNode("param_list", params, start, end)
 
     def finish_field(self, mods, ftype, first_name, start):
@@ -739,7 +804,7 @@ class _Parser:
         while self.accept(","):
             declarators.append(self.parse_var_declarator(
                 self.identifier("expected a field name")))
-        end = self.expect(";").end
+        end = self.ends[self.expect(";")]
         return SyntaxNode("field_decl", mods + [ftype] + declarators, start, end)
 
     def parse_var_declarator(self, name_leaf):
@@ -756,100 +821,102 @@ class _Parser:
         return self.parse_expression()
 
     def parse_array_init(self):
-        start = self.expect("{").start
+        start = self.starts[self.expect("{")]
         items = []
         while not self.at("}"):
             items.append(self.parse_variable_init())
             if not self.accept(",") and not self.at("}"):
                 self.error("expected ',' or '}' in array initializer")
-        end = self.expect("}").end
+        end = self.ends[self.expect("}")]
         return SyntaxNode("array_init", items, start, end)
 
     # -- statements ------------------------------------------------------------
 
     def parse_block(self):
-        start = self.expect("{").start
+        start = self.starts[self.expect("{")]
         stmts = []
         while not self.at("}") and not self.at_end():
             stmts.append(self.parse_statement())
-        end = self.expect("}").end
+        end = self.ends[self.expect("}")]
         return SyntaxNode("block", stmts, start, end)
 
     def parse_statement(self):
-        tok = self.peek()
-        if tok.text == "{":
+        text = self.texts[self.pos]
+        if text == "{":
             return self.parse_block()
-        if tok.text == ";":
-            t = self.advance()
-            return SyntaxNode("empty_stmt", [], t.start, t.end)
-        if tok.type == "keyword":
-            kw = tok.text
-            if kw == "if":
+        if text == ";":
+            i = self.advance()
+            return SyntaxNode("empty_stmt", [], self.starts[i], self.ends[i])
+        if self.kinds[self.pos] == "keyword":
+            if text == "if":
                 return self.parse_if()
-            if kw == "while":
+            if text == "while":
                 return self.parse_while()
-            if kw == "do":
+            if text == "do":
                 return self.parse_do()
-            if kw == "for":
+            if text == "for":
                 return self.parse_for()
-            if kw == "switch":
+            if text == "switch":
                 return self.parse_switch()
-            if kw == "try":
+            if text == "try":
                 return self.parse_try()
-            if kw == "return":
-                start = self.advance().start
+            if text == "return":
+                start = self.starts[self.advance()]
                 children = []
                 if not self.at(";"):
                     children.append(self.parse_expression())
-                end = self.expect(";").end
+                end = self.ends[self.expect(";")]
                 return SyntaxNode("return_stmt", children, start, end)
-            if kw == "throw":
-                start = self.advance().start
+            if text == "throw":
+                start = self.starts[self.advance()]
                 expr = self.parse_expression()
-                end = self.expect(";").end
+                end = self.ends[self.expect(";")]
                 return SyntaxNode("throw_stmt", [expr], start, end)
-            if kw in ("break", "continue"):
-                start = self.advance().start
+            if text in ("break", "continue"):
+                start = self.starts[self.advance()]
                 children = []
                 if self.at_ident():
                     children.append(self.leaf("identifier", self.advance()))
-                end = self.expect(";").end
-                return SyntaxNode(f"{kw}_stmt", children, start, end)
-            if kw == "synchronized":
-                start = self.advance().start
+                end = self.ends[self.expect(";")]
+                return SyntaxNode(f"{text}_stmt", children, start, end)
+            if text == "synchronized":
+                start = self.starts[self.advance()]
                 expr = self.parse_parenthesized()
                 body = self.parse_block()
                 return SyntaxNode("synchronized_stmt", [expr, body], start, body.end)
-            if kw == "assert":
-                start = self.advance().start
+            if text == "assert":
+                start = self.starts[self.advance()]
                 children = [self.parse_expression()]
                 if self.accept(":"):
                     children.append(self.parse_expression())
-                end = self.expect(";").end
+                end = self.ends[self.expect(";")]
                 return SyntaxNode("assert_stmt", children, start, end)
         decl = self.try_parse_local_var_decl()
         if decl is not None:
             return decl
-        start = self.peek().start
+        start = self.starts[self.pos]
         expr = self.parse_expression()
-        end = self.expect(";").end
+        end = self.ends[self.expect(";")]
         return SyntaxNode("expr_stmt", [expr], start, end)
 
     def try_parse_local_var_decl(self):
-        """A local variable declaration, or None with the parser ``reset``."""
+        """A local variable declaration, or None with the parser ``reset``.
+        Its type node is built only once a name and one of ``= ; , [``
+        follow the type."""
         save = self.mark()
-        start = self.peek().start
+        start = self.starts[self.pos]
         mods = []
-        while self.at("final") or (self.at("@") and self.peek(1).type == "ident"):
+        while self.at("final") or (self.at("@") and self.kinds[self.pos + 1] == "ident"):
             if self.at("final"):
                 mods.append(self.leaf("modifier", self.advance()))
             else:
                 mods.append(self.parse_annotation())
-        vtype = self.try_parse_type()
-        if vtype is None or not self.at_ident() \
-                or self.peek(1).text not in ("=", ";", ",", "["):
+        first = self.pos
+        if not self.skip_type() or not self.at_ident() \
+                or self.texts[self.pos + 1] not in ("=", ";", ",", "["):
             self.reset(save)
             return None
+        vtype = self.type_node(first)
         declarators = [self.parse_var_declarator(self.leaf("identifier", self.advance()))]
         while self.accept(","):
             if not self.at_ident():
@@ -859,11 +926,11 @@ class _Parser:
         if not self.at(";"):
             self.reset(save)
             return None
-        end = self.advance().end
+        end = self.ends[self.advance()]
         return SyntaxNode("local_var_decl", mods + [vtype] + declarators, start, end)
 
     def parse_if(self):
-        start = self.expect("if").start
+        start = self.starts[self.expect("if")]
         cond = self.parse_parenthesized()
         then = self.parse_statement()
         children = [cond, then]
@@ -875,29 +942,30 @@ class _Parser:
         return SyntaxNode("if_stmt", children, start, end)
 
     def parse_while(self):
-        start = self.expect("while").start
+        start = self.starts[self.expect("while")]
         cond = self.parse_parenthesized()
         body = self.parse_statement()
         return SyntaxNode("while_stmt", [cond, body], start, body.end)
 
     def parse_do(self):
-        start = self.expect("do").start
+        start = self.starts[self.expect("do")]
         body = self.parse_statement()
         self.expect("while")
         cond = self.parse_parenthesized()
-        end = self.expect(";").end
+        end = self.ends[self.expect(";")]
         return SyntaxNode("do_stmt", [body, cond], start, end)
 
     def parse_for(self):
-        start = self.expect("for").start
+        start = self.starts[self.expect("for")]
         self.expect("(")
         # enhanced for: [final] Type name : expr
         save = self.pos
         fmods = []
         while self.at("final"):
             fmods.append(self.leaf("modifier", self.advance()))
-        vtype = self.try_parse_type()
-        if vtype is not None and self.at_ident() and self.peek(1).text == ":":
+        first = self.pos
+        if self.skip_type() and self.at_ident() and self.texts[self.pos + 1] == ":":
+            vtype = self.type_node(first)
             name = self.leaf("identifier", self.advance())
             self.advance()  # ':'
             iterable = self.parse_expression()
@@ -928,33 +996,34 @@ class _Parser:
         return SyntaxNode("for_stmt", children, start, body.end)
 
     def parse_switch(self):
-        start = self.expect("switch").start
+        start = self.starts[self.expect("switch")]
         selector = self.parse_parenthesized()
         self.expect("{")
         groups = []
         while not self.at("}") and not self.at_end():
             groups.append(self.parse_switch_group())
-        end = self.expect("}").end
+        end = self.ends[self.expect("}")]
         return SyntaxNode("switch_stmt", [selector] + groups, start, end)
 
     def parse_switch_group(self):
         """``case …:`` labels and the statements after them, or one rule
         ``case … ->``: a single label and a single body, no fall-through."""
-        gstart = self.peek().start
+        gstart = self.starts[self.pos]
         labels = []
         while self.at("case") or self.at("default"):
             kw = self.advance()
             values = []
-            if kw.text == "case":
+            if self.texts[kw] == "case":
                 values.append(self.parse_case_value())
                 while self.accept(","):
                     values.append(self.parse_case_value())
             kind = "case_label" if values else "default_label"
             if self.at("->"):
-                labels.append(SyntaxNode(kind, values, kw.start, self.advance().end))
+                labels.append(SyntaxNode(kind, values, self.starts[kw],
+                                         self.ends[self.advance()]))
                 body = self.parse_statement()
                 return SyntaxNode("switch_rule", labels + [body], gstart, body.end)
-            labels.append(SyntaxNode(kind, values, kw.start, self.expect(":").end))
+            labels.append(SyntaxNode(kind, values, self.starts[kw], self.ends[self.expect(":")]))
         if not labels:
             self.error("expected 'case' or 'default' in switch body")
         stmts = []
@@ -965,18 +1034,18 @@ class _Parser:
 
     def parse_case_value(self):
         # an enum constant before '->' is a label, not a lambda parameter
-        if self.at_ident() and self.peek(1).text == "->":
+        if self.at_ident() and self.texts[self.pos + 1] == "->":
             return self.leaf("identifier", self.advance())
         return self.parse_ternary()
 
     def parse_try(self):
-        start = self.expect("try").start
+        start = self.starts[self.expect("try")]
         children = []
         if self.at("("):  # try-with-resources
-            rstart = self.advance().start
+            rstart = self.starts[self.advance()]
             resources = []
             while not self.at(")"):
-                rdecl_start = self.peek().start
+                rdecl_start = self.starts[self.pos]
                 rmods = self.parse_modifiers()
                 rtype = self.parse_type()
                 rname = self.identifier("expected a resource name")
@@ -985,13 +1054,13 @@ class _Parser:
                 resources.append(SyntaxNode("resource", rmods + [rtype, rname, rexpr],
                                             rdecl_start, rexpr.end))
                 self.accept(";")
-            rend = self.expect(")").end
+            rend = self.ends[self.expect(")")]
             children.append(SyntaxNode("resource_spec", resources, rstart, rend))
         body = self.parse_block()
         children.append(body)
         end = body.end
         while self.at("catch"):
-            cstart = self.advance().start
+            cstart = self.starts[self.advance()]
             self.expect("(")
             cmods = self.parse_modifiers()
             ctypes = self.parse_type_list("|")
@@ -1002,7 +1071,7 @@ class _Parser:
                                        cstart, cbody.end))
             end = cbody.end
         if self.at("finally"):
-            fstart = self.advance().start
+            fstart = self.starts[self.advance()]
             fbody = self.parse_block()
             children.append(SyntaxNode("finally_clause", [fbody], fstart, fbody.end))
             end = fbody.end
@@ -1012,9 +1081,8 @@ class _Parser:
 
     def parse_expression(self):
         lhs = self.parse_ternary()
-        tok = self.peek()
-        if tok.type == "op" and tok.text in _ASSIGN_OPS:
-            op = self.advance().text
+        if self.texts[self.pos] in _ASSIGN_OPS:
+            op = self.texts[self.advance()]
             rhs = self.parse_expression()
             return SyntaxNode("assign_expr", [lhs, rhs], lhs.start, rhs.end, label=op)
         return lhs
@@ -1052,32 +1120,29 @@ class _Parser:
         left = self.parse_unary()
         cap = len(_BINARY_LEVELS)
         while True:
-            tok = self.tokens[self.pos]
-            op_level = _BINARY_LEVELS.get(tok.text, -1) \
-                if tok.type in ("op", "keyword") else -1
+            op = self.texts[self.pos]
+            op_level = _BINARY_LEVELS.get(op, -1)
             if not level <= op_level <= cap:
                 return left
             cap = op_level
-            self.advance()
-            if tok.text == "instanceof":
+            self.pos += 1
+            if op == "instanceof":
                 rtype = self.parse_type()
                 left = SyntaxNode("instanceof_expr", [left, rtype], left.start, rtype.end)
                 continue
             right = self.parse_binary(op_level + 1)
-            left = SyntaxNode("binary_expr", [left, right], left.start, right.end,
-                              label=tok.text)
+            left = SyntaxNode("binary_expr", [left, right], left.start, right.end, label=op)
 
     def parse_unary(self):
-        tok = self.peek()
-        if tok.type == "op" and tok.text in ("+", "-", "!", "~", "++", "--"):
-            op = self.advance()
+        text = self.texts[self.pos]
+        if text in ("+", "-", "!", "~", "++", "--"):
+            start = self.starts[self.advance()]
             operand = self.parse_unary()
-            return SyntaxNode("unary_expr", [operand], op.start, operand.end, label=op.text)
+            return SyntaxNode("unary_expr", [operand], start, operand.end, label=text)
         # unambiguous cast: ( primitive-type ) operand
-        if tok.text == "(" and self.peek(1).type == "keyword" \
-                and self.peek(1).text in _PRIMITIVES:
+        if text == "(" and self.texts[self.pos + 1] in _PRIMITIVES:
             save = self.pos
-            start = self.advance().start
+            start = self.starts[self.advance()]
             ctype = self.try_parse_type()
             if ctype is not None and self.accept(")"):
                 operand = self.parse_unary()
@@ -1089,34 +1154,35 @@ class _Parser:
         calls = self.calls
         first = len(calls) if calls is not None else 0
         expr = self.parse_primary()
+        texts, kinds = self.texts, self.kinds
         while True:
-            tok = self.peek()
-            if tok.text == "." and self.peek(1).type == "ident":
-                self.advance()
+            text = texts[self.pos]
+            if text == "." and kinds[self.pos + 1] == "ident":
+                self.pos += 1
                 name = self.leaf("identifier", self.advance())
                 expr = SyntaxNode("field_access", [expr, name], expr.start, name.end)
                 continue
-            if tok.text == "(" and expr.kind in ("identifier", "field_access"):
+            if text == "(" and expr.kind in ("identifier", "field_access"):
                 name = calls is not None and _callee_name(callee_segments(expr))
                 if name:  # before the chain's earlier calls, in pre-order
                     calls.insert(first, name)
                 args, end = self.parse_arguments()
                 expr = SyntaxNode("call_expr", [expr] + args, expr.start, end)
                 continue
-            if tok.text == "[":
-                self.advance()
+            if text == "[":
+                self.pos += 1
                 index = self.parse_expression()
-                end = self.expect("]").end
+                end = self.ends[self.expect("]")]
                 expr = SyntaxNode("array_access", [expr, index], expr.start, end)
                 continue
-            if tok.text == "::" and self.peek(1).type in ("ident", "keyword"):
-                self.advance()
+            if text == "::" and kinds[self.pos + 1] in ("ident", "keyword"):
+                self.pos += 1
                 name = self.leaf("identifier", self.advance())
                 expr = SyntaxNode("method_ref", [expr, name], expr.start, name.end)
                 continue
-            if tok.type == "op" and tok.text in ("++", "--"):
-                op = self.advance()
-                expr = SyntaxNode("postfix_expr", [expr], expr.start, op.end, label=op.text)
+            if text in ("++", "--"):
+                end = self.ends[self.advance()]
+                expr = SyntaxNode("postfix_expr", [expr], expr.start, end, label=text)
                 continue
             return expr
 
@@ -1127,69 +1193,72 @@ class _Parser:
             args.append(self.parse_expression())
             if not self.accept(",") and not self.at(")"):
                 self.error("expected ',' or ')' in argument list")
-        end = self.expect(")").end
+        end = self.ends[self.expect(")")]
         return args, end
 
     def parse_primary(self):
-        tok = self.peek()
-        if tok.type in ("int", "float", "string", "char", "literal_word"):
+        pos = self.pos
+        kind, text = self.kinds[pos], self.texts[pos]
+        if kind in ("int", "float", "string", "char", "literal_word"):
             return self.leaf("literal", self.advance())
-        if tok.type == "ident":
-            if self.peek(1).text == "->":
+        if kind == "ident":
+            if self.texts[pos + 1] == "->":
                 return self.parse_lambda_single(self.advance())
             return self.leaf("identifier", self.advance())
-        if tok.text in ("this", "super"):
-            node = self.leaf(f"{tok.text}_expr", self.advance())
+        if text in ("this", "super"):
+            node = self.leaf(f"{text}_expr", self.advance())
             if self.at("("):
                 args, end = self.parse_arguments()
                 return SyntaxNode("call_expr", [node] + args, node.start, end)
             return node
-        if tok.text == "new":
+        if text == "new":
             return self.parse_creator()
-        if tok.text == "(":
+        if text == "(":
             if self._lambda_ahead():
                 return self.parse_lambda_parenthesized()
-            start = self.advance().start
+            start = self.starts[self.advance()]
             inner = self.parse_expression()
-            end = self.expect(")").end
+            end = self.ends[self.expect(")")]
             return SyntaxNode("paren_expr", [inner], start, end)
-        self.error(f"unexpected token {tok.text!r} in expression")
+        self.error(f"unexpected token {text!r} in expression")
 
     def _lambda_ahead(self) -> bool:
         """From a '(' token, check whether the balanced group is lambda params."""
+        texts, kinds = self.texts, self.kinds
         depth = 0
         i = self.pos
         while True:
-            t = self.tokens[i]
-            if t.text == "(":
+            text = texts[i]
+            if text == "(":
                 depth += 1
-            elif t.text == ")":
+            elif text == ")":
                 depth -= 1
                 if depth == 0:
-                    return self.tokens[i + 1].text == "->"
-            elif t.type == "eof":
+                    return texts[i + 1] == "->"
+            elif kinds[i] == "eof":
                 return False
             i += 1
 
-    def parse_lambda_single(self, name_tok):
-        param = SyntaxNode("param", [self.leaf("identifier", name_tok)],
-                           name_tok.start, name_tok.end)
-        params = SyntaxNode("param_list", [param], name_tok.start, name_tok.end)
-        return self.finish_lambda(params, name_tok.start)
+    def parse_lambda_single(self, name):
+        """``name -> …``, from the index of the parameter's name."""
+        start, end = self.starts[name], self.ends[name]
+        param = SyntaxNode("param", [self.leaf("identifier", name)], start, end)
+        params = SyntaxNode("param_list", [param], start, end)
+        return self.finish_lambda(params, start)
 
     def parse_lambda_parenthesized(self):
-        start = self.expect("(").start
+        start = self.starts[self.expect("(")]
         params = []
         while not self.at(")"):
-            pstart = self.peek().start
+            pstart = self.starts[self.pos]
             ptype = None
-            if self.peek(1).type == "ident":  # typed parameter
+            if self.kinds[self.pos + 1] == "ident":  # typed parameter
                 ptype = self.try_parse_type()
             pname = self.identifier("expected a lambda parameter name")
             kids = ([ptype] if ptype is not None else []) + [pname]
             params.append(SyntaxNode("param", kids, pstart, pname.end))
             self.accept(",")
-        pend = self.expect(")").end
+        pend = self.ends[self.expect(")")]
         plist = SyntaxNode("param_list", params, start, pend)
         return self.finish_lambda(plist, start)
 
@@ -1209,7 +1278,7 @@ class _Parser:
         return node
 
     def parse_creator(self):
-        start = self.expect("new").start
+        start = self.starts[self.expect("new")]
         ctype = self.parse_type()
         if self.at("["):
             dims = []
@@ -1217,7 +1286,7 @@ class _Parser:
             while self.accept("["):
                 if not self.at("]"):
                     dims.append(self.parse_expression())
-                end = self.expect("]").end
+                end = self.ends[self.expect("]")]
             children = [ctype] + dims
             if self.at("{"):
                 init = self.parse_array_init()

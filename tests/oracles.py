@@ -2,7 +2,13 @@
 
 * ``reference_tokenize`` is the per-character lexer that the compiled
   ``devcontrib.syntax.tokenize`` replaced; the two must give the same
-  tokens, comments and errors on any text.
+  tokens, comments and errors on any text.  Its tokens are
+  ``ReferenceToken`` tuples, one per position of ``tokenize``'s kind, text,
+  start and end lists.
+* ``reference_halstead_volume`` is a unit's Halstead volume counted by a
+  loop over the body's ``reference_tokenize`` tokens, as
+  ``complexity.halstead_volume`` counted it before it counted the token
+  lists with ``Counter``; the two must be equal, bit for bit.
 * ``reference_map_trees`` and ``reference_edit_script`` are the differ as
   it was before its passes learned to skip isomorphic subtrees: the passes
   walk every mapped pair and both whole trees, and the bottom-up pass is
@@ -61,6 +67,8 @@
 
 import enum
 import itertools
+import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,7 +90,7 @@ from devcontrib.syntax import (
     Comment,
     FunctionUnit,
     SyntaxTree,
-    _Token,
+    function_body,
 )
 
 _PUNCT = set("(){}[];,.@")
@@ -137,6 +145,13 @@ def reference_comment_percentage(function, tree) -> float:
     return comment_lines / (last - first + 1)
 
 
+class ReferenceToken(NamedTuple):
+    type: str          # ident / keyword / int / float / string / char / op / punct / eof
+    text: str
+    start: int
+    end: int
+
+
 def reference_tokenize(text: str):
     """The per-character tokenizer ``syntax.tokenize`` replaced; returns
     (tokens, comments) and raises the same ParseErrors."""
@@ -167,11 +182,11 @@ def reference_tokenize(text: str):
                 j += 1
             word = text[i:j]
             if word in ("true", "false", "null"):
-                tokens.append(_Token("literal_word", word, i, j))
+                tokens.append(ReferenceToken("literal_word", word, i, j))
             elif word in _KEYWORDS:
-                tokens.append(_Token("keyword", word, i, j))
+                tokens.append(ReferenceToken("keyword", word, i, j))
             else:
-                tokens.append(_Token("ident", word, i, j))
+                tokens.append(ReferenceToken("ident", word, i, j))
             i = j
             continue
         if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
@@ -200,7 +215,7 @@ def reference_tokenize(text: str):
                 if text[j] in "fFdD":
                     is_float = True
                 j += 1
-            tokens.append(_Token("float" if is_float else "int", text[i:j], i, j))
+            tokens.append(ReferenceToken("float" if is_float else "int", text[i:j], i, j))
             i = j
             continue
         if ch == '"':
@@ -211,7 +226,7 @@ def reference_tokenize(text: str):
                 j += 1
             if j >= n:
                 raise ParseError("unterminated string literal", position=i)
-            tokens.append(_Token("string", text[i:j + 1], i, j + 1))
+            tokens.append(ReferenceToken("string", text[i:j + 1], i, j + 1))
             i = j + 1
             continue
         if ch == "'":
@@ -222,25 +237,61 @@ def reference_tokenize(text: str):
                 j += 1
             if j >= n:
                 raise ParseError("unterminated char literal", position=i)
-            tokens.append(_Token("char", text[i:j + 1], i, j + 1))
+            tokens.append(ReferenceToken("char", text[i:j + 1], i, j + 1))
             i = j + 1
             continue
         matched = False
         for op in _OPERATORS:
             if text.startswith(op, i):
-                tokens.append(_Token("op", op, i, i + len(op)))
+                tokens.append(ReferenceToken("op", op, i, i + len(op)))
                 i += len(op)
                 matched = True
                 break
         if matched:
             continue
         if ch in _PUNCT:
-            tokens.append(_Token("punct", ch, i, i + 1))
+            tokens.append(ReferenceToken("punct", ch, i, i + 1))
             i += 1
             continue
         raise ParseError(f"unexpected character {ch!r}", position=i)
-    tokens.append(_Token("eof", "", n, n))
+    tokens.append(ReferenceToken("eof", "", n, n))
     return tokens, comments
+
+
+def reference_halstead_volume(function, tree) -> float:
+    """N * log2(eta) over the tokens of ``function``'s body, counted one
+    token at a time per the table in ``complexity``'s module doc; 0 for a
+    unit without a body or a body that does not lex."""
+    body = function_body(function)
+    start, end = body.span if body is not None else (function.body.start,) * 2
+    try:
+        tokens, _ = reference_tokenize(tree.source_text[start:end])
+    except ParseError:
+        return 0.0
+    operators: dict[str, int] = {}
+    operands: dict[str, int] = {}
+    prev = None
+    for tok in tokens:
+        if tok.type == "eof":
+            break
+        if tok.type in ("ident",):
+            operands[tok.text] = operands.get(tok.text, 0) + 1
+        elif tok.type in ("int", "float", "string", "char", "literal_word"):
+            operands[tok.text] = operands.get(tok.text, 0) + 1
+        elif tok.type == "keyword":
+            operators[tok.text] = operators.get(tok.text, 0) + 1
+        elif tok.type == "op":
+            operators[tok.text] = operators.get(tok.text, 0) + 1
+        elif tok.type == "punct" and tok.text == "(" and prev is not None and (
+                prev.type == "ident" or (prev.type == "keyword"
+                                         and prev.text in ("this", "super"))):
+            operators["()"] = operators.get("()", 0) + 1
+        prev = tok
+    n_total = sum(operators.values()) + sum(operands.values())
+    eta = len(operators) + len(operands)
+    if eta <= 1:
+        return 0.0
+    return n_total * math.log2(eta)
 
 
 # ---------------------------------------------------------------------------

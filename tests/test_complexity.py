@@ -13,7 +13,8 @@ from devcontrib.complexity import (
     loc,
 )
 from devcontrib.syntax import FunctionUnit, SyntaxTree, extract_functions, parse_source
-from oracles import reference_comment_percentage
+from oracles import reference_comment_percentage, reference_halstead_volume
+from test_syntax import SAMPLE, _generated_classes
 
 IDIOMS = Path(__file__).resolve().parent / "fixtures" / "Idioms.java"
 
@@ -228,6 +229,23 @@ def test_metrics_bounds_and_comment_insertion_invariance():
     assert raw_after.pcom > raw_before.pcom
     assert raw_before.cc >= 1 and raw_before.hv >= 0 and 0 <= raw_before.pcom <= 1
     assert raw_before.loc >= 1
+
+
+def _assert_hv_equals_the_token_loop(source):
+    tree = parse_source(source, "java")
+    for unit in tree.functions:
+        assert halstead_volume(unit, tree) == reference_halstead_volume(unit, tree)
+
+
+@pytest.mark.parametrize("source", [IDIOMS.read_text(), SAMPLE], ids=["idioms", "sample"])
+def test_hv_equals_the_token_loop(source):
+    _assert_hv_equals_the_token_loop(source)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_generated_classes())
+def test_hv_equals_the_token_loop_on_generated_classes(src):
+    _assert_hv_equals_the_token_loop(src)
 
 
 def test_halstead_volume_is_zero_for_untokenizable_body():

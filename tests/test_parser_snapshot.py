@@ -66,6 +66,10 @@ def test_fixture_heights_equal_a_recursive_reference():
     assert all(node.height == _reference_height(node) for node in root.walk())
 
 
+def _method(body):
+    return "class C { int m(int x) { " + body + " } }"
+
+
 @pytest.mark.parametrize("source, message, position", [
     ('@A(x class C { }', "unterminated annotation arguments", 16),
     ('@A(f(x) class C { }', "unterminated annotation arguments", 19),
@@ -76,6 +80,34 @@ def test_fixture_heights_equal_a_recursive_reference():
     ('class C { Map<String, List<String>>>> x; }', "expected a type", 10),
     ('class C { List<List<String>>> x; }', "expected a type", 10),
     ('class C<T>> { }', "malformed type parameters", 7),
+    # one source per other way the lexer or parser fails; where a text
+    # holds several faults, the first in text order wins
+    (_method("return 1 }"), "expected ';', found '}'", 34),
+    ("class C { <T void m() {} }", "malformed method type parameters", 10),
+    (_method("int y = );"), "unexpected token ')' in expression", 33),
+    ("class { }", "expected a type name", 6),
+    ("int x;", "expected a class or interface declaration", 0),
+    ("class C { int 1; }", "expected a member name", 14),
+    ("class C { void m(int x int y) {} }", "expected ',' or ')' in parameter list", 23),
+    ("class C { void m(int) {} }", "expected a parameter name", 20),
+    ("class C { int a, ; }", "expected a field name", 17),
+    ("class C { int[] a = {1 2}; }", "expected ',' or '}' in array initializer", 23),
+    (_method("switch (x) { x++; }"), "expected 'case' or 'default' in switch body", 38),
+    (_method("try (Reader = r) {}"), "expected a resource name", 37),
+    (_method("try {} catch (E) {}"), "expected an exception name", 40),
+    (_method("f(1 2);"), "expected ',' or ')' in argument list", 29),
+    (_method("f((a, 1) -> 1);"), "expected a lambda parameter name", 31),
+    pytest.param(_method("int y = " + " + ".join(["x"] * 600) + ";"),
+                 "syntax tree deeper than 500 levels", 461, id="depth-limit"),
+    pytest.param(_method("return " + "(" * 400 + "x" + ")" * 400 + ";"),
+                 "nesting too deep for the parser", None, id="recursion-limit"),
+    (_method('String s = "abc;'), "unterminated string literal", 36),
+    (_method("char c = 'a;"), "unterminated char literal", 34),
+    ("class C {} /* open", "unterminated block comment", 11),
+    (_method("x = #;"), "unexpected character '#'", 29),
+    (_method("int ½ = 1;"), "unexpected character '½'", 29),
+    (_method("x = # + '\"open"), "unexpected character '#'", 29),
+    ("class C { ½ } /* open", "unexpected character '½'", 10),
 ])
 def test_malformed_input_error_and_position(source, message, position):
     with pytest.raises(ParseError) as exc:

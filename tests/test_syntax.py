@@ -226,9 +226,19 @@ def test_unknown_language_raises():
         parse_source("whatever", "cobol")
 
 
-def _lex(lexer, text):
+def _lex(text):
+    """``tokenize``'s tokens as (kind, text, start, end) tuples, and its
+    comments; or its error's message and position."""
     try:
-        return lexer(text)
+        columns, comments = tokenize(text)
+    except ParseError as exc:
+        return (str(exc), exc.position)
+    return list(zip(*columns)), comments
+
+
+def _reference_lex(text):
+    try:
+        return reference_tokenize(text)
     except ParseError as exc:
         return (str(exc), exc.position)
 
@@ -247,11 +257,29 @@ _FRAGMENTS = st.sampled_from([
 @settings(max_examples=500, deadline=None, derandomize=True)
 @given(st.lists(st.one_of(_FRAGMENTS, st.characters()), max_size=24).map("".join))
 def test_tokenize_matches_reference_lexer(text):
-    assert _lex(tokenize, text) == _lex(reference_tokenize, text)
+    assert _lex(text) == _reference_lex(text)
 
 
 def test_tokenize_matches_reference_lexer_on_a_file():
-    assert tokenize(SAMPLE) == reference_tokenize(SAMPLE)
+    assert _lex(SAMPLE) == reference_tokenize(SAMPLE)
+
+
+@pytest.mark.parametrize("text", ["", "  \n", "a ", "a // c", "/* c */\n", "x\t"])
+def test_tokenize_ends_in_one_eof_token_at_the_end_of_the_text(text):
+    (kinds, texts, starts, ends), _ = tokenize(text)
+    assert kinds.count("eof") == 1
+    assert (kinds[-1], texts[-1], starts[-1], ends[-1]) == ("eof", "", len(text), len(text))
+
+
+@pytest.mark.parametrize("text, message, position", [
+    ("x = ' + \"a #", "unterminated char literal", 4),
+    ("a ½ /* b", "unexpected character '½'", 2),
+    ("\"a\\\\\" # '", "unexpected character '#'", 6),
+])
+def test_tokenize_reports_the_first_fault_in_the_text(text, message, position):
+    with pytest.raises(ParseError) as exc:
+        tokenize(text)
+    assert (str(exc.value), exc.value.position) == (message, position)
 
 
 def _method(body):
