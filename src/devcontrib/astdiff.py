@@ -5,9 +5,10 @@ a greedy top-down pass maps isomorphic subtrees from the largest down, then
 a bottom-up pass maps container nodes whose mapped-descendant overlap (dice
 coefficient) clears a threshold.  A final recovery pass aligns leftover
 children inside mapped containers so single-token edits (renames, literal
-tweaks) surface as updates instead of delete/insert pairs.  Equal structure
-hashes only propose an isomorphic pair: the walk that maps its subtrees
-checks every node pair on the way, so a hash collision maps nothing.
+tweaks) surface as updates instead of delete/insert pairs.  Both trees'
+subtrees are compared by their exact shapes (see ``syntax.ShapeTable``),
+filled by one table the first time a pass reads them: equal shapes are
+isomorphic subtrees, so proving a pair costs one comparison.
 
 After the top-down pass most of a file usually sits in mapped isomorphic
 subtrees.  A pair inside one keeps its label, its parent pair and its
@@ -44,7 +45,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .config import DEFAULT_BLACKLIST, AnalysisConfig
-from .syntax import SyntaxNode, SyntaxTree, is_log_call_statement
+from .syntax import ShapeTable, SyntaxNode, SyntaxTree, is_log_call_statement
 
 FILE_SCOPE = "<file-scope>"
 
@@ -97,22 +98,12 @@ class NodeMapping:
 
     def add_isomorphic(self, b: SyntaxNode, a: SyntaxNode) -> bool:
         """Map the subtrees of ``b`` and ``a`` node-for-node if they are
-        isomorphic, and return whether they are.
-
-        Each pair, taken in one walk of both subtrees, must agree in
-        structure hash, kind, label and child count; the subtrees are
-        mapped only once every one does, so a hash collision maps nothing.
-        """
-        size, stack = 0, [(b, a)]
-        while stack:
-            nb, na = stack.pop()
-            if nb.struct_hash != na.struct_hash or nb.kind != na.kind \
-                    or nb.label != na.label or len(nb.children) != len(na.children):
-                return False
-            size += 1
-            stack.extend(zip(nb.children, na.children))
+        isomorphic, and return whether they are.  Both shapes must have
+        been filled by one ``ShapeTable``."""
+        if b.shape != a.shape:
+            return False
         self.add(b, a)
-        self.iso_before[b] = self.iso_after[a] = size
+        self.iso_before[b] = self.iso_after[a] = b.size
         return True
 
 
@@ -158,12 +149,12 @@ def _lcs_pairs(xs, ys, key):
     return pairs
 
 
-def _top_down(before_root, after_root, mapping, min_height):
+def _top_down(before_root, after_root, mapping, min_height, shape):
     open_b = [before_root]
     open_a = [after_root]
     while open_b and open_a:
         hb = max(n.height for n in open_b)
-        if hb < min_height:  # an added file stops here, before any struct_hash
+        if hb < min_height:  # an added file stops here, before any shape is filled
             break
         ha = max(n.height for n in open_a)
         if ha < min_height:
@@ -176,12 +167,12 @@ def _top_down(before_root, after_root, mapping, min_height):
             continue
         level_b = [n for n in open_b if n.height == hb]
         level_a = [n for n in open_a if n.height == hb]
-        by_hash = {}
+        by_shape = {}
         for a in level_a:
-            by_hash.setdefault(a.struct_hash, []).append(a)
+            by_shape.setdefault(shape(a), []).append(a)
         matched_b, matched_a = set(), set()
         for b in level_b:
-            candidates = by_hash.get(b.struct_hash, [])
+            candidates = by_shape.get(shape(b), ())
             for a in candidates:
                 if a not in matched_a and mapping.add_isomorphic(b, a):
                     matched_b.add(b)
@@ -320,13 +311,14 @@ def _bottom_up(before_root, after_root, mapping, threshold):
         mapping.add(before_root, after_root)
 
 
-def _recover(mapping):
+def _recover(mapping, shape):
     """Align unmapped children inside mapped containers.
 
     Three alignment passes per container, strongest key first: identical
-    subtrees, then same kind+label, then same kind.  Pairs from the weaker
-    passes are pushed back on the worklist so their children align too.
-    The children of an isomorphic pair are mapped already.
+    subtrees (equal shapes), then same kind+label, then same kind.  Pairs
+    from the weaker passes are pushed back on the worklist so their
+    children align too.  The children of an isomorphic pair are mapped
+    already.
     """
     work = [pair for pair in mapping.b2a.items() if pair[0] not in mapping.iso_before]
     while work:
@@ -336,7 +328,7 @@ def _recover(mapping):
         if not ub or not ua:
             continue
         for key, whole_subtree in (
-            (lambda n: (n.kind, n.label, n.struct_hash), True),
+            (shape, True),
             (lambda n: (n.kind, n.label), False),
             (lambda n: n.kind, False),
         ):
@@ -352,12 +344,26 @@ def _recover(mapping):
 
 
 def map_trees(before: SyntaxTree, after: SyntaxTree,
-              similarity_threshold: float = 0.5, min_height: int = 2) -> NodeMapping:
-    """Two-phase greedy match between two trees of the same grammar."""
+              similarity_threshold: float = 0.5, min_height: int = 2,
+              shapes: ShapeTable | None = None) -> NodeMapping:
+    """Two-phase greedy match between two trees of the same grammar.
+
+    ``shapes`` fills the trees' subtree shapes; when None, it is the table
+    that already filled either tree, else a new one.  Raises ``ValueError``
+    when a tree was filled by another table, whose shapes cannot be
+    compared with this one's.
+    """
+    if shapes is None:
+        shapes = before.shapes if before.shapes is not None else after.shapes
+        if shapes is None:
+            shapes = ShapeTable()
+    if any(t.shapes is not None and t.shapes is not shapes for t in (before, after)):
+        raise ValueError("the trees' shapes were filled by different tables")
+    before.shapes = after.shapes = shapes
     mapping = NodeMapping()
-    _top_down(before.root, after.root, mapping, min_height)
+    _top_down(before.root, after.root, mapping, min_height, shapes.fill)
     _bottom_up(before.root, after.root, mapping, similarity_threshold)
-    _recover(mapping)
+    _recover(mapping, shapes.fill)
     return mapping
 
 
@@ -597,12 +603,14 @@ def delta_ast(changeset: FunctionChangeSet, config: AnalysisConfig | None = None
 
 def diff_file_pair(before: SyntaxTree, after: SyntaxTree,
                    similarity_threshold: float = 0.5,
-                   blacklist=DEFAULT_BLACKLIST):
-    """Convenience wrapper: match, script, and group one file pair.
+                   blacklist=DEFAULT_BLACKLIST, shapes: ShapeTable | None = None):
+    """Convenience wrapper: match, script, and group one file pair;
+    ``shapes`` is passed to ``map_trees``.
 
     Returns (mapping, actions, changesets).
     """
-    mapping = map_trees(before, after, similarity_threshold=similarity_threshold)
+    mapping = map_trees(before, after, similarity_threshold=similarity_threshold,
+                        shapes=shapes)
     actions = edit_script(mapping, before, after, blacklist=blacklist)
     changesets = group_by_function(actions, before.functions, after.functions)
     return mapping, actions, changesets

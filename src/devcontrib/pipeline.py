@@ -18,20 +18,30 @@ commits with the run's thresholds.
 are source; it turns a commit's file changes into ``SourceChange``s, each
 with the trees of both sides, and the differ, the call-graph update and
 the complexity and dependence-graph measurements read only that list.  A
-commit parses only the changed source blobs it does not already hold: a
-before side is taken from the call graph, whose entry for the file keeps
-the tree it was read from (see ``callgraph.FileEntry``), when that entry
-is of the same blob.  A blob that fails to parse, including one nested
-deeper than the parser or ``MAX_TREE_DEPTH`` allows, is logged once per
-commit that reads it and skipped.
+commit parses only the changed source blobs it does not already hold.
+The call graph's entry for a file keeps the tree it was read from (see
+``callgraph.FileEntry``), so a side is taken from an entry for its path
+of the same blob: a before side from the graph, which holds the first
+parent's snapshot, and either side of a merge from the snapshot of a
+non-first parent, so a merge re-reads no tree its topic branch built.
+Such a parent's files are kept (``PipelineState.snapshots``) from its
+analysis until the last merge that names it and comes later in the walk;
+a merge the walk reaches before that parent keeps nothing.  A blob that
+fails to parse, including one nested deeper than the parser or
+``MAX_TREE_DEPTH`` allows, is logged once per commit that reads it and
+skipped.
+
+The differ compares subtrees by exact shapes (see ``syntax.ShapeTable``);
+the run owns the one table that fills them, ``PipelineState.shapes``.
 
 The graph's trees hold no reference cycles, so a superseded version is
 freed by reference counting; a full cyclic collection would walk every
 node still held and free nothing.  ``analyze_repository`` therefore
 pauses the cyclic collector for the commit loop.  When the loop ends,
-whether it finished or raised, it drops the graph, so reference counting
-frees the trees before the first collection could walk them, and then
-restores the caller's setting.
+whether it finished or raised, it drops the graph and the kept merge
+parents' snapshots, so reference counting frees the trees before the
+first collection could walk them, and then restores the caller's
+setting.
 
 ``AnalysisRun`` is the one record of what a run did: the walk writes its
 stage times (``ingest``, ``parse``, ``diff``, ``graph``, ``rank``,
@@ -59,6 +69,7 @@ from __future__ import annotations
 import gc
 import json
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -67,6 +78,7 @@ from .astdiff import FILE_SCOPE, delta_ast, diff_file_pair
 from .callgraph import (
     CallGraph,
     CheckpointStore,
+    FileEntry,
     FunctionId,
     backward_propagate,
     inter_impact,
@@ -91,7 +103,7 @@ from .scoring import (
     function_score,
     normalize,
 )
-from .syntax import SyntaxTree, language_for_path, parse_file
+from .syntax import ShapeTable, SyntaxTree, language_for_path, parse_file
 
 _METRICS = ("loc", "cc", "hv", "pcom", "ip")
 
@@ -209,12 +221,18 @@ class AnalysisRun:
 @dataclass
 class PipelineState:
     """Mutable walk state shared across per-commit analysis calls; times
-    and counts go to ``run``."""
+    and counts go to ``run``.
+
+    ``snapshots`` maps a commit that a later merge names as a non-first
+    parent to its graph's files, kept until that merge is analyzed.
+    ``shapes`` fills the subtree shapes of every tree the run diffs."""
 
     tree: VersionTree
     config: AnalysisConfig
     run: AnalysisRun
     graph: CallGraph = field(default_factory=CallGraph)
+    snapshots: dict[str, dict[str, FileEntry]] = field(default_factory=dict)
+    shapes: ShapeTable = field(default_factory=ShapeTable)
 
 
 class SourceChange(NamedTuple):
@@ -235,7 +253,8 @@ class SourceChange(NamedTuple):
     after: SyntaxTree | None
 
 
-def parse_changes(changes, graph: CallGraph, run: AnalysisRun) -> list[SourceChange]:
+def parse_changes(changes, graph: CallGraph, run: AnalysisRun,
+                  parents=()) -> list[SourceChange]:
     """The commit's source changes, in order, with both sides parsed.
 
     This is where a run decides which sides of a change are source: a side
@@ -245,10 +264,21 @@ def parse_changes(changes, graph: CallGraph, run: AnalysisRun) -> list[SourceCha
     ``A.java``; a change with no source side is left out.
 
     Each blob is parsed at most once.  ``graph`` must hold the commit's
-    first-parent snapshot: a before side whose blob is the one its file's
-    entry was read from is that entry's tree, not parsed again.  Parses,
-    reused trees and parse errors are counted on ``run``."""
+    first-parent snapshot, and ``parents`` the files of the snapshots kept
+    for the commit's other parents (see ``PipelineState.snapshots``).  A
+    before side whose blob is the one its file's entry in ``graph`` was
+    read from is that entry's tree, and so is a side whose path has an
+    entry of its blob in one of ``parents``; neither is parsed again.
+    Parses, reused trees and parse errors are counted on ``run``."""
     trees: dict[str | None, SyntaxTree | None] = {}
+
+    def held_tree(path, blob, snapshots):
+        if blob is not None:
+            for files in snapshots:
+                entry = files.get(path)
+                if entry is not None and entry.blob == blob:
+                    return entry.tree
+        return None
 
     def tree_of(path, blob, text, held=None):
         if blob is None:  # the empty side
@@ -266,6 +296,8 @@ def parse_changes(changes, graph: CallGraph, run: AnalysisRun) -> list[SourceCha
             trees[blob] = tree
         return trees[blob]
 
+    before_snapshots = (graph.files, *parents)
+
     sources = []
     for change in changes:
         old = change.before_path if language_for_path(change.before_path) else None
@@ -275,12 +307,10 @@ def parse_changes(changes, graph: CallGraph, run: AnalysisRun) -> list[SourceCha
         path = new or old
         before_blob = change.before_blob if old is not None else None
         after_blob = change.after_blob if new is not None else None
-        entry = graph.files.get(old)
-        held = None
-        if before_blob is not None and entry is not None and entry.blob == before_blob:
-            held = entry.tree
-        before = tree_of(path, before_blob, change.before_content, held)
-        after = tree_of(path, after_blob, change.after_content)
+        before = tree_of(path, before_blob, change.before_content,
+                         held_tree(old, before_blob, before_snapshots))
+        after = tree_of(path, after_blob, change.after_content,
+                        held_tree(new, after_blob, parents))
         sources.append(SourceChange(path, old if old != path else None,
                                     after_blob, before, after))
     return sources
@@ -320,7 +350,8 @@ def analyze_commit(commit: CommitRecord, state: PipelineState) -> CommitResult:
     result.bulk = len(changes) > cfg.bulk_file_threshold
 
     t0 = time.perf_counter()
-    sources = parse_changes(changes, state.graph, run)
+    parents = [state.snapshots[p] for p in commit.parent_ids[1:] if p in state.snapshots]
+    sources = parse_changes(changes, state.graph, run, parents)
     run.add_time("parse", time.perf_counter() - t0)
 
     # diff every source file whose two sides parsed
@@ -332,7 +363,7 @@ def analyze_commit(commit: CommitRecord, state: PipelineState) -> CommitResult:
         _, actions, changesets = diff_file_pair(
             source.before, source.after,
             similarity_threshold=cfg.diff_similarity_threshold,
-            blacklist=cfg.blacklist_patterns)
+            blacklist=cfg.blacklist_patterns, shapes=state.shapes)
         if changesets:
             per_file.append((source, changesets))
     run.add_time("diff", time.perf_counter() - t0)
@@ -427,6 +458,9 @@ def analyze_repository(path: str, config: AnalysisConfig | None = None) -> Analy
 
     fork_ids = {cid for cid, kids in children.items() if len(kids) > 1}
     fork_of_last_child = {children[cid][-1]: cid for cid in fork_ids}
+    # non-first parent -> its merges not analyzed yet
+    merges_due = Counter(p for record in tree.commits.values()
+                         for p in record.parent_ids[1:])
     previous: str | None = None
     collecting = gc.isenabled()
     gc.disable()
@@ -446,12 +480,20 @@ def analyze_repository(path: str, config: AnalysisConfig | None = None) -> Analy
             if commit.id in fork_ids:
                 store.checkpoint(state.graph, commit.id)
                 run.checkpoints += 1
+            if merges_due[commit.id]:
+                state.snapshots[commit.id] = dict(state.graph.files)
+            for parent in commit.parent_ids[1:]:
+                merges_due[parent] -= 1
+                if not merges_due[parent]:
+                    state.snapshots.pop(parent, None)
             run.commits.append(result)
             run.commit_times[commit.id] = time.perf_counter() - t_commit
             previous = commit.id
     finally:
         tree.close()
-        # free the graph and its trees before a collection could walk them
+        # free the graph, the snapshots and their trees before a collection
+        # could walk them; a raising commit's frame may still hold the state
+        state.snapshots.clear()
         del state
         if collecting:
             gc.enable()

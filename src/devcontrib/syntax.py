@@ -40,9 +40,15 @@ builds its function units (``functions``), with each method's call sites,
 as it parses each method, constructor and lambda; nothing walks the tree
 again to find them.  No layer changes a tree once it is built, so one tree
 may serve every layer and several commits.  Every node gets its ``height``
-when it is built, which the depth check reads; ``struct_hash`` is filled
-on first use.  Equal hashes only propose an isomorphic pair of subtrees;
-the differ checks each node pair while it maps them.
+when it is built, which the depth check reads.  A leaf's ``children`` is
+one shared empty tuple.
+
+A node's ``shape`` and ``size`` are filled the first time the differ
+reads its subtree, by the run's ``ShapeTable``: two subtrees filled by one
+table are isomorphic exactly when their shapes are equal (hash-consing),
+and ``size`` is the subtree's node count.  A tree records the table that
+filled it.  Nothing is filled at build time, so a tree no diff reads holds
+no shape and adds nothing to the table.
 """
 
 from __future__ import annotations
@@ -72,21 +78,22 @@ class SyntaxNode:
     The arguments come in the parser's order, ``(kind, children, start,
     end, label)``; all but ``kind`` are optional.  ``height`` is computed
     from the children here, so a node gets its final children when it is
-    built, and its children are built before it.
+    built, and its children are built before it.  ``shape`` is None and
+    ``size`` unset until a ``ShapeTable`` fills them.
     """
 
     __slots__ = ("kind", "label", "children", "start", "end", "height",
-                 "_struct_hash")
+                 "shape", "size")
 
     def __init__(self, kind, children=None, start=0, end=0, label=None):
         self.kind = kind
         self.label = label
-        self.children = children if children is not None else []
+        self.children = children or _NO_CHILDREN
         self.start = start
         self.end = end
         # subtree depth: 1 for a leaf, 1 + max over children otherwise
         self.height = 1 + max([c.height for c in children]) if children else 1
-        self._struct_hash = None
+        self.shape = None
 
     @property
     def is_leaf(self):
@@ -95,26 +102,6 @@ class SyntaxNode:
     @property
     def span(self):
         return (self.start, self.end)
-
-    @property
-    def struct_hash(self):
-        """Hash of (kind, label, child structure); equal for isomorphic subtrees.
-
-        Filled on first use for every node below that lacks one, children
-        before parents; a hashed node's subtree is hashed too, so it is
-        skipped."""
-        if self._struct_hash is None:
-            stack, order = [self], []
-            while stack:
-                node = stack.pop()
-                if node._struct_hash is None:
-                    order.append(node)
-                    stack.extend(node.children)
-            for node in reversed(order):
-                children = node.children
-                shape = tuple([c._struct_hash for c in children]) if children else ()
-                node._struct_hash = hash((node.kind, node.label, shape))
-        return self._struct_hash
 
     def walk(self):
         """Yield this node and all descendants, pre-order."""
@@ -127,6 +114,55 @@ class SyntaxNode:
     def __repr__(self):
         lbl = f" {self.label!r}" if self.label is not None else ""
         return f"<{self.kind}{lbl} [{self.start}:{self.end}] h={self.height}>"
+
+
+_NO_CHILDREN = ()  # every leaf's children
+
+
+class ShapeTable:
+    """Exact subtree identity for one run, by hash-consing.
+
+    ``fill`` numbers each distinct ``(kind, label, child shapes)`` in the
+    order first met, so two subtrees filled by one table have equal shapes
+    exactly when they are isomorphic, and keeps each shape's node count.
+    A table belongs to one run (see ``pipeline.PipelineState``) and grows
+    with the distinct subtrees its diffs read; shapes from two tables mean
+    nothing to each other.
+    """
+
+    __slots__ = ("_ids", "_sizes")
+
+    def __init__(self):
+        self._ids: dict[tuple, int] = {}
+        self._sizes: list[int] = []   # node count per shape
+
+    def __len__(self) -> int:
+        """Distinct shapes numbered."""
+        return len(self._sizes)
+
+    def fill(self, node: SyntaxNode) -> int:
+        """``node``'s shape, filling ``shape`` and ``size`` for every node
+        below that lacks them, children before parents; a filled node's
+        subtree is filled too, so it is skipped."""
+        if node.shape is None:
+            ids, sizes = self._ids, self._sizes
+            stack, order = [node], []
+            while stack:
+                n = stack.pop()
+                if n.shape is None:
+                    order.append(n)
+                    stack.extend(n.children)
+            for n in reversed(order):
+                children = n.children
+                key = (n.kind, n.label,
+                       tuple([c.shape for c in children]) if children else _NO_CHILDREN)
+                shape = ids.get(key)
+                if shape is None:
+                    shape = ids[key] = len(sizes)
+                    sizes.append(1 + sum([sizes[s] for s in key[2]]))
+                n.shape = shape
+                n.size = sizes[shape]
+        return node.shape
 
 
 @dataclass
@@ -151,6 +187,8 @@ class SyntaxTree:
     Raises ``ParseError`` when the tree is deeper than ``MAX_TREE_DEPTH``,
     at the start of a node one level too deep (see ``_node_at_depth``).
     The check reads the root's ``height``, set when the root was built.
+    ``shapes`` is the ``ShapeTable`` that fills its nodes' shapes, None
+    until a diff reads the tree (see ``astdiff.map_trees``).
     """
 
     def __init__(self, root: SyntaxNode, source_text: str, comments=None, functions=None):
@@ -158,6 +196,7 @@ class SyntaxTree:
         self.source_text = source_text
         self.comments = comments or []
         self.functions: list[FunctionUnit] = functions or []
+        self.shapes: ShapeTable | None = None
         self._line_starts = None
         if root.height > MAX_TREE_DEPTH:
             deep = _node_at_depth(root, MAX_TREE_DEPTH + 1)

@@ -15,10 +15,12 @@
   the first one written, which walks every descendant's ancestor chain.
   Trees hold no parent links, so these functions take them from
   ``parent_map``, built over the whole tree.  The program must map the
-  same nodes and give the same actions in the same order.  They prove an
-  isomorphic pair with ``reference_isomorphic``, a plain recursive compare
-  that reads no structure hash, and weigh edits with ``reference_classify``,
-  the four-way node classification the program once used.  They share
+  same nodes and give the same actions in the same order.  They bucket
+  subtrees on ``reference_shape``, a nested tuple of kinds and labels that
+  reads no shape the program filled, prove an isomorphic pair with
+  ``reference_isomorphic``, a plain recursive compare, and weigh edits
+  with ``reference_classify``, the four-way node classification the
+  program once used.  They share
   ``is_log_call_statement``, the parent-chain walk for it and the action
   order with the program.  The program's mapping keeps only the root pair
   of each isomorphic subtree; ``mapped_pairs`` expands it into every pair
@@ -310,6 +312,17 @@ def reference_isomorphic(x, y) -> bool:
     return True
 
 
+def reference_shape(node, memo) -> tuple:
+    """``(kind, label, child shapes)`` of ``node``'s subtree as nested
+    tuples, equal exactly for isomorphic subtrees; ``memo`` keeps each
+    node's tuple.  One frame per level, as ``reference_isomorphic``."""
+    shape = memo.get(node)
+    if shape is None:
+        shape = memo[node] = (node.kind, node.label,
+                              tuple([reference_shape(c, memo) for c in node.children]))
+    return shape
+
+
 def mapped_pairs(mapping) -> dict:
     """Every pair a ``NodeMapping`` maps, before node to after node: each
     anchor, and below each isomorphic root pair the nodes at the same
@@ -385,13 +398,18 @@ def reference_map_trees(before: SyntaxTree, after: SyntaxTree,
                         similarity_threshold: float = 0.5,
                         min_height: int = 2) -> ReferenceMapping:
     mapping = ReferenceMapping()
-    _reference_top_down(before.root, after.root, mapping, min_height)
+    memo = {}
+
+    def shape(node):
+        return reference_shape(node, memo)
+
+    _reference_top_down(before.root, after.root, mapping, min_height, shape)
     _reference_bottom_up(before.root, after.root, mapping, similarity_threshold)
-    _reference_recover(mapping)
+    _reference_recover(mapping, shape)
     return mapping
 
 
-def _reference_top_down(before_root, after_root, mapping, min_height):
+def _reference_top_down(before_root, after_root, mapping, min_height, shape):
     open_b = [before_root]
     open_a = [after_root]
     while open_b and open_a:
@@ -407,12 +425,12 @@ def _reference_top_down(before_root, after_root, mapping, min_height):
             continue
         level_b = [n for n in open_b if n.height == hb]
         level_a = [n for n in open_a if n.height == hb]
-        by_hash = {}
+        by_shape = {}
         for a in level_a:
-            by_hash.setdefault(a.struct_hash, []).append(a)
+            by_shape.setdefault(shape(a), []).append(a)
         matched_b, matched_a = set(), set()
         for b in level_b:
-            candidates = by_hash.get(b.struct_hash, [])
+            candidates = by_shape.get(shape(b), [])
             for a in candidates:
                 if a in matched_a:
                     continue
@@ -479,7 +497,7 @@ def _reference_bottom_up(before_root, after_root, mapping, threshold):
         mapping.add(before_root, after_root)
 
 
-def _reference_recover(mapping):
+def _reference_recover(mapping, shape):
     work = list(mapping.b2a.items())
     while work:
         b, a = work.pop()
@@ -488,7 +506,7 @@ def _reference_recover(mapping):
         if not ub or not ua:
             continue
         for key, whole_subtree in (
-            (lambda n: (n.kind, n.label, n.struct_hash), True),
+            (shape, True),
             (lambda n: (n.kind, n.label), False),
             (lambda n: n.kind, False),
         ):

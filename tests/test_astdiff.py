@@ -1,4 +1,5 @@
 import operator
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from devcontrib.astdiff import (
 from devcontrib.config import AnalysisConfig
 from devcontrib.syntax import (
     MAX_TREE_DEPTH,
+    ShapeTable,
     SyntaxNode,
     SyntaxTree,
     extract_functions,
@@ -29,9 +31,11 @@ from oracles import (
     apply_edit_script,
     mapped_pairs,
     reference_edit_script,
+    reference_isomorphic,
     reference_lcs_pairs,
     reference_map_trees,
 )
+from test_syntax import _generated_classes
 
 BASE = """
 class C {
@@ -457,30 +461,73 @@ def _state(mapping):
             list(mapping.iso_before.items()), list(mapping.iso_after.items()))
 
 
-def test_a_hash_collision_maps_nothing():
+def test_calls_to_different_callees_get_different_shapes():
     before = parse_source("class C { void m() { f(1, 2); h(3); } }", "java")
     after = parse_source("class C { void m() { g(1, 2); h(3); } }", "java")
     block_b = extract_functions(before)[0].body.children[-1]
     block_a = extract_functions(after)[0].body.children[-1]
     (f_stmt, h_before), (g_stmt, h_after) = block_b.children, block_a.children
-    assert before.root.struct_hash != after.root.struct_hash  # fills every hash
-    # ``g(1, 2);`` gets the hashes of ``f(1, 2);`` node for node, so only
-    # the callee's label tells the two subtrees apart
-    stack = [(f_stmt, g_stmt)]
-    while stack:
-        nb, na = stack.pop()
-        na._struct_hash = nb._struct_hash
-        stack.extend(zip(nb.children, na.children))
+    script = _assert_trees_equal_reference(before, after)
+    assert [(a.kind, a.before_node.label, a.after_node.label) for a in script] == [
+        ("update", "f", "g")]
+    # the differ filled every shape, the roots' first, from one table;
+    # only the callee's label tells the two statements apart
+    assert before.shapes is after.shapes
+    assert f_stmt.shape != g_stmt.shape and f_stmt.size == g_stmt.size
+    assert h_before.shape == h_after.shape
 
     mapping = NodeMapping()
     assert mapping.add_isomorphic(h_before, h_after)
+    assert mapping.iso_before == {h_before: h_before.size}
     state = _state(mapping)
     assert not mapping.add_isomorphic(f_stmt, g_stmt)
     assert _state(mapping) == state
 
-    script = _assert_trees_equal_reference(before, after)
-    assert [(a.kind, a.before_node.label, a.after_node.label) for a in script] == [
-        ("update", "f", "g")]
+
+IDIOMS = (Path(__file__).resolve().parent / "fixtures" / "Idioms.java").read_text()
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(_generated_classes(), _generated_classes())
+def test_equal_shapes_are_exactly_the_isomorphic_subtrees(first, second):
+    shapes = ShapeTable()
+    nodes = [n for src in (first, second, IDIOMS)
+             for n in parse_source(src, "java").root.walk()]
+    classes = {}
+    for node in nodes:
+        classes.setdefault(shapes.fill(node), []).append(node)
+        assert node.size == sum(1 for _ in node.walk())
+    assert len(shapes) == len(classes)
+    # equal shapes: every subtree is isomorphic to its class's first one
+    for members in classes.values():
+        assert all(reference_isomorphic(members[0], n) for n in members[1:])
+    # different shapes: no two classes' subtrees are isomorphic
+    by_kind = {}
+    for members in classes.values():
+        by_kind.setdefault(members[0].kind, []).append(members[0])
+    for reps in by_kind.values():
+        for i, x in enumerate(reps):
+            assert not any(reference_isomorphic(x, y) for y in reps[i + 1:])
+
+
+def test_trees_filled_by_two_tables_are_refused():
+    before, after = parse_source(BASE, "java"), parse_source(WITH_MUL, "java")
+    other = parse_source(BASE.replace("a + b", "a - b"), "java")
+    shapes = ShapeTable()
+    map_trees(before, after, shapes=shapes)
+    assert before.shapes is after.shapes is shapes
+    # with no table given, the one either tree already has
+    map_trees(other, before)
+    assert other.shapes is shapes
+    with pytest.raises(ValueError):
+        map_trees(before, after, shapes=ShapeTable())
+    fresh = parse_source(BASE, "java")
+    map_trees(fresh, parse_source(WITH_MUL, "java"))
+    assert fresh.shapes is not shapes
+    with pytest.raises(ValueError):
+        map_trees(fresh, after)
+    with pytest.raises(ValueError):
+        diff_file_pair(after, fresh)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

@@ -656,10 +656,40 @@ def _apply_step(repo, files, step, ts, serial):
         repo.commit(op, ts, {path: files[path]})
 
 
+def _merge(repo, branches, ts):
+    """Merge ``branches`` into the current branch with ``--no-ff``; a
+    conflict is resolved by taking the last branch's tree whole."""
+    try:
+        repo._run("git", "merge", "-q", "--no-ff", *branches, "-m", "merge", ts=ts)
+    except RuntimeError:
+        repo._run("git", "read-tree", "-u", "--reset", branches[-1])
+        repo._run("git", "commit", "-q", "-m", "merge", ts=ts)
+    return repo.head()
+
+
+def _fresh_run(path):
+    with pytest.MonkeyPatch.context() as mp:
+        # parsing against an empty call graph and no merge parents'
+        # snapshots holds no tree to reuse
+        mp.setattr(pipeline, "parse_changes",
+                   lambda changes, graph, run, parents: parse_changes(changes, CallGraph(), run))
+        return analyze_repository(path)
+
+
+def _run_equal_to_fresh_parses(path):
+    run = analyze_repository(path)
+    fresh = _fresh_run(path)
+    assert fresh.tree_reuses == 0
+    assert run.parses + run.tree_reuses == fresh.parses
+    assert run.parse_errors == fresh.parse_errors
+    assert run.to_dict() == fresh.to_dict()
+    return run, fresh
+
+
 @settings(max_examples=8, deadline=None, derandomize=True)
 @given(side=st.lists(_STEP, min_size=1, max_size=3),
-       main=st.lists(_STEP, min_size=1, max_size=3))
-def test_reused_trees_give_the_run_of_fresh_parses(tmp_path_factory, side, main):
+       main=st.lists(_STEP, min_size=1, max_size=3), merge=st.booleans())
+def test_reused_trees_give_the_run_of_fresh_parses(tmp_path_factory, side, main, merge):
     repo = RepoBuilder(tmp_path_factory.mktemp("history"))
     base = {"A.java": _unit("A", 0), "B.java": _unit("B", 1)}
     repo.commit("base", 1000, base)
@@ -673,16 +703,110 @@ def test_reused_trees_give_the_run_of_fresh_parses(tmp_path_factory, side, main)
         for step in steps:
             serial += 1
             _apply_step(repo, files, step, 1000 + serial, serial)
-    run = analyze_repository(repo.path)
-    with pytest.MonkeyPatch.context() as mp:
-        # parsing against an empty call graph holds no tree to reuse
-        mp.setattr(pipeline, "parse_changes",
-                   lambda changes, graph, run: parse_changes(changes, CallGraph(), run))
-        fresh = analyze_repository(repo.path)
-    assert fresh.tree_reuses == 0
-    assert run.parses + run.tree_reuses == fresh.parses
-    assert run.parse_errors == fresh.parse_errors
-    assert run.to_dict() == fresh.to_dict()
+    if merge:  # side's commits are older, so the walk reaches them first
+        _merge(repo, ["side"], 2000)
+    _run_equal_to_fresh_parses(repo.path)
+
+
+def _snapshots_seen(monkeypatch):
+    """Per analyzed commit: the commits whose snapshots the state keeps,
+    and the commit's parses and tree reuses."""
+    seen = []
+    analyze_commit = pipeline.analyze_commit
+
+    def observed(commit, state):
+        kept, run = sorted(state.snapshots), state.run
+        parses, reuses = run.parses, run.tree_reuses
+        result = analyze_commit(commit, state)
+        seen.append((kept, run.parses - parses, run.tree_reuses - reuses))
+        return result
+
+    monkeypatch.setattr(pipeline, "analyze_commit", observed)
+    return seen
+
+
+def test_a_merge_reads_its_topic_branchs_trees(make_repo, monkeypatch):
+    repo = make_repo()
+    repo.commit("base", 1000, {"Service.java": BASE_JAVA, "Other.java": _unit("Other", 1)})
+    repo.branch("side")
+    repo.commit("side1", 2000, {"Service.java": BASE_JAVA.replace("k * 2", "k * 3")})
+    topic = repo.commit("side2", 2100, {"Extra.java": _unit("Extra", 2),
+                                        "Renamed.java": _unit("Other", 1) + "\n"},
+                        rename={"Other.java": "Renamed.java"})
+    repo.checkout("main")
+    repo.commit("main1", 3000, {"Main.java": _unit("Main", 3)})
+    merge = _merge(repo, ["side"], 4000)
+    seen = _snapshots_seen(monkeypatch)
+    run, _ = _run_equal_to_fresh_parses(repo.path)
+    assert [c.id for c in run.commits][-1] == merge
+    seen = seen[:len(run.commits)]  # the fresh run's commits come after
+    # side2's files are kept from its analysis until the merge is analyzed
+    assert [kept for kept, _, _ in seen] == [[], [], [], [topic], [topic]]
+    # the merge parses only Extra.java's empty before side: the before sides
+    # of Service.java and the renamed Other.java are in main1's graph, and
+    # their after sides and Extra.java's are side2's trees
+    assert seen[-1][1:] == (1, 5)
+
+
+def test_a_merge_before_its_second_parent_keeps_no_snapshot(make_repo, monkeypatch):
+    repo = make_repo()
+    repo.commit("base", 1000, {"Service.java": BASE_JAVA})
+    repo.branch("side")
+    repo.commit("side1", 5000, {"Service.java": BASE_JAVA.replace("k * 2", "k * 3")})
+    repo.checkout("main")
+    repo.commit("main1", 2000, {"Main.java": _unit("Main", 3)})
+    merge = _merge(repo, ["side"], 6000)
+    seen = _snapshots_seen(monkeypatch)
+    run, _ = _run_equal_to_fresh_parses(repo.path)
+    # main's commits are older: the walk reaches the merge before side1
+    assert [c.id for c in run.commits].index(merge) == 2
+    seen = seen[:len(run.commits)]  # the fresh run's commits come after
+    assert [kept for kept, _, _ in seen] == [[]] * 4
+    # the merge parses Service.java's after side, which side1 parses again
+    assert [reuses for _, _, reuses in seen] == [0, 0, 1, 1]
+
+
+def test_an_octopus_merge_reads_every_topic_branch(make_repo, monkeypatch):
+    repo = make_repo()
+    repo.commit("base", 1000, {"A.java": _unit("A", 0), "B.java": _unit("B", 1)})
+    tips = []
+    for n, (name, path) in enumerate((("one", "A.java"), ("two", "B.java"))):
+        repo.checkout("main")
+        repo.branch(name)
+        tips.append(repo.commit(name, 2000 + n, {path: _unit(path[:-5], 7 + n)}))
+    repo.checkout("main")
+    repo.commit("main1", 3000, {"C.java": _unit("C", 2)})
+    merge = _merge(repo, ["one", "two"], 4000)
+    seen = _snapshots_seen(monkeypatch)
+    run, _ = _run_equal_to_fresh_parses(repo.path)
+    assert [c.id for c in run.commits][-1] == merge
+    seen = seen[:len(run.commits)]  # the fresh run's commits come after
+    assert seen[-1][0] == sorted(tips)
+    # both sides of both files are held: the before sides by main1's graph,
+    # A.java's after side by branch one's files and B.java's by branch two's
+    assert seen[-1][1:] == (0, 4)
+    assert {r.file for r in run.commits[-1].records} == {"A.java", "B.java"}
+
+
+def test_each_run_fills_shapes_from_its_own_table(make_repo, monkeypatch):
+    repo = _forked_repo(make_repo)
+    tables = []
+    diff = pipeline.diff_file_pair
+
+    def recording(before, after, **kwargs):
+        result = diff(before, after, **kwargs)
+        tables.append((kwargs["shapes"], before.shapes, after.shapes))
+        return result
+
+    monkeypatch.setattr(pipeline, "diff_file_pair", recording)
+    analyze_repository(repo.path)
+    first = len(tables)
+    analyze_repository(repo.path)
+    assert first and len(tables) == 2 * first
+    per_run = [{id(t) for row in tables[:first] for t in row},
+               {id(t) for row in tables[first:] for t in row}]
+    assert [len(ids) for ids in per_run] == [1, 1]
+    assert per_run[0] != per_run[1]
 
 
 def _nodes(node):

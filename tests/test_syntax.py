@@ -58,7 +58,7 @@ public class Greeter {
 def test_empty_source():
     tree = parse_source("", "java")
     assert tree.root.kind == "compilation_unit"
-    assert tree.root.children == []
+    assert tree.root.children == ()  # the empty tuple every leaf shares
     assert extract_functions(tree) == []
 
 

@@ -6,6 +6,7 @@ import gc
 import os
 import subprocess
 import sys
+import types
 import weakref
 from pathlib import Path
 
@@ -83,15 +84,33 @@ def _mixed_history(make_repo):
     return repo
 
 
+def _merged_history(make_repo):
+    """A topic branch that edits and renames, merged into main with
+    ``--no-ff`` after main moved on."""
+    repo = make_repo()
+    repo.commit("base", 1000, {"C.java": BEFORE, "Helper.java":
+                               "class Helper { int apply(int k) { return add(k, 1); } }"})
+    repo.branch("side")
+    repo.commit("side1", 2000, {"C.java": AFTER})
+    repo.commit("side2", 2500, {"Extra.java": "class Extra { void e() { run(null); } }"},
+                rename={"Helper.java": "util/Helper.java"})
+    repo.checkout("main")
+    repo.commit("main1", 3000, {"Main.java": "class Main { void m() { apply(2); } }"})
+    repo.merge("side", 4000)
+    return repo
+
+
 def test_run_leaves_no_cyclic_garbage(make_repo):
-    repo = _mixed_history(make_repo)
+    mixed, merged = _mixed_history(make_repo), _merged_history(make_repo)
     gc.collect()
     gc.disable()
     try:
-        run = analyze_repository(repo.path)
+        run = analyze_repository(mixed.path)
         # Deep.java fails on three sides, Broken.java on two
         assert (run.checkpoint_restores, run.parse_errors) == (1, 5)
         assert run.tree_reuses > 0
+        assert gc.collect() == 0
+        assert analyze_repository(merged.path).tree_reuses > 0
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -157,7 +176,7 @@ def test_run_pauses_the_collector_and_restores_the_callers_setting(
 
 def test_graph_and_its_trees_are_freed_before_the_collector_resumes(make_repo,
                                                                      monkeypatch):
-    repo = _mixed_history(make_repo)
+    repos = [_mixed_history(make_repo), _merged_history(make_repo)]
     held = []
     analyze_commit, fit_boxcox = pipeline.analyze_commit, pipeline.fit_boxcox
 
@@ -165,6 +184,8 @@ def test_graph_and_its_trees_are_freed_before_the_collector_resumes(make_repo,
         result = analyze_commit(commit, state)
         held.append(weakref.ref(state.graph))
         held.extend(weakref.ref(entry.tree) for entry in state.graph.files.values())
+        held.extend(weakref.ref(entry.tree) for files in state.snapshots.values()
+                    for entry in files.values())
         return result
 
     alive = []
@@ -176,6 +197,40 @@ def test_graph_and_its_trees_are_freed_before_the_collector_resumes(make_repo,
     monkeypatch.setattr(pipeline, "analyze_commit", observed)
     monkeypatch.setattr(pipeline, "fit_boxcox", fit)
     assert gc.isenabled()
-    analyze_repository(repo.path)
+    for repo in repos:
+        analyze_repository(repo.path)
     assert len(held) > 10
     assert set(alive) == {(True, 0)}
+
+
+def test_snapshots_are_freed_when_the_loop_raises_before_the_merge(make_repo,
+                                                                    monkeypatch):
+    repo = _merged_history(make_repo)
+    kept = []
+    analyze_commit = pipeline.analyze_commit
+
+    def failing(commit, state):
+        if len(commit.parent_ids) > 1:
+            # trees only side2's kept files hold; this frame keeps the state
+            in_graph = {id(entry.tree) for entry in state.graph.files.values()}
+            kept.extend(weakref.ref(entry.tree) for files in state.snapshots.values()
+                        for entry in files.values() if id(entry.tree) not in in_graph)
+            raise MissingAuthor("the merge fails")
+        return analyze_commit(commit, state)
+
+    alive = []
+
+    def enable():
+        alive.append(sum(ref() is not None for ref in kept))
+        gc.enable()
+
+    monkeypatch.setattr(pipeline, "analyze_commit", failing)
+    monkeypatch.setattr(pipeline, "gc", types.SimpleNamespace(
+        isenabled=gc.isenabled, disable=gc.disable, enable=enable))
+    assert gc.isenabled()
+    with pytest.raises(MissingAuthor):
+        analyze_repository(repo.path)
+    # side1's C.java and side2's Extra.java; the renamed Helper.java keeps
+    # the tree of its blob that main1's graph holds too
+    assert len(kept) == 2
+    assert alive == [0]
