@@ -39,7 +39,26 @@ functions outrank both bare utilities and entry points.  Cycles are handled
 by condensing strongly connected components; the mass a component receives
 is split equally among its members.  Both passes read one ``Adjacency``
 built in sorted ``FunctionId`` order, so ranks do not depend on the hash
-seed.
+seed.  The interner keeps every number it gave out sorted by its
+``FunctionId`` (``_Interner.order``), merging in the ids interned since
+the last ranking, so ``adjacency()`` sorts no ids.
+
+Each sum in the propagation runs left to right in an order fixed by the
+graph alone, not by how its components were found: a component that calls
+no other sums its members' ranks in index order, and any other sums its
+callee components' decayed mass in ascending order of their smallest
+member index.
+
+The propagation condenses the graph into a ``Condensation`` (Tarjan,
+SIAM J. Comput. 1972) and hands it back with the scores; the graph keeps
+the last one in ``CallGraph.condensation`` and passes it to the next
+ranking, which reuses it instead of running Tarjan when it still holds:
+the node list is the same, every edge it found inside a component is still
+there, and every edge between components runs from a later component to an
+earlier one.  Then each component is still strongly connected and no cycle
+joins two of them, so they are still the SCCs, in an order that still puts
+every callee before its callers.  Unlike ``impact`` the condensation is
+never cleared, since a stale one is checked before it is used.
 
 ``adjacency()`` is the one view that decides which ids are nodes: every
 function and every resolved target.  ``structure()``, ``nodes`` and
@@ -51,13 +70,17 @@ itself: ``CallGraph.impact`` is None until a caller ranks the graph and
 stores the scores there, and ``update`` and ``reresolve_names`` set it back
 to None whenever a file's function list or a call site's resolved targets
 may have changed.  Commits that only edit bodies keep it.  A copy carries
-the ranks of the graph it was taken from, since the two have the same
-structure; the dict is shared, so it is replaced, never changed in place.
+the ranks and the condensation of the graph it was taken from, since the
+two have the same structure; both are shared, so they are replaced, never
+changed in place.
 """
 
 from __future__ import annotations
 
 import logging
+from bisect import bisect_left
+from itertools import groupby, repeat
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -150,6 +173,7 @@ class _Interner:
     def __init__(self):
         self.numbers: dict[FunctionId, int] = {}
         self.fids: list[FunctionId] = []
+        self._order = _NO_NUMBERS
 
     def number(self, fid: FunctionId) -> int:
         number = self.numbers.get(fid)
@@ -157,6 +181,18 @@ class _Interner:
             number = self.numbers[fid] = len(self.fids)
             self.fids.append(fid)
         return number
+
+    def order(self) -> np.ndarray:
+        """Every number given out, sorted by its ``FunctionId``.  The ids
+        interned since the last call are sorted among themselves and merged
+        in; the rest keep their order."""
+        fids, order = self.fids, self._order
+        if len(order) < len(fids):
+            new = sorted(range(len(order), len(fids)), key=fids.__getitem__)
+            at = [bisect_left(order, fids[number], key=fids.__getitem__)
+                  for number in new]
+            self._order = order = np.insert(order, at, new)
+        return order
 
 
 def _suffixes(fid: FunctionId) -> list[str]:
@@ -180,8 +216,10 @@ class CallGraph:
 
     ``impact`` holds the last impact scores ranked on this structure, or
     None; it is cleared whenever ``structure()`` may have changed (see the
-    module doc).  ``files`` entries and ``impact`` are immutable: replace
-    them, never change them, since copies of the graph share them.
+    module doc).  ``condensation`` holds the SCCs the last ranking used, or
+    None, and is never cleared.  ``files`` entries, ``impact`` and
+    ``condensation`` are immutable: replace them, never change them, since
+    copies of the graph share them.
     """
 
     def __init__(self):
@@ -191,6 +229,7 @@ class CallGraph:
         self._index: dict[str, tuple[FunctionId, ...]] = {}
         self._interner = _Interner()
         self.impact: dict[FunctionId, float] | None = None
+        self.condensation: Condensation | None = None
 
     # -- node bookkeeping ----------------------------------------------------
 
@@ -286,15 +325,17 @@ class CallGraph:
         target is a node, every distinct (caller, target) pair an edge."""
         entries = self.files.values()
         edges = np.concatenate([_NO_NUMBERS, *(entry.edges for entry in entries)])
-        numbers = _distinct(np.concatenate(
-            [edges & _LOW, *(entry.numbers for entry in entries)]))
+        order = self._interner.order()
         fids = self._interner.fids
-        order = sorted(numbers.tolist(), key=fids.__getitem__)
+        node = np.zeros(len(fids), dtype=bool)
+        node[np.concatenate([edges & _LOW, *(entry.numbers for entry in entries)])] = True
+        order = order[node[order]]
         n = len(order)
         position = np.zeros(len(fids), dtype=np.int64)
         position[order] = np.arange(n)
         codes = _distinct(position[edges >> 32] * n + position[edges & _LOW])
-        return Adjacency([fids[i] for i in order], codes // n, codes % n)
+        return Adjacency(list(map(fids.__getitem__, order.tolist())),
+                         codes // n, codes % n)
 
     def structure(self):
         """Canonical (nodes, edges) pair of ``adjacency()``, both sorted."""
@@ -312,13 +353,15 @@ class CallGraph:
 
     def copy(self) -> "CallGraph":
         """A graph with the same structure and ranks, sharing this one's
-        file entries, index buckets, interner and ``impact``; later updates
-        to either leave the other as it was."""
+        file entries, index buckets, interner, ``impact`` and
+        ``condensation``; later updates to either leave the other as it
+        was."""
         graph = CallGraph()
         graph.files = dict(self.files)
         graph._index = dict(self._index)
         graph._interner = self._interner
         graph.impact = self.impact
+        graph.condensation = self.condensation
         return graph
 
     # -- incremental update -----------------------------------------------------------
@@ -413,7 +456,7 @@ def pagerank(adjacency: Adjacency, damping: float = 0.85, tol: float = 1e-8,
 
     Dangling functions (no outgoing calls) spread their rank uniformly.
     Scores sum to 1.  If the iteration fails to reach ``tol`` a warning is
-    logged and the best iterate is returned.
+    logged and the last iterate is returned.
     """
     ids, src, dst = adjacency
     n = len(ids)
@@ -440,13 +483,45 @@ def pagerank(adjacency: Adjacency, damping: float = 0.85, tol: float = 1e-8,
     return dict(zip(ids, rank.tolist()))
 
 
-def _tarjan_scc(callees: list[list[int]]) -> list[list[int]]:
-    """Iterative Tarjan over nodes 0..n-1; components in reverse
-    topological order (every component after the ones it calls)."""
+class Condensation(NamedTuple):
+    """The strongly connected components of one ``Adjacency``.
+
+    ``label`` gives each node's component.  Components are numbered callee
+    first: every edge between two of them runs from the higher number to
+    the lower.  ``ids`` is the node list they were found on, ``first`` each
+    component's smallest member index and ``inner`` the edges found inside
+    components, as sorted ``caller * len(ids) + callee`` codes.
+    """
+
+    ids: list[FunctionId]
+    label: np.ndarray
+    first: np.ndarray
+    inner: np.ndarray
+
+    def holds_for(self, adjacency: Adjacency) -> bool:
+        """Whether these are still the SCCs of ``adjacency``, numbered
+        callee first: the node list is the same, every ``inner`` edge is
+        still there, and no edge runs to a higher component."""
+        ids, src, dst = adjacency
+        if ids != self.ids:
+            return False
+        label = self.label
+        if (label[src] < label[dst]).any():
+            return False
+        codes = src * len(ids) + dst
+        at = np.searchsorted(codes, self.inner)
+        return bool((at < len(codes)).all() and (codes[at] == self.inner).all())
+
+
+def _tarjan_labels(callees: list[list[int]]) -> tuple[list[int], int]:
+    """Iterative Tarjan over nodes 0..n-1: each node's component, numbered
+    in the order components complete, which puts every component after the
+    ones it calls; and the number of components."""
     n = len(callees)
     index_of, low, on_stack = [-1] * n, [0] * n, [False] * n
-    stack, components = [], []
-    counter = 0
+    label = [0] * n
+    stack = []
+    counter = components = 0
 
     for start in range(n):
         if index_of[start] >= 0:
@@ -477,59 +552,82 @@ def _tarjan_scc(callees: list[list[int]]) -> list[list[int]]:
                 parent = work[-1][0]
                 low[parent] = min(low[parent], low[node])
             if low[node] == index_of[node]:
-                comp = []
                 while True:
                     w = stack.pop()
                     on_stack[w] = False
-                    comp.append(w)
+                    label[w] = components
                     if w == node:
                         break
-                components.append(comp)
-    return components
+                components += 1
+    return label, components
+
+
+def _condense(adjacency: Adjacency) -> Condensation:
+    """The SCCs of ``adjacency``, found by Tarjan's algorithm."""
+    ids, src, dst = adjacency
+    n = len(ids)
+    bounds = np.searchsorted(src, np.arange(n + 1)).tolist()
+    dst_list = dst.tolist()
+    labels, count = _tarjan_labels([dst_list[lo:hi] for lo, hi in zip(bounds, bounds[1:])])
+    label = np.array(labels, dtype=np.int64)
+    # members grouped by component, each group in index order
+    members = np.argsort(label, kind="stable")
+    sizes = np.bincount(label, minlength=count)
+    inside = label[src] == label[dst]
+    return Condensation(ids, label, members[np.cumsum(sizes) - sizes],
+                        src[inside] * n + dst[inside])
+
+
+class Impact(dict):
+    """Impact scores by ``FunctionId``, with the ``Condensation`` they were
+    propagated over."""
+
+    __slots__ = ("condensation",)
+
+    def __init__(self, scores, condensation: Condensation):
+        super().__init__(scores)
+        self.condensation = condensation
 
 
 def backward_propagate(adjacency: Adjacency, ranks: dict[FunctionId, float],
-                       decay: float = 0.5) -> dict[FunctionId, float]:
+                       decay: float = 0.5, kept: Condensation | None = None) -> Impact:
     """Backward weight propagation with decay over the call graph.
 
     Leaves keep their own rank as propagated mass; every other function
     accumulates decayed mass from its callees, so rank concentrated in
     deep utility leaves flows back toward the middle of the call chain.
     Cycles are condensed; a component's mass is split equally among its
-    members.  Returns every function's score: its rank plus the propagated
-    mass.
+    members, and each sum runs in the order the module doc fixes.  Returns
+    every function's score, its rank plus the propagated mass, with the
+    condensation used: ``kept`` if it still holds for ``adjacency``, else
+    a fresh one.
     """
     ids, src, dst = adjacency
-    bounds = np.searchsorted(src, np.arange(len(ids) + 1)).tolist()
-    dst_list = dst.tolist()
-    callees = [dst_list[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    components = _tarjan_scc(callees)
-    comp_of = [0] * len(ids)
-    for ci, comp in enumerate(components):
-        for node in comp:
-            comp_of[node] = ci
+    n = len(ids)
+    condensation = kept if kept is not None and kept.holds_for(adjacency) else _condense(adjacency)
+    label, first = condensation.label, condensation.first
+    count = len(first)
+    rank = np.fromiter(map(ranks.get, ids, repeat(0.0)), dtype=float, count=n)
+    # bincount adds each component's members in index order
+    mass = np.bincount(label, weights=rank, minlength=count).tolist()
+    scaled = [m * decay for m in mass]
 
-    comp_children: list[set[int]] = [set() for _ in components]
-    for a, b in zip(src.tolist(), dst_list):
-        ci, cj = comp_of[a], comp_of[b]
-        if ci != cj:
-            comp_children[ci].add(cj)
+    # distinct (caller component, callee component's first member) pairs,
+    # sorted: each caller's callees in ascending order of smallest member
+    caller, callee = label[src], label[dst]
+    across = caller != callee
+    pairs = _distinct(caller[across] * n + first[callee[across]])
+    # components come callees first, so a callee's mass is final before
+    # the pass reaches a pair that reads it
+    for component, group in groupby(zip((pairs // n).tolist(), label[pairs % n].tolist()),
+                                    key=itemgetter(0)):
+        total = 0.0
+        for _, child in group:
+            total += scaled[child]
+        mass[component], scaled[component] = total, total * decay
 
-    # components come callees first, so one pass over them is a post-order
-    comp_tmp: list[float] = []
-    for ci, comp in enumerate(components):
-        children = comp_children[ci]
-        if children:
-            comp_tmp.append(sum(comp_tmp[child] * decay for child in sorted(children)))
-        else:
-            comp_tmp.append(sum(ranks.get(ids[node], 0.0) for node in comp))
-
-    scores = {}
-    for comp, tmp in zip(components, comp_tmp):
-        share = tmp / len(comp)
-        for node in comp:
-            scores[ids[node]] = ranks.get(ids[node], 0.0) + share
-    return scores
+    share = np.array(mass) / np.bincount(label, minlength=count)
+    return Impact(zip(ids, (rank + share[label]).tolist()), condensation)
 
 
 def inter_impact(scores: dict[FunctionId, float], function: FunctionId) -> float:

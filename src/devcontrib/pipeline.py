@@ -51,7 +51,9 @@ stage times (``ingest``, ``parse``, ``diff``, ``graph``, ``rank``,
 Call-graph impact is ranked only when a commit with scored changes finds
 the graph holding no ranks (``CallGraph.impact`` is None), that is on a new
 graph or after a structural change; the ranks are then stored on the
-graph.  Otherwise the graph's ranks are reused, and they equal what a
+graph, with the SCC condensation they were propagated over, which the next
+ranking reuses while the change leaves it holding (see ``callgraph``).
+Otherwise the graph's ranks are reused, and they equal what a
 recompute would give.  A fork's checkpoint is an in-memory copy of the
 graph that shares its immutable per-file entries and its ranks, released
 once its last first-parent child has been restored, so a restored branch
@@ -174,6 +176,7 @@ class AnalysisRun:
     checkpoint_restores: int = 0
     rank_computations: int = 0
     rank_reuses: int = 0
+    condensation_reuses: int = 0
     parses: int = 0
     tree_reuses: int = 0
     parse_errors: int = 0
@@ -327,9 +330,13 @@ def current_impact(state: PipelineState) -> dict[FunctionId, float]:
     adjacency = graph.adjacency()
     ranks = pagerank(adjacency, damping=cfg.graph_damping, tol=cfg.graph_tol,
                      max_iter=cfg.graph_max_iter)
-    graph.impact = backward_propagate(adjacency, ranks, decay=cfg.graph_decay)
+    impact = backward_propagate(adjacency, ranks, decay=cfg.graph_decay,
+                                kept=graph.condensation)
+    if impact.condensation is graph.condensation:
+        state.run.condensation_reuses += 1
+    graph.impact, graph.condensation = impact, impact.condensation
     state.run.rank_computations += 1
-    return graph.impact
+    return impact
 
 
 def analyze_commit(commit: CommitRecord, state: PipelineState) -> CommitResult:

@@ -48,6 +48,12 @@
   split names, and the node and edge sets built from every entry's sites
   and targets.  A ``CallGraph``'s targets and ``adjacency()`` must equal
   them.
+* ``reference_backward_propagate`` is ``callgraph.backward_propagate``
+  written plainly over ``networkx``'s strongly connected components and
+  condensation: each component's mass is a left-to-right sum, over its
+  members' ranks in index order when it calls no other component, else
+  over its callee components' decayed mass in ascending order of their
+  smallest member index.  The program's scores must equal it, bit for bit.
 * ``build_call_graph`` builds a snapshot's call graph from scratch, every
   file parsed and resolved at once: a ``CallGraph`` kept up to date by
   ``update`` must equal it.
@@ -925,6 +931,32 @@ def reference_adjacency(graph) -> Adjacency:
              for t in targets}
     codes = np.sort(np.fromiter(codes, dtype=np.int64, count=len(codes)))
     return Adjacency(ids, codes // n, codes % n)
+
+
+def reference_backward_propagate(adjacency: Adjacency, ranks, decay: float = 0.5):
+    """Every node's rank plus its component's propagated mass split equally
+    among the component's members; see the module doc for the sums."""
+    import networkx as nx
+
+    ids, src, dst = adjacency
+    graph = nx.DiGraph()
+    graph.add_nodes_from(range(len(ids)))
+    graph.add_edges_from(zip(src.tolist(), dst.tolist()))
+    condensed = nx.condensation(graph)
+    members = {c: sorted(condensed.nodes[c]["members"]) for c in condensed}
+    mass = {}
+    for c in reversed(list(nx.topological_sort(condensed))):
+        total = 0.0
+        callees = sorted(condensed.successors(c), key=lambda d: members[d][0])
+        if callees:
+            for d in callees:
+                total += mass[d] * decay
+        else:
+            for node in members[c]:
+                total += ranks.get(ids[node], 0.0)
+        mass[c] = total
+    return {ids[node]: ranks.get(ids[node], 0.0) + mass[c] / len(members[c])
+            for c in condensed for node in members[c]}
 
 
 def build_call_graph(files: dict[str, str | None]) -> CallGraph:

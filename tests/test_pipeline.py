@@ -246,7 +246,8 @@ def test_parse_error_degrades_to_file_skip(make_repo):
 
 # what a run did, kept on ``AnalysisRun`` and never serialized
 _RUN_RECORD = {"timings", "commit_times", "checkpoints", "checkpoint_restores",
-               "rank_computations", "rank_reuses", "parses", "tree_reuses", "parse_errors"}
+               "rank_computations", "rank_reuses", "condensation_reuses", "parses",
+               "tree_reuses", "parse_errors"}
 
 
 def test_run_records_stage_and_commit_times(make_repo):
@@ -271,6 +272,19 @@ def test_body_only_edits_reuse_ranks(make_repo):
     assert (run.rank_computations, run.rank_reuses) == (2, 2)
     doc = json.dumps(run.to_dict())
     assert [key for key in _RUN_RECORD if f'"{key}"' in doc] == []
+
+
+def test_condensation_is_reused_until_a_call_closes_a_new_cycle(make_repo):
+    repo = make_repo()
+    cycle = "class Cycle {{ void a() {{ b(); }} void b() {{ c(); }} void c() {{ a();{} }} }}"
+    chain = "class Chain {{ void p() {{ q(); }} void q() {{ r(); }} void r() {{{} }} }}"
+    repo.commit("init", 1000, {"Cycle.java": cycle.format(""), "Chain.java": chain.format("")})
+    # c -> b stays inside the cycle {a, b, c}: its components still hold
+    repo.commit("inside", 2000, {"Cycle.java": cycle.format(" b();")})
+    # r -> p closes the new cycle {p, q, r}: Tarjan runs again
+    repo.commit("closes", 3000, {"Chain.java": chain.format(" p();")})
+    run = analyze_repository(repo.path)
+    assert (run.rank_computations, run.condensation_reuses) == (3, 1)
 
 
 def _forked_repo(make_repo):
