@@ -17,6 +17,7 @@ statement.  Both ratios are fractions in [0, 1]; the fused impact range is
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -444,13 +445,14 @@ def changed_pdg_nodes(before_unit: FunctionUnit, pdg_after: FunctionPDG,
 
     if delete_spans:
         before_nodes = sorted(_statements(before_unit).nodes, key=lambda n: n.span)
-        survivors = [n for n in before_nodes
-                     if not any(_overlaps(n.span, s) for s in delete_spans)]
-        for n in before_nodes:
-            if any(_overlaps(n.span, s) for s in delete_spans):
-                rank = sum(1 for s in survivors if s.span[0] < n.span[0])
-                idx = min(rank, len(after_nodes) - 1)
-                changed.add(after_nodes[idx].id)
+        deleted = [any(_overlaps(n.span, s) for s in delete_spans) for n in before_nodes]
+        # the survivors' starts, in order: a deleted statement's rank is
+        # the number of survivors that start before it
+        survivor_starts = [n.span[0] for n, gone in zip(before_nodes, deleted) if not gone]
+        for n, gone in zip(before_nodes, deleted):
+            if gone:
+                rank = bisect.bisect_left(survivor_starts, n.span[0])
+                changed.add(after_nodes[min(rank, len(after_nodes) - 1)].id)
     return changed
 
 

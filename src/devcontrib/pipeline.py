@@ -24,6 +24,11 @@ The call graph's entry for a file keeps the tree it was read from (see
 of the same blob: a before side from the graph, which holds the first
 parent's snapshot, and either side of a merge from the snapshot of a
 non-first parent, so a merge re-reads no tree its topic branch built.
+An after side that is parsed is parsed against its change's before tree,
+held or parsed, renames included: it takes the members whose text the
+commit left unchanged from that tree (see the ``syntax`` module doc), so
+a commit's parse costs about what it changed.  The before tree's shapes
+are filled just before, so the members copied from it keep them.
 Such a parent's files are kept (``PipelineState.snapshots``) from its
 analysis until the last merge that names it and comes later in the walk;
 a merge the walk reaches before that parent keeps nothing.  A blob that
@@ -33,6 +38,8 @@ skipped.
 
 The differ compares subtrees by exact shapes (see ``syntax.ShapeTable``);
 the run owns the one table that fills them, ``PipelineState.shapes``.
+Every tree the run parses is bound to that table, so an after tree and
+the before tree it shares members with are filled by it alone.
 
 The graph's trees hold no reference cycles, so a superseded version is
 freed by reference counting; a full cyclic collection would walk every
@@ -179,6 +186,7 @@ class AnalysisRun:
     condensation_reuses: int = 0
     parses: int = 0
     tree_reuses: int = 0
+    member_reuses: int = 0
     parse_errors: int = 0
 
     SCHEMA_VERSION = 2
@@ -257,7 +265,7 @@ class SourceChange(NamedTuple):
 
 
 def parse_changes(changes, graph: CallGraph, run: AnalysisRun,
-                  parents=()) -> list[SourceChange]:
+                  parents=(), shapes: ShapeTable | None = None) -> list[SourceChange]:
     """The commit's source changes, in order, with both sides parsed.
 
     This is where a run decides which sides of a change are source: a side
@@ -272,7 +280,15 @@ def parse_changes(changes, graph: CallGraph, run: AnalysisRun,
     before side whose blob is the one its file's entry in ``graph`` was
     read from is that entry's tree, and so is a side whose path has an
     entry of its blob in one of ``parents``; neither is parsed again.
-    Parses, reused trees and parse errors are counted on ``run``."""
+    An after side is parsed against its before side's tree, whose
+    unchanged members it takes (see ``syntax._Parser.reuse_member``).
+    Each tree parsed here is bound to ``shapes``, the run's table, so a
+    tree and the one it takes members from are filled by one table.  A
+    before tree bound to a table has its shapes filled first, as the diff
+    of the pair would fill them anyway: the members the parse copies then
+    keep them, and the diff fills only what the parse built.
+    Parses, reused trees and members, and parse errors are counted on
+    ``run``."""
     trees: dict[str | None, SyntaxTree | None] = {}
 
     def held_tree(path, blob, snapshots):
@@ -283,7 +299,7 @@ def parse_changes(changes, graph: CallGraph, run: AnalysisRun,
                     return entry.tree
         return None
 
-    def tree_of(path, blob, text, held=None):
+    def tree_of(path, blob, text, held=None, previous=None):
         if blob is None:  # the empty side
             text = ""
         if blob not in trees:
@@ -294,8 +310,15 @@ def parse_changes(changes, graph: CallGraph, run: AnalysisRun,
                 tree = None
             else:
                 run.parses += 1
-                tree = parse_file(path, text)
-                run.parse_errors += tree is None
+                if previous is not None and previous.shapes is not None:
+                    previous.shapes.fill(previous.root)
+                tree = parse_file(path, text, previous)
+                if tree is None:
+                    run.parse_errors += 1
+                else:
+                    run.member_reuses += tree.reused_members
+                    if tree.shapes is None:
+                        tree.shapes = shapes
             trees[blob] = tree
         return trees[blob]
 
@@ -313,7 +336,7 @@ def parse_changes(changes, graph: CallGraph, run: AnalysisRun,
         before = tree_of(path, before_blob, change.before_content,
                          held_tree(old, before_blob, before_snapshots))
         after = tree_of(path, after_blob, change.after_content,
-                        held_tree(new, after_blob, parents))
+                        held_tree(new, after_blob, parents), before)
         sources.append(SourceChange(path, old if old != path else None,
                                     after_blob, before, after))
     return sources
@@ -358,7 +381,7 @@ def analyze_commit(commit: CommitRecord, state: PipelineState) -> CommitResult:
 
     t0 = time.perf_counter()
     parents = [state.snapshots[p] for p in commit.parent_ids[1:] if p in state.snapshots]
-    sources = parse_changes(changes, state.graph, run, parents)
+    sources = parse_changes(changes, state.graph, run, parents, state.shapes)
     run.add_time("parse", time.perf_counter() - t0)
 
     # diff every source file whose two sides parsed

@@ -43,12 +43,26 @@ may serve every layer and several commits.  Every node gets its ``height``
 when it is built, which the depth check reads.  A leaf's ``children`` is
 one shared empty tuple.
 
+A file's text may be parsed against the tree of its previous version
+(incremental parsing; Wagner & Graham, TOPLAS 1998).  The text is still
+lexed whole, but the type-body member loop takes each member whose text
+is unchanged from the previous tree instead of parsing it, with its units:
+the same subtree where the member starts at its old offset, else a copy
+with shifted spans (see ``_Parser.reuse_member``).  The tree equals a
+fresh parse.  So a tree may share member subtrees with the previous
+version of its file.  Sharing is safe because only ``ShapeTable.fill``
+writes to a built node, and it writes a node the same shape whichever
+tree it reaches the node through, as long as one table fills both: the
+new tree is bound to the previous tree's table.
+
 A node's ``shape`` and ``size`` are filled the first time the differ
 reads its subtree, by the run's ``ShapeTable``: two subtrees filled by one
 table are isomorphic exactly when their shapes are equal (hash-consing),
 and ``size`` is the subtree's node count.  A tree records the table that
 filled it.  Nothing is filled at build time, so a tree no diff reads holds
-no shape and adds nothing to the table.
+no shape and adds nothing to the table; a member taken from the previous
+tree keeps the shapes it had there, so the differ matches it in one
+comparison and fills nothing for it.
 """
 
 from __future__ import annotations
@@ -88,12 +102,20 @@ class SyntaxNode:
     def __init__(self, kind, children=None, start=0, end=0, label=None):
         self.kind = kind
         self.label = label
-        self.children = children or _NO_CHILDREN
         self.start = start
         self.end = end
-        # subtree depth: 1 for a leaf, 1 + max over children otherwise
-        self.height = 1 + max([c.height for c in children]) if children else 1
         self.shape = None
+        # subtree depth: 1 for a leaf, 1 + max over children otherwise
+        height = 0
+        if children:
+            self.children = children
+            for c in children:
+                h = c.height
+                if h > height:
+                    height = h
+        else:
+            self.children = _NO_CHILDREN
+        self.height = height + 1
 
     @property
     def is_leaf(self):
@@ -188,7 +210,9 @@ class SyntaxTree:
     at the start of a node one level too deep (see ``_node_at_depth``).
     The check reads the root's ``height``, set when the root was built.
     ``shapes`` is the ``ShapeTable`` that fills its nodes' shapes, None
-    until a diff reads the tree (see ``astdiff.map_trees``).
+    until a diff reads the tree (see ``astdiff.map_trees``) or a parse
+    shares its members with it.  ``reused_members`` counts the members
+    its parse took from the file's previous tree.
     """
 
     def __init__(self, root: SyntaxNode, source_text: str, comments=None, functions=None):
@@ -197,6 +221,7 @@ class SyntaxTree:
         self.comments = comments or []
         self.functions: list[FunctionUnit] = functions or []
         self.shapes: ShapeTable | None = None
+        self.reused_members = 0
         self._line_starts = None
         if root.height > MAX_TREE_DEPTH:
             deep = _node_at_depth(root, MAX_TREE_DEPTH + 1)
@@ -460,7 +485,7 @@ class _Parser:
     modifier or an operator of some class.
     """
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, previous: SyntaxTree | None = None):
         self.text = text
         (kinds, texts, starts, ends), self.comments = tokenize(text)
         # two more eof tokens, so that lookahead reaches two tokens past
@@ -481,6 +506,10 @@ class _Parser:
         self.lambda_owner = None  # qualified name lambdas are numbered under
         self.lambdas = 0          # that method's or constructor's lambda count
         self.anonymous = 0        # innermost type's anonymous-class count
+        # the previous version's members that may be taken whole (see
+        # ``reuse_member``), and how many were
+        self.reusable = _reusable_members(previous, text) if previous is not None else {}
+        self.reused = 0
 
     # -- token helpers ------------------------------------------------------
 
@@ -568,11 +597,12 @@ class _Parser:
 
     def mark(self):
         """The position and how much is built, for ``reset``."""
-        return self.pos, len(self.units), len(self.calls or ()), self.lambdas, self.anonymous
+        return (self.pos, len(self.units), len(self.calls or ()), self.lambdas,
+                self.anonymous, self.reused)
 
     def reset(self, mark):
         """Back to ``mark``, dropping the units, call sites and numbers taken since."""
-        self.pos, units, calls, self.lambdas, self.anonymous = mark
+        self.pos, units, calls, self.lambdas, self.anonymous, self.reused = mark
         del self.units[units:]
         if self.calls:
             del self.calls[calls:]
@@ -742,6 +772,10 @@ class _Parser:
         compact constructor takes."""
         scope = self.containers, self.lambda_owner, self.anonymous
         self.containers, self.lambda_owner, self.anonymous = containers, None, 0
+        # a member's parse depends on its text and on this body's names
+        # only, unless it adds call sites to an enclosing method's list
+        names = (_body_names(containers, components)
+                 if self.reusable and self.calls is None else None)
         start = self.starts[self.expect("{")]
         children = []
         while enum and self.at_ident():
@@ -752,10 +786,46 @@ class _Parser:
             self.accept(",")
         if not enum or self.accept(";"):
             while not self.at("}") and not self.at_end():
-                children.append(self.parse_member(components))
+                member = self.reuse_member(names) if names is not None else None
+                children.append(member if member is not None
+                                else self.parse_member(components))
         end = self.ends[self.expect("}")]
         self.containers, self.lambda_owner, self.anonymous = scope
         return SyntaxNode("class_body", children, start, end)
+
+    def reuse_member(self, names):
+        """The previous version's member that starts at the current token,
+        taken whole with its units, or None if there is none to take.
+
+        It is taken when ``names``, those of the type body being parsed
+        (see ``_body_names``), are those of its own body, a token ends
+        where the member's text ends, and the anonymous classes it holds,
+        if any, are numbered from the same count.  Its text then lexes to
+        the same tokens: a token starts where it starts, the lexer reads
+        no state, and the member's last token, a ``}`` or ``;``, is
+        matched without reading the character after it.  So the member
+        parses to the same subtree and units.  At the same offset it is
+        that subtree, shared with the previous tree; elsewhere it is a
+        copy with shifted spans (see ``_shifted``)."""
+        found = self.reusable.get(self.starts[self.pos])
+        if found is None:
+            return None
+        member, shift, body_names, anonymous_before, anonymous, units = found
+        end = member.end + shift
+        last = bisect.bisect_left(self.ends, end, self.pos)
+        if (body_names != names or self.ends[last] != end
+                or anonymous and anonymous_before != self.anonymous):
+            return None
+        self.pos = last + 1
+        self.anonymous += anonymous
+        self.reused += 1
+        if shift:
+            bodies = dict.fromkeys([u.body for u in units])
+            member = _shifted(member, shift, bodies)
+            units = [FunctionUnit(u.qualified_name, (u.span[0] + shift, u.span[1] + shift),
+                                  bodies[u.body], u.calls) for u in units]
+        self.units.extend(units)
+        return member
 
     def parse_member(self, components):
         start = self.starts[self.pos]
@@ -1348,15 +1418,140 @@ class _Parser:
 
 
 # ---------------------------------------------------------------------------
+# members taken from the previous version of a file
+# ---------------------------------------------------------------------------
+
+_TYPE_DECLS = frozenset(_TYPE_DECL_KINDS.values())
+
+
+def _body_names(containers, components) -> tuple:
+    """What a type body's members are named by besides their own text:
+    the type names from the outermost in, and a record's component types,
+    which its compact constructor is named with."""
+    # a parameter's type is its second-last child, before its name
+    return tuple(containers), tuple([p.children[-2].label for p in components])
+
+
+def _reusable_members(previous: SyntaxTree, text: str) -> dict:
+    """The members of ``previous``'s type bodies whose text reappears in
+    ``text``, by their start there: ``(member, shift, body names,
+    anonymous classes before it in its body, anonymous classes it holds,
+    its units)``.
+
+    Each member's text is looked for at its old offset moved by the shift
+    of the last one found, else from the end of that one onwards, so an
+    edit costs one search past it.  A type whose text is not found is
+    searched member by member.  A member found here is only a candidate:
+    the parser checks the rest (see ``_Parser.reuse_member``)."""
+    search = _MemberSearch(previous, text)
+    for decl in previous.root.children:
+        if decl.kind in _TYPE_DECLS:
+            search.body(decl, [])
+    return search.found
+
+
+class _MemberSearch:
+    """The state of ``_reusable_members``: what it found, and the shift
+    and end in the new text of the last member found."""
+
+    def __init__(self, previous: SyntaxTree, text: str):
+        self.old, self.text, self.units = previous.source_text, text, previous.functions
+        self.unit_starts = [u.span[0] for u in self.units]
+        self.found = {}
+        self.shift = self.cursor = 0
+
+    def body(self, decl: SyntaxNode, containers: list):
+        """Search the members of the type ``decl`` inside ``containers``,
+        in text order."""
+        children = decl.children
+        containers = containers + [next(c.label for c in children if c.kind == "identifier")]
+        components = next((c.children for c in children if c.kind == "record_components"), ())
+        names = _body_names(containers, components)
+        old, text, unit_starts = self.old, self.text, self.unit_starts
+        anonymous = 0
+        for member in children[-1].children:
+            if member.kind == "enum_constant":
+                continue
+            piece = old[member.start:member.end]
+            count = _anonymous_classes(member) if "new" in piece else 0
+            at = member.start + self.shift
+            if not text.startswith(piece, at):
+                at = text.find(piece, self.cursor)
+            if at >= 0:
+                self.shift, self.cursor = at - member.start, at + len(piece)
+                first = bisect.bisect_left(unit_starts, member.start)
+                stop = bisect.bisect_left(unit_starts, member.end, first)
+                self.found[at] = (member, self.shift, names, anonymous, count,
+                                  self.units[first:stop])
+            elif member.kind in _TYPE_DECLS:
+                self.body(member, containers)
+            anonymous += count
+
+
+def _anonymous_classes(member: SyntaxNode) -> int:
+    """The anonymous classes in ``member`` that its type numbers: those
+    outside every type body below it."""
+    count, stack = 0, [member]
+    while stack:
+        node = stack.pop()
+        if node.kind == "new_expr" and node.children[-1].kind == "class_body":
+            count += 1
+            stack.extend(node.children[:-1])
+        elif node.kind != "class_body":
+            stack.extend(node.children)
+    return count
+
+
+def _shifted(member: SyntaxNode, shift: int, bodies: dict) -> SyntaxNode:
+    """A copy of ``member``'s subtree with every span moved by ``shift``;
+    it keeps each node's height, shape and size.  The copy of each node
+    that is a key of ``bodies`` is stored there.  A loop, not a recursion,
+    as the member may be nearly ``MAX_TREE_DEPTH`` deep."""
+    order, stack = [], [member]
+    while stack:  # pre-order, children right to left
+        node = stack.pop()
+        order.append(node)
+        stack.extend(node.children)
+    copies = []   # the copies of the subtrees done, in order
+    for node in reversed(order):  # each node right after its children
+        copy = object.__new__(SyntaxNode)
+        copy.kind, copy.label = node.kind, node.label
+        children = node.children
+        if children:
+            copy.children = copies[-len(children):]
+            del copies[-len(children):]
+        else:
+            copy.children = children
+        copy.start, copy.end = node.start + shift, node.end + shift
+        copy.height = node.height
+        copy.shape = node.shape
+        if node.shape is not None:
+            copy.size = node.size
+        if node in bodies:
+            bodies[node] = copy
+        copies.append(copy)
+    return copies[0]
+
+
+# ---------------------------------------------------------------------------
 # adapters and public operations
 # ---------------------------------------------------------------------------
 
-def _parse_java(text: str, path: str | None = None) -> SyntaxTree:
-    """The tree of ``text``; the optional ``path`` does not change it."""
-    parser = _Parser(text)
+def _parse_java(text: str, previous: SyntaxTree | None = None) -> SyntaxTree:
+    """The tree of ``text``.  Given the tree of the file's ``previous``
+    version, it takes the members whose text is unchanged from it, and is
+    then bound to the previous tree's ``ShapeTable``, a new one bound to
+    both if it has none, as the two share subtrees (see the module doc)."""
+    parser = _Parser(text, previous)
     root = parser.parse_compilation_unit()
     parser.units.sort(key=lambda u: u.span)
-    return SyntaxTree(root, text, parser.comments, parser.units)
+    tree = SyntaxTree(root, text, parser.comments, parser.units)
+    if parser.reused:
+        if previous.shapes is None:
+            previous.shapes = ShapeTable()
+        tree.shapes = previous.shapes
+        tree.reused_members = parser.reused
+    return tree
 
 
 _ADAPTERS = {"java": _parse_java}
@@ -1364,7 +1559,8 @@ _EXTENSION_MAP = {".java": "java"}
 
 
 def register_adapter(language: str, parse_fn, extensions=()):
-    """Register a grammar adapter: parse_fn(text, path=None) -> SyntaxTree."""
+    """Register a grammar adapter: parse_fn(text, previous=None) -> SyntaxTree,
+    where ``previous`` is the tree of the file's previous version or None."""
     _ADAPTERS[language] = parse_fn
     for ext in extensions:
         _EXTENSION_MAP[ext] = language
@@ -1377,8 +1573,11 @@ def language_for_path(path: str) -> str | None:
     return None
 
 
-def parse_source(text: str, language: str = "java") -> SyntaxTree:
-    """Parse source text with the registered adapter for ``language``.
+def parse_source(text: str, language: str = "java",
+                 previous: SyntaxTree | None = None) -> SyntaxTree:
+    """Parse source text with the registered adapter for ``language``,
+    which may take unchanged members from ``previous``, the tree of the
+    text's previous version; the tree equals a parse without it.
 
     Nesting too deep for the recursive-descent parser raises ``ParseError``
     without a position; a tree deeper than ``MAX_TREE_DEPTH`` raises one at
@@ -1387,19 +1586,20 @@ def parse_source(text: str, language: str = "java") -> SyntaxTree:
     if language not in _ADAPTERS:
         raise ParseError(f"no grammar adapter registered for {language!r}")
     try:
-        return _ADAPTERS[language](text)
+        return _ADAPTERS[language](text, previous)
     except RecursionError:
         raise ParseError("nesting too deep for the parser") from None
 
 
-def parse_file(path: str, text: str) -> SyntaxTree | None:
-    """The tree of the source file ``path`` with ``text``, or None after
-    logging why it failed to parse; the path must have a grammar adapter.
+def parse_file(path: str, text: str, previous: SyntaxTree | None = None) -> SyntaxTree | None:
+    """The tree of the source file ``path`` with ``text``, parsed against
+    ``previous`` as in ``parse_source``, or None after logging why it
+    failed to parse; the path must have a grammar adapter.
     The log record gets the error's text, not the error: a handler that
     keeps records would otherwise keep its traceback's frames, and with
     them the caller's syntax trees and call graph."""
     try:
-        return parse_source(text, language_for_path(path))
+        return parse_source(text, language_for_path(path), previous)
     except ParseError as exc:
         logger.warning("skipping %s: %s at %s", path, str(exc), exc.position)
         return None

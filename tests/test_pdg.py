@@ -249,6 +249,23 @@ def test_deleted_statement_maps_to_next_survivor():
     assert changed == {three}
 
 
+def test_several_deletions_in_one_body_map_each_to_its_next_survivor():
+    before_src = "class C { void m() { " + " ".join(f"s{i}();" for i in range(10)) + " } }"
+    after_src = before_src
+    for gone in (1, 2, 5, 9):
+        after_src = after_src.replace(f" s{gone}();", "")
+    before = parse_source(before_src, "java")
+    after = parse_source(after_src, "java")
+    _, _, [cs] = diff_file_pair(before, after)
+    assert [a.kind for a in cs.actions] == ["delete"] * 4
+    pdg_after = build_pdg(extract_functions(after)[0])
+    changed = changed_pdg_nodes(extract_functions(before)[0], pdg_after, cs)
+    # s1 and s2 go to s3 and s5 to s6; s9 has no survivor after it and
+    # goes to the last statement, s8
+    named = {after.source_text[n.span[0]:n.span[1]]: n.id for n in pdg_after.nodes}
+    assert changed == {named["s3();"], named["s6();"], named["s8();"]}
+
+
 def test_new_function_changed_set_covers_inserted_statement():
     before_src = "class C { void m() { one(); } }"
     after_src = "class C { void m() { one(); extra(); } }"

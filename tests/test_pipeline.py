@@ -24,7 +24,7 @@ from devcontrib.callgraph import (
 from devcontrib.config import AnalysisConfig
 from devcontrib.pipeline import AnalysisRun, analyze_repository, parse_changes
 from devcontrib.repo import changed_files, open_repository, walk_commits
-from devcontrib.syntax import MAX_TREE_DEPTH, parse_source
+from devcontrib.syntax import MAX_TREE_DEPTH, ShapeTable, parse_source
 
 from conftest import RepoBuilder
 from oracles import build_call_graph
@@ -247,7 +247,7 @@ def test_parse_error_degrades_to_file_skip(make_repo):
 # what a run did, kept on ``AnalysisRun`` and never serialized
 _RUN_RECORD = {"timings", "commit_times", "checkpoints", "checkpoint_restores",
                "rank_computations", "rank_reuses", "condensation_reuses", "parses",
-               "tree_reuses", "parse_errors"}
+               "tree_reuses", "member_reuses", "parse_errors"}
 
 
 def test_run_records_stage_and_commit_times(make_repo):
@@ -522,10 +522,12 @@ def test_each_tree_yields_its_function_units_once(make_repo, monkeypatch):
     # the first commit's two trees (its before side is the empty text) and
     # the second's after side, whose before side is the first's after tree
     assert len(trees) == len({id(t) for t in trees}) == 3
-    # each parse builds its tree's units, and no layer that reads them (the
-    # differ, the call graph, the metrics) builds any again
+    # each parse builds its tree's units or takes them from the previous
+    # tree's unchanged members, and no layer that reads them (the differ,
+    # the call graph, the metrics) builds any again
     assert all(t.functions is t.functions for t in trees)
-    assert sorted(map(id, units)) == sorted(id(u) for t in trees for u in t.functions)
+    assert sorted(map(id, units)) == sorted({id(u) for t in trees for u in t.functions})
+    assert run.member_reuses > 0
 
 
 def test_compact_constructor_made_explicit_is_one_changed_constructor(make_repo):
@@ -593,6 +595,28 @@ def test_rename_from_a_path_without_grammar_scores_the_new_file(make_repo, caplo
     (record,) = run.commits[-1].records
     assert (record.function, record.file) == (pipeline.FILE_SCOPE, "Notes.java")
     assert record.delta_ast > 0
+
+
+def test_an_after_side_takes_members_from_its_before_tree_with_their_shapes(make_repo):
+    text = "class A { int a() { return 1; } int b() { return 2; } }"
+    repo = make_repo()
+    repo.commit("init", 1000, {"A.java": text})
+    repo.commit("edit", 2000, {"A.java": text.replace("return 1;", "return 10;")})
+    tree = open_repository(repo.path)
+    graph, shapes, run = CallGraph(), ShapeTable(), AnalysisRun("", {})
+    for commit in walk_commits(tree):
+        sources = parse_changes(changed_files(commit, tree), graph, run, shapes=shapes)
+        graph.update(sources)
+    tree.close()
+    [source] = sources
+    assert source.before.shapes is source.after.shapes is shapes
+    assert run.member_reuses == 1
+    # b() is copied past the edit after its before tree was filled, so the
+    # diff finds its shape already there
+    before_b, after_b = (side.root.children[0].children[-1].children[1]
+                         for side in (source.before, source.after))
+    assert after_b is not before_b
+    assert after_b.shape == before_b.shape is not None
 
 
 def test_rename_to_a_path_without_grammar_scores_a_deletion(make_repo):
@@ -686,7 +710,8 @@ def _fresh_run(path):
         # parsing against an empty call graph and no merge parents'
         # snapshots holds no tree to reuse
         mp.setattr(pipeline, "parse_changes",
-                   lambda changes, graph, run, parents: parse_changes(changes, CallGraph(), run))
+                   lambda changes, graph, run, parents, shapes:
+                   parse_changes(changes, CallGraph(), run, shapes=shapes))
         return analyze_repository(path)
 
 

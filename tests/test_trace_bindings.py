@@ -52,6 +52,21 @@ def test_parse_span_hooks_exist():
     assert isinstance(syntax._ADAPTERS["java"]("class A { }", None), syntax.SyntaxTree)
 
 
+def test_the_adapter_takes_the_previous_tree_as_its_second_positional_argument():
+    # the benchmark's wrapper forwards it as ``java(text, path)``, so each
+    # parse against a previous tree is still timed in the parse span
+    java = syntax._ADAPTERS["java"]
+    before = "class A { int f() { return 1; } int g() { return 2; } }"
+    after = before.replace("return 1;", "return 10;")
+    reparsed = java(after, java(before, None))
+    fresh = java(after, None)
+    assert (reparsed.reused_members, fresh.reused_members) == (1, 0)
+    assert [(n.kind, n.label, n.start, n.end, n.height) for n in reparsed.root.walk()] == \
+        [(n.kind, n.label, n.start, n.end, n.height) for n in fresh.root.walk()]
+    assert [(u.qualified_name, u.span, u.calls) for u in reparsed.functions] == \
+        [(u.qualified_name, u.span, u.calls) for u in fresh.functions]
+
+
 def test_final_graph_counts_are_sets():
     # the traced run reports len(graph.nodes) and len(graph.edges) of the last graph
     graph = build_call_graph(

@@ -22,6 +22,7 @@ from devcontrib.syntax import parse_source
 
 BEFORE = """
 class C {
+    int total;
     int add(int a, int b) {
         int sum = a + b;
         return sum;
@@ -31,6 +32,7 @@ class C {
         new Helper().apply(add(1, 2));
         for (int i = 0; i < xs.size(); i++) { total += xs.get(i); }
     }
+    int size() { return total; }
 }
 """
 
@@ -51,10 +53,16 @@ def _parse_and_use(steps):
         after = parse_source(AFTER, "java")
         _, actions, changesets = diff_file_pair(before, after)
         assert actions and changesets
+    if steps >= 5:
+        # ``total`` shared, ``size()`` copied past the edits
+        after = parse_source(AFTER, "java", before)
+        assert after.reused_members == 2
+        _, actions, changesets = diff_file_pair(before, after)
+        assert actions and changesets
 
 
-@pytest.mark.parametrize("steps", [1, 2, 3, 4],
-                         ids=["parse", "functions", "call_sites", "diff"])
+@pytest.mark.parametrize("steps", [1, 2, 3, 4, 5],
+                         ids=["parse", "functions", "call_sites", "diff", "reparse"])
 def test_dropped_trees_leave_no_cyclic_garbage(steps):
     gc.collect()
     gc.disable()
@@ -108,7 +116,7 @@ def test_run_leaves_no_cyclic_garbage(make_repo):
         run = analyze_repository(mixed.path)
         # Deep.java fails on three sides, Broken.java on two
         assert (run.checkpoint_restores, run.parse_errors) == (1, 5)
-        assert run.tree_reuses > 0
+        assert run.tree_reuses > 0 and run.member_reuses > 0
         assert gc.collect() == 0
         assert analyze_repository(merged.path).tree_reuses > 0
         assert gc.collect() == 0
