@@ -50,7 +50,6 @@ from .syntax import (
     FunctionUnit,
     SyntaxNode,
     SyntaxTree,
-    extract_functions,
     parse_source,
     register_adapter,
 )

@@ -27,10 +27,10 @@ and so is each bucket of the suffix index.  The integers come from an
 append-only interner that a graph shares with its copies; a number is
 never reused, so a shared entry's arrays mean the same in every copy, and
 ``adjacency()`` concatenates them instead of walking sites.  A copy of the
-graph (``CallGraph.copy``, which ``CheckpointStore`` keeps at every fork)
-is therefore one new dict over the same entries plus one over the same
-index buckets.  The interner keeps every ``FunctionId`` any of those
-graphs ever held.
+graph (``CallGraph.copy``, which ``CheckpointStore`` keeps for later
+commits) is therefore one new dict over the same entries plus one over
+the same index buckets.  The interner keeps every ``FunctionId`` any of
+those graphs ever held.
 
 Function importance combines two passes: plain PageRank, where a function
 called by many accrues rank, then a backward propagation that walks callee
@@ -416,7 +416,7 @@ class CallGraph:
 # ---------------------------------------------------------------------------
 
 class CheckpointStore:
-    """Keeps frozen graph states in memory, keyed by commit id.
+    """Keeps the graphs that later commits read, keyed by commit id.
 
     Each checkpoint and each restore is a ``CallGraph.copy``, so they share
     the ``FileEntry`` objects of the graph they came from, syntax trees
@@ -436,6 +436,10 @@ class CheckpointStore:
         if graph is None:
             raise UnknownCheckpoint(commit_id)
         return graph.copy()
+
+    def get(self, commit_id: str) -> CallGraph | None:
+        """The checkpoint itself, to be read and not changed, or None."""
+        return self._memory.get(commit_id)
 
     def discard(self, commit_id: str):
         """Release the checkpoint."""

@@ -1,11 +1,11 @@
 """Per-commit analysis pipeline.
 
 Two passes over the walked history.  Pass one follows the depth-first
-commit order, keeps the call graph in step (checkpointing at forks and
-restoring before sibling branches), diffs every changed source file, and
-records raw per-function measurements: weighted edit size, the four
-complexity metrics of the version the developer faced, call-graph impact
-at the commit's own snapshot, and dependence-graph reach ratios.  Pass two
+commit order, keeps the call graph in step (checkpointing the graphs
+later commits read), diffs every changed source file, and records raw
+per-function measurements: weighted edit size, the four complexity
+metrics of the version the developer faced, call-graph impact at the
+commit's own snapshot, and dependence-graph reach ratios.  Pass two
 fits a Box-Cox normalization of the complexity metrics and of call-graph
 impact over the whole run and fuses the raw records into function scores
 and commit values; the reach ratios enter raw, as the impact range IR.
@@ -22,17 +22,14 @@ commit parses only the changed source blobs it does not already hold.
 The call graph's entry for a file keeps the tree it was read from (see
 ``callgraph.FileEntry``), so a side is taken from an entry for its path
 of the same blob: a before side from the graph, which holds the first
-parent's snapshot, and either side of a merge from the snapshot of a
+parent's snapshot, and either side of a merge from the checkpoint of a
 non-first parent, so a merge re-reads no tree its topic branch built.
 An after side that is parsed is parsed against its change's before tree,
 held or parsed, renames included: it takes the members whose text the
 commit left unchanged from that tree (see the ``syntax`` module doc), so
 a commit's parse costs about what it changed.  The before tree's shapes
 are filled just before, so the members copied from it keep them.
-Such a parent's files are kept (``PipelineState.snapshots``) from its
-analysis until the last merge that names it and comes later in the walk;
-a merge the walk reaches before that parent keeps nothing.  A blob that
-fails to parse, including one nested deeper than the parser or
+A blob that fails to parse, including one nested deeper than the parser or
 ``MAX_TREE_DEPTH`` allows, is logged once per commit that reads it and
 skipped.
 
@@ -45,8 +42,8 @@ The graph's trees hold no reference cycles, so a superseded version is
 freed by reference counting; a full cyclic collection would walk every
 node still held and free nothing.  ``analyze_repository`` therefore
 pauses the cyclic collector for the commit loop.  When the loop ends,
-whether it finished or raised, it drops the graph and the kept merge
-parents' snapshots, so reference counting frees the trees before the
+whether it finished or raised, it drops the graph and the checkpoint
+store from the state, so reference counting frees the trees before the
 first collection could walk them, and then restores the caller's
 setting.
 
@@ -61,11 +58,13 @@ graph or after a structural change; the ranks are then stored on the
 graph, with the SCC condensation they were propagated over, which the next
 ranking reuses while the change leaves it holding (see ``callgraph``).
 Otherwise the graph's ranks are reused, and they equal what a
-recompute would give.  A fork's checkpoint is an in-memory copy of the
-graph that shares its immutable per-file entries and its ranks, released
-once its last first-parent child has been restored, so a restored branch
-reuses the fork's ranks until its structure changes; the analysis writes
-no files.
+recompute would give.  The graph of a commit that later commits read is
+checkpointed in ``PipelineState.store`` and released after its last
+read: each first-parent child after the first restores it, and each
+merge after it in the walk that names it as a later parent reads trees
+from its files.  A checkpoint is an in-memory copy of the graph that
+shares its immutable per-file entries and its ranks, so a restored branch
+reuses the fork's ranks until its structure changes; no file is written.
 
 The history's git reader (see ``repo``) starts at the first commit's
 ``changed_files`` call and lives through pass one only:
@@ -87,7 +86,6 @@ from .astdiff import FILE_SCOPE, delta_ast, diff_file_pair
 from .callgraph import (
     CallGraph,
     CheckpointStore,
-    FileEntry,
     FunctionId,
     backward_propagate,
     inter_impact,
@@ -234,15 +232,14 @@ class PipelineState:
     """Mutable walk state shared across per-commit analysis calls; times
     and counts go to ``run``.
 
-    ``snapshots`` maps a commit that a later merge names as a non-first
-    parent to its graph's files, kept until that merge is analyzed.
-    ``shapes`` fills the subtree shapes of every tree the run diffs."""
+    ``store`` holds the graphs later commits still read (see the module
+    doc); ``shapes`` fills the subtree shapes of every tree the run diffs."""
 
     tree: VersionTree
     config: AnalysisConfig
     run: AnalysisRun
     graph: CallGraph = field(default_factory=CallGraph)
-    snapshots: dict[str, dict[str, FileEntry]] = field(default_factory=dict)
+    store: CheckpointStore = field(default_factory=CheckpointStore)
     shapes: ShapeTable = field(default_factory=ShapeTable)
 
 
@@ -275,8 +272,8 @@ def parse_changes(changes, graph: CallGraph, run: AnalysisRun,
     ``A.java``; a change with no source side is left out.
 
     Each blob is parsed at most once.  ``graph`` must hold the commit's
-    first-parent snapshot, and ``parents`` the files of the snapshots kept
-    for the commit's other parents (see ``PipelineState.snapshots``).  A
+    first-parent snapshot, and ``parents`` the files of the checkpoints
+    held for the commit's other parents (see ``PipelineState.store``).  A
     before side whose blob is the one its file's entry in ``graph`` was
     read from is that entry's tree, and so is a side whose path has an
     entry of its blob in one of ``parents``; neither is parsed again.
@@ -380,7 +377,8 @@ def analyze_commit(commit: CommitRecord, state: PipelineState) -> CommitResult:
     result.bulk = len(changes) > cfg.bulk_file_threshold
 
     t0 = time.perf_counter()
-    parents = [state.snapshots[p] for p in commit.parent_ids[1:] if p in state.snapshots]
+    parents = [held.files for p in commit.parent_ids[1:]
+               if (held := state.store.get(p)) is not None]
     sources = parse_changes(changes, state.graph, run, parents, state.shapes)
     run.add_time("parse", time.perf_counter() - t0)
 
@@ -480,17 +478,18 @@ def analyze_repository(path: str, config: AnalysisConfig | None = None) -> Analy
     t_start = time.perf_counter()
     tree = open_repository(path, branch=cfg.branch, bot_patterns=cfg.bot_patterns)
     order = walk_commits(tree)
-    children = first_parent_children(tree)
-    store = CheckpointStore()
 
     run = AnalysisRun(repository=str(path), config=cfg.to_dict())
-    state = PipelineState(tree=tree, config=cfg, run=run)
+    state = PipelineState(tree=tree, config=cfg, run=run, store=CheckpointStore())
+    # the reads of each commit's graph still due (see the module doc)
+    reads = Counter({cid: len(kids) - 1 for cid, kids in first_parent_children(tree).items()})
+    reads.update(p for record in tree.commits.values() for p in record.parent_ids[1:])
 
-    fork_ids = {cid for cid, kids in children.items() if len(kids) > 1}
-    fork_of_last_child = {children[cid][-1]: cid for cid in fork_ids}
-    # non-first parent -> its merges not analyzed yet
-    merges_due = Counter(p for record in tree.commits.values()
-                         for p in record.parent_ids[1:])
+    def read(cid):  # a merge the walk reaches before cid finds no checkpoint
+        reads[cid] -= 1
+        if not reads[cid] and state.store.get(cid) is not None:
+            state.store.discard(cid)
+
     previous: str | None = None
     collecting = gc.isenabled()
     gc.disable()
@@ -502,28 +501,23 @@ def analyze_repository(path: str, config: AnalysisConfig | None = None) -> Analy
                 if previous is not None:
                     state.graph = CallGraph()
             elif first_parent != previous:
-                state.graph = store.restore(first_parent)
+                state.graph = state.store.restore(first_parent)
                 run.checkpoint_restores += 1
-            if commit.id in fork_of_last_child:
-                store.discard(fork_of_last_child[commit.id])
+                read(first_parent)
             result = analyze_commit(commit, state)
-            if commit.id in fork_ids:
-                store.checkpoint(state.graph, commit.id)
+            if reads[commit.id]:
+                state.store.checkpoint(state.graph, commit.id)
                 run.checkpoints += 1
-            if merges_due[commit.id]:
-                state.snapshots[commit.id] = dict(state.graph.files)
             for parent in commit.parent_ids[1:]:
-                merges_due[parent] -= 1
-                if not merges_due[parent]:
-                    state.snapshots.pop(parent, None)
+                read(parent)
             run.commits.append(result)
             run.commit_times[commit.id] = time.perf_counter() - t_commit
             previous = commit.id
     finally:
         tree.close()
-        # free the graph, the snapshots and their trees before a collection
+        # free the graph, the checkpoints and their trees before a collection
         # could walk them; a raising commit's frame may still hold the state
-        state.snapshots.clear()
+        state.graph = state.store = None
         del state
         if collecting:
             gc.enable()

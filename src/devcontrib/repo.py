@@ -9,15 +9,15 @@ one ``git diff-tree --stdin`` over every commit of the tree and keeps one
 git processes, five when it is given a branch.  ``VersionTree.close``
 stops the blob reader (``analyze_repository`` calls it on every exit
 path), and a tree that is dropped without being closed stops it when it
-is freed.  Diffs are taken against the first parent, so merge commits
-contribute only what the merge itself wrote; a merge with an empty
-first-parent diff scores zero downstream.
+is freed.  Diffs are taken against the first parent, so a ``--no-ff``
+merge's diff holds all its topic branch wrote, and that work is scored
+again for the merge; an empty first-parent diff scores zero downstream.
 
 The commit walk is a depth-first traversal of the first-parent forest:
 every commit appears after the parent it was reached through, and at a
 fork one branch is emitted completely before its sibling starts.  That
-ordering is what lets the call graph update incrementally with one
-checkpoint per fork.
+ordering is what lets the call graph update incrementally, restoring a
+fork's checkpoint before each later sibling.
 """
 
 from __future__ import annotations

@@ -508,7 +508,7 @@ class _Parser:
         self.anonymous = 0        # innermost type's anonymous-class count
         # the previous version's members that may be taken whole (see
         # ``reuse_member``), and how many were
-        self.reusable = _reusable_members(previous, text) if previous is not None else {}
+        self.reusable = {} if previous is None else _reusable_members(previous, text, starts)
         self.reused = 0
 
     # -- token helpers ------------------------------------------------------
@@ -1432,18 +1432,19 @@ def _body_names(containers, components) -> tuple:
     return tuple(containers), tuple([p.children[-2].label for p in components])
 
 
-def _reusable_members(previous: SyntaxTree, text: str) -> dict:
+def _reusable_members(previous: SyntaxTree, text: str, starts: list) -> dict:
     """The members of ``previous``'s type bodies whose text reappears in
-    ``text``, by their start there: ``(member, shift, body names,
-    anonymous classes before it in its body, anonymous classes it holds,
-    its units)``.
+    ``text`` at one of its token ``starts``, by their start there:
+    ``(member, shift, body names, anonymous classes before it in its body,
+    anonymous classes it holds, its units)``.
 
     Each member's text is looked for at its old offset moved by the shift
     of the last one found, else from the end of that one onwards, so an
-    edit costs one search past it.  A type whose text is not found is
-    searched member by member.  A member found here is only a candidate:
-    the parser checks the rest (see ``_Parser.reuse_member``)."""
-    search = _MemberSearch(previous, text)
+    edit costs one search past it; a copy in a comment or a string is
+    passed over.  A type whose text is not found is searched member by
+    member.  A found member is only a candidate: the parser checks the
+    rest (see ``_Parser.reuse_member``)."""
+    search = _MemberSearch(previous, text, starts)
     for decl in previous.root.children:
         if decl.kind in _TYPE_DECLS:
             search.body(decl, [])
@@ -1454,9 +1455,9 @@ class _MemberSearch:
     """The state of ``_reusable_members``: what it found, and the shift
     and end in the new text of the last member found."""
 
-    def __init__(self, previous: SyntaxTree, text: str):
+    def __init__(self, previous: SyntaxTree, text: str, starts: list):
         self.old, self.text, self.units = previous.source_text, text, previous.functions
-        self.unit_starts = [u.span[0] for u in self.units]
+        self.starts, self.unit_starts = starts, [u.span[0] for u in self.units]
         self.found = {}
         self.shift = self.cursor = 0
 
@@ -1475,8 +1476,10 @@ class _MemberSearch:
             piece = old[member.start:member.end]
             count = _anonymous_classes(member) if "new" in piece else 0
             at = member.start + self.shift
-            if not text.startswith(piece, at):
+            if not (text.startswith(piece, at) and self.token_starts(at)):
                 at = text.find(piece, self.cursor)
+                while at >= 0 and not self.token_starts(at):
+                    at = text.find(piece, at + 1)
             if at >= 0:
                 self.shift, self.cursor = at - member.start, at + len(piece)
                 first = bisect.bisect_left(unit_starts, member.start)
@@ -1486,6 +1489,10 @@ class _MemberSearch:
             elif member.kind in _TYPE_DECLS:
                 self.body(member, containers)
             anonymous += count
+
+    def token_starts(self, at: int) -> bool:
+        i = bisect.bisect_left(self.starts, at)
+        return i < len(self.starts) and self.starts[i] == at
 
 
 def _anonymous_classes(member: SyntaxNode) -> int:
@@ -1603,11 +1610,6 @@ def parse_file(path: str, text: str, previous: SyntaxTree | None = None) -> Synt
     except ParseError as exc:
         logger.warning("skipping %s: %s at %s", path, str(exc), exc.position)
         return None
-
-
-def extract_functions(tree: SyntaxTree) -> list[FunctionUnit]:
-    """The tree's function units, which the parse built (see ``FunctionUnit``)."""
-    return tree.functions
 
 
 def callee_segments(callee: SyntaxNode) -> list[str]:

@@ -24,7 +24,6 @@ from devcontrib.syntax import (
     ShapeTable,
     SyntaxNode,
     SyntaxTree,
-    extract_functions,
     parse_source,
 )
 from oracles import (
@@ -97,7 +96,7 @@ def test_new_function_single_insert_with_subtree_depth():
     before, after, mapping, script = _diff(BASE, WITH_MUL)
     inserts = [a for a in script if a.kind == "insert"]
     assert len(inserts) == 1
-    method = next(u for u in extract_functions(after)
+    method = next(u for u in after.functions
                   if u.qualified_name == "C.mul(int,int)")
     assert inserts[0].after_node is method.body
     assert inserts[0].subtree_depth == method.body.height
@@ -112,8 +111,7 @@ def test_statement_move_attributed_to_both_functions():
     before, after, mapping, script = _diff(BASE, moved)
     moves = [a for a in script if a.kind == "move"]
     assert len(moves) == 1
-    changesets = group_by_function(script, extract_functions(before),
-                                   extract_functions(after))
+    changesets = group_by_function(script, before.functions, after.functions)
     holders = {cs.function for cs in changesets
                if any(a.kind == "move" for a in cs.actions)}
     assert holders == {"C.add(int,int)", "C.run(int)"}
@@ -150,8 +148,7 @@ def test_log_statement_insert_is_blacklisted_and_scores_zero():
     assert len(script) == 1
     assert script[0].kind == "insert"
     assert script[0].blacklisted
-    changesets = group_by_function(script, extract_functions(before),
-                                   extract_functions(after))
+    changesets = group_by_function(script, before.functions, after.functions)
     assert delta_ast(changesets[0]) == 0.0
 
 
@@ -167,8 +164,7 @@ def test_group_by_function_partition_preserves_actions():
     edited = BASE.replace("int sum = a + b;", "int sum = a * b;")
     edited = edited.replace("prepare(n);", "prepare(n + 2);")
     before, after, mapping, script = _diff(BASE, edited)
-    changesets = group_by_function(script, extract_functions(before),
-                                   extract_functions(after))
+    changesets = group_by_function(script, before.functions, after.functions)
     assert {cs.function for cs in changesets} == {"C.add(int,int)", "C.run(int)"}
     assert sum(len(cs.actions) for cs in changesets) == len(script)
 
@@ -177,8 +173,7 @@ def test_import_edit_goes_to_file_scope():
     before_src = "import java.util.List;\n" + BASE
     after_src = "import java.util.Map;\n" + BASE
     before, after, mapping, script = _diff(before_src, after_src)
-    changesets = group_by_function(script, extract_functions(before),
-                                   extract_functions(after))
+    changesets = group_by_function(script, before.functions, after.functions)
     assert [cs.function for cs in changesets] == [FILE_SCOPE]
 
 
@@ -464,8 +459,8 @@ def _state(mapping):
 def test_calls_to_different_callees_get_different_shapes():
     before = parse_source("class C { void m() { f(1, 2); h(3); } }", "java")
     after = parse_source("class C { void m() { g(1, 2); h(3); } }", "java")
-    block_b = extract_functions(before)[0].body.children[-1]
-    block_a = extract_functions(after)[0].body.children[-1]
+    block_b = before.functions[0].body.children[-1]
+    block_a = after.functions[0].body.children[-1]
     (f_stmt, h_before), (g_stmt, h_after) = block_b.children, block_a.children
     script = _assert_trees_equal_reference(before, after)
     assert [(a.kind, a.before_node.label, a.after_node.label) for a in script] == [

@@ -12,7 +12,7 @@ from devcontrib.complexity import (
     halstead_volume,
     loc,
 )
-from devcontrib.syntax import FunctionUnit, SyntaxTree, extract_functions, parse_source
+from devcontrib.syntax import FunctionUnit, SyntaxTree, parse_source
 from oracles import reference_comment_percentage, reference_halstead_volume
 from test_syntax import SAMPLE, _generated_classes
 
@@ -21,7 +21,7 @@ IDIOMS = Path(__file__).resolve().parent / "fixtures" / "Idioms.java"
 
 def _unit(src, index=0):
     tree = parse_source(src, "java")
-    return extract_functions(tree)[index], tree
+    return tree.functions[index], tree
 
 
 def test_loc_one_line_function():
@@ -199,7 +199,7 @@ def _commented_sources(draw):
 @example("class C {\n    /* a\n       b */ void m() {\n    } /* c\n    d */\n}\n")
 def test_comment_percentage_equals_the_per_line_reference(source):
     tree = parse_source(source, "java")
-    units = extract_functions(tree)
+    units = tree.functions
     assert units
     for unit in units:
         assert comment_percentage(unit, tree) == reference_comment_percentage(unit, tree), \

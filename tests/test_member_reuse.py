@@ -190,9 +190,12 @@ _DEEP = ("class C { void f() { } String s() { return "
     # initializers' calls are its method's
     ("class A$1 { int w = f(); } class A { void m() { } }",
      "class A { void m() { new Object() { int w = f(); }; } }", 0),
-    # the same text first inside a comment, where no token starts
+    # the same text first inside a comment or a string, where no token
+    # starts: the copy is passed over and the member itself is taken
     ("class A { void f() { } }",
-     "class A { /* void f() { } */ void f() { } }", 0),
+     "class A { /* void f() { } */ void f() { } }", 1),
+    ("class A { void f() { } }",
+     'class A { String s = "void f() { }"; void f() { } }', 1),
     # a member of the deepest tree, copied past an edit
     (_DEEP, _DEEP.replace("void f() { }", "void f() { g(); }"), 1),
 ])

@@ -17,7 +17,7 @@ from devcontrib.pdg import (
     ddg_impact,
     impact_range,
 )
-from devcontrib.syntax import extract_functions, parse_source
+from devcontrib.syntax import parse_source
 from oracles import reference_reaching_defs
 
 IDIOMS = Path(__file__).resolve().parent / "fixtures" / "Idioms.java"
@@ -25,7 +25,7 @@ IDIOMS = Path(__file__).resolve().parent / "fixtures" / "Idioms.java"
 
 def _pdg(src, index=0):
     tree = parse_source(src, "java")
-    return build_pdg(extract_functions(tree)[index])
+    return build_pdg(tree.functions[index])
 
 
 def test_single_def_use_edge():
@@ -240,8 +240,8 @@ def test_deleted_statement_maps_to_next_survivor():
     after = parse_source(after_src, "java")
     _, _, changesets = diff_file_pair(before, after)
     cs = next(c for c in changesets if c.function == "C.m()")
-    unit_before = extract_functions(before)[0]
-    pdg_after = build_pdg(extract_functions(after)[0])
+    unit_before = before.functions[0]
+    pdg_after = build_pdg(after.functions[0])
     changed = changed_pdg_nodes(unit_before, pdg_after, cs)
     after_nodes = sorted(pdg_after.nodes, key=lambda n: n.span)
     three = next(n.id for n in after_nodes
@@ -258,8 +258,8 @@ def test_several_deletions_in_one_body_map_each_to_its_next_survivor():
     after = parse_source(after_src, "java")
     _, _, [cs] = diff_file_pair(before, after)
     assert [a.kind for a in cs.actions] == ["delete"] * 4
-    pdg_after = build_pdg(extract_functions(after)[0])
-    changed = changed_pdg_nodes(extract_functions(before)[0], pdg_after, cs)
+    pdg_after = build_pdg(after.functions[0])
+    changed = changed_pdg_nodes(before.functions[0], pdg_after, cs)
     # s1 and s2 go to s3 and s5 to s6; s9 has no survivor after it and
     # goes to the last statement, s8
     named = {after.source_text[n.span[0]:n.span[1]]: n.id for n in pdg_after.nodes}
@@ -273,8 +273,8 @@ def test_new_function_changed_set_covers_inserted_statement():
     after = parse_source(after_src, "java")
     _, _, changesets = diff_file_pair(before, after)
     cs = changesets[0]
-    unit_before = extract_functions(before)[0]
-    pdg_after = build_pdg(extract_functions(after)[0])
+    unit_before = before.functions[0]
+    pdg_after = build_pdg(after.functions[0])
     changed = changed_pdg_nodes(unit_before, pdg_after, cs)
     assert len(changed) == 1
     assert changed_pdg_nodes(unit_before, pdg_after,
@@ -287,8 +287,8 @@ def test_only_deletions_read_the_before_statements(monkeypatch):
     after = parse_source(source.replace("int a = 1; one();", "one(); return;"), "java")
     _, _, [cs] = diff_file_pair(before, after)
     assert {a.kind for a in cs.actions} == {"delete", "insert"}
-    unit_before = extract_functions(before)[0]
-    pdg_after = build_pdg(extract_functions(after)[0])
+    unit_before = before.functions[0]
+    pdg_after = build_pdg(after.functions[0])
     statements = pdg_module._statements
     read = []
 
@@ -376,7 +376,7 @@ def _assert_def_use_edges_equal_reference(src):
         return edges
 
     with mock.patch.object(pdg_module, "_reaching_def_use_edges", both):
-        for unit in extract_functions(parse_source(src, "java")):
+        for unit in parse_source(src, "java").functions:
             build_pdg(unit)
     assert pairs
     for edges, expected in pairs:

@@ -708,7 +708,7 @@ def _merge(repo, branches, ts):
 def _fresh_run(path):
     with pytest.MonkeyPatch.context() as mp:
         # parsing against an empty call graph and no merge parents'
-        # snapshots holds no tree to reuse
+        # checkpoints holds no tree to reuse
         mp.setattr(pipeline, "parse_changes",
                    lambda changes, graph, run, parents, shapes:
                    parse_changes(changes, CallGraph(), run, shapes=shapes))
@@ -747,14 +747,15 @@ def test_reused_trees_give_the_run_of_fresh_parses(tmp_path_factory, side, main,
     _run_equal_to_fresh_parses(repo.path)
 
 
-def _snapshots_seen(monkeypatch):
-    """Per analyzed commit: the commits whose snapshots the state keeps,
-    and the commit's parses and tree reuses."""
+def _checkpoints_seen(monkeypatch):
+    """Per analyzed commit: the commits whose graphs the checkpoint store
+    holds, and the commit's parses and tree reuses."""
     seen = []
     analyze_commit = pipeline.analyze_commit
 
     def observed(commit, state):
-        kept, run = sorted(state.snapshots), state.run
+        kept = sorted(c for c in state.tree.commits if state.store.get(c) is not None)
+        run = state.run
         parses, reuses = run.parses, run.tree_reuses
         result = analyze_commit(commit, state)
         seen.append((kept, run.parses - parses, run.tree_reuses - reuses))
@@ -766,7 +767,8 @@ def _snapshots_seen(monkeypatch):
 
 def test_a_merge_reads_its_topic_branchs_trees(make_repo, monkeypatch):
     repo = make_repo()
-    repo.commit("base", 1000, {"Service.java": BASE_JAVA, "Other.java": _unit("Other", 1)})
+    base = repo.commit("base", 1000, {"Service.java": BASE_JAVA,
+                                      "Other.java": _unit("Other", 1)})
     repo.branch("side")
     repo.commit("side1", 2000, {"Service.java": BASE_JAVA.replace("k * 2", "k * 3")})
     topic = repo.commit("side2", 2100, {"Extra.java": _unit("Extra", 2),
@@ -775,12 +777,13 @@ def test_a_merge_reads_its_topic_branchs_trees(make_repo, monkeypatch):
     repo.checkout("main")
     repo.commit("main1", 3000, {"Main.java": _unit("Main", 3)})
     merge = _merge(repo, ["side"], 4000)
-    seen = _snapshots_seen(monkeypatch)
+    seen = _checkpoints_seen(monkeypatch)
     run, _ = _run_equal_to_fresh_parses(repo.path)
     assert [c.id for c in run.commits][-1] == merge
     seen = seen[:len(run.commits)]  # the fresh run's commits come after
-    # side2's files are kept from its analysis until the merge is analyzed
-    assert [kept for kept, _, _ in seen] == [[], [], [], [topic], [topic]]
+    # base is kept for main1, which restores it, and side2 from its analysis
+    # until the merge is analyzed
+    assert [kept for kept, _, _ in seen] == [[], [base], [base], [topic], [topic]]
     # the merge parses only Extra.java's empty before side: the before sides
     # of Service.java and the renamed Other.java are in main1's graph, and
     # their after sides and Extra.java's are side2's trees
@@ -789,18 +792,19 @@ def test_a_merge_reads_its_topic_branchs_trees(make_repo, monkeypatch):
 
 def test_a_merge_before_its_second_parent_keeps_no_snapshot(make_repo, monkeypatch):
     repo = make_repo()
-    repo.commit("base", 1000, {"Service.java": BASE_JAVA})
+    base = repo.commit("base", 1000, {"Service.java": BASE_JAVA})
     repo.branch("side")
     repo.commit("side1", 5000, {"Service.java": BASE_JAVA.replace("k * 2", "k * 3")})
     repo.checkout("main")
     repo.commit("main1", 2000, {"Main.java": _unit("Main", 3)})
     merge = _merge(repo, ["side"], 6000)
-    seen = _snapshots_seen(monkeypatch)
+    seen = _checkpoints_seen(monkeypatch)
     run, _ = _run_equal_to_fresh_parses(repo.path)
     # main's commits are older: the walk reaches the merge before side1
     assert [c.id for c in run.commits].index(merge) == 2
     seen = seen[:len(run.commits)]  # the fresh run's commits come after
-    assert [kept for kept, _, _ in seen] == [[]] * 4
+    # only base is kept, until side1 restores it
+    assert [kept for kept, _, _ in seen] == [[], [base], [base], []]
     # the merge parses Service.java's after side, which side1 parses again
     assert [reuses for _, _, reuses in seen] == [0, 0, 1, 1]
 
@@ -816,7 +820,7 @@ def test_an_octopus_merge_reads_every_topic_branch(make_repo, monkeypatch):
     repo.checkout("main")
     repo.commit("main1", 3000, {"C.java": _unit("C", 2)})
     merge = _merge(repo, ["one", "two"], 4000)
-    seen = _snapshots_seen(monkeypatch)
+    seen = _checkpoints_seen(monkeypatch)
     run, _ = _run_equal_to_fresh_parses(repo.path)
     assert [c.id for c in run.commits][-1] == merge
     seen = seen[:len(run.commits)]  # the fresh run's commits come after

@@ -12,7 +12,6 @@ from devcontrib.syntax import (
     MAX_TREE_DEPTH,
     SyntaxNode,
     SyntaxTree,
-    extract_functions,
     is_log_call_statement,
     parse_source,
     tokenize,
@@ -59,12 +58,12 @@ def test_empty_source():
     tree = parse_source("", "java")
     assert tree.root.kind == "compilation_unit"
     assert tree.root.children == ()  # the empty tuple every leaf shares
-    assert extract_functions(tree) == []
+    assert tree.functions == []
 
 
 def test_single_function_extraction():
     tree = parse_source("class C { int one() { return 1; } }", "java")
-    units = extract_functions(tree)
+    units = tree.functions
     assert len(units) == 1
     assert units[0].qualified_name == "C.one()"
 
@@ -77,7 +76,7 @@ def test_parse_error_carries_position():
 
 def test_two_methods_and_overloads():
     tree = parse_source(SAMPLE, "java")
-    names = [u.qualified_name for u in extract_functions(tree)]
+    names = [u.qualified_name for u in tree.functions]
     assert names == [
         "Greeter.greet(String,int)",
         "Greeter.size(List<String>)",
@@ -94,11 +93,11 @@ def test_nested_lambda_gets_synthesized_name():
     }
     """
     tree = parse_source(src, "java")
-    names = [u.qualified_name for u in extract_functions(tree)]
+    names = [u.qualified_name for u in tree.functions]
     assert names[0] == "C.m()"
     assert names[1].endswith("$lambda0")
     # round trip: the lambda's body is inside the enclosing method's span
-    units = extract_functions(tree)
+    units = tree.functions
     assert units[0].span[0] <= units[1].span[0] <= units[1].span[1] <= units[0].span[1]
 
 
@@ -389,7 +388,6 @@ def test_function_units_are_extracted_once_per_tree():
     # the parse builds the units; reading them derives nothing again
     tree = parse_source(SAMPLE, "java")
     assert tree.functions is tree.functions
-    assert extract_functions(tree) is tree.functions
     # equal names, spans and calls, and the very body nodes of the tree
     # (a ``SyntaxNode`` equals only itself)
     assert tree.functions == reference_units(tree)
@@ -484,7 +482,7 @@ def test_record_declaration_is_a_container_with_its_components():
         ("param", [("type", "int"), ("identifier", "lo")]),
         ("param", [("type", "int"), ("identifier", "hi")]),
     ])
-    names = [u.qualified_name for u in extract_functions(tree)]
+    names = [u.qualified_name for u in tree.functions]
     # javac names the compact constructor after the record's components
     assert names == ["Range.Range(int,int)", "Range.width(int)"]
 
@@ -497,7 +495,7 @@ def test_record_is_a_keyword_only_before_a_declaration():
     }
     """
     tree = parse_source(src, "java")
-    names = [u.qualified_name for u in extract_functions(tree)]
+    names = [u.qualified_name for u in tree.functions]
     assert names == ["C.record(int)"]
     body = tree.root.children[0].children[-1]
     assert [c.kind for c in body.children] == ["record_decl", "method_decl"]
@@ -517,7 +515,7 @@ def test_switch_rules_parse_to_one_label_and_one_body():
         }
     }
     """
-    unit = extract_functions(parse_source(src, "java"))[0]
+    unit = parse_source(src, "java").functions[0]
     switch = next(n for n in unit.body.walk() if n.kind == "switch_stmt")
     rules = switch.children[1:]
     assert [r.kind for r in rules] == ["switch_rule"] * 4
@@ -531,7 +529,7 @@ def test_switch_rules_parse_to_one_label_and_one_body():
 
 def test_colon_labels_may_list_several_constants():
     src = "class C { void m(int x) { switch (x) { case 1, 2: f(); default: g(); } } }"
-    unit = extract_functions(parse_source(src, "java"))[0]
+    unit = parse_source(src, "java").functions[0]
     switch = next(n for n in unit.body.walk() if n.kind == "switch_stmt")
     assert [g.kind for g in switch.children[1:]] == ["switch_group", "switch_group"]
     assert _shape(switch.children[1].children[0]) == (

@@ -26,9 +26,9 @@ tracing = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(tracing)
 
 # Listed by the benchmark but gone since each tree carries its function units
-# (``SyntaxTree.functions``), which the parse builds.  ``syntax.extract_functions``
-# still exists, but nothing in the program calls it.
-UNBOUND = {("pipeline", "extract_functions"), ("callgraph", "extract_functions")}
+# (``SyntaxTree.functions``), which the parse builds.
+UNBOUND = {("pipeline", "extract_functions"), ("callgraph", "extract_functions"),
+           ("syntax", "extract_functions")}
 
 
 def test_every_module_span_has_a_binding():
@@ -37,7 +37,9 @@ def test_every_module_span_has_a_binding():
     assert missing <= UNBOUND
     bound = {span for module, attr, span in tracing.MODULE_TARGETS
              if (module, attr) not in missing}
-    assert bound == {span for _, _, span in tracing.MODULE_TARGETS}
+    # every span but the extraction one, which records nothing (see below)
+    assert bound == {span for _, _, span in tracing.MODULE_TARGETS} - {
+        "syntax.extract_functions"}
 
 
 def test_every_method_target_resolves():
@@ -129,3 +131,23 @@ def test_traced_run_records_parse_update_and_diff_spans(make_repo):
     # the units are built inside the ``syntax.parse`` span, and no layer
     # derives them again, so the extraction span records nothing
     assert metrics["syntax.extract_functions_calls"] == 0
+
+
+def test_traced_run_discards_every_checkpoint_it_takes(make_repo):
+    # base is a fork, restored for main1, and side1 a merge parent, read by
+    # the merge: each is checkpointed once and discarded after its last read
+    repo = make_repo()
+    a = "class A { int f() { return g(); } int g() { return 1; } }"
+    repo.commit("base", 1000, {"A.java": a})
+    repo.branch("side")
+    repo.commit("side1", 2000, {"B.java": "class B { int k() { return f(); } }"})
+    repo.checkout("main")
+    repo.commit("main1", 3000, {"A.java": a.replace("return 1;", "return 2;")})
+    repo.merge("side", 4000)
+    env = dict(os.environ, PYTHONPATH=str(Path(devcontrib.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _TRACED_RUN, str(_TRACING), repo.path],
+                          env=env, capture_output=True, text=True, check=True)
+    metrics = json.loads(proc.stdout)
+    assert metrics["callgraph.checkpoint_calls"] == metrics["callgraph.discard_calls"] == 2
+    assert metrics["callgraph.restore_calls"] == 1
+    assert metrics["callgraph.checkpoints_live_peak"] >= 1

@@ -15,7 +15,7 @@ import pytest
 import devcontrib
 from devcontrib import pipeline
 from devcontrib.astdiff import diff_file_pair
-from devcontrib.callgraph import CallGraph
+from devcontrib.callgraph import CallGraph, CheckpointStore
 from devcontrib.errors import MissingAuthor
 from devcontrib.pipeline import analyze_repository
 from devcontrib.syntax import parse_source
@@ -192,8 +192,10 @@ def test_graph_and_its_trees_are_freed_before_the_collector_resumes(make_repo,
         result = analyze_commit(commit, state)
         held.append(weakref.ref(state.graph))
         held.extend(weakref.ref(entry.tree) for entry in state.graph.files.values())
-        held.extend(weakref.ref(entry.tree) for files in state.snapshots.values()
-                    for entry in files.values())
+        kept = [state.store.get(c) for c in state.tree.commits]
+        held.extend(weakref.ref(graph) for graph in kept if graph is not None)
+        held.extend(weakref.ref(entry.tree) for graph in kept if graph is not None
+                    for entry in graph.files.values())
         return result
 
     alive = []
@@ -219,10 +221,11 @@ def test_snapshots_are_freed_when_the_loop_raises_before_the_merge(make_repo,
 
     def failing(commit, state):
         if len(commit.parent_ids) > 1:
-            # trees only side2's kept files hold; this frame keeps the state
+            # trees only side2's checkpoint holds; this frame keeps the state
             in_graph = {id(entry.tree) for entry in state.graph.files.values()}
-            kept.extend(weakref.ref(entry.tree) for files in state.snapshots.values()
-                        for entry in files.values() if id(entry.tree) not in in_graph)
+            kept.extend(weakref.ref(entry.tree) for parent in commit.parent_ids[1:]
+                        for entry in state.store.get(parent).files.values()
+                        if id(entry.tree) not in in_graph)
             raise MissingAuthor("the merge fails")
         return analyze_commit(commit, state)
 
@@ -241,4 +244,44 @@ def test_snapshots_are_freed_when_the_loop_raises_before_the_merge(make_repo,
     # side1's C.java and side2's Extra.java; the renamed Helper.java keeps
     # the tree of its blob that main1's graph holds too
     assert len(kept) == 2
+    assert alive == [0]
+
+
+def test_fork_checkpoint_is_freed_when_the_loop_raises(make_repo, monkeypatch):
+    repo = _mixed_history(make_repo)
+    stores, seen, kept = [], [], []
+
+    class RecordingStore(CheckpointStore):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            stores.append(weakref.ref(self))
+
+    analyze_commit = pipeline.analyze_commit
+
+    def failing(commit, state):
+        seen.append(commit.id)
+        if len(seen) == 3:
+            # side2: base's checkpoint is live, and holds C.java's first
+            # tree, which side1 replaced in the graph; this frame keeps the state
+            in_graph = {id(entry.tree) for entry in state.graph.files.values()}
+            kept.extend(weakref.ref(entry.tree)
+                        for entry in stores[0]().restore(seen[0]).files.values()
+                        if id(entry.tree) not in in_graph)
+            raise MissingAuthor("side2 fails")
+        return analyze_commit(commit, state)
+
+    alive = []
+
+    def enable():
+        alive.append(sum(ref() is not None for ref in kept))
+        gc.enable()
+
+    monkeypatch.setattr(pipeline, "CheckpointStore", RecordingStore)
+    monkeypatch.setattr(pipeline, "analyze_commit", failing)
+    monkeypatch.setattr(pipeline, "gc", types.SimpleNamespace(
+        isenabled=gc.isenabled, disable=gc.disable, enable=enable))
+    assert gc.isenabled()
+    with pytest.raises(MissingAuthor):
+        analyze_repository(repo.path)
+    assert len(kept) == 1
     assert alive == [0]
