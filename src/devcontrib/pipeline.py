@@ -26,8 +26,9 @@ parent's snapshot, and either side of a merge from the checkpoint of a
 non-first parent, so a merge re-reads no tree its topic branch built.
 An after side that is parsed is parsed against its change's before tree,
 held or parsed, renames included: it takes the members whose text the
-commit left unchanged from that tree (see the ``syntax`` module doc), so
-a commit's parse costs about what it changed.  The before tree's shapes
+commit left unchanged from that tree and lexes only the text outside
+them (see the ``syntax`` module doc), so a commit's parse, lexing
+included, costs about what it changed.  The before tree's shapes
 are filled just before, so the members copied from it keep them.
 A blob that fails to parse, including one nested deeper than the parser or
 ``MAX_TREE_DEPTH`` allows, is logged once per commit that reads it and

@@ -33,7 +33,8 @@ The lexer is one compiled pattern with an alternative per token class.
 parallel lists (kinds, texts, starts and ends), built by list operations
 that run in C, with no object per token; only numbers, errors and words
 that start outside ASCII take a Python step each.  The parser reads the
-lists by index, and no token list outlives the parse.
+lists by index, and no token list outlives the parse.  The same lists
+may be built from segments of the text (see below).
 
 A tree depends on its text alone, not on the file's path.  The parser
 builds its function units (``functions``), with each method's call sites,
@@ -44,16 +45,20 @@ when it is built, which the depth check reads.  A leaf's ``children`` is
 one shared empty tuple.
 
 A file's text may be parsed against the tree of its previous version
-(incremental parsing; Wagner & Graham, TOPLAS 1998).  The text is still
-lexed whole, but the type-body member loop takes each member whose text
-is unchanged from the previous tree instead of parsing it, with its units:
-the same subtree where the member starts at its old offset, else a copy
-with shifted spans (see ``_Parser.reuse_member``).  The tree equals a
-fresh parse.  So a tree may share member subtrees with the previous
-version of its file.  Sharing is safe because only ``ShapeTable.fill``
-writes to a built node, and it writes a node the same shape whichever
-tree it reaches the node through, as long as one table fills both: the
-new tree is bound to the previous tree's table.
+(incremental parsing; Wagner & Graham, TOPLAS 1998).  The lexer then
+lexes only the text between the members whose text is unchanged, each of
+which it puts in as one placeholder token where the whole text's lex
+would start a token (see ``_tokenize_reusing``); the type-body member
+loop takes each placeholder's member from the previous tree instead of
+parsing it, with its units: the same subtree where the member starts at
+its old offset, else a copy with shifted spans (see
+``_Parser.reuse_member``).  A parse that fails, or leaves a placeholder
+untaken, is run again on the whole text without the previous tree.  The
+tree equals a fresh parse.  So a tree may share member subtrees with the
+previous version of its file.  Sharing is safe because only
+``ShapeTable.fill`` writes to a built node, and it writes a node the same
+shape whichever tree it reaches the node through, as long as one table
+fills both: the new tree is bound to the previous tree's table.
 
 A node's ``shape`` and ``size`` are filled the first time the differ
 reads its subtree, by the run's ``ShapeTable``: two subtrees filled by one
@@ -144,9 +149,10 @@ _NO_CHILDREN = ()  # every leaf's children
 class ShapeTable:
     """Exact subtree identity for one run, by hash-consing.
 
-    ``fill`` numbers each distinct ``(kind, label, child shapes)`` in the
-    order first met, so two subtrees filled by one table have equal shapes
-    exactly when they are isomorphic, and keeps each shape's node count.
+    ``fill`` numbers each distinct ``(kind, label, *child shapes)``, one
+    flat tuple, in the order first met, so two subtrees filled by one
+    table have equal shapes exactly when they are isomorphic, and keeps
+    each shape's node count.
     A table belongs to one run (see ``pipeline.PipelineState``) and grows
     with the distinct subtrees its diffs read; shapes from two tables mean
     nothing to each other.
@@ -176,12 +182,12 @@ class ShapeTable:
                     stack.extend(n.children)
             for n in reversed(order):
                 children = n.children
-                key = (n.kind, n.label,
-                       tuple([c.shape for c in children]) if children else _NO_CHILDREN)
+                key = ((n.kind, n.label, *[c.shape for c in children]) if children
+                       else (n.kind, n.label))
                 shape = ids.get(key)
                 if shape is None:
                     shape = ids[key] = len(sizes)
-                    sizes.append(1 + sum([sizes[s] for s in key[2]]))
+                    sizes.append(1 + sum([c.size for c in children]))
                 n.shape = shape
                 n.size = sizes[shape]
         return node.shape
@@ -422,29 +428,36 @@ def _indices(items: list, value):
         return
 
 
-def tokenize(text: str):
-    """Return ``(kinds, texts, starts, ends), comments``: four parallel
-    lists with one entry per token, the last an "eof" token at
-    ``len(text)``, and the comments in text order.  A kind is ident,
-    keyword, literal_word, int, float, string, char, op, punct or eof.
-    Raises ParseError at the first malformed literal or character outside
-    the grammar."""
-    scan = _decimal_digits(text)
-    pairs = _TOKEN_RE.findall(scan)
+def _lex(text: str, scan: str, start: int, stop: int):
+    """The tokens and comments of ``text[start:stop]``, lexed as if the
+    text ended at ``stop``, and the error of the first unterminated
+    literal or None: ``(kinds, texts, starts, ends), comments, error``, as
+    ``tokenize`` gives them but without the end token.  ``start`` must be
+    where a token or whitespace starts, and ``scan`` is
+    ``_decimal_digits(text)``.  The tokens end before that literal: lexed
+    on past ``stop`` it may end, so it and what follows may be other
+    tokens in the whole text.  Raises ParseError at the first character
+    outside the grammar before it."""
+    pairs = _TOKEN_RE.findall(scan, start, stop)
     # the last match is the end, and so is the one before it when the text
     # ends in whitespace: ``n`` tokens and comments precede them
     n = len(pairs) - 1
     if n and not pairs[-2][1]:
         n -= 1
-    bounds = list(accumulate(map(len, chain.from_iterable(pairs)), initial=0))
+    if not n:  # only whitespace, as between two members
+        return ([], [], [], []), [], None
+    bounds = list(accumulate(map(len, chain.from_iterable(pairs)), initial=start))
     starts, ends = bounds[1:2 * n:2], bounds[2:2 * n + 1:2]
     words = list(map(itemgetter(1), pairs[:n]))  # as in ``scan``
     kinds = list(map(_TEXT_KINDS.get, words,
                      map(_FIRST_CHAR_KINDS.get, map(itemgetter(0), words), repeat("fault"))))
+    error = None
     for i in _indices(kinds, "fault"):
         word = words[i]
         if word in _UNTERMINATED:
-            raise ParseError(_UNTERMINATED[word], position=starts[i])
+            error = ParseError(_UNTERMINATED[word], position=starts[i])
+            del words[i:], kinds[i:], starts[i:], ends[i:]
+            break
         if word[0].isalpha():
             kinds[i] = "ident"
         elif word[0].isdecimal():
@@ -463,12 +476,31 @@ def tokenize(text: str):
         comments = list(map(Comment, compress(starts, dropped), compress(ends, dropped)))
         kinds, texts, starts, ends = (list(compress(column, keep))
                                       for column in (kinds, texts, starts, ends))
-    end = len(text)
+    return (kinds, texts, starts, ends), comments, error
+
+
+def tokenize(text: str):
+    """Return ``(kinds, texts, starts, ends), comments``: four parallel
+    lists with one entry per token, the last an "eof" token at
+    ``len(text)``, and the comments in text order.  A kind is ident,
+    keyword, literal_word, int, float, string, char, op, punct or eof.
+    Raises ParseError at the first malformed literal or character outside
+    the grammar.  The whole text is one segment of ``_lex``; a parse
+    against a previous tree lexes only the text between the members it
+    takes (see ``_tokenize_reusing``)."""
+    columns, comments, error = _lex(text, _decimal_digits(text), 0, len(text))
+    if error is not None:
+        raise error
+    _end_token(columns, len(text))
+    return columns, comments
+
+
+def _end_token(columns, end: int):
+    kinds, texts, starts, ends = columns
     kinds.append("eof")
     texts.append("")
     starts.append(end)
     ends.append(end)
-    return (kinds, texts, starts, ends), comments
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +519,16 @@ class _Parser:
 
     def __init__(self, text: str, previous: SyntaxTree | None = None):
         self.text = text
-        (kinds, texts, starts, ends), self.comments = tokenize(text)
+        # the previous version's members that may be taken whole, each by
+        # the index of its placeholder token (see ``reuse_member``), and
+        # how many were
+        if previous is None:
+            (kinds, texts, starts, ends), self.comments = tokenize(text)
+            self.reusable = {}
+        else:
+            (kinds, texts, starts, ends), self.comments, self.reusable = \
+                _tokenize_reusing(text, previous)
+        self.reused = 0
         # two more eof tokens, so that lookahead reaches two tokens past
         # the end without a bounds check
         end = ends[-1]
@@ -506,10 +547,6 @@ class _Parser:
         self.lambda_owner = None  # qualified name lambdas are numbered under
         self.lambdas = 0          # that method's or constructor's lambda count
         self.anonymous = 0        # innermost type's anonymous-class count
-        # the previous version's members that may be taken whole (see
-        # ``reuse_member``), and how many were
-        self.reusable = {} if previous is None else _reusable_members(previous, text, starts)
-        self.reused = 0
 
     # -- token helpers ------------------------------------------------------
 
@@ -794,29 +831,30 @@ class _Parser:
         return SyntaxNode("class_body", children, start, end)
 
     def reuse_member(self, names):
-        """The previous version's member that starts at the current token,
-        taken whole with its units, or None if there is none to take.
+        """The previous version's member whose placeholder token is the
+        current one, taken whole with its units, or None if there is none
+        or it cannot be taken.
 
-        It is taken when ``names``, those of the type body being parsed
-        (see ``_body_names``), are those of its own body, a token ends
-        where the member's text ends, and the anonymous classes it holds,
-        if any, are numbered from the same count.  Its text then lexes to
-        the same tokens: a token starts where it starts, the lexer reads
-        no state, and the member's last token, a ``}`` or ``;``, is
-        matched without reading the character after it.  So the member
-        parses to the same subtree and units.  At the same offset it is
-        that subtree, shared with the previous tree; elsewhere it is a
-        copy with shifted spans (see ``_shifted``)."""
-        found = self.reusable.get(self.starts[self.pos])
+        The lexer put it there in place of its text, at a token start of
+        the whole text's lex (see ``_tokenize_reusing``).  It is taken
+        when ``names``, those of the type body being parsed (see
+        ``_body_names``), are those of its own body, and the anonymous
+        classes it holds, if any, are numbered from the same count.  Its
+        text lexes to the same tokens as before, since the lexer reads no
+        state and the member's last token, a ``}`` or ``;``, is matched
+        without reading the character after it.  So the member parses to
+        the same subtree and units.  At the same offset it is that
+        subtree, shared with the previous tree; elsewhere it is a copy
+        with shifted spans (see ``_shifted``).  A placeholder that is not
+        taken here fails the parse, and ``_parse_java`` parses the text
+        again without the previous tree."""
+        found = self.reusable.get(self.pos)
         if found is None:
             return None
         member, shift, body_names, anonymous_before, anonymous, units = found
-        end = member.end + shift
-        last = bisect.bisect_left(self.ends, end, self.pos)
-        if (body_names != names or self.ends[last] != end
-                or anonymous and anonymous_before != self.anonymous):
+        if body_names != names or anonymous and anonymous_before != self.anonymous:
             return None
-        self.pos = last + 1
+        self.pos += 1
         self.anonymous += anonymous
         self.reused += 1
         if shift:
@@ -1432,34 +1470,56 @@ def _body_names(containers, components) -> tuple:
     return tuple(containers), tuple([p.children[-2].label for p in components])
 
 
-def _reusable_members(previous: SyntaxTree, text: str, starts: list) -> dict:
-    """The members of ``previous``'s type bodies whose text reappears in
-    ``text`` at one of its token ``starts``, by their start there:
-    ``(member, shift, body names, anonymous classes before it in its body,
-    anonymous classes it holds, its units)``.
+def _tokenize_reusing(text: str, previous: SyntaxTree):
+    """``tokenize(text)`` with each member of ``previous``'s type bodies
+    whose text reappears in ``text`` as one placeholder token (incremental
+    lexing; Wagner & Graham, TOPLAS 1998), and those members by the index
+    of their placeholder: ``(columns, comments, found)``, where ``found``
+    maps an index to ``(member, shift, body names, anonymous classes
+    before it in its body, anonymous classes it holds, its units)``.
 
     Each member's text is looked for at its old offset moved by the shift
     of the last one found, else from the end of that one onwards, so an
-    edit costs one search past it; a copy in a comment or a string is
-    passed over.  A type whose text is not found is searched member by
-    member.  A found member is only a candidate: the parser checks the
-    rest (see ``_Parser.reuse_member``)."""
-    search = _MemberSearch(previous, text, starts)
+    edit costs one search past it.  A type whose text is not found is
+    searched member by member.  The text is lexed up to a found member,
+    which is taken where a token of the whole text's lex starts, inside as
+    many braces as the member was (see ``_MemberSearch.take``); lexing
+    then resumes at its end, and its comments are the previous tree's,
+    shifted.  So the text the members take is not lexed again.  A text
+    found elsewhere, such as in a comment or a string, is passed over and
+    looked for further on.  A member taken here is only a candidate: the
+    parser checks the rest (see ``_Parser.reuse_member``)."""
+    search = _MemberSearch(previous, text)
     for decl in previous.root.children:
         if decl.kind in _TYPE_DECLS:
             search.body(decl, [])
-    return search.found
+    search.lex(len(text))
+    _end_token(search.columns, len(text))
+    return search.columns, search.comments, search.found
+
+
+# the text of a placeholder token, which is no token's text
+_PLACEHOLDER = "<member>"
 
 
 class _MemberSearch:
-    """The state of ``_reusable_members``: what it found, and the shift
-    and end in the new text of the last member found."""
+    """The state of ``_tokenize_reusing``: the tokens and comments lexed
+    so far, which are the whole text's lex up to ``lexed``, with ``depth``
+    braces open there; the members taken; and the shift and end in the
+    new text of the last member taken."""
 
-    def __init__(self, previous: SyntaxTree, text: str, starts: list):
+    def __init__(self, previous: SyntaxTree, text: str):
         self.old, self.text, self.units = previous.source_text, text, previous.functions
-        self.starts, self.unit_starts = starts, [u.span[0] for u in self.units]
+        self.unit_starts = [u.span[0] for u in self.units]
+        self.old_comments = previous.comments
+        self.comment_starts = [c.start for c in self.old_comments]
+        self.scan = _decimal_digits(text)
+        self.columns = ([], [], [], [])
+        self.comments = []
         self.found = {}
         self.shift = self.cursor = 0
+        self.lexed = self.depth = 0
+        self.first = 0  # the first token after the last member taken
 
     def body(self, decl: SyntaxNode, containers: list):
         """Search the members of the type ``decl`` inside ``containers``,
@@ -1468,6 +1528,7 @@ class _MemberSearch:
         containers = containers + [next(c.label for c in children if c.kind == "identifier")]
         components = next((c.children for c in children if c.kind == "record_components"), ())
         names = _body_names(containers, components)
+        depth = len(containers)  # the braces open before each member
         old, text, unit_starts = self.old, self.text, self.unit_starts
         anonymous = 0
         for member in children[-1].children:
@@ -1476,23 +1537,81 @@ class _MemberSearch:
             piece = old[member.start:member.end]
             count = _anonymous_classes(member) if "new" in piece else 0
             at = member.start + self.shift
-            if not (text.startswith(piece, at) and self.token_starts(at)):
+            if not (text.startswith(piece, at) and self.take(at, member, depth)):
                 at = text.find(piece, self.cursor)
-                while at >= 0 and not self.token_starts(at):
+                while at >= 0 and not self.take(at, member, depth):
                     at = text.find(piece, at + 1)
             if at >= 0:
                 self.shift, self.cursor = at - member.start, at + len(piece)
                 first = bisect.bisect_left(unit_starts, member.start)
                 stop = bisect.bisect_left(unit_starts, member.end, first)
-                self.found[at] = (member, self.shift, names, anonymous, count,
-                                  self.units[first:stop])
+                # by the index of the placeholder ``take`` put last
+                self.found[self.first - 1] = (member, self.shift, names, anonymous, count,
+                                              self.units[first:stop])
             elif member.kind in _TYPE_DECLS:
                 self.body(member, containers)
             anonymous += count
 
-    def token_starts(self, at: int) -> bool:
-        i = bisect.bisect_left(self.starts, at)
-        return i < len(self.starts) and self.starts[i] == at
+    def take(self, at: int, member: SyntaxNode, depth: int) -> bool:
+        """Whether ``member``, whose text is at ``at``, is taken: whether a
+        token of the whole text's lex starts there with ``depth`` braces
+        open.  If so the text before it is lexed, the member is one
+        placeholder token followed by its comments, and ``lexed`` is its
+        end."""
+        kinds, texts, starts, ends = self.columns
+        if at < self.lexed:  # inside the tokens lexed since the last member
+            i = bisect.bisect_left(starts, at, self.first)
+            if i == len(starts) or starts[i] != at:
+                return False
+            rest = texts[i:]
+            if self.depth - rest.count("{") + rest.count("}") != depth:
+                return False
+            for column in self.columns:
+                del column[i:]
+            while self.comments and self.comments[-1].start > at:
+                self.comments.pop()
+        else:
+            self.lex(at)
+            if self.lexed != at or self.depth != depth:
+                return False
+        shift = at - member.start
+        end = member.end + shift
+        kinds.append("member")
+        texts.append(_PLACEHOLDER)
+        starts.append(at)
+        ends.append(end)
+        first = bisect.bisect_left(self.comment_starts, member.start)
+        stop = bisect.bisect_left(self.comment_starts, member.end, first)
+        comments = self.old_comments[first:stop]
+        self.comments += ([Comment(c.start + shift, c.end + shift) for c in comments]
+                          if shift else comments)
+        self.lexed, self.depth, self.first = end, depth, len(starts)
+        return True
+
+    def lex(self, stop: int):
+        """Lex on from ``lexed`` to ``stop`` and keep what the whole text's
+        lex has too, so ``lexed`` reaches ``stop`` unless a token or
+        comment crosses it.  That is all but an unterminated literal and
+        what follows it, unless it is unterminated in the whole text too,
+        which raises its error; and all but the last token or comment, if
+        lexed on it ends elsewhere, such as an identifier that runs on
+        into the text after ``stop``."""
+        scan = self.scan
+        (kinds, texts, starts, ends), comments, error = _lex(self.text, scan, self.lexed, stop)
+        if error is not None:
+            stop = error.position
+            if _TOKEN_RE.match(scan, stop)[2] in _UNTERMINATED:
+                raise error
+        if starts and _TOKEN_RE.match(scan, starts[-1]).end() != ends[-1]:
+            stop = starts[-1]
+            del kinds[-1], texts[-1], starts[-1], ends[-1]
+        if comments and _TOKEN_RE.match(scan, comments[-1].start).end() != comments[-1].end:
+            stop = comments.pop().start
+        for column, new in zip(self.columns, (kinds, texts, starts, ends)):
+            column += new
+        self.comments += comments
+        self.lexed = stop
+        self.depth += texts.count("{") - texts.count("}")
 
 
 def _anonymous_classes(member: SyntaxNode) -> int:
@@ -1548,17 +1667,31 @@ def _parse_java(text: str, previous: SyntaxTree | None = None) -> SyntaxTree:
     """The tree of ``text``.  Given the tree of the file's ``previous``
     version, it takes the members whose text is unchanged from it, and is
     then bound to the previous tree's ``ShapeTable``, a new one bound to
-    both if it has none, as the two share subtrees (see the module doc)."""
-    parser = _Parser(text, previous)
-    root = parser.parse_compilation_unit()
+    both if it has none, as the two share subtrees (see the module doc).
+    If that parse fails, or does not take every member the lexer put in
+    (see ``_Parser.reuse_member``), the text is parsed as if there were no
+    previous tree, which also gives the error a parse without it gives."""
+    if previous is not None:
+        try:
+            parser = _Parser(text, previous)
+            root = parser.parse_compilation_unit()
+        except (ParseError, RecursionError):
+            parser = None
+        if parser is not None and parser.reused == len(parser.reusable):
+            tree = _tree(parser, root)
+            if parser.reused:
+                if previous.shapes is None:
+                    previous.shapes = ShapeTable()
+                tree.shapes = previous.shapes
+                tree.reused_members = parser.reused
+            return tree
+    parser = _Parser(text)
+    return _tree(parser, parser.parse_compilation_unit())
+
+
+def _tree(parser: _Parser, root: SyntaxNode) -> SyntaxTree:
     parser.units.sort(key=lambda u: u.span)
-    tree = SyntaxTree(root, text, parser.comments, parser.units)
-    if parser.reused:
-        if previous.shapes is None:
-            previous.shapes = ShapeTable()
-        tree.shapes = previous.shapes
-        tree.reused_members = parser.reused
-    return tree
+    return SyntaxTree(root, parser.text, parser.comments, parser.units)
 
 
 _ADAPTERS = {"java": _parse_java}

@@ -25,6 +25,11 @@
   order with the program.  The program's mapping keeps only the root pair
   of each isomorphic subtree; ``mapped_pairs`` expands it into every pair
   for the comparison.
+* ``ReferenceShapeTable`` is ``syntax.ShapeTable`` as it keyed each
+  shape by a nested tuple, ``(kind, label, tuple of child shapes)``, and
+  summed a new shape's size from its children's entries in the size list.
+  Filling the same trees in the same order, the program's table must give
+  every node the same shape and size.
 * ``reference_line_starts`` is the per-character scan that filled
   ``SyntaxTree.line_starts`` before a ``str.find`` loop did; the two must
   give the same offsets on any text.
@@ -327,6 +332,31 @@ def reference_shape(node, memo) -> tuple:
         shape = memo[node] = (node.kind, node.label,
                               tuple([reference_shape(c, memo) for c in node.children]))
     return shape
+
+
+class ReferenceShapeTable:
+    def __init__(self):
+        self._ids = {}
+        self._sizes = []
+
+    def fill(self, node):
+        if node.shape is None:
+            ids, sizes = self._ids, self._sizes
+            stack, order = [node], []
+            while stack:
+                n = stack.pop()
+                if n.shape is None:
+                    order.append(n)
+                    stack.extend(n.children)
+            for n in reversed(order):
+                key = (n.kind, n.label, tuple([c.shape for c in n.children]))
+                shape = ids.get(key)
+                if shape is None:
+                    shape = ids[key] = len(sizes)
+                    sizes.append(1 + sum([sizes[s] for s in key[2]]))
+                n.shape = shape
+                n.size = sizes[shape]
+        return node.shape
 
 
 def mapped_pairs(mapping) -> dict:

@@ -11,9 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from devcontrib import syntax
 from devcontrib.astdiff import diff_file_pair
 from devcontrib.errors import ParseError
 from devcontrib.syntax import MAX_TREE_DEPTH, ShapeTable, parse_source, tokenize
+from oracles import ReferenceShapeTable
 from test_syntax import IDIOMS, _generated_classes
 
 _HISTORIES = Path(__file__).resolve().parents[1] / "benchmarks" / "histories.py"
@@ -190,12 +192,34 @@ _DEEP = ("class C { void f() { } String s() { return "
     # initializers' calls are its method's
     ("class A$1 { int w = f(); } class A { void m() { } }",
      "class A { void m() { new Object() { int w = f(); }; } }", 0),
-    # the same text first inside a comment or a string, where no token
-    # starts: the copy is passed over and the member itself is taken
+    # the same text first inside a comment, a string or a char literal
+    # that opens before it and closes after it, where no token starts: the
+    # copy is passed over and the member itself is taken
     ("class A { void f() { } }",
      "class A { /* void f() { } */ void f() { } }", 1),
     ("class A { void f() { } }",
      'class A { String s = "void f() { }"; void f() { } }', 1),
+    ("class A { void f() { } }",
+     "class A { char c = 'void f() { }'; void f() { } }", 1),
+    ("class A { void f() { } }",
+     "class A { // void f() { }\n void f() { } }", 1),
+    # ... and only there
+    ("class A { void f() { } }", "class A { /* void f() { } */ }", 0),
+    ("class A { void f() { } }", "class A { // void f() { }\n}", 0),
+    # an identifier that runs on into the text, which does not cost the
+    # members after it
+    ("class A { void f() { } void g() { } }", "class A { xvoid f() { } void g() { } }", 1),
+    # a copy that the parse passes over, in an annotation's arguments
+    ("class A { void f() { } void g() { } }",
+     "class A { void g() { } @X( void f() { } ) int y; }", 0),
+    # the same text first one brace deeper, in an edited method's body
+    ("class A { void f() { } int x; }", "class A { void f() { int x; } int x; }", 1),
+    # ... and not found further on, after the text up to it was lexed: a
+    # member before that point is still taken
+    ("class A { int x; void g() { } }", "class A { void g() { } void h() { int x; } }", 1),
+    # non-ASCII digits and CRLF line ends before a taken member
+    ("class A {\r\n  int x = 1;\r\n  void f() { }\r\n}\r\n",
+     "class A {\r\n  int x = 1\u00b2;\r\n  int y\u0663 = 2;\r\n  void f() { }\r\n}\r\n", 1),
     # a member of the deepest tree, copied past an edit
     (_DEEP, _DEEP.replace("void f() { }", "void f() { g(); }"), 1),
 ])
@@ -203,6 +227,60 @@ def test_a_member_is_taken_only_where_it_parses_the_same(before_text, after_text
     after = parse_source(after_text, "java", parse_source(before_text, "java"))
     assert after.reused_members == reused
     _assert_reparse_equals_fresh_parse(before_text, after_text)
+
+
+@pytest.mark.parametrize("after_text", [
+    "class A { # void f() { } }",
+    "class A { void f() { } # }",
+    "class A { /* void f() { } }",
+    "class A { void f() { } /* }",
+    'class A { "void f() { } }',
+    "class A { void f() { } ' }",
+])
+def test_a_lexer_error_near_a_taken_member_is_the_fresh_parses(after_text):
+    _assert_reparse_equals_fresh_parse("class A { void f() { } }", after_text)
+
+
+def test_a_reparse_lexes_only_the_text_outside_the_members_it_takes(monkeypatch):
+    lexed = []
+    lex = syntax._lex
+
+    def recorded(text, scan, start, stop):
+        lexed.append((start, stop))
+        return lex(text, scan, start, stop)
+
+    monkeypatch.setattr(syntax, "_lex", recorded)
+    before = parse_source(BEFORE, "java")
+    lexed.clear()
+    text = BEFORE.replace("f(1);", "f(1); f(10);")
+    after = parse_source(text, "java", before)
+    count, _, b, inner = after.root.children[0].children[-1].children
+    assert after.reused_members == 3
+    # the text from count's end to b's start holds the edited a()
+    assert lexed == [(0, count.start), (count.end, b.start), (b.end, inner.start),
+                     (inner.end, len(text))]
+
+
+def _filled(table, texts):
+    """The shapes and sizes of the trees of ``texts``, each text parsed
+    against the tree of the one before it and filled by ``table``."""
+    trees, previous = [], None
+    for text in texts:
+        previous = parse_source(text, "java", previous)
+        table.fill(previous.root)
+        trees.append([(n.shape, n.size) for n in previous.root.walk()])
+    return trees
+
+
+def test_shapes_are_numbered_as_by_nested_keys_on_the_workload_trees():
+    texts = [text for pair in _modified_pairs()[::3] for text in pair]
+    assert _filled(ShapeTable(), texts) == _filled(ReferenceShapeTable(), texts)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(_generated_classes(), min_size=1, max_size=3))
+def test_shapes_are_numbered_as_by_nested_keys_on_generated_classes(texts):
+    assert _filled(ShapeTable(), texts) == _filled(ReferenceShapeTable(), texts)
 
 
 def test_trees_that_share_members_share_one_shape_table():

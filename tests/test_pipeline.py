@@ -24,7 +24,7 @@ from devcontrib.callgraph import (
 from devcontrib.config import AnalysisConfig
 from devcontrib.pipeline import AnalysisRun, analyze_repository, parse_changes
 from devcontrib.repo import changed_files, open_repository, walk_commits
-from devcontrib.syntax import MAX_TREE_DEPTH, ShapeTable, parse_source
+from devcontrib.syntax import MAX_TREE_DEPTH, ShapeTable, parse_file, parse_source
 
 from conftest import RepoBuilder
 from oracles import build_call_graph
@@ -662,7 +662,8 @@ def _unit(name, n):
             "    int g(int k) { int x = k * %d; return x; }\n}\n" % (name, n, n + 2))
 
 
-_STEP = st.tuples(st.sampled_from(["edit", "add", "rename", "delete", "break", "share"]),
+_STEP = st.tuples(st.sampled_from(["edit", "tweak", "add", "rename", "delete", "break",
+                                   "share"]),
                   st.integers(0, 5))
 
 
@@ -677,6 +678,9 @@ def _apply_step(repo, files, step, ts, serial):
         repo.commit(op, ts, {new: files[new]})
     elif op == "edit":
         files[path] = _unit(path[:-5], n + serial)
+        repo.commit(op, ts, {path: files[path]})
+    elif op == "tweak":  # one method only; a file without it is left as it is
+        files[path] = files[path].replace("{ int x", "{ k += %d; int x" % n, 1)
         repo.commit(op, ts, {path: files[path]})
     elif op == "rename":
         new = f"R{serial}.java"
@@ -708,17 +712,20 @@ def _merge(repo, branches, ts):
 def _fresh_run(path):
     with pytest.MonkeyPatch.context() as mp:
         # parsing against an empty call graph and no merge parents'
-        # checkpoints holds no tree to reuse
+        # checkpoints holds no tree to reuse, and parsing without the
+        # previous tree takes no member from it
         mp.setattr(pipeline, "parse_changes",
                    lambda changes, graph, run, parents, shapes:
                    parse_changes(changes, CallGraph(), run, shapes=shapes))
+        mp.setattr(pipeline, "parse_file",
+                   lambda path, text, previous=None: parse_file(path, text))
         return analyze_repository(path)
 
 
 def _run_equal_to_fresh_parses(path):
     run = analyze_repository(path)
     fresh = _fresh_run(path)
-    assert fresh.tree_reuses == 0
+    assert fresh.tree_reuses == fresh.member_reuses == 0
     assert run.parses + run.tree_reuses == fresh.parses
     assert run.parse_errors == fresh.parse_errors
     assert run.to_dict() == fresh.to_dict()
@@ -745,6 +752,17 @@ def test_reused_trees_give_the_run_of_fresh_parses(tmp_path_factory, side, main,
     if merge:  # side's commits are older, so the walk reaches them first
         _merge(repo, ["side"], 2000)
     _run_equal_to_fresh_parses(repo.path)
+
+
+def test_taken_members_give_the_run_of_fresh_parses(tmp_path):
+    repo = RepoBuilder(tmp_path)
+    files = {"A.java": _unit("A", 0), "B.java": _unit("B", 1)}
+    repo.commit("base", 1000, files)
+    for serial, step in enumerate([("tweak", 0), ("tweak", 1), ("edit", 0), ("tweak", 0)], 1):
+        _apply_step(repo, files, step, 1000 + serial, serial)
+    run, _ = _run_equal_to_fresh_parses(repo.path)
+    # each tweak takes f from the before tree
+    assert run.member_reuses == 3
 
 
 def _checkpoints_seen(monkeypatch):
