@@ -7,7 +7,7 @@ coefficient) clears a threshold.  A final recovery pass aligns leftover
 children inside mapped containers so single-token edits (renames, literal
 tweaks) surface as updates instead of delete/insert pairs.  Both trees'
 subtrees are compared by their exact shapes (see ``syntax.ShapeTable``),
-filled by one table the first time a pass reads them: equal shapes are
+filled by one table for both trees before matching: equal shapes are
 isomorphic subtrees, so proving a pair costs one comparison.
 
 After the top-down pass most of a file usually sits in mapped isomorphic
@@ -43,11 +43,14 @@ from __future__ import annotations
 import bisect
 import itertools
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .config import DEFAULT_BLACKLIST, AnalysisConfig
 from .syntax import ShapeTable, SyntaxNode, SyntaxTree, is_log_call_statement
 
 FILE_SCOPE = "<file-scope>"
+
+MIN_HEIGHT = 2  # of the lowest subtrees the top-down pass maps
 
 
 @dataclass
@@ -80,17 +83,17 @@ class NodeMapping:
 
     ``b2a``/``a2b`` hold the anchors, in the order they were mapped: each
     pair added by ``add`` and the root pair of each successful
-    ``add_isomorphic``.  ``iso_before`` and ``iso_after`` map the roots of
-    the isomorphic subtrees on each side to their node counts.  A node
-    below such a root is mapped too, to the node at its place below the
-    partner root, but it is in neither dict; the differ never looks one up.
+    ``add_isomorphic``.  ``iso_before`` and ``iso_after`` hold the roots
+    of the isomorphic subtrees on each side.  A node below such a root is
+    mapped too, to the node at its place below the partner root, but it is
+    in neither dict; the differ never looks one up.
     """
 
     def __init__(self):
         self.b2a: dict[SyntaxNode, SyntaxNode] = {}
         self.a2b: dict[SyntaxNode, SyntaxNode] = {}
-        self.iso_before: dict[SyntaxNode, int] = {}
-        self.iso_after: dict[SyntaxNode, int] = {}
+        self.iso_before: set[SyntaxNode] = set()
+        self.iso_after: set[SyntaxNode] = set()
 
     def add(self, b: SyntaxNode, a: SyntaxNode):
         self.b2a[b] = a
@@ -103,7 +106,8 @@ class NodeMapping:
         if b.shape != a.shape:
             return False
         self.add(b, a)
-        self.iso_before[b] = self.iso_after[a] = b.size
+        self.iso_before.add(b)
+        self.iso_after.add(a)
         return True
 
 
@@ -149,15 +153,15 @@ def _lcs_pairs(xs, ys, key):
     return pairs
 
 
-def _top_down(before_root, after_root, mapping, min_height, shape):
+def _top_down(before_root, after_root, mapping):
     open_b = [before_root]
     open_a = [after_root]
     while open_b and open_a:
         hb = max(n.height for n in open_b)
-        if hb < min_height:  # an added file stops here, before any shape is filled
+        if hb < MIN_HEIGHT:
             break
         ha = max(n.height for n in open_a)
-        if ha < min_height:
+        if ha < MIN_HEIGHT:
             break
         if hb > ha:
             open_b = _expand(open_b, hb)
@@ -169,10 +173,10 @@ def _top_down(before_root, after_root, mapping, min_height, shape):
         level_a = [n for n in open_a if n.height == hb]
         by_shape = {}
         for a in level_a:
-            by_shape.setdefault(shape(a), []).append(a)
+            by_shape.setdefault(a.shape, []).append(a)
         matched_b, matched_a = set(), set()
         for b in level_b:
-            candidates = by_shape.get(shape(b), ())
+            candidates = by_shape.get(b.shape, ())
             for a in candidates:
                 if a not in matched_a and mapping.add_isomorphic(b, a):
                     matched_b.add(b)
@@ -238,17 +242,6 @@ def _postorder(root, iso_roots):
     return order
 
 
-def _count_descendants(nodes, iso_roots, desc_count):
-    """Fill ``desc_count`` for ``nodes``, which list children before parents."""
-    for node in nodes:
-        size = iso_roots.get(node)
-        if size is None:
-            size = 1
-            for c in node.children:
-                size += desc_count[c] + 1
-        desc_count[node] = size - 1
-
-
 def _bottom_up(before_root, after_root, mapping, threshold):
     """Map unmapped before containers, children first, each to the unmapped
     after node of its kind whose subtree holds the most partners of its
@@ -265,15 +258,12 @@ def _bottom_up(before_root, after_root, mapping, threshold):
         b2a, iso_b, iso_a = mapping.b2a, mapping.iso_before, mapping.iso_after
         post = _postorder(before_root, iso_b)
         a_parent = dict(_region(after_root, iso_a))  # in pre-order
-        desc_count = {}
-        _count_descendants(post, iso_b, desc_count)
-        _count_descendants(reversed(a_parent), iso_a, desc_count)
         # pre-order position: the subtree of n spans positions
-        # a_positions[n] .. a_positions[n] + desc_count[n]
+        # a_positions[n] .. a_positions[n] + n.size - 1
         a_positions, position = {}, 0
         for n in a_parent:
             a_positions[n] = position
-            position += iso_a.get(n, 1)
+            position += n.size if n in iso_a else 1
 
         for b in post:
             if b in b2a or b.is_leaf:
@@ -284,7 +274,7 @@ def _bottom_up(before_root, after_root, mapping, threshold):
             partners.sort(key=a_positions.__getitem__)
             starts = [a_positions[p] for p in partners]
             covered = list(itertools.accumulate(
-                [iso_a.get(p, 1) for p in partners], initial=0))
+                [p.size if p in iso_a else 1 for p in partners], initial=0))
             # candidates: unmapped after nodes of b's kind above some partner
             above = set()
             for p in partners:
@@ -297,10 +287,10 @@ def _bottom_up(before_root, after_root, mapping, threshold):
                 if cand.kind != b.kind or cand in mapping.a2b:
                     continue
                 first = a_positions[cand]
-                cnt = covered[bisect.bisect_right(starts, first + desc_count[cand])] \
+                cnt = covered[bisect.bisect_right(starts, first + cand.size - 1)] \
                     - covered[bisect.bisect_left(starts, first)]
-                dice = 2.0 * cnt / (desc_count[b] + desc_count[cand]) \
-                    if (desc_count[b] + desc_count[cand]) else 0.0
+                descendants = b.size + cand.size - 2
+                dice = 2.0 * cnt / descendants if descendants else 0.0
                 key = (dice, -first)
                 if dice > threshold and (best_key is None or key > best_key):
                     best, best_key = cand, key
@@ -311,7 +301,7 @@ def _bottom_up(before_root, after_root, mapping, threshold):
         mapping.add(before_root, after_root)
 
 
-def _recover(mapping, shape):
+def _recover(mapping):
     """Align unmapped children inside mapped containers.
 
     Three alignment passes per container, strongest key first: identical
@@ -328,7 +318,7 @@ def _recover(mapping, shape):
         if not ub or not ua:
             continue
         for key, whole_subtree in (
-            (shape, True),
+            (attrgetter("shape"), True),
             (lambda n: (n.kind, n.label), False),
             (lambda n: n.kind, False),
         ):
@@ -344,14 +334,15 @@ def _recover(mapping, shape):
 
 
 def map_trees(before: SyntaxTree, after: SyntaxTree,
-              similarity_threshold: float = 0.5, min_height: int = 2,
+              similarity_threshold: float = 0.5,
               shapes: ShapeTable | None = None) -> NodeMapping:
     """Two-phase greedy match between two trees of the same grammar.
 
-    ``shapes`` fills the trees' subtree shapes; when None, it is the table
-    that already filled either tree, else a new one.  Raises ``ValueError``
-    when a tree was filled by another table, whose shapes cannot be
-    compared with this one's.
+    ``shapes`` fills both trees' shapes first if both roots reach
+    ``MIN_HEIGHT``, else no pass reads one (an added or deleted file); when
+    None, it is the table bound to either tree, else a new one.  Raises
+    ``ValueError`` when a tree is bound to another table, whose shapes
+    cannot be compared with this one's.
     """
     if shapes is None:
         shapes = before.shapes if before.shapes is not None else after.shapes
@@ -360,10 +351,13 @@ def map_trees(before: SyntaxTree, after: SyntaxTree,
     if any(t.shapes is not None and t.shapes is not shapes for t in (before, after)):
         raise ValueError("the trees' shapes were filled by different tables")
     before.shapes = after.shapes = shapes
+    if before.root.height >= MIN_HEIGHT and after.root.height >= MIN_HEIGHT:
+        shapes.fill(before.root)
+        shapes.fill(after.root)
     mapping = NodeMapping()
-    _top_down(before.root, after.root, mapping, min_height, shapes.fill)
+    _top_down(before.root, after.root, mapping)
     _bottom_up(before.root, after.root, mapping, similarity_threshold)
-    _recover(mapping, shapes.fill)
+    _recover(mapping)
     return mapping
 
 
@@ -531,9 +525,10 @@ def _action_sort_key(action):
 def _containing_function(units, start, end):
     best = None
     for u in units:
-        if u.span[0] <= start and end <= u.span[1]:
-            if best is None or (u.span[1] - u.span[0]) < (best.span[1] - best.span[0]):
-                best = u
+        node = u.body
+        if node.start <= start and end <= node.end and (
+                best is None or node.end - node.start < best.body.end - best.body.start):
+            best = u
     return best
 
 

@@ -67,9 +67,13 @@ reads.
 
 Ranks depend only on ``adjacency()``, so a graph keeps its last ranks
 itself: ``CallGraph.impact`` is None until a caller ranks the graph and
-stores the scores there, and ``update`` and ``reresolve_names`` set it back
-to None whenever a file's function list or a call site's resolved targets
-may have changed.  Commits that only edit bodies keep it.  A copy carries
+stores the scores there.  ``update`` sets it back to None when a changed
+file's function numbers or distinct edge codes, the two arrays of its
+entry that ``adjacency()`` reads, differ from the old entry's; the edge
+codes are kept sorted, so equal edge sets are equal arrays.
+``reresolve_names`` sets it back to None when a call site's resolved
+targets change.  So commits that only edit bodies keep it, and so does a
+second call to a function the caller already calls.  A copy carries
 the ranks and the condensation of the graph it was taken from, since the
 two have the same structure; both are shared, so they are replaced, never
 changed in place.
@@ -150,8 +154,9 @@ class FileEntry(NamedTuple):
 
     ``numbers`` holds the functions' interned numbers and ``edges`` the
     file's distinct (caller, target) pairs as ``caller << 32 | target``
-    codes, both from the ``_Interner`` of the graph that made the entry;
-    ``edges`` is set with ``targets``, so ``adjacency()`` reads no site."""
+    codes, sorted, both from the ``_Interner`` of the graph that made the
+    entry; ``edges`` is set with ``targets``, so ``adjacency()`` reads no
+    site."""
 
     functions: tuple[FunctionId, ...]
     sites: tuple[CallSite, ...]
@@ -285,8 +290,8 @@ class CallGraph:
         codes = {number(site.caller) << 32 | number(target)
                  for site, site_targets in zip(entry.sites, targets)
                  for target in site_targets}
-        return entry._replace(targets=targets, edges=np.fromiter(
-            codes, np.int64, len(codes)))
+        return entry._replace(targets=targets, edges=np.sort(np.fromiter(
+            codes, np.int64, len(codes))))
 
     def resolve_file(self, path: str):
         entry = self.files[path]
@@ -366,48 +371,46 @@ class CallGraph:
 
     # -- incremental update -----------------------------------------------------------
 
-    def _file_shape(self, path: str):
-        """What ``path`` adds to ``structure()``: its nodes and its edges."""
-        entry = self.files.get(path, _NO_FILE)
-        return (entry.functions, tuple(site.caller for site in entry.sites),
-                entry.targets)
-
     def update(self, sources) -> "CallGraph":
         """Apply one commit's source changes (``pipeline.SourceChange``, as
         ``pipeline.parse_changes`` returns them); the result equals a full
         rebuild.
 
         Every path a change names, a rename's old path too, loses its
-        entry and records its shape first.  A change with an after blob
+        entry, which is kept to compare.  A change with an after blob
         whose tree parsed gets a new entry that keeps that blob and tree;
         a file whose text failed to parse has no nodes until a later change
         brings text that parses.  The re-added paths are resolved afresh.
         Elsewhere only sites whose callee's simple name is that of a
         function the commit added or removed are re-resolved: a body-only
         edit removes and re-adds the same functions, so it re-resolves
-        none.  ``impact`` is cleared when one of those paths' shape
-        changed or a re-resolved site changed targets.
+        none.  ``impact`` is cleared when one of those paths' function
+        numbers or distinct edges, the arrays ``adjacency()`` reads,
+        changed, or a re-resolved site changed targets.
         """
-        shapes_before: dict[str, tuple] = {}
+        old: dict[str, FileEntry] = {}
         for source in sources:
             for path in (source.old_path, source.path):
                 if path is not None:
-                    shapes_before.setdefault(path, self._file_shape(path))
-                    self.files.pop(path, None)
+                    old.setdefault(path, self.files.pop(path, _NO_FILE))
             if source.after_blob is not None and source.after is not None:
                 self._add_file(source.path, source.after_blob, source.after)
 
-        lost = {fid for functions, _, _ in shapes_before.values() for fid in functions}
-        gained = {fid for path in shapes_before
-                  for fid in self.files.get(path, _NO_FILE).functions}
+        lost = {fid for entry in old.values() for fid in entry.functions}
+        gained = {fid for path in old for fid in self.files.get(path, _NO_FILE).functions}
         self._reindex(lost - gained, gained - lost)
-        for path in shapes_before:
+        for path in old:
             if path in self.files:
                 self.resolve_file(path)
         self.reresolve_names({_simple_name(fid.name) for fid in lost ^ gained},
-                             skip_files=shapes_before.keys())
-        if any(self._file_shape(path) != shape for path, shape in shapes_before.items()):
-            self.impact = None
+                             skip_files=old.keys())
+        for path, entry in old.items():
+            new = self.files.get(path, _NO_FILE)
+            # both arrays are int64, so equal bytes are equal arrays
+            if (entry.numbers.tobytes() != new.numbers.tobytes()
+                    or entry.edges.tobytes() != new.edges.tobytes()):
+                self.impact = None
+                break
         return self
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from pathlib import Path
 
@@ -111,7 +112,10 @@ def _read_labels(path: str) -> dict[str, float]:
                     continue
                 if len(row) < 2:
                     raise EvaluationInputError(f"bad labels row: {row!r}")
-                labels[row[0].strip()] = float(row[1])
+                score = float(row[1])
+                if not math.isfinite(score):  # ranks would put NaN above all
+                    raise EvaluationInputError(f"score is not finite in row {row!r}")
+                labels[row[0].strip()] = score
     except OSError as exc:
         raise EvaluationInputError(f"cannot read labels file: {exc}") from exc
     except ValueError as exc:

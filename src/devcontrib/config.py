@@ -11,10 +11,16 @@ Config files are plain text, one dotted key per line::
 Lines starting with ``#`` or ``;``, blank lines and ``[section]`` lines
 are ignored, so a section does not qualify the keys below it.  List-valued
 keys take comma-separated entries.
+
+A value that would break a run is refused with the file's name, and its
+line for a single key: a number that is not finite, a
+``normalize.lambda_step`` or ``graph.max_iter`` that is not above 0, and
+a ``normalize.lambda_min`` that is not below ``normalize.lambda_max``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -91,9 +97,15 @@ _KEY_MAP = {
     "bots.patterns": ("bot_patterns", "list"),
 }
 
+# keys whose value must be above 0: a Box-Cox grid needs a step, and
+# PageRank at least one iteration
+_POSITIVE = frozenset({"normalize.lambda_step", "graph.max_iter"})
+
 
 def load_config(path: str | Path, base: AnalysisConfig | None = None) -> AnalysisConfig:
-    """Parse a config file on top of ``base`` (or the defaults)."""
+    """Parse a config file on top of ``base`` (or the defaults).  Raises
+    ``ValueError``, naming the file, for a line or value it refuses (see
+    the module doc)."""
     cfg = base or AnalysisConfig()
     text = Path(path).read_text(encoding="utf-8")
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -112,5 +124,12 @@ def load_config(path: str | Path, base: AnalysisConfig | None = None) -> Analysi
             parsed = tuple(p.strip() for p in value.split(",") if p.strip())
         else:
             parsed = conv(value)
+            if conv is float and not math.isfinite(parsed):
+                raise ValueError(f"{path}:{lineno}: {key} must be finite, got {value!r}")
+            if key in _POSITIVE and parsed <= 0:
+                raise ValueError(f"{path}:{lineno}: {key} must be above 0, got {value!r}")
         setattr(cfg, attr, parsed)
+    if cfg.normalize_lambda_min >= cfg.normalize_lambda_max:
+        raise ValueError(f"{path}: normalize.lambda_min ({cfg.normalize_lambda_min}) "
+                         f"must be below normalize.lambda_max ({cfg.normalize_lambda_max})")
     return cfg

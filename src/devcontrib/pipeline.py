@@ -28,8 +28,7 @@ An after side that is parsed is parsed against its change's before tree,
 held or parsed, renames included: it takes the members whose text the
 commit left unchanged from that tree and lexes only the text outside
 them (see the ``syntax`` module doc), so a commit's parse, lexing
-included, costs about what it changed.  The before tree's shapes
-are filled just before, so the members copied from it keep them.
+included, costs about what it changed.
 A blob that fails to parse, including one nested deeper than the parser or
 ``MAX_TREE_DEPTH`` allows, is logged once per commit that reads it and
 skipped.
@@ -37,7 +36,8 @@ skipped.
 The differ compares subtrees by exact shapes (see ``syntax.ShapeTable``);
 the run owns the one table that fills them, ``PipelineState.shapes``.
 Every tree the run parses is bound to that table, so an after tree and
-the before tree it shares members with are filled by it alone.
+the before tree it shares members with are filled by it alone: the
+reparse fills each member it copies, and the diff of the pair the rest.
 
 The graph's trees hold no reference cycles, so a superseded version is
 freed by reference counting; a full cyclic collection would walk every
@@ -281,10 +281,8 @@ def parse_changes(changes, graph: CallGraph, run: AnalysisRun,
     An after side is parsed against its before side's tree, whose
     unchanged members it takes (see ``syntax._Parser.reuse_member``).
     Each tree parsed here is bound to ``shapes``, the run's table, so a
-    tree and the one it takes members from are filled by one table.  A
-    before tree bound to a table has its shapes filled first, as the diff
-    of the pair would fill them anyway: the members the parse copies then
-    keep them, and the diff fills only what the parse built.
+    tree and the one it takes members from are filled by one table, and
+    the members the parse copies keep their shapes.
     Parses, reused trees and members, and parse errors are counted on
     ``run``."""
     trees: dict[str | None, SyntaxTree | None] = {}
@@ -308,8 +306,6 @@ def parse_changes(changes, graph: CallGraph, run: AnalysisRun,
                 tree = None
             else:
                 run.parses += 1
-                if previous is not None and previous.shapes is not None:
-                    previous.shapes.fill(previous.root)
                 tree = parse_file(path, text, previous)
                 if tree is None:
                     run.parse_errors += 1

@@ -60,14 +60,14 @@ previous version of its file.  Sharing is safe because only
 shape whichever tree it reaches the node through, as long as one table
 fills both: the new tree is bound to the previous tree's table.
 
-A node's ``shape`` and ``size`` are filled the first time the differ
-reads its subtree, by the run's ``ShapeTable``: two subtrees filled by one
-table are isomorphic exactly when their shapes are equal (hash-consing),
-and ``size`` is the subtree's node count.  A tree records the table that
-filled it.  Nothing is filled at build time, so a tree no diff reads holds
-no shape and adds nothing to the table; a member taken from the previous
-tree keeps the shapes it had there, so the differ matches it in one
-comparison and fills nothing for it.
+A node's ``shape`` and ``size`` are filled by the table a tree is bound
+to (``SyntaxTree.shapes``): two subtrees filled by one table are
+isomorphic exactly when their shapes are equal (hash-consing), and
+``size`` is the subtree's node count.  The differ fills both trees of a
+pair before it matches them (``astdiff.map_trees``), and a reparse fills
+a member just before it copies it past an edit (``_Parser.reuse_member``),
+so the copy keeps the shapes and the differ matches it in one comparison.
+Nothing else is filled.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ import re
 import string
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress, repeat
-from operator import itemgetter, not_
+from operator import attrgetter, itemgetter, not_
 
 from .config import DEFAULT_BLACKLIST
 from .errors import ParseError
@@ -144,6 +144,7 @@ class SyntaxNode:
 
 
 _NO_CHILDREN = ()  # every leaf's children
+_SHAPE, _SIZE = attrgetter("shape"), attrgetter("size")
 
 
 class ShapeTable:
@@ -182,12 +183,12 @@ class ShapeTable:
                     stack.extend(n.children)
             for n in reversed(order):
                 children = n.children
-                key = ((n.kind, n.label, *[c.shape for c in children]) if children
+                key = ((n.kind, n.label, *map(_SHAPE, children)) if children
                        else (n.kind, n.label))
                 shape = ids.get(key)
                 if shape is None:
                     shape = ids[key] = len(sizes)
-                    sizes.append(1 + sum([c.size for c in children]))
+                    sizes.append(1 + sum(map(_SIZE, children)))
                 n.shape = shape
                 n.size = sizes[shape]
         return node.shape
@@ -286,9 +287,12 @@ class FunctionUnit:
     """
 
     qualified_name: str
-    span: tuple[int, int]
     body: SyntaxNode   # the whole declaration or lambda; see ``function_body``
     calls: list[str] = field(default_factory=list)
+
+    @property
+    def span(self) -> tuple[int, int]:
+        return self.body.span
 
 
 def function_body(unit: FunctionUnit) -> SyntaxNode | None:
@@ -521,13 +525,14 @@ class _Parser:
         self.text = text
         # the previous version's members that may be taken whole, each by
         # the index of its placeholder token (see ``reuse_member``), and
-        # how many were
+        # how many were; the table bound to the previous tree, if any
         if previous is None:
             (kinds, texts, starts, ends), self.comments = tokenize(text)
-            self.reusable = {}
+            self.reusable, self.shapes = {}, None
         else:
             (kinds, texts, starts, ends), self.comments, self.reusable = \
                 _tokenize_reusing(text, previous)
+            self.shapes = previous.shapes
         self.reused = 0
         # two more eof tokens, so that lookahead reaches two tokens past
         # the end without a bounds check
@@ -845,9 +850,10 @@ class _Parser:
         without reading the character after it.  So the member parses to
         the same subtree and units.  At the same offset it is that
         subtree, shared with the previous tree; elsewhere it is a copy
-        with shifted spans (see ``_shifted``).  A placeholder that is not
-        taken here fails the parse, and ``_parse_java`` parses the text
-        again without the previous tree."""
+        with shifted spans (see ``_shifted``), which keeps the shapes
+        filled first by the previous tree's table, if it has one.  A
+        placeholder that is not taken here fails the parse, and
+        ``_parse_java`` parses the text again without the previous tree."""
         found = self.reusable.get(self.pos)
         if found is None:
             return None
@@ -858,10 +864,11 @@ class _Parser:
         self.anonymous += anonymous
         self.reused += 1
         if shift:
+            if self.shapes is not None:
+                self.shapes.fill(member)
             bodies = dict.fromkeys([u.body for u in units])
             member = _shifted(member, shift, bodies)
-            units = [FunctionUnit(u.qualified_name, (u.span[0] + shift, u.span[1] + shift),
-                                  bodies[u.body], u.calls) for u in units]
+            units = [FunctionUnit(u.qualified_name, bodies[u.body], u.calls) for u in units]
         self.units.extend(units)
         return member
 
@@ -926,7 +933,7 @@ class _Parser:
             end = body.end
         self.calls, self.lambda_owner, self.lambdas = scope
         node = SyntaxNode(kind, children, start, end)
-        self.units.append(FunctionUnit(qname, (start, end), node, calls))
+        self.units.append(FunctionUnit(qname, node, calls))
         return node
 
     def parse_param_list(self):
@@ -1421,7 +1428,7 @@ class _Parser:
         node = SyntaxNode("lambda_expr", [params, body], start, body.end)
         if owner is not None:
             self.lambda_owner = owner
-            self.units.append(FunctionUnit(qname, (start, body.end), node))
+            self.units.append(FunctionUnit(qname, node))
         return node
 
     def parse_creator(self):

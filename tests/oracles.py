@@ -1090,7 +1090,7 @@ def _visit_units(node, containers, enclosing, lambda_counter, anonymous,
         return
     if kind in ("method_decl", "constructor_decl"):
         qname = ".".join(containers + [_method_signature(node, components)])
-        unit = FunctionUnit(qname, (node.start, node.end), node)
+        unit = FunctionUnit(qname, node)
         units.append(unit)
         counter = {"n": 0}
         for child in node.children:
@@ -1100,7 +1100,7 @@ def _visit_units(node, containers, enclosing, lambda_counter, anonymous,
     if kind == "lambda_expr" and enclosing is not None:
         qname = f"{enclosing}$lambda{lambda_counter['n']}"
         lambda_counter["n"] += 1
-        units.append(FunctionUnit(qname, (node.start, node.end), node))
+        units.append(FunctionUnit(qname, node))
         for child in node.children:
             _visit_units(child, containers, qname, lambda_counter, anonymous, calls,
                          components, units)

@@ -453,7 +453,7 @@ def test_spans_nest_in_generated_sources(seed):
 
 def _state(mapping):
     return (list(mapping.b2a.items()), list(mapping.a2b.items()),
-            list(mapping.iso_before.items()), list(mapping.iso_after.items()))
+            set(mapping.iso_before), set(mapping.iso_after))
 
 
 def test_calls_to_different_callees_get_different_shapes():
@@ -465,7 +465,7 @@ def test_calls_to_different_callees_get_different_shapes():
     script = _assert_trees_equal_reference(before, after)
     assert [(a.kind, a.before_node.label, a.after_node.label) for a in script] == [
         ("update", "f", "g")]
-    # the differ filled every shape, the roots' first, from one table;
+    # the differ filled every shape of both trees from one table;
     # only the callee's label tells the two statements apart
     assert before.shapes is after.shapes
     assert f_stmt.shape != g_stmt.shape and f_stmt.size == g_stmt.size
@@ -473,7 +473,7 @@ def test_calls_to_different_callees_get_different_shapes():
 
     mapping = NodeMapping()
     assert mapping.add_isomorphic(h_before, h_after)
-    assert mapping.iso_before == {h_before: h_before.size}
+    assert (mapping.iso_before, mapping.iso_after) == ({h_before}, {h_after})
     state = _state(mapping)
     assert not mapping.add_isomorphic(f_stmt, g_stmt)
     assert _state(mapping) == state
@@ -503,6 +503,23 @@ def test_equal_shapes_are_exactly_the_isomorphic_subtrees(first, second):
     for reps in by_kind.values():
         for i, x in enumerate(reps):
             assert not any(reference_isomorphic(x, y) for y in reps[i + 1:])
+
+
+def test_a_diff_fills_both_trees_unless_a_side_is_empty():
+    shapes = ShapeTable()
+    before, after = parse_source(BASE, "java"), parse_source(WITH_MUL, "java")
+    diff_file_pair(before, after, shapes=shapes)
+    assert all(n.shape is not None for tree in (before, after) for n in tree.root.walk())
+    filled = len(shapes)
+    # an added and a deleted file: the empty side's root is a lone leaf, so
+    # no pass reads a shape and neither tree is hashed
+    for pair in ((parse_source("", "java"), parse_source(WITH_MUL.replace("mul", "div"),
+                                                         "java")),
+                 (parse_source(BASE.replace("add", "sub"), "java"), parse_source("", "java"))):
+        mapping, actions, _ = diff_file_pair(*pair, shapes=shapes)
+        assert len(actions) == 1 and not mapping.iso_before
+        assert all(n.shape is None for tree in pair for n in tree.root.walk())
+    assert len(shapes) == filled
 
 
 def test_trees_filled_by_two_tables_are_refused():

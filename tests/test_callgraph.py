@@ -367,6 +367,21 @@ def test_body_only_update_keeps_ranks():
     assert g.impact is None
 
 
+def test_a_second_call_to_a_callee_already_called_keeps_ranks():
+    files = {"A.java": "class A { void f() { g(); } void g() { } }"}
+    g = build_call_graph(files)
+    state = PipelineState(tree=None, config=AnalysisConfig(), run=AnalysisRun("", {}),
+                          graph=g)
+    ranks = current_impact(state)
+    # f's sites go from one call of g to two: the distinct edges stay f -> g
+    _update(g, [_change(path="A.java", kind="modified",
+                         before_content=files["A.java"],
+                         after_content="class A { void f() { g(); g(); } void g() { } }")])
+    assert g.impact is ranks
+    assert current_impact(state) is ranks
+    assert (state.run.rank_computations, state.run.rank_reuses) == (1, 1)
+
+
 def test_update_resolves_only_sites_a_change_can_move(monkeypatch):
     files = {"A.java": "class A { void f() { g(); h(); } void h() { } }",
              "B.java": "class B { void k() { g(); h(); A.g(); } }",

@@ -66,6 +66,17 @@ def test_eval_needs_two_matched_labels(history, tmp_path, capsys):
     assert "only 1 labeled commit(s)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("score", ["nan", "inf", "-inf"])
+def test_eval_refuses_a_score_that_is_not_finite(history, tmp_path, capsys, score):
+    _, run_path, _ = _analyze(history, tmp_path, capsys)
+    labels = tmp_path / "labels.csv"
+    labels.write_text("commit,score\n" + "".join(
+        f"{sha},{value}\n" for sha, value in zip(history.shas, ["1", score, "3"])))
+    assert main(["eval", "--labels", str(labels), "--run", str(run_path)]) == 3
+    err = capsys.readouterr().err
+    assert "evaluation error: score is not finite" in err and "Traceback" not in err
+
+
 def test_eval_prints_r_s_for_matching_labels(history, tmp_path, capsys):
     _, run_path, _ = _analyze(history, tmp_path, capsys)
     scores = [3.0, 0.0, 5.0, 1.0, 5.0, 0.0]  # tied, and one label per commit
@@ -155,6 +166,20 @@ def test_analyze_usage_errors(history, tmp_path, capsys, extra):
     assert code == 1
     assert "usage error" in captured.err
     assert not out.exists()
+
+
+def test_an_out_of_range_config_value_exits_1_before_the_repository_is_read(
+        tmp_path, capsys):
+    plain = tmp_path / "plain"  # not a repository: reading it would exit 2
+    plain.mkdir()
+    cfg = tmp_path / "analysis.cfg"
+    cfg.write_text("normalize.lambda_step = 0\n")
+    out = tmp_path / "run.json"
+    code = main(["analyze", str(plain), "--config", str(cfg), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"{cfg}:1: normalize.lambda_step must be above 0" in err
+    assert "Traceback" not in err and not out.exists()
 
 
 def test_analyze_non_repository_exits_2(tmp_path, capsys):

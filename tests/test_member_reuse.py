@@ -170,6 +170,31 @@ def test_unchanged_members_are_shared_at_their_offset_and_copied_past_an_edit():
         ("A.a()", False), ("A.b()", True), ("A.In.n()", True), ("A.In.q()", True)]
 
 
+def test_a_member_copied_past_an_edit_keeps_its_shapes():
+    text = BEFORE.replace("f(1);", "f(1); f(10);")
+    before = parse_source(BEFORE, "java")
+    before.shapes = shapes = ShapeTable()
+    after = parse_source(text, "java", before)
+    old, new = (tree.root.children[0].children[-1].children for tree in (before, after))
+    # count is shared at its offset, a() parsed again, b() and In copied
+    assert new[0] is old[0] and new[1] is not old[1]
+    for copy, original in zip(new[2:], old[2:]):
+        assert copy.shape is not None
+        assert [(n.shape, n.size) for n in copy.walk()] == \
+            [(n.shape, n.size) for n in original.walk()]
+    # the parse filled only the members it copied
+    assert before.root.shape is old[0].shape is old[1].shape is None
+    filled = len(shapes)
+    assert filled
+    # a previous tree bound to no table is not filled: its copies are left
+    # to the diff
+    unbound = parse_source(BEFORE, "java")
+    after = parse_source(text, "java", unbound)
+    assert after.reused_members == 3 and after.shapes is unbound.shapes is not shapes
+    assert all(n.shape is None for n in after.root.walk())
+    assert len(shapes) == filled
+
+
 # its tree is MAX_TREE_DEPTH levels deep, as deep as a tree may be
 _DEEP = ("class C { void f() { } String s() { return "
          + " + ".join(['"a"'] * (MAX_TREE_DEPTH - 6)) + "; } }")

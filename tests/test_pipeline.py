@@ -611,8 +611,8 @@ def test_an_after_side_takes_members_from_its_before_tree_with_their_shapes(make
     [source] = sources
     assert source.before.shapes is source.after.shapes is shapes
     assert run.member_reuses == 1
-    # b() is copied past the edit after its before tree was filled, so the
-    # diff finds its shape already there
+    # the parse fills b() in the before tree as it copies it past the
+    # edit, so the diff finds the copy's shape already there
     before_b, after_b = (side.root.children[0].children[-1].children[1]
                          for side in (source.before, source.after))
     assert after_b is not before_b
