@@ -7,6 +7,11 @@ and affinely rescaled to mean ``POST_MEAN`` = 1 and standard deviation
 zero; those are clamped to 0.  The power-transform parameter is fitted by
 profile maximum likelihood on a fixed lambda grid, which keeps runs
 reproducible across platforms (no optimizer state, no tolerance drift).
+The grid never passes its upper end and holds an exact 0.0 (the log
+transform) whenever it crosses zero.  It is scored in blocks of
+``_GRID_ELEMENTS`` elements, one row per lambda, which pays numpy's
+per-call overhead once per block instead of once per lambda and still
+fits bit for bit as a loop over single lambdas (see ``fit_boxcox``).
 
 Fusion uses three closed forms: the complexity factor
 ``CM = max(1, (LOC + CC + HV - PCom) / 2 + 1)`` (mean 2 at mean inputs),
@@ -18,11 +23,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 POST_MEAN = 1.0
 POST_STD = 1.0 / 3.0
+# elements of one block of the lambda grid (128 KB of float64): a small
+# sample shares a block among many lambdas, a large one takes a row each
+_GRID_ELEMENTS = 1 << 14
+# in steps: a grid point this close to 0 is 0.0, and a range this close
+# to a whole number of steps ends on that step
+_GRID_TOLERANCE = 1e-9
 
 
 @dataclass
@@ -56,6 +68,40 @@ def _boxcox(y, lam):
     return (np.power(y, lam) - 1.0) / lam
 
 
+def _lambda_grid(lambda_min: float, lambda_max: float, step: float):
+    """Yield the lambda grid ``lambda_min + i * step``, one point at a time.
+
+    Two rules hold for any range: no point exceeds ``lambda_max`` (beyond
+    the rounding of ``i * step``), and a point within ``_GRID_TOLERANCE``
+    steps of zero is exactly 0.0, so the log transform is always tried
+    when the grid crosses zero.  The default grid is -5, -4.99, ..., 5.0: 1,001
+    points, with 0.0 at index 500.
+    """
+    steps = math.floor((lambda_max - lambda_min) / step + _GRID_TOLERANCE)
+    for i in range(steps + 1):
+        lam = lambda_min + i * step
+        yield 0.0 if abs(lam) < _GRID_TOLERANCE * step else lam
+
+
+def _grid_variances(ys, lams):
+    """Yield ``(lam, _boxcox(ys, lam).var())`` for each lambda of the
+    iterator ``lams``, scoring ``_GRID_ELEMENTS // n`` lambdas (at least
+    one) per block."""
+    n = len(ys)
+    rows = max(1, _GRID_ELEMENTS // n)
+    block = np.empty((rows, n))
+    while chunk := list(islice(lams, rows)):
+        t = block[:len(chunk)]
+        for r, lam in enumerate(chunk):
+            np.power(ys, lam, out=t[r])
+        t -= 1.0
+        t /= np.array(chunk)[:, None]
+        for r, lam in enumerate(chunk):
+            if lam == 0.0:
+                np.log(ys, out=t[r])
+        yield from zip(chunk, t.var(axis=1).tolist())
+
+
 def fit_boxcox(samples, lambda_min: float = -5.0, lambda_max: float = 5.0,
                step: float = 0.01, min_samples: int = 30) -> BoxCoxParams:
     """Fit the transform for one metric.
@@ -63,8 +109,23 @@ def fit_boxcox(samples, lambda_min: float = -5.0, lambda_max: float = 5.0,
     Constant (or empty) samples get a degenerate pass-through that maps
     every value to 1.0.  Small samples (fewer than ``min_samples``) skip
     the likelihood search and use the identity power (lambda = 1), which
-    still rescales to the target mean/std and preserves ordering.  The
-    grid search breaks exact likelihood ties toward lambda = 1.
+    still rescales to the target mean/std and preserves ordering.
+
+    Otherwise every point of ``_lambda_grid`` is scored by its profile
+    log-likelihood; a lambda whose transform overflows (a variance that is
+    not finite, or 0) is skipped, without a floating-point warning.  The
+    search breaks exact likelihood ties toward lambda = 1.  The grid ends
+    at ``lambda_max`` (within rounding) and holds an exact 0.0 where it
+    crosses zero.
+
+    The grid is scored in blocks of ``_GRID_ELEMENTS`` elements, made as
+    they are needed.  Each lambda's row is one ``np.power(ys, lam)`` call,
+    as a one-lambda evaluation makes (a broadcast lambda column is not:
+    numpy takes other paths for a scalar exponent of -1, 0.5 or 2).  The
+    block is then shifted, divided by its lambda column, its 0.0 rows are
+    overwritten with ``np.log(ys)``, and ``var(axis=1)`` sums each row as
+    ``var()`` sums the row alone.  Every variance is bit for bit the one
+    a loop over single lambdas computes, so the fitted parameters are too.
     """
     xs = np.asarray(list(samples), dtype=float)
     n = len(xs)
@@ -77,18 +138,15 @@ def fit_boxcox(samples, lambda_min: float = -5.0, lambda_max: float = 5.0,
         lam = 1.0
     else:
         log_sum = np.log(ys).sum()
-        steps = int(round((lambda_max - lambda_min) / step))
         best_lam, best_key = None, None
-        for i in range(steps + 1):
-            lam_i = lambda_min + i * step
-            zs = _boxcox(ys, lam_i)
-            var = zs.var()
-            if not np.isfinite(var) or var <= 0:
-                continue
-            llf = -0.5 * n * math.log(var) + (lam_i - 1.0) * log_sum
-            key = (llf, -abs(lam_i - 1.0))
-            if best_key is None or key > best_key:
-                best_key, best_lam = key, lam_i
+        with np.errstate(all="ignore"):
+            for lam_i, var in _grid_variances(ys, _lambda_grid(lambda_min, lambda_max, step)):
+                if not math.isfinite(var) or var <= 0:
+                    continue
+                llf = -0.5 * n * math.log(var) + (lam_i - 1.0) * log_sum
+                key = (llf, -abs(lam_i - 1.0))
+                if best_key is None or key > best_key:
+                    best_key, best_lam = key, lam_i
         lam = best_lam if best_lam is not None else 1.0
 
     ts = _boxcox(ys, lam)

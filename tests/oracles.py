@@ -76,6 +76,10 @@
   fixpoint over the CFG computed them, before a backward search from each
   use replaced it.  ``devcontrib.pdg._reaching_def_use_edges`` must give
   the same edges for every CFG.
+* ``reference_fit_boxcox`` is ``scoring.fit_boxcox`` as it scored the
+  lambda grid before the grid was evaluated in blocks: one
+  ``_boxcox(ys, lam).var()`` per point of ``scoring._lambda_grid``.  The
+  program must fit equal parameters, bit for bit, on any sample and grid.
 """
 
 import enum
@@ -90,6 +94,7 @@ from devcontrib.callgraph import EXTERNAL_PREFIX, Adjacency, CallGraph, CallSite
 from devcontrib.config import DEFAULT_BLACKLIST
 from devcontrib.errors import CorruptHistory, MissingBlob, ParseError
 from devcontrib.repo import _NULL_SHA, _STATUS_KIND, FileChange, _git
+from devcontrib.scoring import BoxCoxParams, _boxcox, _lambda_grid
 from devcontrib.syntax import (
     callee_segments,
     is_log_call_statement,
@@ -1183,3 +1188,36 @@ def reference_reaching_defs(builder) -> set[tuple[int, int]]:
                 if var == v and d != n.id:
                     edges.add((d, n.id))
     return edges
+
+
+def reference_fit_boxcox(samples, lambda_min: float = -5.0, lambda_max: float = 5.0,
+                         step: float = 0.01, min_samples: int = 30) -> BoxCoxParams:
+    xs = np.asarray(list(samples), dtype=float)
+    n = len(xs)
+    if n == 0 or np.ptp(xs) == 0.0:
+        return BoxCoxParams(degenerate=True, n=n)
+    shift = 1.0 - xs.min() if xs.min() <= 0 else 0.0
+    ys = xs + shift
+
+    if n < min_samples:
+        lam = 1.0
+    else:
+        log_sum = np.log(ys).sum()
+        best_lam, best_key = None, None
+        with np.errstate(all="ignore"):
+            for lam_i in _lambda_grid(lambda_min, lambda_max, step):
+                var = _boxcox(ys, lam_i).var()
+                if not np.isfinite(var) or var <= 0:
+                    continue
+                llf = -0.5 * n * math.log(var) + (lam_i - 1.0) * log_sum
+                key = (llf, -abs(lam_i - 1.0))
+                if best_key is None or key > best_key:
+                    best_key, best_lam = key, lam_i
+        lam = best_lam if best_lam is not None else 1.0
+
+    ts = _boxcox(ys, lam)
+    mean_t = float(ts.mean())
+    std_t = float(ts.std())
+    if std_t == 0.0 or not np.isfinite(std_t):
+        return BoxCoxParams(degenerate=True, n=n)
+    return BoxCoxParams(lam=lam, shift=shift, mean_t=mean_t, std_t=std_t, n=n)

@@ -1,15 +1,25 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from devcontrib.scoring import (
+    _GRID_ELEMENTS,
     BoxCoxParams,
+    _boxcox,
+    _grid_variances,
+    _lambda_grid,
     combine_complexity,
     commit_cvalue,
     fit_boxcox,
     function_score,
     normalize,
 )
+from oracles import reference_fit_boxcox
 
 
 def test_lognormal_sample_transforms_to_low_skew():
@@ -87,6 +97,104 @@ def test_params_roundtrip():
     params = fit_boxcox(np.random.RandomState(9).lognormal(0, 1, 200))
     again = BoxCoxParams.from_dict(params.to_dict())
     assert again == params
+
+
+def test_default_grid_is_every_hundredth_from_minus_five_to_five():
+    grid = list(_lambda_grid(-5.0, 5.0, 0.01))
+    assert grid == [-5.0 + i * 0.01 for i in range(1001)]
+    assert grid[500] == 0.0 and grid[-1] == 5.0
+
+
+def test_grid_stops_at_lambda_max():
+    assert list(_lambda_grid(0.0, 1.0, 0.6)) == [0.0, 0.6]
+    assert max(_lambda_grid(-1.0, 2.5, 0.4)) <= 2.5
+    # 0.3 + 1 ulp: the rounding of -0.3 + 6 * 0.1
+    assert max(_lambda_grid(-0.3, 0.3, 0.1)) == pytest.approx(0.3, abs=1e-15)
+    # a sample that prefers lambda above 2 takes the grid's last point
+    sample = np.random.RandomState(0).uniform(0.0, 1.0, 200) ** 0.3 * 100.0
+    assert fit_boxcox(sample).lam > 2.0
+    assert fit_boxcox(sample, 0.0, 1.0, 0.6).lam == 0.6
+
+
+def test_grid_that_crosses_zero_tries_the_log_transform():
+    assert list(_lambda_grid(-0.3, 0.3, 0.1))[3] == 0.0
+    assert list(_lambda_grid(-0.2, 0.2, 0.1))[2] == 0.0
+    # without an exact 0.0, the middle point's (y^lam - 1) / lam is
+    # rounding noise and this sample fits 0.1 on the wider grid
+    sample = np.random.RandomState(1).lognormal(3.0, 1.0, 200)
+    assert fit_boxcox(sample, -0.3, 0.3, 0.1).lam == 0.0
+    assert fit_boxcox(sample, -0.2, 0.2, 0.1).lam == 0.0
+
+
+def test_a_lambda_whose_transform_overflows_is_skipped_without_a_warning():
+    sample = [1e80] * 3 + [float(v) for v in range(1, 40)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        params = fit_boxcox(sample)
+    assert params == reference_fit_boxcox(sample)
+    assert not params.degenerate and -5.0 <= params.lam < 0.0
+
+
+@st.composite
+def _fit_cases(draw):
+    """A sample kind and seed, a size around the grid's block sizes, and a
+    grid: the default one for small samples, else a coarse one whose range
+    is (almost surely) not a multiple of its step."""
+    kind = draw(st.sampled_from(["lognormal", "duplicates", "signed"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    n = draw(st.one_of(st.integers(29, 400),
+                       st.integers(_GRID_ELEMENTS // 2 - 2, _GRID_ELEMENTS // 2 + 2),
+                       st.integers(_GRID_ELEMENTS - 2, _GRID_ELEMENTS + 40)))
+    coarse = st.tuples(st.floats(-5.0, 1.0), st.floats(0.05, 6.0), st.floats(0.1, 1.0)) \
+        .map(lambda t: (t[0], t[0] + t[1], t[2]))
+    grid = draw(st.one_of(st.just((-5.0, 5.0, 0.01)), coarse) if n <= 400 else coarse)
+    return kind, seed, n, grid
+
+
+def _sample(kind, seed, n):
+    rng = np.random.RandomState(seed)
+    if kind == "lognormal":
+        return rng.lognormal(rng.uniform(-1.0, 3.0), rng.uniform(0.2, 2.0), n)
+    if kind == "duplicates":
+        return rng.randint(1, 6, n).astype(float)
+    return rng.randint(-20, 20, n).astype(float)  # zeros and negatives: shifted
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_fit_cases())
+@example(("lognormal", 1, 200, (-0.3, 0.3, 0.1)))
+@example(("lognormal", 2, 29, (-5.0, 5.0, 0.01)))
+@example(("signed", 3, _GRID_ELEMENTS // 2 + 1, (-1.0, 2.0, 0.3)))
+@example(("duplicates", 4, _GRID_ELEMENTS + 1, (-2.0, 3.0, 0.7)))
+def test_fit_equals_the_per_lambda_loop(case):
+    kind, seed, n, (lambda_min, lambda_max, step) = case
+    sample = _sample(kind, seed, n)
+    assert fit_boxcox(sample, lambda_min, lambda_max, step).to_dict() == \
+        reference_fit_boxcox(sample, lambda_min, lambda_max, step).to_dict()
+
+
+@pytest.mark.parametrize("n", [30, 401, 5000, _GRID_ELEMENTS // 2 + 1])
+def test_every_grid_variance_equals_the_one_lambda_variance(n):
+    """Bit for bit, on every row: a broadcast lambda column would differ
+    at -1, 0.5 and 2, where numpy's power of a scalar exponent differs."""
+    ys = np.random.RandomState(n).lognormal(1.0, 1.0, n)
+    grid = list(_lambda_grid(-5.0, 5.0, 0.01))
+    with np.errstate(all="ignore"):
+        got = list(_grid_variances(ys, iter(grid)))
+        want = [(lam, float(_boxcox(ys, lam).var())) for lam in grid]
+    assert got == want
+
+
+def test_the_grid_is_scored_in_a_bounded_block():
+    # the whole default grid of 5,000 samples would need 40 MB per array
+    sample = np.random.RandomState(13).lognormal(0.0, 1.0, 5000)
+    tracemalloc.start()
+    try:
+        fit_boxcox(sample)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # ---------------------------------------------------------------------------
