@@ -24,10 +24,14 @@ new method: it is one insert or delete, and its depth is its root's
 height.  So the script's cost does not grow with the size of what is
 added or removed whole.
 
-Syntax trees keep no parent links.  The differ takes each node's parent
-from the walk of that region (``_region``): every anchor and all of its
-ancestors lie in it, and so does the root of every maximal unmapped
-subtree.
+Syntax trees keep no parent links.  Where the differ needs a node's
+parent, on the after side of the bottom-up pass and on both sides of the
+edit script, it takes it from one pre-order walk of that region
+(``_region``): every anchor and all of its ancestors lie in it, and so
+does the root of every maximal unmapped subtree.  The bottom-up pass reads
+the before side in one post-order walk that needs no parents: a
+container's mapped descendants are the mapped nodes passed between
+entering and leaving it.
 
 The edit script uses subtree-granular actions: a maximal unmapped subtree
 becomes one insert or delete, a mapped pair with a changed label becomes an
@@ -229,34 +233,27 @@ def _may_hold_anchor(node, anchor_keys):
     return i < len(keys) and keys[i][0] <= node.end
 
 
-def _postorder(root, iso_roots):
-    """``_region`` in post-order: children left to right, then the node.
-    That is the reverse of a pre-order taking children right to left."""
-    order, stack = [], [root]
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        if node not in iso_roots:
-            stack.extend(node.children)
-    order.reverse()
-    return order
-
-
 def _bottom_up(before_root, after_root, mapping, threshold):
     """Map unmapped before containers, children first, each to the unmapped
     after node of its kind whose subtree holds the most partners of its
     mapped descendants (dice coefficient above ``threshold``).
 
-    Only the region outside isomorphic subtrees is walked.  The partners of
-    a mapped descendant form one range of after-side pre-order positions: a
-    whole isomorphic subtree, or one node.  A candidate is unmapped, so it
-    is never inside an isomorphic subtree, and each range lies wholly inside
-    or wholly outside the candidate's subtree; prefix sums over the sorted
-    ranges count the partners inside.
+    Only the region outside isomorphic subtrees is walked, once on each
+    side.  The before region is walked in post-order, children left to
+    right; the partners of the mapped nodes passed so far (isomorphic
+    roots, and each container as it is mapped) are appended to one list.
+    A container's mapped descendants are passed after it is entered and
+    before it is left, so their partners are the slice of that list from
+    its length on entry.
+
+    The partners of a mapped descendant form one range of after-side
+    pre-order positions: a whole isomorphic subtree, or one node.  A
+    candidate is unmapped, so it is never inside an isomorphic subtree, and
+    each range lies wholly inside or wholly outside the candidate's
+    subtree; prefix sums over the sorted ranges count the partners inside.
     """
     if mapping.b2a:  # otherwise no node has a mapped descendant
         b2a, iso_b, iso_a = mapping.b2a, mapping.iso_before, mapping.iso_after
-        post = _postorder(before_root, iso_b)
         a_parent = dict(_region(after_root, iso_a))  # in pre-order
         # pre-order position: the subtree of n spans positions
         # a_positions[n] .. a_positions[n] + n.size - 1
@@ -265,10 +262,19 @@ def _bottom_up(before_root, after_root, mapping, threshold):
             a_positions[n] = position
             position += n.size if n in iso_a else 1
 
-        for b in post:
-            if b in b2a or b.is_leaf:
+        passed = []  # partners of the mapped before nodes passed, in post-order
+        # (node, None) until the node is entered, then (node, len(passed) on entry)
+        stack = [(before_root, None)]
+        while stack:
+            b, low = stack.pop()
+            if low is None:
+                if b in iso_b:
+                    passed.append(b2a[b])
+                elif not b.is_leaf:
+                    stack.append((b, len(passed)))
+                    stack.extend((c, None) for c in reversed(b.children))
                 continue
-            partners = [b2a[n] for n, _ in _region(b, iso_b) if n in b2a]
+            partners = passed[low:]
             if not partners:
                 continue
             partners.sort(key=a_positions.__getitem__)
@@ -296,6 +302,7 @@ def _bottom_up(before_root, after_root, mapping, threshold):
                     best, best_key = cand, key
             if best is not None:
                 mapping.add(b, best)
+                passed.append(best)
     if before_root not in mapping.b2a and after_root not in mapping.a2b \
             and before_root.kind == after_root.kind:
         mapping.add(before_root, after_root)
@@ -491,7 +498,12 @@ def edit_script(mapping: NodeMapping, before: SyntaxTree, after: SyntaxTree,
 
 
 def _order_moves(mapping, parent_a):
-    """Mapped pairs that changed sibling rank under the same mapped parent."""
+    """Mapped pairs that changed sibling rank under the same mapped parent.
+
+    A parent whose staying children's partners already stand in the same
+    order among the after parent's children is skipped: the LCS would keep
+    every pair, so nothing moved there.
+    """
     moved = set()
     for pb, pa in mapping.b2a.items():
         if pb.is_leaf or pb in mapping.iso_before:  # children kept in order
@@ -501,6 +513,9 @@ def _order_moves(mapping, parent_a):
         if len(stay_b) < 2:
             continue
         partners_in_b_order = [mapping.b2a[c] for c in stay_b]
+        after_children = iter(pa.children)  # in order: a subsequence of them
+        if all(p in after_children for p in partners_in_b_order):
+            continue
         partners = set(partners_in_b_order)
         partners_in_a_order = [c for c in pa.children if c in partners]
         kept = {pair[0] for pair in _lcs_pairs(partners_in_b_order,

@@ -11,8 +11,10 @@ developer's inflated-commit flag set from the config's thresholds;
 ``report`` and ``eval`` read it back and refuse any other schema version.
 
 Exit codes: 0 success, 1 usage error (including an unreadable config or
-``report`` run file), 2 repository error (including a commit with neither
-author name nor email), 3 evaluation-input error.
+``report`` run file, and an ``analyze --out`` path that is a directory or
+lies in a missing one, refused before the repository is read), 2
+repository error (including a commit with neither author name nor email),
+3 evaluation-input error.
 """
 
 from __future__ import annotations
@@ -68,6 +70,12 @@ def _build_parser() -> _ArgumentParser:
 
 
 def _cmd_analyze(args) -> int:
+    out = Path(args.out)
+    # checked first: a run that cannot be saved is lost after the whole walk
+    if not out.parent.is_dir():
+        raise UsageError(f"output directory does not exist: {out.parent}")
+    if out.is_dir():
+        raise UsageError(f"output path is a directory: {out}")
     cfg = AnalysisConfig()
     if args.config:
         try:

@@ -77,6 +77,7 @@ from __future__ import annotations
 
 import gc
 import json
+import os
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -219,9 +220,17 @@ class AnalysisRun:
         return run
 
     def save(self, path: str | Path):
-        Path(path).write_text(
-            json.dumps(self.to_dict(), sort_keys=True, indent=0) + "\n",
-            encoding="utf-8")
+        """Write the run to ``path`` through a temporary file in the same
+        directory, so a failed write leaves any earlier file whole."""
+        path = Path(path)
+        text = json.dumps(self.to_dict(), sort_keys=True, indent=0) + "\n"
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        try:
+            tmp.write_text(text, encoding="utf-8")
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
     @classmethod
     def load(cls, path: str | Path) -> "AnalysisRun":

@@ -1,3 +1,4 @@
+import copy
 import operator
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from devcontrib import astdiff
 from devcontrib.astdiff import (
     FILE_SCOPE,
     EditAction,
@@ -34,6 +36,7 @@ from oracles import (
     reference_lcs_pairs,
     reference_map_trees,
 )
+from test_member_reuse import _modified_pairs
 from test_syntax import _generated_classes
 
 BASE = """
@@ -390,6 +393,183 @@ def test_mapping_equals_reference_and_script_replays(seed):
 def test_differ_equals_reference_on_reorders_and_empty_sides(seed):
     _assert_equals_reference(*_random_sources(np.random.RandomState(seed),
                                               reorder_and_empty=True))
+
+
+# Nested programs: a statement is a string, or a compound
+# ``[opener, closer, body]`` whose body is a list of statements; a member is
+# a compound too.  Bodies nest at most _MAX_NESTING deep.
+_MAX_NESTING = 3
+_COMPOUNDS = [
+    ("if (a > b) {", "}"), ("if (a < n) {", "} else { b = a; }"),
+    ("while (a < n) {", "}"), ("for (int i = 0; i < n; i++) {", "}"), ("{", "}"),
+    ("run(() -> {", "});"), ("Runnable r = new Runnable() { public void run() {", "} };"),
+]
+_MEMBERS = [
+    ("void m{i}(int n) {{", "}}"), ("class In{i} {{ void k(int n) {{", "}} }}"),
+    ("Runnable f{i} = () -> {{", "}};"),
+    ("Object o{i} = new Object() {{ int k(int n) {{", "}} }};"),
+]
+
+
+def _nested_statement(rng, depth):
+    if depth >= _MAX_NESTING or rng.randint(3):
+        return _STATEMENTS[rng.randint(len(_STATEMENTS))]
+    opener, closer = _COMPOUNDS[rng.randint(len(_COMPOUNDS))]
+    return [opener, closer, _nested_body(rng, depth + 1)]
+
+
+def _nested_body(rng, depth):
+    return [_nested_statement(rng, depth) for _ in range(rng.randint(0, 4))]
+
+
+def _nested_member(rng, i):
+    opener, closer = _MEMBERS[rng.randint(len(_MEMBERS))]
+    return [opener.format(i=i), closer.format(i=i), _nested_body(rng, 1)]
+
+
+def _render(statements, indent):
+    lines = []
+    for s in statements:
+        if isinstance(s, str):
+            lines.append(indent + s)
+        else:
+            lines.append(indent + s[0])
+            lines.extend(_render(s[2], indent + "    "))
+            lines.append(indent + s[1])
+    return lines
+
+
+def _bodies(statements, depth=0):
+    """``(body, depth)`` of every body in ``statements``, outermost first."""
+    found = []
+    for s in statements:
+        if not isinstance(s, str):
+            found.append((s[2], depth + 1))
+            found.extend(_bodies(s[2], depth + 1))
+    return found
+
+
+def _nesting(statement):
+    """How many bodies deep ``statement`` reaches."""
+    if isinstance(statement, str):
+        return 0
+    return 1 + max((_nesting(s) for s in statement[2]), default=0)
+
+
+def _nested_edit(rng, members):
+    """Edit a deep copy of ``members``: statements are deleted, inserted,
+    renamed, wrapped in a compound, unwrapped, or moved to any body; members
+    are added, deleted, or moved past two others or more where they can be."""
+    members = copy.deepcopy(members)
+    for _ in range(rng.randint(1, 5)):
+        op = rng.randint(9)
+        if op == 0:  # a new member at any place
+            members.insert(rng.randint(len(members) + 1),
+                           _nested_member(rng, 10 + rng.randint(90)))
+            continue
+        if op == 1 and len(members) > 1:
+            del members[rng.randint(len(members))]
+            continue
+        if op == 2 and len(members) > 2:  # not a swap of neighbours
+            i = rng.randint(len(members))
+            member = members.pop(i)
+            places = [j for j in range(len(members) + 1) if abs(j - i) > 1]
+            members.insert(places[rng.randint(len(places))] if places else 0, member)
+            continue
+        bodies = _bodies(members)
+        body, depth = bodies[rng.randint(len(bodies))]
+        if op == 3 or not body:
+            body.insert(rng.randint(len(body) + 1), _nested_statement(rng, depth))
+        elif op == 4:
+            del body[rng.randint(len(body))]
+        elif op == 5:  # rename in a statement at any depth
+            i = rng.randint(len(body))
+            if isinstance(body[i], str):
+                body[i] = body[i].replace("a", "q", 1)
+            else:
+                body[i][0] = body[i][0].replace("a", "q", 1)
+        elif op == 6:  # wrap a run of statements in a compound
+            i = rng.randint(len(body))
+            j = rng.randint(i, len(body)) + 1
+            opener, closer = _COMPOUNDS[rng.randint(len(_COMPOUNDS))]
+            wrapped = [opener, closer, body[i:j]]
+            if depth + _nesting(wrapped) <= _MAX_NESTING:
+                body[i:j] = [wrapped]
+        elif op == 7:  # unwrap a compound
+            i = rng.randint(len(body))
+            if not isinstance(body[i], str):
+                body[i:i + 1] = body[i][2]
+        else:  # move a statement to any body, at any depth
+            statement = body.pop(rng.randint(len(body)))
+            targets = [b for b, d in _bodies(members)
+                       if d + _nesting(statement) <= _MAX_NESTING]
+            target = targets[rng.randint(len(targets))] if targets else body
+            target.insert(rng.randint(len(target) + 1), statement)
+    return members
+
+
+def _nested_program(members):
+    return "class C {\n" + "\n".join(_render(members, "    ")) + "\n}\n"
+
+
+def _nested_sources(rng):
+    members = [_nested_member(rng, i) for i in range(rng.randint(1, 5))]
+    return _nested_program(members), _nested_program(_nested_edit(rng, members))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1))
+def test_differ_equals_reference_on_nested_members_and_distant_moves(seed):
+    _assert_equals_reference(*_nested_sources(np.random.RandomState(seed)))
+
+
+def test_nested_generator_parses_every_construct():
+    kinds = set()
+    for seed in range(20):
+        for source in _nested_sources(np.random.RandomState(seed)):
+            kinds.update(n.kind for n in parse_source(source, "java").root.walk())
+    assert {"if_stmt", "while_stmt", "for_stmt", "block", "lambda_expr", "new_expr",
+            "class_decl", "method_decl", "field_decl"} <= kinds
+
+
+def _nested_ifs(depth, innermost):
+    return ("class C {\n    void m(int a) {\n"
+            + "".join(f"if (a > {i}) {{\na = a - {i};\n" for i in range(depth))
+            + innermost + "\n" + "}\n" * depth + "    }\n}\n")
+
+
+def test_matching_walks_each_region_a_bounded_number_of_times(monkeypatch):
+    # one edit 100 blocks deep: every enclosing block is an unmapped
+    # container of the bottom-up pass, and a walk of each one's region
+    # would cost the depth times the region
+    before = parse_source(_nested_ifs(100, "f(1);"), "java")
+    after = parse_source(_nested_ifs(100, "f(2);"), "java")
+    region, steps = astdiff._region, 0
+
+    def counting_region(*args):
+        nonlocal steps
+        for item in region(*args):
+            steps += 1
+            yield item
+
+    monkeypatch.setattr(astdiff, "_region", counting_region)
+    mapping = map_trees(before, after)
+    size = sum(1 for _ in before.root.walk())
+    assert before.root.height > 200
+    assert steps <= 2 * size
+    monkeypatch.undo()
+    assert len(mapping.b2a) > 100  # the bottom-up pass mapped every block
+    script = edit_script(mapping, before, after)
+    assert [(a.kind, a.before_node.label, a.after_node.label) for a in script] == [
+        ("update", "1", "2")]
+    assert apply_edit_script(before, after, mapping, script)
+
+
+def test_differ_equals_reference_on_workload_edits():
+    # a fixed sample of the seed-11 benchmark workloads' modified files
+    pairs = _modified_pairs()
+    for before_src, after_src in pairs[::6]:
+        _assert_equals_reference(before_src, after_src)
 
 
 def test_method_swap_is_one_order_move():

@@ -190,18 +190,22 @@ def test_analyze_non_repository_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("through_sys_argv", [False, True], ids=["argv", "sys.argv"])
-def test_analyze_unwritable_out_exits_2(history, tmp_path, capsys, monkeypatch,
-                                        through_sys_argv):
-    out = tmp_path / "missing" / "run.json"
-    argv = ["analyze", history.path, "--out", str(out)]
+@pytest.mark.parametrize("out_name", ["missing/run.json", "."], ids=["missing-dir", "a-dir"])
+def test_analyze_unusable_out_exits_1_before_the_repository_is_read(
+        tmp_path, capsys, monkeypatch, through_sys_argv, out_name):
+    plain = tmp_path / "plain"  # not a repository: reading it would exit 2
+    plain.mkdir()
+    out = tmp_path / out_name
+    argv = ["analyze", str(plain), "--out", str(out)]
     if through_sys_argv:  # as the console entry point calls it
         monkeypatch.setattr("sys.argv", ["devcontrib", *argv])
         code = main()
     else:
         code = main(argv)
-    assert code == 2
-    assert "error:" in capsys.readouterr().err
-    assert not out.parent.exists()
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "usage error: output" in err and "Traceback" not in err
+    assert not (tmp_path / "missing").exists()
 
 
 def test_analyze_skips_a_submodule_and_scores_the_rest(make_repo, tmp_path, capsys):

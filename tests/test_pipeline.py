@@ -189,6 +189,30 @@ def test_run_roundtrips_through_json(make_repo, tmp_path):
     assert set(loaded.boxcox) == {"loc", "cc", "hv", "pcom", "ip"}
 
 
+def test_a_failed_save_leaves_the_earlier_run_file_whole(make_repo, tmp_path,
+                                                         monkeypatch):
+    repo = make_repo()
+    repo.commit("init", 1000, {"Service.java": BASE_JAVA})
+    run = analyze_repository(repo.path)
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    path = runs / "run.json"
+    path.write_text("earlier run\n")
+
+    def fail(src, dst):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError):
+        run.save(path)
+    assert path.read_text() == "earlier run\n"
+    assert [p.name for p in runs.iterdir()] == ["run.json"]
+    monkeypatch.undo()
+    run.save(path)
+    assert AnalysisRun.load(path).to_dict() == run.to_dict()
+    assert [p.name for p in runs.iterdir()] == ["run.json"]
+
+
 def test_to_dict_holds_every_field_as_copies(make_repo):
     repo = make_repo()
     repo.commit("init", 1000, {"Service.java": BASE_JAVA})
