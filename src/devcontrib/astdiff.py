@@ -537,14 +537,42 @@ def _action_sort_key(action):
 # grouping and the weighted edit size
 # ---------------------------------------------------------------------------
 
-def _containing_function(units, start, end):
-    best = None
-    for u in units:
-        node = u.body
-        if node.start <= start and end <= node.end and (
-                best is None or node.end - node.start < best.body.end - best.body.start):
-            best = u
-    return best
+def _innermost_units(units, spans) -> list:
+    """For each ``(start, end)`` of ``spans``, the innermost unit whose body
+    contains it, or None: of those containing it, the one with the shortest
+    body, and among equal ones the first in ``units`` order.  O((A + U) log
+    U) for A spans and U units.
+
+    Unit bodies are syntax nodes, so two of them nest or are disjoint, and
+    every span and body covers a token (a file's root, empty for an empty
+    file, is mapped to the other root and so is no action's node).  Sorted
+    by start, longer first and, among equal spans, later in ``units``
+    first, each body is pushed on a stack once the bodies that end at or
+    before its start are popped, so the stack holds nested bodies and its
+    ends never rise.  A span, taken in order of its start after every body
+    that starts at or before it is pushed, lies in the topmost body whose
+    end reaches its own, found by bisection."""
+    if not spans:  # as for half the calls: a side with no action
+        return []
+    order = sorted((u.body.start, -u.body.end, -i) for i, u in enumerate(units))
+    found = [None] * len(spans)
+    stack, negated_ends = [], []  # the ends negated, so they never fall
+    pushed = 0
+    for at in sorted(range(len(spans)), key=spans.__getitem__):
+        start, end = spans[at]
+        while pushed < len(order) and order[pushed][0] <= start:
+            body_start, negated_end, negated_index = order[pushed]
+            while negated_ends and -negated_ends[-1] <= body_start:
+                stack.pop()
+                negated_ends.pop()
+            assert not negated_ends or negated_end >= negated_ends[-1], "bodies cross"
+            stack.append(units[-negated_index])
+            negated_ends.append(negated_end)
+            pushed += 1
+        inside = bisect.bisect_right(negated_ends, -end)
+        if inside:
+            found[at] = stack[inside - 1]
+    return found
 
 
 def group_by_function(actions, functions_before, functions_after) -> list[FunctionChangeSet]:
@@ -554,6 +582,13 @@ def group_by_function(actions, functions_before, functions_after) -> list[Functi
     target changeset.  Actions outside every function are grouped under the
     synthetic file-scope unit.
     """
+    # the units a delete or move leaves and an insert, update or move lands in
+    sources = iter(_innermost_units(functions_before, [
+        (act.before_node.start, act.before_node.end)
+        for act in actions if act.kind == "delete" or act.kind == "move"]))
+    targets = iter(_innermost_units(functions_after, [
+        (act.after_node.start, act.after_node.end)
+        for act in actions if act.kind != "delete"]))
     sets: dict[str, FunctionChangeSet] = {}
 
     def key_for(unit):
@@ -566,26 +601,15 @@ def group_by_function(actions, functions_before, functions_after) -> list[Functi
         cs.actions.append(action)
 
     for act in actions:
-        targets = []
         if act.kind == "delete":
-            node = act.before_node
-            targets.append(key_for(_containing_function(functions_before,
-                                                        node.start, node.end)))
+            put(key_for(next(sources)), act)
         elif act.kind in ("insert", "update"):
-            node = act.after_node
-            targets.append(key_for(_containing_function(functions_after,
-                                                        node.start, node.end)))
+            put(key_for(next(targets)), act)
         else:  # move: charge source and target
-            src = _containing_function(functions_before, act.before_node.start,
-                                       act.before_node.end)
-            dst = _containing_function(functions_after, act.after_node.start,
-                                       act.after_node.end)
-            targets.append(key_for(src))
-            dst_key = key_for(dst)
-            if dst_key != targets[0]:
-                targets.append(dst_key)
-        for t in targets:
-            put(t, act)
+            src_key, dst_key = key_for(next(sources)), key_for(next(targets))
+            put(src_key, act)
+            if dst_key != src_key:
+                put(dst_key, act)
 
     return [sets[k] for k in sorted(sets)]
 

@@ -21,12 +21,16 @@ index over the caller's file once per call.
 
 ``CallGraph.files`` holds one ``FileEntry`` per file: its functions, its
 call sites and their resolved targets, the same functions and edges as
-integer arrays, and the blob and syntax tree they were read from.  An
-entry is a tuple that is replaced (``_replace``), never changed in place,
-and so is each bucket of the suffix index.  The integers come from an
-append-only interner that a graph shares with its copies; a number is
-never reused, so a shared entry's arrays mean the same in every copy, and
-``adjacency()`` concatenates them instead of walking sites.  A copy of the
+integer arrays, and the blob they were read from.  An entry is built from
+the file's ``call_units``, not from its tree, and holds the tree only
+while a later commit will read that version: the pipeline hands the tree
+to ``update`` only then, and ``CheckpointStore.drop_trees`` takes it out
+of the checkpoints after its last read.  An entry is a tuple that is
+replaced (``_replace``), never changed in place, and so is each bucket of
+the suffix index.  The integers come from an append-only interner that a
+graph shares with its copies; a number is never reused, so a shared
+entry's arrays mean the same in every copy, and ``adjacency()``
+concatenates them instead of walking sites.  A copy of the
 graph (``CallGraph.copy``, which ``CheckpointStore`` keeps for later
 commits) is therefore one new dict over the same entries plus one over
 the same index buckets.  The interner keeps every ``FunctionId`` any of
@@ -145,12 +149,20 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return values[keep]
 
 
+def call_units(tree: SyntaxTree) -> tuple[tuple[str, list[str]], ...]:
+    """What the graph reads of ``tree``: the qualified name and call sites
+    of each method and constructor, in order (lambdas count for their
+    enclosing function).  It holds no node, so it outlives the tree."""
+    return tuple((u.qualified_name, u.calls) for u in tree.functions
+                 if u.body.kind != "lambda_expr")
+
+
 class FileEntry(NamedTuple):
     """One file's share of the graph: its functions, the call sites in
     their bodies and each site's resolved targets, ``()`` until the file
-    is resolved.  ``blob`` and ``tree`` are the version they came from;
-    the tree lives as long as the entry, so a later commit whose before
-    side is that blob reads it instead of parsing the text again.
+    is resolved.  ``blob`` is the version they came from, and ``tree`` its
+    syntax tree while a later commit will read that version, else None;
+    such a commit reads the tree instead of parsing the text again.
 
     ``numbers`` holds the functions' interned numbers and ``edges`` the
     file's distinct (caller, target) pairs as ``caller << 32 | target``
@@ -261,14 +273,14 @@ class CallGraph:
             else:
                 self._index.pop(suffix, None)
 
-    def _add_file(self, path: str, blob: str | None, tree: SyntaxTree):
-        """Add ``path``'s unresolved entry, read from ``tree``, the text of
-        ``blob``: its methods and constructors, and their call sites in
-        that order (lambdas count for their enclosing function)."""
-        named = [u for u in tree.functions if u.body.kind != "lambda_expr"]
-        fids = tuple(FunctionId(u.qualified_name, path) for u in named)
+    def _add_file(self, path: str, blob: str | None, units,
+                  tree: SyntaxTree | None = None):
+        """Add ``path``'s unresolved entry for the text of ``blob``, read
+        from its ``call_units``: its methods and constructors, and their
+        call sites in that order.  The entry holds ``tree``, if given."""
+        fids = tuple(FunctionId(name, path) for name, _ in units)
         sites = tuple(CallSite(fid, name, name.rsplit(".", 1)[-1])
-                      for fid, unit in zip(fids, named) for name in unit.calls)
+                      for fid, (_, calls) in zip(fids, units) for name in calls)
         numbers = np.fromiter(map(self._interner.number, fids), np.int64, len(fids))
         self.files[path] = FileEntry(fids, sites, blob=blob, tree=tree, numbers=numbers)
 
@@ -373,14 +385,16 @@ class CallGraph:
 
     def update(self, sources) -> "CallGraph":
         """Apply one commit's source changes (``pipeline.SourceChange``, as
-        ``pipeline.parse_changes`` returns them); the result equals a full
-        rebuild.
+        ``pipeline.parse_changes`` yields them, all taken before the graph
+        changes); the result equals a full rebuild.
 
         Every path a change names, a rename's old path too, loses its
         entry, which is kept to compare.  A change with an after blob
-        whose tree parsed gets a new entry that keeps that blob and tree;
-        a file whose text failed to parse has no nodes until a later change
-        brings text that parses.  The re-added paths are resolved afresh.
+        whose tree parsed (its ``units`` are not None) gets a new entry
+        read from those units, which keeps that blob and the change's
+        ``after`` tree, None when no later commit reads it; a file whose
+        text failed to parse has no nodes until a later change brings text
+        that parses.  The re-added paths are resolved afresh.
         Elsewhere only sites whose callee's simple name is that of a
         function the commit added or removed are re-resolved: a body-only
         edit removes and re-adds the same functions, so it re-resolves
@@ -388,13 +402,14 @@ class CallGraph:
         numbers or distinct edges, the arrays ``adjacency()`` reads,
         changed, or a re-resolved site changed targets.
         """
+        sources = list(sources)  # parse_changes reads the entries replaced here
         old: dict[str, FileEntry] = {}
         for source in sources:
             for path in (source.old_path, source.path):
                 if path is not None:
                     old.setdefault(path, self.files.pop(path, _NO_FILE))
-            if source.after_blob is not None and source.after is not None:
-                self._add_file(source.path, source.after_blob, source.after)
+            if source.after_blob is not None and source.units is not None:
+                self._add_file(source.path, source.after_blob, source.units, source.after)
 
         lost = {fid for entry in old.values() for fid in entry.functions}
         gained = {fid for path in old for fid in self.files.get(path, _NO_FILE).functions}
@@ -447,6 +462,17 @@ class CheckpointStore:
     def discard(self, commit_id: str):
         """Release the checkpoint."""
         self._memory.pop(commit_id, None)
+
+    def drop_trees(self, versions):
+        """Take the tree out of every checkpoint entry whose (path, blob)
+        is one of ``versions``, which no later commit reads; the entry is
+        replaced, and the structure and ranks stay as they are."""
+        for graph in self._memory.values():
+            files = graph.files
+            for path, blob in versions:
+                entry = files.get(path)
+                if entry is not None and entry.tree is not None and entry.blob == blob:
+                    files[path] = entry._replace(tree=None)
 
     def __len__(self) -> int:
         """Checkpoints held."""

@@ -17,13 +17,34 @@ commits with the run's thresholds.
 ``parse_changes`` is the one place that decides which sides of a change
 are source; it turns a commit's file changes into ``SourceChange``s, each
 with the trees of both sides, and the differ, the call-graph update and
-the complexity and dependence-graph measurements read only that list.  A
-commit parses only the changed source blobs it does not already hold.
-The call graph's entry for a file keeps the tree it was read from (see
+the complexity and dependence-graph measurements read only those.  A
+commit scores each file before the next one is parsed: ``analyze_commit``
+diffs the pair and builds the file's records (``delta_ast``,
+``compute_raw`` and the PDG fields), and keeps of the file only what the
+call-graph update reads (``callgraph.call_units``) and, while a later
+commit will read it, the after tree.  After the update and the ranking it
+fills in ``ip``.  So a commit holds the trees of one file at a time, and
+the records come in the order of the files and, within a file, of its
+changesets.
+
+A commit parses only the changed source blobs it does not already hold.
+The call graph's entry for a file holds the tree it was read from while
+a commit not yet analyzed will read that (path, blob) version (see
 ``callgraph.FileEntry``), so a side is taken from an entry for its path
 of the same blob: a before side from the graph, which holds the first
 parent's snapshot, and either side of a merge from the checkpoint of a
 non-first parent, so a merge re-reads no tree its topic branch built.
+Those are the only reads, and the diff index lists them all before the
+first commit (see ``repo.diff_index``): ``analyze_repository`` counts
+them in ``PipelineState.due``, and each commit takes its own off when it
+is analyzed.  A new entry keeps its tree only while a read of its version
+is due (``AnalysisRun.trees_dropped`` counts the others), and the commit
+that makes a version's last read drops that version's trees from the
+checkpoints (``CheckpointStore.drop_trees``).  With the future reads
+known, keeping exactly what will be read is the optimal rule (Belady, IBM
+Systems Journal 1966), as for the checkpoints themselves; a tree dropped
+too early would only be parsed again, so the rule cannot change the
+output.
 An after side that is parsed is parsed against its change's before tree,
 held or parsed, renames included: it takes the members whose text the
 commit left unchanged from that tree and lexes only the text outside
@@ -50,8 +71,9 @@ setting.
 
 ``AnalysisRun`` is the one record of what a run did: the walk writes its
 stage times (``ingest``, ``parse``, ``diff``, ``graph``, ``rank``,
-``pdg``, ``fit``, ``fuse``, ``total``), per-commit times and counters to
-``state.run`` as it goes.  None of them is serialized.
+``pdg``, ``fit``, ``fuse``, ``total``; ``rank`` includes filling in
+``ip``), per-commit times and counters to ``state.run`` as it goes.  None
+of them is serialized.
 
 Call-graph impact is ranked only when a commit with scored changes finds
 the graph holding no ranks (``CallGraph.impact`` is None), that is on a new
@@ -67,8 +89,8 @@ from its files.  A checkpoint is an in-memory copy of the graph that
 shares its immutable per-file entries and its ranks, so a restored branch
 reuses the fork's ranks until its structure changes; no file is written.
 
-The history's git reader (see ``repo``) starts at the first commit's
-``changed_files`` call and lives through pass one only:
+The history's git reader (see ``repo``) starts when the run counts the
+reads due, before the first commit, and lives through pass one only:
 ``analyze_repository`` closes it when the commit loop ends, whether it
 finished or raised.
 """
@@ -80,7 +102,9 @@ import json
 import os
 import time
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import NamedTuple
 
@@ -90,6 +114,7 @@ from .callgraph import (
     CheckpointStore,
     FunctionId,
     backward_propagate,
+    call_units,
     inter_impact,
     pagerank,
 )
@@ -100,6 +125,7 @@ from .repo import (
     CommitRecord,
     VersionTree,
     changed_files,
+    diff_index,
     first_parent_children,
     open_repository,
     walk_commits,
@@ -188,6 +214,7 @@ class AnalysisRun:
     tree_reuses: int = 0
     member_reuses: int = 0
     parse_errors: int = 0
+    trees_dropped: int = 0
 
     SCHEMA_VERSION = 2
 
@@ -242,8 +269,10 @@ class PipelineState:
     """Mutable walk state shared across per-commit analysis calls; times
     and counts go to ``run``.
 
-    ``store`` holds the graphs later commits still read (see the module
-    doc); ``shapes`` fills the subtree shapes of every tree the run diffs."""
+    ``store`` holds the graphs later commits still read and ``due`` the
+    reads of each (path, blob) version's tree that commits not yet
+    analyzed will make (see the module doc); ``shapes`` fills the subtree
+    shapes of every tree the run diffs."""
 
     tree: VersionTree
     config: AnalysisConfig
@@ -251,6 +280,7 @@ class PipelineState:
     graph: CallGraph = field(default_factory=CallGraph)
     store: CheckpointStore = field(default_factory=CheckpointStore)
     shapes: ShapeTable = field(default_factory=ShapeTable)
+    due: Counter = field(default_factory=Counter)
 
 
 class SourceChange(NamedTuple):
@@ -262,18 +292,25 @@ class SourceChange(NamedTuple):
     else None.  ``after_blob`` is None when the after side is empty.
     ``before`` and ``after`` are the trees of the two sides; an empty side
     is the tree of the empty text, and a side whose blob has no text or
-    fails to parse is None."""
+    fails to parse is None.  ``units`` is what the call graph reads of the
+    after tree (``callgraph.call_units``), None when that tree is None.
+    Once its file is scored, the change goes on to ``CallGraph.update``
+    without its before tree, and without its after tree unless a later
+    commit reads it, so it holds no node past its file."""
 
     path: str
     old_path: str | None
     after_blob: str | None
     before: SyntaxTree | None
     after: SyntaxTree | None
+    units: tuple | None
 
 
 def parse_changes(changes, graph: CallGraph, run: AnalysisRun,
-                  parents=(), shapes: ShapeTable | None = None) -> list[SourceChange]:
-    """The commit's source changes, in order, with both sides parsed.
+                  parents=(), shapes: ShapeTable | None = None) -> Iterator[SourceChange]:
+    """The commit's source changes, in order, with both sides parsed.  A
+    change is parsed when it is taken from the iterator, which keeps no
+    tree of a change taken unless a later change of the commit reads it.
 
     This is where a run decides which sides of a change are source: a side
     whose path has no grammar adapter is the empty side, like the missing
@@ -283,17 +320,28 @@ def parse_changes(changes, graph: CallGraph, run: AnalysisRun,
 
     Each blob is parsed at most once.  ``graph`` must hold the commit's
     first-parent snapshot, and ``parents`` the files of the checkpoints
-    held for the commit's other parents (see ``PipelineState.store``).  A
-    before side whose blob is the one its file's entry in ``graph`` was
-    read from is that entry's tree, and so is a side whose path has an
-    entry of its blob in one of ``parents``; neither is parsed again.
+    held for the commit's other parents (see ``PipelineState.store``), and
+    both must stay as they are until the last change is taken.  A before
+    side whose blob is the one its file's entry in ``graph`` was read from
+    is that entry's tree, and so is a side whose path has an entry of its
+    blob in one of ``parents``; neither is parsed again.
     An after side is parsed against its before side's tree, whose
     unchanged members it takes (see ``syntax._Parser.reuse_member``).
     Each tree parsed here is bound to ``shapes``, the run's table, so a
     tree and the one it takes members from are filled by one table, and
     the members the parse copies keep their shapes.
-    Parses, reused trees and members, and parse errors are counted on
-    ``run``."""
+    Parse time, parses, reused trees and members, and parse errors are
+    counted on ``run``."""
+    sides = []
+    for change in changes:
+        old = change.before_path if language_for_path(change.before_path) else None
+        new = change.path if language_for_path(change.path) else None
+        if old is not None or new is not None:
+            sides.append((change, old, new))
+    # the sides of each blob still to come, the empty side's under None
+    left = Counter(blob for change, old, new in sides for blob in (
+        change.before_blob if old is not None else None,
+        change.after_blob if new is not None else None))
     trees: dict[str | None, SyntaxTree | None] = {}
 
     def held_tree(path, blob, snapshots):
@@ -307,32 +355,34 @@ def parse_changes(changes, graph: CallGraph, run: AnalysisRun,
     def tree_of(path, blob, text, held=None, previous=None):
         if blob is None:  # the empty side
             text = ""
-        if blob not in trees:
-            if held is not None:
-                run.tree_reuses += 1
-                tree = held
-            elif text is None:  # binary or undecodable
-                tree = None
+        if blob in trees:
+            tree = trees[blob]
+        elif held is not None:
+            run.tree_reuses += 1
+            tree = held
+        elif text is None:  # binary or undecodable
+            tree = None
+        else:
+            run.parses += 1
+            tree = parse_file(path, text, previous)
+            if tree is None:
+                run.parse_errors += 1
             else:
-                run.parses += 1
-                tree = parse_file(path, text, previous)
-                if tree is None:
-                    run.parse_errors += 1
-                else:
-                    run.member_reuses += tree.reused_members
-                    if tree.shapes is None:
-                        tree.shapes = shapes
+                run.member_reuses += tree.reused_members
+                if tree.shapes is None:
+                    tree.shapes = shapes
+        left[blob] -= 1
+        if left[blob]:
             trees[blob] = tree
-        return trees[blob]
+        else:
+            trees.pop(blob, None)
+        return tree
 
     before_snapshots = (graph.files, *parents)
 
-    sources = []
-    for change in changes:
-        old = change.before_path if language_for_path(change.before_path) else None
-        new = change.path if language_for_path(change.path) else None
-        if old is None and new is None:
-            continue
+    def source_of(side) -> SourceChange:
+        t0 = time.perf_counter()
+        change, old, new = side
         path = new or old
         before_blob = change.before_blob if old is not None else None
         after_blob = change.after_blob if new is not None else None
@@ -340,9 +390,12 @@ def parse_changes(changes, graph: CallGraph, run: AnalysisRun,
                          held_tree(old, before_blob, before_snapshots))
         after = tree_of(path, after_blob, change.after_content,
                         held_tree(new, after_blob, parents), before)
-        sources.append(SourceChange(path, old if old != path else None,
-                                    after_blob, before, after))
-    return sources
+        run.add_time("parse", time.perf_counter() - t0)
+        return SourceChange(path, old if old != path else None, after_blob,
+                            before, after, None if after is None else call_units(after))
+
+    # unlike a generator's frame, map keeps no change it has handed out
+    return map(source_of, sides)
 
 
 def current_impact(state: PipelineState) -> dict[FunctionId, float]:
@@ -365,10 +418,68 @@ def current_impact(state: PipelineState) -> dict[FunctionId, float]:
     return impact
 
 
+def _tree_reads(changes, merge: bool) -> list[tuple[str, str]]:
+    """The (path, blob) versions a commit's changes may read from a held
+    tree: every before side, and a merge's after sides, which it takes from
+    its other parents' checkpoints."""
+    reads = [(c.before_path, c.before_blob) for c in changes if c.before_blob is not None]
+    if merge:
+        reads += [(c.path, c.after_blob) for c in changes if c.after_blob is not None]
+    return reads
+
+
+def _score_file(source: SourceChange, result: CommitResult, state: PipelineState,
+                unranked: list) -> SourceChange:
+    """Diff one source change and append its records to ``result``'s, and
+    each function record with its ``FunctionId`` to ``unranked``, whose
+    ``ip`` is filled in after the ranking.  Returns the change as
+    ``CallGraph.update`` takes it: without its before tree, and without its
+    after tree unless a later commit reads that version."""
+    cfg, run = state.config, state.run
+    before, after = source.before, source.after
+    if before is not None and after is not None:
+        t0 = time.perf_counter()
+        _, _, changesets = diff_file_pair(
+            before, after, similarity_threshold=cfg.diff_similarity_threshold,
+            blacklist=cfg.blacklist_patterns, shapes=state.shapes)
+        t1 = time.perf_counter()
+        run.add_time("diff", t1 - t0)
+        if changesets:
+            before_units = {u.qualified_name: u for u in before.functions}
+            after_units = {u.qualified_name: u for u in after.functions}
+            for cs in changesets:
+                qname = cs.function
+                record = FunctionRecord(commit_id=result.id, function=qname,
+                                        file=source.path, delta_ast=delta_ast(cs, cfg))
+                result.records.append(record)
+                if qname == FILE_SCOPE:
+                    record.is_function = False
+                    continue
+                bu = before_units.get(qname)
+                au = after_units.get(qname)
+                unit, unit_tree = (bu, before) if bu is not None else (au, after)
+                raw = compute_raw(unit, unit_tree)
+                record.loc, record.cc = raw.loc, raw.cc
+                record.hv, record.pcom = raw.hv, raw.pcom
+                unranked.append((record, FunctionId(qname, source.path)))
+                if bu is not None and au is not None:
+                    pdg_after = build_pdg(au)
+                    changed = changed_pdg_nodes(bu, pdg_after, cs)
+                    record.ddg = ddg_impact(pdg_after, changed)
+                    record.cdg = cdg_impact(pdg_after, changed)
+            run.add_time("pdg", time.perf_counter() - t1)
+    if after is not None and not state.due[(source.path, source.after_blob)]:
+        run.trees_dropped += source.after_blob is not None  # a deletion adds no entry
+        after = None
+    return source._replace(before=None, after=after)
+
+
 def analyze_commit(commit: CommitRecord, state: PipelineState) -> CommitResult:
     """Raw-metric phase for one commit; the call graph must currently hold
-    the commit's first-parent snapshot and is advanced to the commit."""
-    cfg, run = state.config, state.run
+    the commit's first-parent snapshot and is advanced to the commit.  The
+    commit's reads are taken off ``state.due``, and the checkpoints drop
+    the trees whose last read it made."""
+    cfg, run, due = state.config, state.run, state.due
     result = CommitResult(
         id=commit.id,
         author_email=commit.author.email,
@@ -382,65 +493,36 @@ def analyze_commit(commit: CommitRecord, state: PipelineState) -> CommitResult:
     run.add_time("ingest", time.perf_counter() - t0)
     result.bulk = len(changes) > cfg.bulk_file_threshold
 
-    t0 = time.perf_counter()
+    spent = []
+    for version in _tree_reads(changes, len(commit.parent_ids) > 1):
+        if due[version] > 1:
+            due[version] -= 1
+        else:
+            due.pop(version, None)
+            spent.append(version)
+
+    # each file is scored before the next is parsed; map keeps no change
+    # once it has handed it to _score_file
     parents = [held.files for p in commit.parent_ids[1:]
                if (held := state.store.get(p)) is not None]
-    sources = parse_changes(changes, state.graph, run, parents, state.shapes)
-    run.add_time("parse", time.perf_counter() - t0)
-
-    # diff every source file whose two sides parsed
-    per_file = []
-    t0 = time.perf_counter()
-    for source in sources:
-        if source.before is None or source.after is None:
-            continue
-        _, actions, changesets = diff_file_pair(
-            source.before, source.after,
-            similarity_threshold=cfg.diff_similarity_threshold,
-            blacklist=cfg.blacklist_patterns, shapes=state.shapes)
-        if changesets:
-            per_file.append((source, changesets))
-    run.add_time("diff", time.perf_counter() - t0)
+    unranked = []
+    updates = list(map(partial(_score_file, result=result, state=state, unranked=unranked),
+                       parse_changes(changes, state.graph, run, parents, state.shapes)))
 
     t0 = time.perf_counter()
-    state.graph.update(sources)
+    state.graph.update(updates)
+    if spent:
+        state.store.drop_trees(spent)
     run.add_time("graph", time.perf_counter() - t0)
 
-    if not per_file:
+    if not result.records:
         return result
 
     t0 = time.perf_counter()
     impact = current_impact(state)
+    for record, fid in unranked:
+        record.ip = inter_impact(impact, fid)
     run.add_time("rank", time.perf_counter() - t0)
-
-    t0 = time.perf_counter()
-    for source, changesets in per_file:
-        before, after = source.before, source.after
-        before_units = {u.qualified_name: u for u in before.functions}
-        after_units = {u.qualified_name: u for u in after.functions}
-        for cs in changesets:
-            qname = cs.function
-            delta = delta_ast(cs, cfg)
-            record = FunctionRecord(commit_id=commit.id, function=qname,
-                                    file=source.path, delta_ast=delta)
-            if qname == FILE_SCOPE:
-                record.is_function = False
-                result.records.append(record)
-                continue
-            bu = before_units.get(qname)
-            au = after_units.get(qname)
-            unit, unit_tree = (bu, before) if bu is not None else (au, after)
-            raw = compute_raw(unit, unit_tree)
-            record.loc, record.cc = raw.loc, raw.cc
-            record.hv, record.pcom = raw.hv, raw.pcom
-            record.ip = inter_impact(impact, FunctionId(qname, source.path))
-            if bu is not None and au is not None:
-                pdg_after = build_pdg(au)
-                changed = changed_pdg_nodes(bu, pdg_after, cs)
-                record.ddg = ddg_impact(pdg_after, changed)
-                record.cdg = cdg_impact(pdg_after, changed)
-            result.records.append(record)
-    run.add_time("pdg", time.perf_counter() - t0)
 
     result.delta_ast_total = sum(r.delta_ast for r in result.records)
     return result
@@ -500,6 +582,14 @@ def analyze_repository(path: str, config: AnalysisConfig | None = None) -> Analy
     collecting = gc.isenabled()
     gc.disable()
     try:
+        # the reads of each file version's tree still due, from tree.commits:
+        # the walk may be a one-shot iterator
+        t0 = time.perf_counter()
+        index = diff_index(tree)
+        state.due.update(version for cid, record in tree.commits.items()
+                         for version in _tree_reads(index.get(cid, ()),
+                                                    len(record.parent_ids) > 1))
+        run.add_time("ingest", time.perf_counter() - t0)
         for commit in order:
             t_commit = time.perf_counter()
             first_parent = commit.parent_ids[0] if commit.parent_ids else None

@@ -3,15 +3,22 @@
 Reads standard git object storage by shelling out to the ``git`` binary
 (plumbing commands only).  ``open_repository`` runs ``rev-parse`` (a
 second time to resolve a given branch) and ``log``, each to completion.
-The first ``changed_files`` call on a tree starts its reader, which runs
-one ``git diff-tree --stdin`` over every commit of the tree and keeps one
-``git cat-file --batch`` process for the blobs; so a whole run starts four
-git processes, five when it is given a branch.  ``VersionTree.close``
+The first ``diff_index`` or ``changed_files`` call on a tree starts its
+reader, which runs one ``git diff-tree --stdin`` over every commit of the
+tree and keeps one ``git cat-file --batch`` process for the blobs; so a
+whole run starts four git processes, five when it is given a branch.  ``VersionTree.close``
 stops the blob reader (``analyze_repository`` calls it on every exit
 path), and a tree that is dropped without being closed stops it when it
 is freed.  Diffs are taken against the first parent, so a ``--no-ff``
 merge's diff holds all its topic branch wrote, and that work is scored
 again for the merge; an empty first-parent diff scores zero downstream.
+
+The diff index (``diff_index``) lists every commit's changes before the
+first commit is analyzed, so a run reads from it which (path, blob)
+versions each commit will take from a held syntax tree: the before side
+of every change, and the after sides of a merge, which it may take from a
+topic branch's trees.  The pipeline counts these reads due and holds a
+tree only while one is (see ``pipeline``).
 
 The commit walk is a depth-first traversal of the first-parent forest:
 every commit appears after the parent it was reached through, and at a
@@ -71,7 +78,7 @@ class CommitRecord:
 class VersionTree:
     path: str
     commits: dict[str, CommitRecord] = field(default_factory=dict)
-    # started by the first changed_files call
+    # started by the first diff_index or changed_files call
     _reader: _HistoryReader | None = field(default=None, init=False, repr=False,
                                            compare=False)
 
@@ -79,7 +86,8 @@ class VersionTree:
         return len(self.commits)
 
     def close(self):
-        """Stop the blob reader; a later ``changed_files`` starts a new one."""
+        """Stop the blob reader; a later ``diff_index`` or ``changed_files``
+        starts a new one."""
         if self._reader is not None:
             self._reader.close()
             self._reader = None
@@ -183,6 +191,15 @@ _STATUS_KIND = {"A": "added", "C": "added", "D": "deleted",
                 "M": "modified", "T": "modified", "R": "renamed"}
 
 
+def diff_index(tree: VersionTree) -> dict[str, list[FileChange]]:
+    """Every commit's first-parent changes, without content, keyed by
+    commit id; a commit with an empty diff has no entry.  Starts the tree's
+    reader if no ``changed_files`` call has; do not change the lists."""
+    if tree._reader is None:
+        tree._reader = _HistoryReader(tree)
+    return tree._reader.diffs
+
+
 def changed_files(commit: CommitRecord, tree: VersionTree) -> list[FileChange]:
     """First-parent diff with full before/after text for source files.
 
@@ -192,10 +209,8 @@ def changed_files(commit: CommitRecord, tree: VersionTree) -> list[FileChange]:
     change entry but carry no content.  Each blob is read once per call,
     and no text is kept across calls.
     """
-    if tree._reader is None:
-        tree._reader = _HistoryReader(tree)
+    changes = [replace(change) for change in diff_index(tree).get(commit.id, ())]
     reader = tree._reader
-    changes = [replace(change) for change in reader.diffs.get(commit.id, ())]
     texts: dict[str, str | None] = {}
     for change in changes:
         for blob in (change.before_blob, change.after_blob):

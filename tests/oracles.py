@@ -39,6 +39,11 @@
   the same fraction for every unit.
 * ``reference_lcs_pairs`` is the alignment table that computed every key
   twice per cell; ``devcontrib.astdiff._lcs_pairs`` must give its pairs.
+* ``reference_containing_function`` is the scan of every unit that found
+  each action's innermost unit before one sweep over the sorted bodies
+  did: of the units whose body contains the span, the one with the
+  shortest body, and among equal ones the first in ``units`` order.
+  ``devcontrib.astdiff._innermost_units`` must pick the same unit.
 * ``apply_edit_script`` replays an edit script on a copy of the before
   tree, to check that the script really turns it into the after tree.  It
   lands each insert and move at its ``after_node``'s parent and child
@@ -90,7 +95,14 @@ from typing import NamedTuple
 import numpy as np
 
 from devcontrib.astdiff import EditAction, _action_sort_key, _inside_log_statement
-from devcontrib.callgraph import EXTERNAL_PREFIX, Adjacency, CallGraph, CallSite, FunctionId
+from devcontrib.callgraph import (
+    EXTERNAL_PREFIX,
+    Adjacency,
+    CallGraph,
+    CallSite,
+    FunctionId,
+    call_units,
+)
 from devcontrib.config import DEFAULT_BLACKLIST
 from devcontrib.errors import CorruptHistory, MissingBlob, ParseError
 from devcontrib.repo import _NULL_SHA, _STATUS_KIND, FileChange, _git
@@ -716,6 +728,16 @@ class _WorkNode:
         self.parent = None
 
 
+def reference_containing_function(units, start, end):
+    best = None
+    for u in units:
+        node = u.body
+        if node.start <= start and end <= node.end and (
+                best is None or node.end - node.start < best.body.end - best.body.start):
+            best = u
+    return best
+
+
 def _copy_tree(node):
     w = _WorkNode(node.kind, node.label)
     for c in node.children:
@@ -1003,7 +1025,7 @@ def build_call_graph(files: dict[str, str | None]) -> CallGraph:
             continue
         tree = parse_file(path, text)
         if tree is not None:
-            graph._add_file(path, None, tree)
+            graph._add_file(path, None, call_units(tree))
     graph._reindex((), [fid for entry in graph.files.values() for fid in entry.functions])
     for path in graph.files:
         graph.resolve_file(path)

@@ -1,5 +1,6 @@
 import copy
 import operator
+import types
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,7 @@ from devcontrib.syntax import (
 from oracles import (
     apply_edit_script,
     mapped_pairs,
+    reference_containing_function,
     reference_edit_script,
     reference_isomorphic,
     reference_lcs_pairs,
@@ -178,6 +180,79 @@ def test_import_edit_goes_to_file_scope():
     before, after, mapping, script = _diff(before_src, after_src)
     changesets = group_by_function(script, before.functions, after.functions)
     assert [cs.function for cs in changesets] == [FILE_SCOPE]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_innermost_units_equal_one_scan_per_span(data):
+    # brackets at rising positions, where a step of 0 makes bodies that
+    # share a start or an end, touch, or are equal
+    position, opened, bodies = 0, [], []
+    for bracket in data.draw(st.lists(st.sampled_from("(.)"), max_size=40)):
+        position += data.draw(st.integers(0, 2))
+        if bracket == "(":
+            opened.append(position)
+        elif bracket == ")" and opened and opened[-1] < position:
+            bodies.append((opened.pop(), position))
+    bodies += data.draw(st.lists(st.sampled_from(bodies), max_size=3)) if bodies else []
+    units = [types.SimpleNamespace(qualified_name=f"u{i}",
+                                   body=types.SimpleNamespace(start=start, end=end))
+             for i, (start, end) in enumerate(data.draw(st.permutations(bodies)))]
+    spans = [(start, start + length) for start, length in data.draw(st.lists(
+        st.tuples(st.integers(0, position + 1), st.integers(1, 4)), max_size=20))]
+    found = astdiff._innermost_units(units, spans)
+    assert [id(u) for u in found] == [
+        id(reference_containing_function(units, s, e)) for s, e in spans]
+
+
+def test_innermost_units_of_bodies_that_touch_share_an_end_or_are_equal():
+    bodies = [(0, 10), (0, 4), (4, 10), (5, 7), (4, 10), (10, 12)]
+    units = [types.SimpleNamespace(qualified_name=f"u{i}",
+                                   body=types.SimpleNamespace(start=start, end=end))
+             for i, (start, end) in enumerate(bodies)]
+    spans = [(0, 1), (3, 4), (4, 5), (5, 6), (6, 7), (7, 10), (9, 11), (10, 11), (12, 13)]
+    found = astdiff._innermost_units(units, spans)
+    assert [u and u.qualified_name for u in found] == [
+        "u1", "u1", "u2", "u3", "u3", "u2", None, "u5", None]
+    assert found == [reference_containing_function(units, s, e) for s, e in spans]
+
+
+def _edited_methods(n, literal):
+    return "class C {\n" + "".join(f"    void m{i}() {{ f({literal}); }}\n"
+                                   for i in range(n)) + "}\n"
+
+
+def test_grouping_reads_each_unit_a_bounded_number_of_times():
+    # a class of 2,000 methods whose bodies are all edited: a scan of every
+    # unit per action would read each unit's body once per action
+    n = 2000
+    before = parse_source(_edited_methods(n, 1), "java")
+    after = parse_source(_edited_methods(n, 2), "java")
+    literals = [[node for node in tree.root.walk() if node.kind == "literal"]
+                for tree in (before, after)]
+    actions = []
+    for b, a in zip(*literals):
+        actions.append(EditAction("update", 1, before_node=b, after_node=a))
+        actions.append(EditAction("delete", 1, before_node=b))
+        actions.append(EditAction("move", 1, before_node=b, after_node=a))
+    reads = 0
+
+    class Counted:
+        def __init__(self, unit):
+            self.qualified_name, self._body = unit.qualified_name, unit.body
+
+        @property
+        def body(self):
+            nonlocal reads
+            reads += 1
+            return self._body
+
+    changesets = group_by_function(actions, list(map(Counted, before.functions)),
+                                   list(map(Counted, after.functions)))
+    assert reads <= 2 * (len(before.functions) + len(after.functions))
+    assert [cs.function for cs in changesets] == sorted(f"C.m{i}()" for i in range(n))
+    assert all([a.kind for a in cs.actions] == ["update", "delete", "move"]
+               for cs in changesets)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from devcontrib.callgraph import (
     CheckpointStore,
     FunctionId,
     backward_propagate,
+    call_units,
     inter_impact,
     pagerank,
 )
@@ -135,7 +136,7 @@ def _sites(path, text):
     tree = syntax.parse_source(text, "java")
     # the parse's units are those of the walk over the finished tree
     assert tree.functions == reference_units(tree)
-    graph._add_file(path, None, tree)
+    graph._add_file(path, None, call_units(tree))
     return graph.files[path].sites, reference_call_sites(path, tree.functions)
 
 
@@ -296,7 +297,7 @@ def test_update_from_shared_trees_equals_rebuild(seed):
 
         with mock.patch.dict(syntax._ADAPTERS, {"java": recording}):
             run = AnalysisRun("", {})
-            sources = parse_changes(changes, graph, run)
+            sources = list(parse_changes(changes, graph, run))
             # no text is parsed twice, not even a renamed file's one blob
             assert len(parsed) == len(set(parsed)) == run.parses
             graph.update(sources)

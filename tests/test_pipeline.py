@@ -271,7 +271,7 @@ def test_parse_error_degrades_to_file_skip(make_repo):
 # what a run did, kept on ``AnalysisRun`` and never serialized
 _RUN_RECORD = {"timings", "commit_times", "checkpoints", "checkpoint_restores",
                "rank_computations", "rank_reuses", "condensation_reuses", "parses",
-               "tree_reuses", "member_reuses", "parse_errors"}
+               "tree_reuses", "member_reuses", "parse_errors", "trees_dropped"}
 
 
 def test_run_records_stage_and_commit_times(make_repo):
@@ -629,7 +629,7 @@ def test_an_after_side_takes_members_from_its_before_tree_with_their_shapes(make
     tree = open_repository(repo.path)
     graph, shapes, run = CallGraph(), ShapeTable(), AnalysisRun("", {})
     for commit in walk_commits(tree):
-        sources = parse_changes(changed_files(commit, tree), graph, run, shapes=shapes)
+        sources = list(parse_changes(changed_files(commit, tree), graph, run, shapes=shapes))
         graph.update(sources)
     tree.close()
     [source] = sources
@@ -871,6 +871,96 @@ def test_an_octopus_merge_reads_every_topic_branch(make_repo, monkeypatch):
     # A.java's after side by branch one's files and B.java's by branch two's
     assert seen[-1][1:] == (0, 4)
     assert {r.file for r in run.commits[-1].records} == {"A.java", "B.java"}
+
+
+def _held_trees_seen(monkeypatch):
+    """Per analyzed commit: the (path, blob) versions whose trees the graph
+    or a checkpoint holds once the commit is analyzed."""
+    seen = []
+    analyze_commit = pipeline.analyze_commit
+
+    def observed(commit, state):
+        result = analyze_commit(commit, state)
+        graphs = [state.graph, *filter(None, map(state.store.get, state.tree.commits))]
+        seen.append({(path, entry.blob) for graph in graphs
+                     for path, entry in graph.files.items() if entry.tree is not None})
+        return result
+
+    monkeypatch.setattr(pipeline, "analyze_commit", observed)
+    return seen
+
+
+def _blob(repo, commit, path):
+    return repo._run("git", "rev-parse", f"{commit}:{path}").strip()
+
+
+def test_a_file_added_and_never_changed_holds_no_tree(make_repo, monkeypatch):
+    repo = make_repo()
+    init = repo.commit("init", 1000, {"Service.java": BASE_JAVA,
+                                      "Other.java": _unit("Other", 1)})
+    repo.commit("edit", 2000, {"Service.java": BASE_JAVA.replace("k * 2", "k * 3")})
+    seen = _held_trees_seen(monkeypatch)
+    run = analyze_repository(repo.path)
+    # only the edit reads a tree: Service.java's first version
+    assert seen == [{("Service.java", _blob(repo, init, "Service.java"))}, set()]
+    assert (run.trees_dropped, run.tree_reuses) == (2, 1)
+
+
+def test_a_blob_keeps_its_tree_until_its_last_read(make_repo, monkeypatch):
+    repo = make_repo()
+    base = repo.commit("base", 1000, {"Service.java": BASE_JAVA,
+                                      "Other.java": _unit("Other", 1)})
+    repo.branch("side")
+    side = repo.commit("side1", 2000, {"Other.java": _unit("Other", 2)})
+    repo.checkout("main")
+    repo.branch("third")
+    third = repo.commit("third1", 2500, {"Other.java": _unit("Other", 3)})
+    repo.checkout("main")
+    main = repo.commit("main1", 3000, {"Service.java": BASE_JAVA.replace("k * 2", "k * 3")})
+    merge = _merge(repo, ["side"], 4000)
+    seen = _held_trees_seen(monkeypatch)
+    parsed = []
+    parse = pipeline.parse_file
+    monkeypatch.setattr(pipeline, "parse_file", lambda path, text, previous=None:
+                        parsed.append(text) or parse(path, text, previous))
+    run = analyze_repository(repo.path)
+    assert [c.id for c in run.commits] == [base, side, third, main, merge]
+    other, service = (("Other.java", _blob(repo, base, "Other.java")),
+                      ("Service.java", _blob(repo, base, "Service.java")))
+    # Other.java's first version is read by both sibling branches and by the
+    # merge, whose first parent, main1, left it as it was; the merge takes
+    # side1's version of it from side1's checkpoint
+    topic = ("Other.java", _blob(repo, side, "Other.java"))
+    assert seen == [{other, service}, {other, service, topic}, {other, service, topic},
+                    {other, topic}, set()]
+    texts = [text for text in parsed if text]  # each commit parses the empty text
+    assert len(texts) == len(set(texts)) == 5
+    assert (run.parses, run.tree_reuses) == (6, 5)
+
+
+def test_forks_a_merge_a_rename_and_a_revert_parse_no_text_twice(make_repo, monkeypatch):
+    repo = make_repo()
+    repo.commit("base", 1000, {"Service.java": BASE_JAVA, "Other.java": _unit("Other", 1),
+                               "Third.java": _unit("Third", 1)})
+    repo.branch("topic")
+    repo.commit("edit", 2000, {"Service.java": BASE_JAVA.replace("k * 2", "k * 3")})
+    repo.commit("move", 2100, rename={"Other.java": "util/Other.java"})
+    repo.commit("revert", 2200, rename={"util/Other.java": "Other.java"})
+    repo.checkout("main")
+    repo.branch("side")
+    repo.commit("side1", 2500, {"Third.java": _unit("Third", 2)})
+    repo.checkout("main")
+    repo.commit("main1", 3000, {"Other.java": _unit("Other", 4)})
+    _merge(repo, ["topic"], 4000)
+    parsed = []
+    parse = pipeline.parse_file
+    monkeypatch.setattr(pipeline, "parse_file", lambda path, text, previous=None:
+                        parsed.append(text) or parse(path, text, previous))
+    run = analyze_repository(repo.path)
+    texts = [text for text in parsed if text]  # each commit parses the empty text
+    assert len(texts) == len(set(texts))
+    assert (run.parses, run.tree_reuses, run.checkpoints, run.checkpoint_restores) == (
+        7, 7, 2, 2)
 
 
 def test_each_run_fills_shapes_from_its_own_table(make_repo, monkeypatch):

@@ -15,7 +15,7 @@ import pytest
 import devcontrib
 from devcontrib import pipeline
 from devcontrib.astdiff import diff_file_pair
-from devcontrib.callgraph import CallGraph, CheckpointStore
+from devcontrib.callgraph import CallGraph, CheckpointStore, call_units
 from devcontrib.errors import MissingAuthor
 from devcontrib.pipeline import analyze_repository
 from devcontrib.syntax import parse_source
@@ -47,7 +47,7 @@ def _parse_and_use(steps):
         assert units
     if steps >= 3:
         graph = CallGraph()
-        graph._add_file("C.java", None, before)
+        graph._add_file("C.java", None, call_units(before), before)
         assert graph.files["C.java"].sites
     if steps >= 4:
         after = parse_source(AFTER, "java")
@@ -197,11 +197,12 @@ def test_graph_and_its_trees_are_freed_before_the_collector_resumes(make_repo,
     def observed(commit, state):
         result = analyze_commit(commit, state)
         held.append(weakref.ref(state.graph))
-        held.extend(weakref.ref(entry.tree) for entry in state.graph.files.values())
+        held.extend(weakref.ref(entry.tree) for entry in state.graph.files.values()
+                    if entry.tree is not None)
         kept = [state.store.get(c) for c in state.tree.commits]
         held.extend(weakref.ref(graph) for graph in kept if graph is not None)
         held.extend(weakref.ref(entry.tree) for graph in kept if graph is not None
-                    for entry in graph.files.values())
+                    for entry in graph.files.values() if entry.tree is not None)
         return result
 
     alive = []
@@ -231,7 +232,7 @@ def test_snapshots_are_freed_when_the_loop_raises_before_the_merge(make_repo,
             in_graph = {id(entry.tree) for entry in state.graph.files.values()}
             kept.extend(weakref.ref(entry.tree) for parent in commit.parent_ids[1:]
                         for entry in state.store.get(parent).files.values()
-                        if id(entry.tree) not in in_graph)
+                        if entry.tree is not None and id(entry.tree) not in in_graph)
             raise MissingAuthor("the merge fails")
         return analyze_commit(commit, state)
 
@@ -272,7 +273,7 @@ def test_fork_checkpoint_is_freed_when_the_loop_raises(make_repo, monkeypatch):
             in_graph = {id(entry.tree) for entry in state.graph.files.values()}
             kept.extend(weakref.ref(entry.tree)
                         for entry in stores[0]().restore(seen[0]).files.values()
-                        if id(entry.tree) not in in_graph)
+                        if entry.tree is not None and id(entry.tree) not in in_graph)
             raise MissingAuthor("side2 fails")
         return analyze_commit(commit, state)
 
@@ -291,3 +292,37 @@ def test_fork_checkpoint_is_freed_when_the_loop_raises(make_repo, monkeypatch):
         analyze_repository(repo.path)
     assert len(kept) == 1
     assert alive == [0]
+
+
+def test_no_tree_without_a_read_due_survives_its_commit(make_repo, monkeypatch):
+    """After each commit, every tree the run parsed that is still alive is
+    the tree of a graph or checkpoint entry that a later commit reads, and
+    every entry that holds a tree is such an entry."""
+    parsed, seen = [], []
+    parse_file, analyze_commit = pipeline.parse_file, pipeline.analyze_commit
+
+    def recording(path, text, previous=None):
+        tree = parse_file(path, text, previous)
+        if tree is not None:
+            parsed.append(weakref.ref(tree))
+        return tree
+
+    def observed(commit, state):
+        result = analyze_commit(commit, state)
+        graphs = [state.graph, *filter(None, map(state.store.get, state.tree.commits))]
+        held = {(id(entry.tree), state.due[(path, entry.blob)] > 0)
+                for graph in graphs for path, entry in graph.files.items()
+                if entry.tree is not None}
+        alive = {id(tree) for ref in parsed if (tree := ref()) is not None}
+        seen.append((alive, held))
+        return result
+
+    monkeypatch.setattr(pipeline, "parse_file", recording)
+    monkeypatch.setattr(pipeline, "analyze_commit", observed)
+    runs = [analyze_repository(repo.path)
+            for repo in (_mixed_history(make_repo), _merged_history(make_repo))]
+    assert all(run.trees_dropped > 0 for run in runs)
+    assert any(alive for alive, _ in seen)
+    for alive, held in seen:
+        assert all(due for _, due in held)
+        assert alive == {tree for tree, _ in held}
