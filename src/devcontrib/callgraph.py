@@ -41,11 +41,19 @@ called by many accrues rank, then a backward propagation that walks callee
 subtrees and feeds decayed leaf rank back up the call chain, so mid-chain
 functions outrank both bare utilities and entry points.  Cycles are handled
 by condensing strongly connected components; the mass a component receives
-is split equally among its members.  Both passes read one ``Adjacency``
-built in sorted ``FunctionId`` order, so ranks do not depend on the hash
+is split equally among its members.  Both passes read one ``Adjacency``:
+the nodes' interned numbers in sorted ``FunctionId`` order, and the edges
+as pairs of positions in that order, so ranks do not depend on the hash
 seed.  The interner keeps every number it gave out sorted by its
 ``FunctionId`` (``_Interner.order``), merging in the ids interned since
-the last ranking, so ``adjacency()`` sorts no ids.
+the last ranking, so ``adjacency()`` sorts no ids.  A ranking reads and
+writes numpy arrays indexed by position from start to end: ``pagerank``
+returns the rank vector, with the iterations it ran and whether it
+converged, and ``backward_propagate`` takes that vector.  Two steps walk
+in Python: Tarjan, when no kept condensation holds, and the propagation's
+pass over the components that call others, since each of their sums reads
+sums made before it.  Only ``structure()`` turns numbers back into
+``FunctionId``s.
 
 Each sum in the propagation runs left to right in an order fixed by the
 graph alone, not by how its components were found: a component that calls
@@ -57,12 +65,17 @@ The propagation condenses the graph into a ``Condensation`` (Tarjan,
 SIAM J. Comput. 1972) and hands it back with the scores; the graph keeps
 the last one in ``CallGraph.condensation`` and passes it to the next
 ranking, which reuses it instead of running Tarjan when it still holds:
-the node list is the same, every edge it found inside a component is still
-there, and every edge between components runs from a later component to an
-earlier one.  Then each component is still strongly connected and no cycle
-joins two of them, so they are still the SCCs, in an order that still puts
-every callee before its callers.  Unlike ``impact`` the condensation is
-never cleared, since a stale one is checked before it is used.
+the node numbers are the same, in the same order, every edge it found
+inside a component is still there, and every edge between components
+runs from a later component to an earlier one.  Then each component is
+still strongly connected and no cycle joins two of them, so they are still
+the SCCs, in an order that still puts every callee before its callers.
+``Condensation.holds_for`` compares two int64 arrays of numbers, not ids,
+which is sound because a graph's copies share its interner: a condensation
+is only ever checked against a graph that its own interner numbered, and a
+new root commit starts a new graph with no condensation.  Unlike
+``impact`` the condensation is never cleared, since a stale one is checked
+before it is used.
 
 ``adjacency()`` is the one view that decides which ids are nodes: every
 function and every resolved target.  ``structure()``, ``nodes`` and
@@ -71,23 +84,26 @@ reads.
 
 Ranks depend only on ``adjacency()``, so a graph keeps its last ranks
 itself: ``CallGraph.impact`` is None until a caller ranks the graph and
-stores the scores there.  ``update`` sets it back to None when a changed
-file's function numbers or distinct edge codes, the two arrays of its
-entry that ``adjacency()`` reads, differ from the old entry's; the edge
-codes are kept sorted, so equal edge sets are equal arrays.
-``reresolve_names`` sets it back to None when a call site's resolved
-targets change.  So commits that only edit bodies keep it, and so does a
-second call to a function the caller already calls.  A copy carries
-the ranks and the condensation of the graph it was taken from, since the
-two have the same structure; both are shared, so they are replaced, never
-changed in place.
+stores an ``Impact`` there: the score vector by position, and the map
+from interner number to position through which ``inter_impact`` reads a
+function's score, 0 for a function that is no node.  ``update`` sets it
+back to None when a changed file's function numbers or distinct edge
+codes, the two arrays of its entry that ``adjacency()`` reads, differ
+from the old entry's; the edge codes are kept sorted, so equal edge sets
+are equal arrays.  ``reresolve_names`` sets it back to None when a call
+site's resolved targets change.  So commits that only edit bodies keep
+it, and so does a second call to a function the caller already calls.  A
+copy carries the ranks and the condensation of the graph it was taken
+from, since the two have the same structure; both are shared, so they are
+replaced, never changed in place.
 """
 
 from __future__ import annotations
 
 import logging
 from bisect import bisect_left
-from itertools import groupby, repeat
+from collections.abc import Mapping
+from itertools import groupby
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -126,12 +142,16 @@ def _simple_name(qualified: str) -> str:
 
 
 class Adjacency(NamedTuple):
-    """Distinct call edges as index pairs into ``ids`` (sorted), ordered by
-    (caller, callee)."""
+    """The nodes and distinct call edges a ranking reads.  ``numbers``
+    holds each node's number in ``numbering``, the nodes sorted by
+    ``FunctionId``; a node's index in ``numbers`` is its position, and
+    every array of a ranking is indexed by position.  ``src`` and ``dst``
+    are the edges as position pairs, ordered by (caller, callee)."""
 
-    ids: list[FunctionId]
+    numbers: np.ndarray
     src: np.ndarray
     dst: np.ndarray
+    numbering: Mapping[FunctionId, int]
 
 
 _NO_NUMBERS = np.zeros(0, dtype=np.int64)
@@ -245,7 +265,7 @@ class CallGraph:
         # is replaced, never changed, so copies share the tuples
         self._index: dict[str, tuple[FunctionId, ...]] = {}
         self._interner = _Interner()
-        self.impact: dict[FunctionId, float] | None = None
+        self.impact: Impact | None = None
         self.condensation: Condensation | None = None
 
     # -- node bookkeeping ----------------------------------------------------
@@ -351,12 +371,12 @@ class CallGraph:
         position = np.zeros(len(fids), dtype=np.int64)
         position[order] = np.arange(n)
         codes = _distinct(position[edges >> 32] * n + position[edges & _LOW])
-        return Adjacency(list(map(fids.__getitem__, order.tolist())),
-                         codes // n, codes % n)
+        return Adjacency(order, codes // n, codes % n, self._interner.numbers)
 
     def structure(self):
         """Canonical (nodes, edges) pair of ``adjacency()``, both sorted."""
-        ids, src, dst = self.adjacency()
+        numbers, src, dst, _ = self.adjacency()
+        ids = list(map(self._interner.fids.__getitem__, numbers.tolist()))
         return (tuple(ids),
                 tuple((ids[a], ids[b]) for a, b in zip(src.tolist(), dst.tolist())))
 
@@ -483,65 +503,79 @@ class CheckpointStore:
 # importance scores
 # ---------------------------------------------------------------------------
 
+class PageRank(NamedTuple):
+    """A ``pagerank`` result: each node's rank by position, how many
+    iterations ran, and whether the last one moved the ranks by less than
+    the tolerance."""
+
+    rank: np.ndarray
+    iterations: int
+    converged: bool
+
+
 def pagerank(adjacency: Adjacency, damping: float = 0.85, tol: float = 1e-8,
-             max_iter: int = 200) -> dict[FunctionId, float]:
+             max_iter: int = 200) -> PageRank:
     """Power-iteration PageRank; a function called by many accrues rank.
 
     Dangling functions (no outgoing calls) spread their rank uniformly.
     Scores sum to 1.  If the iteration fails to reach ``tol`` a warning is
-    logged and the last iterate is returned.
+    logged and the last iterate is returned, not converged.
     """
-    ids, src, dst = adjacency
-    n = len(ids)
+    numbers, src, dst, _ = adjacency
+    n = len(numbers)
     if n == 0:
-        return {}
+        return PageRank(np.zeros(0), 0, True)
     out_degree = np.bincount(src, minlength=n).astype(float)
-    dangling = out_degree == 0
-    src_degree = out_degree[src]
+    calls = out_degree > 0
+    dangling = np.flatnonzero(~calls)
+    # each caller's rank over its out-degree, divided once per node: the
+    # same bits as dividing each edge's gathered rank by its caller's degree
+    spread = np.zeros(n)
 
     rank = np.full(n, 1.0 / n)
-    converged = False
-    for _ in range(max_iter):
-        contrib = np.bincount(dst, weights=rank[src] / src_degree, minlength=n)
+    for iteration in range(1, max_iter + 1):
+        np.divide(rank, out_degree, out=spread, where=calls)
+        contrib = np.bincount(dst, weights=spread[src], minlength=n)
         dangling_mass = rank[dangling].sum()
         new_rank = (1.0 - damping) / n + damping * (contrib + dangling_mass / n)
         if np.abs(new_rank - rank).sum() < tol:
-            rank = new_rank
-            converged = True
-            break
+            return PageRank(new_rank, iteration, True)
         rank = new_rank
-    if not converged:
-        logger.warning("pagerank did not converge to %.1e in %d iterations",
-                       tol, max_iter)
-    return dict(zip(ids, rank.tolist()))
+    logger.warning("pagerank did not converge to %.1e in %d iterations",
+                   tol, max_iter)
+    return PageRank(rank, max_iter, False)
 
 
 class Condensation(NamedTuple):
     """The strongly connected components of one ``Adjacency``.
 
-    ``label`` gives each node's component.  Components are numbered callee
-    first: every edge between two of them runs from the higher number to
-    the lower.  ``ids`` is the node list they were found on, ``first`` each
-    component's smallest member index and ``inner`` the edges found inside
-    components, as sorted ``caller * len(ids) + callee`` codes.
+    ``label`` gives each node's component, by position.  Components are
+    numbered callee first: every edge between two of them runs from the
+    higher number to the lower.  ``numbers`` is the ``Adjacency.numbers``
+    they were found on, ``first`` each component's smallest member
+    position and ``inner`` the edges found inside components, as sorted
+    ``caller * len(numbers) + callee`` codes.
     """
 
-    ids: list[FunctionId]
+    numbers: np.ndarray
     label: np.ndarray
     first: np.ndarray
     inner: np.ndarray
 
     def holds_for(self, adjacency: Adjacency) -> bool:
         """Whether these are still the SCCs of ``adjacency``, numbered
-        callee first: the node list is the same, every ``inner`` edge is
-        still there, and no edge runs to a higher component."""
-        ids, src, dst = adjacency
-        if ids != self.ids:
+        callee first: the node numbers are the same, in the same order,
+        every ``inner`` edge is still there, and no edge runs to a higher
+        component.  Numbers are compared, not ids, so ``adjacency`` must
+        come from the numbering the condensation's did: a graph and its
+        copies share one."""
+        numbers, src, dst, _ = adjacency
+        if not np.array_equal(numbers, self.numbers):
             return False
         label = self.label
         if (label[src] < label[dst]).any():
             return False
-        codes = src * len(ids) + dst
+        codes = src * len(numbers) + dst
         at = np.searchsorted(codes, self.inner)
         return bool((at < len(codes)).all() and (codes[at] == self.inner).all())
 
@@ -597,8 +631,8 @@ def _tarjan_labels(callees: list[list[int]]) -> tuple[list[int], int]:
 
 def _condense(adjacency: Adjacency) -> Condensation:
     """The SCCs of ``adjacency``, found by Tarjan's algorithm."""
-    ids, src, dst = adjacency
-    n = len(ids)
+    numbers, src, dst, _ = adjacency
+    n = len(numbers)
     bounds = np.searchsorted(src, np.arange(n + 1)).tolist()
     dst_list = dst.tolist()
     labels, count = _tarjan_labels([dst_list[lo:hi] for lo, hi in zip(bounds, bounds[1:])])
@@ -607,43 +641,44 @@ def _condense(adjacency: Adjacency) -> Condensation:
     members = np.argsort(label, kind="stable")
     sizes = np.bincount(label, minlength=count)
     inside = label[src] == label[dst]
-    return Condensation(ids, label, members[np.cumsum(sizes) - sizes],
+    return Condensation(numbers, label, members[np.cumsum(sizes) - sizes],
                         src[inside] * n + dst[inside])
 
 
-class Impact(dict):
-    """Impact scores by ``FunctionId``, with the ``Condensation`` they were
-    propagated over."""
+class Impact(NamedTuple):
+    """Impact scores by position, with the ``Condensation`` they were
+    propagated over.  ``inter_impact`` finds a function's score through
+    ``numbering``, which gives its number, and ``position``, which maps
+    that number to its position, -1 for a number that is no node."""
 
-    __slots__ = ("condensation",)
+    scores: np.ndarray
+    position: np.ndarray
+    numbering: Mapping[FunctionId, int]
+    condensation: Condensation
 
-    def __init__(self, scores, condensation: Condensation):
-        super().__init__(scores)
-        self.condensation = condensation
 
-
-def backward_propagate(adjacency: Adjacency, ranks: dict[FunctionId, float],
-                       decay: float = 0.5, kept: Condensation | None = None) -> Impact:
+def backward_propagate(adjacency: Adjacency, rank: np.ndarray, decay: float = 0.5,
+                       kept: Condensation | None = None) -> Impact:
     """Backward weight propagation with decay over the call graph.
 
     Leaves keep their own rank as propagated mass; every other function
     accumulates decayed mass from its callees, so rank concentrated in
     deep utility leaves flows back toward the middle of the call chain.
     Cycles are condensed; a component's mass is split equally among its
-    members, and each sum runs in the order the module doc fixes.  Returns
-    every function's score, its rank plus the propagated mass, with the
-    condensation used: ``kept`` if it still holds for ``adjacency``, else
-    a fresh one.
+    members, and each sum runs in the order the module doc fixes.
+    ``rank`` holds each node's rank by position, as ``pagerank`` gives it.
+    Returns every function's score, its rank plus the propagated mass,
+    with the condensation used: ``kept`` if it still holds for
+    ``adjacency``, else a fresh one.
     """
-    ids, src, dst = adjacency
-    n = len(ids)
+    numbers, src, dst, numbering = adjacency
+    n = len(numbers)
     condensation = kept if kept is not None and kept.holds_for(adjacency) else _condense(adjacency)
     label, first = condensation.label, condensation.first
     count = len(first)
-    rank = np.fromiter(map(ranks.get, ids, repeat(0.0)), dtype=float, count=n)
     # bincount adds each component's members in index order
-    mass = np.bincount(label, weights=rank, minlength=count).tolist()
-    scaled = [m * decay for m in mass]
+    mass = np.bincount(label, weights=rank, minlength=count)
+    scaled = (mass * decay).tolist()
 
     # distinct (caller component, callee component's first member) pairs,
     # sorted: each caller's callees in ascending order of smallest member
@@ -651,18 +686,31 @@ def backward_propagate(adjacency: Adjacency, ranks: dict[FunctionId, float],
     across = caller != callee
     pairs = _distinct(caller[across] * n + first[callee[across]])
     # components come callees first, so a callee's mass is final before
-    # the pass reaches a pair that reads it
+    # the pass reaches a pair that reads it; each sum reads sums made
+    # before it, so the pass runs in Python, one step per calling component
+    callers, totals = [], []
     for component, group in groupby(zip((pairs // n).tolist(), label[pairs % n].tolist()),
                                     key=itemgetter(0)):
         total = 0.0
         for _, child in group:
             total += scaled[child]
-        mass[component], scaled[component] = total, total * decay
+        scaled[component] = total * decay
+        callers.append(component)
+        totals.append(total)
+    mass[callers] = totals
 
-    share = np.array(mass) / np.bincount(label, minlength=count)
-    return Impact(zip(ids, (rank + share[label]).tolist()), condensation)
+    share = mass / np.bincount(label, minlength=count)
+    position = np.full(len(numbering), -1, dtype=np.int64)
+    position[numbers] = np.arange(n)
+    return Impact(rank + share[label], position, numbering, condensation)
 
 
-def inter_impact(scores: dict[FunctionId, float], function: FunctionId) -> float:
+def inter_impact(impact: Impact, function: FunctionId) -> float:
     """Raw inter-function impact; 0 for functions absent from the graph."""
-    return scores.get(function, 0.0)
+    number = impact.numbering.get(function)
+    # a number given out after the ranking is past the end of ``position``
+    if number is not None and number < len(impact.position):
+        at = impact.position.item(number)
+        if at >= 0:
+            return impact.scores.item(at)
+    return 0.0

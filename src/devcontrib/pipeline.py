@@ -113,6 +113,7 @@ from .callgraph import (
     CallGraph,
     CheckpointStore,
     FunctionId,
+    Impact,
     backward_propagate,
     call_units,
     inter_impact,
@@ -210,6 +211,8 @@ class AnalysisRun:
     rank_computations: int = 0
     rank_reuses: int = 0
     condensation_reuses: int = 0
+    rank_iterations: int = 0
+    rank_unconverged: int = 0
     parses: int = 0
     tree_reuses: int = 0
     member_reuses: int = 0
@@ -398,23 +401,25 @@ def parse_changes(changes, graph: CallGraph, run: AnalysisRun,
     return map(source_of, sides)
 
 
-def current_impact(state: PipelineState) -> dict[FunctionId, float]:
+def current_impact(state: PipelineState) -> Impact:
     """Impact scores of ``state.graph``: the ones it holds, else ranked
     afresh and stored on it."""
-    graph = state.graph
-    if graph.impact is not None:  # an empty graph ranks to {}
-        state.run.rank_reuses += 1
+    graph, run = state.graph, state.run
+    if graph.impact is not None:  # an empty graph ranks to empty scores
+        run.rank_reuses += 1
         return graph.impact
     cfg = state.config
     adjacency = graph.adjacency()
-    ranks = pagerank(adjacency, damping=cfg.graph_damping, tol=cfg.graph_tol,
-                     max_iter=cfg.graph_max_iter)
-    impact = backward_propagate(adjacency, ranks, decay=cfg.graph_decay,
+    ranked = pagerank(adjacency, damping=cfg.graph_damping, tol=cfg.graph_tol,
+                      max_iter=cfg.graph_max_iter)
+    impact = backward_propagate(adjacency, ranked.rank, decay=cfg.graph_decay,
                                 kept=graph.condensation)
     if impact.condensation is graph.condensation:
-        state.run.condensation_reuses += 1
+        run.condensation_reuses += 1
     graph.impact, graph.condensation = impact, impact.condensation
-    state.run.rank_computations += 1
+    run.rank_computations += 1
+    run.rank_iterations += ranked.iterations
+    run.rank_unconverged += not ranked.converged
     return impact
 
 

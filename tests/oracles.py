@@ -64,6 +64,13 @@
   members' ranks in index order when it calls no other component, else
   over its callee components' decayed mass in ascending order of their
   smallest member index.  The program's scores must equal it, bit for bit.
+* ``reference_pagerank`` and ``reference_rank_propagation`` are the
+  ranking as it was before it read and wrote arrays by position: PageRank
+  divides each edge's gathered rank by its caller's out-degree and
+  returns a dict by ``FunctionId``, and the propagation reads ranks from
+  such a dict.  The program's rank and impact vectors, read by the same
+  ids, must equal them with ``==`` on every float, and its iteration
+  counts must equal theirs.
 * ``build_call_graph`` builds a snapshot's call graph from scratch, every
   file parsed and resolved at once: a ``CallGraph`` kept up to date by
   ``update`` must equal it.
@@ -987,17 +994,21 @@ def reference_adjacency(graph) -> Adjacency:
              for site, targets in zip(entry.sites, entry.targets)
              for t in targets}
     codes = np.sort(np.fromiter(codes, dtype=np.int64, count=len(codes)))
-    return Adjacency(ids, codes // n, codes % n)
+    numbering = graph._interner.numbers
+    numbers = np.array([numbering[fid] for fid in ids], dtype=np.int64)
+    return Adjacency(numbers, codes // n, codes % n, numbering)
 
 
-def reference_backward_propagate(adjacency: Adjacency, ranks, decay: float = 0.5):
+def reference_backward_propagate(adjacency: Adjacency, rank, decay: float = 0.5) -> list[float]:
     """Every node's rank plus its component's propagated mass split equally
-    among the component's members; see the module doc for the sums."""
+    among the component's members, by position; see the module doc for the
+    sums."""
     import networkx as nx
 
-    ids, src, dst = adjacency
+    _, src, dst, _ = adjacency
+    rank = [float(r) for r in rank]
     graph = nx.DiGraph()
-    graph.add_nodes_from(range(len(ids)))
+    graph.add_nodes_from(range(len(rank)))
     graph.add_edges_from(zip(src.tolist(), dst.tolist()))
     condensed = nx.condensation(graph)
     members = {c: sorted(condensed.nodes[c]["members"]) for c in condensed}
@@ -1010,10 +1021,74 @@ def reference_backward_propagate(adjacency: Adjacency, ranks, decay: float = 0.5
                 total += mass[d] * decay
         else:
             for node in members[c]:
-                total += ranks.get(ids[node], 0.0)
+                total += rank[node]
         mass[c] = total
-    return {ids[node]: ranks.get(ids[node], 0.0) + mass[c] / len(members[c])
-            for c in condensed for node in members[c]}
+    scores = [0.0] * len(rank)
+    for c in condensed:
+        for node in members[c]:
+            scores[node] = rank[node] + mass[c] / len(members[c])
+    return scores
+
+
+def reference_pagerank(ids, src, dst, damping: float = 0.85, tol: float = 1e-8,
+                       max_iter: int = 200):
+    """PageRank by ``FunctionId`` over edges given as index pairs into
+    ``ids``, each edge's gathered rank divided by its caller's out-degree;
+    with the iterations run and whether they converged."""
+    n = len(ids)
+    if n == 0:
+        return {}, 0, True
+    out_degree = np.bincount(src, minlength=n).astype(float)
+    dangling = out_degree == 0
+    src_degree = out_degree[src]
+
+    rank = np.full(n, 1.0 / n)
+    for iteration in range(1, max_iter + 1):
+        contrib = np.bincount(dst, weights=rank[src] / src_degree, minlength=n)
+        dangling_mass = rank[dangling].sum()
+        new_rank = (1.0 - damping) / n + damping * (contrib + dangling_mass / n)
+        if np.abs(new_rank - rank).sum() < tol:
+            return dict(zip(ids, new_rank.tolist())), iteration, True
+        rank = new_rank
+    return dict(zip(ids, rank.tolist())), max_iter, False
+
+
+def reference_rank_propagation(ids, src, dst, ranks: dict, decay: float = 0.5) -> dict:
+    """Impact by ``FunctionId``: the pass over ``numpy`` component labels
+    and a dict of ranks, as the program ran it before its ranking read and
+    wrote arrays by position.  The components are ``networkx``'s, numbered
+    callee first."""
+    import networkx as nx
+
+    n = len(ids)
+    graph = nx.DiGraph()
+    graph.add_nodes_from(range(n))
+    graph.add_edges_from(zip(src.tolist(), dst.tolist()))
+    condensed = nx.condensation(graph)
+    number = {c: i for i, c in enumerate(reversed(list(nx.topological_sort(condensed))))}
+    label = np.zeros(n, dtype=np.int64)
+    for node, c in condensed.graph["mapping"].items():
+        label[node] = number[c]
+    count = len(number)
+    first = np.zeros(count, dtype=np.int64)
+    for c in condensed:
+        first[number[c]] = min(condensed.nodes[c]["members"])
+
+    rank = np.fromiter(map(ranks.get, ids, itertools.repeat(0.0)), dtype=float, count=n)
+    mass = np.bincount(label, weights=rank, minlength=count).tolist()
+    scaled = [m * decay for m in mass]
+    caller, callee = label[src], label[dst]
+    across = caller != callee
+    pairs = np.array(sorted(set((caller[across] * n + first[callee[across]]).tolist())),
+                     dtype=np.int64)
+    for component, group in itertools.groupby(
+            zip((pairs // n).tolist(), label[pairs % n].tolist()), key=lambda pair: pair[0]):
+        total = 0.0
+        for _, child in group:
+            total += scaled[child]
+        mass[component], scaled[component] = total, total * decay
+    share = np.array(mass) / np.bincount(label, minlength=count)
+    return dict(zip(ids, (rank + share[label]).tolist()))
 
 
 def build_call_graph(files: dict[str, str | None]) -> CallGraph:

@@ -270,8 +270,9 @@ def test_parse_error_degrades_to_file_skip(make_repo):
 
 # what a run did, kept on ``AnalysisRun`` and never serialized
 _RUN_RECORD = {"timings", "commit_times", "checkpoints", "checkpoint_restores",
-               "rank_computations", "rank_reuses", "condensation_reuses", "parses",
-               "tree_reuses", "member_reuses", "parse_errors", "trees_dropped"}
+               "rank_computations", "rank_reuses", "condensation_reuses",
+               "rank_iterations", "rank_unconverged", "parses", "tree_reuses",
+               "member_reuses", "parse_errors", "trees_dropped"}
 
 
 def test_run_records_stage_and_commit_times(make_repo):
@@ -352,9 +353,9 @@ def test_restore_never_reuses_sibling_ranks(make_repo):
     for commit in run.commits:
         files = {p: t for p, t in repo.snapshots[commit.id].items() if t is not None}
         adjacency = build_call_graph(files).adjacency()
-        ranks = pagerank(adjacency, damping=cfg.graph_damping, tol=cfg.graph_tol,
-                         max_iter=cfg.graph_max_iter)
-        fresh = backward_propagate(adjacency, ranks, decay=cfg.graph_decay)
+        ranked = pagerank(adjacency, damping=cfg.graph_damping, tol=cfg.graph_tol,
+                          max_iter=cfg.graph_max_iter)
+        fresh = backward_propagate(adjacency, ranked.rank, decay=cfg.graph_decay)
         for r in commit.records:
             if r.is_function:
                 assert r.ip == inter_impact(fresh, FunctionId(r.function, r.file))
@@ -378,6 +379,130 @@ def test_a_graph_ranked_empty_keeps_its_ranks(make_repo):
     assert [[r.function for r in c.records] for c in run.commits] == [
         [pipeline.FILE_SCOPE], [pipeline.FILE_SCOPE]]
     assert (run.rank_computations, run.rank_reuses) == (1, 1)
+
+
+def test_rank_iterations_and_unconverged_rankings_are_counted(make_repo, monkeypatch):
+    repo = _forked_repo(make_repo)
+    ranked = []
+
+    def recording(*args, **kwargs):
+        ranked.append(pagerank(*args, **kwargs))
+        return ranked[-1]
+
+    monkeypatch.setattr(pipeline, "pagerank", recording)
+    run = analyze_repository(repo.path)
+    assert len(ranked) == run.rank_computations == 2
+    assert run.rank_iterations == sum(r.iterations for r in ranked) > 2
+    assert run.rank_unconverged == 0
+    capped = analyze_repository(repo.path, AnalysisConfig(graph_max_iter=1))
+    assert capped.rank_iterations == capped.rank_unconverged == capped.rank_computations == 2
+
+
+def _fresh_scores(files, cfg):
+    """Impact by ``FunctionId`` of a graph built from ``files`` alone."""
+    graph = build_call_graph({p: t for p, t in files.items() if t is not None})
+    adjacency = graph.adjacency()
+    ranked = pagerank(adjacency, damping=cfg.graph_damping, tol=cfg.graph_tol,
+                      max_iter=cfg.graph_max_iter)
+    impact = backward_propagate(adjacency, ranked.rank, decay=cfg.graph_decay)
+    return dict(zip(graph.structure()[0], impact.scores.tolist()))
+
+
+def _ranked_graphs(monkeypatch):
+    """Each commit's graph, as ``(commit id, node ids, scores by id)``
+    when the commit ranked it or reused its ranks, filled as the run goes."""
+    seen = []
+    analyze_commit = pipeline.analyze_commit
+
+    def recording(commit, state):
+        result = analyze_commit(commit, state)
+        graph = state.graph
+        if graph.impact is not None:
+            ids = graph.structure()[0]
+            seen.append((commit.id, ids, dict(zip(ids, graph.impact.scores.tolist()))))
+        return result
+
+    monkeypatch.setattr(pipeline, "analyze_commit", recording)
+    return seen
+
+
+def test_a_function_gone_from_the_graph_has_no_impact_and_an_added_one_its_rank(
+        make_repo, monkeypatch):
+    repo = make_repo()
+    repo.commit("init", 1000, {
+        "A.java": "class A {\n int f(int k) { return g(k) + old(k); }\n"
+                  " int g(int k) { return k; }\n int old(int k) { return k * 2; }\n}\n",
+        "B.java": "class B { int b(int k) { return A.g(k); } }"})
+    # A.old is deleted, and B.added is added in the same commit
+    edit = repo.commit("edit", 2000, {
+        "A.java": "class A {\n int f(int k) { return g(k); }\n int g(int k) { return k; }\n}\n",
+        "B.java": "class B { int b(int k) { return A.g(k); }\n String added(String s) {"
+                  " if (s == null) { return \"\"; } return s.trim() + b(1); } }"})
+    graphs = []
+    current_impact = pipeline.current_impact
+
+    def recording(state):
+        graphs.append(state.graph)
+        return current_impact(state)
+
+    monkeypatch.setattr(pipeline, "current_impact", recording)
+    cfg = AnalysisConfig()
+    run = analyze_repository(repo.path, cfg)
+    fresh = _fresh_scores(repo.snapshots[edit], cfg)
+    ip = {r.function: r.ip for r in run.commits[1].records if r.is_function}
+    gone = FunctionId("A.old(int)", "A.java")
+    # the interner still numbers A.old, but the graph holds it no longer
+    assert gone in graphs[-1]._interner.numbers and gone not in graphs[-1].nodes
+    assert ip["A.old(int)"] == 0.0 and gone not in fresh
+    assert ip["B.added(String)"] == fresh[FunctionId("B.added(String)", "B.java")] > 0.0
+    assert ip["A.f(int)"] == fresh[FunctionId("A.f(int)", "A.java")]
+
+
+def test_a_merged_second_root_ranks_as_a_fresh_graph(make_repo, monkeypatch):
+    """An orphan branch merged in: its root starts an empty graph with
+    numbers of its own, in the same order as the main line's, and every
+    graph of the run ranks as a fresh build of its snapshot.  A kept
+    condensation is only ever checked against the numbering it was found
+    with."""
+    repo = make_repo()
+    # each edit adds a call to an earlier component, so the SCCs still hold
+    three = "class {} {{ void {}() {{ {}(); }} void {}() {{ }} void {}() {{{}}} }}"
+    repo.commit("main root", 1000, {"A.java": three.format("A", "f", "g", "g", "h", "")})
+    repo.commit("main edit", 2000, {"A.java": three.format("A", "f", "g", "g", "h", " g();")})
+    repo._run("git", "checkout", "-q", "--orphan", "other")
+    repo._run("git", "rm", "-r", "-q", "-f", ".")
+    root = repo.commit("other root", 3000, {"C.java": three.format("C", "p", "q", "q", "r", "")})
+    repo.commit("other edit", 4000, {"C.java": three.format("C", "p", "q", "q", "r", " q();")})
+    repo.checkout("main")
+    repo._run("git", "merge", "-q", "--no-ff", "--allow-unrelated-histories", "other",
+              "-m", "merge", ts=5000)
+    merge = repo.head()
+    repo.snapshots[merge] = repo._read_tree(merge)
+
+    found_with = []
+    propagate = pipeline.backward_propagate
+
+    def recording(adjacency, rank, decay, kept=None):
+        if kept is not None:
+            assert {id(n) for c, n in found_with if c is kept} == {id(adjacency.numbering)}
+        impact = propagate(adjacency, rank, decay=decay, kept=kept)
+        found_with.append((impact.condensation, adjacency.numbering))
+        return impact
+
+    monkeypatch.setattr(pipeline, "backward_propagate", recording)
+    graphs = _ranked_graphs(monkeypatch)
+    cfg = AnalysisConfig()
+    run = analyze_repository(repo.path, cfg)
+    assert merge in {c.id for c in run.commits} and run.condensation_reuses > 0
+    assert {cid for cid, _, _ in graphs} == set(repo.snapshots)
+    for cid, ids, scores in graphs:
+        fresh = _fresh_scores(repo.snapshots[cid], cfg)
+        assert list(fresh) == list(ids) and scores == fresh, cid
+    # the two roots number their nodes alike: only the interner tells them
+    # apart
+    assert len({id(n) for _, n in found_with}) == 2
+    assert next(ids for cid, ids, _ in graphs if cid == root) == tuple(
+        FunctionId(f"C.{name}()", "C.java") for name in "pqr")
 
 
 def test_every_function_record_has_its_complexity(make_repo):
