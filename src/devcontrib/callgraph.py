@@ -20,12 +20,9 @@ under ``f``, ``B.f`` and ``A.B.f``), and ``resolve_file`` builds the same
 index over the caller's file once per call.
 
 ``CallGraph.files`` holds one ``FileEntry`` per file: its functions, its
-call sites and their resolved targets, the same functions and edges as
-integer arrays, and the blob they were read from.  An entry is built from
-the file's ``call_units``, not from its tree, and holds the tree only
-while a later commit will read that version: the pipeline hands the tree
-to ``update`` only then, and ``CheckpointStore.drop_trees`` takes it out
-of the checkpoints after its last read.  An entry is a tuple that is
+call sites and their resolved targets, and the same functions and edges as
+integer arrays.  An entry is built from the file's ``call_units``, not from
+its tree, and the graph holds no syntax tree.  An entry is a tuple that is
 replaced (``_replace``), never changed in place, and so is each bucket of
 the suffix index.  The integers come from an append-only interner that a
 graph shares with its copies; a number is never reused, so a shared
@@ -65,17 +62,14 @@ The propagation condenses the graph into a ``Condensation`` (Tarjan,
 SIAM J. Comput. 1972) and hands it back with the scores; the graph keeps
 the last one in ``CallGraph.condensation`` and passes it to the next
 ranking, which reuses it instead of running Tarjan when it still holds:
-the node numbers are the same, in the same order, every edge it found
-inside a component is still there, and every edge between components
-runs from a later component to an earlier one.  Then each component is
-still strongly connected and no cycle joins two of them, so they are still
-the SCCs, in an order that still puts every callee before its callers.
-``Condensation.holds_for`` compares two int64 arrays of numbers, not ids,
-which is sound because a graph's copies share its interner: a condensation
-is only ever checked against a graph that its own interner numbered, and a
-new root commit starts a new graph with no condensation.  Unlike
-``impact`` the condensation is never cleared, since a stale one is checked
-before it is used.
+there are as many nodes, every edge it found inside a component is still
+there between the same positions, and every edge between components runs
+from a later component to an earlier one.  Then each component is still
+strongly connected and no cycle joins two of them, so they are still the
+SCCs by position, in an order that still puts every callee before its
+callers, whichever functions the positions now hold.  Unlike ``impact``
+the condensation is never cleared, since a stale one is checked before it
+is used.
 
 ``adjacency()`` is the one view that decides which ids are nodes: every
 function and every resolved target.  ``structure()``, ``nodes`` and
@@ -180,9 +174,7 @@ def call_units(tree: SyntaxTree) -> tuple[tuple[str, list[str]], ...]:
 class FileEntry(NamedTuple):
     """One file's share of the graph: its functions, the call sites in
     their bodies and each site's resolved targets, ``()`` until the file
-    is resolved.  ``blob`` is the version they came from, and ``tree`` its
-    syntax tree while a later commit will read that version, else None;
-    such a commit reads the tree instead of parsing the text again.
+    is resolved.
 
     ``numbers`` holds the functions' interned numbers and ``edges`` the
     file's distinct (caller, target) pairs as ``caller << 32 | target``
@@ -193,8 +185,6 @@ class FileEntry(NamedTuple):
     functions: tuple[FunctionId, ...]
     sites: tuple[CallSite, ...]
     targets: tuple[tuple[FunctionId, ...], ...] = ()
-    blob: str | None = None
-    tree: SyntaxTree | None = None
     numbers: np.ndarray = _NO_NUMBERS
     edges: np.ndarray = _NO_NUMBERS
 
@@ -293,16 +283,15 @@ class CallGraph:
             else:
                 self._index.pop(suffix, None)
 
-    def _add_file(self, path: str, blob: str | None, units,
-                  tree: SyntaxTree | None = None):
-        """Add ``path``'s unresolved entry for the text of ``blob``, read
-        from its ``call_units``: its methods and constructors, and their
-        call sites in that order.  The entry holds ``tree``, if given."""
+    def _add_file(self, path: str, units):
+        """Add ``path``'s unresolved entry, read from its ``call_units``:
+        its methods and constructors, and their call sites in that
+        order."""
         fids = tuple(FunctionId(name, path) for name, _ in units)
         sites = tuple(CallSite(fid, name, name.rsplit(".", 1)[-1])
                       for fid, (_, calls) in zip(fids, units) for name in calls)
         numbers = np.fromiter(map(self._interner.number, fids), np.int64, len(fids))
-        self.files[path] = FileEntry(fids, sites, blob=blob, tree=tree, numbers=numbers)
+        self.files[path] = FileEntry(fids, sites, numbers=numbers)
 
     # -- resolution ------------------------------------------------------------
 
@@ -405,16 +394,15 @@ class CallGraph:
 
     def update(self, sources) -> "CallGraph":
         """Apply one commit's source changes (``pipeline.SourceChange``, as
-        ``pipeline.parse_changes`` yields them, all taken before the graph
-        changes); the result equals a full rebuild.
+        ``pipeline.parse_changes`` yields them); the result equals a full
+        rebuild.
 
         Every path a change names, a rename's old path too, loses its
         entry, which is kept to compare.  A change with an after blob
         whose tree parsed (its ``units`` are not None) gets a new entry
-        read from those units, which keeps that blob and the change's
-        ``after`` tree, None when no later commit reads it; a file whose
-        text failed to parse has no nodes until a later change brings text
-        that parses.  The re-added paths are resolved afresh.
+        read from those units; a file whose text failed to parse has no
+        nodes until a later change brings text that parses.  The re-added
+        paths are resolved afresh.
         Elsewhere only sites whose callee's simple name is that of a
         function the commit added or removed are re-resolved: a body-only
         edit removes and re-adds the same functions, so it re-resolves
@@ -422,14 +410,13 @@ class CallGraph:
         numbers or distinct edges, the arrays ``adjacency()`` reads,
         changed, or a re-resolved site changed targets.
         """
-        sources = list(sources)  # parse_changes reads the entries replaced here
         old: dict[str, FileEntry] = {}
         for source in sources:
             for path in (source.old_path, source.path):
                 if path is not None:
                     old.setdefault(path, self.files.pop(path, _NO_FILE))
             if source.after_blob is not None and source.units is not None:
-                self._add_file(source.path, source.after_blob, source.units, source.after)
+                self._add_file(source.path, source.units)
 
         lost = {fid for entry in old.values() for fid in entry.functions}
         gained = {fid for path in old for fid in self.files.get(path, _NO_FILE).functions}
@@ -454,11 +441,11 @@ class CallGraph:
 # ---------------------------------------------------------------------------
 
 class CheckpointStore:
-    """Keeps the graphs that later commits read, keyed by commit id.
+    """Keeps the graphs that later commits restore, keyed by commit id.
 
     Each checkpoint and each restore is a ``CallGraph.copy``, so they share
-    the ``FileEntry`` objects of the graph they came from, syntax trees
-    included, and cost one dict slot per file and one per index key.
+    the ``FileEntry`` objects of the graph they came from, and cost one
+    dict slot per file and one per index key.
     Every restore is a new graph that carries the checkpoint's ranks, so a
     branch that leaves the structure alone is not ranked again.
     """
@@ -482,17 +469,6 @@ class CheckpointStore:
     def discard(self, commit_id: str):
         """Release the checkpoint."""
         self._memory.pop(commit_id, None)
-
-    def drop_trees(self, versions):
-        """Take the tree out of every checkpoint entry whose (path, blob)
-        is one of ``versions``, which no later commit reads; the entry is
-        replaced, and the structure and ranks stay as they are."""
-        for graph in self._memory.values():
-            files = graph.files
-            for path, blob in versions:
-                entry = files.get(path)
-                if entry is not None and entry.tree is not None and entry.blob == blob:
-                    files[path] = entry._replace(tree=None)
 
     def __len__(self) -> int:
         """Checkpoints held."""
@@ -551,29 +527,22 @@ class Condensation(NamedTuple):
 
     ``label`` gives each node's component, by position.  Components are
     numbered callee first: every edge between two of them runs from the
-    higher number to the lower.  ``numbers`` is the ``Adjacency.numbers``
-    they were found on, ``first`` each component's smallest member
-    position and ``inner`` the edges found inside components, as sorted
-    ``caller * len(numbers) + callee`` codes.
+    higher number to the lower.  ``first`` is each component's smallest
+    member position and ``inner`` the edges found inside components, as
+    sorted ``caller * len(label) + callee`` codes.
     """
 
-    numbers: np.ndarray
     label: np.ndarray
     first: np.ndarray
     inner: np.ndarray
 
     def holds_for(self, adjacency: Adjacency) -> bool:
-        """Whether these are still the SCCs of ``adjacency``, numbered
-        callee first: the node numbers are the same, in the same order,
-        every ``inner`` edge is still there, and no edge runs to a higher
-        component.  Numbers are compared, not ids, so ``adjacency`` must
-        come from the numbering the condensation's did: a graph and its
-        copies share one."""
+        """Whether these are still the SCCs of ``adjacency`` by position,
+        numbered callee first: it has as many nodes, every ``inner`` edge
+        is still there, and no edge runs to a higher component."""
         numbers, src, dst, _ = adjacency
-        if not np.array_equal(numbers, self.numbers):
-            return False
         label = self.label
-        if (label[src] < label[dst]).any():
+        if len(label) != len(numbers) or (label[src] < label[dst]).any():
             return False
         codes = src * len(numbers) + dst
         at = np.searchsorted(codes, self.inner)
@@ -641,7 +610,7 @@ def _condense(adjacency: Adjacency) -> Condensation:
     members = np.argsort(label, kind="stable")
     sizes = np.bincount(label, minlength=count)
     inside = label[src] == label[dst]
-    return Condensation(numbers, label, members[np.cumsum(sizes) - sizes],
+    return Condensation(label, members[np.cumsum(sizes) - sizes],
                         src[inside] * n + dst[inside])
 
 

@@ -2,7 +2,7 @@
 
 Two passes over the walked history.  Pass one follows the depth-first
 commit order, keeps the call graph in step (checkpointing the graphs
-later commits read), diffs every changed source file, and records raw
+later commits restore), diffs every changed source file, and records raw
 per-function measurements: weighted edit size, the four complexity
 metrics of the version the developer faced, call-graph impact at the
 commit's own snapshot, and dependence-graph reach ratios.  Pass two
@@ -15,43 +15,41 @@ developer rows, inflated-commit flags included, are folded from the fused
 commits with the run's thresholds.
 
 ``parse_changes`` is the one place that decides which sides of a change
-are source; it turns a commit's file changes into ``SourceChange``s, each
-with the trees of both sides, and the differ, the call-graph update and
-the complexity and dependence-graph measurements read only those.  A
-commit scores each file before the next one is parsed: ``analyze_commit``
-diffs the pair and builds the file's records (``delta_ast``,
-``compute_raw`` and the PDG fields), and keeps of the file only what the
-call-graph update reads (``callgraph.call_units``) and, while a later
-commit will read it, the after tree.  After the update and the ranking it
-fills in ``ip``.  So a commit holds the trees of one file at a time, and
+are source (``_source_sides``); it turns a commit's file changes into
+``SourceChange``s, each with the trees of both sides, and the differ, the
+call-graph update and the complexity and dependence-graph measurements
+read only those.  A commit scores each file before the next one is parsed:
+``analyze_commit`` diffs the pair and builds the file's records
+(``delta_ast``, ``compute_raw`` and the PDG fields), and keeps of the file
+only what the call-graph update reads (``callgraph.call_units``).  After
+the update and the ranking it fills in ``ip``.  So a commit holds the
+trees of one file at a time, besides those a later read is due for, and
 the records come in the order of the files and, within a file, of its
 changesets.
 
-A commit parses only the changed source blobs it does not already hold.
-The call graph's entry for a file holds the tree it was read from while
-a commit not yet analyzed will read that (path, blob) version (see
-``callgraph.FileEntry``), so a side is taken from an entry for its path
-of the same blob: a before side from the graph, which holds the first
-parent's snapshot, and either side of a merge from the checkpoint of a
-non-first parent, so a merge re-reads no tree its topic branch built.
-Those are the only reads, and the diff index lists them all before the
-first commit (see ``repo.diff_index``): ``analyze_repository`` counts
-them in ``PipelineState.due``, and each commit takes its own off when it
-is analyzed.  A new entry keeps its tree only while a read of its version
-is due (``AnalysisRun.trees_dropped`` counts the others), and the commit
-that makes a version's last read drops that version's trees from the
-checkpoints (``CheckpointStore.drop_trees``).  With the future reads
-known, keeping exactly what will be read is the optimal rule (Belady, IBM
-Systems Journal 1966), as for the checkpoints themselves; a tree dropped
-too early would only be parsed again, so the rule cannot change the
-output.
+Every parse result the run holds sits in one map,
+``PipelineState.parsed``, from blob id to the blob's tree, or None for a
+blob that failed to parse or has no text; the empty side of an added or
+deleted file is held under None.  The diff index lists every read before
+the first commit (see ``repo.diff_index``): ``analyze_repository`` counts
+each source side of each change in ``PipelineState.due``, from the same
+``_source_sides`` that ``parse_changes`` reads the sides by, and each read
+takes its count off.  A result stays in the map while a read of its blob
+is due and leaves it with the last one.  So a blob is parsed once while
+reads of it are due, whether a later commit reads it as a before side, as
+a merge's side that a topic branch built, or at another path.  With the
+future reads known, keeping exactly what will be read is the optimal rule
+(Belady, IBM Systems Journal 1966); a result dropped too early would only
+be parsed again, so the rule cannot change the output.  The call graph
+holds no tree.
 An after side that is parsed is parsed against its change's before tree,
 held or parsed, renames included: it takes the members whose text the
 commit left unchanged from that tree and lexes only the text outside
 them (see the ``syntax`` module doc), so a commit's parse, lexing
 included, costs about what it changed.
 A blob that fails to parse, including one nested deeper than the parser or
-``MAX_TREE_DEPTH`` allows, is logged once per commit that reads it and
+``MAX_TREE_DEPTH`` allows, is held like a tree: it is parsed, counted and
+logged once while reads of it are due, and each side that reads it is
 skipped.
 
 The differ compares subtrees by exact shapes (see ``syntax.ShapeTable``);
@@ -60,14 +58,14 @@ Every tree the run parses is bound to that table, so an after tree and
 the before tree it shares members with are filled by it alone: the
 reparse fills each member it copies, and the diff of the pair the rest.
 
-The graph's trees hold no reference cycles, so a superseded version is
-freed by reference counting; a full cyclic collection would walk every
-node still held and free nothing.  ``analyze_repository`` therefore
-pauses the cyclic collector for the commit loop.  When the loop ends,
-whether it finished or raised, it drops the graph and the checkpoint
-store from the state, so reference counting frees the trees before the
-first collection could walk them, and then restores the caller's
-setting.
+Syntax trees hold no reference cycles, so a tree is freed by reference
+counting once it has left the map and its file is scored; a full cyclic
+collection would walk every node still held and free nothing.
+``analyze_repository`` therefore pauses the cyclic collector for the
+commit loop.  When the loop ends, whether it finished or raised, it
+empties the map and ``due`` and drops the graph and the checkpoint store
+from the state, so reference counting frees them before the first
+collection could walk them, and then restores the caller's setting.
 
 ``AnalysisRun`` is the one record of what a run did: the walk writes its
 stage times (``ingest``, ``parse``, ``diff``, ``graph``, ``rank``,
@@ -81,13 +79,12 @@ graph or after a structural change; the ranks are then stored on the
 graph, with the SCC condensation they were propagated over, which the next
 ranking reuses while the change leaves it holding (see ``callgraph``).
 Otherwise the graph's ranks are reused, and they equal what a
-recompute would give.  The graph of a commit that later commits read is
-checkpointed in ``PipelineState.store`` and released after its last
-read: each first-parent child after the first restores it, and each
-merge after it in the walk that names it as a later parent reads trees
-from its files.  A checkpoint is an in-memory copy of the graph that
-shares its immutable per-file entries and its ranks, so a restored branch
-reuses the fork's ranks until its structure changes; no file is written.
+recompute would give.  The graph of a fork is checkpointed in
+``PipelineState.store`` and released after its last read: each
+first-parent child after the first restores it.  A checkpoint is an
+in-memory copy of the graph that shares its immutable per-file entries
+and its ranks, so a restored branch reuses the fork's ranks until its
+structure changes; no file is written.
 
 The history's git reader (see ``repo``) starts when the run counts the
 reads due, before the first commit, and lives through pass one only:
@@ -217,7 +214,6 @@ class AnalysisRun:
     tree_reuses: int = 0
     member_reuses: int = 0
     parse_errors: int = 0
-    trees_dropped: int = 0
 
     SCHEMA_VERSION = 2
 
@@ -272,10 +268,11 @@ class PipelineState:
     """Mutable walk state shared across per-commit analysis calls; times
     and counts go to ``run``.
 
-    ``store`` holds the graphs later commits still read and ``due`` the
-    reads of each (path, blob) version's tree that commits not yet
-    analyzed will make (see the module doc); ``shapes`` fills the subtree
-    shapes of every tree the run diffs."""
+    ``store`` holds the fork graphs later commits still restore,
+    ``parsed`` the parse result of each blob that a read is still due for
+    and ``due`` the reads of each blob that commits not yet analyzed will
+    make (see the module doc); ``shapes`` fills the subtree shapes of
+    every tree the run diffs."""
 
     tree: VersionTree
     config: AnalysisConfig
@@ -283,6 +280,7 @@ class PipelineState:
     graph: CallGraph = field(default_factory=CallGraph)
     store: CheckpointStore = field(default_factory=CheckpointStore)
     shapes: ShapeTable = field(default_factory=ShapeTable)
+    parsed: dict[str | None, SyntaxTree | None] = field(default_factory=dict)
     due: Counter = field(default_factory=Counter)
 
 
@@ -298,8 +296,7 @@ class SourceChange(NamedTuple):
     fails to parse is None.  ``units`` is what the call graph reads of the
     after tree (``callgraph.call_units``), None when that tree is None.
     Once its file is scored, the change goes on to ``CallGraph.update``
-    without its before tree, and without its after tree unless a later
-    commit reads it, so it holds no node past its file."""
+    without its trees, so it holds no node past its file."""
 
     path: str
     old_path: str | None
@@ -309,62 +306,61 @@ class SourceChange(NamedTuple):
     units: tuple | None
 
 
-def parse_changes(changes, graph: CallGraph, run: AnalysisRun,
-                  parents=(), shapes: ShapeTable | None = None) -> Iterator[SourceChange]:
-    """The commit's source changes, in order, with both sides parsed.  A
-    change is parsed when it is taken from the iterator, which keeps no
-    tree of a change taken unless a later change of the commit reads it.
+def _source_sides(changes) -> Iterator[tuple]:
+    """Each change with a source side, as ``(change, old, new, before_blob,
+    after_blob)``: the paths and blobs of its two sides, the blob None for
+    the empty side.  This is where a run decides which sides of a change
+    are source: a side whose path has no grammar adapter is the empty side,
+    like the missing side of an added or deleted file.  So
+    ``Notes.groovy`` to ``Notes.java`` is an addition and ``A.java`` to
+    ``A.kt`` a deletion of ``A.java``; a change with no source side is left
+    out."""
+    for change in changes:
+        old = change.before_path if language_for_path(change.before_path) else None
+        new = change.path if language_for_path(change.path) else None
+        if old is not None or new is not None:
+            yield (change, old, new, change.before_blob if old is not None else None,
+                   change.after_blob if new is not None else None)
 
-    This is where a run decides which sides of a change are source: a side
-    whose path has no grammar adapter is the empty side, like the missing
-    side of an added or deleted file.  So ``Notes.groovy`` to
-    ``Notes.java`` is an addition and ``A.java`` to ``A.kt`` a deletion of
-    ``A.java``; a change with no source side is left out.
 
-    Each blob is parsed at most once.  ``graph`` must hold the commit's
-    first-parent snapshot, and ``parents`` the files of the checkpoints
-    held for the commit's other parents (see ``PipelineState.store``), and
-    both must stay as they are until the last change is taken.  A before
-    side whose blob is the one its file's entry in ``graph`` was read from
-    is that entry's tree, and so is a side whose path has an entry of its
-    blob in one of ``parents``; neither is parsed again.
-    An after side is parsed against its before side's tree, whose
-    unchanged members it takes (see ``syntax._Parser.reuse_member``).
+def _source_blobs(changes) -> Iterator[str | None]:
+    """The blob of each source side of ``changes``, as ``parse_changes``
+    reads them: the reads that ``PipelineState.due`` counts."""
+    for _, _, _, before_blob, after_blob in _source_sides(changes):
+        yield before_blob
+        yield after_blob
+
+
+def parse_changes(changes, run: AnalysisRun, shapes: ShapeTable | None = None,
+                  parsed: dict | None = None, due: Counter | None = None
+                  ) -> Iterator[SourceChange]:
+    """The commit's source changes (see ``_source_sides``), in order, with
+    both sides parsed.  A change is parsed when it is taken from the
+    iterator, which keeps no tree of a change taken; only ``parsed`` does.
+
+    Each side is read through ``parsed``, the results held by blob, and
+    takes one read off ``due``, the reads of each blob still to come (see
+    ``PipelineState``): a blob held in ``parsed`` is not parsed again, and
+    a result stays there while a read of its blob is due.  Given neither,
+    they hold this commit's reads only.  An after side is parsed against
+    its before side's tree, whose unchanged members it takes (see
+    ``syntax._Parser.reuse_member``).
     Each tree parsed here is bound to ``shapes``, the run's table, so a
     tree and the one it takes members from are filled by one table, and
     the members the parse copies keep their shapes.
     Parse time, parses, reused trees and members, and parse errors are
     counted on ``run``."""
-    sides = []
-    for change in changes:
-        old = change.before_path if language_for_path(change.before_path) else None
-        new = change.path if language_for_path(change.path) else None
-        if old is not None or new is not None:
-            sides.append((change, old, new))
-    # the sides of each blob still to come, the empty side's under None
-    left = Counter(blob for change, old, new in sides for blob in (
-        change.before_blob if old is not None else None,
-        change.after_blob if new is not None else None))
-    trees: dict[str | None, SyntaxTree | None] = {}
+    if due is None:
+        parsed, due = {}, Counter(_source_blobs(changes))
 
-    def held_tree(path, blob, snapshots):
-        if blob is not None:
-            for files in snapshots:
-                entry = files.get(path)
-                if entry is not None and entry.blob == blob:
-                    return entry.tree
-        return None
-
-    def tree_of(path, blob, text, held=None, previous=None):
+    def read(path, blob, text, previous=None):
         if blob is None:  # the empty side
             text = ""
-        if blob in trees:
-            tree = trees[blob]
-        elif held is not None:
-            run.tree_reuses += 1
-            tree = held
-        elif text is None:  # binary or undecodable
+        if text is None:  # binary or undecodable
             tree = None
+        elif blob in parsed:
+            run.tree_reuses += 1
+            tree = parsed[blob]
         else:
             run.parses += 1
             tree = parse_file(path, text, previous)
@@ -374,31 +370,26 @@ def parse_changes(changes, graph: CallGraph, run: AnalysisRun,
                 run.member_reuses += tree.reused_members
                 if tree.shapes is None:
                     tree.shapes = shapes
-        left[blob] -= 1
-        if left[blob]:
-            trees[blob] = tree
+        if due[blob] > 1:
+            due[blob] -= 1
+            parsed[blob] = tree
         else:
-            trees.pop(blob, None)
+            due.pop(blob, None)
+            parsed.pop(blob, None)
         return tree
-
-    before_snapshots = (graph.files, *parents)
 
     def source_of(side) -> SourceChange:
         t0 = time.perf_counter()
-        change, old, new = side
+        change, old, new, before_blob, after_blob = side
         path = new or old
-        before_blob = change.before_blob if old is not None else None
-        after_blob = change.after_blob if new is not None else None
-        before = tree_of(path, before_blob, change.before_content,
-                         held_tree(old, before_blob, before_snapshots))
-        after = tree_of(path, after_blob, change.after_content,
-                        held_tree(new, after_blob, parents), before)
+        before = read(path, before_blob, change.before_content)
+        after = read(path, after_blob, change.after_content, before)
         run.add_time("parse", time.perf_counter() - t0)
         return SourceChange(path, old if old != path else None, after_blob,
                             before, after, None if after is None else call_units(after))
 
     # unlike a generator's frame, map keeps no change it has handed out
-    return map(source_of, sides)
+    return map(source_of, _source_sides(changes))
 
 
 def current_impact(state: PipelineState) -> Impact:
@@ -423,23 +414,12 @@ def current_impact(state: PipelineState) -> Impact:
     return impact
 
 
-def _tree_reads(changes, merge: bool) -> list[tuple[str, str]]:
-    """The (path, blob) versions a commit's changes may read from a held
-    tree: every before side, and a merge's after sides, which it takes from
-    its other parents' checkpoints."""
-    reads = [(c.before_path, c.before_blob) for c in changes if c.before_blob is not None]
-    if merge:
-        reads += [(c.path, c.after_blob) for c in changes if c.after_blob is not None]
-    return reads
-
-
 def _score_file(source: SourceChange, result: CommitResult, state: PipelineState,
                 unranked: list) -> SourceChange:
     """Diff one source change and append its records to ``result``'s, and
     each function record with its ``FunctionId`` to ``unranked``, whose
     ``ip`` is filled in after the ranking.  Returns the change as
-    ``CallGraph.update`` takes it: without its before tree, and without its
-    after tree unless a later commit reads that version."""
+    ``CallGraph.update`` takes it: without its trees."""
     cfg, run = state.config, state.run
     before, after = source.before, source.after
     if before is not None and after is not None:
@@ -473,18 +453,14 @@ def _score_file(source: SourceChange, result: CommitResult, state: PipelineState
                     record.ddg = ddg_impact(pdg_after, changed)
                     record.cdg = cdg_impact(pdg_after, changed)
             run.add_time("pdg", time.perf_counter() - t1)
-    if after is not None and not state.due[(source.path, source.after_blob)]:
-        run.trees_dropped += source.after_blob is not None  # a deletion adds no entry
-        after = None
-    return source._replace(before=None, after=after)
+    return source._replace(before=None, after=None)
 
 
 def analyze_commit(commit: CommitRecord, state: PipelineState) -> CommitResult:
     """Raw-metric phase for one commit; the call graph must currently hold
     the commit's first-parent snapshot and is advanced to the commit.  The
-    commit's reads are taken off ``state.due``, and the checkpoints drop
-    the trees whose last read it made."""
-    cfg, run, due = state.config, state.run, state.due
+    commit's reads are taken off ``state.due``."""
+    cfg, run = state.config, state.run
     result = CommitResult(
         id=commit.id,
         author_email=commit.author.email,
@@ -498,26 +474,14 @@ def analyze_commit(commit: CommitRecord, state: PipelineState) -> CommitResult:
     run.add_time("ingest", time.perf_counter() - t0)
     result.bulk = len(changes) > cfg.bulk_file_threshold
 
-    spent = []
-    for version in _tree_reads(changes, len(commit.parent_ids) > 1):
-        if due[version] > 1:
-            due[version] -= 1
-        else:
-            due.pop(version, None)
-            spent.append(version)
-
     # each file is scored before the next is parsed; map keeps no change
     # once it has handed it to _score_file
-    parents = [held.files for p in commit.parent_ids[1:]
-               if (held := state.store.get(p)) is not None]
     unranked = []
     updates = list(map(partial(_score_file, result=result, state=state, unranked=unranked),
-                       parse_changes(changes, state.graph, run, parents, state.shapes)))
+                       parse_changes(changes, run, state.shapes, state.parsed, state.due)))
 
     t0 = time.perf_counter()
     state.graph.update(updates)
-    if spent:
-        state.store.drop_trees(spent)
     run.add_time("graph", time.perf_counter() - t0)
 
     if not result.records:
@@ -574,26 +538,17 @@ def analyze_repository(path: str, config: AnalysisConfig | None = None) -> Analy
 
     run = AnalysisRun(repository=str(path), config=cfg.to_dict())
     state = PipelineState(tree=tree, config=cfg, run=run, store=CheckpointStore())
-    # the reads of each commit's graph still due (see the module doc)
-    reads = Counter({cid: len(kids) - 1 for cid, kids in first_parent_children(tree).items()})
-    reads.update(p for record in tree.commits.values() for p in record.parent_ids[1:])
-
-    def read(cid):  # a merge the walk reaches before cid finds no checkpoint
-        reads[cid] -= 1
-        if not reads[cid] and state.store.get(cid) is not None:
-            state.store.discard(cid)
-
+    # the restores of each fork's graph still due (see the module doc)
+    restores = Counter({cid: len(kids) - 1 for cid, kids in first_parent_children(tree).items()})
     previous: str | None = None
     collecting = gc.isenabled()
     gc.disable()
     try:
-        # the reads of each file version's tree still due, from tree.commits:
+        # the reads of each blob still due, from the whole history's diffs:
         # the walk may be a one-shot iterator
         t0 = time.perf_counter()
-        index = diff_index(tree)
-        state.due.update(version for cid, record in tree.commits.items()
-                         for version in _tree_reads(index.get(cid, ()),
-                                                    len(record.parent_ids) > 1))
+        state.due.update(blob for changes in diff_index(tree).values()
+                         for blob in _source_blobs(changes))
         run.add_time("ingest", time.perf_counter() - t0)
         for commit in order:
             t_commit = time.perf_counter()
@@ -604,20 +559,22 @@ def analyze_repository(path: str, config: AnalysisConfig | None = None) -> Analy
             elif first_parent != previous:
                 state.graph = state.store.restore(first_parent)
                 run.checkpoint_restores += 1
-                read(first_parent)
+                restores[first_parent] -= 1
+                if not restores[first_parent]:
+                    state.store.discard(first_parent)
             result = analyze_commit(commit, state)
-            if reads[commit.id]:
+            if restores[commit.id]:
                 state.store.checkpoint(state.graph, commit.id)
                 run.checkpoints += 1
-            for parent in commit.parent_ids[1:]:
-                read(parent)
             run.commits.append(result)
             run.commit_times[commit.id] = time.perf_counter() - t_commit
             previous = commit.id
     finally:
         tree.close()
-        # free the graph, the checkpoints and their trees before a collection
+        # free the trees, the graph and the checkpoints before a collection
         # could walk them; a raising commit's frame may still hold the state
+        state.parsed.clear()
+        state.due.clear()
         state.graph = state.store = None
         del state
         if collecting:

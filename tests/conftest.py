@@ -1,7 +1,10 @@
 import os
 import subprocess
+import weakref
 
 import pytest
+
+from devcontrib import pipeline
 
 
 class RepoBuilder:
@@ -94,3 +97,26 @@ def make_repo(tmp_path):
         return RepoBuilder(path)
 
     return factory
+
+
+def held_parses(monkeypatch):
+    """Watch the runs that follow.  Returns two lists: per analyzed commit,
+    once it is analyzed, each blob whose parse result the run holds, mapped
+    to a weak reference to its tree (None for a result that is None) and
+    the reads of it still due, which must be some; and each run's
+    ``PipelineState``, to look at once the run has ended."""
+    seen, states = [], []
+    analyze_commit = pipeline.analyze_commit
+
+    def observed(commit, state):
+        if not states or states[-1] is not state:
+            states.append(state)
+        result = analyze_commit(commit, state)
+        held = {blob: (None if tree is None else weakref.ref(tree), state.due[blob])
+                for blob, tree in state.parsed.items()}
+        assert all(due > 0 for _, due in held.values()), held
+        seen.append(held)
+        return result
+
+    monkeypatch.setattr(pipeline, "analyze_commit", observed)
+    return seen, states

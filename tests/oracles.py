@@ -1100,7 +1100,7 @@ def build_call_graph(files: dict[str, str | None]) -> CallGraph:
             continue
         tree = parse_file(path, text)
         if tree is not None:
-            graph._add_file(path, None, call_units(tree))
+            graph._add_file(path, call_units(tree))
     graph._reindex((), [fid for entry in graph.files.values() for fid in entry.functions])
     for path in graph.files:
         graph.resolve_file(path)

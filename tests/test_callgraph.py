@@ -51,7 +51,7 @@ def _change(path, kind, before_content=None, after_content=None, old_path=None):
 
 def _update(graph, changes):
     """Advance ``graph`` the way the pipeline does: parse, then update."""
-    return graph.update(parse_changes(changes, graph, AnalysisRun("", {})))
+    return graph.update(parse_changes(changes, AnalysisRun("", {})))
 
 
 def test_single_file_call_edge():
@@ -139,7 +139,7 @@ def _sites(path, text):
     tree = syntax.parse_source(text, "java")
     # the parse's units are those of the walk over the finished tree
     assert tree.functions == reference_units(tree)
-    graph._add_file(path, None, call_units(tree))
+    graph._add_file(path, call_units(tree))
     return graph.files[path].sites, reference_call_sites(path, tree.functions)
 
 
@@ -300,7 +300,7 @@ def test_update_from_shared_trees_equals_rebuild(seed):
 
         with mock.patch.dict(syntax._ADAPTERS, {"java": recording}):
             run = AnalysisRun("", {})
-            sources = list(parse_changes(changes, graph, run))
+            sources = list(parse_changes(changes, run))
             # no text is parsed twice, not even a renamed file's one blob
             assert len(parsed) == len(set(parsed)) == run.parses
             graph.update(sources)
@@ -375,6 +375,32 @@ def test_body_only_update_keeps_ranks():
     _update(g, [_change(path="A.java", kind="modified",
                          after_content="class A { void f() { } void g() { } }")])
     assert g.impact is None
+
+
+def test_a_condensation_holds_by_position_when_the_numbers_change():
+    """Renaming ``g`` to ``g2`` gives it a new interner number but leaves
+    every node's sorted position and every edge as they were, so the next
+    ranking reuses the condensation, and scores as one that finds the SCCs
+    afresh."""
+    text = "class A {{ void f() {{ {0}(); }} void {0}() {{ f(); h(); }} void h() {{ }} }}"
+    files = {"A.java": text.format("g")}
+    g = build_call_graph(files)
+    cfg = AnalysisConfig()
+    state = PipelineState(tree=None, config=cfg, run=AnalysisRun("", {}), graph=g)
+    kept = current_impact(state).condensation
+    numbers = g.adjacency().numbers.tolist()
+    _update(g, [_change("A.java", "modified", files["A.java"], text.format("g2"))])
+    adjacency = g.adjacency()
+    assert adjacency.numbers.tolist() != numbers
+    impact = current_impact(state)
+    assert impact.condensation is kept and state.run.condensation_reuses == 1
+    fresh = backward_propagate(adjacency, pagerank(adjacency, damping=cfg.graph_damping,
+                                                   tol=cfg.graph_tol,
+                                                   max_iter=cfg.graph_max_iter).rank,
+                               decay=cfg.graph_decay)
+    assert fresh.condensation is not kept
+    assert fresh.condensation.label.tolist() == kept.label.tolist() == [1, 1, 0]
+    assert impact.scores.tolist() == fresh.scores.tolist()
 
 
 def test_a_second_call_to_a_callee_already_called_keeps_ranks():

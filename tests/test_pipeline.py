@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -26,7 +27,7 @@ from devcontrib.pipeline import AnalysisRun, analyze_repository, parse_changes
 from devcontrib.repo import changed_files, open_repository, walk_commits
 from devcontrib.syntax import MAX_TREE_DEPTH, ShapeTable, parse_file, parse_source
 
-from conftest import RepoBuilder
+from conftest import RepoBuilder, held_parses
 from oracles import build_call_graph
 
 BASE_JAVA = """
@@ -131,7 +132,7 @@ def test_pipeline_graph_matches_full_rebuild_at_every_commit(make_repo):
         elif first != previous:
             graph = store.restore(first)
         changes = changed_files(commit, tree)
-        graph.update(parse_changes(changes, graph, AnalysisRun("", {})))
+        graph.update(parse_changes(changes, AnalysisRun("", {})))
         if len(children.get(commit.id, [])) > 1:
             store.checkpoint(graph, commit.id)
         snapshot = {p: t for p, t in repo.snapshots[commit.id].items()
@@ -157,7 +158,7 @@ def test_rename_into_non_ascii_directory_keeps_functions(make_repo):
     graph = CallGraph()
     for commit in walk_commits(tree):
         changes = changed_files(commit, tree)
-        graph.update(parse_changes(changes, graph, AnalysisRun("", {})))
+        graph.update(parse_changes(changes, AnalysisRun("", {})))
         rebuilt = build_call_graph(repo.snapshots[commit.id])
         assert graph.structure() == rebuilt.structure(), commit.id
     assert FunctionId("D.d()", "src/café/D.java") in graph.nodes
@@ -272,7 +273,7 @@ def test_parse_error_degrades_to_file_skip(make_repo):
 _RUN_RECORD = {"timings", "commit_times", "checkpoints", "checkpoint_restores",
                "rank_computations", "rank_reuses", "condensation_reuses",
                "rank_iterations", "rank_unconverged", "parses", "tree_reuses",
-               "member_reuses", "parse_errors", "trees_dropped"}
+               "member_reuses", "parse_errors"}
 
 
 def test_run_records_stage_and_commit_times(make_repo):
@@ -458,12 +459,11 @@ def test_a_function_gone_from_the_graph_has_no_impact_and_an_added_one_its_rank(
     assert ip["A.f(int)"] == fresh[FunctionId("A.f(int)", "A.java")]
 
 
-def test_a_merged_second_root_ranks_as_a_fresh_graph(make_repo, monkeypatch):
-    """An orphan branch merged in: its root starts an empty graph with
-    numbers of its own, in the same order as the main line's, and every
-    graph of the run ranks as a fresh build of its snapshot.  A kept
-    condensation is only ever checked against the numbering it was found
-    with."""
+def _merged_second_root(make_repo):
+    """A main line of two commits and an orphan branch of two, merged into
+    main after both; returns the repository, the orphan root and the
+    merge.  Main's commits are older, so the walk reaches the merge before
+    the orphan root."""
     repo = make_repo()
     # each edit adds a call to an earlier component, so the SCCs still hold
     three = "class {} {{ void {}() {{ {}(); }} void {}() {{ }} void {}() {{{}}} }}"
@@ -478,7 +478,16 @@ def test_a_merged_second_root_ranks_as_a_fresh_graph(make_repo, monkeypatch):
               "-m", "merge", ts=5000)
     merge = repo.head()
     repo.snapshots[merge] = repo._read_tree(merge)
+    return repo, root, merge
 
+
+def test_a_merged_second_root_ranks_as_a_fresh_graph(make_repo, monkeypatch):
+    """An orphan branch merged in: its root starts an empty graph with
+    numbers of its own, in the same order as the main line's, and every
+    graph of the run ranks as a fresh build of its snapshot.  A kept
+    condensation is only ever checked against the numbering it was found
+    with."""
+    repo, root, merge = _merged_second_root(make_repo)
     found_with = []
     propagate = pipeline.backward_propagate
 
@@ -503,6 +512,18 @@ def test_a_merged_second_root_ranks_as_a_fresh_graph(make_repo, monkeypatch):
     assert len({id(n) for _, n in found_with}) == 2
     assert next(ids for cid, ids, _ in graphs if cid == root) == tuple(
         FunctionId(f"C.{name}()", "C.java") for name in "pqr")
+
+
+def test_a_second_root_walked_after_its_merge_parses_no_text_twice(make_repo, monkeypatch):
+    repo, root, merge = _merged_second_root(make_repo)
+    parsed = _parsed_texts(monkeypatch)
+    run = analyze_repository(repo.path)
+    assert [c.id for c in run.commits].index(merge) == 2
+    assert [c.id for c in run.commits].index(root) == 3
+    # the merge parses the orphan branch's last C.java, and its last commit
+    # reads that tree as the merge left it
+    assert len(parsed) == len(set(parsed)) == run.parses == 5
+    _run_equal_to_fresh_parses(repo.path)
 
 
 def test_every_function_record_has_its_complexity(make_repo):
@@ -600,9 +621,10 @@ def test_deeply_nested_files_are_skipped_alone(make_repo):
     assert len(run.commits) == 2
     scored = {r.file for c in run.commits for r in c.records}
     assert scored == {"Service.java", "Limit.java", "Chain.java"}
-    # the three deep files fail on the after side of both commits and on the
-    # before side of the second
-    assert run.parse_errors == 9
+    # each of the three deep files fails on its after side in both commits;
+    # the second commit reads its before side from the failure held since
+    # the first
+    assert run.parse_errors == 6
 
 
 def test_parse_stage_counts_and_warns_once_per_blob(make_repo, caplog):
@@ -614,17 +636,16 @@ def test_parse_stage_counts_and_warns_once_per_blob(make_repo, caplog):
                                "Broken.java": broken + "\n"})
     with caplog.at_level(logging.WARNING, logger="devcontrib"):
         run = analyze_repository(repo.path)
-    # each commit parses two sides of two source files, except that the
-    # first commit's two added files share one before side, the empty text,
-    # and the second commit reads Service.java's before side from the call
-    # graph; Broken.java never parsed, so the graph holds no tree of it
-    assert (run.parses, run.tree_reuses, run.parse_errors) == (6, 1, 3)
+    # the first commit's two added files share one before side, the empty
+    # text, and the second commit reads both before sides as the first
+    # left them, Broken.java's failed parse included
+    assert (run.parses, run.tree_reuses, run.parse_errors) == (5, 3, 2)
     assert {"parse", "diff", "graph"} <= set(run.timings)
     doc = json.dumps(run.to_dict())
     assert [key for key in _RUN_RECORD if f'"{key}"' in doc] == []
     warnings = [r for r in caplog.records if "Broken.java" in r.getMessage()]
-    # commit one: the after blob; commit two: the before and the after blob
-    assert len(warnings) == 3
+    # one for each of Broken.java's two blobs
+    assert len(warnings) == 2
 
 
 def test_files_sharing_a_blob_share_its_tree_and_keep_their_paths(make_repo):
@@ -634,9 +655,9 @@ def test_files_sharing_a_blob_share_its_tree_and_keep_their_paths(make_repo):
         "a/Service.java": BASE_JAVA.replace("k * 2", "k * 3"),
         "b/Service.java": BASE_JAVA.replace("k * 2", "k * 3")})
     run = analyze_repository(repo.path)
-    # one empty before side and one after blob in the first commit, one
-    # after blob in the second, whose one before blob the call graph holds
-    assert (run.parses, run.tree_reuses, run.parse_errors) == (3, 1, 0)
+    # the empty text and the first blob, then the second blob: every other
+    # side reads a blob already parsed
+    assert (run.parses, run.tree_reuses, run.parse_errors) == (3, 5, 0)
     init, edit = run.commits
     assert {(r.function, r.file) for r in init.records} == {
         (pipeline.FILE_SCOPE, "a/Service.java"), (pipeline.FILE_SCOPE, "b/Service.java")}
@@ -754,7 +775,7 @@ def test_an_after_side_takes_members_from_its_before_tree_with_their_shapes(make
     tree = open_repository(repo.path)
     graph, shapes, run = CallGraph(), ShapeTable(), AnalysisRun("", {})
     for commit in walk_commits(tree):
-        sources = list(parse_changes(changed_files(commit, tree), graph, run, shapes=shapes))
+        sources = list(parse_changes(changed_files(commit, tree), run, shapes))
         graph.update(sources)
     tree.close()
     [source] = sources
@@ -781,7 +802,7 @@ def test_rename_to_a_path_without_grammar_scores_a_deletion(make_repo):
         graph = CallGraph()
         for commit in walk_commits(tree):
             changes = changed_files(commit, tree)
-            graph.update(parse_changes(changes, graph, AnalysisRun("", {})))
+            graph.update(parse_changes(changes, AnalysisRun("", {})))
             rebuilt = build_call_graph(repo.snapshots[commit.id])
             assert graph.structure() == rebuilt.structure(), commit.id
         tree.close()
@@ -799,11 +820,11 @@ def test_rename_to_a_path_without_grammar_scores_a_deletion(make_repo):
 def test_sibling_branches_read_the_fork_points_trees(make_repo):
     repo = _forked_repo(make_repo)
     run = analyze_repository(repo.path)
-    # base and side1 add a file (the empty side and the after blob each);
-    # main1, third1 and main2 each parse their after blob and read the
-    # Service.java tree their first parent left in the call graph, third1
-    # and main2 from main1's checkpoint
-    assert (run.parses, run.tree_reuses) == (7, 3)
+    # base parses the empty text and Service.java, side1 reads the empty
+    # text again and parses Extra.java; main1, third1 and main2 each parse
+    # their after blob and read the Service.java tree their first parent
+    # left, third1 and main2 main1's one
+    assert (run.parses, run.tree_reuses) == (6, 4)
 
 
 def _unit(name, n):
@@ -859,24 +880,33 @@ def _merge(repo, branches, ts):
 
 
 def _fresh_run(path):
+    """The run with every side parsed afresh, and the texts that failed."""
+    failed = []
+
+    def fresh_parse(path, text, previous=None):
+        tree = parse_file(path, text)
+        if tree is None:
+            failed.append(text)
+        return tree
+
     with pytest.MonkeyPatch.context() as mp:
-        # parsing against an empty call graph and no merge parents'
-        # checkpoints holds no tree to reuse, and parsing without the
-        # previous tree takes no member from it
+        # parsing with no reads due holds no result to reuse, and parsing
+        # without the previous tree takes no member from it
         mp.setattr(pipeline, "parse_changes",
-                   lambda changes, graph, run, parents, shapes:
-                   parse_changes(changes, CallGraph(), run, shapes=shapes))
-        mp.setattr(pipeline, "parse_file",
-                   lambda path, text, previous=None: parse_file(path, text))
-        return analyze_repository(path)
+                   lambda changes, run, shapes, parsed, due:
+                   parse_changes(changes, run, shapes, {}, Counter()))
+        mp.setattr(pipeline, "parse_file", fresh_parse)
+        return analyze_repository(path), failed
 
 
 def _run_equal_to_fresh_parses(path):
     run = analyze_repository(path)
-    fresh = _fresh_run(path)
+    fresh, failed = _fresh_run(path)
     assert fresh.tree_reuses == fresh.member_reuses == 0
     assert run.parses + run.tree_reuses == fresh.parses
-    assert run.parse_errors == fresh.parse_errors
+    assert fresh.parse_errors == len(failed)
+    # a text that fails is parsed once, however many sides read it
+    assert run.parse_errors == len(set(failed))
     assert run.to_dict() == fresh.to_dict()
     return run, fresh
 
@@ -948,13 +978,14 @@ def test_a_merge_reads_its_topic_branchs_trees(make_repo, monkeypatch):
     run, _ = _run_equal_to_fresh_parses(repo.path)
     assert [c.id for c in run.commits][-1] == merge
     seen = seen[:len(run.commits)]  # the fresh run's commits come after
-    # base is kept for main1, which restores it, and side2 from its analysis
-    # until the merge is analyzed
-    assert [kept for kept, _, _ in seen] == [[], [base], [base], [topic], [topic]]
-    # the merge parses only Extra.java's empty before side: the before sides
-    # of Service.java and the renamed Other.java are in main1's graph, and
-    # their after sides and Extra.java's are side2's trees
-    assert seen[-1][1:] == (1, 5)
+    # base is kept for main1, which restores it; the merge's other parent
+    # is not kept
+    assert [kept for kept, _, _ in seen] == [[], [base], [base], [], []]
+    # the merge parses nothing: the before sides of Service.java and the
+    # renamed Other.java are base's blobs, their after sides and Extra.java's
+    # are side2's, and Extra.java's before side is the empty text
+    assert seen[-1][1:] == (0, 6)
+    assert topic in {c.id for c in run.commits}
 
 
 def test_a_merge_before_its_second_parent_keeps_no_snapshot(make_repo, monkeypatch):
@@ -972,8 +1003,10 @@ def test_a_merge_before_its_second_parent_keeps_no_snapshot(make_repo, monkeypat
     seen = seen[:len(run.commits)]  # the fresh run's commits come after
     # only base is kept, until side1 restores it
     assert [kept for kept, _, _ in seen] == [[], [base], [base], []]
-    # the merge parses Service.java's after side, which side1 parses again
-    assert [reuses for _, _, reuses in seen] == [0, 0, 1, 1]
+    # the merge parses Service.java's after side, and side1 reads it as the
+    # merge left it
+    assert [(parses, reuses) for _, parses, reuses in seen] == [(2, 0), (1, 1), (1, 1),
+                                                                (0, 2)]
 
 
 def test_an_octopus_merge_reads_every_topic_branch(make_repo, monkeypatch):
@@ -991,28 +1024,40 @@ def test_an_octopus_merge_reads_every_topic_branch(make_repo, monkeypatch):
     run, _ = _run_equal_to_fresh_parses(repo.path)
     assert [c.id for c in run.commits][-1] == merge
     seen = seen[:len(run.commits)]  # the fresh run's commits come after
-    assert seen[-1][0] == sorted(tips)
-    # both sides of both files are held: the before sides by main1's graph,
-    # A.java's after side by branch one's files and B.java's by branch two's
-    assert seen[-1][1:] == (0, 4)
+    # both sides of both files are held: the before sides since base, A.java's
+    # after side since branch one and B.java's since branch two; no branch
+    # tip is kept
+    assert seen[-1] == ([], 0, 4)
+    assert set(tips) <= {c.id for c in run.commits}
     assert {r.file for r in run.commits[-1].records} == {"A.java", "B.java"}
 
 
-def _held_trees_seen(monkeypatch):
-    """Per analyzed commit: the (path, blob) versions whose trees the graph
-    or a checkpoint holds once the commit is analyzed."""
-    seen = []
-    analyze_commit = pipeline.analyze_commit
+def _reads_due(seen):
+    """``held_parses``' record as the reads still due of each held blob."""
+    return [{blob: due for blob, (_, due) in held.items()} for held in seen]
 
-    def observed(commit, state):
-        result = analyze_commit(commit, state)
-        graphs = [state.graph, *filter(None, map(state.store.get, state.tree.commits))]
-        seen.append({(path, entry.blob) for graph in graphs
-                     for path, entry in graph.files.items() if entry.tree is not None})
-        return result
 
-    monkeypatch.setattr(pipeline, "analyze_commit", observed)
-    return seen
+def _parsed_texts(monkeypatch):
+    """The texts the runs that follow parse, in order."""
+    parsed = []
+    parse = pipeline.parse_file
+    monkeypatch.setattr(pipeline, "parse_file", lambda path, text, previous=None:
+                        parsed.append(text) or parse(path, text, previous))
+    return parsed
+
+
+def test_one_blob_added_at_two_paths_in_two_commits_is_parsed_once(make_repo,
+                                                                    monkeypatch):
+    repo = make_repo()
+    repo.commit("one", 1000, {"a/Service.java": BASE_JAVA})
+    repo.commit("two", 2000, {"b/Service.java": BASE_JAVA})
+    parsed = _parsed_texts(monkeypatch)
+    run = analyze_repository(repo.path)
+    # the empty text and the one blob; the second commit reads both
+    assert parsed == ["", BASE_JAVA]
+    assert (run.parses, run.tree_reuses) == (2, 2)
+    assert [{r.file for r in c.records} for c in run.commits] == [
+        {"a/Service.java"}, {"b/Service.java"}]
 
 
 def _blob(repo, commit, path):
@@ -1024,11 +1069,12 @@ def test_a_file_added_and_never_changed_holds_no_tree(make_repo, monkeypatch):
     init = repo.commit("init", 1000, {"Service.java": BASE_JAVA,
                                       "Other.java": _unit("Other", 1)})
     repo.commit("edit", 2000, {"Service.java": BASE_JAVA.replace("k * 2", "k * 3")})
-    seen = _held_trees_seen(monkeypatch)
+    seen, _ = held_parses(monkeypatch)
     run = analyze_repository(repo.path)
-    # only the edit reads a tree: Service.java's first version
-    assert seen == [{("Service.java", _blob(repo, init, "Service.java"))}, set()]
-    assert (run.trees_dropped, run.tree_reuses) == (2, 1)
+    # only the edit reads a blob of the first commit: Service.java's
+    assert _reads_due(seen) == [{_blob(repo, init, "Service.java"): 1}, {}]
+    # the empty text, both first versions and the edit's
+    assert (run.parses, run.tree_reuses) == (4, 2)
 
 
 def test_a_blob_keeps_its_tree_until_its_last_read(make_repo, monkeypatch):
@@ -1043,24 +1089,20 @@ def test_a_blob_keeps_its_tree_until_its_last_read(make_repo, monkeypatch):
     repo.checkout("main")
     main = repo.commit("main1", 3000, {"Service.java": BASE_JAVA.replace("k * 2", "k * 3")})
     merge = _merge(repo, ["side"], 4000)
-    seen = _held_trees_seen(monkeypatch)
-    parsed = []
-    parse = pipeline.parse_file
-    monkeypatch.setattr(pipeline, "parse_file", lambda path, text, previous=None:
-                        parsed.append(text) or parse(path, text, previous))
+    seen, _ = held_parses(monkeypatch)
+    parsed = _parsed_texts(monkeypatch)
     run = analyze_repository(repo.path)
     assert [c.id for c in run.commits] == [base, side, third, main, merge]
-    other, service = (("Other.java", _blob(repo, base, "Other.java")),
-                      ("Service.java", _blob(repo, base, "Service.java")))
+    other, service = _blob(repo, base, "Other.java"), _blob(repo, base, "Service.java")
     # Other.java's first version is read by both sibling branches and by the
-    # merge, whose first parent, main1, left it as it was; the merge takes
-    # side1's version of it from side1's checkpoint
-    topic = ("Other.java", _blob(repo, side, "Other.java"))
-    assert seen == [{other, service}, {other, service, topic}, {other, service, topic},
-                    {other, topic}, set()]
-    texts = [text for text in parsed if text]  # each commit parses the empty text
-    assert len(texts) == len(set(texts)) == 5
-    assert (run.parses, run.tree_reuses) == (6, 5)
+    # merge, whose first parent, main1, left it as it was; the merge reads
+    # side1's version of it too
+    topic = _blob(repo, side, "Other.java")
+    assert _reads_due(seen) == [{other: 3, service: 1}, {other: 2, service: 1, topic: 1},
+                                {other: 1, service: 1, topic: 1}, {other: 1, topic: 1}, {}]
+    # the empty text and five blobs, each parsed once
+    assert len(parsed) == len(set(parsed)) == run.parses == 6
+    assert run.tree_reuses == 6
 
 
 def test_forks_a_merge_a_rename_and_a_revert_parse_no_text_twice(make_repo, monkeypatch):
@@ -1077,15 +1119,12 @@ def test_forks_a_merge_a_rename_and_a_revert_parse_no_text_twice(make_repo, monk
     repo.checkout("main")
     repo.commit("main1", 3000, {"Other.java": _unit("Other", 4)})
     _merge(repo, ["topic"], 4000)
-    parsed = []
-    parse = pipeline.parse_file
-    monkeypatch.setattr(pipeline, "parse_file", lambda path, text, previous=None:
-                        parsed.append(text) or parse(path, text, previous))
+    parsed = _parsed_texts(monkeypatch)
     run = analyze_repository(repo.path)
-    texts = [text for text in parsed if text]  # each commit parses the empty text
-    assert len(texts) == len(set(texts))
+    assert len(parsed) == len(set(parsed))
+    # only base, a fork, is kept, for side1 and main1 to restore
     assert (run.parses, run.tree_reuses, run.checkpoints, run.checkpoint_restores) == (
-        7, 7, 2, 2)
+        7, 11, 1, 2)
 
 
 def test_each_run_fills_shapes_from_its_own_table(make_repo, monkeypatch):
@@ -1126,7 +1165,8 @@ def test_reused_tree_equals_a_fresh_parse_after_the_differ(make_repo, monkeypatc
 
     monkeypatch.setattr(pipeline, "diff_file_pair", recording)
     run = analyze_repository(repo.path)
-    assert run.tree_reuses == 4
+    # four before sides an earlier diff built, and side1's empty before side
+    assert run.tree_reuses == 5
     after_sides = {id(after) for _, after in diffed}
     reused = [before for before, _ in diffed if id(before) in after_sides]
     assert len(reused) == 4

@@ -134,8 +134,8 @@ def test_traced_run_records_parse_update_and_diff_spans(make_repo):
 
 
 def test_traced_run_discards_every_checkpoint_it_takes(make_repo):
-    # base is a fork, restored for main1, and side1 a merge parent, read by
-    # the merge: each is checkpointed once and discarded after its last read
+    # base is a fork, restored for main1: it is checkpointed once and
+    # discarded after its last read; side1, a merge parent, is not kept
     repo = make_repo()
     a = "class A { int f() { return g(); } int g() { return 1; } }"
     repo.commit("base", 1000, {"A.java": a})
@@ -148,6 +148,6 @@ def test_traced_run_discards_every_checkpoint_it_takes(make_repo):
     proc = subprocess.run([sys.executable, "-c", _TRACED_RUN, str(_TRACING), repo.path],
                           env=env, capture_output=True, text=True, check=True)
     metrics = json.loads(proc.stdout)
-    assert metrics["callgraph.checkpoint_calls"] == metrics["callgraph.discard_calls"] == 2
+    assert metrics["callgraph.checkpoint_calls"] == metrics["callgraph.discard_calls"] == 1
     assert metrics["callgraph.restore_calls"] == 1
     assert metrics["callgraph.checkpoints_live_peak"] >= 1

@@ -20,6 +20,8 @@ from devcontrib.errors import MissingAuthor
 from devcontrib.pipeline import analyze_repository
 from devcontrib.syntax import parse_source
 
+from conftest import held_parses
+
 BEFORE = """
 class C {
     int total;
@@ -47,7 +49,7 @@ def _parse_and_use(steps):
         assert units
     if steps >= 3:
         graph = CallGraph()
-        graph._add_file("C.java", None, call_units(before), before)
+        graph._add_file("C.java", call_units(before))
         assert graph.files["C.java"].sites
     if steps >= 4:
         after = parse_source(AFTER, "java")
@@ -114,8 +116,8 @@ def test_run_leaves_no_cyclic_garbage(make_repo):
     gc.disable()
     try:
         run = analyze_repository(mixed.path)
-        # Deep.java fails on three sides, Broken.java on two
-        assert (run.checkpoint_restores, run.parse_errors) == (1, 5)
+        # Deep.java's two blobs fail, and Broken.java's first one
+        assert (run.checkpoint_restores, run.parse_errors) == (1, 3)
         assert run.tree_reuses > 0 and run.member_reuses > 0
         assert gc.collect() == 0
         assert analyze_repository(merged.path).tree_reuses > 0
@@ -191,36 +193,48 @@ def test_run_pauses_the_collector_and_restores_the_callers_setting(
 def test_graph_and_its_trees_are_freed_before_the_collector_resumes(make_repo,
                                                                      monkeypatch):
     repos = [_mixed_history(make_repo), _merged_history(make_repo)]
-    held = []
+    graphs = []
     analyze_commit, fit_boxcox = pipeline.analyze_commit, pipeline.fit_boxcox
 
     def observed(commit, state):
         result = analyze_commit(commit, state)
-        held.append(weakref.ref(state.graph))
-        held.extend(weakref.ref(entry.tree) for entry in state.graph.files.values()
-                    if entry.tree is not None)
-        kept = [state.store.get(c) for c in state.tree.commits]
-        held.extend(weakref.ref(graph) for graph in kept if graph is not None)
-        held.extend(weakref.ref(entry.tree) for graph in kept if graph is not None
-                    for entry in graph.files.values() if entry.tree is not None)
+        graphs.append(weakref.ref(state.graph))
+        graphs.extend(weakref.ref(graph) for c in state.tree.commits
+                      if (graph := state.store.get(c)) is not None)
         return result
 
     alive = []
 
     def fit(values, **kwargs):
-        alive.append((gc.isenabled(), sum(ref() is not None for ref in held)))
+        held = [tree for trees in seen for tree, _ in trees.values() if tree is not None]
+        alive.append((gc.isenabled(), sum(ref() is not None for ref in graphs + held)))
         return fit_boxcox(values, **kwargs)
 
     monkeypatch.setattr(pipeline, "analyze_commit", observed)
     monkeypatch.setattr(pipeline, "fit_boxcox", fit)
+    seen, _ = held_parses(monkeypatch)
     assert gc.isenabled()
     for repo in repos:
         analyze_repository(repo.path)
-    assert len(held) > 10
+    assert len(graphs) > 10 and any(seen)
     assert set(alive) == {(True, 0)}
 
 
-def test_snapshots_are_freed_when_the_loop_raises_before_the_merge(make_repo,
+def _free_count_on_resume(monkeypatch, refs):
+    """Make the run's restore of the collector record how many of ``refs``
+    are alive; returns that record."""
+    alive = []
+
+    def enable():
+        alive.append(sum(ref() is not None for ref in refs))
+        gc.enable()
+
+    monkeypatch.setattr(pipeline, "gc", types.SimpleNamespace(
+        isenabled=gc.isenabled, disable=gc.disable, enable=enable))
+    return alive
+
+
+def test_held_trees_are_freed_when_the_loop_raises_before_the_merge(make_repo,
                                                                     monkeypatch):
     repo = _merged_history(make_repo)
     kept = []
@@ -228,29 +242,19 @@ def test_snapshots_are_freed_when_the_loop_raises_before_the_merge(make_repo,
 
     def failing(commit, state):
         if len(commit.parent_ids) > 1:
-            # trees only side2's checkpoint holds; this frame keeps the state
-            in_graph = {id(entry.tree) for entry in state.graph.files.values()}
-            kept.extend(weakref.ref(entry.tree) for parent in commit.parent_ids[1:]
-                        for entry in state.store.get(parent).files.values()
-                        if entry.tree is not None and id(entry.tree) not in in_graph)
+            # the trees held for the merge; this frame keeps the state
+            kept.extend(weakref.ref(tree) for tree in state.parsed.values())
             raise MissingAuthor("the merge fails")
         return analyze_commit(commit, state)
 
-    alive = []
-
-    def enable():
-        alive.append(sum(ref() is not None for ref in kept))
-        gc.enable()
-
     monkeypatch.setattr(pipeline, "analyze_commit", failing)
-    monkeypatch.setattr(pipeline, "gc", types.SimpleNamespace(
-        isenabled=gc.isenabled, disable=gc.disable, enable=enable))
+    alive = _free_count_on_resume(monkeypatch, kept)
     assert gc.isenabled()
     with pytest.raises(MissingAuthor):
         analyze_repository(repo.path)
-    # side1's C.java and side2's Extra.java; the renamed Helper.java keeps
-    # the tree of its blob that main1's graph holds too
-    assert len(kept) == 2
+    # C.java's two versions, the empty text, Extra.java and the one blob of
+    # the renamed Helper.java
+    assert len(kept) == 5
     assert alive == [0]
 
 
@@ -268,25 +272,14 @@ def test_fork_checkpoint_is_freed_when_the_loop_raises(make_repo, monkeypatch):
     def failing(commit, state):
         seen.append(commit.id)
         if len(seen) == 3:
-            # side2: base's checkpoint is live, and holds C.java's first
-            # tree, which side1 replaced in the graph; this frame keeps the state
-            in_graph = {id(entry.tree) for entry in state.graph.files.values()}
-            kept.extend(weakref.ref(entry.tree)
-                        for entry in stores[0]().restore(seen[0]).files.values()
-                        if entry.tree is not None and id(entry.tree) not in in_graph)
+            # side2: base's checkpoint is live; this frame keeps the state
+            kept.append(weakref.ref(stores[0]().get(seen[0])))
             raise MissingAuthor("side2 fails")
         return analyze_commit(commit, state)
 
-    alive = []
-
-    def enable():
-        alive.append(sum(ref() is not None for ref in kept))
-        gc.enable()
-
     monkeypatch.setattr(pipeline, "CheckpointStore", RecordingStore)
     monkeypatch.setattr(pipeline, "analyze_commit", failing)
-    monkeypatch.setattr(pipeline, "gc", types.SimpleNamespace(
-        isenabled=gc.isenabled, disable=gc.disable, enable=enable))
+    alive = _free_count_on_resume(monkeypatch, kept)
     assert gc.isenabled()
     with pytest.raises(MissingAuthor):
         analyze_repository(repo.path)
@@ -294,12 +287,36 @@ def test_fork_checkpoint_is_freed_when_the_loop_raises(make_repo, monkeypatch):
     assert alive == [0]
 
 
+@pytest.mark.parametrize("fail", [False, True], ids=["returns", "raises"])
+def test_a_run_ends_holding_no_parse(make_repo, monkeypatch, fail):
+    """Whether the commit loop finishes or raises at the merge, the run
+    ends with no parse result held and no read due."""
+    repo = _merged_history(make_repo)
+    analyze_commit = pipeline.analyze_commit
+
+    def failing(commit, state):
+        if fail and len(commit.parent_ids) > 1:
+            raise MissingAuthor("the merge fails")
+        return analyze_commit(commit, state)
+
+    monkeypatch.setattr(pipeline, "analyze_commit", failing)
+    seen, states = held_parses(monkeypatch)
+    if fail:
+        with pytest.raises(MissingAuthor):
+            analyze_repository(repo.path)
+    else:
+        analyze_repository(repo.path)
+    assert len(seen) == 4 + (not fail) and seen[-2]
+    [state] = states
+    assert state.parsed == {} and not state.due
+
+
 def test_no_tree_without_a_read_due_survives_its_commit(make_repo, monkeypatch):
     """After each commit, every tree the run parsed that is still alive is
-    the tree of a graph or checkpoint entry that a later commit reads, and
-    every entry that holds a tree is such an entry."""
-    parsed, seen = [], []
-    parse_file, analyze_commit = pipeline.parse_file, pipeline.analyze_commit
+    held for a read still due (``held_parses`` checks that each is), and
+    every tree held is such a tree."""
+    parsed, alive = [], []
+    parse_file = pipeline.parse_file
 
     def recording(path, text, previous=None):
         tree = parse_file(path, text, previous)
@@ -307,22 +324,20 @@ def test_no_tree_without_a_read_due_survives_its_commit(make_repo, monkeypatch):
             parsed.append(weakref.ref(tree))
         return tree
 
+    monkeypatch.setattr(pipeline, "parse_file", recording)
+    seen, _ = held_parses(monkeypatch)
+    analyze_commit = pipeline.analyze_commit
+
     def observed(commit, state):
         result = analyze_commit(commit, state)
-        graphs = [state.graph, *filter(None, map(state.store.get, state.tree.commits))]
-        held = {(id(entry.tree), state.due[(path, entry.blob)] > 0)
-                for graph in graphs for path, entry in graph.files.items()
-                if entry.tree is not None}
-        alive = {id(tree) for ref in parsed if (tree := ref()) is not None}
-        seen.append((alive, held))
+        alive.append(({id(tree) for ref in parsed if (tree := ref()) is not None},
+                      {id(ref()) for ref, _ in seen[-1].values() if ref is not None}))
         return result
 
-    monkeypatch.setattr(pipeline, "parse_file", recording)
     monkeypatch.setattr(pipeline, "analyze_commit", observed)
-    runs = [analyze_repository(repo.path)
-            for repo in (_mixed_history(make_repo), _merged_history(make_repo))]
-    assert all(run.trees_dropped > 0 for run in runs)
-    assert any(alive for alive, _ in seen)
-    for alive, held in seen:
-        assert all(due for _, due in held)
-        assert alive == {tree for tree, _ in held}
+    for repo in (_mixed_history(make_repo), _merged_history(make_repo)):
+        analyze_repository(repo.path)
+    assert any(trees for trees, _ in alive)
+    assert len(parsed) > max(len(trees) for trees, _ in alive)
+    for trees, held in alive:
+        assert trees == held
